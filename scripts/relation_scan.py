@@ -32,7 +32,8 @@ def main() -> None:
             pts = jb.find_critical_points(m, complex(q), trials=args.trials, seed=args.seed)
             for l in range(1, m):
                 rep = jb.conjecture_probe(m, complex(q), l, pts)
-                print(f"{m:>3} {l:>3} {str(q):>10} {len(pts):>6} {rep.max_dev:>14.2e}")
+                dev = "-" if rep.max_dev is None else f"{rep.max_dev:.2e}"
+                print(f"{m:>3} {l:>3} {str(q):>10} {rep.points:>6} {dev:>14}")
     print()
     print("deviations at machine-precision scale support the relation at every level l")
     print("(search coverage above m = 3 is partial: some Newton basins are tiny;")

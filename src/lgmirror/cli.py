@@ -15,6 +15,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
+from lgmirror import grouprep as gr
 from lgmirror import jacobi as jb
 from lgmirror import qchevalley as qc
 from lgmirror import superpotential as sp
@@ -95,40 +96,39 @@ def _suite_records(suite: str, m: int, q: Fraction, trials: int, seed: int) -> t
         while True:
             b = sample_b(m, stream)
             bring = sp.ring_vector(b, ring)
+            p = sp.plucker_vector(bring, m, ring)
             try:
-                p = sp.plucker_vector(bring, m, ring)
                 sp.eval_W(ring.from_fraction(q), p, m, ring)
             except sp.DivisorError:
                 redraws += 1
                 continue
-            return b, bring
+            return b, bring, p
 
     if suite == "theorem-w":
         for k in range(trials):
-            b, bring = draw()
+            b, bring, _ = draw()
             rep = sp.verify_theorem_w(m, ring.from_fraction(q), bring, ring)
             records.append({"instance": k, "b": [str(x) for x in b], "ok": rep.ok, "detail": rep.detail})
     elif suite == "minors":
         for k in range(trials):
-            b, bring = draw()
+            b, bring, p = draw()
+            u2 = gr.build_u2bar(bring, m, ring)
             for j in range(2, m + 1):
-                rep = sp.verify_sym_to_minor(m, j, bring, ring)
+                rep = sp.verify_sym_to_minor(m, j, bring, ring, p=p, u2=u2)
                 records.append({"instance": k, "j": j, "b": [str(x) for x in b], "ok": rep.ok, "detail": rep.detail})
     elif suite == "em":
         for k in range(trials):
-            b, bring = draw()
+            b, bring, _ = draw()
             rep = sp.verify_em_formula(m, bring, ring)
             records.append({"instance": k, "b": [str(x) for x in b], "ok": rep.ok, "detail": rep.detail})
     elif suite == "subword":
-        from lgmirror import partitions as pt
-
         for k in range(trials):
-            b, bring = draw()
+            b, bring, spin = draw()
+            subword = sp.plucker_subword_vector(bring, m, ring)
             ok = True
             detail = ""
-            for lam in pt.all_strict_partitions(m):
-                lhs = sp.plucker_spin(lam, bring, m, ring)
-                rhs = sp.plucker_subword(lam, bring, m, ring)
+            for lam, lhs in spin.items():
+                rhs = subword[lam]
                 if lhs != rhs:
                     ok = False
                     detail = f"p_{lam.render()}: spin {lhs} != subword {rhs}"
@@ -136,9 +136,10 @@ def _suite_records(suite: str, m: int, q: Fraction, trials: int, seed: int) -> t
             records.append({"instance": k, "b": [str(x) for x in b], "ok": ok, "detail": detail})
     elif suite == "fj":
         for k in range(trials):
-            b, bring = draw()
+            b, bring, _ = draw()
+            u2 = gr.build_u2bar(bring, m, ring)
             for j in range(1, m):
-                rep = sp.verify_fj_minors(m, j, bring, ring)
+                rep = sp.verify_fj_minors(m, j, bring, ring, u2=u2)
                 records.append({"instance": k, "j": j, "b": [str(x) for x in b], "ok": rep.ok, "detail": rep.detail})
     elif suite == "pi-map":
         from lgmirror import clifford as cl
@@ -253,7 +254,10 @@ def config_from_args(args) -> RunConfig:
     if getattr(args, "t", None) is not None:
         import math
 
-        q = Fraction(math.exp(args.t)).limit_denominator(10**12)
+        try:
+            q = Fraction(math.exp(args.t)).limit_denominator(10**12)
+        except (OverflowError, ValueError) as exc:
+            raise ValueError(f"--t {args.t}: q = exp(t) is not a finite number") from exc
     return RunConfig(
         m=args.m,
         q=q,
@@ -271,8 +275,11 @@ def main(argv: list[str] | None = None) -> int:
     if args.command != "print-w" and args.m < 2:
         print("error: need m >= 2", file=sys.stderr)
         return 2
-    config = config_from_args(args)
+    if getattr(args, "trials", 1) < 1:
+        print("error: need --trials >= 1", file=sys.stderr)
+        return 2
     try:
+        config = config_from_args(args)
         if args.command == "print-w":
             return cmd_print_w(config)
         if args.command == "verify":

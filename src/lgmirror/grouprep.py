@@ -226,6 +226,25 @@ def apply_spin_factors(factors: list, vec: cl.SpinVector, ring: ScalarRing) -> c
     return cl.SpinVector(vec.m, coeffs, vec.dual)
 
 
+def spin_row_sweep(factors: list, ring: ScalarRing) -> dict[tuple[int, ...], object]:
+    """The row w_empty^T F_1 ... F_N of the (leftmost-first) factor list.
+
+    Keyed by column subset: the entry at I is the w_empty coefficient of
+    F_1 ... F_N w_I.  One pass over the factors gives the whole row; columns
+    never reached are absent.
+    """
+    row = {(): ring.one}
+    for table in factors:
+        out = dict(row)
+        for col, entries in table.items():
+            for r, entry in entries:
+                c = row.get(r)
+                if c is not None:
+                    out[col] = out[col] + c * entry if col in out else c * entry
+        row = out
+    return row
+
+
 def build_u2bar_spin(b: list, m: int, ring: ScalarRing = EXACT) -> cl.EndSpin:
     """u2bar acting on V_Spin, as a sparse 2^m x 2^m matrix."""
     factors = u2bar_spin_factors(b, m, ring)

@@ -247,8 +247,9 @@ def compare_spectrum(m: int, q: complex, points: list[CriticalPoint]) -> Spectru
 @dataclass
 class ProbeReport:
     l: int
-    max_dev: float
-    p_empty_min: float  # smallest |p_empty| seen; probe is ill-defined near 0
+    points: int  # critical points probed
+    max_dev: float | None  # None when no point was probed
+    p_empty_min: float | None  # smallest |p_empty| seen; probe is ill-defined near 0
 
 
 def conjecture_probe(m: int, q: complex, l: int, points: list[CriticalPoint]) -> ProbeReport:
@@ -256,9 +257,12 @@ def conjecture_probe(m: int, q: complex, l: int, points: list[CriticalPoint]) ->
 
     Evidence for the quantum-cohomology relation conjectured for the W_t
     denominators; uses the sigma_lambda -> p_lambda/p_empty identification.
+    Over no points the deviation and min |p_empty| are None, not 0 and inf.
     """
     if not 1 <= l <= m - 1:
         raise ValueError("probe needs 1 <= l <= m-1")
+    if not points:
+        return ProbeReport(l=l, points=0, max_dev=None, p_empty_min=None)
     terms = sp.denominator_terms(l, m)
     target = q**l
     worst = 0.0
@@ -272,7 +276,7 @@ def conjecture_probe(m: int, q: complex, l: int, points: list[CriticalPoint]) ->
         for sign, lam1, lam2 in terms:
             total += sign * (p[lam1] / p0) * (p[lam2] / p0)
         worst = max(worst, abs(total - target) / max(1.0, abs(target)))
-    return ProbeReport(l=l, max_dev=worst, p_empty_min=p_empty_min)
+    return ProbeReport(l=l, points=len(points), max_dev=worst, p_empty_min=p_empty_min)
 
 
 def critical_report(m: int, q: complex, trials: int = 200, seed: int = 1) -> dict:
@@ -301,7 +305,12 @@ def critical_report(m: int, q: complex, trials: int = 200, seed: int = 1) -> dic
             "eigenvalues_scaled": [[z.real, z.imag] for z in spectrum.eigenvalues_scaled],
         },
         "conjecture": [
-            {"l": r.l, "max_dev": r.max_dev, "note": "evidence only: uses the unproved sigma = p/p0 identification"}
+            {
+                "l": r.l,
+                "points": r.points,
+                "max_dev": r.max_dev,
+                "note": "evidence only: uses the unproved sigma = p/p0 identification",
+            }
             for r in probes
         ],
     }

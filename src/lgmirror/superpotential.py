@@ -18,7 +18,6 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
 
-from lgmirror import clifford as cl
 from lgmirror import grouprep as gr
 from lgmirror import partitions as pt
 from lgmirror import weyl as wy
@@ -42,36 +41,29 @@ def ring_vector(bs: Sequence[Fraction | int], ring: ScalarRing) -> list:
 # -- Pluecker coordinates -----------------------------------------------------
 
 
-def plucker_spin(lam: StrictPartition, b: list, m: int, ring: ScalarRing = EXACT):
-    """p_lambda(u2bar) as the w_empty coefficient of u2bar . w_lambda."""
-    factors = gr.u2bar_spin_factors(b, m, ring)
-    vec = cl.basis_vector(pt.to_subset(lam), m, ring.one)
-    image = gr.apply_spin_factors(factors, vec, ring)
-    return image.coeffs.get((), ring.zero)
-
-
 def plucker_vector(b: list, m: int, ring: ScalarRing = EXACT) -> dict[StrictPartition, object]:
-    """All 2^m Pluecker coordinates of u2bar(b), keyed by strict partition."""
-    factors = gr.u2bar_spin_factors(b, m, ring)
-    out = {}
-    for lam in pt.all_strict_partitions(m):
-        vec = cl.basis_vector(pt.to_subset(lam), m, ring.one)
-        image = gr.apply_spin_factors(factors, vec, ring)
-        out[lam] = image.coeffs.get((), ring.zero)
-    return out
+    """All 2^m Pluecker coordinates of u2bar(b), keyed by strict partition.
+
+    Spin route: p_lambda is the (w_empty, w_lambda) entry of u2bar on
+    V_Spin, read from one row sweep over its N sparse factors.
+    """
+    row = gr.spin_row_sweep(gr.u2bar_spin_factors(b, m, ring), ring)
+    return {lam: row.get(pt.to_subset(lam), ring.zero) for lam in pt.all_strict_partitions(m)}
 
 
-def plucker_subword(lam: StrictPartition, b: list, m: int, ring: ScalarRing = EXACT):
-    """p_lambda(u2bar) as the sum of b-monomials over reduced subwords."""
+def plucker_subword_vector(b: list, m: int, ring: ScalarRing = EXACT) -> dict[StrictPartition, object]:
+    """All 2^m Pluecker coordinates as sums of b-monomials over reduced subwords.
+
+    Subword route: p_lambda is the sum, over the reduced subwords of the
+    canonical word of w^P spelling the element of W^P indexed by lambda, of
+    the product of the selected b's; one W^P dynamic programme gives all
+    of them.
+    """
     word = wy.canonical_wp_word(m)
-    target = wy.coset_min_rep(lam)
-    total = ring.zero
-    for positions in wy.reduced_subwords(word, target):
-        term = ring.one
-        for p in positions:
-            term = term * b[p - 1]
-        total = total + term
-    return total
+    if len(b) != len(word):
+        raise ValueError(f"need {len(word)} coordinates for m={m}, got {len(b)}")
+    sums = wy.wp_subword_sums(word, m, ring.one, lambda value, p: value * b[p - 1])
+    return {lam: sums.get(pt.to_subset(lam), ring.zero) for lam in pt.all_strict_partitions(m)}
 
 
 # -- the terms of W_t ---------------------------------------------------------
@@ -138,14 +130,12 @@ def eval_W(q, p: dict, m: int, ring: ScalarRing = EXACT):
 
 
 def laurent_numerator(b: list, m: int, ring: ScalarRing = EXACT):
-    """N(b) = sum over complement subwords of the product of selected b's."""
-    total = ring.zero
-    for positions in wy.complement_subwords(m):
-        term = ring.one
-        for pos in positions:
-            term = term * b[pos - 1]
-        total = total + term
-    return total
+    """N(b) = sum over complement subwords of the product of selected b's.
+
+    The complement subwords are the reduced subwords spelling the element
+    of W^P indexed by rho_{m-1}, so N(b) is that entry of the subword route.
+    """
+    return plucker_subword_vector(b, m, ring)[pt.rho(m - 1, m)]
 
 
 def eval_W_tilde(q, b: list, m: int, ring: ScalarRing = EXACT):
@@ -183,7 +173,9 @@ def verify_theorem_w(m: int, q, b: list, ring: ScalarRing = EXACT) -> CheckRepor
     return CheckReport(False, "theorem-w", f"W = {lhs} but W-tilde = {rhs}")
 
 
-def verify_sym_to_minor(m: int, j: int, b: list, ring: ScalarRing = EXACT) -> CheckReport:
+def verify_sym_to_minor(
+    m: int, j: int, b: list, ring: ScalarRing = EXACT, *, p: Optional[dict] = None, u2: Optional[gr.Matrix] = None
+) -> CheckReport:
     """The two quadratic sums against (m+1)x(m+1) minors of u2bar, j = 2..m.
 
     The D_(j) sum equals the minor with rows m+1..2m+1 and columns
@@ -191,13 +183,16 @@ def verify_sym_to_minor(m: int, j: int, b: list, ring: ScalarRing = EXACT) -> Ch
     these are the minors pairing with v^wedge_(j) and v^wedge_(j),+ in the
     standard degree-(m+1) embedding, and the reading under which the
     identities hold for every m (the printed column sets are their images
-    under j -> m+2-j, which agree only at m = 2).
+    under j -> m+2-j, which agree only at m = 2).  `p` and `u2`, when given,
+    are plucker_vector(b) and build_u2bar(b), shared by the checks at one b.
     """
     if not 2 <= j <= m:
         raise ValueError("verify_sym_to_minor needs 2 <= j <= m")
     l = m + 1 - j
-    p = plucker_vector(b, m, ring)
-    u2 = gr.build_u2bar(b, m, ring)
+    if p is None:
+        p = plucker_vector(b, m, ring)
+    if u2 is None:
+        u2 = gr.build_u2bar(b, m, ring)
     rows = list(range(m + 1, 2 * m + 2))
     den_sum = eval_denominator(l, p, m, ring)
     den_minor = gr.minor(u2, rows, list(range(j, j + m + 1)), ring)
@@ -211,11 +206,17 @@ def verify_sym_to_minor(m: int, j: int, b: list, ring: ScalarRing = EXACT) -> Ch
     return CheckReport(True, "sym-to-minor")
 
 
-def verify_fj_minors(m: int, j: int, b: list, ring: ScalarRing = EXACT) -> CheckReport:
-    """f_j*(u2bar) as a ratio of minors, plus the vanishing minor behind it."""
+def verify_fj_minors(
+    m: int, j: int, b: list, ring: ScalarRing = EXACT, *, u2: Optional[gr.Matrix] = None
+) -> CheckReport:
+    """f_j*(u2bar) as a ratio of minors, plus the vanishing minor behind it.
+
+    `u2`, when given, is build_u2bar(b), shared by the checks at one b.
+    """
     if not 1 <= j <= m - 1:
         raise ValueError("verify_fj_minors needs 1 <= j <= m-1")
-    u2 = gr.build_u2bar(b, m, ring)
+    if u2 is None:
+        u2 = gr.build_u2bar(b, m, ring)
     rows = list(range(m + 1, 2 * m + 2))
     num = gr.minor(u2, rows, [j] + list(range(j + 2, j + m + 2)), ring)
     den = gr.minor(u2, rows, list(range(j + 1, j + m + 2)), ring)

@@ -12,10 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 from typing import Iterable, Sequence
 
-from lgmirror.partitions import StrictPartition, from_subset, to_subset
+from lgmirror.partitions import StrictPartition, all_subsets, from_subset, rho, to_subset
 
 
 @dataclass(frozen=True)
@@ -143,7 +142,7 @@ def partition_of(w: SignedPermutation) -> StrictPartition:
     return from_subset(negative_subset(w), w.m)
 
 
-# -- the canonical reduced word of w^P and subword enumeration ---------------
+# -- the canonical reduced word of w^P and its reduced subwords ---------------
 
 
 def canonical_wp_word(m: int) -> tuple[int, ...]:
@@ -159,27 +158,56 @@ def wp_element(m: int) -> SignedPermutation:
 
 
 @lru_cache(maxsize=None)
-def _reduced_subwords_cached(word: tuple[int, ...], target: SignedPermutation) -> tuple[tuple[int, ...], ...]:
-    m = target.m
-    n = len(word)
-    goal_len = length(target)
-    refl = [simple_reflection(i, m) for i in range(1, m + 1)]
-    out: list[tuple[int, ...]] = []
+def wp_transitions(m: int) -> dict[tuple[int, ...], tuple[tuple[int, ...] | None, ...]]:
+    """Left multiplication inside W^P that adds one to the length.
 
-    def walk(pos: int, cur: SignedPermutation, cur_len: int, taken: tuple[int, ...]) -> None:
-        if cur_len == goal_len:
-            if cur == target:
-                out.append(taken)
-            return
-        if goal_len - cur_len > n - pos:
-            return
-        for p in range(pos, n):
-            nxt = cur * refl[word[p] - 1]
-            if length(nxt) == cur_len + 1:
-                walk(p + 1, nxt, cur_len + 1, taken + (p + 1,))
+    Keyed by the negative subset of w in W^P; entry i - 1 is the negative
+    subset of s_i w when s_i w lies in W^P with ell(s_i w) = ell(w) + 1, and
+    None otherwise.  Read off the group product and the root-theoretic
+    length, for all 2^m elements of W^P and all m letters.
+    """
+    table = {}
+    for subset in all_subsets(m):
+        w = min_rep_from_subset(subset, m)
+        grown = length(w) + 1
+        row = []
+        for i in range(1, m + 1):
+            v = simple_reflection(i, m) * w
+            row.append(negative_subset(v) if length(v) == grown and v == min_coset_rep_of(v) else None)
+        table[subset] = tuple(row)
+    return table
 
-    walk(0, identity(m), 0, ())
-    return tuple(sorted(out))
+
+def wp_subword_sums(word: Sequence[int], m: int, one, extend) -> dict[tuple[int, ...], object]:
+    """Suffix dynamic programme over W^P, one pass over `word`.
+
+    Returns {negative subset of v: sum over the reduced subwords of `word`
+    that spell v in W^P of the chain value of that subword}.  The word is
+    read right to left; a state v taking the letter at position p becomes
+    s_{word[p]} v when `wp_transitions` allows it, and its value x becomes
+    extend(x, p).  The empty subword has value `one`.  Every right factor
+    of an element of W^P lies in W^P and every suffix of a reduced word is
+    reduced, so the 2^m states of W^P see every reduced subword whose
+    product lies in W^P, and only those.
+    """
+    if any(not 1 <= letter <= m for letter in word):
+        raise ValueError(f"word {tuple(word)} has a letter outside 1..{m}")
+    steps = wp_transitions(m)
+    sums = {(): one}
+    for p in range(len(word), 0, -1):
+        letter = word[p - 1]
+        for state, value in list(sums.items()):
+            nxt = steps[state][letter - 1]
+            if nxt is not None:
+                term = extend(value, p)
+                sums[nxt] = sums[nxt] + term if nxt in sums else term
+    return sums
+
+
+@lru_cache(maxsize=None)
+def _subwords_by_state(word: tuple[int, ...], m: int) -> dict[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    sums = wp_subword_sums(word, m, [()], lambda tails, p: [(p,) + t for t in tails])
+    return {state: tuple(sorted(subwords)) for state, subwords in sums.items()}
 
 
 def reduced_subwords(word: Sequence[int], target: SignedPermutation) -> tuple[tuple[int, ...], ...]:
@@ -187,27 +215,20 @@ def reduced_subwords(word: Sequence[int], target: SignedPermutation) -> tuple[tu
 
     Positions are 1-based and returned sorted; the subword read in
     increasing position order multiplies to `target` using exactly
-    ell(target) letters.  Every prefix of a reduced word is reduced, which
-    prunes the position walk.
+    ell(target) letters.  `target` must lie in W^P (ValueError otherwise):
+    the subwords come from the W^P dynamic programme `wp_subword_sums`.
     """
-    return _reduced_subwords_cached(tuple(word), target)
+    if target != min_coset_rep_of(target):
+        raise ValueError(f"{target} is not a minimal coset representative (not in W^P)")
+    return _subwords_by_state(tuple(word), target.m).get(negative_subset(target), ())
 
 
-@lru_cache(maxsize=None)
 def complement_subwords(m: int) -> tuple[tuple[int, ...], ...]:
     """Position subsets S of the canonical word, |S| = N - m, with
     (subword at S) * s_1 s_2 ... s_m a reduced expression of w^P.
 
     Since |S| + m = ell(w^P), the product equals w^P iff the combined word
-    is reduced.
+    is reduced; the subword at S then spells w^P s_m ... s_1, the element
+    of W^P indexed by the staircase rho_{m-1}.  Sorted lexicographically.
     """
-    word = canonical_wp_word(m)
-    n = len(word)
-    tail = word_product(range(1, m + 1), m)
-    target = wp_element(m)
-    out = []
-    for subset in combinations(range(1, n + 1), n - m):
-        prod = word_product([word[p - 1] for p in subset], m)
-        if prod * tail == target:
-            out.append(subset)
-    return tuple(out)
+    return reduced_subwords(canonical_wp_word(m), coset_min_rep(rho(m - 1, m)))

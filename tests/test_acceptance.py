@@ -16,6 +16,7 @@ import random
 import sys
 import time
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -117,6 +118,13 @@ def shown_off_torus_values(m: int, q: Fraction, failures: list[str]) -> list[com
             continue
         shown.append(complex(w.to_float()))
     return shown
+
+
+@lru_cache(maxsize=None)
+def torus_search(m: int, q: int) -> list:
+    """The torus critical points found from 250 starts, seed 1; criteria 9
+    and 10 share each search."""
+    return jb.find_critical_points(m, complex(q), trials=250, seed=1)
 
 
 def test_criterion_1_symbolic_reproduction():
@@ -303,8 +311,10 @@ def test_criterion_7_subword_formula():
     for m in (2, 3, 4, 5):
         for bs in rational_points(m, 25, seed=700 + m):
             b = sp.ring_vector(bs, ring)
+            spin = sp.plucker_vector(b, m, ring)
+            subword = sp.plucker_subword_vector(b, m, ring)
             for lam in pt.all_strict_partitions(m):
-                assert sp.plucker_spin(lam, b, m, ring) == sp.plucker_subword(lam, b, m, ring)
+                assert spin[lam] == subword[lam]
                 checked += 1
     elapsed = time.time() - t0
     report(7, True, elapsed, f"spin and subword Pluecker evaluations agree ({checked} values)")
@@ -326,7 +336,7 @@ def test_criterion_9_critical_spectrum():
     failures = []
     for m in (2, 3):
         for q in (1, 2):
-            pts = jb.find_critical_points(m, complex(q), trials=250, seed=1)
+            pts = torus_search(m, q)
             shown = shown_off_torus_values(m, Fraction(q), failures)
             if len(pts) != torus_count(m):
                 failures.append(f"m={m} q={q}: {len(pts)} of {torus_count(m)} torus critical points")
@@ -356,11 +366,14 @@ def test_criterion_10_relation_probe_evidence():
     warnings = []
     vacuous = []
     for m in (2, 3):
-        pts = jb.find_critical_points(m, 1.0 + 0j, trials=250, seed=1)
+        pts = torus_search(m, 1)
         if len(pts) != torus_count(m):
             vacuous.append(f"m={m}: probed {len(pts)} of {torus_count(m)} torus critical points")
         for l in range(1, m):
             rep = jb.conjecture_probe(m, 1.0 + 0j, l, pts)
+            if rep.points == 0:
+                vacuous.append(f"m={m} l={l}: probed no points")
+                continue
             if not rep.p_empty_min > 0:
                 vacuous.append(f"m={m} l={l}: min |p_empty| = {rep.p_empty_min}")
             if rep.max_dev >= 1e-6:

@@ -91,6 +91,27 @@ def test_m_too_small_is_usage_error():
     assert cli.main(["verify", "theorem-w", "--m", "1"]) == 2
 
 
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_trials_below_one_is_usage_error(capsys, trials):
+    code, out = run(capsys, "verify", "theorem-w", "--m", "3", "--trials", trials)
+    assert code == 2 and out == ""
+
+
+def test_t_overflow_is_usage_error(capsys):
+    code = cli.main(["verify", "theorem-w", "--m", "3", "--t", "1000"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "exp(t)" in captured.err
+
+
+@pytest.mark.parametrize("suite,m", [("em", 7), ("subword", 6)])
+def test_exact_suites_at_large_m(capsys, suite, m):
+    code, out = run(capsys, "verify", suite, "--m", str(m), "--trials", "1")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["ok"] is True and len(payload["records"]) == 1
+
+
 def test_byte_identical_reports(tmp_path):
     f1, f2 = tmp_path / "a.json", tmp_path / "b.json"
     for f in (f1, f2):

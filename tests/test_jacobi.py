@@ -122,6 +122,15 @@ def test_conjecture_probe():
             assert rep.p_empty_min > 1e-6
 
 
+def test_probe_over_no_points_is_not_a_pass():
+    rep = jb.conjecture_probe(3, 1.0 + 0j, 1, [])
+    assert rep.points == 0 and rep.max_dev is None and rep.p_empty_min is None
+    report = jb.critical_report(3, 1.0 + 0j, trials=0, seed=1)
+    assert report["points"] == []
+    assert [(c["l"], c["points"], c["max_dev"]) for c in report["conjecture"]] == [(1, 0, None), (2, 0, None)]
+    assert '"max_dev": null' in json.dumps(report)
+
+
 def test_probe_rejects_bad_level():
     with pytest.raises(ValueError):
         jb.conjecture_probe(2, 1.0 + 0j, 2, [])

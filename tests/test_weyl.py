@@ -1,7 +1,88 @@
-from hypothesis import given, strategies as st
+from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from lgmirror import clifford as cl
+from lgmirror import grouprep as gr
 from lgmirror import partitions as pt
+from lgmirror import superpotential as sp
 from lgmirror import weyl as wy
+from lgmirror.scalars import EXACT
+
+
+# -- oracles: the enumerations the W^P dynamic programme replaced ---------------
+
+
+@lru_cache(maxsize=None)
+def oracle_reduced_subwords(word: tuple[int, ...], target: wy.SignedPermutation) -> tuple[tuple[int, ...], ...]:
+    """Walk the positions left to right, keeping only length-increasing
+    prefixes (every prefix of a reduced word is reduced)."""
+    m = target.m
+    n = len(word)
+    goal_len = wy.length(target)
+    refl = [wy.simple_reflection(i, m) for i in range(1, m + 1)]
+    out: list[tuple[int, ...]] = []
+
+    def walk(pos: int, cur: wy.SignedPermutation, cur_len: int, taken: tuple[int, ...]) -> None:
+        if cur_len == goal_len:
+            if cur == target:
+                out.append(taken)
+            return
+        if goal_len - cur_len > n - pos:
+            return
+        for p in range(pos, n):
+            nxt = cur * refl[word[p] - 1]
+            if wy.length(nxt) == cur_len + 1:
+                walk(p + 1, nxt, cur_len + 1, taken + (p + 1,))
+
+    walk(0, wy.identity(m), 0, ())
+    return tuple(sorted(out))
+
+
+@lru_cache(maxsize=None)
+def oracle_complement_subwords(m: int) -> tuple[tuple[int, ...], ...]:
+    """Every (N - m)-subset S of positions with (subword at S) * s_1 ... s_m = w^P."""
+    word = wy.canonical_wp_word(m)
+    n = len(word)
+    tail = wy.word_product(range(1, m + 1), m)
+    target = wy.wp_element(m)
+    return tuple(
+        subset
+        for subset in combinations(range(1, n + 1), n - m)
+        if wy.word_product([word[p - 1] for p in subset], m) * tail == target
+    )
+
+
+def monomial_sum(subwords, b):
+    total = EXACT.zero
+    for positions in subwords:
+        term = EXACT.one
+        for p in positions:
+            term = term * b[p - 1]
+        total = total + term
+    return total
+
+
+def check_routes_against_oracles(m: int, bs: list[Fraction]) -> None:
+    """Row sweep, per-basis-vector spin route, W^P value DP and oracle
+    subword sums give the same Pluecker vector and N(b), exactly; the
+    subword tuples match the oracles."""
+    word = wy.canonical_wp_word(m)
+    b = sp.ring_vector(bs, EXACT)
+    factors = gr.u2bar_spin_factors(b, m, EXACT)
+    sweep = sp.plucker_vector(b, m, EXACT)
+    dp = sp.plucker_subword_vector(b, m, EXACT)
+    for lam in pt.all_strict_partitions(m):
+        image = gr.apply_spin_factors(factors, cl.basis_vector(pt.to_subset(lam), m, EXACT.one), EXACT)
+        target = wy.coset_min_rep(lam)
+        oracle = oracle_reduced_subwords(word, target)
+        assert wy.reduced_subwords(word, target) == oracle, lam
+        assert sweep[lam] == image.coeffs.get((), EXACT.zero) == dp[lam] == monomial_sum(oracle, b), lam
+    assert wy.complement_subwords(m) == oracle_complement_subwords(m)
+    assert sp.laurent_numerator(b, m, EXACT) == monomial_sum(oracle_complement_subwords(m), b)
 
 
 def bfs_lengths(m: int) -> dict[tuple[int, ...], int]:
@@ -121,3 +202,29 @@ def test_complement_subwords():
         for subset in wy.complement_subwords(m):
             assert len(subset) == n - m
             assert wy.word_product([word[p - 1] for p in subset], m) * tail == target
+
+
+def test_reduced_subwords_reject_target_outside_wp():
+    m = 3
+    word = wy.canonical_wp_word(m)
+    for outside in (wy.simple_reflection(1, m), wy.wp_element(m) * wy.simple_reflection(2, m)):
+        assert not wy.is_min_coset_rep(outside)
+        with pytest.raises(ValueError):
+            wy.reduced_subwords(word, outside)
+    with pytest.raises(ValueError):
+        wy.reduced_subwords((1, 4), wy.identity(m))
+
+
+rationals = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=2, max_value=5), st.data())
+def test_pluecker_routes_agree_with_oracles(m, data):
+    n = m * (m + 1) // 2
+    check_routes_against_oracles(m, data.draw(st.lists(rationals, min_size=n, max_size=n)))
+
+
+@pytest.mark.slow
+def test_pluecker_routes_agree_with_oracles_m6():
+    check_routes_against_oracles(6, [Fraction((-1) ** k * (k % 7 + 1), k % 5 + 1) for k in range(21)])
