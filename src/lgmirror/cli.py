@@ -106,8 +106,8 @@ def _suite_records(suite: str, m: int, q: Fraction, trials: int, seed: int) -> t
 
     if suite == "theorem-w":
         for k in range(trials):
-            b, bring, _ = draw()
-            rep = sp.verify_theorem_w(m, ring.from_fraction(q), bring, ring)
+            b, bring, p = draw()
+            rep = sp.verify_theorem_w(m, ring.from_fraction(q), bring, ring, p=p)
             records.append({"instance": k, "b": [str(x) for x in b], "ok": rep.ok, "detail": rep.detail})
     elif suite == "minors":
         for k in range(trials):
@@ -118,8 +118,8 @@ def _suite_records(suite: str, m: int, q: Fraction, trials: int, seed: int) -> t
                 records.append({"instance": k, "j": j, "b": [str(x) for x in b], "ok": rep.ok, "detail": rep.detail})
     elif suite == "em":
         for k in range(trials):
-            b, bring, _ = draw()
-            rep = sp.verify_em_formula(m, bring, ring)
+            b, bring, p = draw()
+            rep = sp.verify_em_formula(m, bring, ring, p=p)
             records.append({"instance": k, "b": [str(x) for x in b], "ok": rep.ok, "detail": rep.detail})
     elif suite == "subword":
         for k in range(trials):

@@ -496,7 +496,8 @@ def _volume_element(m: int) -> tuple[CliffordElement, QSqrt2]:
     omega = antisymmetrize(wedge_monomial(tuple(range(1, 2 * m + 2)), m))
     image = spin_apply(omega, basis_vector((), m))
     z = image.coeffs.get((), QS2_ZERO)
-    assert z, "volume element must act invertibly"
+    if not z:
+        raise ArithmeticError("volume element acts by 0; it must act invertibly")
     return omega, z
 
 

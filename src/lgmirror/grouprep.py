@@ -185,7 +185,8 @@ def _spin_f_table(i: int, m: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...
     for col in pt.all_subsets(m):
         image = cl.spin_apply(elem, cl.basis_vector(col, m))
         for row, c in image.coeffs.items():
-            assert c.is_rational()
+            if not c.is_rational():
+                raise ArithmeticError(f"spin matrix of f_{i} has the irrational entry {c} at {(row, col)}")
             triples.append((row, col, c.a))
     return tuple(triples)
 

@@ -3,7 +3,8 @@
 W-tilde(b) = sum_j b_j + q sum_T prod_{k in T} 1/b_k, where T runs over the
 m-element complements of the subword sets defining N(b).  Critical points
 are found by Levenberg-damped Newton iteration on the analytic gradient
-from many random complex starts, deduplicated, polished, and closed under
+and Hessian from many random complex starts, run in lockstep on numpy
+stacks, deduplicated in start order, polished, and closed under
 the value-rotating symmetry b -> zeta b, zeta^(m+1) = 1.  Their critical
 values match (m+1) times eigenvalues of quantum multiplication by
 sigma_1, the anti-canonical pairing predicted by the Jacobi-ring
@@ -53,15 +54,15 @@ def uniform01(gen) -> float:
 
 
 @dataclass
-class TorusPoint:
-    coords: tuple[complex, ...]
-
-
-@dataclass
 class CriticalPoint:
-    point: TorusPoint
+    coords: tuple[complex, ...]
     value: complex
     grad_norm: float
+
+
+# Why a Newton start ends; find_critical_points counts the starts by reason.
+START_OUTCOMES = ("converged", "iteration_cap", "no_descent", "out_of_range")
+CONVERGED, ITERATION_CAP, NO_DESCENT, OUT_OF_RANGE = range(len(START_OUTCOMES))
 
 
 def torus_monomials(m: int) -> np.ndarray:
@@ -77,108 +78,159 @@ def torus_monomials(m: int) -> np.ndarray:
     return mask
 
 
+def _terms(inv: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """The monomials t_T = prod_{k in T} 1/b_k, shape (..., n_terms)."""
+    return np.prod(np.where(mask, inv[..., None, :], 1.0), axis=-1)
+
+
 def w_tilde_value(b: np.ndarray, q: complex, mask: np.ndarray) -> complex:
-    inv = 1.0 / b
-    terms = np.prod(np.where(mask, inv[None, :], 1.0), axis=1)
-    return complex(b.sum() + q * terms.sum())
+    return complex(b.sum() + q * _terms(1.0 / b, mask).sum())
 
 
 def grad_w_tilde(b: np.ndarray, q: complex, mask: np.ndarray) -> np.ndarray:
-    """Analytic gradient: dW/db_j = 1 - q sum_{T contains j} (1/b_j) prod_{k in T} 1/b_k."""
+    """Analytic gradient: dW/db_j = 1 - q sum_{T contains j} (1/b_j) prod_{k in T} 1/b_k.
+
+    `b` is one point (N,) or a stack of points (S, N); the result has its shape.
+    """
     inv = 1.0 / b
-    terms = np.prod(np.where(mask, inv[None, :], 1.0), axis=1)
-    return 1.0 - q * ((mask * terms[:, None]) * inv[None, :]).sum(axis=0)
+    terms = _terms(inv, mask)
+    return 1.0 - q * ((mask * terms[..., :, None]) * inv[..., None, :]).sum(axis=-2)
 
 
 def hess_w_tilde(b: np.ndarray, q: complex, mask: np.ndarray) -> np.ndarray:
-    n = b.shape[0]
+    """Analytic Hessian for one point (N,) or a stack (S, N), shape (..., N, N).
+
+    d^2 t_T / db_a db_c = t_T (1/b_a)(1/b_c)(1 + [a = c]) for a, c in T, so
+    H = q (M^T diag(t) M) o (inv inv^T) o (J + I), with M the monomial mask,
+    t the monomial values, inv = 1/b and J the all-ones matrix.
+    """
+    n = b.shape[-1]
     inv = 1.0 / b
-    terms = np.prod(np.where(mask, inv[None, :], 1.0), axis=1)
-    hess = np.zeros((n, n), dtype=complex)
-    for t in range(mask.shape[0]):
-        idx = np.nonzero(mask[t])[0]
-        v = terms[t]
-        for a in idx:
-            hess[a, a] += 2.0 * q * v * inv[a] * inv[a]
-            for c in idx:
-                if c != a:
-                    hess[a, c] += q * v * inv[a] * inv[c]
+    pairs = (mask[:, :, None] & mask[:, None, :]).reshape(len(mask), n * n)
+    hess = (_terms(inv, mask) @ pairs).reshape(b.shape + (n,))
+    hess *= q
+    hess *= inv[..., :, None] * inv[..., None, :]
+    hess *= 1.0 + np.eye(n)
     return hess
 
 
-def find_critical_points(m: int, q: complex, trials: int = 200, seed: int = 1) -> list[CriticalPoint]:
-    """Multi-start Newton search on grad W-tilde = 0; deterministic under seed."""
+def _draw_starts(n: int, trials: int, seed: int) -> np.ndarray:
+    """The (trials, N) random complex starts, |b_k| in [0.4, 1.6]."""
+    gen = splitmix64(seed)
+    return np.array(
+        [
+            [(0.4 + 1.2 * uniform01(gen)) * np.exp(2j * np.pi * uniform01(gen)) for _ in range(n)]
+            for _ in range(trials)
+        ],
+        dtype=complex,
+    ).reshape(trials, n)
+
+
+def find_critical_points(
+    m: int, q: complex, trials: int = 200, seed: int = 1, outcomes: dict | None = None
+) -> list[CriticalPoint]:
+    """Multi-start Newton search on grad W-tilde = 0; deterministic under seed.
+
+    When `outcomes` is given, it receives the number of starts ending for
+    each reason in START_OUTCOMES; the counts sum to `trials`.
+    """
     if q == 0:
         raise ValueError("critical point search needs q != 0")
     n = m * (m + 1) // 2
     mask = torus_monomials(m)
-    gen = splitmix64(seed)
+    roots, reasons = _newton(_draw_starts(n, trials, seed), q, mask)
+    if outcomes is not None:
+        outcomes.update(zip(START_OUTCOMES, np.bincount(reasons, minlength=len(START_OUTCOMES)).tolist()))
     found: list[np.ndarray] = []
-    for _ in range(trials):
-        b = np.array(
-            [
-                (0.4 + 1.2 * uniform01(gen)) * np.exp(2j * np.pi * uniform01(gen))
-                for _ in range(n)
-            ]
-        )
-        b = _newton(b, q, mask)
-        if b is None:
-            continue
+    for b in roots[reasons == CONVERGED]:
         if all(np.linalg.norm(b - prev) > DEDUP_RADIUS for prev in found):
             found.append(b)
     found = _symmetry_closure(found, q, mask, m)
     pts = [
         CriticalPoint(
-            TorusPoint(tuple(b)),
+            tuple(b),
             w_tilde_value(b, q, mask),
             float(np.linalg.norm(grad_w_tilde(b, q, mask))),
         )
         for b in found
     ]
-    pts.sort(key=lambda p: (p.value.real, p.value.imag) + tuple(x for c in p.point.coords for x in (c.real, c.imag)))
+    pts.sort(key=lambda p: (p.value.real, p.value.imag) + tuple(x for c in p.coords for x in (c.real, c.imag)))
     return pts
 
 
-def _newton(b: np.ndarray, q: complex, mask: np.ndarray, iters: int = 200) -> np.ndarray | None:
-    """Levenberg-damped Newton on grad = 0; the gradient is holomorphic in b,
-    so the damped normal equations stay complex.  Returns the root or None."""
-    lam = 0.0
+def _newton(b: np.ndarray, q: complex, mask: np.ndarray, iters: int = 200) -> tuple[np.ndarray, np.ndarray]:
+    """Levenberg-damped Newton on grad = 0 from every row of the stack `b`.
+
+    The gradient is holomorphic in b, so the damped normal equations stay
+    complex.  The starts run in lockstep, but each keeps its own damping
+    lam and takes the step it would take alone: per iteration it exits if
+    its gradient is not finite or some |b_k| leaves [1e-12, 1e9], stops once
+    |grad| < POLISH_TOL, and otherwise tries up to 40 damped steps, taking
+    the first with a finite, smaller gradient (lam -> lam/5, or 0 once
+    lam <= 1e-12) and raising lam -> max(4 lam, 1e-6) after each rejection.
+    Returns the final rows and each start's reason, an index into
+    START_OUTCOMES; the rows are roots where the reason is CONVERGED.
+    """
+    b = b.copy()
+    lam = np.zeros(len(b))
     g = grad_w_tilde(b, q, mask)
-    gn = np.linalg.norm(g)
+    gn = np.linalg.norm(g, axis=-1)
+    reasons = np.full(len(b), ITERATION_CAP)
+    live = np.arange(len(b))
     for _ in range(iters):
-        if not np.isfinite(gn) or np.min(np.abs(b)) < 1e-12 or np.max(np.abs(b)) > 1e9:
-            return None
-        if gn < POLISH_TOL:
-            return b
-        hess = hess_w_tilde(b, q, mask)
-        accepted = False
+        size = np.abs(b[live])
+        out = ~np.isfinite(gn[live]) | (size.min(axis=-1) < 1e-12) | (size.max(axis=-1) > 1e9)
+        done = ~out & (gn[live] < POLISH_TOL)
+        reasons[live[out]] = OUT_OF_RANGE
+        reasons[live[done]] = CONVERGED
+        live = live[~out & ~done]
+        if not live.size:
+            break
+        hess = hess_w_tilde(b[live], q, mask)
+        pending = np.arange(live.size)  # positions in live still looking for descent
         for _ in range(40):
+            idx = live[pending]
+            cand = b[idx] + _damped_steps(hess[pending], g[idx], lam[idx])
+            fits = np.flatnonzero(np.abs(cand).min(axis=-1) > 1e-12)
+            g2 = grad_w_tilde(cand[fits], q, mask)
+            gn2 = np.linalg.norm(g2, axis=-1)
+            better = np.isfinite(gn2) & (gn2 < gn[idx[fits]])
+            won = fits[better]
+            win = idx[won]
+            b[win], g[win], gn[win] = cand[won], g2[better], gn2[better]
+            lam[win] = np.where(lam[win] > 1e-12, lam[win] / 5.0, 0.0)
+            pending = np.delete(pending, won)
+            stuck = live[pending]
+            lam[stuck] = np.maximum(lam[stuck] * 4.0, 1e-6)
+            if not pending.size:
+                break
+        reasons[live[pending]] = NO_DESCENT
+        live = np.delete(live, pending)
+    return b, reasons
+
+
+def _damped_steps(hess: np.ndarray, g: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Newton steps (lam = 0) or Levenberg steps (H^H H + lam I) s = -H^H g.
+
+    One batched solve; if a matrix in the batch is singular, each is solved
+    alone and a singular one gets a NaN step, which no start accepts.
+    """
+    a, rhs = hess.copy(), -g
+    damped = np.flatnonzero(lam)
+    if damped.size:
+        hh = hess[damped].conj().transpose(0, 2, 1)
+        a[damped] = hh @ hess[damped] + lam[damped, None, None] * np.eye(hess.shape[-1])
+        rhs[damped] = (-hh @ g[damped, :, None])[..., 0]
+    try:
+        return np.linalg.solve(a, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        steps = np.full_like(rhs, np.nan)
+        for k in range(len(a)):
             try:
-                if lam == 0.0:
-                    step = np.linalg.solve(hess, -g)
-                else:
-                    hh = hess.conj().T @ hess + lam * np.eye(len(b))
-                    step = np.linalg.solve(hh, -hess.conj().T @ g)
+                steps[k] = np.linalg.solve(a[k], rhs[k])
             except np.linalg.LinAlgError:
-                step = None
-            if step is not None:
-                cand = b + step
-                if np.min(np.abs(cand)) > 1e-12:
-                    g2 = grad_w_tilde(cand, q, mask)
-                    gn2 = np.linalg.norm(g2)
-                    if np.isfinite(gn2) and gn2 < gn:
-                        b, g, gn = cand, g2, gn2
-                        lam = max(lam / 5.0, 0.0) if lam > 1e-12 else 0.0
-                        accepted = True
-                        break
-            lam = max(lam * 4.0, 1e-6)
-        if not accepted:
-            return None
-    return None
-
-
-def _polish(b: np.ndarray, q: complex, mask: np.ndarray) -> np.ndarray | None:
-    return _newton(b, q, mask, iters=60)
+                pass
+        return steps
 
 
 def _symmetry_closure(found: list[np.ndarray], q: complex, mask: np.ndarray, m: int) -> list[np.ndarray]:
@@ -195,11 +247,9 @@ def _symmetry_closure(found: list[np.ndarray], q: complex, mask: np.ndarray, m: 
         for _ in range(m):
             cand = zeta * cand
             if all(np.linalg.norm(cand - prev) > DEDUP_RADIUS for prev in out):
-                polished = _polish(cand.copy(), q, mask)
-                if polished is not None and all(
-                    np.linalg.norm(polished - prev) > DEDUP_RADIUS for prev in out
-                ):
-                    out.append(polished)
+                roots, reasons = _newton(cand[None, :], q, mask, iters=60)
+                if reasons[0] == CONVERGED and all(np.linalg.norm(roots[0] - prev) > DEDUP_RADIUS for prev in out):
+                    out.append(roots[0])
     return out
 
 
@@ -268,7 +318,7 @@ def conjecture_probe(m: int, q: complex, l: int, points: list[CriticalPoint]) ->
     worst = 0.0
     p_empty_min = float("inf")
     for cp in points:
-        b = list(cp.point.coords)
+        b = list(cp.coords)
         p = sp.plucker_vector(b, m, COMPLEX)
         p0 = p[pt.empty(m)]
         p_empty_min = min(p_empty_min, abs(p0))
@@ -280,8 +330,10 @@ def conjecture_probe(m: int, q: complex, l: int, points: list[CriticalPoint]) ->
 
 
 def critical_report(m: int, q: complex, trials: int = 200, seed: int = 1) -> dict:
-    """Full machine-readable report: points, spectrum match, conjecture probes."""
-    points = find_critical_points(m, q, trials, seed)
+    """Full machine-readable report: start outcomes, points, spectrum match,
+    conjecture probes."""
+    starts: dict = {}
+    points = find_critical_points(m, q, trials, seed, outcomes=starts)
     spectrum = compare_spectrum(m, q, points)
     probes = [conjecture_probe(m, q, l, points) for l in range(1, m)]
     return {
@@ -290,9 +342,10 @@ def critical_report(m: int, q: complex, trials: int = 200, seed: int = 1) -> dic
         "q": [q.real, q.imag],
         "trials": trials,
         "seed": seed,
+        "starts": starts,
         "points": [
             {
-                "b": [[c.real, c.imag] for c in p.point.coords],
+                "b": [[c.real, c.imag] for c in p.coords],
                 "value": [p.value.real, p.value.imag],
                 "grad_norm": p.grad_norm,
             }

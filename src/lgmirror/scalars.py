@@ -98,7 +98,8 @@ class QSqrt2:
         norm = self.a * self.a - 2 * self.b * self.b
         if norm == 0:
             # a^2 = 2 b^2 with rational a, b forces a = b = 0
-            assert self.a == 0 and self.b == 0
+            if self:
+                raise ArithmeticError(f"norm 0 at the nonzero {self!r}: coefficients are not rational")
             raise ZeroDivisionError("inverse of zero in Q(sqrt2)")
         return QSqrt2(self.a / norm, -self.b / norm)
 

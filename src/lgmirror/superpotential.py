@@ -163,9 +163,13 @@ class CheckReport:
         return self.ok
 
 
-def verify_theorem_w(m: int, q, b: list, ring: ScalarRing = EXACT) -> CheckReport:
-    """eval_W on Pluecker values against the Laurent form, exact equality."""
-    p = plucker_vector(b, m, ring)
+def verify_theorem_w(m: int, q, b: list, ring: ScalarRing = EXACT, *, p: Optional[dict] = None) -> CheckReport:
+    """eval_W on Pluecker values against the Laurent form, exact equality.
+
+    `p`, when given, is plucker_vector(b).
+    """
+    if p is None:
+        p = plucker_vector(b, m, ring)
     lhs = eval_W(q, p, m, ring)
     rhs = eval_W_tilde(q, b, m, ring)
     if ring.eq(lhs, rhs):
@@ -231,9 +235,13 @@ def verify_fj_minors(
     return CheckReport(True, "fj-minors")
 
 
-def verify_em_formula(m: int, b: list, ring: ScalarRing = EXACT) -> CheckReport:
-    """N(b) p_{rho_m} = p_{rho_{m-1}} prod(b): the two e^t-term expressions agree."""
-    p = plucker_vector(b, m, ring)
+def verify_em_formula(m: int, b: list, ring: ScalarRing = EXACT, *, p: Optional[dict] = None) -> CheckReport:
+    """N(b) p_{rho_m} = p_{rho_{m-1}} prod(b): the two e^t-term expressions agree.
+
+    `p`, when given, is plucker_vector(b).
+    """
+    if p is None:
+        p = plucker_vector(b, m, ring)
     prod = ring.one
     for bj in b:
         prod = prod * bj

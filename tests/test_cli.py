@@ -82,6 +82,14 @@ def test_critical_m2_reports_the_missing_point(capsys):
     assert payload["spectrum_match"]["count"] == 3
 
 
+def test_critical_counts_every_start_by_outcome(capsys):
+    code, out = run(capsys, "critical", "--m", "3", "--q", "1/1000000000000", "--trials", "40", "--seed", "1")
+    assert code == 1  # no start reaches a critical point at this scale
+    starts = json.loads(out)["starts"]
+    assert list(starts) == ["converged", "iteration_cap", "no_descent", "out_of_range"]
+    assert sum(starts.values()) == 40 and starts["converged"] == 0
+
+
 def test_critical_rejects_q_zero(capsys):
     code = cli.main(["critical", "--m", "2", "--q", "0"])
     assert code == 2

@@ -437,3 +437,10 @@ def test_pi_equivariance():
                     lhs = cl.pi_map(cl.sym_square_action(g, x))
                     rhs = cl.exterior_generator_action(g, cl.pi_map(x))
                     assert lhs == rhs, (m, i, kind)
+
+
+def test_volume_element_acting_by_zero_raises(monkeypatch):
+    spin_apply = cl.spin_apply
+    monkeypatch.setattr(cl, "spin_apply", lambda x, v: spin_apply(x, v).scale(QSqrt2(0)))
+    with pytest.raises(ArithmeticError, match="invertibly"):
+        cl._volume_element.__wrapped__(2)

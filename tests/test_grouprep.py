@@ -187,3 +187,11 @@ def test_u2bar_spin_corner_coefficients():
             for x in bv:
                 prod = prod * x
             assert top.coeffs.get(()) == prod  # p_{rho_m} = prod b_j
+
+
+def test_spin_f_table_rejects_an_irrational_entry(monkeypatch):
+    """The table is read into any scalar ring, so an irrational entry raises."""
+    spin_apply = cl.spin_apply
+    monkeypatch.setattr(cl, "spin_apply", lambda x, v: spin_apply(x, v).scale(QSqrt2.sqrt2()))
+    with pytest.raises(ArithmeticError, match="irrational"):
+        gr._spin_f_table.__wrapped__(1, 2)

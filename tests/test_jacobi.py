@@ -7,6 +7,63 @@ from lgmirror import jacobi as jb
 from lgmirror import qchevalley as qc
 
 
+# -- oracles: the per-start search the lockstep batch replaced ------------------
+
+
+def _hess_loop(b, q, mask):
+    """Hessian of W-tilde at one point, summed term by term."""
+    n = b.shape[0]
+    inv = 1.0 / b
+    terms = np.prod(np.where(mask, inv[None, :], 1.0), axis=1)
+    hess = np.zeros((n, n), dtype=complex)
+    for t in range(mask.shape[0]):
+        idx = np.nonzero(mask[t])[0]
+        v = terms[t]
+        for a in idx:
+            hess[a, a] += 2.0 * q * v * inv[a] * inv[a]
+            for c in idx:
+                if c != a:
+                    hess[a, c] += q * v * inv[a] * inv[c]
+    return hess
+
+
+def _newton_one(b, q, mask, iters=200):
+    """Levenberg-damped Newton from one start; returns the root or None."""
+    lam = 0.0
+    g = jb.grad_w_tilde(b, q, mask)
+    gn = np.linalg.norm(g)
+    for _ in range(iters):
+        if not np.isfinite(gn) or np.min(np.abs(b)) < 1e-12 or np.max(np.abs(b)) > 1e9:
+            return None
+        if gn < jb.POLISH_TOL:
+            return b
+        hess = _hess_loop(b, q, mask)
+        accepted = False
+        for _ in range(40):
+            try:
+                if lam == 0.0:
+                    step = np.linalg.solve(hess, -g)
+                else:
+                    hh = hess.conj().T @ hess + lam * np.eye(len(b))
+                    step = np.linalg.solve(hh, -hess.conj().T @ g)
+            except np.linalg.LinAlgError:
+                step = None
+            if step is not None:
+                cand = b + step
+                if np.min(np.abs(cand)) > 1e-12:
+                    g2 = jb.grad_w_tilde(cand, q, mask)
+                    gn2 = np.linalg.norm(g2)
+                    if np.isfinite(gn2) and gn2 < gn:
+                        b, g, gn = cand, g2, gn2
+                        lam = max(lam / 5.0, 0.0) if lam > 1e-12 else 0.0
+                        accepted = True
+                        break
+            lam = max(lam * 4.0, 1e-6)
+        if not accepted:
+            return None
+    return None
+
+
 def test_splitmix_deterministic():
     a = [next(jb.splitmix64(7)) for _ in range(5)]
     b = [next(jb.splitmix64(7)) for _ in range(5)]
@@ -47,17 +104,76 @@ def test_gradient_m2_explicit_formula():
 
 
 def test_hessian_matches_finite_differences():
+    """Stacked gradients and Hessians equal the per-row ones, the Hessian
+    equals the term-by-term loop and central differences of the gradient."""
+    for m in (2, 3, 4):
+        mask = jb.torus_monomials(m)
+        n = m * (m + 1) // 2
+        stack = jb._draw_starts(n, 4, 23 + m)
+        for q in (1.0 + 0j, 1.1 + 0.3j):
+            grads = jb.grad_w_tilde(stack, q, mask)
+            hessians = jb.hess_w_tilde(stack, q, mask)
+            assert grads.shape == (4, n) and hessians.shape == (4, n, n)
+            eps = 1e-7
+            for b, g, hess in zip(stack, grads, hessians):
+                scale = np.abs(hess).max()
+                assert np.allclose(g, jb.grad_w_tilde(b, q, mask), rtol=1e-14, atol=0)
+                assert np.allclose(hess, jb.hess_w_tilde(b, q, mask), rtol=1e-14, atol=0)
+                assert np.allclose(hess, _hess_loop(b, q, mask), rtol=1e-13, atol=1e-14 * scale)
+                for j in range(n):
+                    e = np.zeros(n)
+                    e[j] = eps
+                    col = (jb.grad_w_tilde(b + e, q, mask) - jb.grad_w_tilde(b - e, q, mask)) / (2 * eps)
+                    assert np.allclose(col, hess[:, j], rtol=1e-5, atol=1e-7 * scale)
+
+
+@pytest.mark.parametrize("m, trials", [(2, 10), (3, 10), (4, 5), (5, 3)])
+def test_lockstep_newton_matches_per_start_oracle(m, trials):
+    """Every start ends where the per-start search ends: both fail, or both
+    return roots within 1e-10.  No start converges at m >= 4 (see README)."""
+    mask = jb.torus_monomials(m)
+    n = m * (m + 1) // 2
+    converged = 0
+    for q in (1.0 + 0j, 2.0 + 1.0j, 1e-12 + 0j):
+        for seed, iters in ((1, 200), (2, 200), (3, 60)):
+            starts = jb._draw_starts(n, trials, seed)
+            roots, reasons = jb._newton(starts, q, mask, iters=iters)
+            for b0, root, reason in zip(starts, roots, reasons):
+                want = _newton_one(b0.copy(), q, mask, iters=iters)
+                assert (want is None) == (reason != jb.CONVERGED), (m, q, seed, reason)
+                if want is not None:
+                    converged += 1
+                    assert np.abs(root - want).max() < 1e-10
+    assert converged > 0 or m >= 4
+
+
+def test_singular_hessian_does_not_fail_the_batch(monkeypatch):
     mask = jb.torus_monomials(3)
-    gen = jb.splitmix64(23)
-    b = np.array([0.8 + jb.uniform01(gen) + 1j * jb.uniform01(gen) for _ in range(6)])
-    q = 1.0 + 0j
-    hess = jb.hess_w_tilde(b, q, mask)
-    eps = 1e-7
-    for j in range(6):
-        e = np.zeros(6)
-        e[j] = eps
-        col = (jb.grad_w_tilde(b + e, q, mask) - jb.grad_w_tilde(b - e, q, mask)) / (2 * eps)
-        assert np.allclose(col, hess[:, j], rtol=1e-5)
+    starts = jb._draw_starts(6, 12, 5)
+    roots, reasons = jb._newton(starts, 1.0 + 0j, mask)
+    assert (reasons == jb.CONVERGED).sum() >= 2
+    bad = starts[0] * 1.5
+    true_hess = jb.hess_w_tilde
+
+    def hess_zero_at_bad(b, q, mask):
+        hess = true_hess(b, q, mask)
+        hess[np.all(b == bad, axis=-1)] = 0.0
+        return hess
+
+    monkeypatch.setattr(jb, "hess_w_tilde", hess_zero_at_bad)
+    roots2, reasons2 = jb._newton(np.vstack([bad, starts]), 1.0 + 0j, mask)
+    assert reasons2[0] == jb.NO_DESCENT
+    assert np.array_equal(reasons2[1:], reasons)
+    assert np.array_equal(roots2[1:], roots)
+
+
+def test_start_outcomes_are_those_of_the_per_start_search():
+    """Counts recorded from the per-start search at q = 1, 250 starts, seed 1."""
+    recorded = {2: (92, 131, 12, 15), 3: (46, 152, 13, 39)}
+    for m, counts in recorded.items():
+        starts = {}
+        jb.find_critical_points(m, 1.0 + 0j, trials=250, seed=1, outcomes=starts)
+        assert starts == dict(zip(jb.START_OUTCOMES, counts))
 
 
 def test_critical_points_m3_full_spectrum():
@@ -141,4 +257,4 @@ def test_report_deterministic_and_schema():
     b = jb.critical_report(2, 1.0 + 0j, trials=40, seed=19)
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
     assert a["schema"] == "lg-mirror/1"
-    assert {"m", "q", "points", "spectrum_match", "conjecture"} <= set(a)
+    assert {"m", "q", "starts", "points", "spectrum_match", "conjecture"} <= set(a)

@@ -72,3 +72,14 @@ def test_complex_ring_tolerant_equality():
     assert COMPLEX.eq(a, 2.0 + 0j)
     assert COMPLEX.is_zero(1e-15 + 0j)
     assert not COMPLEX.is_zero(1e-3 + 0j)
+
+
+def test_inverse_raises_when_norm_vanishes_off_zero():
+    """The norm a^2 - 2b^2 is 0 only at 0 for rational a, b; an element whose
+    coefficients bypassed that (here a float whose square underflows) raises."""
+    x = QSqrt2(1)
+    object.__setattr__(x, "a", 3e-200)
+    with pytest.raises(ArithmeticError, match="not rational"):
+        x.inverse()
+    with pytest.raises(ZeroDivisionError):
+        QSqrt2(0).inverse()

@@ -134,6 +134,19 @@ def test_em_formula_exact():
     assert sp.laurent_numerator(ones, 3, ring) == p[pt.rho(2, 3)]
 
 
+def test_theorem_w_and_em_read_the_given_pluecker_vector():
+    """`p=` is the check's Pluecker vector: the right one passes, another fails."""
+    m = 3
+    b = sp.ring_vector([1, 2, 3, -1, 2, 5], ring)
+    other = sp.ring_vector([2, 1, 1, 3, -2, 1], ring)
+    q = frac(Fraction(3, 2))
+    p, wrong = sp.plucker_vector(b, m, ring), sp.plucker_vector(other, m, ring)
+    assert sp.verify_theorem_w(m, q, b, ring, p=p).ok
+    assert not sp.verify_theorem_w(m, q, b, ring, p=wrong).ok
+    assert sp.verify_em_formula(m, b, ring, p=p).ok
+    assert not sp.verify_em_formula(m, b, ring, p=wrong).ok
+
+
 def test_subword_count_equals_plucker_at_ones():
     from lgmirror import weyl as wy
 
