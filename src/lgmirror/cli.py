@@ -83,65 +83,56 @@ def cmd_print_w(config: RunConfig) -> int:
 # -- verify -------------------------------------------------------------------
 
 
-def _suite_records(suite: str, m: int, q: Fraction, trials: int, seed: int) -> tuple[list[dict], int]:
-    """Run one identity suite at `trials` random exact points; returns
+def _minors_checks(m: int, q, b: list, p: dict) -> list[tuple[dict, sp.CheckReport]]:
+    u2 = gr.build_u2bar(b, m, EXACT)
+    return [({"j": j}, sp.verify_sym_to_minor(m, j, b, EXACT, p=p, u2=u2)) for j in range(2, m + 1)]
+
+
+def _fj_checks(m: int, q, b: list, p: dict) -> list[tuple[dict, sp.CheckReport]]:
+    u2 = gr.build_u2bar(b, m, EXACT)
+    return [({"j": j}, sp.verify_fj_minors(m, j, b, EXACT, u2=u2)) for j in range(1, m)]
+
+
+# suite -> the checks at one exact point b off every divisor, given q and
+# the Pluecker vector p of b: [(extra record fields, report)]
+_POINT_SUITES = {
+    "theorem-w": lambda m, q, b, p: [({}, sp.verify_theorem_w(m, q, b, EXACT, p=p))],
+    "em": lambda m, q, b, p: [({}, sp.verify_em_formula(m, b, EXACT, p=p))],
+    "subword": lambda m, q, b, p: [({}, sp.verify_subword_route(m, b, EXACT, p=p))],
+    "minors": _minors_checks,
+    "fj": _fj_checks,
+}
+
+
+def _point_records(suite: str, m: int, q: Fraction, trials: int, seed: int) -> tuple[list[dict], int]:
+    """Run a per-point suite at `trials` random exact points; returns
     (records, redraw count)."""
-    ring = EXACT
+    checks = _POINT_SUITES[suite]
+    q_exact = EXACT.from_fraction(q)
     stream = rational_stream(seed)
     records: list[dict] = []
     redraws = 0
-
-    def draw():
-        nonlocal redraws
+    for k in range(trials):
         while True:
             b = sample_b(m, stream)
-            bring = sp.ring_vector(b, ring)
-            p = sp.plucker_vector(bring, m, ring)
+            bring = sp.ring_vector(b, EXACT)
+            p = sp.plucker_vector(bring, m, EXACT)
             try:
-                sp.eval_W(ring.from_fraction(q), p, m, ring)
+                sp.eval_W(q_exact, p, m, EXACT)
+                break
             except sp.DivisorError:
                 redraws += 1
-                continue
-            return b, bring, p
+        for fields, rep in checks(m, q_exact, bring, p):
+            records.append({"instance": k, **fields, "b": [str(x) for x in b], "ok": rep.ok, "detail": rep.detail})
+    return records, redraws
 
-    if suite == "theorem-w":
-        for k in range(trials):
-            b, bring, p = draw()
-            rep = sp.verify_theorem_w(m, ring.from_fraction(q), bring, ring, p=p)
-            records.append({"instance": k, "b": [str(x) for x in b], "ok": rep.ok, "detail": rep.detail})
-    elif suite == "minors":
-        for k in range(trials):
-            b, bring, p = draw()
-            u2 = gr.build_u2bar(bring, m, ring)
-            for j in range(2, m + 1):
-                rep = sp.verify_sym_to_minor(m, j, bring, ring, p=p, u2=u2)
-                records.append({"instance": k, "j": j, "b": [str(x) for x in b], "ok": rep.ok, "detail": rep.detail})
-    elif suite == "em":
-        for k in range(trials):
-            b, bring, p = draw()
-            rep = sp.verify_em_formula(m, bring, ring, p=p)
-            records.append({"instance": k, "b": [str(x) for x in b], "ok": rep.ok, "detail": rep.detail})
-    elif suite == "subword":
-        for k in range(trials):
-            b, bring, spin = draw()
-            subword = sp.plucker_subword_vector(bring, m, ring)
-            ok = True
-            detail = ""
-            for lam, lhs in spin.items():
-                rhs = subword[lam]
-                if lhs != rhs:
-                    ok = False
-                    detail = f"p_{lam.render()}: spin {lhs} != subword {rhs}"
-                    break
-            records.append({"instance": k, "b": [str(x) for x in b], "ok": ok, "detail": detail})
-    elif suite == "fj":
-        for k in range(trials):
-            b, bring, _ = draw()
-            u2 = gr.build_u2bar(bring, m, ring)
-            for j in range(1, m):
-                rep = sp.verify_fj_minors(m, j, bring, ring, u2=u2)
-                records.append({"instance": k, "j": j, "b": [str(x) for x in b], "ok": rep.ok, "detail": rep.detail})
-    elif suite == "pi-map":
+
+def _suite_records(suite: str, m: int, q: Fraction, trials: int, seed: int) -> tuple[list[dict], int]:
+    """Run one identity suite; returns (records, redraw count)."""
+    if suite in _POINT_SUITES:
+        return _point_records(suite, m, q, trials, seed)
+    records: list[dict] = []
+    if suite == "pi-map":
         from lgmirror import clifford as cl
 
         for j in range(2, m + 1):
@@ -155,7 +146,7 @@ def _suite_records(suite: str, m: int, q: Fraction, trials: int, seed: int) -> t
         records.append({"relation": "grading+positivity", "ok": not bad, "detail": "; ".join(bad)})
     else:
         raise ValueError(f"unknown suite {suite}")
-    return records, redraws
+    return records, 0
 
 
 def _suite_extras(suite: str, m: int) -> dict:

@@ -16,22 +16,20 @@ all other generator pairs anticommuting.  The module provides
   projection pi : Sym^2(V_Spin) -> wedge^{m+1} V built from the maps
   pr, c, d, all over exact scalars,
 * the elements D_(j), N_(j) of Sym^2(V_Spin) that encode the quadratic
-  denominators and numerators of the superpotential.
+  denominators and numerators of the superpotential, built from the
+  signed partition pairs of lgmirror.partitions.
 
-Sign convention for D_(j)/N_(j): the subset I contributes
-(-1)^{boxes removed from rho_{m+1-j}}, i.e. (-1)^{|I|(m+2-j) + s(I)}
-with s(I) the element sum.  The shorter-looking (-1)^{s(I)} agrees only
-for odd m+1-j; the convention here is the one under which the LG(3)
-middle superpotential term, the minor identities, and the projection
-formulas are mutually consistent (enforced by the test suite).
+Every container is a `Combination`: a sparse linear combination that keeps
+no zero coefficient.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from typing import TypeVar
 
 from lgmirror import partitions as pt
 from lgmirror.partitions import StrictPartition
@@ -56,20 +54,30 @@ def pairing(i: int, j: int, m: int) -> Fraction:
     return Fraction(0)
 
 
-# -- Clifford elements -------------------------------------------------------
+# -- sparse linear combinations ---------------------------------------------
+
+
+C = TypeVar("C", bound="Combination")
 
 
 @dataclass
-class CliffordElement:
-    """Sparse sum of ordered monomials v_S, S an ascending subset of 1..2m+1."""
+class Combination:
+    """Sparse linear combination: key -> nonzero coefficient (any scalar ring).
+
+    `+`, `-` and `scale` return the caller's class with its other fields
+    unchanged; equality is the dataclass one (same class, equal fields).
+    """
 
     m: int
-    coeffs: dict[Subset, QSqrt2] = field(default_factory=dict)
+    coeffs: dict = field(default_factory=dict)
 
-    def copy(self) -> CliffordElement:
-        return CliffordElement(self.m, dict(self.coeffs))
+    def _canonical(self, key):
+        """The one spelling of a key that has several (overridden by SymSquare)."""
+        return key
 
-    def add_term(self, key: Subset, c: QSqrt2) -> None:
+    def add_term(self, key, c) -> None:
+        """Add c to the coefficient of key, dropping it if the sum is zero."""
+        key = self._canonical(key)
         cur = self.coeffs.get(key)
         new = c if cur is None else cur + c
         if new:
@@ -77,25 +85,30 @@ class CliffordElement:
         else:
             self.coeffs.pop(key, None)
 
-    def __add__(self, other: CliffordElement) -> CliffordElement:
-        out = self.copy()
+    def __add__(self: C, other: C) -> C:
+        out = replace(self, coeffs=dict(self.coeffs))
         for k, c in other.coeffs.items():
             out.add_term(k, c)
         return out
 
-    def __sub__(self, other: CliffordElement) -> CliffordElement:
-        out = self.copy()
+    def __sub__(self: C, other: C) -> C:
+        out = replace(self, coeffs=dict(self.coeffs))
         for k, c in other.coeffs.items():
             out.add_term(k, -c)
         return out
 
-    def scale(self, c: QSqrt2) -> CliffordElement:
+    def scale(self: C, c) -> C:
         if not c:
-            return CliffordElement(self.m)
-        return CliffordElement(self.m, {k: v * c for k, v in self.coeffs.items()})
+            return replace(self, coeffs={})
+        return replace(self, coeffs={k: v * c for k, v in self.coeffs.items()})
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, CliffordElement) and self.m == other.m and self.coeffs == other.coeffs
+
+# -- Clifford elements -------------------------------------------------------
+
+
+class CliffordElement(Combination):
+    """Sparse sum of ordered monomials v_S, S an ascending subset of 1..2m+1,
+    with Q(sqrt2) coefficients."""
 
     def parity_part(self, parity: int) -> CliffordElement:
         return CliffordElement(
@@ -112,10 +125,6 @@ class CliffordElement:
             for k, c in sorted(self.coeffs.items(), key=lambda kv: (len(kv[0]), kv[0]))
         ]
         return "\n".join(lines) if lines else "0"
-
-
-def cl_zero(m: int) -> CliffordElement:
-    return CliffordElement(m)
 
 
 def cl_scalar(c: QSqrt2, m: int) -> CliffordElement:
@@ -173,59 +182,25 @@ def commutator(x: CliffordElement, y: CliffordElement) -> CliffordElement:
 # -- exterior algebra ---------------------------------------------------------
 
 
-@dataclass
-class ExteriorElement:
+class ExteriorElement(Combination):
     """Sparse multivector: ascending wedge monomials with Q(sqrt2) coefficients."""
-
-    m: int
-    coeffs: dict[Subset, QSqrt2] = field(default_factory=dict)
-
-    def add_term(self, key: Subset, c: QSqrt2) -> None:
-        cur = self.coeffs.get(key)
-        new = c if cur is None else cur + c
-        if new:
-            self.coeffs[key] = new
-        else:
-            self.coeffs.pop(key, None)
-
-    def __add__(self, other: ExteriorElement) -> ExteriorElement:
-        out = ExteriorElement(self.m, dict(self.coeffs))
-        for k, c in other.coeffs.items():
-            out.add_term(k, c)
-        return out
-
-    def __sub__(self, other: ExteriorElement) -> ExteriorElement:
-        out = ExteriorElement(self.m, dict(self.coeffs))
-        for k, c in other.coeffs.items():
-            out.add_term(k, -c)
-        return out
-
-    def scale(self, c: QSqrt2) -> ExteriorElement:
-        if not c:
-            return ExteriorElement(self.m)
-        return ExteriorElement(self.m, {k: v * c for k, v in self.coeffs.items()})
 
     def degree_part(self, k: int) -> ExteriorElement:
         return ExteriorElement(self.m, {s: c for s, c in self.coeffs.items() if len(s) == k})
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, ExteriorElement) and self.m == other.m and self.coeffs == other.coeffs
-
 
 def wedge_monomial(indices: Subset, m: int, c: QSqrt2 = QS2_ONE) -> ExteriorElement:
     """v_{i_1} ^ ... ^ v_{i_k} for distinct indices, sorted with the sorting sign."""
-    idx = list(indices)
-    if len(set(idx)) != len(idx):
-        return ExteriorElement(m)
-    sign = 1
-    for i in range(len(idx)):
-        for j in range(len(idx) - 1, i, -1):
-            if idx[j - 1] > idx[j]:
-                idx[j - 1], idx[j] = idx[j], idx[j - 1]
-                sign = -sign
     out = ExteriorElement(m)
-    out.add_term(tuple(idx), c if sign > 0 else -c)
+    if len(set(indices)) == len(indices):
+        out.add_term(tuple(sorted(indices)), c if _perm_sign(indices) > 0 else -c)
     return out
+
+
+def _perm_sign(seq: Subset) -> int:
+    """Sign of the permutation that sorts the distinct entries of seq."""
+    inversions = sum(1 for a, b in combinations(seq, 2) if a > b)
+    return -1 if inversions % 2 else 1
 
 
 def _contract_vector(k: int, key: Subset, m: int) -> list[tuple[Subset, Fraction]]:
@@ -275,7 +250,7 @@ def antisymmetrize_inv(x: CliffordElement) -> ExteriorElement:
         raise ValueError("antisymmetrize_inv requires a purely even or odd element")
     m = x.m
     out = ExteriorElement(m)
-    rest = x.copy()
+    rest = x
     while rest.coeffs:
         top = max(len(k) for k in rest.coeffs)
         layer = ExteriorElement(m, {k: c for k, c in rest.coeffs.items() if len(k) == top})
@@ -290,45 +265,13 @@ def antisymmetrize_inv(x: CliffordElement) -> ExteriorElement:
 
 
 @dataclass
-class SpinVector:
+class SpinVector(Combination):
     """Element of wedge W, W = <v_1..v_m>: subset -> coefficient (any scalar ring).
 
     `dual` marks covectors; delta() produces them and iota() consumes them.
     """
 
-    m: int
-    coeffs: dict[Subset, object] = field(default_factory=dict)
     dual: bool = False
-
-    def add_term(self, key: Subset, c) -> None:
-        cur = self.coeffs.get(key)
-        new = c if cur is None else cur + c
-        if new:
-            self.coeffs[key] = new
-        else:
-            self.coeffs.pop(key, None)
-
-    def __add__(self, other: SpinVector) -> SpinVector:
-        out = SpinVector(self.m, dict(self.coeffs), self.dual)
-        for k, c in other.coeffs.items():
-            out.add_term(k, c)
-        return out
-
-    def __sub__(self, other: SpinVector) -> SpinVector:
-        out = SpinVector(self.m, dict(self.coeffs), self.dual)
-        for k, c in other.coeffs.items():
-            out.add_term(k, -c)
-        return out
-
-    def scale(self, c) -> SpinVector:
-        return SpinVector(self.m, {k: v * c for k, v in self.coeffs.items()}, self.dual)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, SpinVector)
-            and (self.m, self.dual) == (other.m, other.dual)
-            and self.coeffs == other.coeffs
-        )
 
 
 def basis_vector(subset: Subset, m: int, one=QS2_ONE) -> SpinVector:
@@ -387,45 +330,18 @@ def spin_apply(x: CliffordElement, vec: SpinVector) -> SpinVector:
 # -- End(V_Spin) --------------------------------------------------------------
 
 
-@dataclass
-class EndSpin:
-    """Sparse 2^m x 2^m endomorphism, entries indexed by (row subset, col subset)."""
-
-    m: int
-    entries: dict[tuple[Subset, Subset], object] = field(default_factory=dict)
-
-    def add_entry(self, row: Subset, col: Subset, c) -> None:
-        cur = self.entries.get((row, col))
-        new = c if cur is None else cur + c
-        if new:
-            self.entries[(row, col)] = new
-        else:
-            self.entries.pop((row, col), None)
-
-    def __add__(self, other: EndSpin) -> EndSpin:
-        out = EndSpin(self.m, dict(self.entries))
-        for (r, c), v in other.entries.items():
-            out.add_entry(r, c, v)
-        return out
-
-    def __sub__(self, other: EndSpin) -> EndSpin:
-        out = EndSpin(self.m, dict(self.entries))
-        for (r, c), v in other.entries.items():
-            out.add_entry(r, c, -v)
-        return out
-
-    def scale(self, c) -> EndSpin:
-        return EndSpin(self.m, {k: v * c for k, v in self.entries.items()})
+class EndSpin(Combination):
+    """Sparse 2^m x 2^m endomorphism, keys (row subset, col subset)."""
 
     def compose(self, other: EndSpin) -> EndSpin:
         """Matrix product self . other."""
         by_row: dict[Subset, list[tuple[Subset, object]]] = {}
-        for (r, c), v in other.entries.items():
+        for (r, c), v in other.coeffs.items():
             by_row.setdefault(r, []).append((c, v))
         out = EndSpin(self.m)
-        for (r, mid), v in self.entries.items():
+        for (r, mid), v in self.coeffs.items():
             for c, w in by_row.get(mid, ()):
-                out.add_entry(r, c, v * w)
+                out.add_term((r, c), v * w)
         return out
 
     def commutator(self, other: EndSpin) -> EndSpin:
@@ -433,20 +349,17 @@ class EndSpin:
 
     def apply(self, vec: SpinVector) -> SpinVector:
         out = SpinVector(self.m, {}, vec.dual)
-        for (r, c), v in self.entries.items():
+        for (r, c), v in self.coeffs.items():
             coeff = vec.coeffs.get(c)
             if coeff is not None:
                 out.add_term(r, v * coeff)
         return out
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, EndSpin) and self.m == other.m and self.entries == other.entries
-
 
 def end_identity(m: int, one=QS2_ONE) -> EndSpin:
     out = EndSpin(m)
     for s in pt.all_subsets(m):
-        out.add_entry(s, s, one)
+        out.add_term((s, s), one)
     return out
 
 
@@ -457,7 +370,7 @@ def clifford_to_end(x: CliffordElement) -> EndSpin:
     for col in pt.all_subsets(m):
         image = spin_apply(x, basis_vector(col, m))
         for row, c in image.coeffs.items():
-            out.add_entry(row, col, c)
+            out.add_term((row, col), c)
     return out
 
 
@@ -510,7 +423,7 @@ def end_to_clifford(mat: EndSpin, parity: int) -> CliffordElement:
     """
     m = mat.m
     acc = CliffordElement(m)
-    for (row, col), v in mat.entries.items():
+    for (row, col), v in mat.coeffs.items():
         if not isinstance(v, QSqrt2):
             raise TypeError("end_to_clifford needs exact entries")
         acc = acc + _matrix_unit_clifford(row, col, m).scale(v)
@@ -538,35 +451,17 @@ def delta(vec: SpinVector) -> SpinVector:
     return out
 
 
-@dataclass
-class SymSquare:
+class SymSquare(Combination):
     """Element of Sym^2(V_Spin): unordered subset pairs -> coefficient."""
 
-    m: int
-    coeffs: dict[tuple[Subset, Subset], object] = field(default_factory=dict)
-
-    def add_term(self, a: Subset, b: Subset, c) -> None:
-        key = (a, b) if a <= b else (b, a)
-        cur = self.coeffs.get(key)
-        new = c if cur is None else cur + c
-        if new:
-            self.coeffs[key] = new
-        else:
-            self.coeffs.pop(key, None)
-
-    def __add__(self, other: SymSquare) -> SymSquare:
-        out = SymSquare(self.m, dict(self.coeffs))
-        for (a, b), c in other.coeffs.items():
-            out.add_term(a, b, c)
-        return out
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, SymSquare) and self.m == other.m and self.coeffs == other.coeffs
+    def _canonical(self, key: tuple[Subset, Subset]) -> tuple[Subset, Subset]:
+        a, b = key
+        return (a, b) if a <= b else (b, a)
 
 
 def sym_pair(lam: StrictPartition, mu_: StrictPartition, c=QS2_ONE) -> SymSquare:
     out = SymSquare(lam.m)
-    out.add_term(pt.to_subset(lam), pt.to_subset(mu_), c)
+    out.add_term((pt.to_subset(lam), pt.to_subset(mu_)), c)
     return out
 
 
@@ -580,53 +475,27 @@ def iota(x: SymSquare) -> EndSpin:
             dual = delta(basis_vector(first, m))
             for dual_key, dc in dual.coeffs.items():
                 # w*_{dual_key} ox w_{second}: matrix entry (row=second, col=dual_key)
-                out.add_entry(tuple(second), dual_key, c * dc * half)
+                out.add_term((tuple(second), dual_key), c * dc * half)
     return out
 
 
-def term_sign_removed(l: int, subset: frozenset | tuple | set) -> int:
-    """(-1)^{number of boxes the subset removes from rho_l}."""
-    return -1 if pt.removed_boxes(l, subset) % 2 else 1
+def _signed_sym_sum(name: str, j: int, m: int, terms) -> SymSquare:
+    if not 2 <= j <= m:
+        raise ValueError(f"{name}_(j) needs 2 <= j <= m, got j={j}, m={m}")
+    out = SymSquare(m)
+    for sign, lam, mu_ in terms(m + 1 - j, m):
+        out.add_term((pt.to_subset(lam), pt.to_subset(mu_)), QSqrt2(sign))
+    return out
 
 
 def build_D(j: int, m: int) -> SymSquare:
     """D_(j) = sum_I sign(I) w_{rho_{m+1-j}^I} w_{mu_{m+1-j}^I}, I subset of {1..m+1-j}."""
-    if not 2 <= j <= m:
-        raise ValueError(f"D_(j) needs 2 <= j <= m, got j={j}, m={m}")
-    l = m + 1 - j
-    out = SymSquare(m)
-    for r in range(l + 1):
-        for subset in combinations(range(1, l + 1), r):
-            muI = pt.mu_added(l, subset, m)
-            if muI is None:
-                continue
-            sign = term_sign_removed(l, subset)
-            out.add_term(
-                pt.to_subset(pt.rho_removed(l, subset, m)),
-                pt.to_subset(muI),
-                QSqrt2(sign),
-            )
-    return out
+    return _signed_sym_sum("D", j, m, pt.denominator_terms)
 
 
 def build_N(j: int, m: int) -> SymSquare:
     """N_(j): same sum with rho_{m+1-j,+}^I and mu_{m+1-j,+}^I."""
-    if not 2 <= j <= m:
-        raise ValueError(f"N_(j) needs 2 <= j <= m, got j={j}, m={m}")
-    l = m + 1 - j
-    out = SymSquare(m)
-    for r in range(l + 1):
-        for subset in combinations(range(1, l + 1), r):
-            muI = pt.mu_plus_added(l, subset, m)
-            if muI is None:
-                continue
-            sign = term_sign_removed(l, subset)
-            out.add_term(
-                pt.to_subset(pt.rho_plus_removed(l, subset, m)),
-                pt.to_subset(muI),
-                QSqrt2(sign),
-            )
-    return out
+    return _signed_sym_sum("N", j, m, pt.numerator_terms)
 
 
 def wedge_v(j: int, m: int) -> ExteriorElement:
@@ -637,17 +506,6 @@ def wedge_v(j: int, m: int) -> ExteriorElement:
 def wedge_v_plus(j: int, m: int) -> ExteriorElement:
     """v^wedge_(j),+ = v_{j-1} ^ v_{j+1} ^ ... ^ v_{j+m}."""
     return wedge_monomial((j - 1,) + tuple(range(j + 1, j + m + 1)), m)
-
-
-def _perm_sign(seq: list[int]) -> int:
-    sign = 1
-    seq = list(seq)
-    for i in range(len(seq)):
-        for jj in range(len(seq) - 1, i, -1):
-            if seq[jj - 1] > seq[jj]:
-                seq[jj - 1], seq[jj] = seq[jj], seq[jj - 1]
-                sign = -sign
-    return sign
 
 
 def contract_with_top_form(x: ExteriorElement) -> ExteriorElement:
@@ -667,7 +525,7 @@ def contract_with_top_form(x: ExteriorElement) -> ExteriorElement:
         if len(key) != m:
             raise ValueError("contract_with_top_form expects pure degree m input")
         comp = tuple(i for i in range(1, n + 1) if i not in key)
-        sign = global_sign * _perm_sign(list(key) + list(comp))
+        sign = global_sign * _perm_sign(key + comp)
         out.add_term(comp, c if sign > 0 else -c)
     return out
 
@@ -746,7 +604,7 @@ def sym_square_action(gen: CliffordElement, x: SymSquare) -> SymSquare:
         for first, second in ((a, b), (b, a)):
             img = spin_apply(gen, basis_vector(first, m))
             for key, coeff in img.coeffs.items():
-                out.add_term(key, second, c * coeff)
+                out.add_term((key, second), c * coeff)
     return out
 
 
@@ -757,7 +615,7 @@ def dual_spin_action(gen: CliffordElement, vec: SpinVector) -> SpinVector:
     m = vec.m
     mat = clifford_to_end(gen)
     out = SpinVector(m, {}, dual=True)
-    for (row, col), v in mat.entries.items():
+    for (row, col), v in mat.coeffs.items():
         coeff = vec.coeffs.get(row)
         if coeff is not None:
             out.add_term(col, -(v * coeff))

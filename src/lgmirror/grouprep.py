@@ -96,11 +96,6 @@ def one_param_y(i: int, a, m: int, ring: ScalarRing = EXACT) -> Matrix:
     return _truncated_exp(chevalley_f(i, m, ring), a, ring)
 
 
-def one_param_x(i: int, a, m: int, ring: ScalarRing = EXACT) -> Matrix:
-    """x_i(a) = exp(a e_i)."""
-    return _truncated_exp(chevalley_e(i, m, ring), a, ring)
-
-
 def build_u2bar(b: list, m: int, ring: ScalarRing = EXACT) -> Matrix:
     """u2bar = y_{i_N}(b_N) ... y_{i_1}(b_1) for the canonical word i of w^P.
 
@@ -253,5 +248,5 @@ def build_u2bar_spin(b: list, m: int, ring: ScalarRing = EXACT) -> cl.EndSpin:
     for col in pt.all_subsets(m):
         image = apply_spin_factors(factors, cl.basis_vector(col, m, ring.one), ring)
         for row, c in image.coeffs.items():
-            out.add_entry(row, col, c)
+            out.add_term((row, col), c)
     return out

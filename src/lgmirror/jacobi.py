@@ -313,7 +313,7 @@ def conjecture_probe(m: int, q: complex, l: int, points: list[CriticalPoint]) ->
         raise ValueError("probe needs 1 <= l <= m-1")
     if not points:
         return ProbeReport(l=l, points=0, max_dev=None, p_empty_min=None)
-    terms = sp.denominator_terms(l, m)
+    terms = pt.denominator_terms(l, m)
     target = q**l
     worst = 0.0
     p_empty_min = float("inf")

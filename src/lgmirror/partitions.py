@@ -7,6 +7,14 @@ and their J-modified variants index the quadratic numerators and
 denominators of the superpotential.  Modifications that fail to produce a
 strict partition are represented by None (the sum they appear in simply
 skips them).
+
+This module is the one source of the signed pairs of those numerators and
+denominators, and of their sign: the subset J at level l contributes
+(-1)^{boxes removed from rho_l}, i.e. (-1)^{|J|(l+1) + s(J)} with s(J)
+the element sum.  The shorter-looking (-1)^{s(J)} agrees only for odd l;
+the convention here is the one under which the LG(3) middle superpotential
+term, the minor identities, and the projection formulas of
+lgmirror.clifford are mutually consistent (enforced by the test suite).
 """
 
 from __future__ import annotations
@@ -68,11 +76,6 @@ def to_subset(lam: StrictPartition) -> tuple[int, ...]:
 def pd(lam: StrictPartition) -> StrictPartition:
     """Poincare dual: complement the part set inside {1..m}."""
     return from_subset(set(range(1, lam.m + 1)) - set(to_subset(lam)), lam.m)
-
-
-def subset_sum(subset: Iterable[int]) -> int:
-    """s(J) = sum of the elements of J."""
-    return sum(subset)
 
 
 def all_subsets(m: int) -> list[tuple[int, ...]]:
@@ -153,3 +156,29 @@ def mu_plus_added(l: int, subset: Iterable[int], m: int) -> Optional[StrictParti
 def removed_boxes(l: int, subset: Iterable[int]) -> int:
     """Number of boxes deleted from rho_l by removing the rows in the subset."""
     return sum(l + 1 - j for j in subset)
+
+
+def term_sign_removed(l: int, subset: Iterable[int]) -> int:
+    """(-1)^{number of boxes the subset removes from rho_l}."""
+    return -1 if removed_boxes(l, subset) % 2 else 1
+
+
+def _signed_pairs(l: int, m: int, rho_of, mu_of) -> list[tuple[int, StrictPartition, StrictPartition]]:
+    out = []
+    for r in range(l + 1):
+        for subset in combinations(range(1, l + 1), r):
+            muJ = mu_of(l, subset, m)
+            if muJ is not None:
+                out.append((term_sign_removed(l, subset), rho_of(l, subset, m), muJ))
+    return out
+
+
+def denominator_terms(l: int, m: int) -> list[tuple[int, StrictPartition, StrictPartition]]:
+    """Signed pairs (sign, rho_l^J, mu_l^J) of the l-th denominator over J in {1..l};
+    pairs whose mu_l^J is not strict are dropped."""
+    return _signed_pairs(l, m, rho_removed, mu_added)
+
+
+def numerator_terms(l: int, m: int) -> list[tuple[int, StrictPartition, StrictPartition]]:
+    """Signed pairs (sign, rho_{l,+}^J, mu_{l,+}^J) of the l-th numerator."""
+    return _signed_pairs(l, m, rho_plus_removed, mu_plus_added)

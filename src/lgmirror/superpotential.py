@@ -4,24 +4,22 @@ Pluecker coordinates are evaluated on the unitriangular representative
 u2bar (so p_empty = 1) by two independent algorithms: the spin-matrix
 route and the reduced-subword route.  The quadratic numerators and
 denominators of the middle terms of W_t are signed sums over row
-removals/additions of the staircase and maximal partitions; the sign of a
-subset J at level l is (-1)^{boxes removed from rho_l} (see
-lgmirror.clifford for why this is the consistent reading).  Verification
-helpers check the pullback identity W = W-tilde, the minor identities,
-and the numerator identity behind the e^t-term, all exactly.
+removals/additions of the staircase and maximal partitions, read from
+lgmirror.partitions with their signs.  Verification helpers check the
+pullback identity W = W-tilde, the minor identities, the numerator
+identity behind the e^t-term, and the agreement of the two Pluecker
+routes, all exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Optional, Sequence
 
 from lgmirror import grouprep as gr
 from lgmirror import partitions as pt
 from lgmirror import weyl as wy
-from lgmirror.clifford import term_sign_removed
 from lgmirror.partitions import StrictPartition
 from lgmirror.scalars import EXACT, ScalarRing
 
@@ -69,30 +67,6 @@ def plucker_subword_vector(b: list, m: int, ring: ScalarRing = EXACT) -> dict[St
 # -- the terms of W_t ---------------------------------------------------------
 
 
-def denominator_terms(l: int, m: int) -> list[tuple[int, StrictPartition, StrictPartition]]:
-    """Signed partition pairs of the l-th denominator; None-partitions dropped."""
-    out = []
-    for r in range(l + 1):
-        for subset in combinations(range(1, l + 1), r):
-            muJ = pt.mu_added(l, subset, m)
-            if muJ is None:
-                continue
-            out.append((term_sign_removed(l, subset), pt.rho_removed(l, subset, m), muJ))
-    return out
-
-
-def numerator_terms(l: int, m: int) -> list[tuple[int, StrictPartition, StrictPartition]]:
-    """Signed partition pairs of the l-th numerator."""
-    out = []
-    for r in range(l + 1):
-        for subset in combinations(range(1, l + 1), r):
-            muJ = pt.mu_plus_added(l, subset, m)
-            if muJ is None:
-                continue
-            out.append((term_sign_removed(l, subset), pt.rho_plus_removed(l, subset, m), muJ))
-    return out
-
-
 def _eval_terms(terms, p: dict, ring: ScalarRing):
     total = ring.zero
     for sign, lam1, lam2 in terms:
@@ -102,11 +76,11 @@ def _eval_terms(terms, p: dict, ring: ScalarRing):
 
 
 def eval_denominator(l: int, p: dict, m: int, ring: ScalarRing = EXACT):
-    return _eval_terms(denominator_terms(l, m), p, ring)
+    return _eval_terms(pt.denominator_terms(l, m), p, ring)
 
 
 def eval_numerator(l: int, p: dict, m: int, ring: ScalarRing = EXACT):
-    return _eval_terms(numerator_terms(l, m), p, ring)
+    return _eval_terms(pt.numerator_terms(l, m), p, ring)
 
 
 def eval_W(q, p: dict, m: int, ring: ScalarRing = EXACT):
@@ -252,6 +226,20 @@ def verify_em_formula(m: int, b: list, ring: ScalarRing = EXACT, *, p: Optional[
     return CheckReport(False, "em-formula", f"{lhs} != {rhs}")
 
 
+def verify_subword_route(m: int, b: list, ring: ScalarRing = EXACT, *, p: Optional[dict] = None) -> CheckReport:
+    """Every Pluecker coordinate of the spin route against the subword route.
+
+    `p`, when given, is plucker_vector(b).
+    """
+    if p is None:
+        p = plucker_vector(b, m, ring)
+    subword = plucker_subword_vector(b, m, ring)
+    for lam, lhs in p.items():
+        if not ring.eq(lhs, subword[lam]):
+            return CheckReport(False, "subword", f"p_{lam.render()}: spin {lhs} != subword {subword[lam]}")
+    return CheckReport(True, "subword")
+
+
 # -- the symbolic form --------------------------------------------------------
 
 
@@ -275,8 +263,8 @@ def symbolic_W(m: int) -> list[WTermSymbolic]:
     for l in range(1, m):
         terms.append(
             WTermSymbolic(
-                [(s, (a, bb)) for s, a, bb in numerator_terms(l, m)],
-                [(s, (a, bb)) for s, a, bb in denominator_terms(l, m)],
+                [(s, (a, bb)) for s, a, bb in pt.numerator_terms(l, m)],
+                [(s, (a, bb)) for s, a, bb in pt.denominator_terms(l, m)],
                 0,
             )
         )

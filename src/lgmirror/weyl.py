@@ -99,10 +99,6 @@ def word_product(word: Sequence[int], m: int) -> SignedPermutation:
     return out
 
 
-def is_reduced(word: Sequence[int], m: int) -> bool:
-    return length(word_product(word, m)) == len(word)
-
-
 # -- the parabolic W_P = <s_1, ..., s_{m-1}> and its minimal coset reps ------
 
 

@@ -23,9 +23,9 @@ def expected_iota_image(j: int, m: int) -> cl.EndSpin:
             if mu_i is None:
                 continue
             rho_i = pt.rho_removed(l, subset, m)
-            out.add_entry(pt.to_subset(mu_i), pt.to_subset(pt.pd(rho_i)), beta)
-            out.add_entry(
-                pt.to_subset(rho_i), pt.to_subset(pt.pd(mu_i)), beta if rel_sign > 0 else -beta
+            out.add_term((pt.to_subset(mu_i), pt.to_subset(pt.pd(rho_i))), beta)
+            out.add_term(
+                (pt.to_subset(rho_i), pt.to_subset(pt.pd(mu_i))), beta if rel_sign > 0 else -beta
             )
     return out
 

@@ -22,7 +22,6 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from conftest import rational_points
 from displays import expected_clifford_image, expected_iota_image, expected_middle_wedge
 from lgmirror import cli
 from lgmirror import clifford as cl
@@ -47,12 +46,13 @@ def report(criterion: int, ok: bool, elapsed: float, detail: str) -> None:
 
 def off_divisor_points(m: int, count: int, seed: int):
     """Seeded exact points avoiding every divisor D_l, with their q samples."""
-    stream_pts = rational_points(m, 4 * count, seed)
+    stream = cli.rational_stream(seed)
     gen = jb.splitmix64(seed ^ 0xABCDEF)
     out = []
-    for bs in stream_pts:
+    for _ in range(4 * count):
         if len(out) == count:
             break
+        bs = cli.sample_b(m, stream)
         b = sp.ring_vector(bs, ring)
         q = ring.from_fraction(Fraction(next(gen) % 17 + 1, next(gen) % 9 + 1))
         try:
@@ -161,7 +161,9 @@ def test_criterion_3_quadratic_sums_equal_minors():
     t0 = time.time()
     checked = 0
     for m in (2, 3, 4, 5):
-        for bs in rational_points(m, 25, seed=200 + m):
+        stream = cli.rational_stream(200 + m)
+        for _ in range(25):
+            bs = cli.sample_b(m, stream)
             b = sp.ring_vector(bs, ring)
             for j in range(2, m + 1):
                 rep = sp.verify_sym_to_minor(m, j, b, ring)
@@ -176,7 +178,9 @@ def test_criterion_4_f_coefficient_minors_and_vanishing():
     t0 = time.time()
     checked = 0
     for m in (2, 3, 4, 5):
-        for bs in rational_points(m, 25, seed=300 + m):
+        stream = cli.rational_stream(300 + m)
+        for _ in range(25):
+            bs = cli.sample_b(m, stream)
             b = sp.ring_vector(bs, ring)
             for j in range(1, m):
                 rep = sp.verify_fj_minors(m, j, b, ring)
@@ -220,8 +224,7 @@ def test_criterion_6_equivariance_and_matrix_identities():
         x = cl.SymSquare(m)
         for _ in range(3):
             x.add_term(
-                rng.choice(subsets),
-                rng.choice(subsets),
+                (rng.choice(subsets), rng.choice(subsets)),
                 QSqrt2(Fraction(rng.randint(-3, 3)), Fraction(rng.randint(-1, 1))),
             )
         return x
@@ -278,7 +281,7 @@ def test_criterion_6_equivariance_and_matrix_identities():
                 expected = cl.EndSpin(m)
                 for L in pt.all_subsets(m):
                     if set(subset) <= set(L):
-                        expected.add_entry(L, L, QSqrt2(sign))
+                        expected.add_term((L, L), QSqrt2(sign))
                 assert mat == expected, (m, subset)
         # middle-range monomials in their literal regime
         for j in range(2, m + 1):
@@ -298,7 +301,7 @@ def test_criterion_6_equivariance_and_matrix_identities():
                             col = tuple(sorted(set(K1) | set(middle) | set(K2)))
                             row = tuple(sorted(set(K1) | set(K2)))
                             val = sign * (-1 if (m * len(K1)) % 2 else 1)
-                            expected.add_entry(row, col, QSqrt2(val))
+                            expected.add_term((row, col), QSqrt2(val))
             assert mat == expected, (m, j)
     elapsed = time.time() - t0
     report(6, True, elapsed, "equivariance of alpha/delta/iota/pi + index-set matrix identities, m<=4")
@@ -309,7 +312,9 @@ def test_criterion_7_subword_formula():
     t0 = time.time()
     checked = 0
     for m in (2, 3, 4, 5):
-        for bs in rational_points(m, 25, seed=700 + m):
+        stream = cli.rational_stream(700 + m)
+        for _ in range(25):
+            bs = cli.sample_b(m, stream)
             b = sp.ring_vector(bs, ring)
             spin = sp.plucker_vector(b, m, ring)
             subword = sp.plucker_subword_vector(b, m, ring)

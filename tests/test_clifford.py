@@ -44,8 +44,24 @@ def rand_sym_square(rng, m, terms=3):
     subsets = pt.all_subsets(m)
     x = cl.SymSquare(m)
     for _ in range(terms):
-        x.add_term(rng.choice(subsets), rng.choice(subsets), rand_qs2(rng))
+        x.add_term((rng.choice(subsets), rng.choice(subsets)), rand_qs2(rng))
     return x
+
+
+@pytest.mark.parametrize(
+    "x",
+    [
+        cl.cl_monomial((1, 7), 3),
+        cl.wedge_monomial((2, 1), 3),
+        cl.basis_vector((1,), 3),
+        cl.end_identity(3),
+        cl.sym_pair(pt.empty(3), pt.rho(1, 3)),
+    ],
+    ids=lambda x: type(x).__name__,
+)
+def test_scale_by_zero_is_the_empty_element(x):
+    assert x.coeffs
+    assert x.scale(QSqrt2(0)) == type(x)(x.m)
 
 
 # -- generators and relations --------------------------------------------------
@@ -184,7 +200,7 @@ def test_generator_commutators_diagonal():
             e = cl.spin_generator_matrix(i, "e", m)
             f = cl.spin_generator_matrix(i, "f", m)
             comm = e.commutator(f)
-            for (row, col), v in comm.entries.items():
+            for (row, col), v in comm.coeffs.items():
                 assert row == col
                 assert v.is_rational() and v.a.denominator == 1
 
@@ -199,7 +215,7 @@ def test_even_clifford_to_end_bijective():
     for key in keys:
         mat = cl.clifford_to_end(cl.cl_monomial(key, m))
         flat = [QSqrt2(0)] * (len(subsets) ** 2)
-        for (r, c), v in mat.entries.items():
+        for (r, c), v in mat.coeffs.items():
             flat[index[r] * len(subsets) + index[c]] = v
         rows.append(flat)
     from lgmirror.grouprep import determinant
@@ -253,37 +269,37 @@ def test_delta_equivariance_matrix_identity():
             for kind in ("e", "f"):
                 mat = cl.spin_generator_matrix(i, kind, m)
                 lhs = cl.EndSpin(m)  # D . M
-                for (r, c), v in mat.entries.items():
+                for (r, c), v in mat.coeffs.items():
                     key, dc = dmat[r]
-                    lhs.add_entry(key, c, dc * v)
+                    lhs.add_term((key, c), dc * v)
                 rhs = cl.EndSpin(m)  # -M^T . D
                 for s in subsets:
                     key, dc = dmat[s]
-                    for (r, c), v in mat.entries.items():
+                    for (r, c), v in mat.coeffs.items():
                         if r == key:
-                            rhs.add_entry(c, s, -(v * dc))
+                            rhs.add_term((c, s), -(v * dc))
                 # compare as maps V_Spin -> V_Spin* in coordinates
-                assert lhs.entries == rhs.entries, (m, i, kind)
+                assert lhs.coeffs == rhs.coeffs, (m, i, kind)
 
 
 def test_iota_examples_and_rank():
     m = 2
     img = cl.iota(cl.sym_pair(pt.empty(m), pt.empty(m)))
-    assert img.entries == {((), (1, 2)): QS2_ONE}
+    assert img.coeffs == {((), (1, 2)): QS2_ONE}
     for mm in (2, 3):
         pairs = []
         subsets = pt.all_subsets(mm)
         for a in range(len(subsets)):
             for b in range(a, len(subsets)):
                 x = cl.SymSquare(mm)
-                x.add_term(subsets[a], subsets[b], QS2_ONE)
+                x.add_term((subsets[a], subsets[b]), QS2_ONE)
                 pairs.append(cl.iota(x))
         dim = len(subsets)
         index = {s: k for k, s in enumerate(subsets)}
         rows = []
         for mat in pairs:
             flat = [QSqrt2(0)] * (dim * dim)
-            for (r, c), v in mat.entries.items():
+            for (r, c), v in mat.coeffs.items():
                 flat[index[r] * dim + index[c]] = v
             rows.append(flat)
         rank = exact_rank(rows)
@@ -339,7 +355,7 @@ def test_paired_index_monomials():
                 expected = cl.EndSpin(m)
                 for L in pt.all_subsets(m):
                     if set(I) <= set(L):
-                        expected.add_entry(L, L, QSqrt2(sign))
+                        expected.add_term((L, L), QSqrt2(sign))
                 assert mat == expected, (m, I)
 
 
@@ -363,7 +379,7 @@ def test_middle_range_monomials():
                             col = tuple(sorted(set(K1) | set(middle) | set(K2)))
                             row = tuple(sorted(set(K1) | set(K2)))
                             val = sign * (-1 if (m * len(K1)) % 2 else 1)
-                            expected.add_entry(row, col, QSqrt2(val))
+                            expected.add_term((row, col), QSqrt2(val))
             assert mat == expected, (m, j)
 
 

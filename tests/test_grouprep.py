@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import rational_points
+from lgmirror import cli
 from lgmirror import clifford as cl
 from lgmirror import grouprep as gr
 from lgmirror import partitions as pt
@@ -80,7 +80,9 @@ def test_u2bar_factorization_and_shape():
 
 def test_u2bar_preserves_bilinear_form():
     for m in (2, 3):
-        for bs in rational_points(m, 3, seed=21):
+        stream = cli.rational_stream(21)
+        for _ in range(3):
+            bs = cli.sample_b(m, stream)
             u2 = gr.build_u2bar(sp.ring_vector(bs, ring), m, ring)
             g = gr.gram_matrix(m, ring)
             assert gr.mat_mul(gr.mat_transpose(u2), gr.mat_mul(g, u2, ring), ring) == g
@@ -151,7 +153,9 @@ def test_extract_f_coeff():
         from lgmirror import weyl as wy
 
         word = wy.canonical_wp_word(m)
-        for bs in rational_points(m, 2, seed=5):
+        stream = cli.rational_stream(5)
+        for _ in range(2):
+            bs = cli.sample_b(m, stream)
             bv = sp.ring_vector(bs, ring)
             u2 = gr.build_u2bar(bv, m, ring)
             for j in range(1, m + 1):
@@ -164,18 +168,22 @@ def test_extract_f_coeff():
 
 def test_u2bar_spin_unitriangular():
     for m in (2, 3):
-        for bs in rational_points(m, 2, seed=9):
+        stream = cli.rational_stream(9)
+        for _ in range(2):
+            bs = cli.sample_b(m, stream)
             mat = gr.build_u2bar_spin(sp.ring_vector(bs, ring), m, ring)
             for s in pt.all_subsets(m):
-                assert mat.entries.get((s, s)) == ring.one
+                assert mat.coeffs.get((s, s)) == ring.one
             # strictly triangular w.r.t. the weight filtration by |I|
-            for (r, c), v in mat.entries.items():
+            for (r, c), v in mat.coeffs.items():
                 assert len(r) <= len(c)
 
 
 def test_u2bar_spin_corner_coefficients():
     for m in (2, 3):
-        for bs in rational_points(m, 2, seed=13):
+        stream = cli.rational_stream(13)
+        for _ in range(2):
+            bs = cli.sample_b(m, stream)
             bv = sp.ring_vector(bs, ring)
             factors = gr.u2bar_spin_factors(bv, m, ring)
             img = gr.apply_spin_factors(factors, cl.basis_vector((), m), ring)

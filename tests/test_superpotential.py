@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import rational_points
+from lgmirror import cli
 from lgmirror import grouprep as gr
 from lgmirror import partitions as pt
 from lgmirror import superpotential as sp
@@ -36,7 +36,9 @@ def test_plucker_subword_m2():
 
 def test_spin_equals_subword_routes():
     for m in (2, 3, 4):
-        for bs in rational_points(m, 4, seed=31):
+        stream = cli.rational_stream(31)
+        for _ in range(4):
+            bs = cli.sample_b(m, stream)
             b = sp.ring_vector(bs, ring)
             assert sp.plucker_vector(b, m, ring) == sp.plucker_subword_vector(b, m, ring)
 
@@ -74,7 +76,9 @@ def test_laurent_numerator_m2():
 
 def test_theorem_w_exact():
     for m in (2, 3, 4):
-        for k, bs in enumerate(rational_points(m, 5, seed=41)):
+        stream = cli.rational_stream(41)
+        for k in range(5):
+            bs = cli.sample_b(m, stream)
             b = sp.ring_vector(bs, ring)
             q = frac(Fraction(2 * k + 1, k + 2))
             try:
@@ -87,7 +91,9 @@ def test_theorem_w_exact():
 def test_w_term_matches_f_coefficients():
     """Middle term l of W equals f_{m-l}*(u2bar); term 0 equals f_m*."""
     for m in (2, 3, 4):
-        for bs in rational_points(m, 3, seed=43):
+        stream = cli.rational_stream(43)
+        for _ in range(3):
+            bs = cli.sample_b(m, stream)
             b = sp.ring_vector(bs, ring)
             u2 = gr.build_u2bar(b, m, ring)
             p = sp.plucker_vector(b, m, ring)
@@ -99,7 +105,9 @@ def test_w_term_matches_f_coefficients():
 
 def test_sym_to_minor_exact():
     for m in (2, 3, 4):
-        for bs in rational_points(m, 3, seed=47):
+        stream = cli.rational_stream(47)
+        for _ in range(3):
+            bs = cli.sample_b(m, stream)
             b = sp.ring_vector(bs, ring)
             for j in range(2, m + 1):
                 rep = sp.verify_sym_to_minor(m, j, b, ring)
@@ -117,7 +125,9 @@ def test_sym_to_minor_frozen_m2():
 
 def test_fj_minors_exact():
     for m in (2, 3, 4):
-        for bs in rational_points(m, 3, seed=53):
+        stream = cli.rational_stream(53)
+        for _ in range(3):
+            bs = cli.sample_b(m, stream)
             b = sp.ring_vector(bs, ring)
             for j in range(1, m):
                 rep = sp.verify_fj_minors(m, j, b, ring)
@@ -126,7 +136,9 @@ def test_fj_minors_exact():
 
 def test_em_formula_exact():
     for m in (2, 3, 4):
-        for bs in rational_points(m, 3, seed=59):
+        stream = cli.rational_stream(59)
+        for _ in range(3):
+            bs = cli.sample_b(m, stream)
             rep = sp.verify_em_formula(m, sp.ring_vector(bs, ring), ring)
             assert rep.ok, (m, rep.detail)
     ones = sp.ring_vector([1] * 6, ring)
