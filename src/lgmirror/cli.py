@@ -84,21 +84,21 @@ def cmd_print_w(config: RunConfig) -> int:
 
 
 def _minors_checks(m: int, q, b: list, p: dict) -> list[tuple[dict, sp.CheckReport]]:
-    u2 = gr.build_u2bar(b, m, EXACT)
-    return [({"j": j}, sp.verify_sym_to_minor(m, j, b, EXACT, p=p, u2=u2)) for j in range(2, m + 1)]
+    u2 = gr.build_u2bar(b, m)
+    return [({"j": j}, sp.verify_sym_to_minor(m, j, b, p=p, u2=u2)) for j in range(2, m + 1)]
 
 
 def _fj_checks(m: int, q, b: list, p: dict) -> list[tuple[dict, sp.CheckReport]]:
-    u2 = gr.build_u2bar(b, m, EXACT)
-    return [({"j": j}, sp.verify_fj_minors(m, j, b, EXACT, u2=u2)) for j in range(1, m)]
+    u2 = gr.build_u2bar(b, m)
+    return [({"j": j}, sp.verify_fj_minors(m, j, b, u2=u2)) for j in range(1, m)]
 
 
 # suite -> the checks at one exact point b off every divisor, given q and
 # the Pluecker vector p of b: [(extra record fields, report)]
 _POINT_SUITES = {
-    "theorem-w": lambda m, q, b, p: [({}, sp.verify_theorem_w(m, q, b, EXACT, p=p))],
-    "em": lambda m, q, b, p: [({}, sp.verify_em_formula(m, b, EXACT, p=p))],
-    "subword": lambda m, q, b, p: [({}, sp.verify_subword_route(m, b, EXACT, p=p))],
+    "theorem-w": lambda m, q, b, p: [({}, sp.verify_theorem_w(m, q, b, p=p))],
+    "em": lambda m, q, b, p: [({}, sp.verify_em_formula(m, b, p=p))],
+    "subword": lambda m, q, b, p: [({}, sp.verify_subword_route(m, b, p=p))],
     "minors": _minors_checks,
     "fj": _fj_checks,
 }
@@ -221,7 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
             q_group.add_argument("--t", type=float, default=None, help="use q = exp(t)")
         p.add_argument("--trials", type=int, default=25)
         p.add_argument("--seed", type=int, default=1)
-        p.add_argument("--tolerance", type=float, default=1e-6)
         p.add_argument("--out", type=str, default=None, help="write the report to FILE")
 
     p_print = sub.add_parser("print-w", help="emit the symbolic superpotential")
@@ -237,6 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_crit = sub.add_parser("critical", help="critical points and spectrum comparison")
     common(p_crit)
+    p_crit.add_argument("--tolerance", type=float, default=1e-6, help="largest relative error of the spectrum match")
     return parser
 
 

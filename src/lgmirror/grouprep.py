@@ -2,224 +2,185 @@
 
 The vector representation is (2m+1)-dimensional with Chevalley generators
 e_i = E_{i,i+1} + E_{2m+1-i,2m+2-i} (i < m), e_m = sqrt2 E_{m,m+1} +
-sqrt2 E_{m+1,m+2}, f_i = e_i^T; one-parameter subgroups are truncated
-exponentials (nilpotency degree <= 3).  The factorized unipotent element
-u2bar(b) is the product prescribed by the canonical reduced word of w^P,
-and all Pluecker/minor data of the package is evaluated on it.
-
-Matrices are plain lists of lists over a ScalarRing so the same code runs
-over Q(sqrt2) and over complex floats.
+sqrt2 E_{m+1,m+2}, f_i = e_i^T.  The factorized unipotent element
+u2bar(b) = y_{i_N}(b_N) ... y_{i_1}(b_1) of the canonical word of w^P is,
+in either representation, the list of its N sparse factors y_{i_k}(b_k) - I
+= b_k f + (b_k^2/2) f^2, from one cached table per (letter, m).  The vector
+side is exact over Q(sqrt2); the spin factors take a ScalarRing, so the
+conjecture probe can sweep them over complex floats.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from typing import Callable
 
 from lgmirror import clifford as cl
 from lgmirror import partitions as pt
 from lgmirror import weyl as wy
-from lgmirror.scalars import EXACT, QSqrt2, ScalarRing
+from lgmirror.scalars import EXACT, QS2_ONE, QS2_ZERO, QSqrt2, ScalarRing
 
 Matrix = list[list]
-
-
-def mat_zero(n: int, ring: ScalarRing) -> Matrix:
-    return [[ring.zero] * n for _ in range(n)]
-
-
-def mat_identity(n: int, ring: ScalarRing) -> Matrix:
-    out = mat_zero(n, ring)
-    for i in range(n):
-        out[i][i] = ring.one
-    return out
-
-
-def mat_mul(a: Matrix, b: Matrix, ring: ScalarRing) -> Matrix:
-    n = len(a)
-    out = mat_zero(n, ring)
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for k in range(n):
-            c = ai[k]
-            if ring.is_zero(c):
-                continue
-            bk = b[k]
-            for j in range(n):
-                if not ring.is_zero(bk[j]):
-                    oi[j] = oi[j] + c * bk[j]
-    return out
 
 
 def mat_transpose(a: Matrix) -> Matrix:
     return [list(row) for row in zip(*a)]
 
 
-def chevalley_e(i: int, m: int, ring: ScalarRing = EXACT) -> Matrix:
+def chevalley_e(i: int, m: int) -> Matrix:
     if not 1 <= i <= m:
         raise ValueError(f"generator index {i} out of range for m={m}")
     n = 2 * m + 1
-    out = mat_zero(n, ring)
+    out = [[QS2_ZERO] * n for _ in range(n)]
     if i < m:
-        out[i - 1][i] = ring.one
-        out[2 * m - i][2 * m + 1 - i] = ring.one
+        out[i - 1][i] = QS2_ONE
+        out[2 * m - i][2 * m + 1 - i] = QS2_ONE
     else:
-        out[m - 1][m] = ring.sqrt2
-        out[m][m + 1] = ring.sqrt2
+        out[m - 1][m] = QSqrt2.sqrt2()
+        out[m][m + 1] = QSqrt2.sqrt2()
     return out
 
 
-def chevalley_f(i: int, m: int, ring: ScalarRing = EXACT) -> Matrix:
-    return mat_transpose(chevalley_e(i, m, ring))
-
-
-def _truncated_exp(nil: Matrix, a, ring: ScalarRing) -> Matrix:
-    n = len(nil)
-    out = mat_identity(n, ring)
-    term = mat_identity(n, ring)
-    half = ring.from_fraction(Fraction(1, 2))
-    for power in (1, 2):
-        term = mat_mul(term, nil, ring)
-        if all(ring.is_zero(c) for row in term for c in row):
-            break
-        scale = a if power == 1 else a * a * half
-        for r in range(n):
-            for c in range(n):
-                if not ring.is_zero(term[r][c]):
-                    out[r][c] = out[r][c] + scale * term[r][c]
-    return out
-
-
-def one_param_y(i: int, a, m: int, ring: ScalarRing = EXACT) -> Matrix:
-    """y_i(a) = exp(a f_i); the exponential truncates at degree 2."""
-    return _truncated_exp(chevalley_f(i, m, ring), a, ring)
-
-
-def build_u2bar(b: list, m: int, ring: ScalarRing = EXACT) -> Matrix:
-    """u2bar = y_{i_N}(b_N) ... y_{i_1}(b_1) for the canonical word i of w^P.
-
-    `b` holds ring scalars, index k (1-based) matching letter i_k.
-    """
-    word = wy.canonical_wp_word(m)
-    n = len(word)
-    if len(b) != n:
-        raise ValueError(f"need {n} coordinates for m={m}, got {len(b)}")
-    out = mat_identity(2 * m + 1, ring)
-    for k in range(n, 0, -1):
-        out = mat_mul(out, one_param_y(word[k - 1], b[k - 1], m, ring), ring)
-    return out
-
-
-def gram_matrix(m: int, ring: ScalarRing = EXACT) -> Matrix:
-    """The bilinear form: <v_i, v_{2m+2-j}> = (-1)^{m+1-i} delta_{ij}."""
-    n = 2 * m + 1
-    out = mat_zero(n, ring)
-    minus_one = ring.zero - ring.one
-    for i in range(1, n + 1):
-        out[i - 1][2 * m + 1 - i] = ring.one if cl.epsilon(i, m) > 0 else minus_one
-    return out
-
-
-def minor(g: Matrix, rows: list[int], cols: list[int], ring: ScalarRing = EXACT):
-    """Determinant of the submatrix (1-based index sets), by exact elimination."""
-    if len(rows) != len(cols):
-        raise ValueError("minor needs |rows| = |cols|")
-    sub = [[g[r - 1][c - 1] for c in cols] for r in rows]
-    return determinant(sub, ring)
-
-
-def determinant(a: Matrix, ring: ScalarRing = EXACT):
-    """Gaussian elimination over the scalar field; exact when the ring is."""
-    n = len(a)
-    a = [list(row) for row in a]
-    det = ring.one
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if not ring.is_zero(a[r][col])), None)
-        if pivot_row is None:
-            return ring.zero
-        if pivot_row != col:
-            a[col], a[pivot_row] = a[pivot_row], a[col]
-            det = ring.zero - det
-        pivot = a[col][col]
-        det = det * pivot
-        inv = ring.one / pivot
-        for r in range(col + 1, n):
-            factor = a[r][col] * inv
-            if ring.is_zero(factor):
-                continue
-            for c in range(col, n):
-                a[r][c] = a[r][c] - factor * a[col][c]
-    return det
-
-
-def extract_f_coeff(u2bar: Matrix, j: int, ring: ScalarRing = EXACT):
-    """f_j*(u2bar): entry (j+1, j) for j < m, entry (m+1, m)/sqrt2 for j = m."""
-    m = (len(u2bar) - 1) // 2
-    if j < m:
-        return u2bar[j][j - 1]
-    return u2bar[m][m - 1] / ring.sqrt2
-
-
-# -- the spin model -----------------------------------------------------------
+def chevalley_f(i: int, m: int) -> Matrix:
+    return mat_transpose(chevalley_e(i, m))
 
 
 @lru_cache(maxsize=None)
-def _spin_f_table(i: int, m: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...], Fraction], ...]:
-    """Action of f_i on the spin basis as (row, col, rational entry) triples.
+def _vector_f_table(i: int, m: int) -> tuple:
+    """f_i and f_i^2/2 on the vector representation as (row, col, power,
+    entry), 0-based: y_i(b) - I has b^power * entry at (row, col)."""
+    f = chevalley_f(i, m)
+    entries = [(r, c, x) for r, row in enumerate(f) for c, x in enumerate(row) if x]
+    square: dict[tuple[int, int], QSqrt2] = {}
+    for r, mid, x in entries:
+        for mid2, c, y in entries:
+            if mid2 == mid:
+                square[(r, c)] = square.get((r, c), QS2_ZERO) + x * y
+    half = QSqrt2(Fraction(1, 2))
+    return tuple([(r, c, 1, x) for r, c, x in entries] + [(r, c, 2, x * half) for (r, c), x in square.items() if x])
 
-    Computed once from the Clifford images f_i = eps(i) v_{i+1} vbar_i
-    (i < m), f_m = sqrt2 vbar_m v_{m+1}; all entries are rational, so the
-    table transports to any scalar ring.
+
+@lru_cache(maxsize=None)
+def _spin_f_table(i: int, m: int) -> tuple:
+    """f_i on the spin basis, read from its Clifford image; f_i^2 = 0 there.
+
+    All entries are rational, so the table transports to any scalar ring.
     """
-    if i < m:
-        elem = cl.cl_monomial((i + 1, cl.bar(i, m)), m, QSqrt2(cl.epsilon(i, m)))
-    else:
-        elem = cl.cl_monomial((cl.bar(m, m), m + 1), m, QSqrt2.sqrt2())
-    triples = []
-    for col in pt.all_subsets(m):
-        image = cl.spin_apply(elem, cl.basis_vector(col, m))
-        for row, c in image.coeffs.items():
-            if not c.is_rational():
-                raise ArithmeticError(f"spin matrix of f_{i} has the irrational entry {c} at {(row, col)}")
-            triples.append((row, col, c.a))
-    return tuple(triples)
+    table = []
+    for (row, col), c in cl.spin_generator_matrix(i, "f", m).coeffs.items():
+        if not c.is_rational():
+            raise ArithmeticError(f"spin matrix of f_{i} has the irrational entry {c} at {(row, col)}")
+        table.append((row, col, 1, c.a))
+    return tuple(table)
 
 
-def u2bar_spin_factors(b: list, m: int, ring: ScalarRing = EXACT) -> list:
-    """The factors of u2bar in End(V_Spin), leftmost first.
+def _factors(b: list, m: int, table: Callable[[int, int], tuple], convert: Callable) -> list:
+    """The factors y_{i_k}(b_k) - I of u2bar, leftmost (k = N) first.
 
-    Each factor is I + b_k F_{i_k} (the spin matrices of the f_i square to
-    zero), stored sparsely as {col: [(row, entry), ...]}.
+    Each is stored sparsely as {col: [(row, entry), ...]}; `convert` brings
+    a table entry into the scalars of b.
     """
     word = wy.canonical_wp_word(m)
     if len(b) != len(word):
         raise ValueError(f"need {len(word)} coordinates for m={m}, got {len(b)}")
     factors = []
     for k in range(len(word), 0, -1):
-        letter, bk = word[k - 1], b[k - 1]
-        table: dict[tuple[int, ...], list] = {}
-        for row, col, entry in _spin_f_table(letter, m):
-            table.setdefault(col, []).append((row, bk * ring.from_fraction(entry)))
-        factors.append(table)
+        bk = b[k - 1]
+        factor: dict = {}
+        for row, col, power, entry in table(word[k - 1], m):
+            scale = bk if power == 1 else bk * bk
+            factor.setdefault(col, []).append((row, scale * convert(entry)))
+        factors.append(factor)
     return factors
 
 
-def apply_spin_factors(factors: list, vec: cl.SpinVector, ring: ScalarRing) -> cl.SpinVector:
-    """Apply the (leftmost-first) factor list to a spin vector."""
-    coeffs = dict(vec.coeffs)
-    for table in reversed(factors):
+def apply_factors(factors: list, coeffs: dict) -> dict:
+    """Apply the product of I + F over the (leftmost-first) factor list to
+    the exact sparse vector {index: coefficient}."""
+    for factor in reversed(factors):
         out = dict(coeffs)
         for col, c in coeffs.items():
-            for row, entry in table.get(col, ()):
-                prev = out.get(row, ring.zero)
-                new = prev + entry * c
-                if ring.is_zero(new):
-                    out.pop(row, None)
-                else:
+            for row, entry in factor.get(col, ()):
+                new = out.get(row, QS2_ZERO) + entry * c
+                if new:
                     out[row] = new
+                else:
+                    out.pop(row, None)
         coeffs = out
-    return cl.SpinVector(vec.m, coeffs, vec.dual)
+    return coeffs
+
+
+def build_u2bar(b: list, m: int) -> Matrix:
+    """u2bar = y_{i_N}(b_N) ... y_{i_1}(b_1) on the vector representation.
+
+    `b` holds Q(sqrt2) scalars, index k (1-based) matching letter i_k.
+    """
+    factors = _factors(b, m, _vector_f_table, lambda entry: entry)
+    n = 2 * m + 1
+    out = [[QS2_ZERO] * n for _ in range(n)]
+    for col in range(n):
+        for row, c in apply_factors(factors, {col: QS2_ONE}).items():
+            out[row][col] = c
+    return out
+
+
+def gram_matrix(m: int) -> Matrix:
+    """The bilinear form: <v_i, v_{2m+2-j}> = (-1)^{m+1-i} delta_{ij}."""
+    n = 2 * m + 1
+    out = [[QS2_ZERO] * n for _ in range(n)]
+    for i in range(1, n + 1):
+        out[i - 1][2 * m + 1 - i] = QSqrt2(cl.epsilon(i, m))
+    return out
+
+
+def minor(g: Matrix, rows: list[int], cols: list[int]):
+    """Determinant of the submatrix (1-based index sets), by exact elimination."""
+    if len(rows) != len(cols):
+        raise ValueError("minor needs |rows| = |cols|")
+    sub = [[g[r - 1][c - 1] for c in cols] for r in rows]
+    return determinant(sub)
+
+
+def determinant(a: Matrix):
+    """Gaussian elimination over Q(sqrt2)."""
+    n = len(a)
+    a = [list(row) for row in a]
+    det = QS2_ONE
+    for col in range(n):
+        pivot_row = next((r for r in range(col, n) if a[r][col]), None)
+        if pivot_row is None:
+            return QS2_ZERO
+        if pivot_row != col:
+            a[col], a[pivot_row] = a[pivot_row], a[col]
+            det = -det
+        pivot = a[col][col]
+        det = det * pivot
+        inv = pivot.inverse()
+        for r in range(col + 1, n):
+            factor = a[r][col] * inv
+            if not factor:
+                continue
+            for c in range(col, n):
+                a[r][c] = a[r][c] - factor * a[col][c]
+    return det
+
+
+def extract_f_coeff(u2bar: Matrix, j: int):
+    """f_j*(u2bar): entry (j+1, j) for j < m, entry (m+1, m)/sqrt2 for j = m."""
+    m = (len(u2bar) - 1) // 2
+    if j < m:
+        return u2bar[j][j - 1]
+    return u2bar[m][m - 1] / QSqrt2.sqrt2()
+
+
+# -- the spin model -----------------------------------------------------------
+
+
+def u2bar_spin_factors(b: list, m: int, ring: ScalarRing = EXACT) -> list:
+    """The factors of u2bar in End(V_Spin), leftmost first, over the scalar
+    ring of b: each is I + b_k F_{i_k}, stored as its part b_k F_{i_k}."""
+    return _factors(b, m, _spin_f_table, ring.from_fraction)
 
 
 def spin_row_sweep(factors: list, ring: ScalarRing) -> dict[tuple[int, ...], object]:
@@ -241,12 +202,11 @@ def spin_row_sweep(factors: list, ring: ScalarRing) -> dict[tuple[int, ...], obj
     return row
 
 
-def build_u2bar_spin(b: list, m: int, ring: ScalarRing = EXACT) -> cl.EndSpin:
-    """u2bar acting on V_Spin, as a sparse 2^m x 2^m matrix."""
-    factors = u2bar_spin_factors(b, m, ring)
+def build_u2bar_spin(b: list, m: int) -> cl.EndSpin:
+    """u2bar acting on V_Spin, as a sparse 2^m x 2^m matrix over Q(sqrt2)."""
+    factors = u2bar_spin_factors(b, m)
     out = cl.EndSpin(m)
     for col in pt.all_subsets(m):
-        image = apply_spin_factors(factors, cl.basis_vector(col, m, ring.one), ring)
-        for row, c in image.coeffs.items():
+        for row, c in apply_factors(factors, {col: QS2_ONE}).items():
             out.add_term((row, col), c)
     return out

@@ -8,9 +8,9 @@ stacks, deduplicated in start order, polished, and closed under
 the value-rotating symmetry b -> zeta b, zeta^(m+1) = 1.  Their critical
 values match (m+1) times eigenvalues of quantum multiplication by
 sigma_1, the anti-canonical pairing predicted by the Jacobi-ring
-description of qH*(LG(m)).  The coordinate torus carries all 2^m critical
-points for odd m but misses the value-0 point when m is even (at m = 2
-this is provable by hand; sigma_1 has the eigenvalue 0 exactly then).
+description of qH*(LG(m)).  The tests pin the torus share of the 2^m
+critical points: 3 of 4 at m = 2 (the fourth, (1:0:0:-q), has p_(2) = 0)
+and 8 of 8 at m = 3; for m >= 4 it is not established (ROADMAP item A).
 
 The conjecture probe evaluates the signed quadratic sums at critical
 points through the complex-scalar Pluecker machinery; the identification

@@ -21,7 +21,7 @@ from lgmirror import grouprep as gr
 from lgmirror import partitions as pt
 from lgmirror import weyl as wy
 from lgmirror.partitions import StrictPartition
-from lgmirror.scalars import EXACT, ScalarRing
+from lgmirror.scalars import EXACT, QS2_ONE, QS2_ZERO, ScalarRing
 
 
 class DivisorError(ZeroDivisionError):
@@ -49,7 +49,7 @@ def plucker_vector(b: list, m: int, ring: ScalarRing = EXACT) -> dict[StrictPart
     return {lam: row.get(pt.to_subset(lam), ring.zero) for lam in pt.all_strict_partitions(m)}
 
 
-def plucker_subword_vector(b: list, m: int, ring: ScalarRing = EXACT) -> dict[StrictPartition, object]:
+def plucker_subword_vector(b: list, m: int) -> dict[StrictPartition, object]:
     """All 2^m Pluecker coordinates as sums of b-monomials over reduced subwords.
 
     Subword route: p_lambda is the sum, over the reduced subwords of the
@@ -60,8 +60,8 @@ def plucker_subword_vector(b: list, m: int, ring: ScalarRing = EXACT) -> dict[St
     word = wy.canonical_wp_word(m)
     if len(b) != len(word):
         raise ValueError(f"need {len(word)} coordinates for m={m}, got {len(b)}")
-    sums = wy.wp_subword_sums(word, m, ring.one, lambda value, p: value * b[p - 1])
-    return {lam: sums.get(pt.to_subset(lam), ring.zero) for lam in pt.all_strict_partitions(m)}
+    sums = wy.wp_subword_sums(word, m, QS2_ONE, lambda value, p: value * b[p - 1])
+    return {lam: sums.get(pt.to_subset(lam), QS2_ZERO) for lam in pt.all_strict_partitions(m)}
 
 
 # -- the terms of W_t ---------------------------------------------------------
@@ -103,25 +103,25 @@ def eval_W(q, p: dict, m: int, ring: ScalarRing = EXACT):
     return total + q * p[pt.rho(m - 1, m)] / p_top
 
 
-def laurent_numerator(b: list, m: int, ring: ScalarRing = EXACT):
+def laurent_numerator(b: list, m: int):
     """N(b) = sum over complement subwords of the product of selected b's.
 
     The complement subwords are the reduced subwords spelling the element
     of W^P indexed by rho_{m-1}, so N(b) is that entry of the subword route.
     """
-    return plucker_subword_vector(b, m, ring)[pt.rho(m - 1, m)]
+    return plucker_subword_vector(b, m)[pt.rho(m - 1, m)]
 
 
-def eval_W_tilde(q, b: list, m: int, ring: ScalarRing = EXACT):
+def eval_W_tilde(q, b: list, m: int):
     """The Laurent form: sum b_j + q N(b)/prod b_j."""
-    prod = ring.one
-    total = ring.zero
+    prod = QS2_ONE
+    total = QS2_ZERO
     for bj in b:
-        if ring.is_zero(bj):
+        if not bj:
             raise ZeroDivisionError("W-tilde needs all torus coordinates nonzero")
         total = total + bj
         prod = prod * bj
-    return total + q * laurent_numerator(b, m, ring) / prod
+    return total + q * laurent_numerator(b, m) / prod
 
 
 # -- verification reports -----------------------------------------------------
@@ -137,22 +137,22 @@ class CheckReport:
         return self.ok
 
 
-def verify_theorem_w(m: int, q, b: list, ring: ScalarRing = EXACT, *, p: Optional[dict] = None) -> CheckReport:
+def verify_theorem_w(m: int, q, b: list, *, p: Optional[dict] = None) -> CheckReport:
     """eval_W on Pluecker values against the Laurent form, exact equality.
 
     `p`, when given, is plucker_vector(b).
     """
     if p is None:
-        p = plucker_vector(b, m, ring)
-    lhs = eval_W(q, p, m, ring)
-    rhs = eval_W_tilde(q, b, m, ring)
-    if ring.eq(lhs, rhs):
+        p = plucker_vector(b, m)
+    lhs = eval_W(q, p, m)
+    rhs = eval_W_tilde(q, b, m)
+    if lhs == rhs:
         return CheckReport(True, "theorem-w")
     return CheckReport(False, "theorem-w", f"W = {lhs} but W-tilde = {rhs}")
 
 
 def verify_sym_to_minor(
-    m: int, j: int, b: list, ring: ScalarRing = EXACT, *, p: Optional[dict] = None, u2: Optional[gr.Matrix] = None
+    m: int, j: int, b: list, *, p: Optional[dict] = None, u2: Optional[gr.Matrix] = None
 ) -> CheckReport:
     """The two quadratic sums against (m+1)x(m+1) minors of u2bar, j = 2..m.
 
@@ -168,25 +168,23 @@ def verify_sym_to_minor(
         raise ValueError("verify_sym_to_minor needs 2 <= j <= m")
     l = m + 1 - j
     if p is None:
-        p = plucker_vector(b, m, ring)
+        p = plucker_vector(b, m)
     if u2 is None:
-        u2 = gr.build_u2bar(b, m, ring)
+        u2 = gr.build_u2bar(b, m)
     rows = list(range(m + 1, 2 * m + 2))
-    den_sum = eval_denominator(l, p, m, ring)
-    den_minor = gr.minor(u2, rows, list(range(j, j + m + 1)), ring)
-    if not ring.eq(den_sum, den_minor):
+    den_sum = eval_denominator(l, p, m)
+    den_minor = gr.minor(u2, rows, list(range(j, j + m + 1)))
+    if den_sum != den_minor:
         return CheckReport(False, "sym-to-minor", f"D side: sum {den_sum} != minor {den_minor}")
-    num_sum = eval_numerator(l, p, m, ring)
+    num_sum = eval_numerator(l, p, m)
     num_cols = [j - 1] + list(range(j + 1, j + m + 1))
-    num_minor = gr.minor(u2, rows, num_cols, ring)
-    if not ring.eq(num_sum, num_minor):
+    num_minor = gr.minor(u2, rows, num_cols)
+    if num_sum != num_minor:
         return CheckReport(False, "sym-to-minor", f"N side: sum {num_sum} != minor {num_minor}")
     return CheckReport(True, "sym-to-minor")
 
 
-def verify_fj_minors(
-    m: int, j: int, b: list, ring: ScalarRing = EXACT, *, u2: Optional[gr.Matrix] = None
-) -> CheckReport:
+def verify_fj_minors(m: int, j: int, b: list, *, u2: Optional[gr.Matrix] = None) -> CheckReport:
     """f_j*(u2bar) as a ratio of minors, plus the vanishing minor behind it.
 
     `u2`, when given, is build_u2bar(b), shared by the checks at one b.
@@ -194,48 +192,46 @@ def verify_fj_minors(
     if not 1 <= j <= m - 1:
         raise ValueError("verify_fj_minors needs 1 <= j <= m-1")
     if u2 is None:
-        u2 = gr.build_u2bar(b, m, ring)
+        u2 = gr.build_u2bar(b, m)
     rows = list(range(m + 1, 2 * m + 2))
-    num = gr.minor(u2, rows, [j] + list(range(j + 2, j + m + 2)), ring)
-    den = gr.minor(u2, rows, list(range(j + 1, j + m + 2)), ring)
-    fj = gr.extract_f_coeff(u2, j, ring)
-    if ring.is_zero(den) or not ring.eq(fj * den, num):
+    num = gr.minor(u2, rows, [j] + list(range(j + 2, j + m + 2)))
+    den = gr.minor(u2, rows, list(range(j + 1, j + m + 2)))
+    fj = gr.extract_f_coeff(u2, j)
+    if not den or fj * den != num:
         return CheckReport(False, "fj-minors", f"f_{j}* = {fj}, minors {num}/{den}")
-    vanishing = gr.minor(
-        u2, [j + 1] + rows, list(range(j, j + m + 2)), ring
-    )
-    if not ring.is_zero(vanishing):
+    vanishing = gr.minor(u2, [j + 1] + rows, list(range(j, j + m + 2)))
+    if vanishing:
         return CheckReport(False, "fj-minors", f"vanishing minor is {vanishing}")
     return CheckReport(True, "fj-minors")
 
 
-def verify_em_formula(m: int, b: list, ring: ScalarRing = EXACT, *, p: Optional[dict] = None) -> CheckReport:
+def verify_em_formula(m: int, b: list, *, p: Optional[dict] = None) -> CheckReport:
     """N(b) p_{rho_m} = p_{rho_{m-1}} prod(b): the two e^t-term expressions agree.
 
     `p`, when given, is plucker_vector(b).
     """
     if p is None:
-        p = plucker_vector(b, m, ring)
-    prod = ring.one
+        p = plucker_vector(b, m)
+    prod = QS2_ONE
     for bj in b:
         prod = prod * bj
-    lhs = laurent_numerator(b, m, ring) * p[pt.rho(m, m)]
+    lhs = laurent_numerator(b, m) * p[pt.rho(m, m)]
     rhs = p[pt.rho(m - 1, m)] * prod
-    if ring.eq(lhs, rhs):
+    if lhs == rhs:
         return CheckReport(True, "em-formula")
     return CheckReport(False, "em-formula", f"{lhs} != {rhs}")
 
 
-def verify_subword_route(m: int, b: list, ring: ScalarRing = EXACT, *, p: Optional[dict] = None) -> CheckReport:
+def verify_subword_route(m: int, b: list, *, p: Optional[dict] = None) -> CheckReport:
     """Every Pluecker coordinate of the spin route against the subword route.
 
     `p`, when given, is plucker_vector(b).
     """
     if p is None:
-        p = plucker_vector(b, m, ring)
-    subword = plucker_subword_vector(b, m, ring)
+        p = plucker_vector(b, m)
+    subword = plucker_subword_vector(b, m)
     for lam, lhs in p.items():
-        if not ring.eq(lhs, subword[lam]):
+        if lhs != subword[lam]:
             return CheckReport(False, "subword", f"p_{lam.render()}: spin {lhs} != subword {subword[lam]}")
     return CheckReport(True, "subword")
 

@@ -149,7 +149,7 @@ def test_criterion_2_pullback_identity():
     checked = 0
     for m in (2, 3, 4, 5):
         for b, q in off_divisor_points(m, 50, seed=100 + m):
-            rep = sp.verify_theorem_w(m, q, b, ring)
+            rep = sp.verify_theorem_w(m, q, b)
             assert rep.ok, (m, rep.detail)
             checked += 1
     elapsed = time.time() - t0
@@ -166,7 +166,7 @@ def test_criterion_3_quadratic_sums_equal_minors():
             bs = cli.sample_b(m, stream)
             b = sp.ring_vector(bs, ring)
             for j in range(2, m + 1):
-                rep = sp.verify_sym_to_minor(m, j, b, ring)
+                rep = sp.verify_sym_to_minor(m, j, b)
                 assert rep.ok, (m, j, rep.detail)
                 checked += 1
     elapsed = time.time() - t0
@@ -183,7 +183,7 @@ def test_criterion_4_f_coefficient_minors_and_vanishing():
             bs = cli.sample_b(m, stream)
             b = sp.ring_vector(bs, ring)
             for j in range(1, m):
-                rep = sp.verify_fj_minors(m, j, b, ring)
+                rep = sp.verify_fj_minors(m, j, b)
                 assert rep.ok, (m, j, rep.detail)
                 checked += 1
     elapsed = time.time() - t0
@@ -317,7 +317,7 @@ def test_criterion_7_subword_formula():
             bs = cli.sample_b(m, stream)
             b = sp.ring_vector(bs, ring)
             spin = sp.plucker_vector(b, m, ring)
-            subword = sp.plucker_subword_vector(b, m, ring)
+            subword = sp.plucker_subword_vector(b, m)
             for lam in pt.all_strict_partitions(m):
                 assert spin[lam] == subword[lam]
                 checked += 1

@@ -95,6 +95,14 @@ def test_critical_rejects_q_zero(capsys):
     assert code == 2
 
 
+def test_tolerance_belongs_to_critical_only(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "pi-map", "--m", "2", "--tolerance", "1"])
+    assert exc.value.code == 2
+    code, out = run(capsys, "critical", "--m", "2", "--q", "1", "--trials", "20", "--seed", "1", "--tolerance", "0.5")
+    assert json.loads(out)["tolerance"] == 0.5
+
+
 def test_m_too_small_is_usage_error():
     assert cli.main(["verify", "theorem-w", "--m", "1"]) == 2
 

@@ -219,10 +219,9 @@ def test_even_clifford_to_end_bijective():
             flat[index[r] * len(subsets) + index[c]] = v
         rows.append(flat)
     from lgmirror.grouprep import determinant
-    from lgmirror.scalars import EXACT
 
     assert len(rows) == 16
-    assert determinant(rows, EXACT) != QSqrt2(0)
+    assert determinant(rows) != QSqrt2(0)
 
 
 def test_end_to_clifford_roundtrip():

@@ -7,9 +7,54 @@ from lgmirror import clifford as cl
 from lgmirror import grouprep as gr
 from lgmirror import partitions as pt
 from lgmirror import superpotential as sp
+from lgmirror import weyl as wy
 from lgmirror.scalars import EXACT, QSqrt2
 
 ring = EXACT
+
+
+# -- the dense oracle: u2bar as a product of truncated exponentials --------------
+
+
+def mat_zero(n):
+    return [[ring.zero] * n for _ in range(n)]
+
+
+def mat_identity(n):
+    out = mat_zero(n)
+    for i in range(n):
+        out[i][i] = ring.one
+    return out
+
+
+def mat_mul(a, b):
+    n = len(a)
+    out = mat_zero(n)
+    for i in range(n):
+        for k in range(n):
+            if a[i][k]:
+                for j in range(n):
+                    if b[k][j]:
+                        out[i][j] = out[i][j] + a[i][k] * b[k][j]
+    return out
+
+
+def one_param_y(i, a, m):
+    """y_i(a) = exp(a f_i) = I + a f_i + (a^2/2) f_i^2, computed densely."""
+    f = gr.chevalley_f(i, m)
+    f2 = mat_mul(f, f)
+    scale2 = a * a * ring.from_fraction(Fraction(1, 2))
+    n = len(f)
+    return [[(ring.one if r == c else ring.zero) + a * f[r][c] + scale2 * f2[r][c] for c in range(n)] for r in range(n)]
+
+
+def dense_u2bar(b, m):
+    """y_{i_N}(b_N) ... y_{i_1}(b_1) by N dense matrix products."""
+    word = wy.canonical_wp_word(m)
+    out = mat_identity(2 * m + 1)
+    for k in range(len(word), 0, -1):
+        out = mat_mul(out, one_param_y(word[k - 1], b[k - 1], m))
+    return out
 
 
 def test_chevalley_generator_shapes():
@@ -33,14 +78,29 @@ def test_f_is_transpose_of_e():
 def test_nilpotency():
     m = 3
     em = gr.chevalley_e(m, m)
-    sq = gr.mat_mul(em, em, ring)
+    sq = mat_mul(em, em)
     assert sq[m - 1][m + 1] == QSqrt2(2)
     assert sum(1 for row in sq for c in row if c) == 1
-    cube = gr.mat_mul(sq, em, ring)
+    cube = mat_mul(sq, em)
     assert all(not c for row in cube for c in row)
     for i in range(1, m):
         e = gr.chevalley_e(i, m)
-        assert all(not c for row in gr.mat_mul(e, e, ring) for c in row)
+        assert all(not c for row in mat_mul(e, e) for c in row)
+
+
+def test_vector_factor_tables():
+    """The table of y_i(b) - I holds f_i at power 1 and f_i^2/2 at power 2,
+    and f_i^2 = 0 for i < m."""
+    half = QSqrt2(Fraction(1, 2))
+    for m in (2, 3, 4):
+        for i in range(1, m + 1):
+            f = gr.chevalley_f(i, m)
+            table = gr._vector_f_table(i, m)
+            for power, mat, scale in ((1, f, QSqrt2(1)), (2, mat_mul(f, f), half)):
+                dense = {(r, c): x * scale for r, row in enumerate(mat) for c, x in enumerate(row) if x}
+                assert {(r, c): x for r, c, pw, x in table if pw == power} == dense, (m, i, power)
+            assert any(pw == 2 for _, _, pw, _ in table) == (i == m)
+    assert [entry for entry in gr._vector_f_table(2, 2) if entry[2] == 2] == [(3, 1, 2, QSqrt2(1))]
 
 
 def test_one_param_subgroup():
@@ -48,23 +108,26 @@ def test_one_param_subgroup():
     a = ring.from_fraction(Fraction(3, 5))
     b = ring.from_fraction(Fraction(-2, 7))
     ab = ring.from_fraction(Fraction(3, 5) - Fraction(2, 7))
-    assert gr.one_param_y(1, ring.zero, m) == gr.mat_identity(5, ring)
-    lhs = gr.mat_mul(gr.one_param_y(2, a, m), gr.one_param_y(2, b, m), ring)
-    assert lhs == gr.one_param_y(2, ab, m)
-    y = gr.one_param_y(m, a, m)
+    assert one_param_y(1, ring.zero, m) == mat_identity(5)
+    lhs = mat_mul(one_param_y(2, a, m), one_param_y(2, b, m))
+    assert lhs == one_param_y(2, ab, m)
+    y = one_param_y(m, a, m)
     assert y[m][m - 1] == a * ring.sqrt2
     assert y[m + 1][m - 1] == a * a
+    # one nonzero coordinate b_k: the factor route gives y_{i_k}(b_k) itself
+    word = wy.canonical_wp_word(m)
+    for k, letter in enumerate(word):
+        for x in (a, b, ab):
+            coords = [ring.zero] * len(word)
+            coords[k] = x
+            assert gr.build_u2bar(coords, m) == one_param_y(letter, x, m), (k, x)
 
 
 def test_u2bar_factorization_and_shape():
     m = 2
     b = sp.ring_vector([1, 2, 3], ring)
-    u2 = gr.build_u2bar(b, m, ring)
-    explicit = gr.mat_mul(
-        gr.mat_mul(gr.one_param_y(2, b[2], m), gr.one_param_y(1, b[1], m), ring),
-        gr.one_param_y(2, b[0], m),
-        ring,
-    )
+    u2 = gr.build_u2bar(b, m)
+    explicit = mat_mul(mat_mul(one_param_y(2, b[2], m), one_param_y(1, b[1], m)), one_param_y(2, b[0], m))
     assert u2 == explicit
     assert u2[1][0] == b[1]  # the unique f_1 coefficient
     n = 2 * m + 1
@@ -72,10 +135,19 @@ def test_u2bar_factorization_and_shape():
         assert u2[i][i] == ring.one
         for j in range(i + 1, n):
             assert not u2[i][j]
-    zeros = gr.build_u2bar([ring.zero] * 3, m, ring)
-    assert zeros == gr.mat_identity(5, ring)
+    zeros = gr.build_u2bar([ring.zero] * 3, m)
+    assert zeros == mat_identity(5)
     with pytest.raises(ValueError):
-        gr.build_u2bar(b[:2], m, ring)
+        gr.build_u2bar(b[:2], m)
+
+
+def test_u2bar_matches_dense_product():
+    """The column route equals the dense product of truncated exponentials."""
+    for m in (2, 3, 4, 5):
+        stream = cli.rational_stream(17 + m)
+        for _ in range(3):
+            b = sp.ring_vector(cli.sample_b(m, stream), ring)
+            assert gr.build_u2bar(b, m) == dense_u2bar(b, m), m
 
 
 def test_u2bar_preserves_bilinear_form():
@@ -83,18 +155,18 @@ def test_u2bar_preserves_bilinear_form():
         stream = cli.rational_stream(21)
         for _ in range(3):
             bs = cli.sample_b(m, stream)
-            u2 = gr.build_u2bar(sp.ring_vector(bs, ring), m, ring)
-            g = gr.gram_matrix(m, ring)
-            assert gr.mat_mul(gr.mat_transpose(u2), gr.mat_mul(g, u2, ring), ring) == g
+            u2 = gr.build_u2bar(sp.ring_vector(bs, ring), m)
+            g = gr.gram_matrix(m)
+            assert mat_mul(gr.mat_transpose(u2), mat_mul(g, u2)) == g
 
 
 def test_generators_in_orthogonal_lie_algebra():
     for m in (2, 3):
-        g = gr.gram_matrix(m, ring)
+        g = gr.gram_matrix(m)
         for i in range(1, m + 1):
             for mat in (gr.chevalley_e(i, m), gr.chevalley_f(i, m)):
-                xtg = gr.mat_mul(gr.mat_transpose(mat), g, ring)
-                gx = gr.mat_mul(g, mat, ring)
+                xtg = mat_mul(gr.mat_transpose(mat), g)
+                gx = mat_mul(g, mat)
                 assert all(
                     not (xtg[r][c] + gx[r][c]) for r in range(2 * m + 1) for c in range(2 * m + 1)
                 )
@@ -106,7 +178,7 @@ def test_vector_action_matches_clifford_commutator():
         for i in range(1, m + 1):
             for kind, mat in (("e", gr.chevalley_e(i, m)), ("f", gr.chevalley_f(i, m))):
                 cols = cl.vector_action(cl.generator_clifford(i, kind, m), m)
-                dense = gr.mat_zero(2 * m + 1, ring)
+                dense = mat_zero(2 * m + 1)
                 for k, col in cols.items():
                     for j, c in col.items():
                         dense[j - 1][k - 1] = c
@@ -128,42 +200,40 @@ def cofactor_det(a, ring):
 def test_minor_against_cofactor_expansion():
     m = 2
     b = sp.ring_vector([Fraction(1, 2), Fraction(3), Fraction(-2, 5)], ring)
-    u2 = gr.build_u2bar(b, m, ring)
+    u2 = gr.build_u2bar(b, m)
     for rows, cols in [([3, 4, 5], [2, 3, 4]), ([1, 2, 3], [1, 2, 3]), ([2, 3, 4, 5], [1, 2, 3, 4])]:
         sub = [[u2[r - 1][c - 1] for c in cols] for r in rows]
-        assert gr.minor(u2, rows, cols, ring) == cofactor_det(sub, ring)
-    assert gr.minor(gr.mat_identity(5, ring), [1, 3], [1, 3], ring) == ring.one
+        assert gr.minor(u2, rows, cols) == cofactor_det(sub, ring)
+    assert gr.minor(mat_identity(5), [1, 3], [1, 3]) == ring.one
     with pytest.raises(ValueError):
-        gr.minor(u2, [1, 2], [1], ring)
+        gr.minor(u2, [1, 2], [1])
 
 
 def test_frozen_minor_value():
     b = sp.ring_vector([1, 2, 3], ring)
-    u2 = gr.build_u2bar(b, 2, ring)
-    assert gr.minor(u2, [3, 4, 5], [2, 3, 4], ring) == QSqrt2(18)
+    u2 = gr.build_u2bar(b, 2)
+    assert gr.minor(u2, [3, 4, 5], [2, 3, 4]) == QSqrt2(18)
 
 
 def test_extract_f_coeff():
     m = 2
     b = sp.ring_vector([1, 2, 3], ring)
-    u2 = gr.build_u2bar(b, m, ring)
-    assert gr.extract_f_coeff(u2, 1, ring) == QSqrt2(2)
-    assert gr.extract_f_coeff(u2, 2, ring) == QSqrt2(4)
+    u2 = gr.build_u2bar(b, m)
+    assert gr.extract_f_coeff(u2, 1) == QSqrt2(2)
+    assert gr.extract_f_coeff(u2, 2) == QSqrt2(4)
     for m in (3, 4):
-        from lgmirror import weyl as wy
-
         word = wy.canonical_wp_word(m)
         stream = cli.rational_stream(5)
         for _ in range(2):
             bs = cli.sample_b(m, stream)
             bv = sp.ring_vector(bs, ring)
-            u2 = gr.build_u2bar(bv, m, ring)
+            u2 = gr.build_u2bar(bv, m)
             for j in range(1, m + 1):
                 expected = ring.zero
                 for k, letter in enumerate(word, start=1):
                     if letter == j:
                         expected = expected + bv[k - 1]
-                assert gr.extract_f_coeff(u2, j, ring) == expected
+                assert gr.extract_f_coeff(u2, j) == expected
 
 
 def test_u2bar_spin_unitriangular():
@@ -171,7 +241,7 @@ def test_u2bar_spin_unitriangular():
         stream = cli.rational_stream(9)
         for _ in range(2):
             bs = cli.sample_b(m, stream)
-            mat = gr.build_u2bar_spin(sp.ring_vector(bs, ring), m, ring)
+            mat = gr.build_u2bar_spin(sp.ring_vector(bs, ring), m)
             for s in pt.all_subsets(m):
                 assert mat.coeffs.get((s, s)) == ring.one
             # strictly triangular w.r.t. the weight filtration by |I|
@@ -186,15 +256,28 @@ def test_u2bar_spin_corner_coefficients():
             bs = cli.sample_b(m, stream)
             bv = sp.ring_vector(bs, ring)
             factors = gr.u2bar_spin_factors(bv, m, ring)
-            img = gr.apply_spin_factors(factors, cl.basis_vector((), m), ring)
-            assert img.coeffs.get(()) == ring.one  # p_empty = 1
-            top = gr.apply_spin_factors(
-                factors, cl.basis_vector(tuple(range(1, m + 1)), m), ring
-            )
+            img = gr.apply_factors(factors, {(): ring.one})
+            assert img.get(()) == ring.one  # p_empty = 1
+            top = gr.apply_factors(factors, {tuple(range(1, m + 1)): ring.one})
             prod = ring.one
             for x in bv:
                 prod = prod * x
-            assert top.coeffs.get(()) == prod  # p_{rho_m} = prod b_j
+            assert top.get(()) == prod  # p_{rho_m} = prod b_j
+
+
+def test_u2bar_spin_matches_product_of_generator_matrices():
+    """The column route on V_Spin equals prod_k (I + b_k F_{i_k}) composed as
+    sparse matrices, F_i the spin matrix of f_i from its Clifford image."""
+    for m in (2, 3):
+        word = wy.canonical_wp_word(m)
+        stream = cli.rational_stream(31)
+        for _ in range(2):
+            bv = sp.ring_vector(cli.sample_b(m, stream), ring)
+            product = cl.end_identity(m)
+            for k in range(len(word), 0, -1):
+                factor = cl.end_identity(m) + cl.spin_generator_matrix(word[k - 1], "f", m).scale(bv[k - 1])
+                product = product.compose(factor)
+            assert gr.build_u2bar_spin(bv, m) == product, m
 
 
 def test_spin_f_table_rejects_an_irrational_entry(monkeypatch):
