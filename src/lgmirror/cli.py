@@ -4,6 +4,7 @@ Reports are deterministic: identical configuration (including seed) gives
 byte-identical JSON.  Random exact sample points are drawn through
 splitmix64 with numerators in [-9, 9] \\ {0} and denominators in [1, 9];
 points hitting a divisor are redrawn and the redraw count is reported.
+Only `critical` loads the numerical layer (`jacobi`, and with it numpy).
 Exit codes: 0 success, 1 verification failure, 2 usage error.
 """
 
@@ -16,10 +17,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from lgmirror import grouprep as gr
-from lgmirror import jacobi as jb
 from lgmirror import qchevalley as qc
 from lgmirror import superpotential as sp
-from lgmirror.scalars import EXACT
+from lgmirror.scalars import EXACT, splitmix64
 
 SCHEMA = "lg-mirror/1"
 
@@ -37,7 +37,7 @@ class RunConfig:
 
 def rational_stream(seed: int):
     """Small random rationals: numerator in [-9,9]\\{0}, denominator in [1,9]."""
-    gen = jb.splitmix64(seed)
+    gen = splitmix64(seed)
     while True:
         num = next(gen) % 18 - 9
         if num >= 0:
@@ -188,6 +188,8 @@ def cmd_critical(config: RunConfig) -> int:
     if config.q == 0:
         print("error: critical point search needs q != 0", file=sys.stderr)
         return 2
+    from lgmirror import jacobi as jb
+
     report = jb.critical_report(config.m, complex(config.q), trials=config.trials, seed=config.seed)
     report["tolerance"] = config.tolerance
     ok = (

@@ -11,7 +11,9 @@ all other generator pairs anticommuting.  The module provides
   (with inverse), computed by the contraction recursion
   alpha(v ^ x) = v * alpha(x) - alpha(contract_v x),
 * the spin representation on subsets of {1..m} and the induced
-  identification of either parity of Cl(V) with End(V_Spin),
+  identification of either parity of Cl(V) with End(V_Spin); its inverse
+  writes each matrix unit monomial by monomial, with no Clifford product,
+  and moves a unit across parity by v_{m+1},
 * the duality delta, the symmetric-square embedding iota, and the
   projection pi : Sym^2(V_Spin) -> wedge^{m+1} V built from the maps
   pr, c, d, all over exact scalars,
@@ -33,9 +35,11 @@ from typing import TypeVar
 
 from lgmirror import partitions as pt
 from lgmirror.partitions import StrictPartition
-from lgmirror.scalars import QS2_ONE, QS2_ZERO, QSqrt2
+from lgmirror.scalars import QS2_ONE, QSqrt2
 
 Subset = tuple[int, ...]
+
+_SQRT2 = QSqrt2.sqrt2()
 
 
 def epsilon(i: int, m: int) -> int:
@@ -110,11 +114,6 @@ class CliffordElement(Combination):
     """Sparse sum of ordered monomials v_S, S an ascending subset of 1..2m+1,
     with Q(sqrt2) coefficients."""
 
-    def parity_part(self, parity: int) -> CliffordElement:
-        return CliffordElement(
-            self.m, {k: v for k, v in self.coeffs.items() if len(k) % 2 == parity}
-        )
-
     def is_homogeneous_parity(self) -> bool:
         pars = {len(k) % 2 for k in self.coeffs}
         return len(pars) <= 1
@@ -125,12 +124,6 @@ class CliffordElement(Combination):
             for k, c in sorted(self.coeffs.items(), key=lambda kv: (len(kv[0]), kv[0]))
         ]
         return "\n".join(lines) if lines else "0"
-
-
-def cl_scalar(c: QSqrt2, m: int) -> CliffordElement:
-    out = CliffordElement(m)
-    out.add_term((), c)
-    return out
 
 
 def cl_monomial(indices: Subset, m: int, c: QSqrt2 = QS2_ONE) -> CliffordElement:
@@ -250,14 +243,15 @@ def antisymmetrize_inv(x: CliffordElement) -> ExteriorElement:
         raise ValueError("antisymmetrize_inv requires a purely even or odd element")
     m = x.m
     out = ExteriorElement(m)
-    rest = x
+    rest = CliffordElement(m, dict(x.coeffs))
     while rest.coeffs:
         top = max(len(k) for k in rest.coeffs)
         layer = ExteriorElement(m, {k: c for k, c in rest.coeffs.items() if len(k) == top})
-        out = out + layer
-        rest = rest - antisymmetrize(layer)
+        out.coeffs.update(layer.coeffs)  # a new, lower degree each round
+        for key, c in antisymmetrize(layer).coeffs.items():
+            rest.add_term(key, -c)
         if any(len(k) >= top for k in rest.coeffs):
-            raise AssertionError("antisymmetrization failed to be triangular")
+            raise ArithmeticError("antisymmetrization failed to be triangular")
     return out
 
 
@@ -374,65 +368,54 @@ def clifford_to_end(x: CliffordElement) -> EndSpin:
     return out
 
 
-# matrix units as Clifford elements: E_{L',L} = C_{L'} P_0 A_L with creation
-# string C, vacuum projector P_0 = prod_i (eps(i) vbar_i v_i), annihilation
-# string A; each maps w_L -> w_{L'} with coefficient exactly 1.
+# matrix units as Clifford elements: E_{L',L} maps w_L -> w_{L'} and every
+# other w_I to 0.  With eps(i) vbar_i v_i = 1 - eps(i) v_i vbar_i and
+# v_i^2 = vbar_i^2 = 0, the product prod_{l in L} eps(l) v_{L'} prod_i (eps(i) vbar_i v_i)
+# prod_{l in L desc} vbar_l expands to a sum over T in [m] - (L u L') of
+# prod_{l in L} eps(l) prod_{i in T} (-eps(i)) v_{w_T}, where the word
+# w_T = (L' asc)(i, ibar for i in T asc)(lbar for l in L desc) has distinct
+# indices and no ibar before its i: its normal order costs the sorting sign only.
 
 
 @lru_cache(maxsize=None)
-def _vacuum_projector(m: int) -> CliffordElement:
-    out = cl_scalar(QS2_ONE, m)
-    for i in range(1, m + 1):
-        factor = cl_monomial((bar(i, m), i), m, QSqrt2(epsilon(i, m)))
-        out = clifford_mul(out, factor)
-    return out
-
-
-@lru_cache(maxsize=None)
-def _matrix_unit_clifford(row: Subset, col: Subset, m: int) -> CliffordElement:
-    creation = cl_monomial(tuple(sorted(row)), m)
-    ann_word = []
-    for i in sorted(col, reverse=True):
-        ann_word.extend([bar(i, m)])
-    annihilation = cl_monomial(tuple(ann_word), m)
-    sign = QSqrt2(Fraction(1))
-    for i in col:
-        if epsilon(i, m) < 0:
-            sign = -sign
-    out = clifford_mul(creation, clifford_mul(_vacuum_projector(m), annihilation))
-    return out.scale(sign)
-
-
-@lru_cache(maxsize=None)
-def _volume_element(m: int) -> tuple[CliffordElement, QSqrt2]:
-    """Central antisymmetrized volume alpha(v_1 ^ ... ^ v_{2m+1}) and its spin scalar."""
-    omega = antisymmetrize(wedge_monomial(tuple(range(1, 2 * m + 2)), m))
-    image = spin_apply(omega, basis_vector((), m))
-    z = image.coeffs.get((), QS2_ZERO)
-    if not z:
-        raise ArithmeticError("volume element acts by 0; it must act invertibly")
-    return omega, z
+def _matrix_unit_clifford(row: Subset, col: Subset, m: int, lift: bool) -> tuple[tuple[Subset, int], ...]:
+    """The monomials of E_{row,col}, or of (-1)^{|row|} v_{m+1} E_{row,col}
+    if `lift`, with their coefficients +-1."""
+    sign = -1 if lift and len(row) % 2 else 1
+    for l in col:
+        sign *= epsilon(l, m)
+    head = ((m + 1,) if lift else ()) + tuple(sorted(row))
+    tail = tuple(bar(l, m) for l in sorted(col, reverse=True))
+    free = [i for i in range(1, m + 1) if i not in row and i not in col]
+    terms = []
+    for r in range(len(free) + 1):
+        for chosen in combinations(free, r):
+            word = head + tuple(k for i in chosen for k in (i, bar(i, m))) + tail
+            c = sign * _perm_sign(word)
+            for i in chosen:
+                c *= -epsilon(i, m)
+            terms.append((tuple(sorted(word)), c))
+    return tuple(terms)
 
 
 def end_to_clifford(mat: EndSpin, parity: int) -> CliffordElement:
     """The unique preimage of `mat` in Cl^{parity}(V) under the spin action.
 
-    Built from matrix units; components of the wrong parity are transported
-    across by the central volume element, which changes parity and acts as
-    an invertible scalar.
+    The sum of v E_{L',L} over the entries v of `mat`.  Where the parity
+    |L| + |L'| of E_{L',L} is the other one, sqrt2 (-1)^{|L'|} v_{m+1} E_{L',L}
+    takes its place: v_{m+1} acts on w_I by (-1)^{|I|}/sqrt2.
     """
     m = mat.m
-    acc = CliffordElement(m)
+    out = CliffordElement(m)
     for (row, col), v in mat.coeffs.items():
         if not isinstance(v, QSqrt2):
             raise TypeError("end_to_clifford needs exact entries")
-        acc = acc + _matrix_unit_clifford(row, col, m).scale(v)
-    good = acc.parity_part(parity)
-    wrong = acc.parity_part(1 - parity)
-    if wrong.coeffs:
-        omega, z = _volume_element(m)
-        good = good + clifford_mul(omega, wrong).scale(z.inverse())
-    return good
+        lift = (len(row) + len(col)) % 2 != parity
+        if lift:
+            v = v * _SQRT2
+        for key, c in _matrix_unit_clifford(row, col, m, lift):
+            out.add_term(key, v if c > 0 else -v)
+    return out
 
 
 # -- duality, Sym^2 and the projection pi ------------------------------------
@@ -572,7 +555,7 @@ def vector_action(gen: CliffordElement, m: int) -> dict[int, dict[int, QSqrt2]]:
         col = {}
         for key, c in img.coeffs.items():
             if len(key) != 1:
-                raise AssertionError("commutator with a vector left degree 1")
+                raise ArithmeticError("commutator with a vector left degree 1")
             col[key[0]] = c
         if col:
             cols[k] = col
@@ -588,7 +571,8 @@ def exterior_generator_action(gen: CliffordElement, x: ExteriorElement) -> Exter
         for pos, k in enumerate(key):
             for j, coeff in cols.get(k, {}).items():
                 replaced = key[:pos] + (j,) + key[pos + 1:]
-                out = out + wedge_monomial(replaced, m, c * coeff)
+                for mono, c2 in wedge_monomial(replaced, m, c * coeff).coeffs.items():
+                    out.add_term(mono, c2)
     return out
 
 

@@ -30,23 +30,11 @@ from lgmirror import partitions as pt
 from lgmirror import qchevalley as qc
 from lgmirror import superpotential as sp
 from lgmirror import weyl as wy
-from lgmirror.scalars import COMPLEX
+from lgmirror.scalars import COMPLEX, splitmix64
 
 GRAD_TOL = 1e-10
 POLISH_TOL = 1e-12
 DEDUP_RADIUS = 1e-6
-
-
-def splitmix64(state: int):
-    """Deterministic 64-bit generator; the single randomness source of the package."""
-    mask = (1 << 64) - 1
-    state &= mask
-    while True:
-        state = (state + 0x9E3779B97F4A7C15) & mask
-        z = state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
-        yield z ^ (z >> 31)
 
 
 def uniform01(gen) -> float:
@@ -267,6 +255,18 @@ def match_multisets(a: list[complex], b: list[complex]) -> float:
     return worst
 
 
+def sigma1_matrix(m: int, q_value: complex) -> np.ndarray:
+    """Matrix of sigma_1 * in the Schubert basis (canonical subset order),
+    entry (mu, lambda) = coefficient of sigma_mu in sigma_1 * sigma_lambda."""
+    basis = pt.all_strict_partitions(m)
+    index = {lam: k for k, lam in enumerate(basis)}
+    out = np.zeros((len(basis), len(basis)), dtype=complex)
+    for col, product in enumerate(qc.sigma1_table(m).values()):
+        for (mu_, d), c in product.terms.items():
+            out[index[mu_], col] += c * q_value**d
+    return out
+
+
 @dataclass
 class SpectrumReport:
     count: int
@@ -282,7 +282,7 @@ class SpectrumReport:
 
 def compare_spectrum(m: int, q: complex, points: list[CriticalPoint]) -> SpectrumReport:
     """Critical values against (m+1) x eigenvalues of the sigma_1 matrix."""
-    eigs = np.linalg.eigvals(qc.sigma1_matrix(m, q))
+    eigs = np.linalg.eigvals(sigma1_matrix(m, q))
     scaled = [complex((m + 1) * z) for z in eigs]
     values = [p.value for p in points]
     return SpectrumReport(

@@ -15,14 +15,17 @@ n_alpha = (m+1) d(alpha) is its pairing with the anti-canonical class;
 with these readings the operator satisfies the degree law
 |mu| + (m+1) d = |lambda| + 1, has nonnegative integer coefficients, and
 reproduces the known Pieri products (enforced by the tests).
+
+`sigma1_table` holds the root sums of one m, computed once; the numerical
+sigma_1 matrix built from it lives in `lgmirror.jacobi`, so no numpy here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
+from types import MappingProxyType
+from typing import Mapping
 
 from lgmirror import partitions as pt
 from lgmirror import weyl as wy
@@ -123,32 +126,38 @@ def chevalley_multiply(lam: StrictPartition, m: int | None = None) -> CohClass:
             continue
         c = root.omega_m_pairing
         ws = w * root.reflection
-        lws = _length_cached(ws.images)
-        if lws == lw + 1 and wy.is_min_coset_rep(ws):
+        proj = wy.min_coset_rep_of(ws)
+        if ws == proj and _length_cached(ws.images) == lw + 1:
             out.add(wy.partition_of(ws), 0, c)
             continue
-        proj = wy.min_coset_rep_of(ws)
         n_alpha = (m + 1) * c
         if _length_cached(proj.images) == lw + 1 - n_alpha:
             out.add(wy.partition_of(proj), c, c)
     return out
 
 
+@lru_cache(maxsize=None)
+def sigma1_table(m: int) -> Mapping[StrictPartition, CohClass]:
+    """sigma_1 * sigma_lambda for every lambda in the m x m box, in the order
+    of `all_strict_partitions`: one root sum per class, once per m.  Every
+    reader shares the table, so neither it nor its classes may be changed."""
+    return MappingProxyType({lam: chevalley_multiply(lam) for lam in pt.all_strict_partitions(m)})
+
+
 def verify_relation_l1(m: int) -> bool:
     """sigma_1 * sigma_(m) - sigma_() * sigma_(m,1) = q, exactly."""
-    product = chevalley_multiply(pt.partition((m,), m))
     expected = CohClass(m)
     expected.add(pt.partition((m, 1), m), 0, 1)
     expected.add(pt.empty(m), 1, 1)
-    return product == expected
+    return sigma1_table(m)[pt.partition((m,), m)] == expected
 
 
 def grading_violations(m: int) -> list[str]:
     """Terms of any sigma_1 * sigma_lambda violating |mu| + (m+1) d = |lambda| + 1
     or positivity; empty if the operator is consistent."""
     bad = []
-    for lam in pt.all_strict_partitions(m):
-        for (mu_, d), c in chevalley_multiply(lam).terms.items():
+    for lam, product in sigma1_table(m).items():
+        for (mu_, d), c in product.terms.items():
             if mu_.size + (m + 1) * d != lam.size + 1:
                 bad.append(f"sigma{lam.render()}: q^{d} sigma{mu_.render()} breaks the degree law")
             if c < 0 or not isinstance(c, int):
@@ -156,27 +165,13 @@ def grading_violations(m: int) -> list[str]:
     return bad
 
 
-def sigma1_matrix(m: int, q_value: complex) -> np.ndarray:
-    """Matrix of sigma_1 * in the Schubert basis (canonical subset order),
-    entry (mu, lambda) = coefficient of sigma_mu in sigma_1 * sigma_lambda."""
-    basis = pt.all_strict_partitions(m)
-    index = {lam: k for k, lam in enumerate(basis)}
-    out = np.zeros((len(basis), len(basis)), dtype=complex)
-    for col, lam in enumerate(basis):
-        for (mu_, d), c in chevalley_multiply(lam).terms.items():
-            out[index[mu_], col] += c * q_value**d
-    return out
-
-
 def multiplication_table(m: int) -> dict[str, list[dict]]:
     """JSON-friendly dump of the full sigma_1 * table."""
     table = {}
-    for lam in pt.all_strict_partitions(m):
+    for lam, product in sigma1_table(m).items():
         rows = [
             {"partition": list(mu_.parts), "q_power": d, "coeff": c}
-            for (mu_, d), c in sorted(
-                chevalley_multiply(lam).terms.items(), key=lambda kv: (kv[0][1], kv[0][0])
-            )
+            for (mu_, d), c in sorted(product.terms.items(), key=lambda kv: (kv[0][1], kv[0][0]))
         ]
         table[lam.render()] = rows
     return table

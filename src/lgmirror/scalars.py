@@ -5,7 +5,7 @@ structural equality).  `QSqrt2` is the field Q(sqrt2) stored as a pair
 (a, b) meaning a + b*sqrt2; every identity downstream is then decidable by
 exact equality.  `ScalarRing` packages the handful of ring-level services
 (embeddings, zero test, comparison) needed to run the same linear algebra
-over Q(sqrt2) or over complex floats.
+over Q(sqrt2) or over complex floats.  `splitmix64` draws every random number.
 """
 
 from __future__ import annotations
@@ -194,3 +194,15 @@ COMPLEX = ScalarRing(
     is_zero=lambda x: abs(x) < _COMPLEX_TOL,
     eq=lambda x, y: abs(x - y) < _COMPLEX_TOL * max(1.0, abs(x), abs(y)),
 )
+
+
+def splitmix64(state: int):
+    """Deterministic 64-bit generator; the single randomness source of the package."""
+    mask = (1 << 64) - 1
+    state &= mask
+    while True:
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        yield z ^ (z >> 31)

@@ -102,11 +102,6 @@ def word_product(word: Sequence[int], m: int) -> SignedPermutation:
 # -- the parabolic W_P = <s_1, ..., s_{m-1}> and its minimal coset reps ------
 
 
-def is_min_coset_rep(w: SignedPermutation) -> bool:
-    lw = length(w)
-    return all(length(w * simple_reflection(i, w.m)) > lw for i in range(1, w.m))
-
-
 def negative_subset(w: SignedPermutation) -> tuple[int, ...]:
     """The subset I = {|w(j)| : w(j) < 0}, i.e. the spin weight of w."""
     return tuple(sorted(abs(v) for v in w.images if v < 0))
@@ -125,7 +120,7 @@ def min_rep_from_subset(subset: Iterable[int], m: int) -> SignedPermutation:
 
 
 def min_coset_rep_of(w: SignedPermutation) -> SignedPermutation:
-    """Projection W -> W^P (minimal representative of w W_P)."""
+    """Projection W -> W^P (minimal representative of w W_P); it fixes exactly W^P."""
     return min_rep_from_subset(negative_subset(w), w.m)
 
 

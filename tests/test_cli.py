@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -152,3 +155,37 @@ def test_divisor_redraw_counted(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["divisor_redraws"] >= 0
+
+
+IMPORT_PROBE = """
+import contextlib, io, json, sys
+from lgmirror import cli
+
+def run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+codes = [run(argv)[0] for argv in (
+    ["verify", "pi-map", "--m", "2"],
+    ["verify", "chevalley", "--m", "3"],
+    ["verify", "theorem-w", "--m", "2", "--trials", "1"],
+)]
+exact = {"codes": codes, "numpy": "numpy" in sys.modules, "jacobi": "lgmirror.jacobi" in sys.modules}
+_, out = run(["critical", "--m", "2", "--trials", "20"])
+critical = {"points": len(json.loads(out)["points"]), "numpy": "numpy" in sys.modules,
+            "jacobi": "lgmirror.jacobi" in sys.modules}
+print(json.dumps({"exact": exact, "critical": critical}))
+"""
+
+
+def test_exact_commands_never_load_numpy():
+    """The exact suites run without numpy; `critical` loads it with jacobi."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    assert seen["exact"] == {"codes": [0, 0, 0], "numpy": False, "jacobi": False}
+    assert seen["critical"] == {"points": 3, "numpy": True, "jacobi": True}

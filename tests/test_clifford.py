@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
@@ -8,6 +9,14 @@ from displays import expected_clifford_image, expected_iota_image, expected_midd
 from lgmirror import clifford as cl
 from lgmirror import partitions as pt
 from lgmirror.scalars import QS2_ONE, QSqrt2
+
+
+def scalar(c, m):
+    return cl.cl_monomial((), m, c)
+
+
+def parity_part(x, parity):
+    return cl.CliffordElement(x.m, {k: v for k, v in x.coeffs.items() if len(k) % 2 == parity})
 
 
 def rand_qs2(rng, span=3):
@@ -82,9 +91,9 @@ def test_defining_relations():
             vi = cl.cl_monomial((i,), m)
             vbi = cl.cl_monomial((cl.bar(i, m),), m)
             anti = cl.clifford_mul(vi, vbi) + cl.clifford_mul(vbi, vi)
-            assert anti == cl.cl_scalar(QSqrt2(cl.epsilon(i, m)), m)
+            assert anti == scalar(QSqrt2(cl.epsilon(i, m)), m)
         mid = cl.cl_monomial((m + 1,), m)
-        assert cl.clifford_mul(mid, mid) == cl.cl_scalar(QSqrt2(Fraction(1, 2)), m)
+        assert cl.clifford_mul(mid, mid) == scalar(QSqrt2(Fraction(1, 2)), m)
         v1, v2 = cl.cl_monomial((1,), m), cl.cl_monomial((2,), m)
         assert cl.clifford_mul(v1, v2) == cl.clifford_mul(v2, v1).scale(QSqrt2(-1))
 
@@ -104,12 +113,12 @@ def test_antisymmetrize_examples():
     m = 3
     assert cl.antisymmetrize(cl.wedge_monomial((1, 2), m)) == cl.cl_monomial((1, 2), m)
     x = cl.antisymmetrize(cl.wedge_monomial((1, cl.bar(1, m)), m))
-    expected = cl.cl_monomial((1, cl.bar(1, m)), m) + cl.cl_scalar(
+    expected = cl.cl_monomial((1, cl.bar(1, m)), m) + scalar(
         QSqrt2(Fraction(-cl.epsilon(1, m), 2)), m
     )
     assert x == expected
     one = cl.ExteriorElement(m, {(): QS2_ONE})
-    assert cl.antisymmetrize(one) == cl.cl_scalar(QS2_ONE, m)
+    assert cl.antisymmetrize(one) == scalar(QS2_ONE, m)
 
 
 def test_antisymmetrize_inverse_roundtrip():
@@ -186,7 +195,7 @@ def test_generator_ladder_builds_basis():
 def test_clifford_to_end_homomorphism():
     rng = random.Random(4)
     m = 2
-    assert cl.clifford_to_end(cl.cl_scalar(QS2_ONE, m)) == cl.end_identity(m)
+    assert cl.clifford_to_end(scalar(QS2_ONE, m)) == cl.end_identity(m)
     for _ in range(4):
         x, y = rand_clifford(rng, m), rand_clifford(rng, m)
         assert cl.clifford_to_end(cl.clifford_mul(x, y)) == cl.clifford_to_end(x).compose(
@@ -232,12 +241,92 @@ def test_end_to_clifford_roundtrip():
             mat = cl.clifford_to_end(x)
             back = cl.end_to_clifford(mat, parity)
             assert back == x
-            assert back.parity_part(1 - parity).coeffs == {}
+            assert parity_part(back, 1 - parity).coeffs == {}
+
+
+# -- oracles: matrix units as Clifford products, parity moved by the volume ------
+
+
+@lru_cache(maxsize=None)
+def _vacuum_projector(m):
+    """P_0 = prod_i eps(i) vbar_i v_i, multiplied out."""
+    out = scalar(QS2_ONE, m)
+    for i in range(1, m + 1):
+        out = cl.clifford_mul(out, cl.cl_monomial((cl.bar(i, m), i), m, QSqrt2(cl.epsilon(i, m))))
+    return out
+
+
+@lru_cache(maxsize=None)
+def _product_matrix_unit(row, col, m):
+    """E_{row,col} = prod_{l in col} eps(l) C_row P_0 A_col, by two Clifford products."""
+    creation = cl.cl_monomial(row, m)
+    annihilation = cl.cl_monomial(tuple(cl.bar(i, m) for i in sorted(col, reverse=True)), m)
+    sign = 1
+    for i in col:
+        sign *= cl.epsilon(i, m)
+    return cl.clifford_mul(creation, cl.clifford_mul(_vacuum_projector(m), annihilation)).scale(QSqrt2(sign))
+
+
+@lru_cache(maxsize=None)
+def _volume_element(m):
+    """Central antisymmetrized volume alpha(v_1 ^ ... ^ v_{2m+1}) and its spin scalar."""
+    omega = cl.antisymmetrize(cl.wedge_monomial(tuple(range(1, 2 * m + 2)), m))
+    z = cl.spin_apply(omega, cl.basis_vector((), m)).coeffs.get((), QSqrt2(0))
+    if not z:
+        raise ArithmeticError("volume element acts by 0; it must act invertibly")
+    return omega, z
+
+
+def _end_to_clifford_oracle(mat, parity):
+    """Sum of product units; the other parity moved across by omega / z."""
+    m = mat.m
+    acc = cl.CliffordElement(m)
+    for (row, col), v in mat.coeffs.items():
+        acc = acc + _product_matrix_unit(row, col, m).scale(v)
+    good, wrong = parity_part(acc, parity), parity_part(acc, 1 - parity)
+    if wrong.coeffs:
+        omega, z = _volume_element(m)
+        good = good + cl.clifford_mul(omega, wrong).scale(z.inverse())
+    return good
+
+
+def check_unit_against_oracle(row, col, m):
+    for parity in (0, 1):
+        mat = cl.EndSpin(m, {(row, col): QSqrt2(2, -1)})
+        got = cl.end_to_clifford(mat, parity)
+        assert got == _end_to_clifford_oracle(mat, parity), (m, row, col, parity)
+        assert cl.clifford_to_end(got) == mat
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_matrix_units_match_product_oracle(m):
+    for row in pt.all_subsets(m):
+        for col in pt.all_subsets(m):
+            check_unit_against_oracle(row, col, m)
+
+
+def test_matrix_units_match_product_oracle_m5_sample():
+    rng = random.Random(8)
+    subsets = pt.all_subsets(5)
+    for _ in range(12):
+        check_unit_against_oracle(rng.choice(subsets), rng.choice(subsets), 5)
+
+
+def test_pi_map_makes_no_clifford_product(monkeypatch):
+    def forbidden(x, y):
+        raise AssertionError("clifford_mul called")
+
+    monkeypatch.setattr(cl, "clifford_mul", forbidden)
+    for m in (2, 3):
+        for j in range(2, m + 1):
+            for parity in (0, 1):
+                cl.end_to_clifford(cl.iota(cl.build_D(j, m)), parity)
+            assert cl.pi_map(cl.build_N(j, m)) == cl.wedge_v_plus(j, m)
 
 
 def test_volume_element_is_central_scalar():
     for m in (2, 3):
-        omega, z = cl._volume_element(m)
+        omega, z = _volume_element(m)
         assert cl.clifford_to_end(omega) == cl.end_identity(m).scale(z)
         v = cl.cl_monomial((1,), m)
         assert cl.clifford_mul(omega, v) == cl.clifford_mul(v, omega)
@@ -458,4 +547,16 @@ def test_volume_element_acting_by_zero_raises(monkeypatch):
     spin_apply = cl.spin_apply
     monkeypatch.setattr(cl, "spin_apply", lambda x, v: spin_apply(x, v).scale(QSqrt2(0)))
     with pytest.raises(ArithmeticError, match="invertibly"):
-        cl._volume_element.__wrapped__(2)
+        _volume_element.__wrapped__(2)
+
+
+def test_antisymmetrize_inv_raises_when_not_triangular(monkeypatch):
+    monkeypatch.setattr(cl, "antisymmetrize", lambda x: cl.CliffordElement(x.m))
+    with pytest.raises(ArithmeticError, match="triangular"):
+        cl.antisymmetrize_inv(cl.cl_monomial((1, 2), 2))
+
+
+def test_vector_action_raises_when_degree_changes(monkeypatch):
+    monkeypatch.setattr(cl, "commutator", lambda x, y: cl.cl_monomial((1, 2, 3), x.m))
+    with pytest.raises(ArithmeticError, match="degree 1"):
+        cl.vector_action(cl.generator_clifford(1, "e", 2), 2)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from lgmirror import jacobi as jb
-from lgmirror import qchevalley as qc
 
 
 # -- oracles: the per-start search the lockstep batch replaced ------------------
@@ -206,7 +205,7 @@ def test_critical_points_m2_torus_misses_the_zero_value():
         assert all(abs(a - b) < 1e-9 for a, b in zip(got, expected))
         # the three found values match three of the four scaled eigenvalues
         eigs = sorted(
-            (3 * z for z in np.linalg.eigvals(qc.sigma1_matrix(2, complex(q)))),
+            (3 * z for z in np.linalg.eigvals(jb.sigma1_matrix(2, complex(q)))),
             key=lambda z: abs(z),
         )
         missing = eigs[0]

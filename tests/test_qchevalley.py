@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from lgmirror import jacobi as jb
 from lgmirror import partitions as pt
 from lgmirror import qchevalley as qc
 from lgmirror import weyl as wy
@@ -101,21 +102,31 @@ def test_classical_limit_has_no_q():
 
 def test_sigma1_matrix_structure():
     m = 2
-    mat = qc.sigma1_matrix(m, 1.0)
+    mat = jb.sigma1_matrix(m, 1.0)
     basis = pt.all_strict_partitions(m)
     col = basis.index(pt.empty(m))
     row = basis.index(pt.partition((1,), m))
     column = mat[:, col]
     assert column[row] == 1 and np.count_nonzero(column) == 1
     assert np.allclose(np.linalg.matrix_power(mat, 4), 4 * mat)  # h^4 = 4qh at q=1
-    ev = np.linalg.eigvals(qc.sigma1_matrix(2, 1.0))
+    ev = np.linalg.eigvals(jb.sigma1_matrix(2, 1.0))
     assert len(set(np.round(ev, 8))) == 4
 
 
 def test_sigma1_matrix_nonnegative_at_positive_q():
     for m in (2, 3):
-        mat = qc.sigma1_matrix(m, 2.0)
+        mat = jb.sigma1_matrix(m, 2.0)
         assert np.all(mat.real >= 0) and np.allclose(mat.imag, 0)
+
+
+def test_sigma1_table_is_one_shared_read_only_table():
+    for m in (2, 3, 4):
+        table = qc.sigma1_table(m)
+        assert qc.sigma1_table(m) is table
+        assert list(table) == list(pt.all_strict_partitions(m))
+        assert all(table[lam] == qc.chevalley_multiply(lam) for lam in table)
+        with pytest.raises(TypeError):
+            table[pt.empty(m)] = qc.CohClass(m)
 
 
 def test_multiplication_table_dump():

@@ -1,6 +1,6 @@
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -53,6 +53,12 @@ def oracle_complement_subwords(m: int) -> tuple[tuple[int, ...], ...]:
         for subset in combinations(range(1, n + 1), n - m)
         if wy.word_product([word[p - 1] for p in subset], m) * tail == target
     )
+
+
+def is_min_coset_rep(w: wy.SignedPermutation) -> bool:
+    """w lies in W^P: every s_i of W_P = <s_1..s_{m-1}> lengthens it."""
+    lw = wy.length(w)
+    return all(wy.length(w * wy.simple_reflection(i, w.m)) > lw for i in range(1, w.m))
 
 
 def monomial_sum(subwords, b):
@@ -150,10 +156,24 @@ def test_coset_min_rep_bijection():
         for lam in pt.all_strict_partitions(m):
             w = wy.coset_min_rep(lam)
             assert wy.length(w) == lam.size
-            assert wy.is_min_coset_rep(w)
+            assert is_min_coset_rep(w)
             assert wy.partition_of(w) == lam
             seen.add(w.images)
         assert len(seen) == 2**m
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_projection_fixes_exactly_the_min_coset_reps(m):
+    """w == min_coset_rep_of(w) against the root-theoretic definition, on all
+    2^m m! signed permutations."""
+    members = 0
+    for perm in permutations(range(1, m + 1)):
+        for signs in product((1, -1), repeat=m):
+            w = wy.SignedPermutation(tuple(s * v for s, v in zip(signs, perm)))
+            inside = w == wy.min_coset_rep_of(w)
+            assert inside == is_min_coset_rep(w), w
+            members += inside
+    assert members == 2**m
 
 
 def test_coset_min_rep_examples():
@@ -207,7 +227,7 @@ def test_reduced_subwords_reject_target_outside_wp():
     m = 3
     word = wy.canonical_wp_word(m)
     for outside in (wy.simple_reflection(1, m), wy.wp_element(m) * wy.simple_reflection(2, m)):
-        assert not wy.is_min_coset_rep(outside)
+        assert not is_min_coset_rep(outside)
         with pytest.raises(ValueError):
             wy.reduced_subwords(word, outside)
     with pytest.raises(ValueError):
