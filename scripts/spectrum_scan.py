@@ -1,37 +1,38 @@
 #!/usr/bin/env python3
 """Sweep the quantum parameter and tabulate critical-point spectra.
 
-For each q on a small grid, runs the multi-start Newton search on the
-Laurent superpotential, counts how its starts ended, and compares the
-critical values against (m+1) x eigenvalues of quantum multiplication by
-sigma_1.
+For each q on a small grid, seeds the critical points of the Laurent
+superpotential from the left eigenvectors of quantum multiplication by
+sigma_1, peels them to torus coordinates and polishes them, counts what
+became of the 2^m eigenvalues, and compares the critical values found
+against (m+1) x eigenvalues.
 
-Usage: python3 scripts/spectrum_scan.py [--m 3] [--trials 300]
+Usage: python3 scripts/spectrum_scan.py [--m 3]
 """
 
 import argparse
 
 from lgmirror import jacobi as jb
 
+STATUSES = ("torus", "blocked", "multiple")
+
 
 def main() -> None:
     ap = argparse.ArgumentParser()
     ap.add_argument("--m", type=int, default=3)
-    ap.add_argument("--trials", type=int, default=300)
-    ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args()
 
     grid = [0.5, 1.0, 2.0, 4.0, 1.0 + 1.0j, 0.3 - 0.7j]
     print(f"m = {args.m}: expecting up to 2^m = {2**args.m} torus critical points")
-    starts_header = "  ".join(f"{name:>13}" for name in jb.START_OUTCOMES)
-    print(f"{'q':>12}  {'found':>5}  {'max |grad|':>10}  {'spectrum err':>12}  {starts_header}")
+    status_header = "  ".join(f"{name:>8}" for name in STATUSES)
+    print(f"{'q':>12}  {'found':>5}  {'max |grad|':>10}  {'spectrum err':>12}  {status_header}")
     for q in grid:
-        starts: dict = {}
-        pts = jb.find_critical_points(args.m, complex(q), trials=args.trials, seed=args.seed, outcomes=starts)
+        seeds = jb.spectrum_seeds(args.m, complex(q))
+        pts = [s.point for s in seeds if s.point is not None]
         rep = jb.compare_spectrum(args.m, complex(q), pts)
         worst_grad = max((p.grad_norm for p in pts), default=float("nan"))
         err = f"{rep.max_rel_err:.2e}" if rep.count == rep.expected_count else "count short"
-        counts = "  ".join(f"{starts[name]:>13}" for name in jb.START_OUTCOMES)
+        counts = "  ".join(f"{sum(s.status == name for s in seeds):>8}" for name in STATUSES)
         print(f"{str(q):>12}  {rep.count:>5}  {worst_grad:>10.1e}  {err:>12}  {counts}")
     print()
     print("values at the last q:")

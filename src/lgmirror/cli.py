@@ -4,7 +4,8 @@ Reports are deterministic: identical configuration (including seed) gives
 byte-identical JSON.  Random exact sample points are drawn through
 splitmix64 with numerators in [-9, 9] \\ {0} and denominators in [1, 9];
 points hitting a divisor are redrawn and the redraw count is reported.
-Only `critical` loads the numerical layer (`jacobi`, and with it numpy).
+Only `critical` loads the numerical layer (`jacobi`, and with it numpy);
+it is deterministic without a seed and ignores --trials and --seed.
 Exit codes: 0 success, 1 verification failure, 2 usage error.
 """
 
@@ -190,7 +191,7 @@ def cmd_critical(config: RunConfig) -> int:
         return 2
     from lgmirror import jacobi as jb
 
-    report = jb.critical_report(config.m, complex(config.q), trials=config.trials, seed=config.seed)
+    report = jb.critical_report(config.m, complex(config.q), tolerance=config.tolerance)
     report["tolerance"] = config.tolerance
     ok = (
         report["spectrum_match"]["count"] == report["spectrum_match"]["expected_count"]

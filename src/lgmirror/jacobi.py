@@ -1,16 +1,20 @@
 """Numerical critical points of the Laurent superpotential and spectrum checks.
 
 W-tilde(b) = sum_j b_j + q sum_T prod_{k in T} 1/b_k, where T runs over the
-m-element complements of the subword sets defining N(b).  Critical points
-are found by Levenberg-damped Newton iteration on the analytic gradient
-and Hessian from many random complex starts, run in lockstep on numpy
-stacks, deduplicated in start order, polished, and closed under
-the value-rotating symmetry b -> zeta b, zeta^(m+1) = 1.  Their critical
-values match (m+1) times eigenvalues of quantum multiplication by
-sigma_1, the anti-canonical pairing predicted by the Jacobi-ring
-description of qH*(LG(m)).  The tests pin the torus share of the 2^m
-critical points: 3 of 4 at m = 2 (the fourth, (1:0:0:-q), has p_(2) = 0)
-and 8 of 8 at m = 3; for m >= 4 it is not established (ROADMAP item A).
+m-element complements of the subword sets defining N(b).  The critical
+points come from the spectrum of quantum multiplication by sigma_1, the
+anti-canonical pairing predicted by the Jacobi-ring description of
+qH*(LG(m)): a left eigenvector of the sigma_1 matrix, scaled to
+v_empty = 1, is the Pluecker point of the critical point of W with value
+(m+1) times its eigenvalue.  The chamber ansatz (Berenstein-Fomin-
+Zelevinsky 1996) peels that point back to torus coordinates b, and one
+batched Levenberg-damped Newton on the analytic gradient and Hessian of
+W-tilde polishes them.  An eigenvector whose peel meets a vanishing pivot
+lies off the torus; a multiple eigenvalue is not peeled, since a basis
+vector of its eigenspace is no Pluecker point.  At q = 1 and 2+i the torus
+carries 3, 8, 10, 30, 35 and 128 of the 2^m critical points for m = 2..7
+(pinned in tests/test_jacobi.py).  At m = 2 the missing one is
+(1:0:0:-q), which has p_(2) = 0; at m = 5 the eigenvalue 0 is double.
 
 The conjecture probe evaluates the signed quadratic sums at critical
 points through the complex-scalar Pluecker machinery; the identification
@@ -22,23 +26,28 @@ evidence, never asserted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
+from lgmirror import grouprep as gr
 from lgmirror import partitions as pt
 from lgmirror import qchevalley as qc
 from lgmirror import superpotential as sp
 from lgmirror import weyl as wy
-from lgmirror.scalars import COMPLEX, splitmix64
+from lgmirror.partitions import StrictPartition
+from lgmirror.scalars import COMPLEX
 
 GRAD_TOL = 1e-10
 POLISH_TOL = 1e-12
-DEDUP_RADIUS = 1e-6
-
-
-def uniform01(gen) -> float:
-    return next(gen) / 2.0**64
+# A peel pivot below PIVOT_TOL * max|p| blocks the eigenvector.  For q <= 81
+# and m <= 5 the pivots of torus points are 1.5e-5 or more and the blocked
+# ones 2.2e-15 or less, the rounding level of the eigenvector.
+PIVOT_TOL = 1e-10
+# Eigenvalues closer than MULTIPLE_TOL times the largest are one multiple
+# eigenvalue; points sort by value in units of ORDER_TOL times the largest.
+MULTIPLE_TOL = 1e-8
+ORDER_TOL = 1e-9
 
 
 @dataclass
@@ -48,7 +57,7 @@ class CriticalPoint:
     grad_norm: float
 
 
-# Why a Newton start ends; find_critical_points counts the starts by reason.
+# Why a Newton run from one seed ends.
 START_OUTCOMES = ("converged", "iteration_cap", "no_descent", "out_of_range")
 CONVERGED, ITERATION_CAP, NO_DESCENT, OUT_OF_RANGE = range(len(START_OUTCOMES))
 
@@ -102,48 +111,159 @@ def hess_w_tilde(b: np.ndarray, q: complex, mask: np.ndarray) -> np.ndarray:
     return hess
 
 
-def _draw_starts(n: int, trials: int, seed: int) -> np.ndarray:
-    """The (trials, N) random complex starts, |b_k| in [0.4, 1.6]."""
-    gen = splitmix64(seed)
-    return np.array(
-        [
-            [(0.4 + 1.2 * uniform01(gen)) * np.exp(2j * np.pi * uniform01(gen)) for _ in range(n)]
-            for _ in range(trials)
-        ],
-        dtype=complex,
-    ).reshape(trials, n)
+# -- seed, peel, polish ---------------------------------------------------------
 
 
-def find_critical_points(
-    m: int, q: complex, trials: int = 200, seed: int = 1, outcomes: dict | None = None
-) -> list[CriticalPoint]:
-    """Multi-start Newton search on grad W-tilde = 0; deterministic under seed.
+@lru_cache(maxsize=None)
+def _peel_plan(m: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """The dense spin matrices F_{i_k}, k = 1..N, and for each k the columns
+    that the row e_empty (I + b_N F_{i_N}) ... (I + b_k F_{i_k}) reaches and
+    the same row without its factor k does not, both for generic b."""
+    index = {s: k for k, s in enumerate(pt.all_subsets(m))}
+    letters = np.zeros((m, 2**m, 2**m))
+    for i in range(1, m + 1):
+        for row, col, _, entry in gr._spin_f_table(i, m):
+            letters[i - 1, index[row], index[col]] = float(entry)
+    factors = letters[np.array(wy.canonical_wp_word(m)) - 1]
+    factors.flags.writeable = False  # shared by every caller through the cache
+    reach = np.zeros(2**m, dtype=bool)
+    reach[0] = True
+    columns = []
+    for f in factors[::-1]:
+        grown = reach | (reach @ (f != 0))
+        columns.append(np.flatnonzero(grown & ~reach))
+        reach = grown
+    return factors, tuple(columns[::-1])
 
-    When `outcomes` is given, it receives the number of starts ending for
-    each reason in START_OUTCOMES; the counts sum to `trials`.
+
+@dataclass
+class Peel:
+    """Torus coordinates read off a stack of S Pluecker vectors.
+
+    Per row: `b` (N coordinates, NaN from a blocking step on), whether a
+    pivot blocked it, and the step k of its smallest pivot (0 for p_empty),
+    the pivot column (an index into all_strict_partitions) and
+    |pivot| / max|p| there.  A blocking pivot is the row's smallest.
+    """
+
+    b: np.ndarray
+    blocked: np.ndarray
+    step: np.ndarray
+    column: np.ndarray
+    pivot: np.ndarray
+
+
+def peel(v: np.ndarray, m: int) -> Peel:
+    """Chamber ansatz: the b with plucker_vector(b) proportional to each row of `v`.
+
+    Rows of `v` are indexed in all_strict_partitions order.  Step 0 scales a
+    row to p = v / v_empty, with pivot v_empty.  Step k = 1..N takes the
+    factor I + b_k F_{i_k} off the right of p = p' (I + b_k F_{i_k}): as
+    F^2 = 0, p F = p' F, so at a column c that p' cannot reach,
+    b_k = p_c / (p F)_c, and p' = p - b_k p F.  Of the open columns the one
+    with the largest |(p F)_c| is the pivot; a pivot below PIVOT_TOL * max|p|
+    blocks the row.
+    """
+    factors, columns = _peel_plan(m)
+    scale = np.abs(v).max(axis=1)
+    pivot = np.abs(v[:, 0]) / scale
+    blocked = pivot < PIVOT_TOL
+    step = np.zeros(len(v), dtype=int)
+    column = np.zeros(len(v), dtype=int)
+    live = np.flatnonzero(~blocked)
+    p = v[live] / v[live, :1]
+    scale = np.abs(p).max(axis=1)
+    b = np.full((len(v), len(factors)), np.nan, dtype=complex)
+    for k, (f, cols) in enumerate(zip(factors, columns), start=1):
+        pf = p @ f
+        at = cols[np.argmax(np.abs(pf[:, cols]), axis=1)]
+        rows = np.arange(len(live))
+        rel = np.abs(pf[rows, at]) / scale
+        lower = rel < pivot[live]
+        step[live[lower]], column[live[lower]], pivot[live[lower]] = k, at[lower], rel[lower]
+        stop = rel < PIVOT_TOL
+        blocked[live[stop]] = True
+        keep = ~stop
+        bk = p[keep, at[keep]] / pf[keep, at[keep]]
+        b[live[keep], k - 1] = bk
+        p = p[keep] - bk[:, None] * pf[keep]
+        live, scale = live[keep], scale[keep]
+    return Peel(b, blocked, step, column, pivot)
+
+
+@dataclass
+class Seed:
+    """What became of one eigenvalue mu of sigma_1*.
+
+    `status` is "torus" (its eigenvector peeled to b; `polish` is the
+    Newton outcome, a START_OUTCOMES reason or "wrong_value" when it
+    converged off (m+1) mu, and `point` is set when it converged on it),
+    "blocked" (a vanishing peel pivot) or "multiple" (mu is not simple, so
+    not peeled).  A peeled seed names its smallest pivot: step, column and
+    |pivot| / max|p|.
+    """
+
+    eigenvalue_scaled: complex
+    status: str
+    multiplicity: int = 1
+    step: int | None = None
+    column: StrictPartition | None = None
+    pivot: float | None = None
+    polish: str | None = None
+    point: CriticalPoint | None = None
+
+
+def _order_key(z: complex, spread: float) -> tuple[int, int, int]:
+    """Real part and |imaginary part| in units of ORDER_TOL * spread, then
+    the sign of the imaginary part: a last-bit change cannot reorder values
+    whose rounded parts differ, nor swap a conjugate pair."""
+    unit = ORDER_TOL * spread
+    im = round(abs(z.imag) / unit)
+    return round(z.real / unit), im, (1 if z.imag > 0 else -1) if im else 0
+
+
+def spectrum_seeds(m: int, q: complex, tolerance: float = 1e-6) -> list[Seed]:
+    """Every eigenvalue of sigma_1* and what became of it, in point order.
+
+    Seed: the left eigenvectors of sigma1_matrix(m, q).  Peel: each simple
+    eigenvalue's eigenvector to torus coordinates.  Polish: one batched
+    Newton from every peeled b, at most 60 iterations; a seed gives a
+    critical point when Newton converges to a value within `tolerance`
+    (relative, as in match_multisets) of (m+1) mu.  The order is that of
+    _order_key on (m+1) mu.
     """
     if q == 0:
         raise ValueError("critical point search needs q != 0")
-    n = m * (m + 1) // 2
+    mu, vectors = np.linalg.eig(sigma1_matrix(m, q).T)
+    scaled = (m + 1) * mu
+    spread = float(np.abs(scaled).max())
+    multiplicity = (np.abs(scaled[:, None] - scaled[None, :]) <= MULTIPLE_TOL * spread).sum(axis=1)
+    seeds = [Seed(complex(z), "multiple", int(k)) for z, k in zip(scaled, multiplicity)]
+    simple = np.flatnonzero(multiplicity == 1)
+    cut = peel(vectors.T[simple], m)
+    basis = pt.all_strict_partitions(m)
+    for e, blocked, step, column, pivot in zip(simple, cut.blocked, cut.step, cut.column, cut.pivot):
+        seeds[e].status = "blocked" if blocked else "torus"
+        seeds[e].step, seeds[e].column, seeds[e].pivot = int(step), basis[column], float(pivot)
     mask = torus_monomials(m)
-    roots, reasons = _newton(_draw_starts(n, trials, seed), q, mask)
-    if outcomes is not None:
-        outcomes.update(zip(START_OUTCOMES, np.bincount(reasons, minlength=len(START_OUTCOMES)).tolist()))
-    found: list[np.ndarray] = []
-    for b in roots[reasons == CONVERGED]:
-        if all(np.linalg.norm(b - prev) > DEDUP_RADIUS for prev in found):
-            found.append(b)
-    found = _symmetry_closure(found, q, mask, m)
-    pts = [
-        CriticalPoint(
-            tuple(b),
-            w_tilde_value(b, q, mask),
-            float(np.linalg.norm(grad_w_tilde(b, q, mask))),
-        )
-        for b in found
-    ]
-    pts.sort(key=lambda p: (p.value.real, p.value.imag) + tuple(x for c in p.coords for x in (c.real, c.imag)))
-    return pts
+    roots, reasons = _newton(cut.b[~cut.blocked], q, mask, iters=60)
+    for e, root, reason in zip(simple[~cut.blocked], roots, reasons):
+        seed = seeds[e]
+        seed.polish = START_OUTCOMES[reason]
+        if reason != CONVERGED:
+            continue
+        value = w_tilde_value(root, q, mask)
+        z = seed.eigenvalue_scaled
+        if abs(value - z) / max(1.0, abs(value), abs(z)) < tolerance:
+            seed.point = CriticalPoint(tuple(root), value, float(np.linalg.norm(grad_w_tilde(root, q, mask))))
+        else:
+            seed.polish = "wrong_value"
+    return sorted(seeds, key=lambda s: _order_key(s.eigenvalue_scaled, spread))
+
+
+def spectrum_critical_points(m: int, q: complex) -> list[CriticalPoint]:
+    """The torus critical points that spectrum_seeds finds, in its order."""
+    return [s.point for s in spectrum_seeds(m, q) if s.point is not None]
 
 
 def _newton(b: np.ndarray, q: complex, mask: np.ndarray, iters: int = 200) -> tuple[np.ndarray, np.ndarray]:
@@ -221,25 +341,6 @@ def _damped_steps(hess: np.ndarray, g: np.ndarray, lam: np.ndarray) -> np.ndarra
         return steps
 
 
-def _symmetry_closure(found: list[np.ndarray], q: complex, mask: np.ndarray, m: int) -> list[np.ndarray]:
-    """Close the point set under b -> zeta b, zeta^(m+1) = 1.
-
-    W-tilde(zeta b) = zeta W-tilde(b) at fixed q (quasi-homogeneity), so the
-    rotations of a critical point are critical; each rotation is re-polished
-    to full precision before joining the set.
-    """
-    zeta = np.exp(2j * np.pi / (m + 1))
-    out = list(found)
-    for b in found:
-        cand = b
-        for _ in range(m):
-            cand = zeta * cand
-            if all(np.linalg.norm(cand - prev) > DEDUP_RADIUS for prev in out):
-                roots, reasons = _newton(cand[None, :], q, mask, iters=60)
-                if reasons[0] == CONVERGED and all(np.linalg.norm(roots[0] - prev) > DEDUP_RADIUS for prev in out):
-                    out.append(roots[0])
-    return out
-
 
 def match_multisets(a: list[complex], b: list[complex]) -> float:
     """Greedy nearest matching of equal-size multisets, max relative error
@@ -289,9 +390,14 @@ def compare_spectrum(m: int, q: complex, points: list[CriticalPoint]) -> Spectru
         count=len(points),
         expected_count=2**m,
         max_rel_err=match_multisets(values, scaled) if len(values) == len(scaled) else float("inf"),
-        critical_values=sorted(values, key=lambda z: (z.real, z.imag)),
-        eigenvalues_scaled=sorted(scaled, key=lambda z: (z.real, z.imag)),
+        critical_values=_in_order(values),
+        eigenvalues_scaled=_in_order(scaled),
     )
+
+
+def _in_order(values: list[complex]) -> list[complex]:
+    spread = max((abs(z) for z in values), default=0.0)
+    return sorted(values, key=lambda z: _order_key(z, spread))
 
 
 @dataclass
@@ -329,20 +435,29 @@ def conjecture_probe(m: int, q: complex, l: int, points: list[CriticalPoint]) ->
     return ProbeReport(l=l, points=len(points), max_dev=worst, p_empty_min=p_empty_min)
 
 
-def critical_report(m: int, q: complex, trials: int = 200, seed: int = 1) -> dict:
-    """Full machine-readable report: start outcomes, points, spectrum match,
-    conjecture probes."""
-    starts: dict = {}
-    points = find_critical_points(m, q, trials, seed, outcomes=starts)
+def _seed_entry(seed: Seed) -> dict:
+    entry = {"eigenvalue_scaled": [seed.eigenvalue_scaled.real, seed.eigenvalue_scaled.imag], "status": seed.status}
+    if seed.status == "multiple":
+        entry["multiplicity"] = seed.multiplicity
+    else:
+        entry.update(step=seed.step, column=list(seed.column.parts), pivot=seed.pivot)
+    if seed.status == "torus":
+        entry["polish"] = seed.polish
+    return entry
+
+
+def critical_report(m: int, q: complex, tolerance: float = 1e-6) -> dict:
+    """Full machine-readable report: the fate of every eigenvalue, points,
+    spectrum match, conjecture probes."""
+    seeds = spectrum_seeds(m, q, tolerance)
+    points = [s.point for s in seeds if s.point is not None]
     spectrum = compare_spectrum(m, q, points)
     probes = [conjecture_probe(m, q, l, points) for l in range(1, m)]
     return {
-        "schema": "lg-mirror/1",
+        "schema": "lg-mirror/2",
         "m": m,
         "q": [q.real, q.imag],
-        "trials": trials,
-        "seed": seed,
-        "starts": starts,
+        "seeds": [_seed_entry(s) for s in seeds],
         "points": [
             {
                 "b": [[c.real, c.imag] for c in p.coords],

@@ -31,7 +31,7 @@ from lgmirror import partitions as pt
 from lgmirror import qchevalley as qc
 from lgmirror import superpotential as sp
 from lgmirror import weyl as wy
-from lgmirror.scalars import COMPLEX, EXACT, QSqrt2
+from lgmirror.scalars import COMPLEX, EXACT, QSqrt2, splitmix64
 
 ring = EXACT
 
@@ -47,7 +47,7 @@ def report(criterion: int, ok: bool, elapsed: float, detail: str) -> None:
 def off_divisor_points(m: int, count: int, seed: int):
     """Seeded exact points avoiding every divisor D_l, with their q samples."""
     stream = cli.rational_stream(seed)
-    gen = jb.splitmix64(seed ^ 0xABCDEF)
+    gen = splitmix64(seed ^ 0xABCDEF)
     out = []
     for _ in range(4 * count):
         if len(out) == count:
@@ -122,9 +122,9 @@ def shown_off_torus_values(m: int, q: Fraction, failures: list[str]) -> list[com
 
 @lru_cache(maxsize=None)
 def torus_search(m: int, q: int) -> list:
-    """The torus critical points found from 250 starts, seed 1; criteria 9
-    and 10 share each search."""
-    return jb.find_critical_points(m, complex(q), trials=250, seed=1)
+    """The torus critical points peeled from the eigenvectors of sigma_1*;
+    criteria 9 and 10 share each search."""
+    return jb.spectrum_critical_points(m, complex(q))
 
 
 def test_criterion_1_symbolic_reproduction():

@@ -83,14 +83,24 @@ def test_critical_m2_reports_the_missing_point(capsys):
     assert code == 1  # count 3 != 4: honest failure exit
     payload = json.loads(out)
     assert payload["spectrum_match"]["count"] == 3
+    blocked = [s for s in payload["seeds"] if s["status"] == "blocked"]
+    assert len(blocked) == 1 and abs(complex(*blocked[0]["eigenvalue_scaled"])) < 1e-12
+    assert (blocked[0]["step"], blocked[0]["column"]) == (1, [2, 1])
 
 
-def test_critical_counts_every_start_by_outcome(capsys):
-    code, out = run(capsys, "critical", "--m", "3", "--q", "1/1000000000000", "--trials", "40", "--seed", "1")
-    assert code == 1  # no start reaches a critical point at this scale
-    starts = json.loads(out)["starts"]
-    assert list(starts) == ["converged", "iteration_cap", "no_descent", "out_of_range"]
-    assert sum(starts.values()) == 40 and starts["converged"] == 0
+def test_critical_at_tiny_q_blocks_every_eigenvalue(capsys):
+    code, out = run(capsys, "critical", "--m", "3", "--q", "1/1000000000000")
+    assert code == 1  # every eigenvector peels to a pivot at the rounding level
+    payload = json.loads(out)
+    assert payload["points"] == [] and payload["ok"] is False
+    assert [s["status"] for s in payload["seeds"]] == ["blocked"] * 8
+    assert all(s["pivot"] < 1e-10 for s in payload["seeds"])
+
+
+def test_critical_ignores_trials_and_seed(capsys):
+    plain = run(capsys, "critical", "--m", "3", "--q", "5")
+    drawn = run(capsys, "critical", "--m", "3", "--q", "5", "--trials", "7", "--seed", "9")
+    assert plain == drawn and plain[0] == 0
 
 
 def test_critical_rejects_q_zero(capsys):

@@ -4,6 +4,69 @@ import numpy as np
 import pytest
 
 from lgmirror import jacobi as jb
+from lgmirror import partitions as pt
+from lgmirror.scalars import splitmix64
+
+
+# -- oracles: the random multistart search that spectrum seeding replaced -------
+
+DEDUP_RADIUS = 1e-6
+
+
+def uniform01(gen) -> float:
+    return next(gen) / 2.0**64
+
+
+def _draw_starts(n: int, trials: int, seed: int) -> np.ndarray:
+    """The (trials, N) random complex starts, |b_k| in [0.4, 1.6]."""
+    gen = splitmix64(seed)
+    return np.array(
+        [
+            [(0.4 + 1.2 * uniform01(gen)) * np.exp(2j * np.pi * uniform01(gen)) for _ in range(n)]
+            for _ in range(trials)
+        ],
+        dtype=complex,
+    ).reshape(trials, n)
+
+
+def find_critical_points(m, q, trials=200, seed=1, outcomes=None):
+    """Multi-start Newton search on grad W-tilde = 0; deterministic under seed.
+
+    When `outcomes` is given, it receives the number of starts ending for
+    each reason in START_OUTCOMES; the counts sum to `trials`.
+    """
+    n = m * (m + 1) // 2
+    mask = jb.torus_monomials(m)
+    roots, reasons = jb._newton(_draw_starts(n, trials, seed), q, mask)
+    if outcomes is not None:
+        outcomes.update(zip(jb.START_OUTCOMES, np.bincount(reasons, minlength=len(jb.START_OUTCOMES)).tolist()))
+    found = []
+    for b in roots[reasons == jb.CONVERGED]:
+        if all(np.linalg.norm(b - prev) > DEDUP_RADIUS for prev in found):
+            found.append(b)
+    found = _symmetry_closure(found, q, mask, m)
+    pts = [
+        jb.CriticalPoint(tuple(b), jb.w_tilde_value(b, q, mask), float(np.linalg.norm(jb.grad_w_tilde(b, q, mask))))
+        for b in found
+    ]
+    pts.sort(key=lambda p: (p.value.real, p.value.imag) + tuple(x for c in p.coords for x in (c.real, c.imag)))
+    return pts
+
+
+def _symmetry_closure(found, q, mask, m):
+    """Close the point set under b -> zeta b, zeta^(m+1) = 1, polishing
+    each new rotation with at most 60 Newton iterations."""
+    zeta = np.exp(2j * np.pi / (m + 1))
+    out = list(found)
+    for b in found:
+        cand = b
+        for _ in range(m):
+            cand = zeta * cand
+            if all(np.linalg.norm(cand - prev) > DEDUP_RADIUS for prev in out):
+                roots, reasons = jb._newton(cand[None, :], q, mask, iters=60)
+                if reasons[0] == jb.CONVERGED and all(np.linalg.norm(roots[0] - prev) > DEDUP_RADIUS for prev in out):
+                    out.append(roots[0])
+    return out
 
 
 # -- oracles: the per-start search the lockstep batch replaced ------------------
@@ -64,9 +127,9 @@ def _newton_one(b, q, mask, iters=200):
 
 
 def test_splitmix_deterministic():
-    a = [next(jb.splitmix64(7)) for _ in range(5)]
-    b = [next(jb.splitmix64(7)) for _ in range(5)]
-    gen = jb.splitmix64(7)
+    a = [next(splitmix64(7)) for _ in range(5)]
+    b = [next(splitmix64(7)) for _ in range(5)]
+    gen = splitmix64(7)
     c = [next(gen) for _ in range(5)]
     assert a[0] == b[0] and a[0] == c[0]
     assert len(set(c)) == 5
@@ -81,9 +144,9 @@ def test_torus_monomials_m2():
 def test_gradient_matches_finite_differences():
     for m in (2, 3):
         mask = jb.torus_monomials(m)
-        gen = jb.splitmix64(17)
+        gen = splitmix64(17)
         n = m * (m + 1) // 2
-        b = np.array([0.6 + jb.uniform01(gen) + 1j * (jb.uniform01(gen) - 0.5) for _ in range(n)])
+        b = np.array([0.6 + uniform01(gen) + 1j * (uniform01(gen) - 0.5) for _ in range(n)])
         q = 1.1 + 0.3j
         g = jb.grad_w_tilde(b, q, mask)
         eps = 1e-7
@@ -108,7 +171,7 @@ def test_hessian_matches_finite_differences():
     for m in (2, 3, 4):
         mask = jb.torus_monomials(m)
         n = m * (m + 1) // 2
-        stack = jb._draw_starts(n, 4, 23 + m)
+        stack = _draw_starts(n, 4, 23 + m)
         for q in (1.0 + 0j, 1.1 + 0.3j):
             grads = jb.grad_w_tilde(stack, q, mask)
             hessians = jb.hess_w_tilde(stack, q, mask)
@@ -135,7 +198,7 @@ def test_lockstep_newton_matches_per_start_oracle(m, trials):
     converged = 0
     for q in (1.0 + 0j, 2.0 + 1.0j, 1e-12 + 0j):
         for seed, iters in ((1, 200), (2, 200), (3, 60)):
-            starts = jb._draw_starts(n, trials, seed)
+            starts = _draw_starts(n, trials, seed)
             roots, reasons = jb._newton(starts, q, mask, iters=iters)
             for b0, root, reason in zip(starts, roots, reasons):
                 want = _newton_one(b0.copy(), q, mask, iters=iters)
@@ -148,7 +211,7 @@ def test_lockstep_newton_matches_per_start_oracle(m, trials):
 
 def test_singular_hessian_does_not_fail_the_batch(monkeypatch):
     mask = jb.torus_monomials(3)
-    starts = jb._draw_starts(6, 12, 5)
+    starts = _draw_starts(6, 12, 5)
     roots, reasons = jb._newton(starts, 1.0 + 0j, mask)
     assert (reasons == jb.CONVERGED).sum() >= 2
     bad = starts[0] * 1.5
@@ -171,13 +234,13 @@ def test_start_outcomes_are_those_of_the_per_start_search():
     recorded = {2: (92, 131, 12, 15), 3: (46, 152, 13, 39)}
     for m, counts in recorded.items():
         starts = {}
-        jb.find_critical_points(m, 1.0 + 0j, trials=250, seed=1, outcomes=starts)
+        find_critical_points(m, 1.0 + 0j, trials=250, seed=1, outcomes=starts)
         assert starts == dict(zip(jb.START_OUTCOMES, counts))
 
 
 def test_critical_points_m3_full_spectrum():
     for q in (1.0, 2.0):
-        pts = jb.find_critical_points(3, complex(q), trials=250, seed=5)
+        pts = jb.spectrum_critical_points(3, complex(q))
         assert len(pts) == 8
         assert all(p.grad_norm < jb.GRAD_TOL for p in pts)
         rep = jb.compare_spectrum(3, complex(q), pts)
@@ -195,7 +258,7 @@ def test_critical_points_m2_torus_misses_the_zero_value():
     reaches (it needs p_(2) = b2 b3 = 0).
     """
     for q in (1.0, 2.0, 1.0 + 1.0j):
-        pts = jb.find_critical_points(2, complex(q), trials=150, seed=5)
+        pts = jb.spectrum_critical_points(2, complex(q))
         assert len(pts) == 3
         expected = sorted(
             (6 * (complex(q) / 2) ** (1 / 3) * np.exp(2j * np.pi * k / 3) for k in range(3)),
@@ -213,16 +276,92 @@ def test_critical_points_m2_torus_misses_the_zero_value():
         assert jb.match_multisets(got, [complex(z) for z in eigs[1:]]) < 1e-9
 
 
+def test_m2_zero_eigenvalue_is_blocked_at_its_pivot():
+    """The first peel step divides by (p F)_(2,1) = p_(2), which vanishes at
+    the eigenvector (1 : 0 : 0 : -q) of the eigenvalue 0."""
+    for q in (1.0, 2.0, 1.0 + 1.0j):
+        seeds = jb.spectrum_seeds(2, complex(q))
+        blocked = [s for s in seeds if s.status == "blocked"]
+        assert len(blocked) == 1 and len(seeds) == 4
+        zero = blocked[0]
+        assert abs(zero.eigenvalue_scaled) < 1e-12
+        assert (zero.step, zero.column) == (1, pt.partition((2, 1), 2))
+        assert zero.pivot < jb.PIVOT_TOL and zero.point is None and zero.polish is None
+        assert all(s.status == "torus" and s.polish == "converged" and s.pivot > 0.1 for s in seeds if s is not zero)
+
+
+def test_m5_double_zero_is_multiple():
+    """At m = 5 the eigenvalue 0 is double; its eigenspace is not peeled."""
+    for q in (1.0 + 0j, 2.0 + 1.0j):
+        seeds = jb.spectrum_seeds(5, q)
+        multiple = [s for s in seeds if s.status == "multiple"]
+        assert len(multiple) == 2
+        assert all(s.multiplicity == 2 and abs(s.eigenvalue_scaled) < 1e-9 for s in multiple)
+        assert all(s.step is None and s.point is None for s in multiple)
+        assert all(s.multiplicity == 1 for s in seeds if s.status != "multiple")
+
+
+def test_large_q_blocks_at_p_empty():
+    """At m = 3, q = 1e12 the points lie on the torus, but |p_empty| is
+    below PIVOT_TOL * max|p| on every eigenvector: step 0 blocks them all."""
+    seeds = jb.spectrum_seeds(3, 1e12 + 0j)
+    assert [(s.status, s.step, s.column) for s in seeds] == [("blocked", 0, pt.empty(3))] * 8
+    assert all(s.pivot < jb.PIVOT_TOL for s in seeds)
+
+
+TORUS_COUNTS = {2: 3, 3: 8, 4: 10, 5: 30, 6: 35, 7: 128}
+
+
+@pytest.mark.parametrize("m", sorted(TORUS_COUNTS))
+def test_torus_counts_are_pinned(m):
+    """Peeling the eigenvectors of sigma_1* reaches this many of the 2^m
+    critical points; every other eigenvalue is blocked or multiple, and each
+    point's value is (m+1) times its own eigenvalue."""
+    for q in (1.0 + 0j, 2.0 + 1.0j):
+        seeds = jb.spectrum_seeds(m, q)
+        assert len(seeds) == 2**m
+        torus = [s for s in seeds if s.point is not None]
+        assert len(torus) == TORUS_COUNTS[m]
+        assert all(s.status in ("blocked", "multiple") for s in seeds if s.point is None)
+        for s in torus:
+            assert s.point.grad_norm < jb.GRAD_TOL
+            assert abs(s.point.value - s.eigenvalue_scaled) < 1e-12 * max(1.0, abs(s.eigenvalue_scaled))
+
+
+# (m, q, trials, seed) of multistart searches that find at least one point
+MULTISTART_CASES = [(2, 1.0, 250, 1), (3, 1.0, 250, 1), (4, 81.0, 250, 1), (5, 2.0 + 1.0j, 100, 2)]
+
+
+@pytest.mark.parametrize("m, q, trials, seed", MULTISTART_CASES)
+def test_seeding_finds_every_multistart_point(m, q, trials, seed):
+    found = find_critical_points(m, complex(q), trials, seed)
+    assert found
+    seeded = [np.array(p.coords) for p in jb.spectrum_critical_points(m, complex(q))]
+    for p in found:
+        assert min(np.abs(np.array(p.coords) - b).max() for b in seeded) < 1e-9
+
+
+def test_point_order_is_stable_under_last_bit_changes():
+    for m in (2, 3):
+        base = jb.spectrum_seeds(m, 1.0 + 0j)
+        for q in (np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)):
+            moved = jb.spectrum_seeds(m, complex(q))
+            assert [s.status for s in moved] == [s.status for s in base]
+            for a, b in zip(base, moved):
+                assert abs(a.eigenvalue_scaled - b.eigenvalue_scaled) < 1e-12
+                assert np.abs(np.array(a.point.coords) - np.array(b.point.coords)).max() < 1e-12 if a.point else not b.point
+
+
 def test_doubling_trials_saturates():
-    a = jb.find_critical_points(3, 1.0 + 0j, trials=150, seed=11)
-    b = jb.find_critical_points(3, 1.0 + 0j, trials=300, seed=11)
+    a = find_critical_points(3, 1.0 + 0j, trials=150, seed=11)
+    b = find_critical_points(3, 1.0 + 0j, trials=300, seed=11)
     assert len(a) == len(b) == 8
     assert jb.match_multisets([p.value for p in a], [p.value for p in b]) < 1e-9
 
 
 def test_q_dependence():
-    p1 = jb.find_critical_points(2, 1.0 + 0j, trials=80, seed=3)
-    p2 = jb.find_critical_points(2, 2.0 + 0j, trials=80, seed=3)
+    p1 = jb.spectrum_critical_points(2, 1.0 + 0j)
+    p2 = jb.spectrum_critical_points(2, 2.0 + 0j)
     v1 = {round(p.value.real, 6) for p in p1}
     v2 = {round(p.value.real, 6) for p in p2}
     assert v1 != v2
@@ -230,7 +369,7 @@ def test_q_dependence():
 
 def test_conjecture_probe():
     for m, q in [(2, 1.0), (3, 1.0), (3, 2.0)]:
-        pts = jb.find_critical_points(m, complex(q), trials=200, seed=7)
+        pts = jb.spectrum_critical_points(m, complex(q))
         for l in range(1, m):
             rep = jb.conjecture_probe(m, complex(q), l, pts)
             assert rep.max_dev < 1e-6, (m, q, l, rep.max_dev)
@@ -240,7 +379,7 @@ def test_conjecture_probe():
 def test_probe_over_no_points_is_not_a_pass():
     rep = jb.conjecture_probe(3, 1.0 + 0j, 1, [])
     assert rep.points == 0 and rep.max_dev is None and rep.p_empty_min is None
-    report = jb.critical_report(3, 1.0 + 0j, trials=0, seed=1)
+    report = jb.critical_report(3, 1e-12 + 0j)
     assert report["points"] == []
     assert [(c["l"], c["points"], c["max_dev"]) for c in report["conjecture"]] == [(1, 0, None), (2, 0, None)]
     assert '"max_dev": null' in json.dumps(report)
@@ -252,8 +391,9 @@ def test_probe_rejects_bad_level():
 
 
 def test_report_deterministic_and_schema():
-    a = jb.critical_report(2, 1.0 + 0j, trials=40, seed=19)
-    b = jb.critical_report(2, 1.0 + 0j, trials=40, seed=19)
+    a = jb.critical_report(2, 1.0 + 0j)
+    b = jb.critical_report(2, 1.0 + 0j)
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
-    assert a["schema"] == "lg-mirror/1"
-    assert {"m", "q", "starts", "points", "spectrum_match", "conjecture"} <= set(a)
+    assert a["schema"] == "lg-mirror/2"
+    assert {"m", "q", "seeds", "points", "spectrum_match", "conjecture"} <= set(a)
+    assert [s["status"] for s in a["seeds"]].count("torus") == len(a["points"]) == 3

@@ -12,8 +12,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 @pytest.mark.parametrize(
     "script,args,header",
     [
-        ("spectrum_scan.py", ["--m", "2", "--trials", "20"], "m = 2: expecting up to 2^m = 4 torus critical points"),
-        ("relation_scan.py", ["--max-m", "3", "--trials", "60"], "  m   l          q points  max deviation"),
+        ("spectrum_scan.py", ["--m", "2"], "m = 2: expecting up to 2^m = 4 torus critical points"),
+        ("relation_scan.py", ["--max-m", "3"], "  m   l          q points  max deviation"),
     ],
 )
 def test_script_runs(script, args, header):
