@@ -8,6 +8,6 @@ Clifford-algebra projections, and runs the numerical critical-point /
 quantum-cohomology spectrum comparison.
 """
 
-from lgmirror.scalars import QSqrt2, EXACT, COMPLEX
+from lgmirror.scalars import QSqrt2, EXACT
 
-__all__ = ["QSqrt2", "EXACT", "COMPLEX"]
+__all__ = ["QSqrt2", "EXACT"]

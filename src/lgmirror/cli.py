@@ -20,9 +20,12 @@ from fractions import Fraction
 from lgmirror import grouprep as gr
 from lgmirror import qchevalley as qc
 from lgmirror import superpotential as sp
-from lgmirror.scalars import EXACT, splitmix64
+from lgmirror.scalars import QSqrt2, splitmix64
 
 SCHEMA = "lg-mirror/1"
+# `critical` holds m(m+1)/2 dense 2^m x 2^m spin matrices: a run takes 112 MB
+# at m = 8, and at m = 10 the matrices alone would take 440 MiB.
+MAX_CRITICAL_M = 9
 
 
 @dataclass
@@ -109,17 +112,17 @@ def _point_records(suite: str, m: int, q: Fraction, trials: int, seed: int) -> t
     """Run a per-point suite at `trials` random exact points; returns
     (records, redraw count)."""
     checks = _POINT_SUITES[suite]
-    q_exact = EXACT.from_fraction(q)
+    q_exact = QSqrt2.from_fraction(q)
     stream = rational_stream(seed)
     records: list[dict] = []
     redraws = 0
     for k in range(trials):
         while True:
             b = sample_b(m, stream)
-            bring = sp.ring_vector(b, EXACT)
-            p = sp.plucker_vector(bring, m, EXACT)
+            bring = sp.ring_vector(b)
+            p = sp.plucker_vector(bring, m)
             try:
-                sp.eval_W(q_exact, p, m, EXACT)
+                sp.eval_W(q_exact, p, m)
                 break
             except sp.DivisorError:
                 redraws += 1
@@ -237,7 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common(p_verify)
 
-    p_crit = sub.add_parser("critical", help="critical points and spectrum comparison")
+    crit_help = f"critical points and spectrum comparison, for m <= {MAX_CRITICAL_M}"
+    p_crit = sub.add_parser("critical", help=crit_help, description=crit_help)
     common(p_crit)
     p_crit.add_argument("--tolerance", type=float, default=1e-6, help="largest relative error of the spectrum match")
     return parser
@@ -268,6 +272,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command != "print-w" and args.m < 2:
         print("error: need m >= 2", file=sys.stderr)
+        return 2
+    if args.command == "critical" and args.m > MAX_CRITICAL_M:
+        print(f"error: critical needs m <= {MAX_CRITICAL_M}, got {args.m}", file=sys.stderr)
         return 2
     if getattr(args, "trials", 1) < 1:
         print("error: need --trials >= 1", file=sys.stderr)

@@ -66,7 +66,7 @@ C = TypeVar("C", bound="Combination")
 
 @dataclass
 class Combination:
-    """Sparse linear combination: key -> nonzero coefficient (any scalar ring).
+    """Sparse linear combination: key -> nonzero Q(sqrt2) coefficient.
 
     `+`, `-` and `scale` return the caller's class with its other fields
     unchanged; equality is the dataclass one (same class, equal fields).
@@ -260,7 +260,7 @@ def antisymmetrize_inv(x: CliffordElement) -> ExteriorElement:
 
 @dataclass
 class SpinVector(Combination):
-    """Element of wedge W, W = <v_1..v_m>: subset -> coefficient (any scalar ring).
+    """Element of wedge W, W = <v_1..v_m>: subset -> Q(sqrt2) coefficient.
 
     `dual` marks covectors; delta() produces them and iota() consumes them.
     """
@@ -268,12 +268,12 @@ class SpinVector(Combination):
     dual: bool = False
 
 
-def basis_vector(subset: Subset, m: int, one=QS2_ONE) -> SpinVector:
-    return SpinVector(m, {tuple(sorted(subset)): one})
+def basis_vector(subset: Subset, m: int) -> SpinVector:
+    return SpinVector(m, {tuple(sorted(subset)): QS2_ONE})
 
 
-def basis_vector_of(lam: StrictPartition, one=QS2_ONE) -> SpinVector:
-    return basis_vector(pt.to_subset(lam), lam.m, one)
+def basis_vector_of(lam: StrictPartition) -> SpinVector:
+    return basis_vector(pt.to_subset(lam), lam.m)
 
 
 def spin_generator_action(k: int, vec: SpinVector) -> SpinVector:
@@ -350,10 +350,10 @@ class EndSpin(Combination):
         return out
 
 
-def end_identity(m: int, one=QS2_ONE) -> EndSpin:
+def end_identity(m: int) -> EndSpin:
     out = EndSpin(m)
     for s in pt.all_subsets(m):
-        out.add_term((s, s), one)
+        out.add_term((s, s), QS2_ONE)
     return out
 
 

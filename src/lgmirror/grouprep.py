@@ -5,9 +5,9 @@ e_i = E_{i,i+1} + E_{2m+1-i,2m+2-i} (i < m), e_m = sqrt2 E_{m,m+1} +
 sqrt2 E_{m+1,m+2}, f_i = e_i^T.  The factorized unipotent element
 u2bar(b) = y_{i_N}(b_N) ... y_{i_1}(b_1) of the canonical word of w^P is,
 in either representation, the list of its N sparse factors y_{i_k}(b_k) - I
-= b_k f + (b_k^2/2) f^2, from one cached table per (letter, m).  The vector
-side is exact over Q(sqrt2); the spin factors take a ScalarRing, so the
-conjecture probe can sweep them over complex floats.
+= b_k f + (b_k^2/2) f^2, from one cached table per (letter, m).  Both sides
+are exact over Q(sqrt2); the numerical layer reads the spin table once, as
+dense float matrices (`jacobi._peel_plan`).
 """
 
 from __future__ import annotations
@@ -17,9 +17,8 @@ from functools import lru_cache
 from typing import Callable
 
 from lgmirror import clifford as cl
-from lgmirror import partitions as pt
 from lgmirror import weyl as wy
-from lgmirror.scalars import EXACT, QS2_ONE, QS2_ZERO, QSqrt2, ScalarRing
+from lgmirror.scalars import QS2_ONE, QS2_ZERO, QSqrt2
 
 Matrix = list[list]
 
@@ -65,21 +64,21 @@ def _vector_f_table(i: int, m: int) -> tuple:
 def _spin_f_table(i: int, m: int) -> tuple:
     """f_i on the spin basis, read from its Clifford image; f_i^2 = 0 there.
 
-    All entries are rational, so the table transports to any scalar ring.
+    f_i moves spin basis vectors to spin basis vectors, so every entry is
+    rational; an irrational one means the Clifford image is wrong.
     """
     table = []
     for (row, col), c in cl.spin_generator_matrix(i, "f", m).coeffs.items():
         if not c.is_rational():
             raise ArithmeticError(f"spin matrix of f_{i} has the irrational entry {c} at {(row, col)}")
-        table.append((row, col, 1, c.a))
+        table.append((row, col, 1, c))
     return tuple(table)
 
 
-def _factors(b: list, m: int, table: Callable[[int, int], tuple], convert: Callable) -> list:
+def _factors(b: list, m: int, table: Callable[[int, int], tuple]) -> list:
     """The factors y_{i_k}(b_k) - I of u2bar, leftmost (k = N) first.
 
-    Each is stored sparsely as {col: [(row, entry), ...]}; `convert` brings
-    a table entry into the scalars of b.
+    Each is stored sparsely as {col: [(row, entry), ...]}.
     """
     word = wy.canonical_wp_word(m)
     if len(b) != len(word):
@@ -90,7 +89,7 @@ def _factors(b: list, m: int, table: Callable[[int, int], tuple], convert: Calla
         factor: dict = {}
         for row, col, power, entry in table(word[k - 1], m):
             scale = bk if power == 1 else bk * bk
-            factor.setdefault(col, []).append((row, scale * convert(entry)))
+            factor.setdefault(col, []).append((row, scale * entry))
         factors.append(factor)
     return factors
 
@@ -116,7 +115,7 @@ def build_u2bar(b: list, m: int) -> Matrix:
 
     `b` holds Q(sqrt2) scalars, index k (1-based) matching letter i_k.
     """
-    factors = _factors(b, m, _vector_f_table, lambda entry: entry)
+    factors = _factors(b, m, _vector_f_table)
     n = 2 * m + 1
     out = [[QS2_ZERO] * n for _ in range(n)]
     for col in range(n):
@@ -177,20 +176,20 @@ def extract_f_coeff(u2bar: Matrix, j: int):
 # -- the spin model -----------------------------------------------------------
 
 
-def u2bar_spin_factors(b: list, m: int, ring: ScalarRing = EXACT) -> list:
-    """The factors of u2bar in End(V_Spin), leftmost first, over the scalar
-    ring of b: each is I + b_k F_{i_k}, stored as its part b_k F_{i_k}."""
-    return _factors(b, m, _spin_f_table, ring.from_fraction)
+def u2bar_spin_factors(b: list, m: int) -> list:
+    """The factors of u2bar in End(V_Spin), leftmost first: each is
+    I + b_k F_{i_k}, stored as its part b_k F_{i_k}."""
+    return _factors(b, m, _spin_f_table)
 
 
-def spin_row_sweep(factors: list, ring: ScalarRing) -> dict[tuple[int, ...], object]:
+def spin_row_sweep(factors: list) -> dict[tuple[int, ...], QSqrt2]:
     """The row w_empty^T F_1 ... F_N of the (leftmost-first) factor list.
 
     Keyed by column subset: the entry at I is the w_empty coefficient of
     F_1 ... F_N w_I.  One pass over the factors gives the whole row; columns
     never reached are absent.
     """
-    row = {(): ring.one}
+    row = {(): QS2_ONE}
     for table in factors:
         out = dict(row)
         for col, entries in table.items():
@@ -201,12 +200,3 @@ def spin_row_sweep(factors: list, ring: ScalarRing) -> dict[tuple[int, ...], obj
         row = out
     return row
 
-
-def build_u2bar_spin(b: list, m: int) -> cl.EndSpin:
-    """u2bar acting on V_Spin, as a sparse 2^m x 2^m matrix over Q(sqrt2)."""
-    factors = u2bar_spin_factors(b, m)
-    out = cl.EndSpin(m)
-    for col in pt.all_subsets(m):
-        for row, c in apply_factors(factors, {col: QS2_ONE}).items():
-            out.add_term((row, col), c)
-    return out

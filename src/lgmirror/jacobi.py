@@ -16,11 +16,13 @@ carries 3, 8, 10, 30, 35 and 128 of the 2^m critical points for m = 2..7
 (pinned in tests/test_jacobi.py).  At m = 2 the missing one is
 (1:0:0:-q), which has p_(2) = 0; at m = 5 the eigenvalue 0 is double.
 
-The conjecture probe evaluates the signed quadratic sums at critical
-points through the complex-scalar Pluecker machinery; the identification
-sigma_lambda -> p_lambda/p_empty at critical points is standard mirror
-folklore rather than a proved statement, so deviations are reported as
-evidence, never asserted.
+The module computes in numpy only: it reads grouprep's exact spin tables
+once, as the dense float matrices of _peel_plan.  The conjecture probe
+evaluates the signed quadratic sums on the Pluecker rows of the critical
+points, which pluecker_rows computes as the peel's forward map over those
+matrices; the identification sigma_lambda -> p_lambda/p_empty at critical
+points is standard mirror folklore rather than a proved statement, so
+deviations are reported as evidence, never asserted.
 """
 
 from __future__ import annotations
@@ -33,10 +35,8 @@ import numpy as np
 from lgmirror import grouprep as gr
 from lgmirror import partitions as pt
 from lgmirror import qchevalley as qc
-from lgmirror import superpotential as sp
 from lgmirror import weyl as wy
 from lgmirror.partitions import StrictPartition
-from lgmirror.scalars import COMPLEX
 
 GRAD_TOL = 1e-10
 POLISH_TOL = 1e-12
@@ -123,7 +123,7 @@ def _peel_plan(m: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     letters = np.zeros((m, 2**m, 2**m))
     for i in range(1, m + 1):
         for row, col, _, entry in gr._spin_f_table(i, m):
-            letters[i - 1, index[row], index[col]] = float(entry)
+            letters[i - 1, index[row], index[col]] = entry.to_float()
     factors = letters[np.array(wy.canonical_wp_word(m)) - 1]
     factors.flags.writeable = False  # shared by every caller through the cache
     reach = np.zeros(2**m, dtype=bool)
@@ -134,6 +134,18 @@ def _peel_plan(m: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
         columns.append(np.flatnonzero(grown & ~reach))
         reach = grown
     return factors, tuple(columns[::-1])
+
+
+def pluecker_rows(b_stack: np.ndarray, m: int) -> np.ndarray:
+    """The row e_empty (I + b_N F_{i_N}) ... (I + b_1 F_{i_1}) for each row b
+    of the stack (S, N): its Pluecker point with p_empty = 1, columns in
+    all_strict_partitions order.  The inverse of peel."""
+    factors, _ = _peel_plan(m)
+    p = np.zeros((len(b_stack), 2**m), dtype=complex)
+    p[:, 0] = 1.0
+    for k in range(len(factors), 0, -1):
+        p += b_stack[:, k - 1, None] * (p @ factors[k - 1])
+    return p
 
 
 @dataclass
@@ -373,7 +385,6 @@ class SpectrumReport:
     count: int
     expected_count: int
     max_rel_err: float
-    critical_values: list[complex]
     eigenvalues_scaled: list[complex]
 
     @property
@@ -385,19 +396,14 @@ def compare_spectrum(m: int, q: complex, points: list[CriticalPoint]) -> Spectru
     """Critical values against (m+1) x eigenvalues of the sigma_1 matrix."""
     eigs = np.linalg.eigvals(sigma1_matrix(m, q))
     scaled = [complex((m + 1) * z) for z in eigs]
+    spread = max(abs(z) for z in scaled)
     values = [p.value for p in points]
     return SpectrumReport(
         count=len(points),
         expected_count=2**m,
         max_rel_err=match_multisets(values, scaled) if len(values) == len(scaled) else float("inf"),
-        critical_values=_in_order(values),
-        eigenvalues_scaled=_in_order(scaled),
+        eigenvalues_scaled=sorted(scaled, key=lambda z: _order_key(z, spread)),
     )
-
-
-def _in_order(values: list[complex]) -> list[complex]:
-    spread = max((abs(z) for z in values), default=0.0)
-    return sorted(values, key=lambda z: _order_key(z, spread))
 
 
 @dataclass
@@ -419,20 +425,14 @@ def conjecture_probe(m: int, q: complex, l: int, points: list[CriticalPoint]) ->
         raise ValueError("probe needs 1 <= l <= m-1")
     if not points:
         return ProbeReport(l=l, points=0, max_dev=None, p_empty_min=None)
-    terms = pt.denominator_terms(l, m)
+    column = {lam: k for k, lam in enumerate(pt.all_strict_partitions(m))}
+    terms = np.array([(sign, column[a], column[b]) for sign, a, b in pt.denominator_terms(l, m)])
+    p = pluecker_rows(np.array([cp.coords for cp in points]), m)
+    p0 = p[:, 0]
+    totals = (p[:, terms[:, 1]] * p[:, terms[:, 2]]) @ terms[:, 0] / (p0 * p0)
     target = q**l
-    worst = 0.0
-    p_empty_min = float("inf")
-    for cp in points:
-        b = list(cp.coords)
-        p = sp.plucker_vector(b, m, COMPLEX)
-        p0 = p[pt.empty(m)]
-        p_empty_min = min(p_empty_min, abs(p0))
-        total = 0j
-        for sign, lam1, lam2 in terms:
-            total += sign * (p[lam1] / p0) * (p[lam2] / p0)
-        worst = max(worst, abs(total - target) / max(1.0, abs(target)))
-    return ProbeReport(l=l, points=len(points), max_dev=worst, p_empty_min=p_empty_min)
+    worst = float(np.abs(totals - target).max()) / max(1.0, abs(target))
+    return ProbeReport(l=l, points=len(points), max_dev=worst, p_empty_min=float(np.abs(p0).min()))
 
 
 def _seed_entry(seed: Seed) -> dict:

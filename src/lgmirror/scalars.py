@@ -1,11 +1,13 @@
-"""Exact scalars: Q(sqrt2) as a quadratic extension of Q, plus a ring abstraction.
+"""Exact scalars: Q(sqrt2) as a quadratic extension of Q.
 
 Rationals are `fractions.Fraction` (arbitrary precision, always normalized,
 structural equality).  `QSqrt2` is the field Q(sqrt2) stored as a pair
 (a, b) meaning a + b*sqrt2; every identity downstream is then decidable by
-exact equality.  `ScalarRing` packages the handful of ring-level services
-(embeddings, zero test, comparison) needed to run the same linear algebra
-over Q(sqrt2) or over complex floats.  `splitmix64` draws every random number.
+exact equality.  The exact layer computes in Q(sqrt2) only; the numerical
+layer (`jacobi`) reads the exact spin tables once, as floats, and computes
+in numpy.  `EXACT` is the one `ScalarRing`: the zero, the one and the
+embedding of Q, for callers that read them there rather than from
+`QSqrt2`.  `splitmix64` draws every random number.
 """
 
 from __future__ import annotations
@@ -153,47 +155,14 @@ QS2_ONE = QSqrt2(1)
 
 @dataclass(frozen=True)
 class ScalarRing:
-    """The operations a scalar type must provide to back the linear algebra.
+    """The ring constants of Q(sqrt2): zero, one and the embedding of Q."""
 
-    `eq` is exact equality for the exact instantiation and a tolerance
-    comparison for the complex one; `is_zero` likewise.
-    """
-
-    name: str
-    zero: object
-    one: object
-    sqrt2: object
-    from_fraction: Callable[[Fraction], object]
-    is_zero: Callable[[object], bool]
-    eq: Callable[[object, object], bool]
+    zero: QSqrt2
+    one: QSqrt2
+    from_fraction: Callable[[Fraction], QSqrt2]
 
 
-EXACT = ScalarRing(
-    name="exact",
-    zero=QS2_ZERO,
-    one=QS2_ONE,
-    sqrt2=QSqrt2(0, 1),
-    from_fraction=QSqrt2.from_fraction,
-    is_zero=lambda x: not x,
-    eq=lambda x, y: x == y,
-)
-
-_COMPLEX_TOL = 1e-12
-
-
-def _complex_from_fraction(x: Fraction) -> complex:
-    return complex(x.numerator / x.denominator)
-
-
-COMPLEX = ScalarRing(
-    name="complex",
-    zero=0j,
-    one=1.0 + 0j,
-    sqrt2=complex(math.sqrt(2)),
-    from_fraction=_complex_from_fraction,
-    is_zero=lambda x: abs(x) < _COMPLEX_TOL,
-    eq=lambda x, y: abs(x - y) < _COMPLEX_TOL * max(1.0, abs(x), abs(y)),
-)
+EXACT = ScalarRing(zero=QS2_ZERO, one=QS2_ONE, from_fraction=QSqrt2.from_fraction)
 
 
 def splitmix64(state: int):

@@ -21,7 +21,7 @@ from lgmirror import grouprep as gr
 from lgmirror import partitions as pt
 from lgmirror import weyl as wy
 from lgmirror.partitions import StrictPartition
-from lgmirror.scalars import EXACT, QS2_ONE, QS2_ZERO, ScalarRing
+from lgmirror.scalars import EXACT, QS2_ONE, QS2_ZERO, QSqrt2, ScalarRing
 
 
 class DivisorError(ZeroDivisionError):
@@ -32,21 +32,25 @@ class DivisorError(ZeroDivisionError):
         super().__init__(f"denominator of the l={l} term vanishes (point on D_{l})")
 
 
-def ring_vector(bs: Sequence[Fraction | int], ring: ScalarRing) -> list:
-    return [ring.from_fraction(Fraction(b)) for b in bs]
+# The `ring` of ring_vector, plucker_vector, eval_W, eval_denominator and
+# eval_numerator selects nothing (EXACT is the only ScalarRing); callers may pass it.
+
+
+def ring_vector(bs: Sequence[Fraction | int], ring: ScalarRing = EXACT) -> list[QSqrt2]:
+    return [QSqrt2.from_fraction(Fraction(b)) for b in bs]
 
 
 # -- Pluecker coordinates -----------------------------------------------------
 
 
-def plucker_vector(b: list, m: int, ring: ScalarRing = EXACT) -> dict[StrictPartition, object]:
+def plucker_vector(b: list, m: int, ring: ScalarRing = EXACT) -> dict[StrictPartition, QSqrt2]:
     """All 2^m Pluecker coordinates of u2bar(b), keyed by strict partition.
 
     Spin route: p_lambda is the (w_empty, w_lambda) entry of u2bar on
     V_Spin, read from one row sweep over its N sparse factors.
     """
-    row = gr.spin_row_sweep(gr.u2bar_spin_factors(b, m, ring), ring)
-    return {lam: row.get(pt.to_subset(lam), ring.zero) for lam in pt.all_strict_partitions(m)}
+    row = gr.spin_row_sweep(gr.u2bar_spin_factors(b, m))
+    return {lam: row.get(pt.to_subset(lam), QS2_ZERO) for lam in pt.all_strict_partitions(m)}
 
 
 def plucker_subword_vector(b: list, m: int) -> dict[StrictPartition, object]:
@@ -67,8 +71,8 @@ def plucker_subword_vector(b: list, m: int) -> dict[StrictPartition, object]:
 # -- the terms of W_t ---------------------------------------------------------
 
 
-def _eval_terms(terms, p: dict, ring: ScalarRing):
-    total = ring.zero
+def _eval_terms(terms, p: dict):
+    total = QS2_ZERO
     for sign, lam1, lam2 in terms:
         prod = p[lam1] * p[lam2]
         total = total + prod if sign > 0 else total - prod
@@ -76,11 +80,11 @@ def _eval_terms(terms, p: dict, ring: ScalarRing):
 
 
 def eval_denominator(l: int, p: dict, m: int, ring: ScalarRing = EXACT):
-    return _eval_terms(pt.denominator_terms(l, m), p, ring)
+    return _eval_terms(pt.denominator_terms(l, m), p)
 
 
 def eval_numerator(l: int, p: dict, m: int, ring: ScalarRing = EXACT):
-    return _eval_terms(pt.numerator_terms(l, m), p, ring)
+    return _eval_terms(pt.numerator_terms(l, m), p)
 
 
 def eval_W(q, p: dict, m: int, ring: ScalarRing = EXACT):
@@ -89,16 +93,16 @@ def eval_W(q, p: dict, m: int, ring: ScalarRing = EXACT):
     Raises DivisorError naming the vanishing denominator D_l.
     """
     p_empty = p[pt.empty(m)]
-    if ring.is_zero(p_empty):
+    if not p_empty:
         raise DivisorError(0)
     total = p[pt.rho_plus(0, m)] / p_empty
     for l in range(1, m):
-        den = eval_denominator(l, p, m, ring)
-        if ring.is_zero(den):
+        den = eval_denominator(l, p, m)
+        if not den:
             raise DivisorError(l)
-        total = total + eval_numerator(l, p, m, ring) / den
+        total = total + eval_numerator(l, p, m) / den
     p_top = p[pt.rho(m, m)]
-    if ring.is_zero(p_top):
+    if not p_top:
         raise DivisorError(m)
     return total + q * p[pt.rho(m - 1, m)] / p_top
 

@@ -7,9 +7,9 @@ lives on the complement of the divisor, of which the coordinate torus is
 one chart: at m = 3 the torus carries all 8 critical points, at m = 2
 provably only 3 of the 4 (see tests/test_jacobi.py and the README).  The
 criterion asserts that shortfall and supplies the fourth point,
-(1:0:0:-q), after checking exactly that it is off every divisor and
-numerically that it is critical.  Criterion 10 probes the same torus
-points and downgrades probe deviations to a warning by design.
+(1:0:0:-q), after checking exactly that it is off every divisor and, by
+exact central differences, that it is critical.  Criterion 10 probes the
+same torus points and downgrades probe deviations to a warning by design.
 """
 
 import random
@@ -31,7 +31,7 @@ from lgmirror import partitions as pt
 from lgmirror import qchevalley as qc
 from lgmirror import superpotential as sp
 from lgmirror import weyl as wy
-from lgmirror.scalars import COMPLEX, EXACT, QSqrt2, splitmix64
+from lgmirror.scalars import EXACT, QSqrt2, splitmix64
 
 ring = EXACT
 
@@ -86,10 +86,10 @@ def shown_off_torus_values(m: int, q: Fraction, failures: list[str]) -> list[com
     """Values of the off-torus critical points that check out; failures noted.
 
     A point must lie off every divisor D_0..D_m with exactly the stated value
-    of W, and central differences of W along each non-empty coordinate must
-    give a gradient below 1e-6.
+    of W, and central differences of W along each non-empty coordinate,
+    taken exactly with step h = 1/10^6, must give a gradient below 1e-6.
     """
-    h = 1e-6
+    h = QSqrt2(Fraction(1, 10**6))
     shown = []
     for coords, value in off_torus_critical_points(m, q):
         where = f"m={m} q={q} point ({':'.join(str(c) for c in coords.values())})"
@@ -103,16 +103,15 @@ def shown_off_torus_values(m: int, q: Fraction, failures: list[str]) -> list[com
         if w != EXACT.from_fraction(value):
             failures.append(f"{where}: W = {w}, expected {value}")
             continue
-        pc = {lam: complex(c) for lam, c in point.items()}
         grad = []
         for lam in point:
             if lam == pt.empty(m):
                 continue
-            plus, minus = dict(pc), dict(pc)
+            plus, minus = dict(exact), dict(exact)
             plus[lam] += h
             minus[lam] -= h
-            diff = sp.eval_W(complex(q), plus, m, COMPLEX) - sp.eval_W(complex(q), minus, m, COMPLEX)
-            grad.append(abs(diff) / (2 * h))
+            diff = sp.eval_W(EXACT.from_fraction(q), plus, m) - sp.eval_W(EXACT.from_fraction(q), minus, m)
+            grad.append(abs((diff / (h + h)).to_float()))
         if max(grad) >= 1e-6:
             failures.append(f"{where}: |grad W| = {max(grad):.1e}, not critical")
             continue

@@ -199,3 +199,39 @@ def test_exact_commands_never_load_numpy():
     seen = json.loads(proc.stdout)
     assert seen["exact"] == {"codes": [0, 0, 0], "numpy": False, "jacobi": False}
     assert seen["critical"] == {"points": 3, "numpy": True, "jacobi": True}
+
+
+COST_GUARD_PROBE = """
+import contextlib, io, json, sys
+from lgmirror import cli
+
+def run(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, err.getvalue()
+
+past = run(["critical", "--m", "10"])
+# q = 0 is refused after the cost guard and before any work, so m = 9 passes the guard
+at = run(["critical", "--m", "9", "--q", "0"])
+print(json.dumps({"past": past, "at": at, "jacobi": "lgmirror.jacobi" in sys.modules, "numpy": "numpy" in sys.modules}))
+"""
+
+
+def test_critical_rejects_m_past_the_cost_limit(capsys):
+    """`critical --m 10` exits 2 naming the limit, before jacobi is loaded;
+    --help states the limit."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    proc = subprocess.run([sys.executable, "-c", COST_GUARD_PROBE], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    assert seen == {
+        "past": [2, "error: critical needs m <= 9, got 10\n"],
+        "at": [2, "error: critical point search needs q != 0\n"],
+        "jacobi": False,
+        "numpy": False,
+    }
+    with pytest.raises(SystemExit):
+        cli.main(["critical", "--help"])
+    assert "for m <= 9" in capsys.readouterr().out

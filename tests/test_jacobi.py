@@ -3,8 +3,12 @@ import json
 import numpy as np
 import pytest
 
+from lgmirror import cli
+from lgmirror import grouprep as gr
 from lgmirror import jacobi as jb
 from lgmirror import partitions as pt
+from lgmirror import superpotential as sp
+from lgmirror import weyl as wy
 from lgmirror.scalars import splitmix64
 
 
@@ -374,6 +378,64 @@ def test_conjecture_probe():
             rep = jb.conjecture_probe(m, complex(q), l, pts)
             assert rep.max_dev < 1e-6, (m, q, l, rep.max_dev)
             assert rep.p_empty_min > 1e-6
+
+
+# -- oracle: the probe as one sparse row sweep per point over complex floats ------
+
+
+def complex_plucker(b, m):
+    """All Pluecker coordinates of u2bar(b) in complex floats: the row
+    e_empty (I + b_N F_{i_N}) ... (I + b_1 F_{i_1}) swept over the sparse
+    spin table."""
+    word = wy.canonical_wp_word(m)
+    row = {(): 1.0 + 0j}
+    for k in range(len(word), 0, -1):
+        out = dict(row)
+        for r, col, _, entry in gr._spin_f_table(word[k - 1], m):
+            if r in row:
+                out[col] = out.get(col, 0j) + row[r] * b[k - 1] * entry.to_float()
+        row = out
+    return {lam: row.get(pt.to_subset(lam), 0j) for lam in pt.all_strict_partitions(m)}
+
+
+def probe_oracle(m, q, l, points):
+    """(max_dev, p_empty_min) of conjecture_probe, one point at a time."""
+    worst, p_empty_min = 0.0, float("inf")
+    for cp in points:
+        p = complex_plucker(cp.coords, m)
+        p0 = p[pt.empty(m)]
+        p_empty_min = min(p_empty_min, abs(p0))
+        total = sum(sign * (p[a] / p0) * (p[b] / p0) for sign, a, b in pt.denominator_terms(l, m))
+        worst = max(worst, abs(total - q**l) / max(1.0, abs(q**l)))
+    return worst, p_empty_min
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_pluecker_rows_match_the_exact_spin_route_and_peel_back(m):
+    stream = cli.rational_stream(70 + m)
+    points = [cli.sample_b(m, stream) for _ in range(4)]
+    b = np.array([[float(x) for x in bs] for bs in points], dtype=complex)
+    rows = jb.pluecker_rows(b, m)
+    for bs, row in zip(points, rows):
+        exact = sp.plucker_vector(sp.ring_vector(bs), m)
+        want = np.array([exact[lam].to_float() for lam in pt.all_strict_partitions(m)])
+        assert np.abs(row - want).max() <= 1e-12 * np.abs(want).max()
+    back = jb.peel(rows, m)
+    assert not back.blocked.any()
+    assert np.abs(back.b - b).max() <= 1e-11 * np.abs(b).max()
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_probe_matches_the_complex_row_sweep(m):
+    for q in (1.0 + 0j, 2.0 + 1.0j, 81.0 + 0j):
+        points = jb.spectrum_critical_points(m, q)
+        assert points
+        for l in range(1, m):
+            rep = jb.conjecture_probe(m, q, l, points)
+            max_dev, p_empty_min = probe_oracle(m, q, l, points)
+            assert rep.points == len(points)
+            assert abs(rep.max_dev - max_dev) < 1e-13, (q, l)
+            assert rep.p_empty_min == p_empty_min
 
 
 def test_probe_over_no_points_is_not_a_pass():

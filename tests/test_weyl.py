@@ -77,7 +77,7 @@ def check_routes_against_oracles(m: int, bs: list[Fraction]) -> None:
     subword tuples match the oracles."""
     word = wy.canonical_wp_word(m)
     b = sp.ring_vector(bs, EXACT)
-    factors = gr.u2bar_spin_factors(b, m, EXACT)
+    factors = gr.u2bar_spin_factors(b, m)
     sweep = sp.plucker_vector(b, m, EXACT)
     dp = sp.plucker_subword_vector(b, m)
     for lam in pt.all_strict_partitions(m):
