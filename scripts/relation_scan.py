@@ -28,10 +28,9 @@ def main() -> None:
     for m in range(2, args.max_m + 1):
         for q in (1.0, 2.0, 1.0 + 0.5j):
             pts = jb.spectrum_critical_points(m, complex(q))
-            for l in range(1, m):
-                rep = jb.conjecture_probe(m, complex(q), l, pts)
-                dev = "-" if rep.max_dev is None else f"{rep.max_dev:.2e}"
-                print(f"{m:>3} {l:>3} {str(q):>10} {rep.points:>6} {dev:>14}")
+            for l, max_dev in enumerate(jb.conjecture_probe(m, complex(q), pts), start=1):
+                dev = "-" if max_dev is None else f"{max_dev:.2e}"
+                print(f"{m:>3} {l:>3} {str(q):>10} {len(pts):>6} {dev:>14}")
     print()
     print("deviations at machine-precision scale support the relation at every level l")
     print("(the points are the torus critical points peeled from sigma_1* eigenvectors:")

@@ -27,17 +27,16 @@ def main() -> None:
     status_header = "  ".join(f"{name:>8}" for name in STATUSES)
     print(f"{'q':>12}  {'found':>5}  {'max |grad|':>10}  {'spectrum err':>12}  {status_header}")
     for q in grid:
-        seeds = jb.spectrum_seeds(args.m, complex(q))
-        pts = [s.point for s in seeds if s.point is not None]
-        rep = jb.compare_spectrum(args.m, complex(q), pts)
-        worst_grad = max((p.grad_norm for p in pts), default=float("nan"))
-        err = f"{rep.max_rel_err:.2e}" if rep.count == rep.expected_count else "count short"
-        counts = "  ".join(f"{sum(s.status == name for s in seeds):>8}" for name in STATUSES)
-        print(f"{str(q):>12}  {rep.count:>5}  {worst_grad:>10.1e}  {err:>12}  {counts}")
+        report = jb.critical_report(args.m, complex(q))
+        match = report["spectrum_match"]
+        worst_grad = max((p["grad_norm"] for p in report["points"]), default=float("nan"))
+        err = f"{match['max_rel_err']:.2e}" if match["count"] == match["expected_count"] else "count short"
+        counts = "  ".join(f"{sum(s['status'] == name for s in report['seeds']):>8}" for name in STATUSES)
+        print(f"{str(q):>12}  {match['count']:>5}  {worst_grad:>10.1e}  {err:>12}  {counts}")
     print()
     print("values at the last q:")
-    for p in pts:
-        print(f"   {p.value:.6f}")
+    for p in report["points"]:
+        print(f"   {complex(*p['value']):.6f}")
 
 
 if __name__ == "__main__":

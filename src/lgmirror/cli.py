@@ -23,8 +23,9 @@ from lgmirror import superpotential as sp
 from lgmirror.scalars import QSqrt2, splitmix64
 
 SCHEMA = "lg-mirror/1"
-# `critical` holds m(m+1)/2 dense 2^m x 2^m spin matrices: a run takes 112 MB
-# at m = 8, and at m = 10 the matrices alone would take 440 MiB.
+# `critical` takes 72 MB at m = 8 and 330 MB at m = 9, of which its m(m+1)/2
+# dense 2^m x 2^m spin matrices hold 90 MiB and the gradient's temporaries
+# 170 MiB; at m = 10 the spin matrices alone would take 440 MiB.
 MAX_CRITICAL_M = 9
 
 

@@ -8,8 +8,8 @@ qH*(LG(m)): a left eigenvector of the sigma_1 matrix, scaled to
 v_empty = 1, is the Pluecker point of the critical point of W with value
 (m+1) times its eigenvalue.  The chamber ansatz (Berenstein-Fomin-
 Zelevinsky 1996) peels that point back to torus coordinates b, and one
-batched Levenberg-damped Newton on the analytic gradient and Hessian of
-W-tilde polishes them.  An eigenvector whose peel meets a vanishing pivot
+batched plain Newton on the analytic gradient and Hessian of W-tilde
+polishes them.  An eigenvector whose peel meets a vanishing pivot
 lies off the torus; a multiple eigenvalue is not peeled, since a basis
 vector of its eigenspace is no Pluecker point.  At q = 1 and 2+i the torus
 carries 3, 8, 10, 30, 35 and 128 of the 2^m critical points for m = 2..7
@@ -55,11 +55,6 @@ class CriticalPoint:
     coords: tuple[complex, ...]
     value: complex
     grad_norm: float
-
-
-# Why a Newton run from one seed ends.
-START_OUTCOMES = ("converged", "iteration_cap", "no_descent", "out_of_range")
-CONVERGED, ITERATION_CAP, NO_DESCENT, OUT_OF_RANGE = range(len(START_OUTCOMES))
 
 
 def torus_monomials(m: int) -> np.ndarray:
@@ -208,7 +203,7 @@ class Seed:
     """What became of one eigenvalue mu of sigma_1*.
 
     `status` is "torus" (its eigenvector peeled to b; `polish` is the
-    Newton outcome, a START_OUTCOMES reason or "wrong_value" when it
+    Newton outcome, "converged", "not_converged" or "wrong_value" when it
     converged off (m+1) mu, and `point` is set when it converged on it),
     "blocked" (a vanishing peel pivot) or "multiple" (mu is not simple, so
     not peeled).  A peeled seed names its smallest pivot: step, column and
@@ -238,11 +233,10 @@ def spectrum_seeds(m: int, q: complex, tolerance: float = 1e-6) -> list[Seed]:
     """Every eigenvalue of sigma_1* and what became of it, in point order.
 
     Seed: the left eigenvectors of sigma1_matrix(m, q).  Peel: each simple
-    eigenvalue's eigenvector to torus coordinates.  Polish: one batched
-    Newton from every peeled b, at most 60 iterations; a seed gives a
-    critical point when Newton converges to a value within `tolerance`
-    (relative, as in match_multisets) of (m+1) mu.  The order is that of
-    _order_key on (m+1) mu.
+    eigenvalue's eigenvector to torus coordinates.  Polish: _polish from
+    every peeled b; a seed gives a critical point when Newton converges to
+    a value whose _rel_err from (m+1) mu is below `tolerance`.  The order
+    is that of _order_key on (m+1) mu.
     """
     if q == 0:
         raise ValueError("critical point search needs q != 0")
@@ -258,15 +252,14 @@ def spectrum_seeds(m: int, q: complex, tolerance: float = 1e-6) -> list[Seed]:
         seeds[e].status = "blocked" if blocked else "torus"
         seeds[e].step, seeds[e].column, seeds[e].pivot = int(step), basis[column], float(pivot)
     mask = torus_monomials(m)
-    roots, reasons = _newton(cut.b[~cut.blocked], q, mask, iters=60)
-    for e, root, reason in zip(simple[~cut.blocked], roots, reasons):
+    roots, converged = _polish(cut.b[~cut.blocked], q, mask)
+    for e, root, done in zip(simple[~cut.blocked], roots, converged):
         seed = seeds[e]
-        seed.polish = START_OUTCOMES[reason]
-        if reason != CONVERGED:
+        seed.polish = "converged" if done else "not_converged"
+        if not done:
             continue
         value = w_tilde_value(root, q, mask)
-        z = seed.eigenvalue_scaled
-        if abs(value - z) / max(1.0, abs(value), abs(z)) < tolerance:
+        if _rel_err(value, seed.eigenvalue_scaled) < tolerance:
             seed.point = CriticalPoint(tuple(root), value, float(np.linalg.norm(grad_w_tilde(root, q, mask))))
         else:
             seed.polish = "wrong_value"
@@ -278,94 +271,41 @@ def spectrum_critical_points(m: int, q: complex) -> list[CriticalPoint]:
     return [s.point for s in spectrum_seeds(m, q) if s.point is not None]
 
 
-def _newton(b: np.ndarray, q: complex, mask: np.ndarray, iters: int = 200) -> tuple[np.ndarray, np.ndarray]:
-    """Levenberg-damped Newton on grad = 0 from every row of the stack `b`.
+def _polish(b: np.ndarray, q: complex, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Plain Newton on grad W-tilde = 0 from every row of the stack `b`.
 
-    The gradient is holomorphic in b, so the damped normal equations stay
-    complex.  The starts run in lockstep, but each keeps its own damping
-    lam and takes the step it would take alone: per iteration it exits if
-    its gradient is not finite or some |b_k| leaves [1e-12, 1e9], stops once
-    |grad| < POLISH_TOL, and otherwise tries up to 40 damped steps, taking
-    the first with a finite, smaller gradient (lam -> lam/5, or 0 once
-    lam <= 1e-12) and raising lam -> max(4 lam, 1e-6) after each rejection.
-    Returns the final rows and each start's reason, an index into
-    START_OUTCOMES; the rows are roots where the reason is CONVERGED.
+    Each row steps b -> b + solve(H, -g) while |g| >= POLISH_TOL, at most
+    60 times; the live rows share one batched solve.  If a Hessian in the
+    batch is singular, each row is solved alone and a singular row stops
+    unconverged.  Returns the final rows and whether each converged.
     """
     b = b.copy()
-    lam = np.zeros(len(b))
-    g = grad_w_tilde(b, q, mask)
-    gn = np.linalg.norm(g, axis=-1)
-    reasons = np.full(len(b), ITERATION_CAP)
+    converged = np.zeros(len(b), dtype=bool)
     live = np.arange(len(b))
-    for _ in range(iters):
-        size = np.abs(b[live])
-        out = ~np.isfinite(gn[live]) | (size.min(axis=-1) < 1e-12) | (size.max(axis=-1) > 1e9)
-        done = ~out & (gn[live] < POLISH_TOL)
-        reasons[live[out]] = OUT_OF_RANGE
-        reasons[live[done]] = CONVERGED
-        live = live[~out & ~done]
+    for _ in range(60):
+        g = grad_w_tilde(b[live], q, mask)
+        gn = np.linalg.norm(g, axis=-1)
+        converged[live[gn < POLISH_TOL]] = True
+        live, g = live[gn >= POLISH_TOL], g[gn >= POLISH_TOL]
         if not live.size:
             break
         hess = hess_w_tilde(b[live], q, mask)
-        pending = np.arange(live.size)  # positions in live still looking for descent
-        for _ in range(40):
-            idx = live[pending]
-            cand = b[idx] + _damped_steps(hess[pending], g[idx], lam[idx])
-            fits = np.flatnonzero(np.abs(cand).min(axis=-1) > 1e-12)
-            g2 = grad_w_tilde(cand[fits], q, mask)
-            gn2 = np.linalg.norm(g2, axis=-1)
-            better = np.isfinite(gn2) & (gn2 < gn[idx[fits]])
-            won = fits[better]
-            win = idx[won]
-            b[win], g[win], gn[win] = cand[won], g2[better], gn2[better]
-            lam[win] = np.where(lam[win] > 1e-12, lam[win] / 5.0, 0.0)
-            pending = np.delete(pending, won)
-            stuck = live[pending]
-            lam[stuck] = np.maximum(lam[stuck] * 4.0, 1e-6)
-            if not pending.size:
-                break
-        reasons[live[pending]] = NO_DESCENT
-        live = np.delete(live, pending)
-    return b, reasons
+        try:
+            b[live] += np.linalg.solve(hess, -g[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            solved = np.ones(len(live), dtype=bool)
+            for k, (h, gk) in enumerate(zip(hess, g)):
+                try:
+                    b[live[k]] += np.linalg.solve(h, -gk)
+                except np.linalg.LinAlgError:
+                    solved[k] = False
+            live = live[solved]
+    return b, converged
 
 
-def _damped_steps(hess: np.ndarray, g: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """Newton steps (lam = 0) or Levenberg steps (H^H H + lam I) s = -H^H g.
-
-    One batched solve; if a matrix in the batch is singular, each is solved
-    alone and a singular one gets a NaN step, which no start accepts.
-    """
-    a, rhs = hess.copy(), -g
-    damped = np.flatnonzero(lam)
-    if damped.size:
-        hh = hess[damped].conj().transpose(0, 2, 1)
-        a[damped] = hh @ hess[damped] + lam[damped, None, None] * np.eye(hess.shape[-1])
-        rhs[damped] = (-hh @ g[damped, :, None])[..., 0]
-    try:
-        return np.linalg.solve(a, rhs[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        steps = np.full_like(rhs, np.nan)
-        for k in range(len(a)):
-            try:
-                steps[k] = np.linalg.solve(a[k], rhs[k])
-            except np.linalg.LinAlgError:
-                pass
-        return steps
-
-
-
-def match_multisets(a: list[complex], b: list[complex]) -> float:
-    """Greedy nearest matching of equal-size multisets, max relative error
-    |x - y| / max(1, |x|, |y|)."""
-    if len(a) != len(b):
-        return float("inf")
-    rest = list(b)
-    worst = 0.0
-    for x in sorted(a, key=lambda z: (z.real, z.imag)):
-        k = min(range(len(rest)), key=lambda i: abs(rest[i] - x))
-        y = rest.pop(k)
-        worst = max(worst, abs(x - y) / max(1.0, abs(x), abs(y)))
-    return worst
+def _rel_err(a: complex, b: complex) -> float:
+    """The pairing error |a - b| / max(1, |a|, |b|), well defined at 0."""
+    return abs(a - b) / max(1.0, abs(a), abs(b))
 
 
 def sigma1_matrix(m: int, q_value: complex) -> np.ndarray:
@@ -380,59 +320,26 @@ def sigma1_matrix(m: int, q_value: complex) -> np.ndarray:
     return out
 
 
-@dataclass
-class SpectrumReport:
-    count: int
-    expected_count: int
-    max_rel_err: float
-    eigenvalues_scaled: list[complex]
-
-    @property
-    def ok(self) -> bool:
-        return self.count == self.expected_count and self.max_rel_err < 1e-6
-
-
-def compare_spectrum(m: int, q: complex, points: list[CriticalPoint]) -> SpectrumReport:
-    """Critical values against (m+1) x eigenvalues of the sigma_1 matrix."""
-    eigs = np.linalg.eigvals(sigma1_matrix(m, q))
-    scaled = [complex((m + 1) * z) for z in eigs]
-    spread = max(abs(z) for z in scaled)
-    values = [p.value for p in points]
-    return SpectrumReport(
-        count=len(points),
-        expected_count=2**m,
-        max_rel_err=match_multisets(values, scaled) if len(values) == len(scaled) else float("inf"),
-        eigenvalues_scaled=sorted(scaled, key=lambda z: _order_key(z, spread)),
-    )
-
-
-@dataclass
-class ProbeReport:
-    l: int
-    points: int  # critical points probed
-    max_dev: float | None  # None when no point was probed
-    p_empty_min: float | None  # smallest |p_empty| seen; probe is ill-defined near 0
-
-
-def conjecture_probe(m: int, q: complex, l: int, points: list[CriticalPoint]) -> ProbeReport:
-    """Evaluate sum_J sign(J) (p_{rho_l^J}/p_0)(p_{mu_l^J}/p_0) - q^l at critical points.
+def conjecture_probe(m: int, q: complex, points: list[CriticalPoint]) -> list[float | None]:
+    """For l = 1..m-1, the largest |sum_J sign(J) p_{rho_l^J} p_{mu_l^J} - q^l|
+    over the points, relative to max(1, |q^l|).
 
     Evidence for the quantum-cohomology relation conjectured for the W_t
-    denominators; uses the sigma_lambda -> p_lambda/p_empty identification.
-    Over no points the deviation and min |p_empty| are None, not 0 and inf.
+    denominators; uses the sigma_lambda -> p_lambda/p_empty identification
+    on the rows of pluecker_rows, whose p_empty is 1.  Over no points each
+    deviation is None, not 0.
     """
-    if not 1 <= l <= m - 1:
-        raise ValueError("probe needs 1 <= l <= m-1")
     if not points:
-        return ProbeReport(l=l, points=0, max_dev=None, p_empty_min=None)
+        return [None] * (m - 1)
     column = {lam: k for k, lam in enumerate(pt.all_strict_partitions(m))}
-    terms = np.array([(sign, column[a], column[b]) for sign, a, b in pt.denominator_terms(l, m)])
     p = pluecker_rows(np.array([cp.coords for cp in points]), m)
-    p0 = p[:, 0]
-    totals = (p[:, terms[:, 1]] * p[:, terms[:, 2]]) @ terms[:, 0] / (p0 * p0)
-    target = q**l
-    worst = float(np.abs(totals - target).max()) / max(1.0, abs(target))
-    return ProbeReport(l=l, points=len(points), max_dev=worst, p_empty_min=float(np.abs(p0).min()))
+    deviations = []
+    for l in range(1, m):
+        terms = np.array([(sign, column[a], column[b]) for sign, a, b in pt.denominator_terms(l, m)])
+        totals = (p[:, terms[:, 1]] * p[:, terms[:, 2]]) @ terms[:, 0]
+        target = q**l
+        deviations.append(float(np.abs(totals - target).max()) / max(1.0, abs(target)))
+    return deviations
 
 
 def _seed_entry(seed: Seed) -> dict:
@@ -450,9 +357,9 @@ def critical_report(m: int, q: complex, tolerance: float = 1e-6) -> dict:
     """Full machine-readable report: the fate of every eigenvalue, points,
     spectrum match, conjecture probes."""
     seeds = spectrum_seeds(m, q, tolerance)
-    points = [s.point for s in seeds if s.point is not None]
-    spectrum = compare_spectrum(m, q, points)
-    probes = [conjecture_probe(m, q, l, points) for l in range(1, m)]
+    found = [s for s in seeds if s.point is not None]
+    points = [s.point for s in found]
+    errors = [_rel_err(s.point.value, s.eigenvalue_scaled) for s in found]
     return {
         "schema": "lg-mirror/2",
         "m": m,
@@ -467,18 +374,18 @@ def critical_report(m: int, q: complex, tolerance: float = 1e-6) -> dict:
             for p in points
         ],
         "spectrum_match": {
-            "count": spectrum.count,
-            "expected_count": spectrum.expected_count,
-            "max_rel_err": spectrum.max_rel_err,
-            "eigenvalues_scaled": [[z.real, z.imag] for z in spectrum.eigenvalues_scaled],
+            "count": len(points),
+            "expected_count": 2**m,
+            "max_rel_err": max(errors) if len(points) == 2**m else float("inf"),
+            "eigenvalues_scaled": [[s.eigenvalue_scaled.real, s.eigenvalue_scaled.imag] for s in seeds],
         },
         "conjecture": [
             {
-                "l": r.l,
-                "points": r.points,
-                "max_dev": r.max_dev,
+                "l": l,
+                "points": len(points),
+                "max_dev": max_dev,
                 "note": "evidence only: uses the unproved sigma = p/p0 identification",
             }
-            for r in probes
+            for l, max_dev in enumerate(conjecture_probe(m, q, points), start=1)
         ],
     }

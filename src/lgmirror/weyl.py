@@ -196,9 +196,23 @@ def wp_subword_sums(word: Sequence[int], m: int, one, extend) -> dict[tuple[int,
 
 
 @lru_cache(maxsize=None)
-def _subwords_by_state(word: tuple[int, ...], m: int) -> dict[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    sums = wp_subword_sums(word, m, [()], lambda tails, p: [(p,) + t for t in tails])
-    return {state: tuple(sorted(subwords)) for state, subwords in sums.items()}
+def _subwords_to(word: tuple[int, ...], target: tuple[int, ...], m: int) -> tuple[tuple[int, ...], ...]:
+    """The W^P programme of `wp_subword_sums`, listing subwords, kept to the
+    states that can still reach `target`: alive[p] holds the states from
+    which the letters at positions p, ..., 1 can spell the rest of it."""
+    if any(not 1 <= letter <= m for letter in word):
+        raise ValueError(f"word {word} has a letter outside 1..{m}")
+    steps = wp_transitions(m)
+    alive = [{target}]
+    for letter in word:
+        alive.append(alive[-1] | {state for state, row in steps.items() if row[letter - 1] in alive[-1]})
+    subwords: dict[tuple[int, ...], list[tuple[int, ...]]] = {(): [()]}
+    for p in range(len(word), 0, -1):
+        for state, tails in list(subwords.items()):
+            nxt = steps[state][word[p - 1] - 1]
+            if nxt in alive[p - 1]:
+                subwords[nxt] = subwords.get(nxt, []) + [(p,) + t for t in tails]
+    return tuple(sorted(subwords.get(target, ())))
 
 
 def reduced_subwords(word: Sequence[int], target: SignedPermutation) -> tuple[tuple[int, ...], ...]:
@@ -207,11 +221,11 @@ def reduced_subwords(word: Sequence[int], target: SignedPermutation) -> tuple[tu
     Positions are 1-based and returned sorted; the subword read in
     increasing position order multiplies to `target` using exactly
     ell(target) letters.  `target` must lie in W^P (ValueError otherwise):
-    the subwords come from the W^P dynamic programme `wp_subword_sums`.
+    the subwords come from the W^P dynamic programme, pruned to `target`.
     """
     if target != min_coset_rep_of(target):
         raise ValueError(f"{target} is not a minimal coset representative (not in W^P)")
-    return _subwords_by_state(tuple(word), target.m).get(negative_subset(target), ())
+    return _subwords_to(tuple(word), negative_subset(target), target.m)
 
 
 def complement_subwords(m: int) -> tuple[tuple[int, ...], ...]:

@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 
 from displays import expected_clifford_image, expected_iota_image, expected_middle_wedge
+from multistart import match_multisets
 from lgmirror import cli
 from lgmirror import clifford as cl
 from lgmirror import grouprep as gr
@@ -348,8 +349,8 @@ def test_criterion_9_critical_spectrum():
             if len(values) != 2**m:
                 failures.append(f"m={m} q={q}: {len(values)} of {2**m} critical points in all")
                 continue
-            scaled = jb.compare_spectrum(m, complex(q), pts).eigenvalues_scaled
-            err = jb.match_multisets(values, scaled)
+            scaled = [complex(z) for z in (m + 1) * np.linalg.eigvals(jb.sigma1_matrix(m, complex(q)))]
+            err = match_multisets(values, scaled)
             if not err < 1e-6:
                 failures.append(f"m={m} q={q}: match err {err:.1e}")
     elapsed = time.time() - t0
@@ -373,15 +374,11 @@ def test_criterion_10_relation_probe_evidence():
         pts = torus_search(m, 1)
         if len(pts) != torus_count(m):
             vacuous.append(f"m={m}: probed {len(pts)} of {torus_count(m)} torus critical points")
-        for l in range(1, m):
-            rep = jb.conjecture_probe(m, 1.0 + 0j, l, pts)
-            if rep.points == 0:
+        for l, max_dev in enumerate(jb.conjecture_probe(m, 1.0 + 0j, pts), start=1):
+            if max_dev is None:
                 vacuous.append(f"m={m} l={l}: probed no points")
-                continue
-            if not rep.p_empty_min > 0:
-                vacuous.append(f"m={m} l={l}: min |p_empty| = {rep.p_empty_min}")
-            if rep.max_dev >= 1e-6:
-                warnings.append(f"m={m} l={l}: deviation {rep.max_dev:.1e}")
+            elif max_dev >= 1e-6:
+                warnings.append(f"m={m} l={l}: deviation {max_dev:.1e}")
     elapsed = time.time() - t0
     if vacuous:
         report(10, False, elapsed, "probe did not cover the torus critical points: " + "; ".join(vacuous))

@@ -10,67 +10,16 @@ from lgmirror import partitions as pt
 from lgmirror import superpotential as sp
 from lgmirror import weyl as wy
 from lgmirror.scalars import splitmix64
-
-
-# -- oracles: the random multistart search that spectrum seeding replaced -------
-
-DEDUP_RADIUS = 1e-6
-
-
-def uniform01(gen) -> float:
-    return next(gen) / 2.0**64
-
-
-def _draw_starts(n: int, trials: int, seed: int) -> np.ndarray:
-    """The (trials, N) random complex starts, |b_k| in [0.4, 1.6]."""
-    gen = splitmix64(seed)
-    return np.array(
-        [
-            [(0.4 + 1.2 * uniform01(gen)) * np.exp(2j * np.pi * uniform01(gen)) for _ in range(n)]
-            for _ in range(trials)
-        ],
-        dtype=complex,
-    ).reshape(trials, n)
-
-
-def find_critical_points(m, q, trials=200, seed=1, outcomes=None):
-    """Multi-start Newton search on grad W-tilde = 0; deterministic under seed.
-
-    When `outcomes` is given, it receives the number of starts ending for
-    each reason in START_OUTCOMES; the counts sum to `trials`.
-    """
-    n = m * (m + 1) // 2
-    mask = jb.torus_monomials(m)
-    roots, reasons = jb._newton(_draw_starts(n, trials, seed), q, mask)
-    if outcomes is not None:
-        outcomes.update(zip(jb.START_OUTCOMES, np.bincount(reasons, minlength=len(jb.START_OUTCOMES)).tolist()))
-    found = []
-    for b in roots[reasons == jb.CONVERGED]:
-        if all(np.linalg.norm(b - prev) > DEDUP_RADIUS for prev in found):
-            found.append(b)
-    found = _symmetry_closure(found, q, mask, m)
-    pts = [
-        jb.CriticalPoint(tuple(b), jb.w_tilde_value(b, q, mask), float(np.linalg.norm(jb.grad_w_tilde(b, q, mask))))
-        for b in found
-    ]
-    pts.sort(key=lambda p: (p.value.real, p.value.imag) + tuple(x for c in p.coords for x in (c.real, c.imag)))
-    return pts
-
-
-def _symmetry_closure(found, q, mask, m):
-    """Close the point set under b -> zeta b, zeta^(m+1) = 1, polishing
-    each new rotation with at most 60 Newton iterations."""
-    zeta = np.exp(2j * np.pi / (m + 1))
-    out = list(found)
-    for b in found:
-        cand = b
-        for _ in range(m):
-            cand = zeta * cand
-            if all(np.linalg.norm(cand - prev) > DEDUP_RADIUS for prev in out):
-                roots, reasons = jb._newton(cand[None, :], q, mask, iters=60)
-                if reasons[0] == jb.CONVERGED and all(np.linalg.norm(roots[0] - prev) > DEDUP_RADIUS for prev in out):
-                    out.append(roots[0])
-    return out
+from multistart import (
+    CONVERGED,
+    NO_DESCENT,
+    START_OUTCOMES,
+    draw_starts,
+    find_critical_points,
+    match_multisets,
+    newton,
+    uniform01,
+)
 
 
 # -- oracles: the per-start search the lockstep batch replaced ------------------
@@ -175,7 +124,7 @@ def test_hessian_matches_finite_differences():
     for m in (2, 3, 4):
         mask = jb.torus_monomials(m)
         n = m * (m + 1) // 2
-        stack = _draw_starts(n, 4, 23 + m)
+        stack = draw_starts(n, 4, 23 + m)
         for q in (1.0 + 0j, 1.1 + 0.3j):
             grads = jb.grad_w_tilde(stack, q, mask)
             hessians = jb.hess_w_tilde(stack, q, mask)
@@ -202,11 +151,11 @@ def test_lockstep_newton_matches_per_start_oracle(m, trials):
     converged = 0
     for q in (1.0 + 0j, 2.0 + 1.0j, 1e-12 + 0j):
         for seed, iters in ((1, 200), (2, 200), (3, 60)):
-            starts = _draw_starts(n, trials, seed)
-            roots, reasons = jb._newton(starts, q, mask, iters=iters)
+            starts = draw_starts(n, trials, seed)
+            roots, reasons = newton(starts, q, mask, iters=iters)
             for b0, root, reason in zip(starts, roots, reasons):
                 want = _newton_one(b0.copy(), q, mask, iters=iters)
-                assert (want is None) == (reason != jb.CONVERGED), (m, q, seed, reason)
+                assert (want is None) == (reason != CONVERGED), (m, q, seed, reason)
                 if want is not None:
                     converged += 1
                     assert np.abs(root - want).max() < 1e-10
@@ -215,9 +164,9 @@ def test_lockstep_newton_matches_per_start_oracle(m, trials):
 
 def test_singular_hessian_does_not_fail_the_batch(monkeypatch):
     mask = jb.torus_monomials(3)
-    starts = _draw_starts(6, 12, 5)
-    roots, reasons = jb._newton(starts, 1.0 + 0j, mask)
-    assert (reasons == jb.CONVERGED).sum() >= 2
+    starts = draw_starts(6, 12, 5)
+    roots, reasons = newton(starts, 1.0 + 0j, mask)
+    assert (reasons == CONVERGED).sum() >= 2
     bad = starts[0] * 1.5
     true_hess = jb.hess_w_tilde
 
@@ -227,8 +176,8 @@ def test_singular_hessian_does_not_fail_the_batch(monkeypatch):
         return hess
 
     monkeypatch.setattr(jb, "hess_w_tilde", hess_zero_at_bad)
-    roots2, reasons2 = jb._newton(np.vstack([bad, starts]), 1.0 + 0j, mask)
-    assert reasons2[0] == jb.NO_DESCENT
+    roots2, reasons2 = newton(np.vstack([bad, starts]), 1.0 + 0j, mask)
+    assert reasons2[0] == NO_DESCENT
     assert np.array_equal(reasons2[1:], reasons)
     assert np.array_equal(roots2[1:], roots)
 
@@ -239,7 +188,42 @@ def test_start_outcomes_are_those_of_the_per_start_search():
     for m, counts in recorded.items():
         starts = {}
         find_critical_points(m, 1.0 + 0j, trials=250, seed=1, outcomes=starts)
-        assert starts == dict(zip(jb.START_OUTCOMES, counts))
+        assert starts == dict(zip(START_OUTCOMES, counts))
+
+
+def test_polish_returns_perturbed_points():
+    """Torus points moved by about 1e-6 polish back onto themselves."""
+    for m in (2, 3, 4, 5):
+        mask = jb.torus_monomials(m)
+        for q in (1.0 + 0j, 2.0 + 1.0j):
+            points = np.array([p.coords for p in jb.spectrum_critical_points(m, q)])
+            moved = points + 1e-6 * draw_starts(points.shape[1], len(points), 9)
+            roots, converged = jb._polish(moved, q, mask)
+            assert converged.all(), (m, q)
+            assert np.abs(roots - points).max() < 1e-12 * np.abs(points).max(), (m, q)
+
+
+def test_polish_survives_a_singular_hessian(monkeypatch):
+    """A row whose Hessian is zero ends unconverged; the other rows end
+    bit-identically to a run without it."""
+    mask = jb.torus_monomials(3)
+    points = np.array([p.coords for p in jb.spectrum_critical_points(3, 1.0 + 0j)])
+    moved = points + 1e-6 * draw_starts(6, len(points), 9)
+    roots, converged = jb._polish(moved, 1.0 + 0j, mask)
+    assert converged.all()
+    bad = moved[0] * 1.5
+    true_hess = jb.hess_w_tilde
+
+    def hess_zero_at_bad(b, q, mask):
+        hess = true_hess(b, q, mask)
+        hess[np.all(b == bad, axis=-1)] = 0.0
+        return hess
+
+    monkeypatch.setattr(jb, "hess_w_tilde", hess_zero_at_bad)
+    roots2, converged2 = jb._polish(np.vstack([bad, moved]), 1.0 + 0j, mask)
+    assert not converged2[0]
+    assert np.array_equal(converged2[1:], converged)
+    assert np.array_equal(roots2[1:], roots)
 
 
 def test_critical_points_m3_full_spectrum():
@@ -247,8 +231,8 @@ def test_critical_points_m3_full_spectrum():
         pts = jb.spectrum_critical_points(3, complex(q))
         assert len(pts) == 8
         assert all(p.grad_norm < jb.GRAD_TOL for p in pts)
-        rep = jb.compare_spectrum(3, complex(q), pts)
-        assert rep.ok and rep.max_rel_err < 1e-9
+        scaled = [complex(z) for z in 4 * np.linalg.eigvals(jb.sigma1_matrix(3, complex(q)))]
+        assert match_multisets([p.value for p in pts], scaled) < 1e-9
 
 
 def test_critical_points_m2_torus_misses_the_zero_value():
@@ -277,7 +261,7 @@ def test_critical_points_m2_torus_misses_the_zero_value():
         )
         missing = eigs[0]
         assert abs(missing) < 1e-9  # the 0-eigenvalue is the absent one
-        assert jb.match_multisets(got, [complex(z) for z in eigs[1:]]) < 1e-9
+        assert match_multisets(got, [complex(z) for z in eigs[1:]]) < 1e-9
 
 
 def test_m2_zero_eigenvalue_is_blocked_at_its_pivot():
@@ -360,7 +344,7 @@ def test_doubling_trials_saturates():
     a = find_critical_points(3, 1.0 + 0j, trials=150, seed=11)
     b = find_critical_points(3, 1.0 + 0j, trials=300, seed=11)
     assert len(a) == len(b) == 8
-    assert jb.match_multisets([p.value for p in a], [p.value for p in b]) < 1e-9
+    assert match_multisets([p.value for p in a], [p.value for p in b]) < 1e-9
 
 
 def test_q_dependence():
@@ -374,10 +358,8 @@ def test_q_dependence():
 def test_conjecture_probe():
     for m, q in [(2, 1.0), (3, 1.0), (3, 2.0)]:
         pts = jb.spectrum_critical_points(m, complex(q))
-        for l in range(1, m):
-            rep = jb.conjecture_probe(m, complex(q), l, pts)
-            assert rep.max_dev < 1e-6, (m, q, l, rep.max_dev)
-            assert rep.p_empty_min > 1e-6
+        for l, max_dev in enumerate(jb.conjecture_probe(m, complex(q), pts), start=1):
+            assert max_dev < 1e-6, (m, q, l, max_dev)
 
 
 # -- oracle: the probe as one sparse row sweep per point over complex floats ------
@@ -399,15 +381,14 @@ def complex_plucker(b, m):
 
 
 def probe_oracle(m, q, l, points):
-    """(max_dev, p_empty_min) of conjecture_probe, one point at a time."""
-    worst, p_empty_min = 0.0, float("inf")
+    """conjecture_probe's max_dev at level l, one point at a time."""
+    worst = 0.0
     for cp in points:
         p = complex_plucker(cp.coords, m)
         p0 = p[pt.empty(m)]
-        p_empty_min = min(p_empty_min, abs(p0))
         total = sum(sign * (p[a] / p0) * (p[b] / p0) for sign, a, b in pt.denominator_terms(l, m))
         worst = max(worst, abs(total - q**l) / max(1.0, abs(q**l)))
-    return worst, p_empty_min
+    return worst
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
@@ -425,31 +406,31 @@ def test_pluecker_rows_match_the_exact_spin_route_and_peel_back(m):
     assert np.abs(back.b - b).max() <= 1e-11 * np.abs(b).max()
 
 
+def test_pluecker_rows_keep_p_empty_one():
+    """No spin matrix F_i has an entry in the empty column, so the sweep
+    leaves p_empty = 1 exactly and the probe divides by nothing."""
+    for m in range(2, 8):
+        rows = jb.pluecker_rows(draw_starts(m * (m + 1) // 2, 5, 40 + m), m)
+        assert (rows[:, 0] == 1).all(), m
+
+
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
 def test_probe_matches_the_complex_row_sweep(m):
     for q in (1.0 + 0j, 2.0 + 1.0j, 81.0 + 0j):
         points = jb.spectrum_critical_points(m, q)
         assert points
-        for l in range(1, m):
-            rep = jb.conjecture_probe(m, q, l, points)
-            max_dev, p_empty_min = probe_oracle(m, q, l, points)
-            assert rep.points == len(points)
-            assert abs(rep.max_dev - max_dev) < 1e-13, (q, l)
-            assert rep.p_empty_min == p_empty_min
+        deviations = jb.conjecture_probe(m, q, points)
+        assert len(deviations) == m - 1
+        for l, max_dev in enumerate(deviations, start=1):
+            assert abs(max_dev - probe_oracle(m, q, l, points)) < 1e-13, (q, l)
 
 
 def test_probe_over_no_points_is_not_a_pass():
-    rep = jb.conjecture_probe(3, 1.0 + 0j, 1, [])
-    assert rep.points == 0 and rep.max_dev is None and rep.p_empty_min is None
+    assert jb.conjecture_probe(3, 1.0 + 0j, []) == [None, None]
     report = jb.critical_report(3, 1e-12 + 0j)
     assert report["points"] == []
     assert [(c["l"], c["points"], c["max_dev"]) for c in report["conjecture"]] == [(1, 0, None), (2, 0, None)]
     assert '"max_dev": null' in json.dumps(report)
-
-
-def test_probe_rejects_bad_level():
-    with pytest.raises(ValueError):
-        jb.conjecture_probe(2, 1.0 + 0j, 2, [])
 
 
 def test_report_deterministic_and_schema():

@@ -55,6 +55,14 @@ def oracle_complement_subwords(m: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
+@lru_cache(maxsize=None)
+def oracle_subwords_by_state(word: tuple[int, ...], m: int) -> dict[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """The reduced subwords of `word` for every state of W^P at once: the
+    W^P programme listing subwords, unpruned."""
+    sums = wy.wp_subword_sums(word, m, [()], lambda tails, p: [(p,) + t for t in tails])
+    return {state: tuple(sorted(subwords)) for state, subwords in sums.items()}
+
+
 def is_min_coset_rep(w: wy.SignedPermutation) -> bool:
     """w lies in W^P: every s_i of W_P = <s_1..s_{m-1}> lengthens it."""
     lw = wy.length(w)
@@ -221,6 +229,18 @@ def test_complement_subwords():
         for subset in wy.complement_subwords(m):
             assert len(subset) == n - m
             assert wy.word_product([word[p - 1] for p in subset], m) * tail == target
+
+
+@pytest.mark.parametrize("m", range(2, 8))
+def test_pruned_subwords_match_the_all_state_listing(m):
+    """Every W^P target for m <= 5, and the staircase of complement_subwords
+    up to m = 7, get the subwords the unpruned programme lists."""
+    word = wy.canonical_wp_word(m)
+    listing = oracle_subwords_by_state(word, m)
+    if m <= 5:
+        for subset in pt.all_subsets(m):
+            assert wy.reduced_subwords(word, wy.min_rep_from_subset(subset, m)) == listing.get(subset, ()), subset
+    assert wy.complement_subwords(m) == listing[pt.to_subset(pt.rho(m - 1, m))]
 
 
 def test_reduced_subwords_reject_target_outside_wp():
