@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,9 +24,10 @@ from lgmirror import superpotential as sp
 from lgmirror.scalars import QSqrt2, splitmix64
 
 SCHEMA = "lg-mirror/1"
-# `critical` takes 72 MB at m = 8 and 330 MB at m = 9, of which its m(m+1)/2
-# dense 2^m x 2^m spin matrices hold 90 MiB and the gradient's temporaries
-# 170 MiB; at m = 10 the spin matrices alone would take 440 MiB.
+# `critical` takes 48 MB at m = 8 and 150 MB and 2.6 s at m = 9, most of it
+# the (seeds x monomials x N) complex temporary of the monomial values, 84 MiB
+# for the 480 peeled seeds of m = 9; at m = 10 (up to 1024 seeds, 512
+# monomials, N = 55) it would take 440 MiB.
 MAX_CRITICAL_M = 9
 
 
@@ -251,8 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
 def config_from_args(args) -> RunConfig:
     q = getattr(args, "q", Fraction(1))
     if getattr(args, "t", None) is not None:
-        import math
-
         try:
             q = Fraction(math.exp(args.t)).limit_denominator(10**12)
         except (OverflowError, ValueError) as exc:
@@ -276,6 +276,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     if args.command == "critical" and args.m > MAX_CRITICAL_M:
         print(f"error: critical needs m <= {MAX_CRITICAL_M}, got {args.m}", file=sys.stderr)
+        return 2
+    if args.command == "critical" and not (math.isfinite(args.tolerance) and args.tolerance > 0):
+        print(f"error: need a finite --tolerance > 0, got {args.tolerance}", file=sys.stderr)
         return 2
     if getattr(args, "trials", 1) < 1:
         print("error: need --trials >= 1", file=sys.stderr)

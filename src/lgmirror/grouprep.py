@@ -7,7 +7,7 @@ u2bar(b) = y_{i_N}(b_N) ... y_{i_1}(b_1) of the canonical word of w^P is,
 in either representation, the list of its N sparse factors y_{i_k}(b_k) - I
 = b_k f + (b_k^2/2) f^2, from one cached table per (letter, m).  Both sides
 are exact over Q(sqrt2); the numerical layer reads the spin table once, as
-dense float matrices (`jacobi._peel_plan`).
+index arrays of its nonzero entries (`jacobi._peel_plan`).
 """
 
 from __future__ import annotations

@@ -17,12 +17,13 @@ carries 3, 8, 10, 30, 35 and 128 of the 2^m critical points for m = 2..7
 (1:0:0:-q), which has p_(2) = 0; at m = 5 the eigenvalue 0 is double.
 
 The module computes in numpy only: it reads grouprep's exact spin tables
-once, as the dense float matrices of _peel_plan.  The conjecture probe
-evaluates the signed quadratic sums on the Pluecker rows of the critical
-points, which pluecker_rows computes as the peel's forward map over those
-matrices; the identification sigma_lambda -> p_lambda/p_empty at critical
-points is standard mirror folklore rather than a proved statement, so
-deviations are reported as evidence, never asserted.
+once, as the index arrays of _peel_plan, and applies each spin matrix to a
+stack of rows as one gather.  The conjecture probe evaluates the signed
+quadratic sums on the Pluecker rows of the critical points, which
+pluecker_rows computes as the peel's forward map over those factors; the
+identification sigma_lambda -> p_lambda/p_empty at critical points is
+standard mirror folklore rather than a proved statement, so deviations are
+reported as evidence, never asserted.
 """
 
 from __future__ import annotations
@@ -80,13 +81,13 @@ def w_tilde_value(b: np.ndarray, q: complex, mask: np.ndarray) -> complex:
 
 
 def grad_w_tilde(b: np.ndarray, q: complex, mask: np.ndarray) -> np.ndarray:
-    """Analytic gradient: dW/db_j = 1 - q sum_{T contains j} (1/b_j) prod_{k in T} 1/b_k.
+    """Analytic gradient: dW/db_j = 1 - q (1/b_j) sum_{T contains j} prod_{k in T} 1/b_k,
+    i.e. 1 - q inv (t M) with M the monomial mask and t the monomial values.
 
     `b` is one point (N,) or a stack of points (S, N); the result has its shape.
     """
     inv = 1.0 / b
-    terms = _terms(inv, mask)
-    return 1.0 - q * ((mask * terms[..., :, None]) * inv[..., None, :]).sum(axis=-2)
+    return 1.0 - q * inv * (_terms(inv, mask) @ mask)
 
 
 def hess_w_tilde(b: np.ndarray, q: complex, mask: np.ndarray) -> np.ndarray:
@@ -110,25 +111,44 @@ def hess_w_tilde(b: np.ndarray, q: complex, mask: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _peel_plan(m: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """The dense spin matrices F_{i_k}, k = 1..N, and for each k the columns
-    that the row e_empty (I + b_N F_{i_N}) ... (I + b_k F_{i_k}) reaches and
-    the same row without its factor k does not, both for generic b."""
+def _peel_plan(m: int) -> tuple[tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...], tuple[np.ndarray, ...]]:
+    """The spin matrices F_{i_k}, k = 1..N, and for each k the columns that
+    the row e_empty (I + b_N F_{i_N}) ... (I + b_k F_{i_k}) reaches and the
+    same row without its factor k does not, both for generic b.
+
+    F_i sends each spin basis vector to at most one other, so it is stored
+    as index arrays (rows, cols, signs) of its nonzero entries, each column
+    at most once: the product p F is the gather pf[:, cols] = p[:, rows] *
+    signs (`_times`).
+    """
     index = {s: k for k, s in enumerate(pt.all_subsets(m))}
-    letters = np.zeros((m, 2**m, 2**m))
+    letters = []
     for i in range(1, m + 1):
-        for row, col, _, entry in gr._spin_f_table(i, m):
-            letters[i - 1, index[row], index[col]] = entry.to_float()
-    factors = letters[np.array(wy.canonical_wp_word(m)) - 1]
-    factors.flags.writeable = False  # shared by every caller through the cache
+        entries = [(index[row], index[col], entry.to_float()) for row, col, _, entry in gr._spin_f_table(i, m)]
+        if len({col for _, col, _ in entries}) != len(entries):
+            raise ArithmeticError(f"spin matrix of f_{i} has two entries in one column")
+        rows, cols, signs = (np.array(a) for a in zip(*entries))
+        for a in (rows, cols, signs):
+            a.flags.writeable = False  # shared by every caller through the cache
+        letters.append((rows, cols, signs))
+    factors = tuple(letters[i - 1] for i in wy.canonical_wp_word(m))
     reach = np.zeros(2**m, dtype=bool)
     reach[0] = True
     columns = []
-    for f in factors[::-1]:
-        grown = reach | (reach @ (f != 0))
+    for rows, cols, _ in factors[::-1]:
+        grown = reach.copy()
+        grown[cols[reach[rows]]] = True
         columns.append(np.flatnonzero(grown & ~reach))
         reach = grown
     return factors, tuple(columns[::-1])
+
+
+def _times(p: np.ndarray, factor: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
+    """p F for a stack of rows p (S, 2^m) and one factor of _peel_plan."""
+    rows, cols, signs = factor
+    pf = np.zeros_like(p)
+    pf[:, cols] = p[:, rows] * signs
+    return pf
 
 
 def pluecker_rows(b_stack: np.ndarray, m: int) -> np.ndarray:
@@ -139,7 +159,7 @@ def pluecker_rows(b_stack: np.ndarray, m: int) -> np.ndarray:
     p = np.zeros((len(b_stack), 2**m), dtype=complex)
     p[:, 0] = 1.0
     for k in range(len(factors), 0, -1):
-        p += b_stack[:, k - 1, None] * (p @ factors[k - 1])
+        p += b_stack[:, k - 1, None] * _times(p, factors[k - 1])
     return p
 
 
@@ -182,7 +202,7 @@ def peel(v: np.ndarray, m: int) -> Peel:
     scale = np.abs(p).max(axis=1)
     b = np.full((len(v), len(factors)), np.nan, dtype=complex)
     for k, (f, cols) in enumerate(zip(factors, columns), start=1):
-        pf = p @ f
+        pf = _times(p, f)
         at = cols[np.argmax(np.abs(pf[:, cols]), axis=1)]
         rows = np.arange(len(live))
         rel = np.abs(pf[rows, at]) / scale

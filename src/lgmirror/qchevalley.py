@@ -1,20 +1,25 @@
 """Quantum multiplication by the divisor class sigma_1 on qH*(LG(m)).
 
-Schubert classes are indexed by strict partitions in the m x m box via the
-minimal coset representatives of W/W_P (type C_m, W_P = <s_1..s_{m-1}>).
-The Chevalley operator is the root sum
+Schubert classes are indexed by strict partitions in the m x m box, i.e.
+by the minimal coset representatives of W/W_P (type C_m, W_P =
+<s_1..s_{m-1}>), which `lgmirror.weyl` stores by negative subsets.  The
+Chevalley operator is the root sum (Fulton-Woodward 2004)
 
     sigma_1 * sigma_w = sum alpha^vee(omega_m) sigma_{w s_alpha}
                       + sum q^{d(alpha)} alpha^vee(omega_m) sigma_{pi(w s_alpha)},
 
-the classical part over alpha in R+ minus R_P+ with w s_alpha in W^P of length
-ell(w)+1, the quantum part over alpha whose projected representative
-pi(w s_alpha) in W^P has length ell(w) + 1 - n_alpha.  Here d(alpha) =
-alpha^vee(omega_m) is the curve degree surviving in H_2(LG(m)) and
-n_alpha = (m+1) d(alpha) is its pairing with the anti-canonical class;
-with these readings the operator satisfies the degree law
+over the positive roots outside R_P+, alpha = e_i + e_j (i < j) and 2 e_i:
+the classical part over those with w s_alpha in W^P of length ell(w)+1,
+the quantum part over those whose projected representative pi(w s_alpha)
+in W^P has length ell(w) + 1 - n_alpha.  Here d(alpha) = alpha^vee(omega_m)
+is the curve degree surviving in H_2(LG(m)), 2 for e_i + e_j and 1 for
+2 e_i, and n_alpha = (m+1) d(alpha) is its pairing with the anti-canonical
+class; with these readings the operator satisfies the degree law
 |mu| + (m+1) d = |lambda| + 1, has nonnegative integer coefficients, and
 reproduces the known Pieri products (enforced by the tests).
+`weyl.times_reflection` gives the negative subset of w s_alpha, which is
+that of pi(w s_alpha), and whether w s_alpha lies in W^P; the length of an
+element of W^P is the size of its partition.
 
 `sigma1_table` holds the root sums of one m, computed once; the numerical
 sigma_1 matrix built from it lives in `lgmirror.jacobi`, so no numpy here.
@@ -22,7 +27,6 @@ sigma_1 matrix built from it lives in `lgmirror.jacobi`, so no numpy here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping
@@ -30,55 +34,6 @@ from typing import Mapping
 from lgmirror import partitions as pt
 from lgmirror import weyl as wy
 from lgmirror.partitions import StrictPartition
-from lgmirror.weyl import SignedPermutation
-
-
-@dataclass(frozen=True)
-class Root:
-    """A positive root of C_m with its coroot and reflection."""
-
-    vector: tuple[int, ...]
-    coroot: tuple[int, ...]
-    reflection: SignedPermutation
-    in_parabolic: bool  # of the form e_i - e_j, i.e. s_alpha in W_P
-
-    @property
-    def omega_m_pairing(self) -> int:
-        """alpha^vee(omega_m) = sum of coroot coordinates."""
-        return sum(self.coroot)
-
-
-@lru_cache(maxsize=None)
-def positive_roots(m: int) -> tuple[Root, ...]:
-    """The m^2 positive roots e_i - e_j, e_i + e_j (i < j) and 2 e_i.
-
-    R_P+ consists of the e_i - e_j; its complement has m(m+1)/2 elements.
-    """
-    roots: list[Root] = []
-
-    def vec(*pairs) -> tuple[int, ...]:
-        v = [0] * m
-        for idx, c in pairs:
-            v[idx - 1] = c
-        return tuple(v)
-
-    for i in range(1, m + 1):
-        for j in range(i + 1, m + 1):
-            img = list(range(1, m + 1))
-            img[i - 1], img[j - 1] = j, i
-            roots.append(
-                Root(vec((i, 1), (j, -1)), vec((i, 1), (j, -1)), SignedPermutation(tuple(img)), True)
-            )
-            img = list(range(1, m + 1))
-            img[i - 1], img[j - 1] = -j, -i
-            roots.append(
-                Root(vec((i, 1), (j, 1)), vec((i, 1), (j, 1)), SignedPermutation(tuple(img)), False)
-            )
-    for i in range(1, m + 1):
-        img = list(range(1, m + 1))
-        img[i - 1] = -i
-        roots.append(Root(vec((i, 2)), vec((i, 1)), SignedPermutation(tuple(img)), False))
-    return tuple(roots)
 
 
 class CohClass:
@@ -99,40 +54,22 @@ class CohClass:
     def __eq__(self, other: object) -> bool:
         return isinstance(other, CohClass) and self.m == other.m and self.terms == other.terms
 
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for (lam, d), c in sorted(self.terms.items(), key=lambda kv: (kv[0][1], kv[0][0])):
-            q = "" if d == 0 else ("q" if d == 1 else f"q^{d}")
-            coeff = "" if c == 1 else f"{c}*"
-            bits.append(f"{coeff}{q}{'*' if q and True else ''}sigma{lam.render()}")
-        return " + ".join(bits)
 
-
-@lru_cache(maxsize=None)
-def _length_cached(images: tuple[int, ...]) -> int:
-    return wy.length(SignedPermutation(images))
-
-
-def chevalley_multiply(lam: StrictPartition, m: int | None = None) -> CohClass:
+def chevalley_multiply(lam: StrictPartition) -> CohClass:
     """The quantum Chevalley expansion of sigma_1 * sigma_lambda."""
-    m = lam.m if m is None else m
-    w = wy.coset_min_rep(lam)
-    lw = lam.size
+    m = lam.m
+    subset = pt.to_subset(lam)
+    grown = lam.size + 1
     out = CohClass(m)
-    for root in positive_roots(m):
-        if root.in_parabolic:
-            continue
-        c = root.omega_m_pairing
-        ws = w * root.reflection
-        proj = wy.min_coset_rep_of(ws)
-        if ws == proj and _length_cached(ws.images) == lw + 1:
-            out.add(wy.partition_of(ws), 0, c)
-            continue
-        n_alpha = (m + 1) * c
-        if _length_cached(proj.images) == lw + 1 - n_alpha:
-            out.add(wy.partition_of(proj), c, c)
+    for i in range(1, m + 1):
+        for j in range(i, m + 1):
+            c = 1 if i == j else 2
+            image, in_wp = wy.times_reflection(subset, i, j, m)
+            size = sum(m + 1 - k for k in image)
+            if in_wp and size == grown:
+                out.add(pt.from_subset(image, m), 0, c)
+            elif size == grown - (m + 1) * c:
+                out.add(pt.from_subset(image, m), c, c)
     return out
 
 

@@ -1,136 +1,45 @@
-"""The Weyl group of type B_m as signed permutations, words and subwords.
+"""The minimal coset representatives W^P of type B_m, words and subwords.
 
-Elements are stored by their images (w(1), ..., w(m)) with w(-k) = -w(k)
-implicit.  The generator s_i (i < m) swaps coordinates i, i+1; s_m flips
-the sign of the last coordinate.  Lengths are counted root-theoretically:
-ell(w) is the number of positive roots of C_m (equivalently B_m) that w
-maps to negative roots, which keeps every convention question out of the
-length function.
+W is the Weyl group of type B_m (equivalently C_m), acting on +-e_1, ...,
++-e_m by signed permutations; s_i (i < m) swaps e_i and e_{i+1}, s_m
+negates e_m, and W_P = <s_1, ..., s_{m-1}>.  An element w of W^P, the
+minimal representatives of W/W_P, is stored only by its negative subset
+I = {|w(k)| : w(k) < 0} of {1..m}, which is the subset of the strict
+partition indexing it (`partitions.to_subset`); its length is the size of
+that partition.  `one_line` gives its images (w(1), ..., w(m)).  The
+signed-permutation group itself is a test oracle for the rules here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from lgmirror.partitions import StrictPartition, all_subsets, from_subset, rho, to_subset
-
-
-@dataclass(frozen=True)
-class SignedPermutation:
-    """Images (w(1), ..., w(m)), values in {+-1, ..., +-m} with distinct moduli."""
-
-    images: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        m = len(self.images)
-        if sorted(abs(v) for v in self.images) != list(range(1, m + 1)):
-            raise ValueError(f"not a signed permutation: {self.images}")
-
-    @property
-    def m(self) -> int:
-        return len(self.images)
-
-    def __call__(self, k: int) -> int:
-        if k > 0:
-            return self.images[k - 1]
-        return -self.images[-k - 1]
-
-    def __mul__(self, other: SignedPermutation) -> SignedPermutation:
-        # (w v)(k) = w(v(k))
-        return SignedPermutation(tuple(self(other(k)) for k in range(1, self.m + 1)))
-
-    def inverse(self) -> SignedPermutation:
-        img = [0] * self.m
-        for k in range(1, self.m + 1):
-            v = self.images[k - 1]
-            img[abs(v) - 1] = k if v > 0 else -k
-        return SignedPermutation(tuple(img))
-
-    def __str__(self) -> str:
-        return "[" + ",".join(str(v) for v in self.images) + "]"
+from lgmirror.partitions import StrictPartition, all_subsets, rho, to_subset
 
 
-def identity(m: int) -> SignedPermutation:
-    return SignedPermutation(tuple(range(1, m + 1)))
+@lru_cache(maxsize=None)
+def one_line(subset: tuple[int, ...], m: int) -> tuple[int, ...]:
+    """The images (w(1), ..., w(m)) of the w in W^P with negative subset I:
+    the complement of I ascending, then -I descending."""
+    inside = set(subset)
+    return tuple(k for k in range(1, m + 1) if k not in inside) + tuple(-k for k in sorted(inside, reverse=True))
 
 
-def simple_reflection(i: int, m: int) -> SignedPermutation:
-    if not 1 <= i <= m:
-        raise ValueError(f"simple reflection s_{i} out of range for m={m}")
-    img = list(range(1, m + 1))
-    if i < m:
-        img[i - 1], img[i] = img[i], img[i - 1]
-    else:
-        img[m - 1] = -m
-    return SignedPermutation(tuple(img))
+def times_reflection(subset: tuple[int, ...], i: int, j: int, m: int) -> tuple[tuple[int, ...], bool]:
+    """w s_alpha for the w in W^P with negative subset I, where alpha =
+    e_i + e_j (i < j) or 2 e_i (i = j): its negative subset, and whether it
+    lies in W^P.
 
-
-def length(w: SignedPermutation) -> int:
-    """Number of positive roots (type C_m) sent to negative roots.
-
-    A root supported on indices p < q is negative exactly when the
-    coefficient of e_p is -1; the root 2 e_p is negative when its
-    coefficient is.
+    s_alpha sends e_i to -e_j and e_j to -e_i, so w s_alpha is w with the
+    images at positions i and j swapped and negated.  Its negative subset is
+    I with the membership of |w(i)| and |w(j)| toggled, and it lies in W^P
+    exactly when its images are the one-line form of that subset.
     """
-    m = w.m
-    img = w.images
-    total = sum(1 for v in img if v < 0)  # roots 2 e_i
-    for i in range(1, m + 1):
-        vi = img[i - 1]
-        for j in range(i + 1, m + 1):
-            vj = img[j - 1]
-            # w(e_i - e_j) = sgn(vi) e_|vi| - sgn(vj) e_|vj|
-            small_coeff = (1 if vi > 0 else -1) if abs(vi) < abs(vj) else (-1 if vj > 0 else 1)
-            if small_coeff < 0:
-                total += 1
-            # w(e_i + e_j)
-            small_coeff = (1 if vi > 0 else -1) if abs(vi) < abs(vj) else (1 if vj > 0 else -1)
-            if small_coeff < 0:
-                total += 1
-    return total
-
-
-def word_product(word: Sequence[int], m: int) -> SignedPermutation:
-    out = identity(m)
-    for letter in word:
-        out = out * simple_reflection(letter, m)
-    return out
-
-
-# -- the parabolic W_P = <s_1, ..., s_{m-1}> and its minimal coset reps ------
-
-
-def negative_subset(w: SignedPermutation) -> tuple[int, ...]:
-    """The subset I = {|w(j)| : w(j) < 0}, i.e. the spin weight of w."""
-    return tuple(sorted(abs(v) for v in w.images if v < 0))
-
-
-def min_rep_from_subset(subset: Iterable[int], m: int) -> SignedPermutation:
-    """The minimal coset representative in W/W_P with negative entries I.
-
-    One-line form: the complement of I ascending, then I descending with
-    signs flipped.  Minimality and ell(w) = |lambda(I)| are enforced by the
-    test suite rather than assumed.
-    """
-    idx = sorted(set(subset))
-    pos = [k for k in range(1, m + 1) if k not in idx]
-    return SignedPermutation(tuple(pos) + tuple(-k for k in reversed(idx)))
-
-
-def min_coset_rep_of(w: SignedPermutation) -> SignedPermutation:
-    """Projection W -> W^P (minimal representative of w W_P); it fixes exactly W^P."""
-    return min_rep_from_subset(negative_subset(w), w.m)
-
-
-def coset_min_rep(lam: StrictPartition) -> SignedPermutation:
-    """The element of W^P indexed by a strict partition, with ell(w) = |lambda|."""
-    return min_rep_from_subset(to_subset(lam), lam.m)
-
-
-def partition_of(w: SignedPermutation) -> StrictPartition:
-    return from_subset(negative_subset(w), w.m)
+    images = list(one_line(subset, m))
+    images[i - 1], images[j - 1] = -images[j - 1], -images[i - 1]
+    flipped = tuple(sorted(set(subset) ^ {abs(images[i - 1]), abs(images[j - 1])}))
+    return flipped, tuple(images) == one_line(flipped, m)
 
 
 # -- the canonical reduced word of w^P and its reduced subwords ---------------
@@ -144,27 +53,23 @@ def canonical_wp_word(m: int) -> tuple[int, ...]:
     return tuple(word)
 
 
-def wp_element(m: int) -> SignedPermutation:
-    return word_product(canonical_wp_word(m), m)
-
-
 @lru_cache(maxsize=None)
 def wp_transitions(m: int) -> dict[tuple[int, ...], tuple[tuple[int, ...] | None, ...]]:
     """Left multiplication inside W^P that adds one to the length.
 
-    Keyed by the negative subset of w in W^P; entry i - 1 is the negative
+    Keyed by the negative subset I of w in W^P; entry i - 1 is the negative
     subset of s_i w when s_i w lies in W^P with ell(s_i w) = ell(w) + 1, and
-    None otherwise.  Read off the group product and the root-theoretic
-    length, for all 2^m elements of W^P and all m letters.
+    None otherwise.  s_i acts on the values of w: for i < m it swaps i and
+    i + 1, which adds a box to the partition exactly when i + 1 is in I and
+    i is not (I - {i+1} + {i}); s_m negates m, which adds the box of part 1
+    exactly when m is not in I (I + {m}).
     """
     table = {}
     for subset in all_subsets(m):
-        w = min_rep_from_subset(subset, m)
-        grown = length(w) + 1
         row = []
-        for i in range(1, m + 1):
-            v = simple_reflection(i, m) * w
-            row.append(negative_subset(v) if length(v) == grown and v == min_coset_rep_of(v) else None)
+        for i in range(1, m):
+            row.append(tuple(sorted(set(subset) - {i + 1} | {i})) if i + 1 in subset and i not in subset else None)
+        row.append(None if m in subset else subset + (m,))
         table[subset] = tuple(row)
     return table
 
@@ -215,17 +120,16 @@ def _subwords_to(word: tuple[int, ...], target: tuple[int, ...], m: int) -> tupl
     return tuple(sorted(subwords.get(target, ())))
 
 
-def reduced_subwords(word: Sequence[int], target: SignedPermutation) -> tuple[tuple[int, ...], ...]:
-    """All position subsets of `word` spelling a reduced expression of `target`.
+def reduced_subwords(word: Sequence[int], lam: StrictPartition) -> tuple[tuple[int, ...], ...]:
+    """All position subsets of `word` spelling a reduced expression of the
+    element of W^P indexed by `lam`.
 
     Positions are 1-based and returned sorted; the subword read in
-    increasing position order multiplies to `target` using exactly
-    ell(target) letters.  `target` must lie in W^P (ValueError otherwise):
-    the subwords come from the W^P dynamic programme, pruned to `target`.
+    increasing position order multiplies to that element using exactly
+    |lam| letters.  The subwords come from the W^P dynamic programme,
+    pruned to the target.
     """
-    if target != min_coset_rep_of(target):
-        raise ValueError(f"{target} is not a minimal coset representative (not in W^P)")
-    return _subwords_to(tuple(word), negative_subset(target), target.m)
+    return _subwords_to(tuple(word), to_subset(lam), lam.m)
 
 
 def complement_subwords(m: int) -> tuple[tuple[int, ...], ...]:
@@ -236,4 +140,4 @@ def complement_subwords(m: int) -> tuple[tuple[int, ...], ...]:
     is reduced; the subword at S then spells w^P s_m ... s_1, the element
     of W^P indexed by the staircase rho_{m-1}.  Sorted lexicographically.
     """
-    return reduced_subwords(canonical_wp_word(m), coset_min_rep(rho(m - 1, m)))
+    return reduced_subwords(canonical_wp_word(m), rho(m - 1, m))

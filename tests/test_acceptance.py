@@ -207,7 +207,6 @@ def test_criterion_5_projection_formulas():
     assert elapsed < 120
 
 
-@pytest.mark.slow
 def test_criterion_5_projection_formulas_m5():
     m = 5
     for j in range(2, m + 1):

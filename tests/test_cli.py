@@ -116,6 +116,17 @@ def test_tolerance_belongs_to_critical_only(capsys):
     assert json.loads(out)["tolerance"] == 0.5
 
 
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "0", "-0.5"])
+def test_critical_tolerance_must_be_finite_and_positive(capsys, monkeypatch, tolerance):
+    """A NaN or non-positive --tolerance would label every converged seed
+    wrong_value; it is refused before the search starts."""
+    monkeypatch.setattr(cli, "cmd_critical", lambda config: pytest.fail("the search ran"))
+    code = cli.main(["critical", "--m", "3", "--tolerance", tolerance])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "--tolerance" in captured.err
+
+
 def test_m_too_small_is_usage_error():
     assert cli.main(["verify", "theorem-w", "--m", "1"]) == 2
 

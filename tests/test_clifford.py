@@ -5,6 +5,7 @@ from itertools import combinations
 
 import pytest
 
+import weylgroup as wg
 from displays import expected_clifford_image, expected_iota_image, expected_middle_wedge
 from lgmirror import clifford as cl
 from lgmirror import partitions as pt
@@ -170,22 +171,20 @@ def test_spin_action_examples():
 
 
 def test_generator_ladder_builds_basis():
-    from lgmirror import weyl as wy
-
     for m in (2, 3):
         for lam in pt.all_strict_partitions(m):
-            w = wy.coset_min_rep(lam)
+            w = wg.coset_min_rep(lam)
             word = []
             cur = w
-            while wy.length(cur) > 0:
+            while wg.length(cur) > 0:
                 for i in range(1, m + 1):
-                    nxt = cur * wy.simple_reflection(i, m)
-                    if wy.length(nxt) < wy.length(cur):
+                    nxt = cur * wg.simple_reflection(i, m)
+                    if wg.length(nxt) < wg.length(cur):
                         word.append(i)
                         cur = nxt
                         break
             word.reverse()  # now w = s_{word[0]} ... s_{word[-1]}
-            assert wy.word_product(word, m) == w
+            assert wg.word_product(word, m) == w
             vec = cl.basis_vector((), m)
             for i in reversed(word):
                 vec = cl.spin_apply(cl.generator_clifford(i, "e", m), vec)
@@ -522,7 +521,6 @@ def test_projection_sends_elements_to_wedges(m):
         assert cl.pi_map(cl.build_N(j, m)) == cl.wedge_v_plus(j, m)
 
 
-@pytest.mark.slow
 def test_projection_sends_elements_to_wedges_m5():
     m = 5
     for j in range(2, m + 1):

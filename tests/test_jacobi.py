@@ -110,6 +110,20 @@ def test_gradient_matches_finite_differences():
             assert abs(fd - g[j]) / max(1.0, abs(g[j])) < 1e-8
 
 
+def test_gradient_matches_the_term_by_term_sum():
+    """1 - q inv (t M) equals the sum over monomials T of the derivatives
+    of t_T, for one point and for a stack."""
+    for m in (2, 3, 4, 5):
+        mask = jb.torus_monomials(m)
+        b = draw_starts(mask.shape[1], 4, 30 + m)
+        inv = 1.0 / b
+        terms = np.prod(np.where(mask, inv[:, None, :], 1.0), axis=-1)
+        want = 1.0 - (2 - 1j) * ((mask * terms[:, :, None]) * inv[:, None, :]).sum(axis=1)
+        got = jb.grad_w_tilde(b, 2 - 1j, mask)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        assert np.abs(jb.grad_w_tilde(b[1], 2 - 1j, mask) - want[1]).max() <= 1e-13 * np.abs(want[1]).max()
+
+
 def test_gradient_m2_explicit_formula():
     mask = jb.torus_monomials(2)
     b = np.array([1.3 - 0.2j, 0.7 + 0.4j, -1.1 + 0.9j])
@@ -404,6 +418,40 @@ def test_pluecker_rows_match_the_exact_spin_route_and_peel_back(m):
     back = jb.peel(rows, m)
     assert not back.blocked.any()
     assert np.abs(back.b - b).max() <= 1e-11 * np.abs(b).max()
+
+
+def dense_spin_factors(m):
+    """The dense float matrices F_{i_k}, k = 1..N, of the exact spin table."""
+    index = {s: k for k, s in enumerate(pt.all_subsets(m))}
+    letters = np.zeros((m, 2**m, 2**m))
+    for i in range(1, m + 1):
+        for row, col, _, entry in gr._spin_f_table(i, m):
+            letters[i - 1, index[row], index[col]] = entry.to_float()
+    return letters[np.array(wy.canonical_wp_word(m)) - 1]
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_sparse_spin_factors_match_the_dense_product(m):
+    """The index-array factors of the peel plan give p F, and pluecker_rows
+    its Pluecker rows, bit for bit as the dense products; the reach columns
+    are those of the dense boolean sweep."""
+    dense = dense_spin_factors(m)
+    factors, columns = jb._peel_plan(m)
+    b = draw_starts(len(dense), 6, 90 + m)
+    p = np.zeros((len(b), 2**m), dtype=complex)
+    p[:, 0] = 1.0
+    for k in range(len(dense), 0, -1):
+        pf = p @ dense[k - 1]
+        assert np.array_equal(jb._times(p, factors[k - 1]), pf), k
+        p += b[:, k - 1, None] * pf
+    assert (p != 0).all()  # generic b: every coordinate was compared nonzero
+    assert np.array_equal(jb.pluecker_rows(b, m), p)
+    reach = np.zeros(2**m, dtype=bool)
+    reach[0] = True
+    for f, cols in zip(dense[::-1], columns[::-1]):
+        grown = reach | (reach @ (f != 0))
+        assert np.array_equal(cols, np.flatnonzero(grown & ~reach))
+        reach = grown
 
 
 def test_pluecker_rows_keep_p_empty_one():

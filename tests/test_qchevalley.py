@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
 
+import weylgroup as wg
 from lgmirror import jacobi as jb
 from lgmirror import partitions as pt
 from lgmirror import qchevalley as qc
-from lgmirror import weyl as wy
 
 
 def test_positive_root_counts():
     for m in (2, 3, 4, 5):
-        roots = qc.positive_roots(m)
+        roots = wg.positive_roots(m)
         assert len(roots) == m * m
         outside = [r for r in roots if not r.in_parabolic]
         assert len(outside) == m * (m + 1) // 2
@@ -18,7 +18,7 @@ def test_positive_root_counts():
 def test_coroot_pairings():
     # long roots 2e_i have coroot e_i (pairing 1); short e_i+e_j pair to 2
     for m in (2, 3):
-        for r in qc.positive_roots(m):
+        for r in wg.positive_roots(m):
             if r.in_parabolic:
                 assert r.omega_m_pairing == 0
             elif 2 in r.vector:
@@ -29,15 +29,15 @@ def test_coroot_pairings():
 
 def test_reflection_of_long_root_is_sign_change():
     m = 3
-    long_last = next(r for r in qc.positive_roots(m) if r.vector == (0, 0, 2))
-    assert long_last.reflection == wy.simple_reflection(m, m)
+    long_last = next(r for r in wg.positive_roots(m) if r.vector == (0, 0, 2))
+    assert long_last.reflection == wg.simple_reflection(m, m)
 
 
 def test_reflections_are_involutions_with_root_action():
     for m in (2, 3):
-        for r in qc.positive_roots(m):
-            assert r.reflection * r.reflection == wy.identity(m)
-            assert wy.length(r.reflection) % 2 == 1
+        for r in wg.positive_roots(m):
+            assert r.reflection * r.reflection == wg.identity(m)
+            assert wg.length(r.reflection) % 2 == 1
 
 
 def pieri_oracle(lam: pt.StrictPartition, m: int) -> dict:
@@ -56,6 +56,15 @@ def pieri_oracle(lam: pt.StrictPartition, m: int) -> dict:
     if parts and parts[0] == m:
         out[(parts[1:], 1)] = 1
     return out
+
+
+@pytest.mark.parametrize("m", range(2, 8))
+def test_sigma1_table_matches_the_group_root_sum(m):
+    """The negative-subset root sum equals the one over signed permutations,
+    Root reflections and the root-count length, term by term."""
+    table = qc.sigma1_table(m)
+    for lam in pt.all_strict_partitions(m):
+        assert table[lam] == wg.chevalley_multiply(lam), lam
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])

@@ -169,7 +169,7 @@ def test_subword_count_equals_plucker_at_ones():
         word = wy.canonical_wp_word(m)
         p = sp.plucker_vector(ones, m, ring)
         for lam in pt.all_strict_partitions(m):
-            count = len(wy.reduced_subwords(word, wy.coset_min_rep(lam)))
+            count = len(wy.reduced_subwords(word, lam))
             assert p[lam] == frac(count)
 
 

@@ -5,6 +5,7 @@ from itertools import combinations, permutations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import weylgroup as wg
 from lgmirror import grouprep as gr
 from lgmirror import partitions as pt
 from lgmirror import superpotential as sp
@@ -16,16 +17,16 @@ from lgmirror.scalars import EXACT
 
 
 @lru_cache(maxsize=None)
-def oracle_reduced_subwords(word: tuple[int, ...], target: wy.SignedPermutation) -> tuple[tuple[int, ...], ...]:
+def oracle_reduced_subwords(word: tuple[int, ...], target: wg.SignedPermutation) -> tuple[tuple[int, ...], ...]:
     """Walk the positions left to right, keeping only length-increasing
     prefixes (every prefix of a reduced word is reduced)."""
     m = target.m
     n = len(word)
-    goal_len = wy.length(target)
-    refl = [wy.simple_reflection(i, m) for i in range(1, m + 1)]
+    goal_len = wg.length(target)
+    refl = [wg.simple_reflection(i, m) for i in range(1, m + 1)]
     out: list[tuple[int, ...]] = []
 
-    def walk(pos: int, cur: wy.SignedPermutation, cur_len: int, taken: tuple[int, ...]) -> None:
+    def walk(pos: int, cur: wg.SignedPermutation, cur_len: int, taken: tuple[int, ...]) -> None:
         if cur_len == goal_len:
             if cur == target:
                 out.append(taken)
@@ -34,10 +35,10 @@ def oracle_reduced_subwords(word: tuple[int, ...], target: wy.SignedPermutation)
             return
         for p in range(pos, n):
             nxt = cur * refl[word[p] - 1]
-            if wy.length(nxt) == cur_len + 1:
+            if wg.length(nxt) == cur_len + 1:
                 walk(p + 1, nxt, cur_len + 1, taken + (p + 1,))
 
-    walk(0, wy.identity(m), 0, ())
+    walk(0, wg.identity(m), 0, ())
     return tuple(sorted(out))
 
 
@@ -46,12 +47,12 @@ def oracle_complement_subwords(m: int) -> tuple[tuple[int, ...], ...]:
     """Every (N - m)-subset S of positions with (subword at S) * s_1 ... s_m = w^P."""
     word = wy.canonical_wp_word(m)
     n = len(word)
-    tail = wy.word_product(range(1, m + 1), m)
-    target = wy.wp_element(m)
+    tail = wg.word_product(range(1, m + 1), m)
+    target = wg.wp_element(m)
     return tuple(
         subset
         for subset in combinations(range(1, n + 1), n - m)
-        if wy.word_product([word[p - 1] for p in subset], m) * tail == target
+        if wg.word_product([word[p - 1] for p in subset], m) * tail == target
     )
 
 
@@ -63,10 +64,10 @@ def oracle_subwords_by_state(word: tuple[int, ...], m: int) -> dict[tuple[int, .
     return {state: tuple(sorted(subwords)) for state, subwords in sums.items()}
 
 
-def is_min_coset_rep(w: wy.SignedPermutation) -> bool:
+def is_min_coset_rep(w: wg.SignedPermutation) -> bool:
     """w lies in W^P: every s_i of W_P = <s_1..s_{m-1}> lengthens it."""
-    lw = wy.length(w)
-    return all(wy.length(w * wy.simple_reflection(i, w.m)) > lw for i in range(1, w.m))
+    lw = wg.length(w)
+    return all(wg.length(w * wg.simple_reflection(i, w.m)) > lw for i in range(1, w.m))
 
 
 def monomial_sum(subwords, b):
@@ -90,9 +91,8 @@ def check_routes_against_oracles(m: int, bs: list[Fraction]) -> None:
     dp = sp.plucker_subword_vector(b, m)
     for lam in pt.all_strict_partitions(m):
         image = gr.apply_factors(factors, {pt.to_subset(lam): EXACT.one})
-        target = wy.coset_min_rep(lam)
-        oracle = oracle_reduced_subwords(word, target)
-        assert wy.reduced_subwords(word, target) == oracle, lam
+        oracle = oracle_reduced_subwords(word, wg.coset_min_rep(lam))
+        assert wy.reduced_subwords(word, lam) == oracle, lam
         assert sweep[lam] == image.get((), EXACT.zero) == dp[lam] == monomial_sum(oracle, b), lam
     assert wy.complement_subwords(m) == oracle_complement_subwords(m)
     assert sp.laurent_numerator(b, m) == monomial_sum(oracle_complement_subwords(m), b)
@@ -100,9 +100,9 @@ def check_routes_against_oracles(m: int, bs: list[Fraction]) -> None:
 
 def bfs_lengths(m: int) -> dict[tuple[int, ...], int]:
     """True lengths of every element of W(B_m) by breadth-first word search."""
-    gens = [wy.simple_reflection(i, m) for i in range(1, m + 1)]
-    dist = {wy.identity(m).images: 0}
-    frontier = [wy.identity(m)]
+    gens = [wg.simple_reflection(i, m) for i in range(1, m + 1)]
+    dist = {wg.identity(m).images: 0}
+    frontier = [wg.identity(m)]
     while frontier:
         nxt = []
         for w in frontier:
@@ -120,30 +120,30 @@ def test_length_against_brute_force():
         dist = bfs_lengths(m)
         assert len(dist) == 2**m * __import__("math").factorial(m)
         for images, true_len in dist.items():
-            assert wy.length(wy.SignedPermutation(images)) == true_len
+            assert wg.length(wg.SignedPermutation(images)) == true_len
 
 
 def test_simple_reflection_relations():
     m = 4
     for i in range(1, m + 1):
-        s = wy.simple_reflection(i, m)
-        assert s * s == wy.identity(m)
-    s1, s3 = wy.simple_reflection(1, m), wy.simple_reflection(3, m)
+        s = wg.simple_reflection(i, m)
+        assert s * s == wg.identity(m)
+    s1, s3 = wg.simple_reflection(1, m), wg.simple_reflection(3, m)
     assert s1 * s3 == s3 * s1
 
 
 def test_longest_element_length():
-    assert wy.length(wy.word_product([2, 1, 2, 1], 2)) == 4
-    w0 = wy.word_product([1, 2, 1, 2], 2)
-    assert wy.length(w0) == 4  # m^2 for B_2
+    assert wg.length(wg.word_product([2, 1, 2, 1], 2)) == 4
+    w0 = wg.word_product([1, 2, 1, 2], 2)
+    assert wg.length(w0) == 4  # m^2 for B_2
 
 
 @given(st.integers(min_value=1, max_value=4), st.data())
 def test_length_changes_by_one(m, data):
     word = data.draw(st.lists(st.integers(min_value=1, max_value=m), max_size=8))
-    w = wy.word_product(word, m)
+    w = wg.word_product(word, m)
     for i in range(1, m + 1):
-        diff = wy.length(w * wy.simple_reflection(i, m)) - wy.length(w)
+        diff = wg.length(w * wg.simple_reflection(i, m)) - wg.length(w)
         assert diff in (-1, 1)
 
 
@@ -154,18 +154,18 @@ def test_canonical_wp_word():
         word = wy.canonical_wp_word(m)
         n = m * (m + 1) // 2
         assert len(word) == n
-        assert wy.length(wy.word_product(word, m)) == n  # reduced
-        assert wy.length(wy.wp_element(m)) == n
+        assert wg.length(wg.word_product(word, m)) == n  # reduced
+        assert wg.length(wg.wp_element(m)) == n
 
 
 def test_coset_min_rep_bijection():
     for m in range(1, 6):
         seen = set()
         for lam in pt.all_strict_partitions(m):
-            w = wy.coset_min_rep(lam)
-            assert wy.length(w) == lam.size
+            w = wg.coset_min_rep(lam)
+            assert wg.length(w) == lam.size
             assert is_min_coset_rep(w)
-            assert wy.partition_of(w) == lam
+            assert wg.partition_of(w) == lam
             seen.add(w.images)
         assert len(seen) == 2**m
 
@@ -177,58 +177,58 @@ def test_projection_fixes_exactly_the_min_coset_reps(m):
     members = 0
     for perm in permutations(range(1, m + 1)):
         for signs in product((1, -1), repeat=m):
-            w = wy.SignedPermutation(tuple(s * v for s, v in zip(signs, perm)))
-            inside = w == wy.min_coset_rep_of(w)
+            w = wg.SignedPermutation(tuple(s * v for s, v in zip(signs, perm)))
+            inside = w == wg.min_coset_rep_of(w)
             assert inside == is_min_coset_rep(w), w
             members += inside
     assert members == 2**m
 
 
 def test_coset_min_rep_examples():
-    assert wy.coset_min_rep(pt.empty(2)) == wy.identity(2)
-    assert wy.coset_min_rep(pt.partition((1,), 2)) == wy.simple_reflection(2, 2)
-    s1, s2 = wy.simple_reflection(1, 2), wy.simple_reflection(2, 2)
-    assert wy.coset_min_rep(pt.partition((2,), 2)) == s1 * s2
+    assert wg.coset_min_rep(pt.empty(2)) == wg.identity(2)
+    assert wg.coset_min_rep(pt.partition((1,), 2)) == wg.simple_reflection(2, 2)
+    s1, s2 = wg.simple_reflection(1, 2), wg.simple_reflection(2, 2)
+    assert wg.coset_min_rep(pt.partition((2,), 2)) == s1 * s2
 
 
 def test_min_coset_projection():
     m = 3
     for lam in pt.all_strict_partitions(m):
-        w = wy.coset_min_rep(lam)
+        w = wg.coset_min_rep(lam)
         for parab in ([1], [2], [1, 2]):
             v = w
             for i in parab:
-                v = v * wy.simple_reflection(i, m)
-            assert wy.min_coset_rep_of(v) == w
+                v = v * wg.simple_reflection(i, m)
+            assert wg.min_coset_rep_of(v) == w
 
 
 def test_reduced_subwords():
-    s2 = wy.simple_reflection(2, 2)
-    assert wy.reduced_subwords((2, 1, 2), s2) == ((1,), (3,))
-    assert wy.reduced_subwords((2, 1, 2), wy.identity(2)) == ((),)
-    assert wy.reduced_subwords((2, 1, 2), wy.wp_element(2)) == ((1, 2, 3),)
+    # the targets s_2, the identity and w^P of m = 2
+    assert wy.reduced_subwords((2, 1, 2), pt.partition((1,), 2)) == ((1,), (3,))
+    assert wy.reduced_subwords((2, 1, 2), pt.empty(2)) == ((),)
+    assert wy.reduced_subwords((2, 1, 2), pt.partition((2, 1), 2)) == ((1, 2, 3),)
 
 
 def test_reduced_subwords_are_reduced_expressions():
     m = 3
     word = wy.canonical_wp_word(m)
     for lam in pt.all_strict_partitions(m):
-        target = wy.coset_min_rep(lam)
-        for positions in wy.reduced_subwords(word, target):
+        target = wg.coset_min_rep(lam)
+        for positions in wy.reduced_subwords(word, lam):
             assert len(positions) == lam.size
-            assert wy.word_product([word[p - 1] for p in positions], m) == target
+            assert wg.word_product([word[p - 1] for p in positions], m) == target
 
 
 def test_complement_subwords():
     assert wy.complement_subwords(2) == ((1,), (3,))
     for m in (2, 3, 4):
         n = m * (m + 1) // 2
-        tail = wy.word_product(range(1, m + 1), m)
-        target = wy.wp_element(m)
+        tail = wg.word_product(range(1, m + 1), m)
+        target = wg.wp_element(m)
         word = wy.canonical_wp_word(m)
         for subset in wy.complement_subwords(m):
             assert len(subset) == n - m
-            assert wy.word_product([word[p - 1] for p in subset], m) * tail == target
+            assert wg.word_product([word[p - 1] for p in subset], m) * tail == target
 
 
 @pytest.mark.parametrize("m", range(2, 8))
@@ -239,19 +239,43 @@ def test_pruned_subwords_match_the_all_state_listing(m):
     listing = oracle_subwords_by_state(word, m)
     if m <= 5:
         for subset in pt.all_subsets(m):
-            assert wy.reduced_subwords(word, wy.min_rep_from_subset(subset, m)) == listing.get(subset, ()), subset
+            assert wy.reduced_subwords(word, pt.from_subset(subset, m)) == listing.get(subset, ()), subset
     assert wy.complement_subwords(m) == listing[pt.to_subset(pt.rho(m - 1, m))]
 
 
 def test_reduced_subwords_reject_target_outside_wp():
-    m = 3
-    word = wy.canonical_wp_word(m)
-    for outside in (wy.simple_reflection(1, m), wy.wp_element(m) * wy.simple_reflection(2, m)):
-        assert not is_min_coset_rep(outside)
-        with pytest.raises(ValueError):
-            wy.reduced_subwords(word, outside)
+    """The target is a strict partition, so it always lies in W^P; a word
+    with a letter outside 1..m is still rejected."""
     with pytest.raises(ValueError):
-        wy.reduced_subwords((1, 4), wy.identity(m))
+        wy.reduced_subwords((1, 4), pt.empty(3))
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_reflection_rule_matches_the_group_product(m):
+    """For every w in W^P and every root alpha = e_i + e_j (i < j) or 2 e_i,
+    times_reflection gives the negative subset of the signed permutation
+    w s_alpha and whether it lies in W^P; one_line gives w itself."""
+    inside = outside = 0
+    for subset in pt.all_subsets(m):
+        w = wg.min_rep_from_subset(subset, m)
+        assert wy.one_line(subset, m) == w.images
+        for root in wg.positive_roots(m):
+            if root.in_parabolic:
+                continue
+            support = [k for k, c in enumerate(root.vector, start=1) if c]
+            ws = w * root.reflection
+            member = is_min_coset_rep(ws)
+            assert wy.times_reflection(subset, support[0], support[-1], m) == (wg.negative_subset(ws), member)
+            inside += member
+            outside += not member
+    assert inside and (outside or m == 1)
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+def test_add_a_box_rule_matches_the_group_product(m):
+    """wp_transitions equals the table read off the signed-permutation
+    product s_i w and the root-count length."""
+    assert wy.wp_transitions(m) == wg.wp_transitions(m)
 
 
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=9)
