@@ -6,7 +6,9 @@ splitmix64 with numerators in [-9, 9] \\ {0} and denominators in [1, 9];
 points hitting a divisor are redrawn and the redraw count is reported.
 Only `critical` loads the numerical layer (`jacobi`, and with it numpy);
 it is deterministic without a seed and ignores --trials and --seed.
-Exit codes: 0 success, 1 verification failure, 2 usage error.
+Exit codes: 0 success, 1 verification failure, 2 usage error.  Usage
+errors include a `--t` whose q = exp(t) is not finite or rounds to 0, and
+an `--out` file that cannot be written (found after the work is done).
 """
 
 from __future__ import annotations
@@ -61,8 +63,12 @@ def sample_b(m: int, stream) -> list[Fraction]:
             return b
 
 
-def _emit(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2)
+def _json(payload: dict) -> str:
+    return json.dumps(payload, sort_keys=True, indent=2)
+
+
+def _emit(text: str, out: str | None) -> None:
+    """Write the report to the file `out`, or to stdout."""
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")
@@ -75,15 +81,11 @@ def _emit(payload: dict, out: str | None) -> None:
 
 def cmd_print_w(config: RunConfig) -> int:
     terms = sp.symbolic_W(config.m)
-    if config.fmt in ("text", "latex"):
-        output = sp.render_text(terms) if config.fmt == "text" else sp.render_latex(terms)
-        if config.out:
-            with open(config.out, "w") as fh:
-                fh.write(output + "\n")
-        else:
-            print(output)
+    if config.fmt == "json":
+        text = _json({"schema": SCHEMA, "m": config.m, "terms": sp.render_json_terms(terms)})
     else:
-        _emit({"schema": SCHEMA, "m": config.m, "terms": sp.render_json_terms(terms)}, config.out)
+        text = sp.render_text(terms) if config.fmt == "text" else sp.render_latex(terms)
+    _emit(text, config.out)
     return 0
 
 
@@ -184,7 +186,7 @@ def cmd_verify(config: RunConfig, suite: str) -> int:
     if not ok:
         first_bad = next(r for r in records if not r["ok"])
         payload["counterexample"] = first_bad
-    _emit(payload, config.out)
+    _emit(_json(payload), config.out)
     return 0 if ok else 1
 
 
@@ -204,7 +206,7 @@ def cmd_critical(config: RunConfig) -> int:
         and report["spectrum_match"]["max_rel_err"] < config.tolerance
     )
     report["ok"] = ok
-    _emit(report, config.out)
+    _emit(_json(report), config.out)
     return 0 if ok else 1
 
 
@@ -257,6 +259,8 @@ def config_from_args(args) -> RunConfig:
             q = Fraction(math.exp(args.t)).limit_denominator(10**12)
         except (OverflowError, ValueError) as exc:
             raise ValueError(f"--t {args.t}: q = exp(t) is not a finite number") from exc
+        if q == 0:
+            raise ValueError(f"--t {args.t}: q = exp(t) rounds to 0 at denominators up to 10^12")
     return RunConfig(
         m=args.m,
         q=q,
@@ -292,6 +296,9 @@ def main(argv: list[str] | None = None) -> int:
         return cmd_critical(config)
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"error: cannot write --out {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2
 
 

@@ -7,9 +7,9 @@ all other generator pairs anticommuting.  The module provides
 
 * sparse Clifford elements with exact Q(sqrt2) coefficients and the
   normalization-based product,
-* the exterior algebra and the antisymmetrization isomorphisms alpha_+/-
-  (with inverse), computed by the contraction recursion
-  alpha(v ^ x) = v * alpha(x) - alpha(contract_v x),
+* the exterior algebra and the antisymmetrization isomorphism alpha
+  (Chevalley's quantization map) with its inverse, both one closed-form
+  Wick sum over the pairs {i, bar(i)} of a monomial,
 * the spin representation on subsets of {1..m} and the induced
   identification of either parity of Cl(V) with End(V_Spin); its inverse
   writes each matrix unit monomial by monomial, with no Clifford product,
@@ -114,17 +114,6 @@ class CliffordElement(Combination):
     """Sparse sum of ordered monomials v_S, S an ascending subset of 1..2m+1,
     with Q(sqrt2) coefficients."""
 
-    def is_homogeneous_parity(self) -> bool:
-        pars = {len(k) % 2 for k in self.coeffs}
-        return len(pars) <= 1
-
-    def dump(self) -> str:
-        lines = [
-            f"{c} * v{list(k)}"
-            for k, c in sorted(self.coeffs.items(), key=lambda kv: (len(kv[0]), kv[0]))
-        ]
-        return "\n".join(lines) if lines else "0"
-
 
 def cl_monomial(indices: Subset, m: int, c: QSqrt2 = QS2_ONE) -> CliffordElement:
     """The ordered product over the given index sequence (not necessarily sorted)."""
@@ -196,63 +185,43 @@ def _perm_sign(seq: Subset) -> int:
     return -1 if inversions % 2 else 1
 
 
-def _contract_vector(k: int, key: Subset, m: int) -> list[tuple[Subset, Fraction]]:
-    """Interior product of v_k with a wedge monomial, via Phi."""
-    out = []
-    for pos, idx in enumerate(key):
-        phi = pairing(k, idx, m)
-        if phi:
-            sign = -1 if pos % 2 else 1
-            out.append((key[:pos] + key[pos + 1:], sign * phi))
-    return out
-
-
 def antisymmetrize(x: ExteriorElement) -> CliffordElement:
-    """The Chevalley quantization map alpha: wedge V -> Cl(V).
+    """The Chevalley quantization map alpha: wedge V -> Cl(V), by `_wick`."""
+    return _apply_wick(x, CliffordElement(x.m), -1)
 
-    Computed by alpha(v_k ^ y) = v_k * alpha(y) - alpha(contract_{v_k} y);
-    on a wedge monomial the image is the ordered Clifford monomial plus
-    lower-degree corrections, so the map is filtration-triangular.
-    """
-    m = x.m
-    out = CliffordElement(m)
+
+def antisymmetrize_inv(x: CliffordElement) -> ExteriorElement:
+    """The inverse of `antisymmetrize`, by `_wick`."""
+    return _apply_wick(x, ExteriorElement(x.m), 1)
+
+
+def _apply_wick(x: Combination, out: C, sign: int) -> C:
     for key, c in x.coeffs.items():
-        for mono, coeff in _alpha_monomial(key, m):
+        for mono, coeff in _wick(key, x.m, sign):
             out.add_term(mono, c * QSqrt2.from_fraction(coeff))
     return out
 
 
 @lru_cache(maxsize=None)
-def _alpha_monomial(key: Subset, m: int) -> tuple[tuple[Subset, Fraction], ...]:
-    if len(key) <= 1:
-        return ((key, Fraction(1)),)
-    k, rest = key[0], key[1:]
-    acc: dict[Subset, Fraction] = {}
-    for mono, coeff in _alpha_monomial(rest, m):
-        for mono2, coeff2 in _normalize((k,) + mono, m):
-            acc[mono2] = acc.get(mono2, Fraction(0)) + coeff * coeff2
-    for sub, phi in _contract_vector(k, rest, m):
-        for mono, coeff in _alpha_monomial(sub, m):
-            acc[mono] = acc.get(mono, Fraction(0)) - phi * coeff
-    return tuple((s, c) for s, c in acc.items() if c)
+def _wick(key: Subset, m: int, sign: int) -> tuple[tuple[Subset, Fraction], ...]:
+    """Wick's theorem on the monomial `key`: alpha^{-1} (sign +1) or alpha (sign -1).
 
-
-def antisymmetrize_inv(x: CliffordElement) -> ExteriorElement:
-    """Inverse of `antisymmetrize` on a parity-homogeneous element."""
-    if not x.is_homogeneous_parity():
-        raise ValueError("antisymmetrize_inv requires a purely even or odd element")
-    m = x.m
-    out = ExteriorElement(m)
-    rest = CliffordElement(m, dict(x.coeffs))
-    while rest.coeffs:
-        top = max(len(k) for k in rest.coeffs)
-        layer = ExteriorElement(m, {k: c for k, c in rest.coeffs.items() if len(k) == top})
-        out.coeffs.update(layer.coeffs)  # a new, lower degree each round
-        for key, c in antisymmetrize(layer).coeffs.items():
-            rest.add_term(key, -c)
-        if any(len(k) >= top for k in rest.coeffs):
-            raise ArithmeticError("antisymmetrization failed to be triangular")
-    return out
+    The only pairs of `key` with Phi != 0 are {i, bar(i)}, i <= m.  Over the
+    sets P of such pairs the image is the sum of
+    sign^{|P|} sgn(P || key - P) prod_{i in P} Phi(v_i, v_bar(i)) times the
+    monomial key - P, where P || key - P lays the pairs out first.
+    """
+    pairs = [(i, bar(i, m)) for i in key if i <= m and bar(i, m) in key]
+    terms = []
+    for r in range(len(pairs) + 1):
+        for chosen in combinations(pairs, r):
+            head = tuple(k for pair in chosen for k in pair)
+            rest = tuple(k for k in key if k not in head)
+            c = Fraction(sign**r * _perm_sign(head + rest))
+            for i, j in chosen:
+                c *= pairing(i, j, m)
+            terms.append((rest, c))
+    return tuple(terms)
 
 
 # -- the spin representation --------------------------------------------------

@@ -127,17 +127,6 @@ class QSqrt2:
     def to_float(self) -> float:
         return float(self.a) + float(self.b) * math.sqrt(2)
 
-    def to_str(self) -> str:
-        """Serialize as "a+b*sqrt2" with p/q components, e.g. "1/2+-3*sqrt2"."""
-        return f"{self.a}+{self.b}*sqrt2"
-
-    @classmethod
-    def from_str(cls, s: str) -> QSqrt2:
-        head, _, tail = s.partition("+")
-        if not tail.endswith("*sqrt2"):
-            raise ValueError(f"malformed QSqrt2 string {s!r}")
-        return cls(Fraction(head), Fraction(tail[: -len("*sqrt2")]))
-
     def __repr__(self) -> str:
         return f"QSqrt2({self.a!r}, {self.b!r})"
 

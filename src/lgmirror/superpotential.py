@@ -1,6 +1,6 @@
 """The superpotential W_t in Pluecker coordinates and its Laurent form.
 
-Pluecker coordinates are evaluated on the unitriangular representative
+Pluecker coordinates are evaluated on the unipotent representative
 u2bar (so p_empty = 1) by two independent algorithms: the spin-matrix
 route and the reduced-subword route.  The quadratic numerators and
 denominators of the middle terms of W_t are signed sums over row

@@ -144,6 +144,37 @@ def test_t_overflow_is_usage_error(capsys):
     assert "exp(t)" in captured.err
 
 
+@pytest.mark.parametrize("command", ["verify", "critical"])
+def test_t_rounding_to_q_zero_is_usage_error(capsys, monkeypatch, command):
+    """exp(-30) rounds to 0 at denominators up to 10^12; that is refused
+    before any work instead of running at q = 0."""
+    for name in ("cmd_verify", "cmd_critical"):
+        monkeypatch.setattr(cli, name, lambda *args: pytest.fail("the command ran"))
+    argv = ["verify", "theorem-w"] if command == "verify" else ["critical"]
+    code = cli.main(argv + ["--m", "2", "--t", "-30"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: --t -30")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "em", "--m", "2", "--trials", "1"], ["print-w", "--m", "2"], ["print-w", "--m", "2", "--format", "json"]],
+    ids=["verify", "print-w-text", "print-w-json"],
+)
+def test_out_file_matches_stdout_and_unwritable_out_is_usage_error(capsys, tmp_path, argv):
+    code, out = run(capsys, *argv)
+    assert code == 0
+    written = tmp_path / "report.txt"
+    assert cli.main(argv + ["--out", str(written)]) == 0
+    assert written.read_text() == out
+    missing = tmp_path / "missing" / "report.txt"
+    code = cli.main(argv + ["--out", str(missing)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: cannot write --out") and str(missing) in captured.err
+
+
 @pytest.mark.parametrize("suite,m", [("em", 7), ("subword", 6)])
 def test_exact_suites_at_large_m(capsys, suite, m):
     code, out = run(capsys, "verify", suite, "--m", str(m), "--trials", "1")

@@ -48,11 +48,6 @@ def test_rational_part_never_aliases(x):
     assert x.is_rational() == (x.b == 0)
 
 
-@given(qsqrt2s)
-def test_string_serialization_roundtrip(x):
-    assert QSqrt2.from_str(x.to_str()) == x
-
-
 def test_power():
     x = QSqrt2(1, 1)
     assert x**3 == x * x * x
