@@ -7,17 +7,20 @@ points hitting a divisor are redrawn and the redraw count is reported.
 Only `critical` loads the numerical layer (`jacobi`, and with it numpy);
 it is deterministic without a seed and ignores --trials and --seed.
 Exit codes: 0 success, 1 verification failure, 2 usage error.  Usage
-errors include a `--t` whose q = exp(t) is not finite or rounds to 0, and
-an `--out` file that cannot be written (found after the work is done).
+errors are found from the parsed flags before any work (where `--t` becomes
+q, once): among them a `--t` whose q = exp(t) is not finite or rounds to 0,
+and an `--out` whose directory is missing or not writable.  The file is
+opened only to write the report, so a refused run truncates no report.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
+import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from lgmirror import grouprep as gr
@@ -26,22 +29,11 @@ from lgmirror import superpotential as sp
 from lgmirror.scalars import QSqrt2, splitmix64
 
 SCHEMA = "lg-mirror/1"
-# `critical` takes 48 MB at m = 8 and 150 MB and 2.6 s at m = 9, most of it
-# the (seeds x monomials x N) complex temporary of the monomial values, 84 MiB
-# for the 480 peeled seeds of m = 9; at m = 10 (up to 1024 seeds, 512
-# monomials, N = 55) it would take 440 MiB.
+# `critical` takes 0.4 s and 45 MB at m = 8, 1.8 s and 143 MB at m = 9 (fresh
+# process, one BLAS thread, 2-vCPU Xeon VM), most of it the (seeds x monomials
+# x N) temporary of the monomial values: 84 MiB for the 480 seeds of m = 9, and
+# at m = 10 (up to 1024 seeds, 512 monomials, N = 55) it would take 440 MiB.
 MAX_CRITICAL_M = 9
-
-
-@dataclass
-class RunConfig:
-    m: int
-    q: Fraction
-    seed: int
-    trials: int
-    fmt: str
-    tolerance: float
-    out: str | None
 
 
 def rational_stream(seed: int):
@@ -79,13 +71,13 @@ def _emit(text: str, out: str | None) -> None:
 # -- print-w ------------------------------------------------------------------
 
 
-def cmd_print_w(config: RunConfig) -> int:
-    terms = sp.symbolic_W(config.m)
-    if config.fmt == "json":
-        text = _json({"schema": SCHEMA, "m": config.m, "terms": sp.render_json_terms(terms)})
+def cmd_print_w(args: argparse.Namespace) -> int:
+    terms = sp.symbolic_W(args.m)
+    if args.format == "json":
+        text = _json({"schema": SCHEMA, "m": args.m, "terms": sp.render_json_terms(terms)})
     else:
-        text = sp.render_text(terms) if config.fmt == "text" else sp.render_latex(terms)
-    _emit(text, config.out)
+        text = sp.render_text(terms) if args.format == "text" else sp.render_latex(terms)
+    _emit(text, args.out)
     return 0
 
 
@@ -168,46 +160,37 @@ def _suite_extras(suite: str, m: int) -> dict:
     return {}
 
 
-def cmd_verify(config: RunConfig, suite: str) -> int:
-    records, redraws = _suite_records(suite, config.m, config.q, config.trials, config.seed)
+def cmd_verify(args: argparse.Namespace) -> int:
+    records, redraws = _suite_records(args.suite, args.m, args.q, args.trials, args.seed)
     ok = all(r["ok"] for r in records)
     payload = {
         "schema": SCHEMA,
-        "suite": suite,
-        "m": config.m,
-        "q": str(config.q),
-        "trials": config.trials,
-        "seed": config.seed,
+        "suite": args.suite,
+        "m": args.m,
+        "q": str(args.q),
+        "trials": args.trials,
+        "seed": args.seed,
         "divisor_redraws": redraws,
         "ok": ok,
         "records": records,
     }
-    payload.update(_suite_extras(suite, config.m))
+    payload.update(_suite_extras(args.suite, args.m))
     if not ok:
         first_bad = next(r for r in records if not r["ok"])
         payload["counterexample"] = first_bad
-    _emit(_json(payload), config.out)
+    _emit(_json(payload), args.out)
     return 0 if ok else 1
 
 
 # -- critical -----------------------------------------------------------------
 
 
-def cmd_critical(config: RunConfig) -> int:
-    if config.q == 0:
-        print("error: critical point search needs q != 0", file=sys.stderr)
-        return 2
+def cmd_critical(args: argparse.Namespace) -> int:
     from lgmirror import jacobi as jb
 
-    report = jb.critical_report(config.m, complex(config.q), tolerance=config.tolerance)
-    report["tolerance"] = config.tolerance
-    ok = (
-        report["spectrum_match"]["count"] == report["spectrum_match"]["expected_count"]
-        and report["spectrum_match"]["max_rel_err"] < config.tolerance
-    )
-    report["ok"] = ok
-    _emit(_json(report), config.out)
-    return 0 if ok else 1
+    report = jb.critical_report(args.m, complex(args.q), tolerance=args.tolerance)
+    _emit(_json(report), args.out)
+    return 0 if report["ok"] else 1
 
 
 def _fraction(text: str) -> Fraction:
@@ -224,12 +207,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_q=True):
+    def common(p):
         p.add_argument("--m", type=int, required=True, help="rank of the Lagrangian Grassmannian, m >= 2")
-        if with_q:
-            q_group = p.add_mutually_exclusive_group()
-            q_group.add_argument("--q", type=_fraction, default=Fraction(1), help="quantum parameter (rational)")
-            q_group.add_argument("--t", type=float, default=None, help="use q = exp(t)")
+        q_group = p.add_mutually_exclusive_group()
+        q_group.add_argument("--q", type=_fraction, default=Fraction(1), help="quantum parameter (rational)")
+        q_group.add_argument("--t", type=float, default=None, help="use q = exp(t)")
         p.add_argument("--trials", type=int, default=25)
         p.add_argument("--seed", type=int, default=1)
         p.add_argument("--out", type=str, default=None, help="write the report to FILE")
@@ -252,48 +234,56 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args) -> RunConfig:
-    q = getattr(args, "q", Fraction(1))
-    if getattr(args, "t", None) is not None:
-        try:
-            q = Fraction(math.exp(args.t)).limit_denominator(10**12)
-        except (OverflowError, ValueError) as exc:
-            raise ValueError(f"--t {args.t}: q = exp(t) is not a finite number") from exc
-        if q == 0:
-            raise ValueError(f"--t {args.t}: q = exp(t) rounds to 0 at denominators up to 10^12")
-    return RunConfig(
-        m=args.m,
-        q=q,
-        seed=getattr(args, "seed", 1),
-        trials=getattr(args, "trials", 25),
-        fmt=getattr(args, "format", "text"),
-        tolerance=getattr(args, "tolerance", 1e-6),
-        out=args.out,
-    )
+def _q_of_t(t: float) -> Fraction:
+    try:
+        q = Fraction(math.exp(t)).limit_denominator(10**12)
+    except (OverflowError, ValueError) as exc:
+        raise ValueError(f"--t {t}: q = exp(t) is not a finite number") from exc
+    if q == 0:
+        raise ValueError(f"--t {t}: q = exp(t) rounds to 0 at denominators up to 10^12")
+    return q
+
+
+def _check_out(out: str) -> None:
+    """Raise the OSError that opening `out` for writing would meet in a
+    missing or unwritable directory, without opening (truncating) it."""
+    folder = os.path.dirname(out) or "."
+    if not os.path.isdir(folder):
+        code = errno.ENOTDIR if os.path.exists(folder) else errno.ENOENT
+    elif not os.access(out if os.path.exists(out) else folder, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise OSError(code, os.strerror(code), out)
+
+
+def _check(args: argparse.Namespace) -> None:
+    """Refuse the flags before any work, by a ValueError naming the fault or
+    the OSError of an unwritable --out; turns --t into q."""
+    if args.command != "print-w":
+        critical = args.command == "critical"
+        if args.m < 2:
+            raise ValueError("need m >= 2")
+        if critical and args.m > MAX_CRITICAL_M:
+            raise ValueError(f"critical needs m <= {MAX_CRITICAL_M}, got {args.m}")
+        if critical and not (math.isfinite(args.tolerance) and args.tolerance > 0):
+            raise ValueError(f"need a finite --tolerance > 0, got {args.tolerance}")
+        if args.trials < 1:
+            raise ValueError("need --trials >= 1")
+        if args.t is not None:
+            args.q = _q_of_t(args.t)
+        if critical and args.q == 0:
+            raise ValueError("critical point search needs q != 0")
+    if args.out:
+        _check_out(args.out)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command != "print-w" and args.m < 2:
-        print("error: need m >= 2", file=sys.stderr)
-        return 2
-    if args.command == "critical" and args.m > MAX_CRITICAL_M:
-        print(f"error: critical needs m <= {MAX_CRITICAL_M}, got {args.m}", file=sys.stderr)
-        return 2
-    if args.command == "critical" and not (math.isfinite(args.tolerance) and args.tolerance > 0):
-        print(f"error: need a finite --tolerance > 0, got {args.tolerance}", file=sys.stderr)
-        return 2
-    if getattr(args, "trials", 1) < 1:
-        print("error: need --trials >= 1", file=sys.stderr)
-        return 2
+    args = build_parser().parse_args(argv)
+    commands = {"print-w": cmd_print_w, "verify": cmd_verify, "critical": cmd_critical}
     try:
-        config = config_from_args(args)
-        if args.command == "print-w":
-            return cmd_print_w(config)
-        if args.command == "verify":
-            return cmd_verify(config, args.suite)
-        return cmd_critical(config)
+        _check(args)
+        return commands[args.command](args)
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -21,21 +21,20 @@ all other generator pairs anticommuting.  The module provides
   denominators and numerators of the superpotential, built from the
   signed partition pairs of lgmirror.partitions.
 
-Every container is a `Combination`: a sparse linear combination that keeps
-no zero coefficient.
+Every container is a `scalars.Combination`: a sparse linear combination
+that keeps no zero coefficient.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from typing import TypeVar
 
 from lgmirror import partitions as pt
 from lgmirror.partitions import StrictPartition
-from lgmirror.scalars import QS2_ONE, QSqrt2
+from lgmirror.scalars import QS2_ONE, Combination, QSqrt2
 
 Subset = tuple[int, ...]
 
@@ -56,55 +55,6 @@ def pairing(i: int, j: int, m: int) -> Fraction:
     if i + j == 2 * m + 2:
         return Fraction(epsilon(i, m), 2)
     return Fraction(0)
-
-
-# -- sparse linear combinations ---------------------------------------------
-
-
-C = TypeVar("C", bound="Combination")
-
-
-@dataclass
-class Combination:
-    """Sparse linear combination: key -> nonzero Q(sqrt2) coefficient.
-
-    `+`, `-` and `scale` return the caller's class with its other fields
-    unchanged; equality is the dataclass one (same class, equal fields).
-    """
-
-    m: int
-    coeffs: dict = field(default_factory=dict)
-
-    def _canonical(self, key):
-        """The one spelling of a key that has several (overridden by SymSquare)."""
-        return key
-
-    def add_term(self, key, c) -> None:
-        """Add c to the coefficient of key, dropping it if the sum is zero."""
-        key = self._canonical(key)
-        cur = self.coeffs.get(key)
-        new = c if cur is None else cur + c
-        if new:
-            self.coeffs[key] = new
-        else:
-            self.coeffs.pop(key, None)
-
-    def __add__(self: C, other: C) -> C:
-        out = replace(self, coeffs=dict(self.coeffs))
-        for k, c in other.coeffs.items():
-            out.add_term(k, c)
-        return out
-
-    def __sub__(self: C, other: C) -> C:
-        out = replace(self, coeffs=dict(self.coeffs))
-        for k, c in other.coeffs.items():
-            out.add_term(k, -c)
-        return out
-
-    def scale(self: C, c) -> C:
-        if not c:
-            return replace(self, coeffs={})
-        return replace(self, coeffs={k: v * c for k, v in self.coeffs.items()})
 
 
 # -- Clifford elements -------------------------------------------------------
@@ -195,7 +145,7 @@ def antisymmetrize_inv(x: CliffordElement) -> ExteriorElement:
     return _apply_wick(x, ExteriorElement(x.m), 1)
 
 
-def _apply_wick(x: Combination, out: C, sign: int) -> C:
+def _apply_wick(x: Combination, out: Combination, sign: int) -> Combination:
     for key, c in x.coeffs.items():
         for mono, coeff in _wick(key, x.m, sign):
             out.add_term(mono, c * QSqrt2.from_fraction(coeff))

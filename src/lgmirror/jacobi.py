@@ -39,7 +39,6 @@ from lgmirror import qchevalley as qc
 from lgmirror import weyl as wy
 from lgmirror.partitions import StrictPartition
 
-GRAD_TOL = 1e-10
 POLISH_TOL = 1e-12
 # A peel pivot below PIVOT_TOL * max|p| blocks the eigenvector.  For q <= 81
 # and m <= 5 the pivots of torus points are 1.5e-5 or more and the blocked
@@ -335,7 +334,7 @@ def sigma1_matrix(m: int, q_value: complex) -> np.ndarray:
     index = {lam: k for k, lam in enumerate(basis)}
     out = np.zeros((len(basis), len(basis)), dtype=complex)
     for col, product in enumerate(qc.sigma1_table(m).values()):
-        for (mu_, d), c in product.terms.items():
+        for (mu_, d), c in product.coeffs.items():
             out[index[mu_], col] += c * q_value**d
     return out
 
@@ -375,11 +374,13 @@ def _seed_entry(seed: Seed) -> dict:
 
 def critical_report(m: int, q: complex, tolerance: float = 1e-6) -> dict:
     """Full machine-readable report: the fate of every eigenvalue, points,
-    spectrum match, conjecture probes."""
+    spectrum match, conjecture probes, and `ok`: all 2^m points found, each
+    value within `tolerance` of (m+1) times its eigenvalue."""
     seeds = spectrum_seeds(m, q, tolerance)
     found = [s for s in seeds if s.point is not None]
     points = [s.point for s in found]
     errors = [_rel_err(s.point.value, s.eigenvalue_scaled) for s in found]
+    max_rel_err = max(errors) if len(points) == 2**m else float("inf")
     return {
         "schema": "lg-mirror/2",
         "m": m,
@@ -396,7 +397,7 @@ def critical_report(m: int, q: complex, tolerance: float = 1e-6) -> dict:
         "spectrum_match": {
             "count": len(points),
             "expected_count": 2**m,
-            "max_rel_err": max(errors) if len(points) == 2**m else float("inf"),
+            "max_rel_err": max_rel_err,
             "eigenvalues_scaled": [[s.eigenvalue_scaled.real, s.eigenvalue_scaled.imag] for s in seeds],
         },
         "conjecture": [
@@ -408,4 +409,6 @@ def critical_report(m: int, q: complex, tolerance: float = 1e-6) -> dict:
             }
             for l, max_dev in enumerate(conjecture_probe(m, q, points), start=1)
         ],
+        "tolerance": tolerance,
+        "ok": max_rel_err < tolerance,
     }

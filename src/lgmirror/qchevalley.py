@@ -21,8 +21,11 @@ reproduces the known Pieri products (enforced by the tests).
 that of pi(w s_alpha), and whether w s_alpha lies in W^P; the length of an
 element of W^P is the size of its partition.
 
-`sigma1_table` holds the root sums of one m, computed once; the numerical
-sigma_1 matrix built from it lives in `lgmirror.jacobi`, so no numpy here.
+A quantum class is a `CohClass`: the package's one sparse container,
+`scalars.Combination`, keyed by (lambda, d) for q^d sigma_lambda, with
+integer coefficients.  `sigma1_table` holds the root sums of one m,
+computed once; the numerical sigma_1 matrix built from it lives in
+`lgmirror.jacobi`, so no numpy here.
 """
 
 from __future__ import annotations
@@ -34,25 +37,11 @@ from typing import Mapping
 from lgmirror import partitions as pt
 from lgmirror import weyl as wy
 from lgmirror.partitions import StrictPartition
+from lgmirror.scalars import Combination
 
 
-class CohClass:
-    """Integer combination of q^d sigma_lambda, as a dict {(lambda, d): coeff}."""
-
-    def __init__(self, m: int, terms: dict[tuple[StrictPartition, int], int] | None = None):
-        self.m = m
-        self.terms = {k: v for k, v in (terms or {}).items() if v}
-
-    def add(self, lam: StrictPartition, d: int, coeff: int) -> None:
-        key = (lam, d)
-        new = self.terms.get(key, 0) + coeff
-        if new:
-            self.terms[key] = new
-        else:
-            self.terms.pop(key, None)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, CohClass) and self.m == other.m and self.terms == other.terms
+class CohClass(Combination):
+    """Integer combination of q^d sigma_lambda: coeffs {(lambda, d): coeff}."""
 
 
 def chevalley_multiply(lam: StrictPartition) -> CohClass:
@@ -67,9 +56,9 @@ def chevalley_multiply(lam: StrictPartition) -> CohClass:
             image, in_wp = wy.times_reflection(subset, i, j, m)
             size = sum(m + 1 - k for k in image)
             if in_wp and size == grown:
-                out.add(pt.from_subset(image, m), 0, c)
+                out.add_term((pt.from_subset(image, m), 0), c)
             elif size == grown - (m + 1) * c:
-                out.add(pt.from_subset(image, m), c, c)
+                out.add_term((pt.from_subset(image, m), c), c)
     return out
 
 
@@ -84,8 +73,8 @@ def sigma1_table(m: int) -> Mapping[StrictPartition, CohClass]:
 def verify_relation_l1(m: int) -> bool:
     """sigma_1 * sigma_(m) - sigma_() * sigma_(m,1) = q, exactly."""
     expected = CohClass(m)
-    expected.add(pt.partition((m, 1), m), 0, 1)
-    expected.add(pt.empty(m), 1, 1)
+    expected.add_term((pt.partition((m, 1), m), 0), 1)
+    expected.add_term((pt.empty(m), 1), 1)
     return sigma1_table(m)[pt.partition((m,), m)] == expected
 
 
@@ -94,7 +83,7 @@ def grading_violations(m: int) -> list[str]:
     or positivity; empty if the operator is consistent."""
     bad = []
     for lam, product in sigma1_table(m).items():
-        for (mu_, d), c in product.terms.items():
+        for (mu_, d), c in product.coeffs.items():
             if mu_.size + (m + 1) * d != lam.size + 1:
                 bad.append(f"sigma{lam.render()}: q^{d} sigma{mu_.render()} breaks the degree law")
             if c < 0 or not isinstance(c, int):
@@ -108,7 +97,7 @@ def multiplication_table(m: int) -> dict[str, list[dict]]:
     for lam, product in sigma1_table(m).items():
         rows = [
             {"partition": list(mu_.parts), "q_power": d, "coeff": c}
-            for (mu_, d), c in sorted(product.terms.items(), key=lambda kv: (kv[0][1], kv[0][0]))
+            for (mu_, d), c in sorted(product.coeffs.items(), key=lambda kv: (kv[0][1], kv[0][0]))
         ]
         table[lam.render()] = rows
     return table

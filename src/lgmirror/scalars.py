@@ -7,15 +7,19 @@ exact equality.  The exact layer computes in Q(sqrt2) only; the numerical
 layer (`jacobi`) reads the exact spin tables once, as floats, and computes
 in numpy.  `EXACT` is the one `ScalarRing`: the zero, the one and the
 embedding of Q, for callers that read them there rather than from
-`QSqrt2`.  `splitmix64` draws every random number.
+`QSqrt2`.  `Combination` is the one sparse container of the package, a
+linear combination that keeps no zero coefficient: the Clifford, exterior
+and spin elements of `clifford` (Q(sqrt2) coefficients) and the quantum
+classes of `qchevalley` (integer coefficients) are its subclasses.
+`splitmix64` draws every random number.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Callable, Union
+from typing import Callable, TypeVar, Union
 
 
 def _as_fraction(x: Union[int, Fraction]) -> Fraction:
@@ -152,6 +156,55 @@ class ScalarRing:
 
 
 EXACT = ScalarRing(zero=QS2_ZERO, one=QS2_ONE, from_fraction=QSqrt2.from_fraction)
+
+
+# -- sparse linear combinations -------------------------------------------------
+
+
+C = TypeVar("C", bound="Combination")
+
+
+@dataclass
+class Combination:
+    """Sparse linear combination: key -> nonzero coefficient.
+
+    `+`, `-` and `scale` return the caller's class with its other fields
+    unchanged; equality is the dataclass one (same class, equal fields).
+    """
+
+    m: int
+    coeffs: dict = field(default_factory=dict)
+
+    def _canonical(self, key):
+        """The one spelling of a key that has several (overridden by clifford.SymSquare)."""
+        return key
+
+    def add_term(self, key, c) -> None:
+        """Add c to the coefficient of key, dropping it if the sum is zero."""
+        key = self._canonical(key)
+        cur = self.coeffs.get(key)
+        new = c if cur is None else cur + c
+        if new:
+            self.coeffs[key] = new
+        else:
+            self.coeffs.pop(key, None)
+
+    def __add__(self: C, other: C) -> C:
+        out = replace(self, coeffs=dict(self.coeffs))
+        for k, c in other.coeffs.items():
+            out.add_term(k, c)
+        return out
+
+    def __sub__(self: C, other: C) -> C:
+        out = replace(self, coeffs=dict(self.coeffs))
+        for k, c in other.coeffs.items():
+            out.add_term(k, -c)
+        return out
+
+    def scale(self: C, c) -> C:
+        if not c:
+            return replace(self, coeffs={})
+        return replace(self, coeffs={k: v * c for k, v in self.coeffs.items()})
 
 
 def splitmix64(state: int):

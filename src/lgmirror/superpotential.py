@@ -2,8 +2,10 @@
 
 Pluecker coordinates are evaluated on the unipotent representative
 u2bar (so p_empty = 1) by two independent algorithms: the spin-matrix
-route and the reduced-subword route.  The quadratic numerators and
-denominators of the middle terms of W_t are signed sums over row
+route and the reduced-subword route.  The m+1 terms of W_t are one
+list, `symbolic_W(m)`: print-w renders it and eval_W evaluates it, and
+term l sits over the divisor D_l.  The quadratic numerators and
+denominators of the middle terms are signed sums over row
 removals/additions of the staircase and maximal partitions, read from
 lgmirror.partitions with their signs.  Verification helpers check the
 pullback identity W = W-tilde, the minor identities, the numerator
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from lgmirror import grouprep as gr
@@ -70,41 +73,72 @@ def plucker_subword_vector(b: list, m: int) -> dict[StrictPartition, object]:
 
 # -- the terms of W_t ---------------------------------------------------------
 
+Product = tuple[StrictPartition, ...]
 
-def _eval_terms(terms, p: dict):
+
+@dataclass(frozen=True)
+class WTermSymbolic:
+    """One of the m+1 summands: signed products over signed products, times q^q_power."""
+
+    numerator: tuple[tuple[int, Product], ...]
+    denominator: tuple[tuple[int, Product], ...]
+    q_power: int
+
+
+@lru_cache(maxsize=None)
+def symbolic_W(m: int) -> tuple[WTermSymbolic, ...]:
+    """The m+1 terms of W_t, term l over the divisor D_l: print-w renders
+    them, eval_W evaluates them, and every caller shares them (frozen)."""
+    if m < 2:
+        raise ValueError("symbolic_W needs m >= 2")
+    middle = (
+        WTermSymbolic(
+            tuple((s, (a, bb)) for s, a, bb in pt.numerator_terms(l, m)),
+            tuple((s, (a, bb)) for s, a, bb in pt.denominator_terms(l, m)),
+            0,
+        )
+        for l in range(1, m)
+    )
+    return (
+        WTermSymbolic(((1, (pt.rho_plus(0, m),)),), ((1, (pt.rho(0, m),)),), 0),
+        *middle,
+        WTermSymbolic(((1, (pt.rho(m - 1, m),)),), ((1, (pt.rho(m, m),)),), 1),
+    )
+
+
+def _eval_sum(items: tuple[tuple[int, Product], ...], p: dict):
     total = QS2_ZERO
-    for sign, lam1, lam2 in terms:
-        prod = p[lam1] * p[lam2]
+    for sign, factors in items:
+        prod = p[factors[0]]
+        for lam in factors[1:]:
+            prod = prod * p[lam]
         total = total + prod if sign > 0 else total - prod
     return total
 
 
 def eval_denominator(l: int, p: dict, m: int, ring: ScalarRing = EXACT):
-    return _eval_terms(pt.denominator_terms(l, m), p)
+    """The denominator of term l of symbolic_W(m), the equation of D_l."""
+    return _eval_sum(symbolic_W(m)[l].denominator, p)
 
 
 def eval_numerator(l: int, p: dict, m: int, ring: ScalarRing = EXACT):
-    return _eval_terms(pt.numerator_terms(l, m), p)
+    """The numerator of term l of symbolic_W(m)."""
+    return _eval_sum(symbolic_W(m)[l].numerator, p)
 
 
 def eval_W(q, p: dict, m: int, ring: ScalarRing = EXACT):
-    """W_t at the point with Pluecker values p, with q = e^t.
-
-    Raises DivisorError naming the vanishing denominator D_l.
-    """
-    p_empty = p[pt.empty(m)]
-    if not p_empty:
-        raise DivisorError(0)
-    total = p[pt.rho_plus(0, m)] / p_empty
-    for l in range(1, m):
-        den = eval_denominator(l, p, m)
+    """W_t at the point with Pluecker values p, with q = e^t: the terms of
+    symbolic_W(m).  Raises DivisorError(l) at the first vanishing denominator."""
+    total = QS2_ZERO
+    for l, term in enumerate(symbolic_W(m)):
+        den = _eval_sum(term.denominator, p)
         if not den:
             raise DivisorError(l)
-        total = total + eval_numerator(l, p, m) / den
-    p_top = p[pt.rho(m, m)]
-    if not p_top:
-        raise DivisorError(m)
-    return total + q * p[pt.rho(m - 1, m)] / p_top
+        value = _eval_sum(term.numerator, p) / den
+        for _ in range(term.q_power):
+            value = q * value
+        total = total + value
+    return total
 
 
 def laurent_numerator(b: list, m: int):
@@ -134,7 +168,6 @@ def eval_W_tilde(q, b: list, m: int):
 @dataclass
 class CheckReport:
     ok: bool
-    name: str
     detail: str = ""
 
     def __bool__(self) -> bool:
@@ -151,8 +184,8 @@ def verify_theorem_w(m: int, q, b: list, *, p: Optional[dict] = None) -> CheckRe
     lhs = eval_W(q, p, m)
     rhs = eval_W_tilde(q, b, m)
     if lhs == rhs:
-        return CheckReport(True, "theorem-w")
-    return CheckReport(False, "theorem-w", f"W = {lhs} but W-tilde = {rhs}")
+        return CheckReport(True)
+    return CheckReport(False, f"W = {lhs} but W-tilde = {rhs}")
 
 
 def verify_sym_to_minor(
@@ -179,13 +212,13 @@ def verify_sym_to_minor(
     den_sum = eval_denominator(l, p, m)
     den_minor = gr.minor(u2, rows, list(range(j, j + m + 1)))
     if den_sum != den_minor:
-        return CheckReport(False, "sym-to-minor", f"D side: sum {den_sum} != minor {den_minor}")
+        return CheckReport(False, f"D side: sum {den_sum} != minor {den_minor}")
     num_sum = eval_numerator(l, p, m)
     num_cols = [j - 1] + list(range(j + 1, j + m + 1))
     num_minor = gr.minor(u2, rows, num_cols)
     if num_sum != num_minor:
-        return CheckReport(False, "sym-to-minor", f"N side: sum {num_sum} != minor {num_minor}")
-    return CheckReport(True, "sym-to-minor")
+        return CheckReport(False, f"N side: sum {num_sum} != minor {num_minor}")
+    return CheckReport(True)
 
 
 def verify_fj_minors(m: int, j: int, b: list, *, u2: Optional[gr.Matrix] = None) -> CheckReport:
@@ -202,11 +235,11 @@ def verify_fj_minors(m: int, j: int, b: list, *, u2: Optional[gr.Matrix] = None)
     den = gr.minor(u2, rows, list(range(j + 1, j + m + 2)))
     fj = gr.extract_f_coeff(u2, j)
     if not den or fj * den != num:
-        return CheckReport(False, "fj-minors", f"f_{j}* = {fj}, minors {num}/{den}")
+        return CheckReport(False, f"f_{j}* = {fj}, minors {num}/{den}")
     vanishing = gr.minor(u2, [j + 1] + rows, list(range(j, j + m + 2)))
     if vanishing:
-        return CheckReport(False, "fj-minors", f"vanishing minor is {vanishing}")
-    return CheckReport(True, "fj-minors")
+        return CheckReport(False, f"vanishing minor is {vanishing}")
+    return CheckReport(True)
 
 
 def verify_em_formula(m: int, b: list, *, p: Optional[dict] = None) -> CheckReport:
@@ -222,8 +255,8 @@ def verify_em_formula(m: int, b: list, *, p: Optional[dict] = None) -> CheckRepo
     lhs = laurent_numerator(b, m) * p[pt.rho(m, m)]
     rhs = p[pt.rho(m - 1, m)] * prod
     if lhs == rhs:
-        return CheckReport(True, "em-formula")
-    return CheckReport(False, "em-formula", f"{lhs} != {rhs}")
+        return CheckReport(True)
+    return CheckReport(False, f"{lhs} != {rhs}")
 
 
 def verify_subword_route(m: int, b: list, *, p: Optional[dict] = None) -> CheckReport:
@@ -236,45 +269,14 @@ def verify_subword_route(m: int, b: list, *, p: Optional[dict] = None) -> CheckR
     subword = plucker_subword_vector(b, m)
     for lam, lhs in p.items():
         if lhs != subword[lam]:
-            return CheckReport(False, "subword", f"p_{lam.render()}: spin {lhs} != subword {subword[lam]}")
-    return CheckReport(True, "subword")
+            return CheckReport(False, f"p_{lam.render()}: spin {lhs} != subword {subword[lam]}")
+    return CheckReport(True)
 
 
-# -- the symbolic form --------------------------------------------------------
+# -- rendering the terms of W_t ----------------------------------------------
 
 
-@dataclass
-class WTermSymbolic:
-    """One of the m+1 summands: signed products over signed products, times q^q_power."""
-
-    numerator: list[tuple[int, tuple[StrictPartition, ...]]]
-    denominator: list[tuple[int, tuple[StrictPartition, ...]]]
-    q_power: int
-
-
-def symbolic_W(m: int) -> list[WTermSymbolic]:
-    if m < 2:
-        raise ValueError("symbolic_W needs m >= 2")
-    terms = [
-        WTermSymbolic(
-            [(1, (pt.rho_plus(0, m),))], [(1, (pt.rho(0, m),))], 0
-        )
-    ]
-    for l in range(1, m):
-        terms.append(
-            WTermSymbolic(
-                [(s, (a, bb)) for s, a, bb in pt.numerator_terms(l, m)],
-                [(s, (a, bb)) for s, a, bb in pt.denominator_terms(l, m)],
-                0,
-            )
-        )
-    terms.append(
-        WTermSymbolic([(1, (pt.rho(m - 1, m),))], [(1, (pt.rho(m, m),))], 1)
-    )
-    return terms
-
-
-def _render_product(factors: tuple[StrictPartition, ...], fmt: str) -> str:
+def _render_product(factors: Product, fmt: str) -> str:
     if fmt == "text":
         names = [f"p{lam.render()}" for lam in factors]
     else:
@@ -284,7 +286,7 @@ def _render_product(factors: tuple[StrictPartition, ...], fmt: str) -> str:
     return "".join(names) if fmt == "text" else " ".join(names)
 
 
-def _render_sum(terms: list[tuple[int, tuple[StrictPartition, ...]]], fmt: str) -> str:
+def _render_sum(terms: tuple[tuple[int, Product], ...], fmt: str) -> str:
     parts = []
     for k, (sign, factors) in enumerate(terms):
         body = _render_product(factors, fmt)
@@ -295,7 +297,7 @@ def _render_sum(terms: list[tuple[int, tuple[StrictPartition, ...]]], fmt: str) 
     return "".join(parts)
 
 
-def render_text(terms: list[WTermSymbolic]) -> str:
+def render_text(terms: Sequence[WTermSymbolic]) -> str:
     chunks = []
     for term in terms:
         num = _render_sum(term.numerator, "text")
@@ -311,7 +313,7 @@ def render_text(terms: list[WTermSymbolic]) -> str:
     return " + ".join(chunks)
 
 
-def render_latex(terms: list[WTermSymbolic]) -> str:
+def render_latex(terms: Sequence[WTermSymbolic]) -> str:
     chunks = []
     for term in terms:
         num = _render_sum(term.numerator, "latex")
@@ -323,7 +325,7 @@ def render_latex(terms: list[WTermSymbolic]) -> str:
     return " + ".join(chunks)
 
 
-def render_json_terms(terms: list[WTermSymbolic]) -> list[dict]:
+def render_json_terms(terms: Sequence[WTermSymbolic]) -> list[dict]:
     def sum_json(items):
         return [
             {"sign": sign, "factors": [list(lam.parts) for lam in factors]}

@@ -162,17 +162,22 @@ def test_t_rounding_to_q_zero_is_usage_error(capsys, monkeypatch, command):
     [["verify", "em", "--m", "2", "--trials", "1"], ["print-w", "--m", "2"], ["print-w", "--m", "2", "--format", "json"]],
     ids=["verify", "print-w-text", "print-w-json"],
 )
-def test_out_file_matches_stdout_and_unwritable_out_is_usage_error(capsys, tmp_path, argv):
+def test_out_file_matches_stdout_and_unwritable_out_is_usage_error(capsys, monkeypatch, tmp_path, argv):
+    """An --out in a missing directory, or under a file, is refused before
+    the command runs."""
     code, out = run(capsys, *argv)
     assert code == 0
     written = tmp_path / "report.txt"
     assert cli.main(argv + ["--out", str(written)]) == 0
     assert written.read_text() == out
-    missing = tmp_path / "missing" / "report.txt"
-    code = cli.main(argv + ["--out", str(missing)])
-    captured = capsys.readouterr()
-    assert code == 2 and captured.out == ""
-    assert captured.err.startswith("error: cannot write --out") and str(missing) in captured.err
+    for name in ("cmd_print_w", "cmd_verify", "cmd_critical"):
+        monkeypatch.setattr(cli, name, lambda *args: pytest.fail("the command ran"))
+    for bad, reason in ((tmp_path / "missing" / "report.txt", "No such file or directory"), (written / "x", "Not a directory")):
+        code = cli.main(argv + ["--out", str(bad)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: cannot write --out {bad}: {reason}\n"
+    assert written.read_text() == out
 
 
 @pytest.mark.parametrize("suite,m", [("em", 7), ("subword", 6)])

@@ -70,7 +70,7 @@ def test_sigma1_table_matches_the_group_root_sum(m):
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
 def test_chevalley_matches_pieri_rule(m):
     for lam in pt.all_strict_partitions(m):
-        got = {(mu.parts, d): c for (mu, d), c in qc.chevalley_multiply(lam).terms.items()}
+        got = {(mu.parts, d): c for (mu, d), c in qc.chevalley_multiply(lam).coeffs.items()}
         assert got == pieri_oracle(lam, m), lam
 
 
@@ -78,14 +78,14 @@ def test_spec_products():
     # sigma_1 * sigma_() = sigma_(1)
     for m in (2, 3, 5):
         out = qc.chevalley_multiply(pt.empty(m))
-        assert out.terms == {(pt.partition((1,), m), 0): 1}
+        assert out.coeffs == {(pt.partition((1,), m), 0): 1}
     # m=2: sigma_1 * sigma_(2,1) = q sigma_(1)
     out = qc.chevalley_multiply(pt.partition((2, 1), 2))
-    assert out.terms == {(pt.partition((1,), 2), 1): 1}
+    assert out.coeffs == {(pt.partition((1,), 2), 1): 1}
     # sigma_1 * sigma_(m) = sigma_(m,1) + q
     for m in (2, 3, 4):
         out = qc.chevalley_multiply(pt.partition((m,), m))
-        assert out.terms == {
+        assert out.coeffs == {
             (pt.partition((m, 1), m), 0): 1,
             (pt.empty(m), 1): 1,
         }
@@ -104,7 +104,7 @@ def test_grading_and_positivity(m):
 def test_classical_limit_has_no_q():
     m = 3
     for lam in pt.all_strict_partitions(m):
-        classical = {k: v for k, v in qc.chevalley_multiply(lam).terms.items() if k[1] == 0}
+        classical = {k: v for k, v in qc.chevalley_multiply(lam).coeffs.items() if k[1] == 0}
         for (mu, _), c in classical.items():
             assert mu.size == lam.size + 1
 

@@ -233,3 +233,63 @@ def test_symbolic_latex_structure():
     tex = sp.render_latex(sp.symbolic_W(2))
     assert tex.count("\\frac") == 3
     assert "p_{\\emptyset}" in tex and "q\\," in tex
+
+
+def _json_sum(items, p):
+    total = Fraction(0)
+    for item in items:
+        prod = Fraction(1)
+        for parts in item["factors"]:
+            prod *= p[tuple(parts)]
+        total += item["sign"] * prod
+    return total
+
+
+def _on_divisor(terms, l, p):
+    """p moved onto the denominator of term l, off those of the terms before
+    it, by solving for one factor that enters it linearly; None if no factor
+    does at this p."""
+    factors = sorted({tuple(parts) for item in terms[l]["den"] for parts in item["factors"]})
+    for x in factors:
+        den = {t: _json_sum(terms[l]["den"], {**p, x: Fraction(t)}) for t in (-1, 0, 1)}
+        slope, curve = (den[1] - den[-1]) / 2, (den[1] + den[-1]) / 2 - den[0]
+        if curve or not slope:
+            continue
+        moved = {**p, x: -den[0] / slope}
+        if _json_sum(terms[l]["den"], moved) == 0 and all(_json_sum(t["den"], moved) for t in terms[:l]):
+            return moved
+    return None
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_printed_w_is_the_evaluated_w(capsys, m):
+    """The terms of `print-w --format json`, evaluated in Fractions at seeded
+    rational points, equal eval_W there; a point on the denominator of term l
+    (and off those before it) makes eval_W raise DivisorError(l)."""
+    assert cli.main(["print-w", "--m", str(m), "--format", "json"]) == 0
+    terms = json.loads(capsys.readouterr().out)["terms"]
+    assert len(terms) == m + 1
+    basis = pt.all_strict_partitions(m)
+    stream = cli.rational_stream(61 + m)
+    q = Fraction(7, 3)
+
+    def exact(p):
+        return {lam: QSqrt2.from_fraction(p[lam.parts]) for lam in basis}
+
+    checked = 0
+    for _ in range(6):
+        p = {lam.parts: next(stream) for lam in basis}
+        dens = [_json_sum(t["den"], p) for t in terms]
+        if not all(dens):
+            continue
+        printed = sum(q ** t["q_power"] * _json_sum(t["num"], p) / den for t, den in zip(terms, dens))
+        assert sp.eval_W(QSqrt2.from_fraction(q), exact(p), m) == printed
+        checked += 1
+    assert checked >= 5
+    for l in range(m + 1):
+        draws = (_on_divisor(terms, l, {lam.parts: next(stream) for lam in basis}) for _ in range(10))
+        moved = next((p for p in draws if p is not None), None)
+        assert moved is not None, f"no point found on D_{l}"
+        with pytest.raises(sp.DivisorError) as exc:
+            sp.eval_W(QSqrt2.from_fraction(q), exact(moved), m)
+        assert exc.value.l == l

@@ -219,9 +219,9 @@ def chevalley_multiply(lam: StrictPartition) -> CohClass:
         ws = w * root.reflection
         proj = min_coset_rep_of(ws)
         if ws == proj and _length_cached(ws.images) == lw + 1:
-            out.add(partition_of(ws), 0, c)
+            out.add_term((partition_of(ws), 0), c)
             continue
         n_alpha = (m + 1) * c
         if _length_cached(proj.images) == lw + 1 - n_alpha:
-            out.add(partition_of(proj), c, c)
+            out.add_term((partition_of(proj), c), c)
     return out
