@@ -196,7 +196,7 @@ def cmd_critical(args: argparse.Namespace) -> int:
 def _fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a rational: {text}") from exc
 
 
@@ -260,10 +260,10 @@ def _check_out(out: str) -> None:
 def _check(args: argparse.Namespace) -> None:
     """Refuse the flags before any work, by a ValueError naming the fault or
     the OSError of an unwritable --out; turns --t into q."""
+    if args.m < 2:
+        raise ValueError("need m >= 2")
     if args.command != "print-w":
         critical = args.command == "critical"
-        if args.m < 2:
-            raise ValueError("need m >= 2")
         if critical and args.m > MAX_CRITICAL_M:
             raise ValueError(f"critical needs m <= {MAX_CRITICAL_M}, got {args.m}")
         if critical and not (math.isfinite(args.tolerance) and args.tolerance > 0):

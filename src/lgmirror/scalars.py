@@ -1,8 +1,10 @@
 """Exact scalars: Q(sqrt2) as a quadratic extension of Q.
 
 Rationals are `fractions.Fraction` (arbitrary precision, always normalized,
-structural equality).  `QSqrt2` is the field Q(sqrt2) stored as a pair
-(a, b) meaning a + b*sqrt2; every identity downstream is then decidable by
+structural equality).  `QSqrt2` is the field Q(sqrt2), stored as three
+integers (a, b, d) meaning (a + b*sqrt2)/d over one common denominator
+d > 0 with gcd(a, b, d) = 1, so that each operation needs one gcd and
+equality stays structural; every identity downstream is then decidable by
 exact equality.  The exact layer computes in Q(sqrt2) only; the numerical
 layer (`jacobi`) reads the exact spin tables once, as floats, and computes
 in numpy.  `EXACT` is the one `ScalarRing`: the zero, the one and the
@@ -21,27 +23,35 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, TypeVar, Union
 
+_gcd = math.gcd
 
-def _as_fraction(x: Union[int, Fraction]) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
+
+def _parts(x: Union[int, Fraction]) -> tuple[int, int]:
+    """Numerator and denominator of an int or Fraction."""
     if isinstance(x, int):
-        return Fraction(x)
+        return int(x), 1
+    if isinstance(x, Fraction):
+        return x.numerator, x.denominator
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
 class QSqrt2:
-    """Element a + b*sqrt2 of Q(sqrt2), with a, b exact rationals.
+    """Element (a + b*sqrt2)/d of Q(sqrt2): integers a, b, d with d > 0 and
+    gcd(a, b, d) = 1, zero being (0, 0, 1).
 
-    Immutable and hashable.  Division uses the conjugate: the norm
-    a^2 - 2b^2 vanishes only at 0 because sqrt2 is irrational.
+    Immutable and hashable; `.a` and `.b` are the rational coefficients.
+    Division uses the conjugate: the integer norm a^2 - 2b^2 vanishes only
+    at a = b = 0 because sqrt2 is irrational.
     """
 
-    __slots__ = ("a", "b")
+    __slots__ = ("_a", "_b", "_d")
 
-    def __init__(self, a: Union[int, Fraction] = 0, b: Union[int, Fraction] = 0) -> None:
-        object.__setattr__(self, "a", _as_fraction(a))
-        object.__setattr__(self, "b", _as_fraction(b))
+    def __new__(cls, a: Union[int, Fraction] = 0, b: Union[int, Fraction] = 0) -> QSqrt2:
+        na, da = _parts(a)
+        nb, db = _parts(b)
+        d = da * db // _gcd(da, db)
+        # a prime dividing d divides da or db fully, hence not na or nb: no gcd left to divide out
+        return _make(na * (d // da), nb * (d // db), d)
 
     def __setattr__(self, name, value):
         raise AttributeError("QSqrt2 is immutable")
@@ -50,64 +60,82 @@ class QSqrt2:
 
     @classmethod
     def from_fraction(cls, x: Union[int, Fraction]) -> QSqrt2:
-        return cls(_as_fraction(x), Fraction(0))
+        num, den = _parts(x)
+        return _make(num, 0, den)
 
     @classmethod
     def sqrt2(cls) -> QSqrt2:
-        return cls(0, 1)
+        return _make(0, 1, 1)
+
+    # -- coefficients ------------------------------------------------------
+
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     # -- predicates --------------------------------------------------------
 
     def is_rational(self) -> bool:
-        return self.b == 0
+        return self._b == 0
 
     def __bool__(self) -> bool:
-        return self.a != 0 or self.b != 0
+        return self._a != 0 or self._b != 0
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, QSqrt2):
-            return self.a == other.a and self.b == other.b
+            return self._a == other._a and self._b == other._b and self._d == other._d
         if isinstance(other, (int, Fraction)):
-            return self.b == 0 and self.a == other
+            return self._b == 0 and (self._a, self._d) == _parts(other)
         return NotImplemented
 
     def __hash__(self) -> int:
-        if self.b == 0:
-            return hash(self.a)
-        return hash((self.a, self.b))
+        if self._b == 0:
+            return hash(self._a if self._d == 1 else Fraction(self._a, self._d))
+        return hash((self._a, self._b, self._d))
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: QSqrt2) -> QSqrt2:
         if not isinstance(other, QSqrt2):
             return NotImplemented
-        return QSqrt2(self.a + other.a, self.b + other.b)
+        d = self._d
+        if d == other._d:
+            return _reduced(self._a + other._a, self._b + other._b, d)
+        e = other._d
+        return _reduced(self._a * e + other._a * d, self._b * e + other._b * d, d * e)
 
     def __sub__(self, other: QSqrt2) -> QSqrt2:
         if not isinstance(other, QSqrt2):
             return NotImplemented
-        return QSqrt2(self.a - other.a, self.b - other.b)
+        d = self._d
+        if d == other._d:
+            return _reduced(self._a - other._a, self._b - other._b, d)
+        e = other._d
+        return _reduced(self._a * e - other._a * d, self._b * e - other._b * d, d * e)
 
     def __neg__(self) -> QSqrt2:
-        return QSqrt2(-self.a, -self.b)
+        return _make(-self._a, -self._b, self._d)
 
     def __mul__(self, other: QSqrt2) -> QSqrt2:
         if not isinstance(other, QSqrt2):
             return NotImplemented
         # (a1 + b1 r)(a2 + b2 r) = a1 a2 + 2 b1 b2 + (a1 b2 + a2 b1) r
-        return QSqrt2(
-            self.a * other.a + 2 * self.b * other.b,
-            self.a * other.b + self.b * other.a,
-        )
+        a1, b1, a2, b2 = self._a, self._b, other._a, other._b
+        return _reduced(a1 * a2 + 2 * b1 * b2, a1 * b2 + b1 * a2, self._d * other._d)
 
     def inverse(self) -> QSqrt2:
-        norm = self.a * self.a - 2 * self.b * self.b
-        if norm == 0:
-            # a^2 = 2 b^2 with rational a, b forces a = b = 0
-            if self:
-                raise ArithmeticError(f"norm 0 at the nonzero {self!r}: coefficients are not rational")
+        # d / (a + b r) = d (a - b r) / (a^2 - 2 b^2)
+        a, b, d = self._a, self._b, self._d
+        if not (a or b):
             raise ZeroDivisionError("inverse of zero in Q(sqrt2)")
-        return QSqrt2(self.a / norm, -self.b / norm)
+        norm = a * a - 2 * b * b
+        if norm < 0:
+            return _reduced(-a * d, b * d, -norm)
+        return _reduced(a * d, -b * d, norm)
 
     def __truediv__(self, other: QSqrt2) -> QSqrt2:
         if not isinstance(other, QSqrt2):
@@ -117,7 +145,7 @@ class QSqrt2:
     def __pow__(self, n: int) -> QSqrt2:
         if n < 0:
             return self.inverse() ** (-n)
-        out = QSqrt2(1)
+        out = QS2_ONE
         base = self
         while n:
             if n & 1:
@@ -129,17 +157,43 @@ class QSqrt2:
     # -- conversions -------------------------------------------------------
 
     def to_float(self) -> float:
-        return float(self.a) + float(self.b) * math.sqrt(2)
+        # int / int rounds correctly, as float(Fraction) does
+        return self._a / self._d + self._b / self._d * math.sqrt(2)
 
     def __repr__(self) -> str:
         return f"QSqrt2({self.a!r}, {self.b!r})"
 
     def __str__(self) -> str:
-        if self.b == 0:
-            return str(self.a)
-        if self.a == 0:
-            return f"{self.b}*sqrt2"
-        return f"{self.a}{'+' if self.b > 0 else '-'}{abs(self.b)}*sqrt2"
+        a, b = self.a, self.b
+        if b == 0:
+            return str(a)
+        if a == 0:
+            return f"{b}*sqrt2"
+        return f"{a}{'+' if b > 0 else '-'}{abs(b)}*sqrt2"
+
+
+_new = object.__new__
+_set_a = QSqrt2._a.__set__
+_set_b = QSqrt2._b.__set__
+_set_d = QSqrt2._d.__set__
+
+
+def _make(a: int, b: int, d: int) -> QSqrt2:
+    """The element (a + b*sqrt2)/d, already in canonical form.  The slot
+    setters write past the raising __setattr__ without building a Fraction."""
+    x = _new(QSqrt2)
+    _set_a(x, a)
+    _set_b(x, b)
+    _set_d(x, d)
+    return x
+
+
+def _reduced(a: int, b: int, d: int) -> QSqrt2:
+    """The element (a + b*sqrt2)/d for d > 0, with gcd(a, b, d) divided out."""
+    g = _gcd(a, b, d)
+    if g != 1:
+        return _make(a // g, b // g, d // g)
+    return _make(a, b, d)
 
 
 QS2_ZERO = QSqrt2(0)

@@ -14,6 +14,13 @@ def run(capsys, *argv):
     return code, out
 
 
+def python(*argv) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter on the package sources."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env, timeout=120)
+
+
 def test_print_w_text(capsys):
     code, out = run(capsys, "print-w", "--m", "2", "--format", "text")
     assert code == 0
@@ -131,6 +138,22 @@ def test_m_too_small_is_usage_error():
     assert cli.main(["verify", "theorem-w", "--m", "1"]) == 2
 
 
+@pytest.mark.parametrize("m", ["1", "0"])
+def test_print_w_m_too_small_is_usage_error(m):
+    """print-w takes the same `need m >= 2` check as the other commands."""
+    proc = python("-m", "lgmirror.cli", "print-w", "--m", m)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: need m >= 2\n")
+
+
+@pytest.mark.parametrize("command", [["verify", "theorem-w"], ["critical"]])
+def test_q_with_zero_denominator_is_usage_error(command):
+    """--q 1/0 is a usage error (exit 2), not a traceback read as a failed
+    verification (exit 1)."""
+    proc = python("-m", "lgmirror.cli", *command, "--m", "2", "--q", "1/0")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "argument --q: not a rational: 1/0" in proc.stderr and "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("trials", ["0", "-3"])
 def test_trials_below_one_is_usage_error(capsys, trials):
     code, out = run(capsys, "verify", "theorem-w", "--m", "3", "--trials", trials)
@@ -239,9 +262,7 @@ print(json.dumps({"exact": exact, "critical": critical}))
 
 def test_exact_commands_never_load_numpy():
     """The exact suites run without numpy; `critical` loads it with jacobi."""
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
-    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE], capture_output=True, text=True, env=env, timeout=120)
+    proc = python("-c", IMPORT_PROBE)
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout)
     assert seen["exact"] == {"codes": [0, 0, 0], "numpy": False, "jacobi": False}
@@ -268,9 +289,7 @@ print(json.dumps({"past": past, "at": at, "jacobi": "lgmirror.jacobi" in sys.mod
 def test_critical_rejects_m_past_the_cost_limit(capsys):
     """`critical --m 10` exits 2 naming the limit, before jacobi is loaded;
     --help states the limit."""
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
-    proc = subprocess.run([sys.executable, "-c", COST_GUARD_PROBE], capture_output=True, text=True, env=env, timeout=120)
+    proc = python("-c", COST_GUARD_PROBE)
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout)
     assert seen == {

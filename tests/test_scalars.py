@@ -1,12 +1,15 @@
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+import fractionpairs as fp
 from lgmirror.scalars import EXACT, QSqrt2
 
 fractions = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 qsqrt2s = st.builds(QSqrt2, fractions, fractions)
+rationals = st.one_of(st.integers(-50, 50), st.fractions(max_denominator=60))
 
 
 def test_sqrt2_squares_to_two():
@@ -59,12 +62,48 @@ def test_exact_ring_embeddings():
     assert EXACT.from_fraction(Fraction(2, 3)) == QSqrt2(Fraction(2, 3))
 
 
-def test_inverse_raises_when_norm_vanishes_off_zero():
-    """The norm a^2 - 2b^2 is 0 only at 0 for rational a, b; an element whose
-    coefficients bypassed that (here a float whose square underflows) raises."""
-    x = QSqrt2(1)
-    object.__setattr__(x, "a", 3e-200)
-    with pytest.raises(ArithmeticError, match="not rational"):
-        x.inverse()
+def test_constructor_rejects_non_rationals_and_zero_has_no_inverse():
+    with pytest.raises(TypeError):
+        QSqrt2(0.5)
+    with pytest.raises(TypeError):
+        QSqrt2(1, "x")
     with pytest.raises(ZeroDivisionError):
         QSqrt2(0).inverse()
+
+
+def _canonical(x: QSqrt2) -> bool:
+    return x._d > 0 and math.gcd(x._a, x._b, x._d) == 1
+
+
+def _agree(x: QSqrt2, y: fp.QSqrt2) -> None:
+    """x (common denominator) and y (Fraction pair) are the same element,
+    x is in canonical form, and both read and print the same."""
+    assert _canonical(x)
+    assert (x.a, x.b) == (y.a, y.b)
+    assert type(x.a) is Fraction and type(x.b) is Fraction
+    assert str(x) == str(y) and repr(x) == repr(y)
+    assert x.to_float() == y.to_float()
+    assert x.is_rational() == y.is_rational() and bool(x) == bool(y)
+    if y.is_rational():
+        assert x == y.a and hash(x) == hash(y) == hash(y.a)
+
+
+@given(rationals, rationals, rationals, rationals, st.integers(-3, 3))
+def test_common_denominator_agrees_with_the_fraction_pair_oracle(a1, b1, a2, b2, n):
+    x, y = QSqrt2(a1, b1), QSqrt2(a2, b2)
+    ox, oy = fp.QSqrt2(a1, b1), fp.QSqrt2(a2, b2)
+    _agree(x, ox)
+    _agree(x + y, ox + oy)
+    _agree(x - y, ox - oy)
+    _agree(x * y, ox * oy)
+    _agree(-x, -ox)
+    assert (x == y) == (ox == oy) and (x == a1) == (ox == a1)
+    if oy:
+        _agree(x / y, ox / oy)
+        _agree(y.inverse(), oy.inverse())
+    if ox or n >= 0:
+        _agree(x**n, ox**n)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x**n
+    _agree(QSqrt2.from_fraction(a1), fp.QSqrt2.from_fraction(a1))
