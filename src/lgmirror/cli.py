@@ -9,8 +9,8 @@ it is deterministic without a seed and ignores --trials and --seed.
 Exit codes: 0 success, 1 verification failure, 2 usage error.  Usage
 errors are found from the parsed flags before any work (where `--t` becomes
 q, once): among them a `--t` whose q = exp(t) is not finite or rounds to 0,
-and an `--out` whose directory is missing or not writable.  The file is
-opened only to write the report, so a refused run truncates no report.
+and an `--out` naming a directory or in a missing or unwritable one.  The
+file is opened only to write the report, so a refused run truncates none.
 """
 
 from __future__ import annotations
@@ -245,11 +245,13 @@ def _q_of_t(t: float) -> Fraction:
 
 
 def _check_out(out: str) -> None:
-    """Raise the OSError that opening `out` for writing would meet in a
-    missing or unwritable directory, without opening (truncating) it."""
+    """Raise the OSError that opening `out` for writing would meet, at a
+    directory or in a missing or unwritable one, without truncating it."""
     folder = os.path.dirname(out) or "."
     if not os.path.isdir(folder):
         code = errno.ENOTDIR if os.path.exists(folder) else errno.ENOENT
+    elif os.path.isdir(out):
+        code = errno.EISDIR
     elif not os.access(out if os.path.exists(out) else folder, os.W_OK):
         code = errno.EACCES
     else:

@@ -2,19 +2,22 @@
 
 The vector representation is (2m+1)-dimensional with Chevalley generators
 e_i = E_{i,i+1} + E_{2m+1-i,2m+2-i} (i < m), e_m = sqrt2 E_{m,m+1} +
-sqrt2 E_{m+1,m+2}, f_i = e_i^T.  The factorized unipotent element
-u2bar(b) = y_{i_N}(b_N) ... y_{i_1}(b_1) of the canonical word of w^P is,
-in either representation, the list of its N sparse factors y_{i_k}(b_k) - I
-= b_k f + (b_k^2/2) f^2, from one cached table per (letter, m).  Both sides
-are exact over Q(sqrt2); the numerical layer reads the spin table once, as
-index arrays of its nonzero entries (`jacobi._peel_plan`).
+sqrt2 E_{m+1,m+2}, f_i = e_i^T.  There the factorized unipotent element
+u2bar(b) = y_{i_N}(b_N) ... y_{i_1}(b_1) of the canonical word of w^P is the
+list of its N sparse factors y_{i_k}(b_k) - I = b_k f + (b_k^2/2) f^2, exact
+over Q(sqrt2).  On the spin module, F_i is read from the Clifford image
+f_i = eps(i) v_{i+1} vbar_i (i < m), sqrt2 vbar_m v_{m+1}, and moves w_I to
+w_{I-{i}+{i+1}} (i in I, i+1 not) or to w_{I-{m}} (m in I) with entry 1:
+vbar_i takes eps(i) times the sign v_{i+1} takes, and v_{m+1} the sign
+vbar_m takes, times 1/sqrt2.  `spin_f_moves` holds those moves, checked
+when built; `spin_row_sweep` reads them, and `jacobi._peel_plan` reads
+them as index arrays.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable
 
 from lgmirror import clifford as cl
 from lgmirror import weyl as wy
@@ -60,26 +63,9 @@ def _vector_f_table(i: int, m: int) -> tuple:
     return tuple([(r, c, 1, x) for r, c, x in entries] + [(r, c, 2, x * half) for (r, c), x in square.items() if x])
 
 
-@lru_cache(maxsize=None)
-def _spin_f_table(i: int, m: int) -> tuple:
-    """f_i on the spin basis, read from its Clifford image; f_i^2 = 0 there.
-
-    f_i moves spin basis vectors to spin basis vectors, so every entry is
-    rational; an irrational one means the Clifford image is wrong.
-    """
-    table = []
-    for (row, col), c in cl.spin_generator_matrix(i, "f", m).coeffs.items():
-        if not c.is_rational():
-            raise ArithmeticError(f"spin matrix of f_{i} has the irrational entry {c} at {(row, col)}")
-        table.append((row, col, 1, c))
-    return tuple(table)
-
-
-def _factors(b: list, m: int, table: Callable[[int, int], tuple]) -> list:
-    """The factors y_{i_k}(b_k) - I of u2bar, leftmost (k = N) first.
-
-    Each is stored sparsely as {col: [(row, entry), ...]}.
-    """
+def _factors(b: list, m: int) -> list:
+    """The factors y_{i_k}(b_k) - I of u2bar, leftmost (k = N) first, each
+    stored sparsely as {col: [(row, entry), ...]}."""
     word = wy.canonical_wp_word(m)
     if len(b) != len(word):
         raise ValueError(f"need {len(word)} coordinates for m={m}, got {len(b)}")
@@ -87,7 +73,7 @@ def _factors(b: list, m: int, table: Callable[[int, int], tuple]) -> list:
     for k in range(len(word), 0, -1):
         bk = b[k - 1]
         factor: dict = {}
-        for row, col, power, entry in table(word[k - 1], m):
+        for row, col, power, entry in _vector_f_table(word[k - 1], m):
             scale = bk if power == 1 else bk * bk
             factor.setdefault(col, []).append((row, scale * entry))
         factors.append(factor)
@@ -115,7 +101,7 @@ def build_u2bar(b: list, m: int) -> Matrix:
 
     `b` holds Q(sqrt2) scalars, index k (1-based) matching letter i_k.
     """
-    factors = _factors(b, m, _vector_f_table)
+    factors = _factors(b, m)
     n = 2 * m + 1
     out = [[QS2_ZERO] * n for _ in range(n)]
     for col in range(n):
@@ -176,27 +162,41 @@ def extract_f_coeff(u2bar: Matrix, j: int):
 # -- the spin model -----------------------------------------------------------
 
 
-def u2bar_spin_factors(b: list, m: int) -> list:
-    """The factors of u2bar in End(V_Spin), leftmost first: each is
-    I + b_k F_{i_k}, stored as its part b_k F_{i_k}."""
-    return _factors(b, m, _spin_f_table)
+@lru_cache(maxsize=None)
+def spin_f_moves(i: int, m: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """The spin matrix F_i of f_i as its moves: the (row subset, col subset)
+    pairs where it has entry 1, read from its Clifford image.  Raises
+    ArithmeticError unless every entry is exactly 1 and no row or column
+    repeats, so that F_i sends each spin basis vector to at most one other."""
+    moves = []
+    for (row, col), c in cl.spin_generator_matrix(i, "f", m).coeffs.items():
+        if c != QS2_ONE:
+            raise ArithmeticError(f"spin matrix of f_{i} has the entry {c} at {(row, col)}, not 1")
+        moves.append((row, col))
+    rows, cols = zip(*moves)
+    if len(set(rows)) < len(moves) or len(set(cols)) < len(moves):
+        raise ArithmeticError(f"spin matrix of f_{i} has two entries in one row or column")
+    return tuple(moves)
 
 
-def spin_row_sweep(factors: list) -> dict[tuple[int, ...], QSqrt2]:
-    """The row w_empty^T F_1 ... F_N of the (leftmost-first) factor list.
+def spin_row_sweep(b: list, m: int) -> dict[tuple[int, ...], QSqrt2]:
+    """The row w_empty^T (I + b_N F_{i_N}) ... (I + b_1 F_{i_1}) of u2bar on V_Spin.
 
     Keyed by column subset: the entry at I is the w_empty coefficient of
-    F_1 ... F_N w_I.  One pass over the factors gives the whole row; columns
-    never reached are absent.
+    u2bar w_I.  One pass over the N factors gives the whole row, each move
+    (r, col) of F_{i_k} adding b_k times the entry at r to the one at col;
+    columns never reached are absent.
     """
+    word = wy.canonical_wp_word(m)
+    if len(b) != len(word):
+        raise ValueError(f"need {len(word)} coordinates for m={m}, got {len(b)}")
     row = {(): QS2_ONE}
-    for table in factors:
+    for k in range(len(word), 0, -1):
+        bk = b[k - 1]
         out = dict(row)
-        for col, entries in table.items():
-            for r, entry in entries:
-                c = row.get(r)
-                if c is not None:
-                    out[col] = out[col] + c * entry if col in out else c * entry
+        for r, col in spin_f_moves(word[k - 1], m):
+            c = row.get(r)
+            if c is not None:
+                out[col] = out[col] + c * bk if col in out else c * bk
         row = out
     return row
-

@@ -16,9 +16,9 @@ carries 3, 8, 10, 30, 35 and 128 of the 2^m critical points for m = 2..7
 (pinned in tests/test_jacobi.py).  At m = 2 the missing one is
 (1:0:0:-q), which has p_(2) = 0; at m = 5 the eigenvalue 0 is double.
 
-The module computes in numpy only: it reads grouprep's exact spin tables
-once, as the index arrays of _peel_plan, and applies each spin matrix to a
-stack of rows as one gather.  The conjecture probe evaluates the signed
+The module computes in numpy only: it reads grouprep's spin moves once, as
+the index arrays of _peel_plan, and applies each spin matrix to a stack of
+rows as one gather.  The conjecture probe evaluates the signed
 quadratic sums on the Pluecker rows of the critical points, which
 pluecker_rows computes as the peel's forward map over those factors; the
 identification sigma_lambda -> p_lambda/p_empty at critical points is
@@ -110,31 +110,26 @@ def hess_w_tilde(b: np.ndarray, q: complex, mask: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _peel_plan(m: int) -> tuple[tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...], tuple[np.ndarray, ...]]:
+def _peel_plan(m: int) -> tuple[tuple[tuple[np.ndarray, np.ndarray], ...], tuple[np.ndarray, ...]]:
     """The spin matrices F_{i_k}, k = 1..N, and for each k the columns that
     the row e_empty (I + b_N F_{i_N}) ... (I + b_k F_{i_k}) reaches and the
     same row without its factor k does not, both for generic b.
 
-    F_i sends each spin basis vector to at most one other, so it is stored
-    as index arrays (rows, cols, signs) of its nonzero entries, each column
-    at most once: the product p F is the gather pf[:, cols] = p[:, rows] *
-    signs (`_times`).
+    F_i is stored as the index arrays (rows, cols) of its moves
+    (`grouprep.spin_f_moves`: entries 1, each row and column at most once),
+    so the product p F is the gather pf[:, cols] = p[:, rows] (`_times`).
     """
     index = {s: k for k, s in enumerate(pt.all_subsets(m))}
     letters = []
     for i in range(1, m + 1):
-        entries = [(index[row], index[col], entry.to_float()) for row, col, _, entry in gr._spin_f_table(i, m)]
-        if len({col for _, col, _ in entries}) != len(entries):
-            raise ArithmeticError(f"spin matrix of f_{i} has two entries in one column")
-        rows, cols, signs = (np.array(a) for a in zip(*entries))
-        for a in (rows, cols, signs):
-            a.flags.writeable = False  # shared by every caller through the cache
-        letters.append((rows, cols, signs))
+        rows, cols = (np.array([index[s] for s in side]) for side in zip(*gr.spin_f_moves(i, m)))
+        rows.flags.writeable = cols.flags.writeable = False  # shared by every caller through the cache
+        letters.append((rows, cols))
     factors = tuple(letters[i - 1] for i in wy.canonical_wp_word(m))
     reach = np.zeros(2**m, dtype=bool)
     reach[0] = True
     columns = []
-    for rows, cols, _ in factors[::-1]:
+    for rows, cols in factors[::-1]:
         grown = reach.copy()
         grown[cols[reach[rows]]] = True
         columns.append(np.flatnonzero(grown & ~reach))
@@ -142,11 +137,11 @@ def _peel_plan(m: int) -> tuple[tuple[tuple[np.ndarray, np.ndarray, np.ndarray],
     return factors, tuple(columns[::-1])
 
 
-def _times(p: np.ndarray, factor: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
+def _times(p: np.ndarray, factor: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """p F for a stack of rows p (S, 2^m) and one factor of _peel_plan."""
-    rows, cols, signs = factor
+    rows, cols = factor
     pf = np.zeros_like(p)
-    pf[:, cols] = p[:, rows] * signs
+    pf[:, cols] = p[:, rows]
     return pf
 
 

@@ -7,7 +7,7 @@ list, `symbolic_W(m)`: print-w renders it and eval_W evaluates it, and
 term l sits over the divisor D_l.  The quadratic numerators and
 denominators of the middle terms are signed sums over row
 removals/additions of the staircase and maximal partitions, read from
-lgmirror.partitions with their signs.  Verification helpers check the
+lgmirror.partitions, each term with its sign.  Verification helpers check the
 pullback identity W = W-tilde, the minor identities, the numerator
 identity behind the e^t-term, and the agreement of the two Pluecker
 routes, all exactly.
@@ -52,8 +52,16 @@ def plucker_vector(b: list, m: int, ring: ScalarRing = EXACT) -> dict[StrictPart
     Spin route: p_lambda is the (w_empty, w_lambda) entry of u2bar on
     V_Spin, read from one row sweep over its N sparse factors.
     """
-    row = gr.spin_row_sweep(gr.u2bar_spin_factors(b, m))
+    row = gr.spin_row_sweep(b, m)
     return {lam: row.get(pt.to_subset(lam), QS2_ZERO) for lam in pt.all_strict_partitions(m)}
+
+
+def _subword_sums(b: list, m: int, target: tuple[int, ...] | None = None) -> dict:
+    """The W^P programme valuing each subword by its product of b's."""
+    word = wy.canonical_wp_word(m)
+    if len(b) != len(word):
+        raise ValueError(f"need {len(word)} coordinates for m={m}, got {len(b)}")
+    return wy.wp_subword_sums(word, m, QS2_ONE, lambda value, p: value * b[p - 1], target)
 
 
 def plucker_subword_vector(b: list, m: int) -> dict[StrictPartition, object]:
@@ -64,10 +72,7 @@ def plucker_subword_vector(b: list, m: int) -> dict[StrictPartition, object]:
     the product of the selected b's; one W^P dynamic programme gives all
     of them.
     """
-    word = wy.canonical_wp_word(m)
-    if len(b) != len(word):
-        raise ValueError(f"need {len(word)} coordinates for m={m}, got {len(b)}")
-    sums = wy.wp_subword_sums(word, m, QS2_ONE, lambda value, p: value * b[p - 1])
+    sums = _subword_sums(b, m)
     return {lam: sums.get(pt.to_subset(lam), QS2_ZERO) for lam in pt.all_strict_partitions(m)}
 
 
@@ -145,9 +150,11 @@ def laurent_numerator(b: list, m: int):
     """N(b) = sum over complement subwords of the product of selected b's.
 
     The complement subwords are the reduced subwords spelling the element
-    of W^P indexed by rho_{m-1}, so N(b) is that entry of the subword route.
+    of W^P indexed by rho_{m-1}, so N(b) is that entry of the subword
+    route, from the programme kept to the states that can reach it.
     """
-    return plucker_subword_vector(b, m)[pt.rho(m - 1, m)]
+    target = pt.to_subset(pt.rho(m - 1, m))
+    return _subword_sums(b, m, target).get(target, QS2_ZERO)
 
 
 def eval_W_tilde(q, b: list, m: int):

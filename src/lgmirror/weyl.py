@@ -7,7 +7,9 @@ minimal representatives of W/W_P, is stored only by its negative subset
 I = {|w(k)| : w(k) < 0} of {1..m}, which is the subset of the strict
 partition indexing it (`partitions.to_subset`); its length is the size of
 that partition.  `one_line` gives its images (w(1), ..., w(m)).  The
-signed-permutation group itself is a test oracle for the rules here.
+signed-permutation group itself is a test oracle for the rules here.  One
+dynamic programme over W^P, `wp_subword_sums`, serves every reduced-subword
+job: sums or subword lists as values, over all states or kept to a target.
 """
 
 from __future__ import annotations
@@ -74,7 +76,9 @@ def wp_transitions(m: int) -> dict[tuple[int, ...], tuple[tuple[int, ...] | None
     return table
 
 
-def wp_subword_sums(word: Sequence[int], m: int, one, extend) -> dict[tuple[int, ...], object]:
+def wp_subword_sums(
+    word: Sequence[int], m: int, one, extend, target: tuple[int, ...] | None = None
+) -> dict[tuple[int, ...], object]:
     """Suffix dynamic programme over W^P, one pass over `word`.
 
     Returns {negative subset of v: sum over the reduced subwords of `word`
@@ -85,39 +89,27 @@ def wp_subword_sums(word: Sequence[int], m: int, one, extend) -> dict[tuple[int,
     of an element of W^P lies in W^P and every suffix of a reduced word is
     reduced, so the 2^m states of W^P see every reduced subword whose
     product lies in W^P, and only those.
+
+    A step at position p is kept only into a state of alive[p - 1]: those
+    from which the letters at positions p - 1, ..., 1 can still spell the
+    `target` subset, or every state without one.  With a target, only its
+    own entry is then complete.
     """
     if any(not 1 <= letter <= m for letter in word):
         raise ValueError(f"word {tuple(word)} has a letter outside 1..{m}")
     steps = wp_transitions(m)
+    alive = [set(steps) if target is None else {target}]
+    for letter in word:
+        alive.append(alive[-1] | {state for state, row in steps.items() if row[letter - 1] in alive[-1]})
     sums = {(): one}
     for p in range(len(word), 0, -1):
         letter = word[p - 1]
         for state, value in list(sums.items()):
             nxt = steps[state][letter - 1]
-            if nxt is not None:
+            if nxt in alive[p - 1]:
                 term = extend(value, p)
                 sums[nxt] = sums[nxt] + term if nxt in sums else term
     return sums
-
-
-@lru_cache(maxsize=None)
-def _subwords_to(word: tuple[int, ...], target: tuple[int, ...], m: int) -> tuple[tuple[int, ...], ...]:
-    """The W^P programme of `wp_subword_sums`, listing subwords, kept to the
-    states that can still reach `target`: alive[p] holds the states from
-    which the letters at positions p, ..., 1 can spell the rest of it."""
-    if any(not 1 <= letter <= m for letter in word):
-        raise ValueError(f"word {word} has a letter outside 1..{m}")
-    steps = wp_transitions(m)
-    alive = [{target}]
-    for letter in word:
-        alive.append(alive[-1] | {state for state, row in steps.items() if row[letter - 1] in alive[-1]})
-    subwords: dict[tuple[int, ...], list[tuple[int, ...]]] = {(): [()]}
-    for p in range(len(word), 0, -1):
-        for state, tails in list(subwords.items()):
-            nxt = steps[state][word[p - 1] - 1]
-            if nxt in alive[p - 1]:
-                subwords[nxt] = subwords.get(nxt, []) + [(p,) + t for t in tails]
-    return tuple(sorted(subwords.get(target, ())))
 
 
 def reduced_subwords(word: Sequence[int], lam: StrictPartition) -> tuple[tuple[int, ...], ...]:
@@ -126,12 +118,15 @@ def reduced_subwords(word: Sequence[int], lam: StrictPartition) -> tuple[tuple[i
 
     Positions are 1-based and returned sorted; the subword read in
     increasing position order multiplies to that element using exactly
-    |lam| letters.  The subwords come from the W^P dynamic programme,
-    pruned to the target.
+    |lam| letters.  The subwords are the list values of the W^P dynamic
+    programme, pruned to the target.
     """
-    return _subwords_to(tuple(word), to_subset(lam), lam.m)
+    target = to_subset(lam)
+    sums = wp_subword_sums(word, lam.m, [()], lambda tails, p: [(p,) + t for t in tails], target)
+    return tuple(sorted(sums.get(target, ())))
 
 
+@lru_cache(maxsize=None)
 def complement_subwords(m: int) -> tuple[tuple[int, ...], ...]:
     """Position subsets S of the canonical word, |S| = N - m, with
     (subword at S) * s_1 s_2 ... s_m a reduced expression of w^P.

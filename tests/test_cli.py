@@ -186,8 +186,8 @@ def test_t_rounding_to_q_zero_is_usage_error(capsys, monkeypatch, command):
     ids=["verify", "print-w-text", "print-w-json"],
 )
 def test_out_file_matches_stdout_and_unwritable_out_is_usage_error(capsys, monkeypatch, tmp_path, argv):
-    """An --out in a missing directory, or under a file, is refused before
-    the command runs."""
+    """An --out in a missing directory, under a file, or naming a directory
+    is refused before the command runs."""
     code, out = run(capsys, *argv)
     assert code == 0
     written = tmp_path / "report.txt"
@@ -195,7 +195,12 @@ def test_out_file_matches_stdout_and_unwritable_out_is_usage_error(capsys, monke
     assert written.read_text() == out
     for name in ("cmd_print_w", "cmd_verify", "cmd_critical"):
         monkeypatch.setattr(cli, name, lambda *args: pytest.fail("the command ran"))
-    for bad, reason in ((tmp_path / "missing" / "report.txt", "No such file or directory"), (written / "x", "Not a directory")):
+    refused = (
+        (tmp_path / "missing" / "report.txt", "No such file or directory"),
+        (written / "x", "Not a directory"),
+        (tmp_path, "Is a directory"),
+    )
+    for bad, reason in refused:
         code = cli.main(argv + ["--out", str(bad)])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""

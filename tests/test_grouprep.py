@@ -57,10 +57,18 @@ def dense_u2bar(b, m):
     return out
 
 
+def spin_factors(b, m):
+    """The parts b_k F_{i_k} of the factors I + b_k F_{i_k} of u2bar on
+    V_Spin, leftmost first, as apply_factors reads them: each move (row,
+    col) of F_{i_k} is the entry b_k at (row, col)."""
+    word = wy.canonical_wp_word(m)
+    return [{col: [(row, b[k - 1])] for row, col in gr.spin_f_moves(word[k - 1], m)} for k in range(len(word), 0, -1)]
+
+
 def build_u2bar_spin(b, m):
     """u2bar acting on V_Spin, as a sparse 2^m x 2^m matrix over Q(sqrt2),
     column by column through the spin factors."""
-    factors = gr.u2bar_spin_factors(b, m)
+    factors = spin_factors(b, m)
     out = cl.EndSpin(m)
     for col in pt.all_subsets(m):
         for row, c in gr.apply_factors(factors, {col: ring.one}).items():
@@ -150,6 +158,8 @@ def test_u2bar_factorization_and_shape():
     assert zeros == mat_identity(5)
     with pytest.raises(ValueError):
         gr.build_u2bar(b[:2], m)
+    with pytest.raises(ValueError):
+        gr.spin_row_sweep(b[:2], m)
 
 
 def test_u2bar_matches_dense_product():
@@ -266,7 +276,7 @@ def test_u2bar_spin_corner_coefficients():
         for _ in range(2):
             bs = cli.sample_b(m, stream)
             bv = sp.ring_vector(bs, ring)
-            factors = gr.u2bar_spin_factors(bv, m)
+            factors = spin_factors(bv, m)
             img = gr.apply_factors(factors, {(): ring.one})
             assert img.get(()) == ring.one  # p_empty = 1
             top = gr.apply_factors(factors, {tuple(range(1, m + 1)): ring.one})
@@ -291,9 +301,31 @@ def test_u2bar_spin_matches_product_of_generator_matrices():
             assert build_u2bar_spin(bv, m) == product, m
 
 
-def test_spin_f_table_rejects_an_irrational_entry(monkeypatch):
-    """f_i maps spin basis vectors to spin basis vectors, so an irrational entry raises."""
-    spin_apply = cl.spin_apply
-    monkeypatch.setattr(cl, "spin_apply", lambda x, v: spin_apply(x, v).scale(QSqrt2.sqrt2()))
-    with pytest.raises(ArithmeticError, match="irrational"):
-        gr._spin_f_table.__wrapped__(1, 2)
+def test_spin_moves_are_entries_one_without_repeats():
+    """Every spin matrix F_i has only entries 1, at most one per row and
+    per column, for m <= 8."""
+    for m in range(1, 9):
+        for i in range(1, m + 1):
+            moves = gr.spin_f_moves(i, m)
+            entries = cl.spin_generator_matrix(i, "f", m).coeffs
+            assert entries == {move: QSqrt2(1) for move in moves}, (m, i)
+            rows, cols = zip(*moves)
+            assert len(set(rows)) == len(set(cols)) == len(moves) == 2 ** (m - 1 if i == m else m - 2), (m, i)
+
+
+def test_spin_moves_reject_an_entry_other_than_one_and_a_repeated_column(monkeypatch):
+    """An entry 2, or a second entry in one column, raises on building."""
+    spin_generator_matrix = cl.spin_generator_matrix
+    monkeypatch.setattr(cl, "spin_generator_matrix", lambda *args: spin_generator_matrix(*args).scale(QSqrt2(2)))
+    with pytest.raises(ArithmeticError, match="not 1"):
+        gr.spin_f_moves.__wrapped__(1, 2)
+
+    def repeated_column(*args):
+        mat = spin_generator_matrix(*args)
+        (row, col), *_ = mat.coeffs
+        mat.add_term(((), col) if row else ((1,), col), QSqrt2(1))
+        return mat
+
+    monkeypatch.setattr(cl, "spin_generator_matrix", repeated_column)
+    with pytest.raises(ArithmeticError, match="row or column"):
+        gr.spin_f_moves.__wrapped__(1, 2)

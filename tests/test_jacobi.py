@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lgmirror import cli
+from lgmirror import clifford as cl
 from lgmirror import grouprep as gr
 from lgmirror import jacobi as jb
 from lgmirror import partitions as pt
@@ -384,15 +385,15 @@ def test_conjecture_probe():
 
 def complex_plucker(b, m):
     """All Pluecker coordinates of u2bar(b) in complex floats: the row
-    e_empty (I + b_N F_{i_N}) ... (I + b_1 F_{i_1}) swept over the sparse
-    spin table."""
+    e_empty (I + b_N F_{i_N}) ... (I + b_1 F_{i_1}) swept over the spin
+    moves."""
     word = wy.canonical_wp_word(m)
     row = {(): 1.0 + 0j}
     for k in range(len(word), 0, -1):
         out = dict(row)
-        for r, col, _, entry in gr._spin_f_table(word[k - 1], m):
+        for r, col in gr.spin_f_moves(word[k - 1], m):
             if r in row:
-                out[col] = out.get(col, 0j) + row[r] * b[k - 1] * entry.to_float()
+                out[col] = out.get(col, 0j) + row[r] * b[k - 1]
         row = out
     return {lam: row.get(pt.to_subset(lam), 0j) for lam in pt.all_strict_partitions(m)}
 
@@ -424,11 +425,11 @@ def test_pluecker_rows_match_the_exact_spin_route_and_peel_back(m):
 
 
 def dense_spin_factors(m):
-    """The dense float matrices F_{i_k}, k = 1..N, of the exact spin table."""
+    """The dense float matrices F_{i_k}, k = 1..N, of the exact spin matrices."""
     index = {s: k for k, s in enumerate(pt.all_subsets(m))}
     letters = np.zeros((m, 2**m, 2**m))
     for i in range(1, m + 1):
-        for row, col, _, entry in gr._spin_f_table(i, m):
+        for (row, col), entry in cl.spin_generator_matrix(i, "f", m).coeffs.items():
             letters[i - 1, index[row], index[col]] = entry.to_float()
     return letters[np.array(wy.canonical_wp_word(m)) - 1]
 

@@ -76,6 +76,13 @@ def test_laurent_numerator_m2():
     assert sp.laurent_numerator(b, 2) == frac(4)  # b1 + b3
 
 
+@pytest.mark.parametrize("m", range(2, 9))
+def test_laurent_numerator_is_the_subword_route_at_the_staircase(m):
+    """The programme pruned to rho_{m-1} gives the subword route's entry there."""
+    b = sp.ring_vector(cli.sample_b(m, cli.rational_stream(20 + m)), ring)
+    assert sp.laurent_numerator(b, m) == sp.plucker_subword_vector(b, m)[pt.rho(m - 1, m)]
+
+
 def test_theorem_w_exact():
     for m in (2, 3, 4):
         stream = cli.rational_stream(41)

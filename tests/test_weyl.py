@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import weylgroup as wg
+from lgmirror import cli
 from lgmirror import grouprep as gr
 from lgmirror import partitions as pt
 from lgmirror import superpotential as sp
 from lgmirror import weyl as wy
 from lgmirror.scalars import EXACT
+from test_grouprep import spin_factors
 
 
 # -- oracles: the enumerations the W^P dynamic programme replaced ---------------
@@ -86,7 +88,7 @@ def check_routes_against_oracles(m: int, bs: list[Fraction]) -> None:
     subword tuples match the oracles."""
     word = wy.canonical_wp_word(m)
     b = sp.ring_vector(bs, EXACT)
-    factors = gr.u2bar_spin_factors(b, m)
+    factors = spin_factors(b, m)
     sweep = sp.plucker_vector(b, m, EXACT)
     dp = sp.plucker_subword_vector(b, m)
     for lam in pt.all_strict_partitions(m):
@@ -233,13 +235,21 @@ def test_complement_subwords():
 
 @pytest.mark.parametrize("m", range(2, 8))
 def test_pruned_subwords_match_the_all_state_listing(m):
-    """Every W^P target for m <= 5, and the staircase of complement_subwords
-    up to m = 7, get the subwords the unpruned programme lists."""
+    """For every W^P target at m <= 7, the programme pruned to it gives the
+    subwords and the exact monomial sum at a seeded b that the unpruned
+    programme gives there; complement_subwords is the staircase's entry."""
     word = wy.canonical_wp_word(m)
     listing = oracle_subwords_by_state(word, m)
-    if m <= 5:
-        for subset in pt.all_subsets(m):
-            assert wy.reduced_subwords(word, pt.from_subset(subset, m)) == listing.get(subset, ()), subset
+    b = sp.ring_vector(cli.sample_b(m, cli.rational_stream(40 + m)))
+
+    def value(x, p):
+        return x * b[p - 1]
+
+    sums = wy.wp_subword_sums(word, m, EXACT.one, value)
+    for subset in pt.all_subsets(m):
+        assert wy.reduced_subwords(word, pt.from_subset(subset, m)) == listing.get(subset, ()), subset
+        pruned = wy.wp_subword_sums(word, m, EXACT.one, value, subset)
+        assert pruned.get(subset) == sums.get(subset), subset
     assert wy.complement_subwords(m) == listing[pt.to_subset(pt.rho(m - 1, m))]
 
 
