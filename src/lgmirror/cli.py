@@ -4,8 +4,12 @@ Reports are deterministic: identical configuration (including seed) gives
 byte-identical JSON.  Random exact sample points are drawn through
 splitmix64 with numerators in [-9, 9] \\ {0} and denominators in [1, 9];
 points hitting a divisor are redrawn and the redraw count is reported.
-Only `critical` loads the numerical layer (`jacobi`, and with it numpy);
-it is deterministic without a seed and ignores --trials and --seed.
+Each command imports the modules it runs, and what they import, inside
+the function that runs it: `verify pi-map` `clifford`, `verify chevalley`
+`qchevalley`, the per-point suites and print-w `superpotential`, and only
+`critical` the numerical layer (`jacobi`, and with it numpy); a fresh
+process compiles and loads nothing else.  `critical` is deterministic
+without a seed and ignores --trials and --seed.
 Exit codes: 0 success, 1 verification failure, 2 usage error.  Usage
 errors are found from the parsed flags before any work (where `--t` becomes
 q, once): among them a `--t` whose q = exp(t) is not finite or rounds to 0,
@@ -23,9 +27,6 @@ import os
 import sys
 from fractions import Fraction
 
-from lgmirror import grouprep as gr
-from lgmirror import qchevalley as qc
-from lgmirror import superpotential as sp
 from lgmirror.scalars import QSqrt2, splitmix64
 
 SCHEMA = "lg-mirror/1"
@@ -72,6 +73,8 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def cmd_print_w(args: argparse.Namespace) -> int:
+    from lgmirror import superpotential as sp
+
     terms = sp.symbolic_W(args.m)
     if args.format == "json":
         text = _json({"schema": SCHEMA, "m": args.m, "terms": sp.render_json_terms(terms)})
@@ -84,31 +87,33 @@ def cmd_print_w(args: argparse.Namespace) -> int:
 # -- verify -------------------------------------------------------------------
 
 
-def _minors_checks(m: int, q, b: list, p: dict) -> list[tuple[dict, sp.CheckReport]]:
-    u2 = gr.build_u2bar(b, m)
-    return [({"j": j}, sp.verify_sym_to_minor(m, j, b, p=p, u2=u2)) for j in range(2, m + 1)]
+_POINT_SUITES = ("theorem-w", "em", "subword", "minors", "fj")
 
 
-def _fj_checks(m: int, q, b: list, p: dict) -> list[tuple[dict, sp.CheckReport]]:
+def _point_checks(suite: str, m: int, q, b: list, p: dict) -> list:
+    """The checks of a per-point suite at one exact point b off every
+    divisor, given q and the Pluecker vector p of b: [(extra record fields,
+    report)]."""
+    from lgmirror import grouprep as gr
+    from lgmirror import superpotential as sp
+
+    if suite == "theorem-w":
+        return [({}, sp.verify_theorem_w(m, q, b, p=p))]
+    if suite == "em":
+        return [({}, sp.verify_em_formula(m, b, p=p))]
+    if suite == "subword":
+        return [({}, sp.verify_subword_route(m, b, p=p))]
     u2 = gr.build_u2bar(b, m)
+    if suite == "minors":
+        return [({"j": j}, sp.verify_sym_to_minor(m, j, b, p=p, u2=u2)) for j in range(2, m + 1)]
     return [({"j": j}, sp.verify_fj_minors(m, j, b, u2=u2)) for j in range(1, m)]
-
-
-# suite -> the checks at one exact point b off every divisor, given q and
-# the Pluecker vector p of b: [(extra record fields, report)]
-_POINT_SUITES = {
-    "theorem-w": lambda m, q, b, p: [({}, sp.verify_theorem_w(m, q, b, p=p))],
-    "em": lambda m, q, b, p: [({}, sp.verify_em_formula(m, b, p=p))],
-    "subword": lambda m, q, b, p: [({}, sp.verify_subword_route(m, b, p=p))],
-    "minors": _minors_checks,
-    "fj": _fj_checks,
-}
 
 
 def _point_records(suite: str, m: int, q: Fraction, trials: int, seed: int) -> tuple[list[dict], int]:
     """Run a per-point suite at `trials` random exact points; returns
     (records, redraw count)."""
-    checks = _POINT_SUITES[suite]
+    from lgmirror import superpotential as sp
+
     q_exact = QSqrt2.from_fraction(q)
     stream = rational_stream(seed)
     records: list[dict] = []
@@ -123,7 +128,7 @@ def _point_records(suite: str, m: int, q: Fraction, trials: int, seed: int) -> t
                 break
             except sp.DivisorError:
                 redraws += 1
-        for fields, rep in checks(m, q_exact, bring, p):
+        for fields, rep in _point_checks(suite, m, q_exact, bring, p):
             records.append({"instance": k, **fields, "b": [str(x) for x in b], "ok": rep.ok, "detail": rep.detail})
     return records, redraws
 
@@ -141,6 +146,8 @@ def _suite_records(suite: str, m: int, q: Fraction, trials: int, seed: int) -> t
             okN = cl.pi_map(cl.build_N(j, m)) == cl.wedge_v_plus(j, m)
             records.append({"j": j, "ok": okD and okN, "detail": "" if okD and okN else f"pi image wrong (D ok: {okD}, N ok: {okN})"})
     elif suite == "chevalley":
+        from lgmirror import qchevalley as qc
+
         ok = qc.verify_relation_l1(m)
         records.append({"relation": "l=1", "ok": ok, "detail": "" if ok else "sigma_1*sigma_m != sigma_{m,1} + q"})
         bad = qc.grading_violations(m)
@@ -152,6 +159,8 @@ def _suite_records(suite: str, m: int, q: Fraction, trials: int, seed: int) -> t
 
 def _suite_extras(suite: str, m: int) -> dict:
     if suite == "chevalley":
+        from lgmirror import qchevalley as qc
+
         return {
             "sigma1_table": qc.multiplication_table(m),
             "conventions": "quantum terms use n_alpha = (m+1) alpha^vee(omega_m), "

@@ -5,11 +5,11 @@ pairing is <v_i, v_{2m+2-i}> = epsilon(i) = (-1)^{m+1-i}, so the defining
 relations are  v_i vbar_i + vbar_i v_i = epsilon(i),  v_{m+1}^2 = 1/2,
 all other generator pairs anticommuting.  The module provides
 
-* sparse Clifford elements with exact Q(sqrt2) coefficients and the
-  normalization-based product,
-* the exterior algebra and the antisymmetrization isomorphism alpha
-  (Chevalley's quantization map) with its inverse, both one closed-form
-  Wick sum over the pairs {i, bar(i)} of a monomial,
+* sparse Clifford elements with exact Q(sqrt2) coefficients, a generator
+  word brought to normal order by the defining relations,
+* the exterior algebra and the inverse of the antisymmetrization
+  isomorphism alpha (Chevalley's quantization map), one closed-form Wick
+  sum over the pairs {i, bar(i)} of a monomial,
 * the spin representation on subsets of {1..m} and the induced
   identification of either parity of Cl(V) with End(V_Spin); its inverse
   writes each matrix unit monomial by monomial, with no Clifford product,
@@ -22,18 +22,19 @@ all other generator pairs anticommuting.  The module provides
   signed partition pairs of lgmirror.partitions.
 
 Every container is a `scalars.Combination`: a sparse linear combination
-that keeps no zero coefficient.
+that keeps no zero coefficient.  The module holds what the pi pipeline and
+the spin tables run; the Clifford product, alpha itself and the generator
+actions on V, wedge V, Sym^2(V_Spin) and the dual module are the test
+oracles of tests/cliffordops.py.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
 from lgmirror import partitions as pt
-from lgmirror.partitions import StrictPartition
 from lgmirror.scalars import QS2_ONE, Combination, QSqrt2
 
 Subset = tuple[int, ...]
@@ -96,21 +97,6 @@ def _normalize(word: tuple[int, ...], m: int) -> list[tuple[Subset, Fraction]]:
     return [(k, v) for k, v in out.items() if v]
 
 
-def clifford_mul(x: CliffordElement, y: CliffordElement) -> CliffordElement:
-    m = x.m
-    out = CliffordElement(m)
-    for kx, cx in x.coeffs.items():
-        for ky, cy in y.coeffs.items():
-            c = cx * cy
-            for key, coeff in _normalize(kx + ky, m):
-                out.add_term(key, c * QSqrt2.from_fraction(coeff))
-    return out
-
-
-def commutator(x: CliffordElement, y: CliffordElement) -> CliffordElement:
-    return clifford_mul(x, y) - clifford_mul(y, x)
-
-
 # -- exterior algebra ---------------------------------------------------------
 
 
@@ -135,19 +121,11 @@ def _perm_sign(seq: Subset) -> int:
     return -1 if inversions % 2 else 1
 
 
-def antisymmetrize(x: ExteriorElement) -> CliffordElement:
-    """The Chevalley quantization map alpha: wedge V -> Cl(V), by `_wick`."""
-    return _apply_wick(x, CliffordElement(x.m), -1)
-
-
 def antisymmetrize_inv(x: CliffordElement) -> ExteriorElement:
-    """The inverse of `antisymmetrize`, by `_wick`."""
-    return _apply_wick(x, ExteriorElement(x.m), 1)
-
-
-def _apply_wick(x: Combination, out: Combination, sign: int) -> Combination:
+    """The inverse of the Chevalley quantization map alpha: wedge V -> Cl(V), by `_wick`."""
+    out = ExteriorElement(x.m)
     for key, c in x.coeffs.items():
-        for mono, coeff in _wick(key, x.m, sign):
+        for mono, coeff in _wick(key, x.m, 1):
             out.add_term(mono, c * QSqrt2.from_fraction(coeff))
     return out
 
@@ -177,22 +155,19 @@ def _wick(key: Subset, m: int, sign: int) -> tuple[tuple[Subset, Fraction], ...]
 # -- the spin representation --------------------------------------------------
 
 
-@dataclass
 class SpinVector(Combination):
     """Element of wedge W, W = <v_1..v_m>: subset -> Q(sqrt2) coefficient.
 
     `dual` marks covectors; delta() produces them and iota() consumes them.
     """
 
-    dual: bool = False
+    def __init__(self, m: int, coeffs: dict | None = None, dual: bool = False) -> None:
+        super().__init__(m, coeffs)
+        self.dual = dual
 
 
 def basis_vector(subset: Subset, m: int) -> SpinVector:
     return SpinVector(m, {tuple(sorted(subset)): QS2_ONE})
-
-
-def basis_vector_of(lam: StrictPartition) -> SpinVector:
-    return basis_vector(pt.to_subset(lam), lam.m)
 
 
 def spin_generator_action(k: int, vec: SpinVector) -> SpinVector:
@@ -269,13 +244,6 @@ class EndSpin(Combination):
         return out
 
 
-def end_identity(m: int) -> EndSpin:
-    out = EndSpin(m)
-    for s in pt.all_subsets(m):
-        out.add_term((s, s), QS2_ONE)
-    return out
-
-
 def clifford_to_end(x: CliffordElement) -> EndSpin:
     """The spin action as a matrix; an algebra isomorphism on either parity."""
     m = x.m
@@ -294,6 +262,11 @@ def clifford_to_end(x: CliffordElement) -> EndSpin:
 # prod_{l in L} eps(l) prod_{i in T} (-eps(i)) v_{w_T}, where the word
 # w_T = (L' asc)(i, ibar for i in T asc)(lbar for l in L desc) has distinct
 # indices and no ibar before its i: its normal order costs the sorting sign only.
+# That sign is sgn((L' asc)(lbar for l in L desc)) times one sign for each pair
+# (i, ibar) of T, from its inversions with those two runs: the head entries
+# above i (none exceeds ibar) and the tail entries below ibar (none is below
+# i).  For pairs i < k, ibar exceeds both k and kbar and i neither, so two
+# pairs cross twice.
 
 
 @lru_cache(maxsize=None)
@@ -305,15 +278,19 @@ def _matrix_unit_clifford(row: Subset, col: Subset, m: int, lift: bool) -> tuple
         sign *= epsilon(l, m)
     head = ((m + 1,) if lift else ()) + tuple(sorted(row))
     tail = tuple(bar(l, m) for l in sorted(col, reverse=True))
+    sign *= _perm_sign(head + tail)
     free = [i for i in range(1, m + 1) if i not in row and i not in col]
+    factor = {}  # i -> -eps(i) times the sign of the pair (i, ibar) between head and tail
+    for i in free:
+        crossings = sum(h > i for h in head) + sum(t < bar(i, m) for t in tail)
+        factor[i] = epsilon(i, m) * (1 if crossings % 2 else -1)
     terms = []
     for r in range(len(free) + 1):
         for chosen in combinations(free, r):
-            word = head + tuple(k for i in chosen for k in (i, bar(i, m))) + tail
-            c = sign * _perm_sign(word)
+            c = sign
             for i in chosen:
-                c *= -epsilon(i, m)
-            terms.append((tuple(sorted(word)), c))
+                c *= factor[i]
+            terms.append((tuple(sorted(head + tail + tuple(k for i in chosen for k in (i, bar(i, m))))), c))
     return tuple(terms)
 
 
@@ -359,12 +336,6 @@ class SymSquare(Combination):
     def _canonical(self, key: tuple[Subset, Subset]) -> tuple[Subset, Subset]:
         a, b = key
         return (a, b) if a <= b else (b, a)
-
-
-def sym_pair(lam: StrictPartition, mu_: StrictPartition, c=QS2_ONE) -> SymSquare:
-    out = SymSquare(lam.m)
-    out.add_term((pt.to_subset(lam), pt.to_subset(mu_)), c)
-    return out
 
 
 def iota(x: SymSquare) -> EndSpin:
@@ -465,64 +436,8 @@ def generator_clifford(i: int, kind: str, m: int) -> CliffordElement:
     return cl_monomial((bar(m, m), m + 1), m, QSqrt2.sqrt2())
 
 
-def vector_action(gen: CliffordElement, m: int) -> dict[int, dict[int, QSqrt2]]:
-    """Action of a wedge^2 element on V by Clifford commutator, as sparse columns
-    {k: {j: coeff of v_j in gen.v_k}}."""
-    cols: dict[int, dict[int, QSqrt2]] = {}
-    for k in range(1, 2 * m + 2):
-        img = commutator(gen, cl_monomial((k,), m))
-        col = {}
-        for key, c in img.coeffs.items():
-            if len(key) != 1:
-                raise ArithmeticError("commutator with a vector left degree 1")
-            col[key[0]] = c
-        if col:
-            cols[k] = col
-    return cols
-
-
-def exterior_generator_action(gen: CliffordElement, x: ExteriorElement) -> ExteriorElement:
-    """Derivation action on wedge V induced from the vector action."""
-    m = x.m
-    cols = vector_action(gen, m)
-    out = ExteriorElement(m)
-    for key, c in x.coeffs.items():
-        for pos, k in enumerate(key):
-            for j, coeff in cols.get(k, {}).items():
-                replaced = key[:pos] + (j,) + key[pos + 1:]
-                for mono, c2 in wedge_monomial(replaced, m, c * coeff).coeffs.items():
-                    out.add_term(mono, c2)
-    return out
-
-
 def spin_generator_matrix(i: int, kind: str, m: int) -> EndSpin:
     return clifford_to_end(generator_clifford(i, kind, m))
-
-
-def sym_square_action(gen: CliffordElement, x: SymSquare) -> SymSquare:
-    """Derivation action on Sym^2(V_Spin): g.(a b) = (g a) b + a (g b)."""
-    m = x.m
-    out = SymSquare(m)
-    for (a, b), c in x.coeffs.items():
-        for first, second in ((a, b), (b, a)):
-            img = spin_apply(gen, basis_vector(first, m))
-            for key, coeff in img.coeffs.items():
-                out.add_term((key, second), c * coeff)
-    return out
-
-
-def dual_spin_action(gen: CliffordElement, vec: SpinVector) -> SpinVector:
-    """Contragredient action on V_Spin*: (g.phi)(v) = -phi(g.v)."""
-    if not vec.dual:
-        raise ValueError("dual_spin_action needs a dual vector")
-    m = vec.m
-    mat = clifford_to_end(gen)
-    out = SpinVector(m, {}, dual=True)
-    for (row, col), v in mat.coeffs.items():
-        coeff = vec.coeffs.get(row)
-        if coeff is not None:
-            out.add_term(col, -(v * coeff))
-    return out
 
 
 def pr_kappa_iota(x: SymSquare) -> ExteriorElement:

@@ -110,15 +110,6 @@ def build_u2bar(b: list, m: int) -> Matrix:
     return out
 
 
-def gram_matrix(m: int) -> Matrix:
-    """The bilinear form: <v_i, v_{2m+2-j}> = (-1)^{m+1-i} delta_{ij}."""
-    n = 2 * m + 1
-    out = [[QS2_ZERO] * n for _ in range(n)]
-    for i in range(1, n + 1):
-        out[i - 1][2 * m + 1 - i] = QSqrt2(cl.epsilon(i, m))
-    return out
-
-
 def minor(g: Matrix, rows: list[int], cols: list[int]):
     """Determinant of the submatrix (1-based index sets), by exact elimination."""
     if len(rows) != len(cols):

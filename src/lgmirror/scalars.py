@@ -19,9 +19,8 @@ classes of `qchevalley` (integer coefficients) are its subclasses.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Callable, TypeVar, Union
+from typing import Callable, NamedTuple, TypeVar, Union
 
 _gcd = math.gcd
 
@@ -200,8 +199,7 @@ QS2_ZERO = QSqrt2(0)
 QS2_ONE = QSqrt2(1)
 
 
-@dataclass(frozen=True)
-class ScalarRing:
+class ScalarRing(NamedTuple):
     """The ring constants of Q(sqrt2): zero, one and the embedding of Q."""
 
     zero: QSqrt2
@@ -218,16 +216,32 @@ EXACT = ScalarRing(zero=QS2_ZERO, one=QS2_ONE, from_fraction=QSqrt2.from_fractio
 C = TypeVar("C", bound="Combination")
 
 
-@dataclass
 class Combination:
     """Sparse linear combination: key -> nonzero coefficient.
 
     `+`, `-` and `scale` return the caller's class with its other fields
-    unchanged; equality is the dataclass one (same class, equal fields).
+    unchanged; two combinations are equal when they have the same class and
+    equal fields.
     """
 
-    m: int
-    coeffs: dict = field(default_factory=dict)
+    def __init__(self, m: int, coeffs: dict | None = None) -> None:
+        self.m = m
+        self.coeffs = {} if coeffs is None else coeffs
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def _with(self: C, coeffs: dict) -> C:
+        """A copy of self with `coeffs` as its coefficients."""
+        out = object.__new__(self.__class__)
+        out.__dict__.update(vars(self), coeffs=coeffs)
+        return out
 
     def _canonical(self, key):
         """The one spelling of a key that has several (overridden by clifford.SymSquare)."""
@@ -244,21 +258,21 @@ class Combination:
             self.coeffs.pop(key, None)
 
     def __add__(self: C, other: C) -> C:
-        out = replace(self, coeffs=dict(self.coeffs))
+        out = self._with(dict(self.coeffs))
         for k, c in other.coeffs.items():
             out.add_term(k, c)
         return out
 
     def __sub__(self: C, other: C) -> C:
-        out = replace(self, coeffs=dict(self.coeffs))
+        out = self._with(dict(self.coeffs))
         for k, c in other.coeffs.items():
             out.add_term(k, -c)
         return out
 
     def scale(self: C, c) -> C:
         if not c:
-            return replace(self, coeffs={})
-        return replace(self, coeffs={k: v * c for k, v in self.coeffs.items()})
+            return self._with({})
+        return self._with({k: v * c for k, v in self.coeffs.items()})
 
 
 def splitmix64(state: int):

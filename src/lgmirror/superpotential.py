@@ -15,10 +15,9 @@ routes, all exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from lgmirror import grouprep as gr
 from lgmirror import partitions as pt
@@ -81,8 +80,7 @@ def plucker_subword_vector(b: list, m: int) -> dict[StrictPartition, object]:
 Product = tuple[StrictPartition, ...]
 
 
-@dataclass(frozen=True)
-class WTermSymbolic:
+class WTermSymbolic(NamedTuple):
     """One of the m+1 summands: signed products over signed products, times q^q_power."""
 
     numerator: tuple[tuple[int, Product], ...]
@@ -172,8 +170,7 @@ def eval_W_tilde(q, b: list, m: int):
 # -- verification reports -----------------------------------------------------
 
 
-@dataclass
-class CheckReport:
+class CheckReport(NamedTuple):
     ok: bool
     detail: str = ""
 

@@ -28,22 +28,6 @@ def one_line(subset: tuple[int, ...], m: int) -> tuple[int, ...]:
     return tuple(k for k in range(1, m + 1) if k not in inside) + tuple(-k for k in sorted(inside, reverse=True))
 
 
-def times_reflection(subset: tuple[int, ...], i: int, j: int, m: int) -> tuple[tuple[int, ...], bool]:
-    """w s_alpha for the w in W^P with negative subset I, where alpha =
-    e_i + e_j (i < j) or 2 e_i (i = j): its negative subset, and whether it
-    lies in W^P.
-
-    s_alpha sends e_i to -e_j and e_j to -e_i, so w s_alpha is w with the
-    images at positions i and j swapped and negated.  Its negative subset is
-    I with the membership of |w(i)| and |w(j)| toggled, and it lies in W^P
-    exactly when its images are the one-line form of that subset.
-    """
-    images = list(one_line(subset, m))
-    images[i - 1], images[j - 1] = -images[j - 1], -images[i - 1]
-    flipped = tuple(sorted(set(subset) ^ {abs(images[i - 1]), abs(images[j - 1])}))
-    return flipped, tuple(images) == one_line(flipped, m)
-
-
 # -- the canonical reduced word of w^P and its reduced subwords ---------------
 
 

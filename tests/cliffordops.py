@@ -1,0 +1,115 @@
+"""Clifford-algebra operations that no command runs: test oracles for `lgmirror.clifford`.
+
+The Clifford product (word concatenation brought to normal order by
+`clifford._normalize`), the quantization map alpha, the actions of a
+wedge^2 generator on V, wedge V, Sym^2(V_Spin) and the dual spin module,
+and small constructors of basis elements.  The package's pi pipeline uses
+none of them: it writes matrix units and alpha^-1 in closed form.  The
+equivariance checks of criterion 6 and the defining relations are stated
+with these.
+"""
+
+from __future__ import annotations
+
+from lgmirror import clifford as cl
+from lgmirror import partitions as pt
+from lgmirror.clifford import CliffordElement, EndSpin, ExteriorElement, SpinVector, SymSquare
+from lgmirror.partitions import StrictPartition
+from lgmirror.scalars import QS2_ONE, QSqrt2
+
+
+def clifford_mul(x: CliffordElement, y: CliffordElement) -> CliffordElement:
+    m = x.m
+    out = CliffordElement(m)
+    for kx, cx in x.coeffs.items():
+        for ky, cy in y.coeffs.items():
+            c = cx * cy
+            for key, coeff in cl._normalize(kx + ky, m):
+                out.add_term(key, c * QSqrt2.from_fraction(coeff))
+    return out
+
+
+def commutator(x: CliffordElement, y: CliffordElement) -> CliffordElement:
+    return clifford_mul(x, y) - clifford_mul(y, x)
+
+
+def antisymmetrize(x: ExteriorElement) -> CliffordElement:
+    """The Chevalley quantization map alpha: wedge V -> Cl(V), by the Wick sum of sign -1."""
+    out = CliffordElement(x.m)
+    for key, c in x.coeffs.items():
+        for mono, coeff in cl._wick(key, x.m, -1):
+            out.add_term(mono, c * QSqrt2.from_fraction(coeff))
+    return out
+
+
+def basis_vector_of(lam: StrictPartition) -> SpinVector:
+    return cl.basis_vector(pt.to_subset(lam), lam.m)
+
+
+def end_identity(m: int) -> EndSpin:
+    out = EndSpin(m)
+    for s in pt.all_subsets(m):
+        out.add_term((s, s), QS2_ONE)
+    return out
+
+
+def sym_pair(lam: StrictPartition, mu_: StrictPartition, c=QS2_ONE) -> SymSquare:
+    out = SymSquare(lam.m)
+    out.add_term((pt.to_subset(lam), pt.to_subset(mu_)), c)
+    return out
+
+
+def vector_action(gen: CliffordElement, m: int) -> dict[int, dict[int, QSqrt2]]:
+    """Action of a wedge^2 element on V by Clifford commutator, as sparse columns
+    {k: {j: coeff of v_j in gen.v_k}}."""
+    cols: dict[int, dict[int, QSqrt2]] = {}
+    for k in range(1, 2 * m + 2):
+        img = commutator(gen, cl.cl_monomial((k,), m))
+        col = {}
+        for key, c in img.coeffs.items():
+            if len(key) != 1:
+                raise ArithmeticError("commutator with a vector left degree 1")
+            col[key[0]] = c
+        if col:
+            cols[k] = col
+    return cols
+
+
+def exterior_generator_action(gen: CliffordElement, x: ExteriorElement) -> ExteriorElement:
+    """Derivation action on wedge V induced from the vector action."""
+    m = x.m
+    cols = vector_action(gen, m)
+    out = ExteriorElement(m)
+    for key, c in x.coeffs.items():
+        for pos, k in enumerate(key):
+            for j, coeff in cols.get(k, {}).items():
+                replaced = key[:pos] + (j,) + key[pos + 1:]
+                for mono, c2 in cl.wedge_monomial(replaced, m, c * coeff).coeffs.items():
+                    out.add_term(mono, c2)
+    return out
+
+
+def sym_square_action(gen: CliffordElement, x: SymSquare) -> SymSquare:
+    """Derivation action on Sym^2(V_Spin): g.(a b) = (g a) b + a (g b)."""
+    m = x.m
+    out = SymSquare(m)
+    for (a, b), c in x.coeffs.items():
+        for first, second in ((a, b), (b, a)):
+            img = cl.spin_apply(gen, cl.basis_vector(first, m))
+            for key, coeff in img.coeffs.items():
+                out.add_term((key, second), c * coeff)
+    return out
+
+
+def dual_spin_action(gen: CliffordElement, vec: SpinVector) -> SpinVector:
+    """Contragredient action on V_Spin*: (g.phi)(v) = -phi(g.v)."""
+    if not vec.dual:
+        raise ValueError("dual_spin_action needs a dual vector")
+    m = vec.m
+    mat = cl.clifford_to_end(gen)
+    out = SpinVector(m, {}, dual=True)
+    for (row, col), v in mat.coeffs.items():
+        coeff = vec.coeffs.get(row)
+        if coeff is not None:
+            out.add_term(col, -(v * coeff))
+    return out

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -244,34 +245,99 @@ def test_divisor_redraw_counted(capsys):
 
 IMPORT_PROBE = """
 import contextlib, io, json, sys
+start = set(sys.modules)
 from lgmirror import cli
 
 def run(argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = cli.main(argv)
-    return code, out.getvalue()
+    loaded = set(sys.modules) - start
+    return {"code": code, "points": len(json.loads(out.getvalue()).get("points", [])),
+            "lgmirror": sorted(m for m in loaded if m.split(".")[0] == "lgmirror"),
+            "others": sorted(loaded & {"dataclasses", "inspect", "numpy"})}
 
-codes = [run(argv)[0] for argv in (
-    ["verify", "pi-map", "--m", "2"],
-    ["verify", "chevalley", "--m", "3"],
-    ["verify", "theorem-w", "--m", "2", "--trials", "1"],
-)]
-exact = {"codes": codes, "numpy": "numpy" in sys.modules, "jacobi": "lgmirror.jacobi" in sys.modules}
-_, out = run(["critical", "--m", "2", "--trials", "20"])
-critical = {"points": len(json.loads(out)["points"]), "numpy": "numpy" in sys.modules,
-            "jacobi": "lgmirror.jacobi" in sys.modules}
-print(json.dumps({"exact": exact, "critical": critical}))
+print(json.dumps([run(argv) for argv in json.loads(sys.argv[1])]))
 """
+
+
+def probe(*commands: list[str]) -> list[dict]:
+    """Run the commands one after another in one fresh interpreter; after
+    each, its exit code, the number of critical points it reports, and the
+    lgmirror modules and the modules of {dataclasses, inspect, numpy} loaded
+    since the interpreter started."""
+    proc = python("-c", IMPORT_PROBE, json.dumps(commands))
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
 
 
 def test_exact_commands_never_load_numpy():
     """The exact suites run without numpy; `critical` loads it with jacobi."""
-    proc = python("-c", IMPORT_PROBE)
+    seen = probe(
+        ["verify", "pi-map", "--m", "2"],
+        ["verify", "chevalley", "--m", "3"],
+        ["verify", "theorem-w", "--m", "2", "--trials", "1"],
+        ["critical", "--m", "2", "--trials", "20"],
+    )
+    assert [s["code"] for s in seen[:3]] == [0, 0, 0]
+    assert all("numpy" not in s["others"] and "lgmirror.jacobi" not in s["lgmirror"] for s in seen[:3])
+    assert seen[3]["points"] == 3 and "numpy" in seen[3]["others"] and "lgmirror.jacobi" in seen[3]["lgmirror"]
+
+
+EXACT_COMMANDS = {
+    "pi-map": (["verify", "pi-map", "--m", "3"], ["cli", "clifford", "partitions", "scalars"]),
+    "chevalley": (["verify", "chevalley", "--m", "3"], ["cli", "partitions", "qchevalley", "scalars", "weyl"]),
+    **{
+        suite: (["verify", suite, "--m", "3", "--trials", "1"], None)
+        for suite in ("theorem-w", "minors", "fj", "em", "subword")
+    },
+    "print-w": (["print-w", "--m", "3", "--format", "json"], None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_COMMANDS))
+def test_each_exact_command_loads_only_what_it_runs(name):
+    """A fresh `verify pi-map` loads only the Clifford layer below the CLI,
+    a fresh `verify chevalley` only the Weyl and Chevalley layers; no exact
+    command loads numpy, jacobi, dataclasses or inspect."""
+    argv, modules = EXACT_COMMANDS[name]
+    (seen,) = probe(argv)
+    assert seen["code"] == 0
+    assert seen["others"] == []
+    assert "lgmirror.jacobi" not in seen["lgmirror"]
+    if modules is not None:
+        assert seen["lgmirror"] == ["lgmirror"] + [f"lgmirror.{m}" for m in modules]
+
+
+# sha256 of the whole stdout of each command, recorded before the sigma_1
+# root sum went size first, the matrix units took per-pair signs and the CLI
+# started importing per command: those changes move no byte of a report
+PINNED_REPORTS = {
+    "pi-map-7": (
+        ["verify", "pi-map", "--m", "7"],
+        "7947beef93e68bb84d53a38f363a23049b453a05ced49a74fc9994f1e0887202",
+    ),
+    "chevalley-8": (
+        ["verify", "chevalley", "--m", "8"],
+        "f5a506a9efeaf138dca5436bcfd1f82b649f06783b5ed0f81c088eb6ab5a6c2d",
+    ),
+    "print-w-5-json": (
+        ["print-w", "--m", "5", "--format", "json"],
+        "79b1a333f6206e6f0330510074d6dd35f9a7df6011a20a52160926d629607dd5",
+    ),
+    "theorem-w-4": (
+        ["verify", "theorem-w", "--m", "4", "--trials", "2", "--seed", "5"],
+        "e18b5bac14edf4896a738f104349fd5f95338d381d258f8ce5c5029116702160",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_REPORTS))
+def test_reports_match_their_pinned_sha256(name):
+    argv, digest = PINNED_REPORTS[name]
+    proc = python("-m", "lgmirror.cli", *argv)
     assert proc.returncode == 0, proc.stderr
-    seen = json.loads(proc.stdout)
-    assert seen["exact"] == {"codes": [0, 0, 0], "numpy": False, "jacobi": False}
-    assert seen["critical"] == {"points": 3, "numpy": True, "jacobi": True}
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
 
 
 COST_GUARD_PROBE = """

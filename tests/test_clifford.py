@@ -5,6 +5,7 @@ from itertools import combinations
 
 import pytest
 
+import cliffordops as co
 import weylgroup as wg
 from displays import expected_clifford_image, expected_iota_image, expected_middle_wedge
 from lgmirror import clifford as cl
@@ -65,8 +66,8 @@ def rand_sym_square(rng, m, terms=3):
         cl.cl_monomial((1, 7), 3),
         cl.wedge_monomial((2, 1), 3),
         cl.basis_vector((1,), 3),
-        cl.end_identity(3),
-        cl.sym_pair(pt.empty(3), pt.rho(1, 3)),
+        co.end_identity(3),
+        co.sym_pair(pt.empty(3), pt.rho(1, 3)),
     ],
     ids=lambda x: type(x).__name__,
 )
@@ -92,12 +93,12 @@ def test_defining_relations():
         for i in range(1, m + 1):
             vi = cl.cl_monomial((i,), m)
             vbi = cl.cl_monomial((cl.bar(i, m),), m)
-            anti = cl.clifford_mul(vi, vbi) + cl.clifford_mul(vbi, vi)
+            anti = co.clifford_mul(vi, vbi) + co.clifford_mul(vbi, vi)
             assert anti == scalar(QSqrt2(cl.epsilon(i, m)), m)
         mid = cl.cl_monomial((m + 1,), m)
-        assert cl.clifford_mul(mid, mid) == scalar(QSqrt2(Fraction(1, 2)), m)
+        assert co.clifford_mul(mid, mid) == scalar(QSqrt2(Fraction(1, 2)), m)
         v1, v2 = cl.cl_monomial((1,), m), cl.cl_monomial((2,), m)
-        assert cl.clifford_mul(v1, v2) == cl.clifford_mul(v2, v1).scale(QSqrt2(-1))
+        assert co.clifford_mul(v1, v2) == co.clifford_mul(v2, v1).scale(QSqrt2(-1))
 
 
 def test_clifford_mul_associative():
@@ -105,7 +106,7 @@ def test_clifford_mul_associative():
     m = 2
     for _ in range(5):
         x, y, z = (rand_clifford(rng, m) for _ in range(3))
-        assert cl.clifford_mul(cl.clifford_mul(x, y), z) == cl.clifford_mul(x, cl.clifford_mul(y, z))
+        assert co.clifford_mul(co.clifford_mul(x, y), z) == co.clifford_mul(x, co.clifford_mul(y, z))
 
 
 # -- antisymmetrization ---------------------------------------------------------
@@ -113,14 +114,14 @@ def test_clifford_mul_associative():
 
 def test_antisymmetrize_examples():
     m = 3
-    assert cl.antisymmetrize(cl.wedge_monomial((1, 2), m)) == cl.cl_monomial((1, 2), m)
-    x = cl.antisymmetrize(cl.wedge_monomial((1, cl.bar(1, m)), m))
+    assert co.antisymmetrize(cl.wedge_monomial((1, 2), m)) == cl.cl_monomial((1, 2), m)
+    x = co.antisymmetrize(cl.wedge_monomial((1, cl.bar(1, m)), m))
     expected = cl.cl_monomial((1, cl.bar(1, m)), m) + scalar(
         QSqrt2(Fraction(-cl.epsilon(1, m), 2)), m
     )
     assert x == expected
     one = cl.ExteriorElement(m, {(): QS2_ONE})
-    assert cl.antisymmetrize(one) == scalar(QS2_ONE, m)
+    assert co.antisymmetrize(one) == scalar(QS2_ONE, m)
 
 
 def test_antisymmetrize_inverse_roundtrip():
@@ -129,7 +130,7 @@ def test_antisymmetrize_inverse_roundtrip():
         for parity in (0, 1):
             for _ in range(5):
                 x = rand_exterior(rng, m, parity=parity)
-                assert cl.antisymmetrize_inv(cl.antisymmetrize(x)) == x
+                assert cl.antisymmetrize_inv(co.antisymmetrize(x)) == x
     y = cl.cl_monomial((1, cl.bar(1, 3)), 3)
     back = cl.antisymmetrize_inv(y)
     expected = cl.wedge_monomial((1, cl.bar(1, 3)), 3)
@@ -142,7 +143,7 @@ def test_antisymmetrize_inv_roundtrip_on_mixed_parity():
     for m in (2, 3):
         for _ in range(5):
             x = rand_exterior(rng, m, parity=0) + rand_exterior(rng, m, parity=1)
-            assert cl.antisymmetrize_inv(cl.antisymmetrize(x)) == x
+            assert cl.antisymmetrize_inv(co.antisymmetrize(x)) == x
 
 
 # the contraction recursion alpha(v_k ^ y) = v_k * alpha(y) - alpha(contract_{v_k} y),
@@ -189,7 +190,7 @@ def test_wick_sum_matches_the_contraction_recursion(m):
     for r in range(2 * m + 2):
         for key in combinations(range(1, 2 * m + 2), r):
             wedge = cl.wedge_monomial(key, m)
-            assert cl.antisymmetrize(wedge) == alpha_oracle(wedge), key
+            assert co.antisymmetrize(wedge) == alpha_oracle(wedge), key
             mono = cl.cl_monomial(key, m)
             assert alpha_oracle(cl.antisymmetrize_inv(mono)) == mono, key
 
@@ -202,8 +203,8 @@ def test_antisymmetrize_equivariance():
             for i in range(1, m + 1):
                 for kind in ("e", "f"):
                     g = cl.generator_clifford(i, kind, m)
-                    lhs = cl.antisymmetrize(cl.exterior_generator_action(g, x))
-                    rhs = cl.commutator(g, cl.antisymmetrize(x))
+                    lhs = co.antisymmetrize(co.exterior_generator_action(g, x))
+                    rhs = co.commutator(g, co.antisymmetrize(x))
                     assert lhs == rhs, (m, i, kind)
 
 
@@ -213,7 +214,7 @@ def test_antisymmetrize_equivariance():
 def test_spin_action_examples():
     for m in (2, 3):
         f_m = cl.generator_clifford(m, "f", m)
-        w_box = cl.basis_vector_of(pt.partition((1,), m))
+        w_box = co.basis_vector_of(pt.partition((1,), m))
         assert cl.spin_apply(f_m, w_box) == cl.basis_vector((), m)
         w_empty = cl.basis_vector((), m)
         img = cl.spin_generator_action(m + 1, w_empty)
@@ -239,16 +240,16 @@ def test_generator_ladder_builds_basis():
             vec = cl.basis_vector((), m)
             for i in reversed(word):
                 vec = cl.spin_apply(cl.generator_clifford(i, "e", m), vec)
-            assert vec == cl.basis_vector_of(lam)
+            assert vec == co.basis_vector_of(lam)
 
 
 def test_clifford_to_end_homomorphism():
     rng = random.Random(4)
     m = 2
-    assert cl.clifford_to_end(scalar(QS2_ONE, m)) == cl.end_identity(m)
+    assert cl.clifford_to_end(scalar(QS2_ONE, m)) == co.end_identity(m)
     for _ in range(4):
         x, y = rand_clifford(rng, m), rand_clifford(rng, m)
-        assert cl.clifford_to_end(cl.clifford_mul(x, y)) == cl.clifford_to_end(x).compose(
+        assert cl.clifford_to_end(co.clifford_mul(x, y)) == cl.clifford_to_end(x).compose(
             cl.clifford_to_end(y)
         )
 
@@ -302,7 +303,7 @@ def _vacuum_projector(m):
     """P_0 = prod_i eps(i) vbar_i v_i, multiplied out."""
     out = scalar(QS2_ONE, m)
     for i in range(1, m + 1):
-        out = cl.clifford_mul(out, cl.cl_monomial((cl.bar(i, m), i), m, QSqrt2(cl.epsilon(i, m))))
+        out = co.clifford_mul(out, cl.cl_monomial((cl.bar(i, m), i), m, QSqrt2(cl.epsilon(i, m))))
     return out
 
 
@@ -314,13 +315,13 @@ def _product_matrix_unit(row, col, m):
     sign = 1
     for i in col:
         sign *= cl.epsilon(i, m)
-    return cl.clifford_mul(creation, cl.clifford_mul(_vacuum_projector(m), annihilation)).scale(QSqrt2(sign))
+    return co.clifford_mul(creation, co.clifford_mul(_vacuum_projector(m), annihilation)).scale(QSqrt2(sign))
 
 
 @lru_cache(maxsize=None)
 def _volume_element(m):
     """Central antisymmetrized volume alpha(v_1 ^ ... ^ v_{2m+1}) and its spin scalar."""
-    omega = cl.antisymmetrize(cl.wedge_monomial(tuple(range(1, 2 * m + 2)), m))
+    omega = co.antisymmetrize(cl.wedge_monomial(tuple(range(1, 2 * m + 2)), m))
     z = cl.spin_apply(omega, cl.basis_vector((), m)).coeffs.get((), QSqrt2(0))
     if not z:
         raise ArithmeticError("volume element acts by 0; it must act invertibly")
@@ -336,7 +337,7 @@ def _end_to_clifford_oracle(mat, parity):
     good, wrong = parity_part(acc, parity), parity_part(acc, 1 - parity)
     if wrong.coeffs:
         omega, z = _volume_element(m)
-        good = good + cl.clifford_mul(omega, wrong).scale(z.inverse())
+        good = good + co.clifford_mul(omega, wrong).scale(z.inverse())
     return good
 
 
@@ -362,11 +363,45 @@ def test_matrix_units_match_product_oracle_m5_sample():
         check_unit_against_oracle(rng.choice(subsets), rng.choice(subsets), 5)
 
 
-def test_pi_map_makes_no_clifford_product(monkeypatch):
-    def forbidden(x, y):
-        raise AssertionError("clifford_mul called")
+def word_sign_matrix_unit(row, col, m, lift):
+    """`_matrix_unit_clifford` with the sorting sign of every whole word w_T."""
+    sign = -1 if lift and len(row) % 2 else 1
+    for l in col:
+        sign *= cl.epsilon(l, m)
+    head = ((m + 1,) if lift else ()) + tuple(sorted(row))
+    tail = tuple(cl.bar(l, m) for l in sorted(col, reverse=True))
+    free = [i for i in range(1, m + 1) if i not in row and i not in col]
+    terms = []
+    for r in range(len(free) + 1):
+        for chosen in combinations(free, r):
+            word = head + tuple(k for i in chosen for k in (i, cl.bar(i, m))) + tail
+            c = sign * cl._perm_sign(word)
+            for i in chosen:
+                c *= -cl.epsilon(i, m)
+            terms.append((tuple(sorted(word)), c))
+    return tuple(terms)
 
-    monkeypatch.setattr(cl, "clifford_mul", forbidden)
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_per_pair_signs_match_the_word_signs(m):
+    """One sign per chosen pair (i, ibar) gives the same monomials, signs and
+    order as sorting every word, for every (row, col, lift)."""
+    for row in pt.all_subsets(m):
+        for col in pt.all_subsets(m):
+            for lift in (False, True):
+                assert cl._matrix_unit_clifford(row, col, m, lift) == word_sign_matrix_unit(row, col, m, lift)
+
+
+def test_pi_map_makes_no_clifford_product(monkeypatch):
+    """The pi path never brings a generator word to normal order, the step
+    of every Clifford product (the test oracle `co.clifford_mul` included)."""
+
+    def forbidden(word, m):
+        raise AssertionError("a generator word was normal-ordered")
+
+    monkeypatch.setattr(cl, "_normalize", forbidden)
+    with pytest.raises(AssertionError, match="normal-ordered"):
+        co.clifford_mul(cl.CliffordElement(2, {(1,): QS2_ONE}), cl.CliffordElement(2, {(2,): QS2_ONE}))
     for m in (2, 3):
         for j in range(2, m + 1):
             for parity in (0, 1):
@@ -377,9 +412,9 @@ def test_pi_map_makes_no_clifford_product(monkeypatch):
 def test_volume_element_is_central_scalar():
     for m in (2, 3):
         omega, z = _volume_element(m)
-        assert cl.clifford_to_end(omega) == cl.end_identity(m).scale(z)
+        assert cl.clifford_to_end(omega) == co.end_identity(m).scale(z)
         v = cl.cl_monomial((1,), m)
-        assert cl.clifford_mul(omega, v) == cl.clifford_mul(v, omega)
+        assert co.clifford_mul(omega, v) == co.clifford_mul(v, omega)
 
 
 # -- duality and the symmetric square -------------------------------------------
@@ -389,7 +424,7 @@ def test_delta_examples():
     m = 3
     d0 = cl.delta(cl.basis_vector((), m))
     assert d0.dual and d0.coeffs == {(1, 2, 3): QS2_ONE}
-    top = cl.delta(cl.basis_vector_of(pt.rho(m, m)))
+    top = cl.delta(co.basis_vector_of(pt.rho(m, m)))
     sign = QSqrt2(-1 if (m * (m + 1) // 2) % 2 else 1)
     assert top.coeffs == {(): sign}
 
@@ -422,7 +457,7 @@ def test_delta_equivariance_matrix_identity():
 
 def test_iota_examples_and_rank():
     m = 2
-    img = cl.iota(cl.sym_pair(pt.empty(m), pt.empty(m)))
+    img = cl.iota(co.sym_pair(pt.empty(m), pt.empty(m)))
     assert img.coeffs == {((), (1, 2)): QS2_ONE}
     for mm in (2, 3):
         pairs = []
@@ -474,7 +509,7 @@ def test_iota_equivariance():
                 for kind in ("e", "f"):
                     g = cl.generator_clifford(i, kind, m)
                     gmat = cl.spin_generator_matrix(i, kind, m)
-                    assert cl.iota(cl.sym_square_action(g, x)) == gmat.commutator(cl.iota(x))
+                    assert cl.iota(co.sym_square_action(g, x)) == gmat.commutator(cl.iota(x))
 
 
 # -- the paired-index and middle-range matrix identities -------------------------
@@ -587,8 +622,8 @@ def test_pi_equivariance():
             for i in range(1, m + 1):
                 for kind in ("e", "f"):
                     g = cl.generator_clifford(i, kind, m)
-                    lhs = cl.pi_map(cl.sym_square_action(g, x))
-                    rhs = cl.exterior_generator_action(g, cl.pi_map(x))
+                    lhs = cl.pi_map(co.sym_square_action(g, x))
+                    rhs = co.exterior_generator_action(g, cl.pi_map(x))
                     assert lhs == rhs, (m, i, kind)
 
 
@@ -600,6 +635,6 @@ def test_volume_element_acting_by_zero_raises(monkeypatch):
 
 
 def test_vector_action_raises_when_degree_changes(monkeypatch):
-    monkeypatch.setattr(cl, "commutator", lambda x, y: cl.cl_monomial((1, 2, 3), x.m))
+    monkeypatch.setattr(co, "commutator", lambda x, y: cl.cl_monomial((1, 2, 3), x.m))
     with pytest.raises(ArithmeticError, match="degree 1"):
-        cl.vector_action(cl.generator_clifford(1, "e", 2), 2)
+        co.vector_action(cl.generator_clifford(1, "e", 2), 2)

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import cliffordops as co
 from lgmirror import cli
 from lgmirror import clifford as cl
 from lgmirror import grouprep as gr
@@ -171,19 +172,27 @@ def test_u2bar_matches_dense_product():
             assert gr.build_u2bar(b, m) == dense_u2bar(b, m), m
 
 
+def gram_matrix(m):
+    """The bilinear form: <v_i, v_{2m+2-j}> = (-1)^{m+1-i} delta_{ij}."""
+    out = mat_zero(2 * m + 1)
+    for i in range(1, 2 * m + 2):
+        out[i - 1][2 * m + 1 - i] = QSqrt2(cl.epsilon(i, m))
+    return out
+
+
 def test_u2bar_preserves_bilinear_form():
     for m in (2, 3):
         stream = cli.rational_stream(21)
         for _ in range(3):
             bs = cli.sample_b(m, stream)
             u2 = gr.build_u2bar(sp.ring_vector(bs, ring), m)
-            g = gr.gram_matrix(m)
+            g = gram_matrix(m)
             assert mat_mul(gr.mat_transpose(u2), mat_mul(g, u2)) == g
 
 
 def test_generators_in_orthogonal_lie_algebra():
     for m in (2, 3):
-        g = gr.gram_matrix(m)
+        g = gram_matrix(m)
         for i in range(1, m + 1):
             for mat in (gr.chevalley_e(i, m), gr.chevalley_f(i, m)):
                 xtg = mat_mul(gr.mat_transpose(mat), g)
@@ -198,7 +207,7 @@ def test_vector_action_matches_clifford_commutator():
     for m in (2, 3):
         for i in range(1, m + 1):
             for kind, mat in (("e", gr.chevalley_e(i, m)), ("f", gr.chevalley_f(i, m))):
-                cols = cl.vector_action(cl.generator_clifford(i, kind, m), m)
+                cols = co.vector_action(cl.generator_clifford(i, kind, m), m)
                 dense = mat_zero(2 * m + 1)
                 for k, col in cols.items():
                     for j, c in col.items():
@@ -294,9 +303,9 @@ def test_u2bar_spin_matches_product_of_generator_matrices():
         stream = cli.rational_stream(31)
         for _ in range(2):
             bv = sp.ring_vector(cli.sample_b(m, stream), ring)
-            product = cl.end_identity(m)
+            product = co.end_identity(m)
             for k in range(len(word), 0, -1):
-                factor = cl.end_identity(m) + cl.spin_generator_matrix(word[k - 1], "f", m).scale(bv[k - 1])
+                factor = co.end_identity(m) + cl.spin_generator_matrix(word[k - 1], "f", m).scale(bv[k - 1])
                 product = product.compose(factor)
             assert build_u2bar_spin(bv, m) == product, m
 

@@ -5,6 +5,7 @@ import weylgroup as wg
 from lgmirror import jacobi as jb
 from lgmirror import partitions as pt
 from lgmirror import qchevalley as qc
+from lgmirror import weyl as wy
 
 
 def test_positive_root_counts():
@@ -56,6 +57,54 @@ def pieri_oracle(lam: pt.StrictPartition, m: int) -> dict:
     if parts and parts[0] == m:
         out[(parts[1:], 1)] = 1
     return out
+
+
+# -- the previous root sum: every root through one whole reflection ----------------
+
+
+def times_reflection(subset: tuple[int, ...], i: int, j: int, m: int) -> tuple[tuple[int, ...], bool]:
+    """w s_alpha for the w in W^P with negative subset I, where alpha =
+    e_i + e_j (i < j) or 2 e_i (i = j): its negative subset, and whether it
+    lies in W^P.
+
+    s_alpha sends e_i to -e_j and e_j to -e_i, so w s_alpha is w with the
+    images at positions i and j swapped and negated.  Its negative subset is
+    I with the membership of |w(i)| and |w(j)| toggled, and it lies in W^P
+    exactly when its images are the one-line form of that subset.
+    """
+    images = list(wy.one_line(subset, m))
+    images[i - 1], images[j - 1] = -images[j - 1], -images[i - 1]
+    flipped = tuple(sorted(set(subset) ^ {abs(images[i - 1]), abs(images[j - 1])}))
+    return flipped, tuple(images) == wy.one_line(flipped, m)
+
+
+def reflection_root_sum(lam: pt.StrictPartition) -> qc.CohClass:
+    """sigma_1 * sigma_lambda with every root reflected in full, then its
+    size and W^P membership read off the result."""
+    m = lam.m
+    subset = pt.to_subset(lam)
+    grown = lam.size + 1
+    out = qc.CohClass(m)
+    for i in range(1, m + 1):
+        for j in range(i, m + 1):
+            c = 1 if i == j else 2
+            image, in_wp = times_reflection(subset, i, j, m)
+            size = sum(m + 1 - k for k in image)
+            if in_wp and size == grown:
+                out.add_term((pt.from_subset(image, m), 0), c)
+            elif size == grown - (m + 1) * c:
+                out.add_term((pt.from_subset(image, m), c), c)
+    return out
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+def test_size_first_root_sum_matches_the_reflection_root_sum(m):
+    """chevalley_multiply, which drops a root by its size change before any
+    reflection, equals the sum that reflects every root: the same terms in
+    the same order, for every lambda."""
+    for lam in pt.all_strict_partitions(m):
+        new, old = qc.chevalley_multiply(lam), reflection_root_sum(lam)
+        assert new == old and list(new.coeffs) == list(old.coeffs), lam
 
 
 @pytest.mark.parametrize("m", range(2, 8))

@@ -3,7 +3,8 @@
 import ast
 import os
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "lgmirror")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src", "lgmirror")
 
 
 def test_no_assert_statements():
@@ -50,3 +51,81 @@ def test_no_module_reads_another_modules_private_names():
             ):
                 found.append(f"{name}:{node.lineno} {node.value.id}.{node.attr}")
     assert found == [], f"private names read across modules: {found}"
+
+
+def _trees(folder: str) -> dict[str, ast.Module]:
+    out = {}
+    for name in sorted(os.listdir(folder)):
+        if name.endswith(".py"):
+            with open(os.path.join(folder, name)) as fh:
+                out[name] = ast.parse(fh.read(), filename=name)
+    return out
+
+
+def test_no_dataclasses_import():
+    """A fresh command would pay 10 ms for `dataclasses` (it loads `inspect`,
+    `ast` and `dis`); plain classes and `typing.NamedTuple` do its job."""
+    found = []
+    for name, tree in _trees(SRC).items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                found += [f"{name}:{node.lineno}" for a in node.names if a.name.split(".")[0] == "dataclasses"]
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "dataclasses":
+                found.append(f"{name}:{node.lineno}")
+    assert found == [], f"dataclasses imported at {found}"
+
+
+def _referenced(tree: ast.Module) -> set[str]:
+    """Every name a module reads: bare names, attributes and imported names."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name)
+    return out
+
+
+def _perfbench_names() -> set[str]:
+    """The lgmirror names the benchmark reads: `from lgmirror.x import name`
+    and `module.name` on a module imported from lgmirror."""
+    out = set()
+    for tree in _trees(os.path.join(ROOT, "perfbench")).values():
+        modules = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("lgmirror"):
+                if node.module == "lgmirror":
+                    modules.update(a.asname or a.name for a in node.names)
+                else:
+                    out.update(a.name for a in node.names)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
+                out.add(node.attr)
+    return out
+
+
+# the console script of pyproject.toml
+ENTRY_POINTS = {"main"}
+
+
+def test_every_public_name_has_a_caller():
+    """src/ holds what a command runs: each public top-level function, class
+    or constant of a module is read somewhere in src/ or scripts/ (its own
+    module included), or is a CLI entry point or a name the benchmark reads.
+    Test-only helpers live in tests/ as oracles."""
+    trees = _trees(SRC)
+    read = set().union(*map(_referenced, trees.values()), *map(_referenced, _trees(os.path.join(ROOT, "scripts")).values()))
+    allowed = ENTRY_POINTS | _perfbench_names()
+    unread = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, ast.Assign):
+                defined = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            else:
+                defined = []
+            unread += [f"{name[:-3]}.{d}" for d in defined if not d.startswith("_") and d not in read | allowed]
+    assert unread == [], f"public names no command reads: {unread}"

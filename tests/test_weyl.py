@@ -13,6 +13,7 @@ from lgmirror import superpotential as sp
 from lgmirror import weyl as wy
 from lgmirror.scalars import EXACT
 from test_grouprep import spin_factors
+from test_qchevalley import times_reflection
 
 
 # -- oracles: the enumerations the W^P dynamic programme replaced ---------------
@@ -263,7 +264,8 @@ def test_reduced_subwords_reject_target_outside_wp():
 @pytest.mark.parametrize("m", range(1, 7))
 def test_reflection_rule_matches_the_group_product(m):
     """For every w in W^P and every root alpha = e_i + e_j (i < j) or 2 e_i,
-    times_reflection gives the negative subset of the signed permutation
+    times_reflection, the reflection step of the test-side root sum in
+    test_qchevalley, gives the negative subset of the signed permutation
     w s_alpha and whether it lies in W^P; one_line gives w itself."""
     inside = outside = 0
     for subset in pt.all_subsets(m):
@@ -275,7 +277,7 @@ def test_reflection_rule_matches_the_group_product(m):
             support = [k for k, c in enumerate(root.vector, start=1) if c]
             ws = w * root.reflection
             member = is_min_coset_rep(ws)
-            assert wy.times_reflection(subset, support[0], support[-1], m) == (wg.negative_subset(ws), member)
+            assert times_reflection(subset, support[0], support[-1], m) == (wg.negative_subset(ws), member)
             inside += member
             outside += not member
     assert inside and (outside or m == 1)
