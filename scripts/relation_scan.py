@@ -27,10 +27,11 @@ def main() -> None:
     print(f"{'m':>3} {'l':>3} {'q':>10} {'points':>6} {'max deviation':>14}")
     for m in range(2, args.max_m + 1):
         for q in (1.0, 2.0, 1.0 + 0.5j):
-            pts = jb.spectrum_critical_points(m, complex(q))
-            for l, max_dev in enumerate(jb.conjecture_probe(m, complex(q), pts), start=1):
-                dev = "-" if max_dev is None else f"{max_dev:.2e}"
-                print(f"{m:>3} {l:>3} {str(q):>10} {len(pts):>6} {dev:>14}")
+            report = jb.critical_report(m, complex(q))
+            count = report["spectrum_match"]["count"]
+            for probe in report["conjecture"]:
+                dev = "-" if probe["max_dev"] is None else f"{probe['max_dev']:.2e}"
+                print(f"{m:>3} {probe['l']:>3} {str(q):>10} {count:>6} {dev:>14}")
     print()
     print("deviations at machine-precision scale support the relation at every level l")
     print("(the points are the torus critical points peeled from sigma_1* eigenvectors:")

@@ -26,6 +26,7 @@ import math
 import os
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from lgmirror.scalars import QSqrt2, splitmix64
 
@@ -209,7 +210,9 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational: {text}") from exc
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: parsing reads it and changes nothing."""
     parser = argparse.ArgumentParser(
         prog="lgmirror",
         description="Landau-Ginzburg superpotential of LG(m): construction and exact verification",

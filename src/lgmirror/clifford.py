@@ -331,11 +331,11 @@ def delta(vec: SpinVector) -> SpinVector:
 
 
 class SymSquare(Combination):
-    """Element of Sym^2(V_Spin): unordered subset pairs -> coefficient."""
+    """Element of Sym^2(V_Spin): unordered subset pairs, smaller first -> coefficient."""
 
-    def _canonical(self, key: tuple[Subset, Subset]) -> tuple[Subset, Subset]:
+    def add_term(self, key: tuple[Subset, Subset], c) -> None:
         a, b = key
-        return (a, b) if a <= b else (b, a)
+        super().add_term((a, b) if a <= b else (b, a), c)
 
 
 def iota(x: SymSquare) -> EndSpin:

@@ -10,8 +10,9 @@ f_i = eps(i) v_{i+1} vbar_i (i < m), sqrt2 vbar_m v_{m+1}, and moves w_I to
 w_{I-{i}+{i+1}} (i in I, i+1 not) or to w_{I-{m}} (m in I) with entry 1:
 vbar_i takes eps(i) times the sign v_{i+1} takes, and v_{m+1} the sign
 vbar_m takes, times 1/sqrt2.  `spin_f_moves` holds those moves, checked
-when built; `spin_row_sweep` reads them, and `jacobi._peel_plan` reads
-them as index arrays.
+when built.  One sweep, `apply_factors`, serves both: `build_u2bar` runs
+the vector factors, and `spin_row_sweep` the transposed spin moves from
+w_empty.  `jacobi._peel_plan` reads the moves as index arrays.
 """
 
 from __future__ import annotations
@@ -66,28 +67,28 @@ def _vector_f_table(i: int, m: int) -> tuple:
 def _factors(b: list, m: int) -> list:
     """The factors y_{i_k}(b_k) - I of u2bar, leftmost (k = N) first, each
     stored sparsely as {col: [(row, entry), ...]}."""
-    word = wy.canonical_wp_word(m)
-    if len(b) != len(word):
-        raise ValueError(f"need {len(word)} coordinates for m={m}, got {len(b)}")
     factors = []
-    for k in range(len(word), 0, -1):
-        bk = b[k - 1]
+    for i, bk in reversed(list(zip(wy.coordinate_word(b, m), b))):
         factor: dict = {}
-        for row, col, power, entry in _vector_f_table(word[k - 1], m):
-            scale = bk if power == 1 else bk * bk
-            factor.setdefault(col, []).append((row, scale * entry))
+        for row, col, power, entry in _vector_f_table(i, m):
+            factor.setdefault(col, []).append((row, (bk if power == 1 else bk * bk) * entry))
         factors.append(factor)
     return factors
 
 
 def apply_factors(factors: list, coeffs: dict) -> dict:
     """Apply the product of I + F over the (leftmost-first) factor list to
-    the exact sparse vector {index: coefficient}."""
+    the exact sparse vector {index: coefficient}; each F is stored by
+    column, {col: [(row, entry), ...]}."""
     for factor in reversed(factors):
         out = dict(coeffs)
-        for col, c in coeffs.items():
-            for row, entry in factor.get(col, ()):
-                new = out.get(row, QS2_ZERO) + entry * c
+        for col, entries in factor.items():
+            c = coeffs.get(col)
+            if c is None:
+                continue
+            for row, entry in entries:
+                cur = out.get(row)
+                new = entry * c if cur is None else cur + entry * c
                 if new:
                     out[row] = new
                 else:
@@ -174,20 +175,10 @@ def spin_row_sweep(b: list, m: int) -> dict[tuple[int, ...], QSqrt2]:
     """The row w_empty^T (I + b_N F_{i_N}) ... (I + b_1 F_{i_1}) of u2bar on V_Spin.
 
     Keyed by column subset: the entry at I is the w_empty coefficient of
-    u2bar w_I.  One pass over the N factors gives the whole row, each move
-    (r, col) of F_{i_k} adding b_k times the entry at r to the one at col;
-    columns never reached are absent.
+    u2bar w_I; columns where it vanishes are absent.  It is the transpose
+    (I + b_1 F_{i_1}^T) ... (I + b_N F_{i_N}^T) w_empty: apply_factors sends
+    the entry at r, times b_k, to col for each move (r, col) of F_{i_k}.
     """
-    word = wy.canonical_wp_word(m)
-    if len(b) != len(word):
-        raise ValueError(f"need {len(word)} coordinates for m={m}, got {len(b)}")
-    row = {(): QS2_ONE}
-    for k in range(len(word), 0, -1):
-        bk = b[k - 1]
-        out = dict(row)
-        for r, col in spin_f_moves(word[k - 1], m):
-            c = row.get(r)
-            if c is not None:
-                out[col] = out[col] + c * bk if col in out else c * bk
-        row = out
-    return row
+    word = wy.coordinate_word(b, m)
+    factors = [{r: [(col, bk)] for r, col in spin_f_moves(i, m)} for i, bk in zip(word, b)]
+    return apply_factors(factors, {(): QS2_ONE})

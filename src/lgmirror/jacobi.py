@@ -58,9 +58,10 @@ class CriticalPoint(NamedTuple):
     grad_norm: float
 
 
+@lru_cache(maxsize=None)
 def torus_monomials(m: int) -> np.ndarray:
     """Boolean mask (n_terms x N): row T selects the m inverted coordinates of
-    one monomial of q N(b)/prod(b)."""
+    one monomial of q N(b)/prod(b); built once per m, shared, read-only."""
     n = m * (m + 1) // 2
     subsets = wy.complement_subwords(m)
     mask = np.zeros((len(subsets), n), dtype=bool)
@@ -68,7 +69,14 @@ def torus_monomials(m: int) -> np.ndarray:
         comp = set(range(1, n + 1)) - set(s)
         for k in comp:
             mask[r, k - 1] = True
+    mask.flags.writeable = False
     return mask
+
+
+@lru_cache(maxsize=None)
+def _position(m: int) -> dict[StrictPartition, int]:
+    """lambda -> its column in every 2^m array here (all_strict_partitions order)."""
+    return {lam: k for k, lam in enumerate(pt.all_strict_partitions(m))}
 
 
 def _terms(inv: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -278,11 +286,6 @@ def spectrum_seeds(m: int, q: complex, tolerance: float = 1e-6) -> list[Seed]:
     return sorted(seeds, key=lambda s: _order_key(s.eigenvalue_scaled, spread))
 
 
-def spectrum_critical_points(m: int, q: complex) -> list[CriticalPoint]:
-    """The torus critical points that spectrum_seeds finds, in its order."""
-    return [s.point for s in spectrum_seeds(m, q) if s.point is not None]
-
-
 def _polish(b: np.ndarray, q: complex, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Plain Newton on grad W-tilde = 0 from every row of the stack `b`.
 
@@ -323,9 +326,8 @@ def _rel_err(a: complex, b: complex) -> float:
 def sigma1_matrix(m: int, q_value: complex) -> np.ndarray:
     """Matrix of sigma_1 * in the Schubert basis (canonical subset order),
     entry (mu, lambda) = coefficient of sigma_mu in sigma_1 * sigma_lambda."""
-    basis = pt.all_strict_partitions(m)
-    index = {lam: k for k, lam in enumerate(basis)}
-    out = np.zeros((len(basis), len(basis)), dtype=complex)
+    index = _position(m)
+    out = np.zeros((len(index), len(index)), dtype=complex)
     for col, product in enumerate(qc.sigma1_table(m).values()):
         for (mu_, d), c in product.coeffs.items():
             out[index[mu_], col] += c * q_value**d
@@ -343,7 +345,7 @@ def conjecture_probe(m: int, q: complex, points: list[CriticalPoint]) -> list[fl
     """
     if not points:
         return [None] * (m - 1)
-    column = {lam: k for k, lam in enumerate(pt.all_strict_partitions(m))}
+    column = _position(m)
     p = pluecker_rows(np.array([cp.coords for cp in points]), m)
     deviations = []
     for l in range(1, m):

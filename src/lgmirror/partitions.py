@@ -2,11 +2,12 @@
 
 A strict partition with parts <= m corresponds to the subset
 I = {m+1-part : part in parts} of {1,...,m}; Poincare duality is subset
-complementation.  The staircase rho_l, the maximal l-row partition mu_l,
-and their J-modified variants index the quadratic numerators and
-denominators of the superpotential.  Modifications that fail to produce a
-strict partition are represented by None (the sum they appear in simply
-skips them).
+complementation; `all_subsets` and `all_strict_partitions` are the 2^m
+basis, cached tuples shared by every caller.  The staircase rho_l, the
+maximal l-row partition mu_l, and their J-modified variants index the
+quadratic numerators and denominators of the superpotential.
+Modifications that fail to produce a strict partition are represented by
+None (the sum they appear in simply skips them).
 
 This module is the one source of the signed pairs of those numerators and
 denominators, and of their sign: the subset J at level l contributes
@@ -19,7 +20,7 @@ lgmirror.clifford are mutually consistent (enforced by the test suite).
 
 from __future__ import annotations
 
-from functools import total_ordering
+from functools import lru_cache, total_ordering
 from itertools import combinations
 from typing import Iterable, Optional
 
@@ -105,21 +106,21 @@ def pd(lam: StrictPartition) -> StrictPartition:
     return from_subset(set(range(1, lam.m + 1)) - set(to_subset(lam)), lam.m)
 
 
-def all_subsets(m: int) -> list[tuple[int, ...]]:
-    """All subsets of {1..m} sorted by size then lexicographically.
+@lru_cache(maxsize=None)
+def all_subsets(m: int) -> tuple[tuple[int, ...], ...]:
+    """All subsets of {1..m}, ascending, sorted by size then lexicographically.
 
     This fixed order indexes the rows/columns of every 2^m-dimensional
-    matrix in the package.
+    matrix in the package; one cached tuple per m, shared by every caller.
     """
-    out: list[tuple[int, ...]] = []
-    for k in range(m + 1):
-        out.extend(combinations(range(1, m + 1), k))
-    return out
+    return tuple(s for k in range(m + 1) for s in combinations(range(1, m + 1), k))
 
 
-def all_strict_partitions(m: int) -> list[StrictPartition]:
-    """All 2^m strict partitions in the canonical subset order."""
-    return [from_subset(s, m) for s in all_subsets(m)]
+@lru_cache(maxsize=None)
+def all_strict_partitions(m: int) -> tuple[StrictPartition, ...]:
+    """All 2^m strict partitions in the order of all_subsets, cached and
+    shared like it: callers zip the two instead of calling to_subset."""
+    return tuple(from_subset(s, m) for s in all_subsets(m))
 
 
 # -- the rho / mu families ---------------------------------------------------

@@ -243,13 +243,8 @@ class Combination:
         out.__dict__.update(vars(self), coeffs=coeffs)
         return out
 
-    def _canonical(self, key):
-        """The one spelling of a key that has several (overridden by clifford.SymSquare)."""
-        return key
-
     def add_term(self, key, c) -> None:
         """Add c to the coefficient of key, dropping it if the sum is zero."""
-        key = self._canonical(key)
         cur = self.coeffs.get(key)
         new = c if cur is None else cur + c
         if new:

@@ -52,15 +52,12 @@ def plucker_vector(b: list, m: int, ring: ScalarRing = EXACT) -> dict[StrictPart
     V_Spin, read from one row sweep over its N sparse factors.
     """
     row = gr.spin_row_sweep(b, m)
-    return {lam: row.get(pt.to_subset(lam), QS2_ZERO) for lam in pt.all_strict_partitions(m)}
+    return {lam: row.get(s, QS2_ZERO) for lam, s in zip(pt.all_strict_partitions(m), pt.all_subsets(m))}
 
 
 def _subword_sums(b: list, m: int, target: tuple[int, ...] | None = None) -> dict:
     """The W^P programme valuing each subword by its product of b's."""
-    word = wy.canonical_wp_word(m)
-    if len(b) != len(word):
-        raise ValueError(f"need {len(word)} coordinates for m={m}, got {len(b)}")
-    return wy.wp_subword_sums(word, m, QS2_ONE, lambda value, p: value * b[p - 1], target)
+    return wy.wp_subword_sums(wy.coordinate_word(b, m), m, QS2_ONE, lambda value, p: value * b[p - 1], target)
 
 
 def plucker_subword_vector(b: list, m: int) -> dict[StrictPartition, object]:
@@ -72,7 +69,7 @@ def plucker_subword_vector(b: list, m: int) -> dict[StrictPartition, object]:
     of them.
     """
     sums = _subword_sums(b, m)
-    return {lam: sums.get(pt.to_subset(lam), QS2_ZERO) for lam in pt.all_strict_partitions(m)}
+    return {lam: sums.get(s, QS2_ZERO) for lam, s in zip(pt.all_strict_partitions(m), pt.all_subsets(m))}
 
 
 # -- the terms of W_t ---------------------------------------------------------

@@ -39,6 +39,15 @@ def canonical_wp_word(m: int) -> tuple[int, ...]:
     return tuple(word)
 
 
+def coordinate_word(b: Sequence, m: int) -> tuple[int, ...]:
+    """The canonical word of w^P, after checking that the coordinates b of
+    u2bar(b) hold one entry per letter: b_k goes with letter k."""
+    word = canonical_wp_word(m)
+    if len(b) != len(word):
+        raise ValueError(f"need {len(word)} coordinates for m={m}, got {len(b)}")
+    return word
+
+
 @lru_cache(maxsize=None)
 def wp_transitions(m: int) -> dict[tuple[int, ...], tuple[tuple[int, ...] | None, ...]]:
     """Left multiplication inside W^P that adds one to the length.

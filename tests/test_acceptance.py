@@ -125,7 +125,7 @@ def shown_off_torus_values(m: int, q: Fraction, failures: list[str]) -> list[com
 def torus_search(m: int, q: int) -> list:
     """The torus critical points peeled from the eigenvectors of sigma_1*;
     criteria 9 and 10 share each search."""
-    return jb.spectrum_critical_points(m, complex(q))
+    return [s.point for s in jb.spectrum_seeds(m, complex(q)) if s.point is not None]
 
 
 def test_criterion_1_symbolic_reproduction():

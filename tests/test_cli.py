@@ -135,6 +135,15 @@ def test_critical_tolerance_must_be_finite_and_positive(capsys, monkeypatch, tol
     assert "--tolerance" in captured.err
 
 
+def test_parser_is_built_once_and_reused(capsys):
+    """build_parser is cached; parsing one command leaves no trace on the next."""
+    assert cli.build_parser() is cli.build_parser()
+    assert cli.main(["print-w", "--m", "2", "--format", "latex"]) == 0
+    assert cli.main(["print-w", "--m", "2"]) == 0
+    latex, text = capsys.readouterr().out.splitlines()
+    assert latex.startswith(r"\frac") and text.startswith("p[1]/p[]")
+
+
 def test_m_too_small_is_usage_error():
     assert cli.main(["verify", "theorem-w", "--m", "1"]) == 2
 
@@ -328,6 +337,24 @@ PINNED_REPORTS = {
     "theorem-w-4": (
         ["verify", "theorem-w", "--m", "4", "--trials", "2", "--seed", "5"],
         "e18b5bac14edf4896a738f104349fd5f95338d381d258f8ce5c5029116702160",
+    ),
+    # recorded before the spin row went through the one sweep of
+    # grouprep.apply_factors and the 2^m basis became cached tuples
+    "minors-4": (
+        ["verify", "minors", "--m", "4", "--trials", "2", "--seed", "5"],
+        "7881ff9236dedf4aae4d3ef2b88e35f0ba63e358b3102c5ed8b68b2207333082",
+    ),
+    "fj-4": (
+        ["verify", "fj", "--m", "4", "--trials", "2", "--seed", "5"],
+        "523e07debe8186c74b84fd8f4a46b7792d7ceeb0b6e2a9982c3e4a65ebbdbc46",
+    ),
+    "em-4": (
+        ["verify", "em", "--m", "4", "--trials", "2", "--seed", "5"],
+        "d0aa03086a94f27c07bcfabb0ef5faffbef9a6e8a43121d97586412c69c82480",
+    ),
+    "subword-4": (
+        ["verify", "subword", "--m", "4", "--trials", "2", "--seed", "5"],
+        "6f70bf7a517058940e953366721858d8bacc86014a79a6f71c547f6cd14ea506",
     ),
 }
 

@@ -279,6 +279,21 @@ def test_u2bar_spin_unitriangular():
                 assert len(r) <= len(c)
 
 
+def test_row_sweep_is_the_empty_row_of_the_spin_matrix():
+    """spin_row_sweep, the transposed moves through apply_factors, equals
+    the w_empty row of the spin matrix built column by column, and keeps no
+    zero entry, also where a coordinate is 0 or two paths cancel."""
+    for m in (2, 3, 4, 5):
+        stream = cli.rational_stream(41 + m)
+        n = m * (m + 1) // 2
+        draws = [cli.sample_b(m, stream), [0] + cli.sample_b(m, stream)[1:], [1, 1, -1] + [1] * (n - 3)]
+        for bs in draws:
+            b = sp.ring_vector(bs, ring)
+            row = gr.spin_row_sweep(b, m)
+            want = {col: c for (r, col), c in build_u2bar_spin(b, m).coeffs.items() if r == ()}
+            assert row == want and all(row.values()), (m, bs)
+
+
 def test_u2bar_spin_corner_coefficients():
     for m in (2, 3):
         stream = cli.rational_stream(13)

@@ -26,6 +26,11 @@ from multistart import (
 GRAD_TOL = 1e-10
 
 
+def spectrum_points(m, q):
+    """The torus critical points that spectrum_seeds finds, in its order."""
+    return [s.point for s in jb.spectrum_seeds(m, q) if s.point is not None]
+
+
 # -- oracles: the per-start search the lockstep batch replaced ------------------
 
 
@@ -214,7 +219,7 @@ def test_polish_returns_perturbed_points():
     for m in (2, 3, 4, 5):
         mask = jb.torus_monomials(m)
         for q in (1.0 + 0j, 2.0 + 1.0j):
-            points = np.array([p.coords for p in jb.spectrum_critical_points(m, q)])
+            points = np.array([p.coords for p in spectrum_points(m, q)])
             moved = points + 1e-6 * draw_starts(points.shape[1], len(points), 9)
             roots, converged = jb._polish(moved, q, mask)
             assert converged.all(), (m, q)
@@ -225,7 +230,7 @@ def test_polish_survives_a_singular_hessian(monkeypatch):
     """A row whose Hessian is zero ends unconverged; the other rows end
     bit-identically to a run without it."""
     mask = jb.torus_monomials(3)
-    points = np.array([p.coords for p in jb.spectrum_critical_points(3, 1.0 + 0j)])
+    points = np.array([p.coords for p in spectrum_points(3, 1.0 + 0j)])
     moved = points + 1e-6 * draw_starts(6, len(points), 9)
     roots, converged = jb._polish(moved, 1.0 + 0j, mask)
     assert converged.all()
@@ -246,7 +251,7 @@ def test_polish_survives_a_singular_hessian(monkeypatch):
 
 def test_critical_points_m3_full_spectrum():
     for q in (1.0, 2.0):
-        pts = jb.spectrum_critical_points(3, complex(q))
+        pts = spectrum_points(3, complex(q))
         assert len(pts) == 8
         assert all(p.grad_norm < GRAD_TOL for p in pts)
         scaled = [complex(z) for z in 4 * np.linalg.eigvals(jb.sigma1_matrix(3, complex(q)))]
@@ -264,7 +269,7 @@ def test_critical_points_m2_torus_misses_the_zero_value():
     reaches (it needs p_(2) = b2 b3 = 0).
     """
     for q in (1.0, 2.0, 1.0 + 1.0j):
-        pts = jb.spectrum_critical_points(2, complex(q))
+        pts = spectrum_points(2, complex(q))
         assert len(pts) == 3
         expected = sorted(
             (6 * (complex(q) / 2) ** (1 / 3) * np.exp(2j * np.pi * k / 3) for k in range(3)),
@@ -342,7 +347,7 @@ MULTISTART_CASES = [(2, 1.0, 250, 1), (3, 1.0, 250, 1), (4, 81.0, 250, 1), (5, 2
 def test_seeding_finds_every_multistart_point(m, q, trials, seed):
     found = find_critical_points(m, complex(q), trials, seed)
     assert found
-    seeded = [np.array(p.coords) for p in jb.spectrum_critical_points(m, complex(q))]
+    seeded = [np.array(p.coords) for p in spectrum_points(m, complex(q))]
     for p in found:
         assert min(np.abs(np.array(p.coords) - b).max() for b in seeded) < 1e-9
 
@@ -366,8 +371,8 @@ def test_doubling_trials_saturates():
 
 
 def test_q_dependence():
-    p1 = jb.spectrum_critical_points(2, 1.0 + 0j)
-    p2 = jb.spectrum_critical_points(2, 2.0 + 0j)
+    p1 = spectrum_points(2, 1.0 + 0j)
+    p2 = spectrum_points(2, 2.0 + 0j)
     v1 = {round(p.value.real, 6) for p in p1}
     v2 = {round(p.value.real, 6) for p in p2}
     assert v1 != v2
@@ -375,7 +380,7 @@ def test_q_dependence():
 
 def test_conjecture_probe():
     for m, q in [(2, 1.0), (3, 1.0), (3, 2.0)]:
-        pts = jb.spectrum_critical_points(m, complex(q))
+        pts = spectrum_points(m, complex(q))
         for l, max_dev in enumerate(jb.conjecture_probe(m, complex(q), pts), start=1):
             assert max_dev < 1e-6, (m, q, l, max_dev)
 
@@ -469,7 +474,7 @@ def test_pluecker_rows_keep_p_empty_one():
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
 def test_probe_matches_the_complex_row_sweep(m):
     for q in (1.0 + 0j, 2.0 + 1.0j, 81.0 + 0j):
-        points = jb.spectrum_critical_points(m, q)
+        points = spectrum_points(m, q)
         assert points
         deviations = jb.conjecture_probe(m, q, points)
         assert len(deviations) == m - 1

@@ -1,7 +1,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from lgmirror import jacobi as jb
 from lgmirror import partitions as pt
+from lgmirror import superpotential as sp
 
 
 @st.composite
@@ -90,3 +92,26 @@ def test_renderings():
     assert lam.render() == "[3,1]"
     assert str(lam) == "(3,1)"
     assert pt.empty(2).render() == "[]"
+
+
+def test_basis_is_one_shared_tuple_per_m():
+    """Both bases are built once per m, in one order: entry k of the
+    partitions is the partition of entry k of the subsets."""
+    for m in range(1, 7):
+        subsets, basis = pt.all_subsets(m), pt.all_strict_partitions(m)
+        assert isinstance(basis, tuple) and basis is pt.all_strict_partitions(m)
+        assert isinstance(subsets, tuple) and subsets is pt.all_subsets(m)
+        assert [pt.to_subset(lam) for lam in basis] == list(subsets)
+
+
+def test_warm_callers_build_no_basis(monkeypatch):
+    """Once warm, a critical report and a Pluecker vector read the cached
+    basis: they make no StrictPartition from a subset."""
+    b = sp.ring_vector([1, -2, 3, 5, -7, 11])
+    cold = jb.critical_report(3, 1), sp.plucker_vector(b, 3)
+
+    def fail(subset, m):
+        raise AssertionError(f"from_subset({subset}, {m}) called")
+
+    monkeypatch.setattr(pt, "from_subset", fail)
+    assert (jb.critical_report(3, 1), sp.plucker_vector(b, 3)) == cold

@@ -18,6 +18,17 @@ def frac(x):
     return ring.from_fraction(Fraction(x))
 
 
+@pytest.mark.parametrize(
+    "route", [sp.plucker_vector, sp.plucker_subword_vector, sp.laurent_numerator, gr.build_u2bar, gr.spin_row_sweep]
+)
+def test_wrong_coordinate_count_raises_one_error(route):
+    """Every route from b checks its length against the canonical word of
+    w^P, with the one message."""
+    b = sp.ring_vector([1, 2, 3, 4, 5], ring)
+    with pytest.raises(ValueError, match=r"^need 6 coordinates for m=3, got 5$"):
+        route(b, 3)
+
+
 def test_plucker_values_m2():
     b = sp.ring_vector([1, 2, 3], ring)
     p = sp.plucker_vector(b, 2, ring)
