@@ -16,7 +16,8 @@ all other generator pairs anticommuting.  The module provides
   and moves a unit across parity by v_{m+1},
 * the duality delta, the symmetric-square embedding iota, and the
   projection pi : Sym^2(V_Spin) -> wedge^{m+1} V built from the maps
-  pr, c, d, all over exact scalars,
+  pr and d . c (one map: contraction with the top form, then covectors
+  back to vectors), all over exact scalars,
 * the elements D_(j), N_(j) of Sym^2(V_Spin) that encode the quadratic
   denominators and numerators of the superpotential, built from the
   signed partition pairs of lgmirror.partitions.
@@ -31,7 +32,6 @@ oracles of tests/cliffordops.py.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 
 from lgmirror import partitions as pt
@@ -130,7 +130,6 @@ def antisymmetrize_inv(x: CliffordElement) -> ExteriorElement:
     return out
 
 
-@lru_cache(maxsize=None)
 def _wick(key: Subset, m: int, sign: int) -> tuple[tuple[Subset, Fraction], ...]:
     """Wick's theorem on the monomial `key`: alpha^{-1} (sign +1) or alpha (sign -1).
 
@@ -269,7 +268,6 @@ def clifford_to_end(x: CliffordElement) -> EndSpin:
 # pairs cross twice.
 
 
-@lru_cache(maxsize=None)
 def _matrix_unit_clifford(row: Subset, col: Subset, m: int, lift: bool) -> tuple[tuple[Subset, int], ...]:
     """The monomials of E_{row,col}, or of (-1)^{|row|} v_{m+1} E_{row,col}
     if `lift`, with their coefficients +-1."""
@@ -381,41 +379,25 @@ def wedge_v_plus(j: int, m: int) -> ExteriorElement:
     return wedge_monomial((j - 1,) + tuple(range(j + 1, j + m + 1)), m)
 
 
-def contract_with_top_form(x: ExteriorElement) -> ExteriorElement:
-    """The map c: wedge^m V -> wedge^{m+1} V*, contraction with
-    (-1)^{m(m+1)/2} v*_1 ^ ... ^ v*_{2m+1}.
+def contract_to_vectors(x: ExteriorElement) -> ExteriorElement:
+    """d . c : wedge^m V -> wedge^{m+1} V, the contraction c with
+    (-1)^{m(m+1)/2} v*_1 ^ ... ^ v*_{2m+1} followed by d: v*_k = epsilon(k) v_{bar(k)}.
 
-    Output monomials are indexed by the starred basis (represented with the
-    same subset keys).  On a basis m-vector v_S the image is the signed
-    complementary covector, the sign being the shuffle sign of (S, S^c)
-    times the global (-1)^{m(m+1)/2}.
+    On a basis m-vector v_S the image is
+    sgn(S || S^c) prod_{k in S^c} epsilon(k) v_{sort(bar(S^c))}: the global
+    sign of c and the sign of reversing the m+1 descending images bar(S^c)
+    are equal and cancel.
     """
     m = x.m
-    n = 2 * m + 1
-    global_sign = -1 if (m * (m + 1) // 2) % 2 else 1
     out = ExteriorElement(m)
     for key, c in x.coeffs.items():
         if len(key) != m:
-            raise ValueError("contract_with_top_form expects pure degree m input")
-        comp = tuple(i for i in range(1, n + 1) if i not in key)
-        sign = global_sign * _perm_sign(key + comp)
-        out.add_term(comp, c if sign > 0 else -c)
-    return out
-
-
-def star_to_vectors(x: ExteriorElement) -> ExteriorElement:
-    """The map d: wedge^{m+1} V* -> wedge^{m+1} V via v*_k = epsilon(k) v_{2m+2-k}."""
-    m = x.m
-    out = ExteriorElement(m)
-    for key, c in x.coeffs.items():
-        sign = 1
-        for k in key:
+            raise ValueError("contract_to_vectors expects pure degree m input")
+        comp = tuple(i for i in range(1, 2 * m + 2) if i not in key)
+        sign = _perm_sign(key + comp)
+        for k in comp:
             sign *= epsilon(k, m)
-        # images 2m+2-k arrive in descending order; reversing k elements
-        k_len = len(key)
-        if (k_len * (k_len - 1) // 2) % 2:
-            sign = -sign
-        out.add_term(tuple(sorted(bar(k, m) for k in key)), c if sign > 0 else -c)
+        out.add_term(tuple(bar(k, m) for k in reversed(comp)), c if sign > 0 else -c)
     return out
 
 
@@ -449,4 +431,4 @@ def pr_kappa_iota(x: SymSquare) -> ExteriorElement:
 
 def pi_map(x: SymSquare) -> ExteriorElement:
     """pi = d . c . pr_{wedge^m} . kappa_{+-}^{-1} . iota : Sym^2(V_Spin) -> wedge^{m+1} V."""
-    return star_to_vectors(contract_with_top_form(pr_kappa_iota(x)))
+    return contract_to_vectors(pr_kappa_iota(x))

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 from lgmirror import grouprep as gr
 from lgmirror import partitions as pt
@@ -175,13 +175,9 @@ class CheckReport(NamedTuple):
         return self.ok
 
 
-def verify_theorem_w(m: int, q, b: list, *, p: Optional[dict] = None) -> CheckReport:
-    """eval_W on Pluecker values against the Laurent form, exact equality.
-
-    `p`, when given, is plucker_vector(b).
-    """
-    if p is None:
-        p = plucker_vector(b, m)
+def verify_theorem_w(m: int, q, b: list, p: dict) -> CheckReport:
+    """eval_W on the Pluecker values p of u2bar(b) against the Laurent form
+    at b, exact equality."""
     lhs = eval_W(q, p, m)
     rhs = eval_W_tilde(q, b, m)
     if lhs == rhs:
@@ -189,26 +185,20 @@ def verify_theorem_w(m: int, q, b: list, *, p: Optional[dict] = None) -> CheckRe
     return CheckReport(False, f"W = {lhs} but W-tilde = {rhs}")
 
 
-def verify_sym_to_minor(
-    m: int, j: int, b: list, *, p: Optional[dict] = None, u2: Optional[gr.Matrix] = None
-) -> CheckReport:
-    """The two quadratic sums against (m+1)x(m+1) minors of u2bar, j = 2..m.
+def verify_sym_to_minor(m: int, j: int, p: dict, u2: gr.Matrix) -> CheckReport:
+    """The two quadratic sums in the Pluecker values p against (m+1)x(m+1)
+    minors of the u2bar matrix u2 at the same point, j = 2..m.
 
     The D_(j) sum equals the minor with rows m+1..2m+1 and columns
     j..j+m, and the N_(j) sum the one with columns {j-1} u {j+1..j+m}:
     these are the minors pairing with v^wedge_(j) and v^wedge_(j),+ in the
     standard degree-(m+1) embedding, and the reading under which the
     identities hold for every m (the printed column sets are their images
-    under j -> m+2-j, which agree only at m = 2).  `p` and `u2`, when given,
-    are plucker_vector(b) and build_u2bar(b), shared by the checks at one b.
+    under j -> m+2-j, which agree only at m = 2).
     """
     if not 2 <= j <= m:
         raise ValueError("verify_sym_to_minor needs 2 <= j <= m")
     l = m + 1 - j
-    if p is None:
-        p = plucker_vector(b, m)
-    if u2 is None:
-        u2 = gr.build_u2bar(b, m)
     rows = list(range(m + 1, 2 * m + 2))
     den_sum = eval_denominator(l, p, m)
     den_minor = gr.minor(u2, rows, list(range(j, j + m + 1)))
@@ -222,15 +212,11 @@ def verify_sym_to_minor(
     return CheckReport(True)
 
 
-def verify_fj_minors(m: int, j: int, b: list, *, u2: Optional[gr.Matrix] = None) -> CheckReport:
-    """f_j*(u2bar) as a ratio of minors, plus the vanishing minor behind it.
-
-    `u2`, when given, is build_u2bar(b), shared by the checks at one b.
-    """
+def verify_fj_minors(m: int, j: int, u2: gr.Matrix) -> CheckReport:
+    """f_j*(u2bar) as a ratio of minors of the u2bar matrix u2, plus the
+    vanishing minor behind it."""
     if not 1 <= j <= m - 1:
         raise ValueError("verify_fj_minors needs 1 <= j <= m-1")
-    if u2 is None:
-        u2 = gr.build_u2bar(b, m)
     rows = list(range(m + 1, 2 * m + 2))
     num = gr.minor(u2, rows, [j] + list(range(j + 2, j + m + 2)))
     den = gr.minor(u2, rows, list(range(j + 1, j + m + 2)))
@@ -243,13 +229,9 @@ def verify_fj_minors(m: int, j: int, b: list, *, u2: Optional[gr.Matrix] = None)
     return CheckReport(True)
 
 
-def verify_em_formula(m: int, b: list, *, p: Optional[dict] = None) -> CheckReport:
-    """N(b) p_{rho_m} = p_{rho_{m-1}} prod(b): the two e^t-term expressions agree.
-
-    `p`, when given, is plucker_vector(b).
-    """
-    if p is None:
-        p = plucker_vector(b, m)
+def verify_em_formula(m: int, b: list, p: dict) -> CheckReport:
+    """N(b) p_{rho_m} = p_{rho_{m-1}} prod(b), p the Pluecker values of
+    u2bar(b): the two e^t-term expressions agree."""
     prod = QS2_ONE
     for bj in b:
         prod = prod * bj
@@ -260,13 +242,8 @@ def verify_em_formula(m: int, b: list, *, p: Optional[dict] = None) -> CheckRepo
     return CheckReport(False, f"{lhs} != {rhs}")
 
 
-def verify_subword_route(m: int, b: list, *, p: Optional[dict] = None) -> CheckReport:
-    """Every Pluecker coordinate of the spin route against the subword route.
-
-    `p`, when given, is plucker_vector(b).
-    """
-    if p is None:
-        p = plucker_vector(b, m)
+def verify_subword_route(m: int, b: list, p: dict) -> CheckReport:
+    """Every Pluecker coordinate p of the spin route at b against the subword route."""
     subword = plucker_subword_vector(b, m)
     for lam, lhs in p.items():
         if lhs != subword[lam]:

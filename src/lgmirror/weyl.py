@@ -20,7 +20,6 @@ from typing import Sequence
 from lgmirror.partitions import StrictPartition, all_subsets, rho, to_subset
 
 
-@lru_cache(maxsize=None)
 def one_line(subset: tuple[int, ...], m: int) -> tuple[int, ...]:
     """The images (w(1), ..., w(m)) of the w in W^P with negative subset I:
     the complement of I ascending, then -I descending."""
@@ -119,7 +118,6 @@ def reduced_subwords(word: Sequence[int], lam: StrictPartition) -> tuple[tuple[i
     return tuple(sorted(sums.get(target, ())))
 
 
-@lru_cache(maxsize=None)
 def complement_subwords(m: int) -> tuple[tuple[int, ...], ...]:
     """Position subsets S of the canonical word, |S| = N - m, with
     (subword at S) * s_1 s_2 ... s_m a reduced expression of w^P.

@@ -1,12 +1,13 @@
 """Clifford-algebra operations that no command runs: test oracles for `lgmirror.clifford`.
 
 The Clifford product (word concatenation brought to normal order by
-`clifford._normalize`), the quantization map alpha, the actions of a
-wedge^2 generator on V, wedge V, Sym^2(V_Spin) and the dual spin module,
-and small constructors of basis elements.  The package's pi pipeline uses
-none of them: it writes matrix units and alpha^-1 in closed form.  The
-equivariance checks of criterion 6 and the defining relations are stated
-with these.
+`clifford._normalize`), the quantization map alpha, the last two maps c
+and d of pi one at a time, the actions of a wedge^2 generator on V,
+wedge V, Sym^2(V_Spin) and the dual spin module, and small constructors
+of basis elements.  The package's pi pipeline uses none of them: it
+writes matrix units and alpha^-1 in closed form and d . c as one map.
+The equivariance checks of criterion 6 and the defining relations are
+stated with these.
 """
 
 from __future__ import annotations
@@ -39,6 +40,44 @@ def antisymmetrize(x: ExteriorElement) -> CliffordElement:
     for key, c in x.coeffs.items():
         for mono, coeff in cl._wick(key, x.m, -1):
             out.add_term(mono, c * QSqrt2.from_fraction(coeff))
+    return out
+
+
+def contract_with_top_form(x: ExteriorElement) -> ExteriorElement:
+    """The map c: wedge^m V -> wedge^{m+1} V*, contraction with
+    (-1)^{m(m+1)/2} v*_1 ^ ... ^ v*_{2m+1}.
+
+    Output monomials are indexed by the starred basis (represented with the
+    same subset keys).  On a basis m-vector v_S the image is the signed
+    complementary covector, the sign being the shuffle sign of (S, S^c)
+    times the global (-1)^{m(m+1)/2}.
+    """
+    m = x.m
+    n = 2 * m + 1
+    global_sign = -1 if (m * (m + 1) // 2) % 2 else 1
+    out = ExteriorElement(m)
+    for key, c in x.coeffs.items():
+        if len(key) != m:
+            raise ValueError("contract_with_top_form expects pure degree m input")
+        comp = tuple(i for i in range(1, n + 1) if i not in key)
+        sign = global_sign * cl._perm_sign(key + comp)
+        out.add_term(comp, c if sign > 0 else -c)
+    return out
+
+
+def star_to_vectors(x: ExteriorElement) -> ExteriorElement:
+    """The map d: wedge^{m+1} V* -> wedge^{m+1} V via v*_k = epsilon(k) v_{2m+2-k}."""
+    m = x.m
+    out = ExteriorElement(m)
+    for key, c in x.coeffs.items():
+        sign = 1
+        for k in key:
+            sign *= cl.epsilon(k, m)
+        # images 2m+2-k arrive in descending order; reversing k elements
+        k_len = len(key)
+        if (k_len * (k_len - 1) // 2) % 2:
+            sign = -sign
+        out.add_term(tuple(sorted(cl.bar(k, m) for k in key)), c if sign > 0 else -c)
     return out
 
 

@@ -150,7 +150,7 @@ def test_criterion_2_pullback_identity():
     checked = 0
     for m in (2, 3, 4, 5):
         for b, q in off_divisor_points(m, 50, seed=100 + m):
-            rep = sp.verify_theorem_w(m, q, b)
+            rep = sp.verify_theorem_w(m, q, b, sp.plucker_vector(b, m, ring))
             assert rep.ok, (m, rep.detail)
             checked += 1
     elapsed = time.time() - t0
@@ -166,8 +166,9 @@ def test_criterion_3_quadratic_sums_equal_minors():
         for _ in range(25):
             bs = cli.sample_b(m, stream)
             b = sp.ring_vector(bs, ring)
+            p, u2 = sp.plucker_vector(b, m, ring), gr.build_u2bar(b, m)
             for j in range(2, m + 1):
-                rep = sp.verify_sym_to_minor(m, j, b)
+                rep = sp.verify_sym_to_minor(m, j, p, u2)
                 assert rep.ok, (m, j, rep.detail)
                 checked += 1
     elapsed = time.time() - t0
@@ -182,9 +183,9 @@ def test_criterion_4_f_coefficient_minors_and_vanishing():
         stream = cli.rational_stream(300 + m)
         for _ in range(25):
             bs = cli.sample_b(m, stream)
-            b = sp.ring_vector(bs, ring)
+            u2 = gr.build_u2bar(sp.ring_vector(bs, ring), m)
             for j in range(1, m):
-                rep = sp.verify_fj_minors(m, j, b)
+                rep = sp.verify_fj_minors(m, j, u2)
                 assert rep.ok, (m, j, rep.detail)
                 checked += 1
     elapsed = time.time() - t0

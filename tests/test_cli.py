@@ -246,10 +246,42 @@ def test_byte_identical_reports(tmp_path):
 
 
 def test_divisor_redraw_counted(capsys):
+    """Torus points lie off every divisor, so no suite redraws one."""
     code, out = run(capsys, "verify", "theorem-w", "--m", "2", "--trials", "10", "--seed", "2")
     assert code == 0
-    payload = json.loads(out)
-    assert payload["divisor_redraws"] >= 0
+    assert json.loads(out)["divisor_redraws"] == 0
+    for suite in ("theorem-w", "em", "subword", "minors", "fj"):
+        code, out = run(capsys, "verify", suite, "--m", "3", "--trials", "3", "--seed", "4")
+        assert code == 0
+        assert json.loads(out)["divisor_redraws"] == 0, suite
+
+
+def test_fj_builds_no_pluecker_vector(capsys, monkeypatch):
+    from lgmirror import superpotential as sp
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("fj read a Pluecker vector")
+
+    monkeypatch.setattr(sp, "plucker_vector", refuse)
+    code, out = run(capsys, "verify", "fj", "--m", "4", "--trials", "2")
+    assert code == 0
+    assert json.loads(out)["ok"] is True
+
+
+def test_theorem_w_evaluates_w_once_per_trial(capsys, monkeypatch):
+    from lgmirror import superpotential as sp
+
+    calls = []
+    eval_W = sp.eval_W
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return eval_W(*args, **kwargs)
+
+    monkeypatch.setattr(sp, "eval_W", counted)
+    code, _ = run(capsys, "verify", "theorem-w", "--m", "3", "--trials", "4")
+    assert code == 0
+    assert len(calls) == 4
 
 
 IMPORT_PROBE = """

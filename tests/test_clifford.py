@@ -600,6 +600,17 @@ def test_middle_wedge_projection(m):
         assert cl.pr_kappa_iota(cl.build_D(j, m)) == expected_middle_wedge(j, m)
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_contract_to_vectors_is_d_after_c(m):
+    """The one map d . c against c and d applied one at a time, on every
+    basis m-vector; other degrees are refused."""
+    for key in combinations(range(1, 2 * m + 2), m):
+        v = cl.wedge_monomial(key, m)
+        assert cl.contract_to_vectors(v) == co.star_to_vectors(co.contract_with_top_form(v)), key
+    with pytest.raises(ValueError, match="pure degree m"):
+        cl.contract_to_vectors(cl.wedge_monomial(tuple(range(1, m + 2)), m))
+
+
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_projection_sends_elements_to_wedges(m):
     for j in range(2, m + 1):

@@ -9,6 +9,7 @@ from lgmirror import grouprep as gr
 from lgmirror import jacobi as jb
 from lgmirror import partitions as pt
 from lgmirror import superpotential as sp
+from lgmirror import weyl as wy
 from lgmirror.scalars import EXACT, QSqrt2
 
 ring = EXACT
@@ -82,6 +83,58 @@ def test_divisor_error():
         sp.eval_W_tilde(frac(1), b, m)
 
 
+class Poly:
+    """Exact polynomial in b_1..b_N: {exponent vector: nonzero integer coefficient}."""
+
+    def __init__(self, terms: dict):
+        self.terms = {e: c for e, c in terms.items() if c}
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            out[e] = out.get(e, 0) + c
+        return Poly(out)
+
+    def __mul__(self, other):
+        out = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                e = tuple(x + y for x, y in zip(e1, e2))
+                out[e] = out.get(e, 0) + c1 * c2
+        return Poly(out)
+
+    def scaled(self, k: int):
+        return Poly({e: k * c for e, c in self.terms.items()})
+
+
+def symbolic_plucker(m: int) -> dict:
+    """p(b) with b symbolic, by the subword route: the W^P programme valuing
+    each subword by its product of the variables b_k."""
+    n = m * (m + 1) // 2
+    variables = [Poly({tuple(int(i == k) for i in range(n)): 1}) for k in range(n)]
+    sums = wy.wp_subword_sums(wy.canonical_wp_word(m), m, Poly({(0,) * n: 1}), lambda v, k: v * variables[k - 1])
+    return {lam: sums[s] for lam, s in zip(pt.all_strict_partitions(m), pt.all_subsets(m))}
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_every_divisor_is_a_monomial_on_the_torus_chart(m):
+    """Each D_l(u2bar(b)) is one monomial in b with coefficient 1, D_0 = 1 and
+    D_m = b_1...b_N: a point with no zero coordinate lies off every divisor."""
+    n = m * (m + 1) // 2
+    p = symbolic_plucker(m)
+    monomials = []
+    for term in sp.symbolic_W(m):
+        den = Poly({})
+        for sign, factors in term.denominator:
+            prod = p[factors[0]]
+            for lam in factors[1:]:
+                prod = prod * p[lam]
+            den = den + prod.scaled(sign)
+        assert list(den.terms.values()) == [1], (m, den.terms)
+        monomials.append(next(iter(den.terms)))
+    assert monomials[0] == (0,) * n and monomials[-1] == (1,) * n
+
+
 def test_laurent_numerator_m2():
     b = sp.ring_vector([1, 2, 3], ring)
     assert sp.laurent_numerator(b, 2) == frac(4)  # b1 + b3
@@ -101,10 +154,7 @@ def test_theorem_w_exact():
             bs = cli.sample_b(m, stream)
             b = sp.ring_vector(bs, ring)
             q = frac(Fraction(2 * k + 1, k + 2))
-            try:
-                rep = sp.verify_theorem_w(m, q, b)
-            except sp.DivisorError:
-                continue
+            rep = sp.verify_theorem_w(m, q, b, sp.plucker_vector(b, m, ring))
             assert rep.ok, rep.detail
 
 
@@ -129,14 +179,15 @@ def test_sym_to_minor_exact():
         for _ in range(3):
             bs = cli.sample_b(m, stream)
             b = sp.ring_vector(bs, ring)
+            p, u2 = sp.plucker_vector(b, m, ring), gr.build_u2bar(b, m)
             for j in range(2, m + 1):
-                rep = sp.verify_sym_to_minor(m, j, b)
+                rep = sp.verify_sym_to_minor(m, j, p, u2)
                 assert rep.ok, (m, j, rep.detail)
 
 
 def test_sym_to_minor_frozen_m2():
     b = sp.ring_vector([1, 2, 3], ring)
-    rep = sp.verify_sym_to_minor(2, 2, b)
+    rep = sp.verify_sym_to_minor(2, 2, sp.plucker_vector(b, 2, ring), gr.build_u2bar(b, 2))
     assert rep.ok
     ones = sp.ring_vector([1, 1, 1], ring)
     p = sp.plucker_vector(ones, 2, ring)
@@ -148,9 +199,9 @@ def test_fj_minors_exact():
         stream = cli.rational_stream(53)
         for _ in range(3):
             bs = cli.sample_b(m, stream)
-            b = sp.ring_vector(bs, ring)
+            u2 = gr.build_u2bar(sp.ring_vector(bs, ring), m)
             for j in range(1, m):
-                rep = sp.verify_fj_minors(m, j, b)
+                rep = sp.verify_fj_minors(m, j, u2)
                 assert rep.ok, (m, j, rep.detail)
 
 
@@ -159,7 +210,8 @@ def test_em_formula_exact():
         stream = cli.rational_stream(59)
         for _ in range(3):
             bs = cli.sample_b(m, stream)
-            rep = sp.verify_em_formula(m, sp.ring_vector(bs, ring))
+            b = sp.ring_vector(bs, ring)
+            rep = sp.verify_em_formula(m, b, sp.plucker_vector(b, m, ring))
             assert rep.ok, (m, rep.detail)
     ones = sp.ring_vector([1] * 6, ring)
     p = sp.plucker_vector(ones, 3, ring)
@@ -167,16 +219,16 @@ def test_em_formula_exact():
 
 
 def test_theorem_w_and_em_read_the_given_pluecker_vector():
-    """`p=` is the check's Pluecker vector: the right one passes, another fails."""
+    """`p` is the check's Pluecker vector: the right one passes, another fails."""
     m = 3
     b = sp.ring_vector([1, 2, 3, -1, 2, 5], ring)
     other = sp.ring_vector([2, 1, 1, 3, -2, 1], ring)
     q = frac(Fraction(3, 2))
     p, wrong = sp.plucker_vector(b, m, ring), sp.plucker_vector(other, m, ring)
-    assert sp.verify_theorem_w(m, q, b, p=p).ok
-    assert not sp.verify_theorem_w(m, q, b, p=wrong).ok
-    assert sp.verify_em_formula(m, b, p=p).ok
-    assert not sp.verify_em_formula(m, b, p=wrong).ok
+    assert sp.verify_theorem_w(m, q, b, p).ok
+    assert not sp.verify_theorem_w(m, q, b, wrong).ok
+    assert sp.verify_em_formula(m, b, p).ok
+    assert not sp.verify_em_formula(m, b, wrong).ok
 
 
 def test_subword_count_equals_plucker_at_ones():
