@@ -66,6 +66,13 @@ class QSqrt2:
     def sqrt2(cls) -> QSqrt2:
         return _make(0, 1, 1)
 
+    @classmethod
+    def from_triple(cls, a: int, b: int, d: int) -> QSqrt2:
+        """The element (a + b*sqrt2)/d of integers a, b and d > 0, in lowest terms."""
+        if d <= 0:
+            raise ValueError(f"QSqrt2 needs a positive denominator, got {d}")
+        return _reduced(a, b, d)
+
     # -- coefficients ------------------------------------------------------
 
     @property
@@ -75,6 +82,11 @@ class QSqrt2:
     @property
     def b(self) -> Fraction:
         return Fraction(self._b, self._d)
+
+    @property
+    def triple(self) -> tuple[int, int, int]:
+        """The integers (a, b, d) of (a + b*sqrt2)/d, in lowest terms with d > 0."""
+        return self._a, self._b, self._d
 
     # -- predicates --------------------------------------------------------
 

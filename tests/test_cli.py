@@ -388,6 +388,24 @@ PINNED_REPORTS = {
         ["verify", "subword", "--m", "4", "--trials", "2", "--seed", "5"],
         "6f70bf7a517058940e953366721858d8bacc86014a79a6f71c547f6cd14ea506",
     ),
+    # recorded before minors went fraction free (Bareiss over Z[sqrt2]);
+    # the m = 6 commands are those the benchmark runs, at a fixed seed
+    "minors-6": (
+        ["verify", "minors", "--m", "6", "--trials", "1", "--q", "2", "--seed", "7"],
+        "df693624e1ca6154f496b178ff50c019d563924577348126f5d673ffc5c69bc6",
+    ),
+    "fj-6": (
+        ["verify", "fj", "--m", "6", "--trials", "1", "--q", "2", "--seed", "7"],
+        "dca11a48b582a051640f9791dd7fe38b38ae792f5e7d67175abd5aa5466ba07f",
+    ),
+    "minors-7": (
+        ["verify", "minors", "--m", "7", "--trials", "3", "--seed", "5"],
+        "b0035924ab5c8db2aa911708d518c9433bc24d0f8babc03a24356e68cc95c1d7",
+    ),
+    "fj-7": (
+        ["verify", "fj", "--m", "7", "--trials", "3", "--seed", "5"],
+        "b6b4c2525f16a2476fa2a8f02a36f9f452629a78d359a4dd16f3850ceb038746",
+    ),
 }
 
 

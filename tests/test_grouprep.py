@@ -9,7 +9,7 @@ from lgmirror import grouprep as gr
 from lgmirror import partitions as pt
 from lgmirror import superpotential as sp
 from lgmirror import weyl as wy
-from lgmirror.scalars import EXACT, QSqrt2
+from lgmirror.scalars import EXACT, QSqrt2, splitmix64
 
 ring = EXACT
 
@@ -59,11 +59,14 @@ def dense_u2bar(b, m):
 
 
 def spin_factors(b, m):
-    """The parts b_k F_{i_k} of the factors I + b_k F_{i_k} of u2bar on
-    V_Spin, leftmost first, as apply_factors reads them: each move (row,
-    col) of F_{i_k} is the entry b_k at (row, col)."""
+    """The factors I + b_k F_{i_k} of u2bar on V_Spin, leftmost first, as
+    apply_factors reads them: the pair (b_k, F_{i_k} by column), each move
+    (row, col) of F_{i_k} the entry 1 (stored as None) at (row, col)."""
     word = wy.canonical_wp_word(m)
-    return [{col: [(row, b[k - 1])] for row, col in gr.spin_f_moves(word[k - 1], m)} for k in range(len(word), 0, -1)]
+    return [
+        (b[k - 1], {col: [(row, None)] for row, col in gr.spin_f_moves(word[k - 1], m)})
+        for k in range(len(word), 0, -1)
+    ]
 
 
 def build_u2bar_spin(b, m):
@@ -108,19 +111,30 @@ def test_nilpotency():
         assert all(not c for row in mat_mul(e, e) for c in row)
 
 
+def dense_table(table, n):
+    """A factor table {col: [(row, entry)]} (None for 1) as a dense n x n matrix."""
+    out = mat_zero(n)
+    for col, entries in table.items():
+        for row, x in entries:
+            out[row][col] = ring.one if x is None else x
+    return out
+
+
 def test_vector_factor_tables():
-    """The table of y_i(b) - I holds f_i at power 1 and f_i^2/2 at power 2,
-    and f_i^2 = 0 for i < m."""
+    """y_i(b) = (I + b F)(I + b^2 G): the tables hold F = f_i and, for i = m
+    only, G = f_i^2/2, with F G = 0; f_i^2 = 0 for i < m."""
     half = QSqrt2(Fraction(1, 2))
     for m in (2, 3, 4):
+        n = 2 * m + 1
         for i in range(1, m + 1):
             f = gr.chevalley_f(i, m)
-            table = gr._vector_f_table(i, m)
-            for power, mat, scale in ((1, f, QSqrt2(1)), (2, mat_mul(f, f), half)):
-                dense = {(r, c): x * scale for r, row in enumerate(mat) for c, x in enumerate(row) if x}
-                assert {(r, c): x for r, c, pw, x in table if pw == power} == dense, (m, i, power)
-            assert any(pw == 2 for _, _, pw, _ in table) == (i == m)
-    assert [entry for entry in gr._vector_f_table(2, 2) if entry[2] == 2] == [(3, 1, 2, QSqrt2(1))]
+            f_table, g_table = gr._vector_f_tables(i, m)
+            g = dense_table(g_table, n)
+            assert dense_table(f_table, n) == f, (m, i)
+            assert g == [[x * half for x in row] for row in mat_mul(f, f)], (m, i)
+            assert mat_mul(f, g) == mat_zero(n), (m, i)
+            assert bool(g_table) == (i == m), (m, i)
+    assert gr._vector_f_tables(2, 2)[1] == {1: [(3, None)]}
 
 
 def test_one_param_subgroup():
@@ -217,14 +231,43 @@ def test_vector_action_matches_clifford_commutator():
 
 def cofactor_det(a, ring):
     n = len(a)
+    if n == 0:
+        return ring.one
     if n == 1:
         return a[0][0]
     total = ring.zero
     for c in range(n):
+        if not a[0][c]:
+            continue
         sub = [row[:c] + row[c + 1:] for row in a[1:]]
         term = a[0][c] * cofactor_det(sub, ring)
         total = total + term if c % 2 == 0 else total - term
     return total
+
+
+def gaussian_determinant(a):
+    """Gaussian elimination over QSqrt2 objects: the oracle of the
+    fraction-free grouprep.determinant."""
+    n = len(a)
+    a = [list(row) for row in a]
+    det = ring.one
+    for col in range(n):
+        pivot_row = next((r for r in range(col, n) if a[r][col]), None)
+        if pivot_row is None:
+            return ring.zero
+        if pivot_row != col:
+            a[col], a[pivot_row] = a[pivot_row], a[col]
+            det = -det
+        pivot = a[col][col]
+        det = det * pivot
+        inv = pivot.inverse()
+        for r in range(col + 1, n):
+            factor = a[r][col] * inv
+            if not factor:
+                continue
+            for c in range(col, n):
+                a[r][c] = a[r][c] - factor * a[col][c]
+    return det
 
 
 def test_minor_against_cofactor_expansion():
@@ -237,6 +280,99 @@ def test_minor_against_cofactor_expansion():
     assert gr.minor(mat_identity(5), [1, 3], [1, 3]) == ring.one
     with pytest.raises(ValueError):
         gr.minor(u2, [1, 2], [1])
+
+
+def test_determinant_matches_both_oracles_on_the_verified_minors(monkeypatch):
+    """Every minor that `verify minors` and `verify fj` read, m = 2..5 at
+    three seeds: the fraction-free determinant equals Gaussian elimination
+    and the cofactor expansion, and the checks pass."""
+    determinant = gr.determinant
+    seen = []
+
+    def recording(a):
+        seen.append(a)
+        return determinant(a)
+
+    monkeypatch.setattr(gr, "determinant", recording)
+    for m in (2, 3, 4, 5):
+        for seed in (1, 7, 23):
+            stream = cli.rational_stream(seed + 100 * m)
+            for _ in range(2):
+                b = sp.ring_vector(cli.sample_b(m, stream), ring)
+                u2 = gr.build_u2bar(b, m)
+                p = sp.plucker_vector(b, m)
+                reports = [sp.verify_sym_to_minor(m, j, p, u2) for j in range(2, m + 1)]
+                reports += [sp.verify_fj_minors(m, j, u2) for j in range(1, m)]
+                assert all(rep.ok for rep in reports), (m, seed)
+    assert len(seen) == 3 * 2 * sum(2 * (m - 1) + 3 * (m - 1) for m in (2, 3, 4, 5))
+    for a in seen:
+        det = determinant(a)
+        assert det == gaussian_determinant(a) == cofactor_det(a, ring), a
+
+
+def random_qsqrt2_matrix(n, gen):
+    """An n x n matrix of seeded Q(sqrt2) entries with mixed denominators,
+    about a third of them 0 and a third rational."""
+    def entry():
+        kind = next(gen) % 3
+        if kind == 0:
+            return ring.zero
+        a = Fraction(next(gen) % 19 - 9, next(gen) % 12 + 1)
+        b = Fraction(next(gen) % 19 - 9, next(gen) % 12 + 1) if kind == 2 else 0
+        return QSqrt2(a, b)
+
+    return [[entry() for _ in range(n)] for _ in range(n)]
+
+
+def test_determinant_matches_both_oracles_on_random_matrices():
+    """Seeded random Q(sqrt2) matrices of size 0 to 8: generic ones, a zero
+    leading entry that forces a swap, a zero pivot after one step, a
+    repeated row, a zero column and a row that is a Q(sqrt2) combination of
+    two others."""
+    gen = splitmix64(2024)
+    two = QSqrt2(Fraction(3, 7), Fraction(-1, 2))
+    for n in range(9):
+        for trial in range(4 if n <= 6 else 1):
+            a = random_qsqrt2_matrix(n, gen)
+            cases = [a]
+            if n >= 2:
+                swap = [list(row) for row in a]
+                swap[0][0] = ring.zero
+                swap[1][0] = swap[1][0] or QSqrt2(Fraction(5, 3), 2)
+                step = [list(row) for row in a]
+                step[0][0] = step[0][0] or QSqrt2(1, 1)
+                step[1][:2] = [two * step[0][0], two * step[0][1]]
+                repeated = [list(row) for row in a]
+                repeated[-1] = list(repeated[0])
+                column = [row[:-1] + [ring.zero] for row in a]
+                cases += [swap, step, repeated, column]
+            if n >= 3:
+                combined = [list(row) for row in a]
+                combined[2] = [x * two - y * QSqrt2.sqrt2() for x, y in zip(a[0], a[1])]
+                cases.append(combined)
+            for case in cases:
+                det = gr.determinant(case)
+                assert det == gaussian_determinant(case) == cofactor_det(case, ring), (n, trial, case)
+            if n >= 2:
+                assert not gr.determinant(repeated) and not gr.determinant(column)
+    assert gr.determinant([]) == ring.one
+    assert gr.determinant([[QSqrt2(0, Fraction(-3, 4))]]) == QSqrt2(0, Fraction(-3, 4))
+    anti = [[ring.zero, ring.one], [ring.one, ring.zero]]
+    assert gr.determinant(anti) == -ring.one
+
+
+class OffRingEntry:
+    """A matrix entry whose integer triple has the part 1/2: no entry of a
+    matrix over Q(sqrt2) clears to that."""
+
+    triple = (Fraction(1, 2), 0, 1)
+
+
+def test_determinant_raises_on_a_division_that_is_not_exact():
+    """A Bareiss step whose division leaves a remainder raises
+    ArithmeticError rather than rounding."""
+    with pytest.raises(ArithmeticError, match="not a multiple"):
+        gr.determinant([[ring.one, ring.one], [ring.one, OffRingEntry()]])
 
 
 def test_frozen_minor_value():
