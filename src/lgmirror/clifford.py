@@ -220,28 +220,6 @@ def spin_apply(x: CliffordElement, vec: SpinVector) -> SpinVector:
 class EndSpin(Combination):
     """Sparse 2^m x 2^m endomorphism, keys (row subset, col subset)."""
 
-    def compose(self, other: EndSpin) -> EndSpin:
-        """Matrix product self . other."""
-        by_row: dict[Subset, list[tuple[Subset, object]]] = {}
-        for (r, c), v in other.coeffs.items():
-            by_row.setdefault(r, []).append((c, v))
-        out = EndSpin(self.m)
-        for (r, mid), v in self.coeffs.items():
-            for c, w in by_row.get(mid, ()):
-                out.add_term((r, c), v * w)
-        return out
-
-    def commutator(self, other: EndSpin) -> EndSpin:
-        return self.compose(other) - other.compose(self)
-
-    def apply(self, vec: SpinVector) -> SpinVector:
-        out = SpinVector(self.m, {}, vec.dual)
-        for (r, c), v in self.coeffs.items():
-            coeff = vec.coeffs.get(c)
-            if coeff is not None:
-                out.add_term(r, v * coeff)
-        return out
-
 
 def clifford_to_end(x: CliffordElement) -> EndSpin:
     """The spin action as a matrix; an algebra isomorphism on either parity."""

@@ -1,14 +1,19 @@
 """Matrix models of group elements in the vector and spin representations.
 
-The vector representation is (2m+1)-dimensional with Chevalley generators
-e_i = E_{i,i+1} + E_{2m+1-i,2m+2-i} (i < m), e_m = sqrt2 E_{m,m+1} +
-sqrt2 E_{m+1,m+2}, f_i = e_i^T.  There the factorized unipotent element
-u2bar(b) = y_{i_N}(b_N) ... y_{i_1}(b_1) of the canonical word of w^P is a
-list of sparse factors I + s T, exact over Q(sqrt2): y_{i_k}(b_k) =
-I + b_k f + (b_k^2/2) f^2 is (I + b_k f)(I + b_k^2 f^2/2), since f^3 = 0.
-Its minors are computed fraction free: `determinant` clears each row to
-integer pairs x + y sqrt2 and runs Bareiss elimination over Z[sqrt2], each
-division exact by the conjugate and the integer norm of the previous pivot.
+The vector representation is (2m+1)-dimensional, with the Chevalley
+generators e_i = E_{i,i+1} + E_{2m+1-i,2m+2-i} (i < m), e_m = sqrt2 E_{m,m+1}
++ sqrt2 E_{m+1,m+2} and f_i = e_i^T; u2bar(b) = y_{i_N}(b_N) ... y_{i_1}(b_1)
+with y_i(b) = I + b f_i + (b^2/2) f_i^2 = (I + b f_i)(I + b^2 f_i^2/2), as
+f_i^3 = 0.  `build_u2bar` works in the basis with v_{m+1} replaced by
+sqrt2 v_{m+1}: it returns D^-1 u2bar D, u2bar conjugated by
+D = diag(1, ..., 1, sqrt2, 1, ..., 1) (sqrt2 at m+1).  There f_i is
+unchanged for i < m, f_m = E_{m+1,m} + 2 E_{m+2,m+1} and f_m^2/2 = E_{m+2,m},
+so every factor has integer entries and D^-1 u2bar D is rational at
+rational b.  Its entry (r, c) is that of u2bar times d_c/d_r, so a minor
+equals the minor of u2bar only when m+1 is in both index sets or in
+neither; every minor the identities read has m+1 in both.  f_j* is entry
+(j+1, j) for every j.  `determinant` clears each row to integers and runs
+Bareiss elimination over Z, each division exact.
 On the spin module, F_i is read from the Clifford image
 f_i = eps(i) v_{i+1} vbar_i (i < m), sqrt2 vbar_m v_{m+1}, and moves w_I to
 w_{I-{i}+{i+1}} (i in I, i+1 not) or to w_{I-{m}} (m in I) with entry 1:
@@ -24,7 +29,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import lcm
 
 from lgmirror import clifford as cl
 from lgmirror import weyl as wy
@@ -33,52 +38,16 @@ from lgmirror.scalars import QS2_ONE, QS2_ZERO, QSqrt2
 Matrix = list[list]
 
 
-def mat_transpose(a: Matrix) -> Matrix:
-    return [list(row) for row in zip(*a)]
-
-
-def chevalley_e(i: int, m: int) -> Matrix:
-    if not 1 <= i <= m:
-        raise ValueError(f"generator index {i} out of range for m={m}")
-    n = 2 * m + 1
-    out = [[QS2_ZERO] * n for _ in range(n)]
-    if i < m:
-        out[i - 1][i] = QS2_ONE
-        out[2 * m - i][2 * m + 1 - i] = QS2_ONE
-    else:
-        out[m - 1][m] = QSqrt2.sqrt2()
-        out[m][m + 1] = QSqrt2.sqrt2()
-    return out
-
-
-def chevalley_f(i: int, m: int) -> Matrix:
-    return mat_transpose(chevalley_e(i, m))
-
-
-def _by_column(entries) -> dict:
-    """The (row, col, entry) triples of a sparse matrix as apply_factors reads
-    them: {col: [(row, entry), ...]}, an entry 1 stored as None."""
-    table: dict = {}
-    for row, col, x in entries:
-        table.setdefault(col, []).append((row, None if x == QS2_ONE else x))
-    return table
-
-
 @lru_cache(maxsize=None)
 def _vector_f_tables(i: int, m: int) -> tuple:
-    """y_i(b) = I + b f_i + (b^2/2) f_i^2 on the vector representation as
-    (I + b F)(I + b^2 G), with F = f_i and G = f_i^2/2 (F G = f_i^3/2 = 0):
-    the tables of F and G, 0-based; G is empty unless i = m."""
-    f = chevalley_f(i, m)
-    entries = [(r, c, x) for r, row in enumerate(f) for c, x in enumerate(row) if x]
-    square: dict[tuple[int, int], QSqrt2] = {}
-    for r, mid, x in entries:
-        for mid2, c, y in entries:
-            if mid2 == mid:
-                square[(r, c)] = square.get((r, c), QS2_ZERO) + x * y
-    half = QSqrt2(Fraction(1, 2))
-    g = [(r, c, x * half) for (r, c), x in square.items() if x]
-    return _by_column(entries), _by_column(g)
+    """y_i(b) = (I + b F)(I + b^2 G) in the integral basis, F = f_i and
+    G = f_i^2/2 (F G = f_i^3/2 = 0), as apply_factors reads them: by
+    column, 0-based, {col: [(row, entry), ...]}, None for entry 1.
+    F = E_{i+1,i} + E_{2m+2-i,2m+1-i} and G = 0 for i < m;
+    F = E_{m+1,m} + 2 E_{m+2,m+1} and G = E_{m+2,m} for i = m."""
+    if i < m:
+        return {i - 1: [(i, None)], 2 * m - i: [(2 * m + 1 - i, None)]}, {}
+    return {m - 1: [(m, None)], m: [(m + 1, QSqrt2(2))]}, {m - 1: [(m + 1, None)]}
 
 
 def _factors(b: list, m: int) -> list:
@@ -117,7 +86,8 @@ def apply_factors(factors: list, coeffs: dict) -> dict:
 
 
 def build_u2bar(b: list, m: int) -> Matrix:
-    """u2bar = y_{i_N}(b_N) ... y_{i_1}(b_1) on the vector representation.
+    """D^-1 u2bar D: u2bar = y_{i_N}(b_N) ... y_{i_1}(b_1) on the vector
+    representation, in the basis with v_{m+1} replaced by sqrt2 v_{m+1}.
 
     `b` holds Q(sqrt2) scalars, index k (1-based) matching letter i_k.
     """
@@ -139,70 +109,54 @@ def minor(g: Matrix, rows: list[int], cols: list[int]):
 
 
 def determinant(a: Matrix) -> QSqrt2:
-    """Determinant of a square matrix over Q(sqrt2), fraction free.
+    """Determinant of a square matrix of rational QSqrt2 entries, fraction free.
 
-    Each row is cleared to one integer denominator, so that its entries are
-    integer pairs (x, y) meaning x + y*sqrt2.  Bareiss elimination then runs
-    over Z[sqrt2]: step k replaces each entry below and right of the pivot
-    p_k by (p_k a_ij - a_ik a_kj) / p_{k-1}, a minor of the cleared matrix,
-    so the division is exact; it multiplies by the conjugate of p_{k-1} and
-    divides both parts by the integer norm of p_{k-1}.  A zero pivot swaps
-    in a lower row and flips the sign.  The last pivot over the product of
-    the row denominators is the determinant.  Raises ArithmeticError if a
-    division leaves a remainder, which no matrix over Q(sqrt2) can cause.
+    Each row is cleared to integers by the lcm of its entries' denominators.
+    Bareiss elimination then runs over Z: step k replaces each entry below
+    and right of the pivot p_k by (p_k a_ij - a_ik a_kj) / p_{k-1}, a minor
+    of the cleared matrix, so the division is exact.  A zero pivot swaps in
+    a lower row and flips the sign.  The last pivot over the product of the
+    row denominators is the determinant.  Raises ValueError on an irrational
+    entry, and ArithmeticError if a division leaves a remainder, which no
+    rational matrix can cause.
     """
     if not a:
         return QS2_ONE
-    xs, ys, den = [], [], 1
+    rows, den = [], 1
     for row in a:
         triples = [c.triple for c in row]
-        d = 1
-        for _, _, e in triples:
-            if d % e:
-                d = d * e // gcd(d, e)
+        if any(y for _, y, _ in triples):
+            raise ValueError(f"determinant needs rational entries, got the row {[str(c) for c in row]}")
+        d = lcm(*(e for _, _, e in triples))
         den *= d
-        xs.append([x * (d // e) for x, _, e in triples])
-        ys.append([y * (d // e) for _, y, e in triples])
-    sign = 1
-    px, py, norm = 1, 0, 1  # the previous pivot and its norm px^2 - 2 py^2
+        rows.append([x * (d // e) for x, _, e in triples])
+    sign, prev = 1, 1
     while True:
-        if not (xs[0][0] or ys[0][0]):
-            r = next((r for r in range(1, len(xs)) if xs[r][0] or ys[r][0]), None)
+        if not rows[0][0]:
+            r = next((r for r in range(1, len(rows)) if rows[r][0]), None)
             if r is None:
                 return QS2_ZERO
-            xs[0], xs[r] = xs[r], xs[0]
-            ys[0], ys[r] = ys[r], ys[0]
+            rows[0], rows[r] = rows[r], rows[0]
             sign = -sign
-        kx, ky = xs[0][0], ys[0][0]
-        if len(xs) == 1:
-            return QSqrt2.from_triple(sign * kx, sign * ky, den)
-        pivot_xs, pivot_ys = xs[0][1:], ys[0][1:]
-        next_xs, next_ys = [], []
-        for row_x, row_y in zip(xs[1:], ys[1:]):
-            lx, ly = row_x[0], row_y[0]
-            out_x, out_y = [], []
-            for ux, uy, zx, zy in zip(row_x[1:], row_y[1:], pivot_xs, pivot_ys):
-                # t = pivot * u - l * z, then t / prev = t * conj(prev) / norm
-                tx = kx * ux + 2 * (ky * uy - ly * zy) - lx * zx
-                ty = kx * uy + ky * ux - lx * zy - ly * zx
-                qx, rx = divmod(tx * px - 2 * ty * py, norm)
-                qy, ry = divmod(ty * px - tx * py, norm)
-                if rx or ry:
-                    raise ArithmeticError(f"Bareiss step: {tx}+{ty}*sqrt2 is not a multiple of {px}+{py}*sqrt2")
-                out_x.append(qx)
-                out_y.append(qy)
-            next_xs.append(out_x)
-            next_ys.append(out_y)
-        xs, ys = next_xs, next_ys
-        px, py, norm = kx, ky, kx * kx - 2 * ky * ky
+        pivot, *top = rows[0]
+        if len(rows) == 1:
+            return QSqrt2(Fraction(sign * pivot, den))
+        next_rows = []
+        for lead, *rest in rows[1:]:
+            out = []
+            for u, z in zip(rest, top):
+                q, rem = divmod(pivot * u - lead * z, prev)
+                if rem:
+                    raise ArithmeticError(f"Bareiss step: {pivot * u - lead * z} is not a multiple of {prev}")
+                out.append(q)
+            next_rows.append(out)
+        rows, prev = next_rows, pivot
 
 
 def extract_f_coeff(u2bar: Matrix, j: int):
-    """f_j*(u2bar): entry (j+1, j) for j < m, entry (m+1, m)/sqrt2 for j = m."""
-    m = (len(u2bar) - 1) // 2
-    if j < m:
-        return u2bar[j][j - 1]
-    return u2bar[m][m - 1] / QSqrt2.sqrt2()
+    """f_j*(u2bar): entry (j+1, j) of the integral-basis matrix, for every j
+    (at j = m, entry (m+1, m) of u2bar over sqrt2)."""
+    return u2bar[j][j - 1]
 
 
 # -- the spin model -----------------------------------------------------------

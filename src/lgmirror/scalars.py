@@ -66,13 +66,6 @@ class QSqrt2:
     def sqrt2(cls) -> QSqrt2:
         return _make(0, 1, 1)
 
-    @classmethod
-    def from_triple(cls, a: int, b: int, d: int) -> QSqrt2:
-        """The element (a + b*sqrt2)/d of integers a, b and d > 0, in lowest terms."""
-        if d <= 0:
-            raise ValueError(f"QSqrt2 needs a positive denominator, got {d}")
-        return _reduced(a, b, d)
-
     # -- coefficients ------------------------------------------------------
 
     @property

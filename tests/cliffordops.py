@@ -1,10 +1,11 @@
 """Clifford-algebra operations that no command runs: test oracles for `lgmirror.clifford`.
 
 The Clifford product (word concatenation brought to normal order by
-`clifford._normalize`), the quantization map alpha, the last two maps c
-and d of pi one at a time, the actions of a wedge^2 generator on V,
-wedge V, Sym^2(V_Spin) and the dual spin module, and small constructors
-of basis elements.  The package's pi pipeline uses none of them: it
+`clifford._normalize`), the product, commutator and action of spin
+matrices, the quantization map alpha, the last two maps c and d of pi
+one at a time, the actions of a wedge^2 generator on V, wedge V,
+Sym^2(V_Spin) and the dual spin module, and small constructors of basis
+elements.  The package's pi pipeline uses none of them: it
 writes matrix units and alpha^-1 in closed form and d . c as one map.
 The equivariance checks of criterion 6 and the defining relations are
 stated with these.
@@ -83,6 +84,32 @@ def star_to_vectors(x: ExteriorElement) -> ExteriorElement:
 
 def basis_vector_of(lam: StrictPartition) -> SpinVector:
     return cl.basis_vector(pt.to_subset(lam), lam.m)
+
+
+def end_compose(a: EndSpin, b: EndSpin) -> EndSpin:
+    """The matrix product a . b."""
+    by_row: dict[tuple[int, ...], list] = {}
+    for (r, c), v in b.coeffs.items():
+        by_row.setdefault(r, []).append((c, v))
+    out = EndSpin(a.m)
+    for (r, mid), v in a.coeffs.items():
+        for c, w in by_row.get(mid, ()):
+            out.add_term((r, c), v * w)
+    return out
+
+
+def end_commutator(a: EndSpin, b: EndSpin) -> EndSpin:
+    return end_compose(a, b) - end_compose(b, a)
+
+
+def end_apply(mat: EndSpin, vec: SpinVector) -> SpinVector:
+    """The matrix mat applied to the spin vector vec."""
+    out = SpinVector(mat.m, {}, vec.dual)
+    for (r, c), v in mat.coeffs.items():
+        coeff = vec.coeffs.get(c)
+        if coeff is not None:
+            out.add_term(r, v * coeff)
+    return out
 
 
 def end_identity(m: int) -> EndSpin:

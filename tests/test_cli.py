@@ -406,6 +406,25 @@ PINNED_REPORTS = {
         ["verify", "fj", "--m", "7", "--trials", "3", "--seed", "5"],
         "b6b4c2525f16a2476fa2a8f02a36f9f452629a78d359a4dd16f3850ceb038746",
     ),
+    # recorded before u2bar moved to the integral basis (v_{m+1} scaled by
+    # sqrt2); at m = 2 and 3 the column windows j..j+m+1 reach both ends of
+    # the index range around m+1
+    "minors-2": (
+        ["verify", "minors", "--m", "2", "--trials", "30", "--seed", "9"],
+        "f516bdbad882eb2b90631699fb511659f8d7650eca03217a9b8adce5fee2c075",
+    ),
+    "minors-3": (
+        ["verify", "minors", "--m", "3", "--trials", "30", "--seed", "9"],
+        "3eea32e1108da38e8f95e129428f5768c09366572ace203d0812072d780e3ae6",
+    ),
+    "fj-2": (
+        ["verify", "fj", "--m", "2", "--trials", "30", "--seed", "9"],
+        "af1348b49cb749d9704d1b825751d9c95c46621b137ecafb1d1c9b4ee1b8859c",
+    ),
+    "fj-3": (
+        ["verify", "fj", "--m", "3", "--trials", "30", "--seed", "9"],
+        "c4ba47a69f0baa25bbc55c5f4d7130ad5d4d172a307274f898dc88ddf7e0eede",
+    ),
 }
 
 

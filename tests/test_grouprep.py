@@ -14,7 +14,7 @@ from lgmirror.scalars import EXACT, QSqrt2, splitmix64
 ring = EXACT
 
 
-# -- the dense oracle: u2bar as a product of truncated exponentials --------------
+# -- the dense oracle: u2bar in the sqrt2 basis, a product of truncated exponentials
 
 
 def mat_zero(n):
@@ -40,9 +40,42 @@ def mat_mul(a, b):
     return out
 
 
+def mat_transpose(a):
+    return [list(row) for row in zip(*a)]
+
+
+def chevalley_e(i, m):
+    """e_i in the sqrt2 basis: E_{i,i+1} + E_{2m+1-i,2m+2-i} for i < m,
+    sqrt2 E_{m,m+1} + sqrt2 E_{m+1,m+2} for i = m."""
+    if not 1 <= i <= m:
+        raise ValueError(f"generator index {i} out of range for m={m}")
+    n = 2 * m + 1
+    out = mat_zero(n)
+    if i < m:
+        out[i - 1][i] = ring.one
+        out[2 * m - i][2 * m + 1 - i] = ring.one
+    else:
+        out[m - 1][m] = QSqrt2.sqrt2()
+        out[m][m + 1] = QSqrt2.sqrt2()
+    return out
+
+
+def chevalley_f(i, m):
+    return mat_transpose(chevalley_e(i, m))
+
+
+def integral(x, m):
+    """D^-1 X D, D = diag(1, ..., sqrt2, ..., 1) with sqrt2 at m+1: a matrix
+    of the sqrt2 basis in the integral basis of grouprep.build_u2bar."""
+    n = len(x)
+    d = [QSqrt2.sqrt2() if k == m else ring.one for k in range(n)]
+    return [[x[r][c] * d[c] / d[r] for c in range(n)] for r in range(n)]
+
+
 def one_param_y(i, a, m):
-    """y_i(a) = exp(a f_i) = I + a f_i + (a^2/2) f_i^2, computed densely."""
-    f = gr.chevalley_f(i, m)
+    """y_i(a) = exp(a f_i) = I + a f_i + (a^2/2) f_i^2 in the sqrt2 basis,
+    computed densely."""
+    f = chevalley_f(i, m)
     f2 = mat_mul(f, f)
     scale2 = a * a * ring.from_fraction(Fraction(1, 2))
     n = len(f)
@@ -50,7 +83,7 @@ def one_param_y(i, a, m):
 
 
 def dense_u2bar(b, m):
-    """y_{i_N}(b_N) ... y_{i_1}(b_1) by N dense matrix products."""
+    """y_{i_N}(b_N) ... y_{i_1}(b_1) in the sqrt2 basis by N dense matrix products."""
     word = wy.canonical_wp_word(m)
     out = mat_identity(2 * m + 1)
     for k in range(len(word), 0, -1):
@@ -83,11 +116,11 @@ def build_u2bar_spin(b, m):
 def test_chevalley_generator_shapes():
     m = 3
     for i in range(1, m):
-        e = gr.chevalley_e(i, m)
+        e = chevalley_e(i, m)
         assert e[i - 1][i] == QSqrt2(1)
         assert e[2 * m - i][2 * m + 1 - i] == QSqrt2(1)
         assert sum(1 for row in e for c in row if c) == 2
-    em = gr.chevalley_e(m, m)
+    em = chevalley_e(m, m)
     assert em[m - 1][m] == QSqrt2(0, 1)
     assert em[m][m + 1] == QSqrt2(0, 1)
 
@@ -95,19 +128,19 @@ def test_chevalley_generator_shapes():
 def test_f_is_transpose_of_e():
     for m in (2, 3):
         for i in range(1, m + 1):
-            assert gr.chevalley_f(i, m) == gr.mat_transpose(gr.chevalley_e(i, m))
+            assert chevalley_f(i, m) == mat_transpose(chevalley_e(i, m))
 
 
 def test_nilpotency():
     m = 3
-    em = gr.chevalley_e(m, m)
+    em = chevalley_e(m, m)
     sq = mat_mul(em, em)
     assert sq[m - 1][m + 1] == QSqrt2(2)
     assert sum(1 for row in sq for c in row if c) == 1
     cube = mat_mul(sq, em)
     assert all(not c for row in cube for c in row)
     for i in range(1, m):
-        e = gr.chevalley_e(i, m)
+        e = chevalley_e(i, m)
         assert all(not c for row in mat_mul(e, e) for c in row)
 
 
@@ -122,17 +155,19 @@ def dense_table(table, n):
 
 def test_vector_factor_tables():
     """y_i(b) = (I + b F)(I + b^2 G): the tables hold F = f_i and, for i = m
-    only, G = f_i^2/2, with F G = 0; f_i^2 = 0 for i < m."""
+    only, G = f_i^2/2, both in the integral basis, with F G = 0 and integer
+    entries; f_i^2 = 0 for i < m."""
     half = QSqrt2(Fraction(1, 2))
     for m in (2, 3, 4):
         n = 2 * m + 1
         for i in range(1, m + 1):
-            f = gr.chevalley_f(i, m)
+            f = chevalley_f(i, m)
             f_table, g_table = gr._vector_f_tables(i, m)
             g = dense_table(g_table, n)
-            assert dense_table(f_table, n) == f, (m, i)
-            assert g == [[x * half for x in row] for row in mat_mul(f, f)], (m, i)
-            assert mat_mul(f, g) == mat_zero(n), (m, i)
+            assert dense_table(f_table, n) == integral(f, m), (m, i)
+            assert g == integral([[x * half for x in row] for row in mat_mul(f, f)], m), (m, i)
+            assert mat_mul(dense_table(f_table, n), g) == mat_zero(n), (m, i)
+            assert all(x.triple[1:] == (0, 1) for row in dense_table(f_table, n) + g for x in row), (m, i)
             assert bool(g_table) == (i == m), (m, i)
     assert gr._vector_f_tables(2, 2)[1] == {1: [(3, None)]}
 
@@ -154,7 +189,7 @@ def test_one_param_subgroup():
         for x in (a, b, ab):
             coords = [ring.zero] * len(word)
             coords[k] = x
-            assert gr.build_u2bar(coords, m) == one_param_y(letter, x, m), (k, x)
+            assert gr.build_u2bar(coords, m) == integral(one_param_y(letter, x, m), m), (k, x)
 
 
 def test_u2bar_factorization_and_shape():
@@ -162,7 +197,7 @@ def test_u2bar_factorization_and_shape():
     b = sp.ring_vector([1, 2, 3], ring)
     u2 = gr.build_u2bar(b, m)
     explicit = mat_mul(mat_mul(one_param_y(2, b[2], m), one_param_y(1, b[1], m)), one_param_y(2, b[0], m))
-    assert u2 == explicit
+    assert u2 == integral(explicit, m)
     assert u2[1][0] == b[1]  # the unique f_1 coefficient
     n = 2 * m + 1
     for i in range(n):
@@ -178,12 +213,13 @@ def test_u2bar_factorization_and_shape():
 
 
 def test_u2bar_matches_dense_product():
-    """The column route equals the dense product of truncated exponentials."""
+    """The column route equals the dense product of truncated exponentials,
+    moved to the integral basis."""
     for m in (2, 3, 4, 5):
         stream = cli.rational_stream(17 + m)
         for _ in range(3):
             b = sp.ring_vector(cli.sample_b(m, stream), ring)
-            assert gr.build_u2bar(b, m) == dense_u2bar(b, m), m
+            assert gr.build_u2bar(b, m) == integral(dense_u2bar(b, m), m), m
 
 
 def gram_matrix(m):
@@ -195,21 +231,24 @@ def gram_matrix(m):
 
 
 def test_u2bar_preserves_bilinear_form():
+    """u2bar^T B u2bar = B in the sqrt2 basis; in the integral basis the form
+    is D B D, with <v_{m+1}, v_{m+1}> = 2."""
     for m in (2, 3):
         stream = cli.rational_stream(21)
         for _ in range(3):
             bs = cli.sample_b(m, stream)
             u2 = gr.build_u2bar(sp.ring_vector(bs, ring), m)
             g = gram_matrix(m)
-            assert mat_mul(gr.mat_transpose(u2), mat_mul(g, u2)) == g
+            g[m][m] = g[m][m] * QSqrt2(2)
+            assert mat_mul(mat_transpose(u2), mat_mul(g, u2)) == g
 
 
 def test_generators_in_orthogonal_lie_algebra():
     for m in (2, 3):
         g = gram_matrix(m)
         for i in range(1, m + 1):
-            for mat in (gr.chevalley_e(i, m), gr.chevalley_f(i, m)):
-                xtg = mat_mul(gr.mat_transpose(mat), g)
+            for mat in (chevalley_e(i, m), chevalley_f(i, m)):
+                xtg = mat_mul(mat_transpose(mat), g)
                 gx = mat_mul(g, mat)
                 assert all(
                     not (xtg[r][c] + gx[r][c]) for r in range(2 * m + 1) for c in range(2 * m + 1)
@@ -220,7 +259,7 @@ def test_vector_action_matches_clifford_commutator():
     """The wedge^2 images act on V exactly as the explicit matrices."""
     for m in (2, 3):
         for i in range(1, m + 1):
-            for kind, mat in (("e", gr.chevalley_e(i, m)), ("f", gr.chevalley_f(i, m))):
+            for kind, mat in (("e", chevalley_e(i, m)), ("f", chevalley_f(i, m))):
                 cols = co.vector_action(cl.generator_clifford(i, kind, m), m)
                 dense = mat_zero(2 * m + 1)
                 for k, col in cols.items():
@@ -310,45 +349,77 @@ def test_determinant_matches_both_oracles_on_the_verified_minors(monkeypatch):
         assert det == gaussian_determinant(a) == cofactor_det(a, ring), a
 
 
-def random_qsqrt2_matrix(n, gen):
-    """An n x n matrix of seeded Q(sqrt2) entries with mixed denominators,
-    about a third of them 0 and a third rational."""
+def test_integral_basis_minors_and_f_coefficients_match_the_sqrt2_oracle(monkeypatch):
+    """Every minor that `verify minors` and `verify fj` read, m = 2..5 at
+    three seeds, has m+1 in its row set and its column set, and equals the
+    same minor of the sqrt2-basis product of truncated exponentials by
+    Gaussian elimination; f_j* (entry (j+1, j)) equals the oracle's entry
+    for j < m and the oracle's entry over sqrt2 for j = m."""
+    minor = gr.minor
+    seen = []
+
+    def recording(g, rows, cols):
+        seen.append((rows, cols))
+        return minor(g, rows, cols)
+
+    monkeypatch.setattr(gr, "minor", recording)
+    for m in (2, 3, 4, 5):
+        for seed in (2, 9, 31):
+            stream = cli.rational_stream(seed + 100 * m)
+            b = sp.ring_vector(cli.sample_b(m, stream), ring)
+            u2, oracle = gr.build_u2bar(b, m), dense_u2bar(b, m)
+            seen.clear()
+            p = sp.plucker_vector(b, m)
+            for j in range(2, m + 1):
+                sp.verify_sym_to_minor(m, j, p, u2)
+            for j in range(1, m):
+                sp.verify_fj_minors(m, j, u2)
+            assert len(seen) == 5 * (m - 1), (m, seed)
+            for rows, cols in seen:
+                assert m + 1 in rows and m + 1 in cols, (m, rows, cols)
+                sub = [[oracle[r - 1][c - 1] for c in cols] for r in rows]
+                assert minor(u2, rows, cols) == gaussian_determinant(sub), (m, seed, rows, cols)
+            for j in range(1, m):
+                assert gr.extract_f_coeff(u2, j) == oracle[j][j - 1], (m, seed, j)
+            assert gr.extract_f_coeff(u2, m) == oracle[m][m - 1] / QSqrt2.sqrt2(), (m, seed)
+
+
+def random_rational_matrix(n, gen):
+    """An n x n matrix of seeded rational entries with mixed denominators,
+    about a third of them 0."""
     def entry():
-        kind = next(gen) % 3
-        if kind == 0:
+        if next(gen) % 3 == 0:
             return ring.zero
-        a = Fraction(next(gen) % 19 - 9, next(gen) % 12 + 1)
-        b = Fraction(next(gen) % 19 - 9, next(gen) % 12 + 1) if kind == 2 else 0
-        return QSqrt2(a, b)
+        return QSqrt2(Fraction(next(gen) % 19 - 9, next(gen) % 12 + 1))
 
     return [[entry() for _ in range(n)] for _ in range(n)]
 
 
 def test_determinant_matches_both_oracles_on_random_matrices():
-    """Seeded random Q(sqrt2) matrices of size 0 to 8: generic ones, a zero
+    """Seeded random rational matrices of size 0 to 8: generic ones, a zero
     leading entry that forces a swap, a zero pivot after one step, a
-    repeated row, a zero column and a row that is a Q(sqrt2) combination of
+    repeated row, a zero column and a row that is a rational combination of
     two others."""
     gen = splitmix64(2024)
-    two = QSqrt2(Fraction(3, 7), Fraction(-1, 2))
+    c1, c2 = QSqrt2(Fraction(3, 7)), QSqrt2(Fraction(-5, 2))
     for n in range(9):
         for trial in range(4 if n <= 6 else 1):
-            a = random_qsqrt2_matrix(n, gen)
+            a = random_rational_matrix(n, gen)
             cases = [a]
             if n >= 2:
                 swap = [list(row) for row in a]
                 swap[0][0] = ring.zero
-                swap[1][0] = swap[1][0] or QSqrt2(Fraction(5, 3), 2)
+                swap[1][0] = swap[1][0] or QSqrt2(Fraction(5, 3))
                 step = [list(row) for row in a]
-                step[0][0] = step[0][0] or QSqrt2(1, 1)
-                step[1][:2] = [two * step[0][0], two * step[0][1]]
+                step[0][0] = step[0][0] or QSqrt2(2)
+                step[1][:2] = [c1 * step[0][0], c1 * step[0][1]]
                 repeated = [list(row) for row in a]
                 repeated[-1] = list(repeated[0])
                 column = [row[:-1] + [ring.zero] for row in a]
                 cases += [swap, step, repeated, column]
             if n >= 3:
                 combined = [list(row) for row in a]
-                combined[2] = [x * two - y * QSqrt2.sqrt2() for x, y in zip(a[0], a[1])]
+                combined[2] = [x * c1 - y * c2 for x, y in zip(a[0], a[1])]
                 cases.append(combined)
             for case in cases:
                 det = gr.determinant(case)
@@ -356,14 +427,23 @@ def test_determinant_matches_both_oracles_on_random_matrices():
             if n >= 2:
                 assert not gr.determinant(repeated) and not gr.determinant(column)
     assert gr.determinant([]) == ring.one
-    assert gr.determinant([[QSqrt2(0, Fraction(-3, 4))]]) == QSqrt2(0, Fraction(-3, 4))
+    assert gr.determinant([[QSqrt2(Fraction(-3, 4))]]) == QSqrt2(Fraction(-3, 4))
     anti = [[ring.zero, ring.one], [ring.one, ring.zero]]
     assert gr.determinant(anti) == -ring.one
 
 
+def test_determinant_raises_on_an_irrational_entry():
+    """The elimination runs over Z: an entry with a sqrt2 part raises
+    ValueError instead of being read as rational."""
+    with pytest.raises(ValueError, match="rational entries"):
+        gr.determinant([[QSqrt2(0, Fraction(-3, 4))]])
+    with pytest.raises(ValueError, match="rational entries"):
+        gr.determinant([[ring.one, ring.zero], [ring.one, QSqrt2(1, 1)]])
+
+
 class OffRingEntry:
-    """A matrix entry whose integer triple has the part 1/2: no entry of a
-    matrix over Q(sqrt2) clears to that."""
+    """A matrix entry whose integer triple has the part 1/2: no rational
+    entry clears to that."""
 
     triple = (Fraction(1, 2), 0, 1)
 
@@ -457,7 +537,7 @@ def test_u2bar_spin_matches_product_of_generator_matrices():
             product = co.end_identity(m)
             for k in range(len(word), 0, -1):
                 factor = co.end_identity(m) + cl.spin_generator_matrix(word[k - 1], "f", m).scale(bv[k - 1])
-                product = product.compose(factor)
+                product = co.end_compose(product, factor)
             assert build_u2bar_spin(bv, m) == product, m
 
 
