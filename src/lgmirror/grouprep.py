@@ -3,25 +3,24 @@
 The vector representation is (2m+1)-dimensional, with the Chevalley
 generators e_i = E_{i,i+1} + E_{2m+1-i,2m+2-i} (i < m), e_m = sqrt2 E_{m,m+1}
 + sqrt2 E_{m+1,m+2} and f_i = e_i^T; u2bar(b) = y_{i_N}(b_N) ... y_{i_1}(b_1)
-with y_i(b) = I + b f_i + (b^2/2) f_i^2 = (I + b f_i)(I + b^2 f_i^2/2), as
-f_i^3 = 0.  `build_u2bar` works in the basis with v_{m+1} replaced by
-sqrt2 v_{m+1}: it returns D^-1 u2bar D, u2bar conjugated by
-D = diag(1, ..., 1, sqrt2, 1, ..., 1) (sqrt2 at m+1).  There f_i is
-unchanged for i < m, f_m = E_{m+1,m} + 2 E_{m+2,m+1} and f_m^2/2 = E_{m+2,m},
-so every factor has integer entries and D^-1 u2bar D is rational at
-rational b.  Its entry (r, c) is that of u2bar times d_c/d_r, so a minor
-equals the minor of u2bar only when m+1 is in both index sets or in
-neither; every minor the identities read has m+1 in both.  f_j* is entry
-(j+1, j) for every j.  `determinant` clears each row to integers and runs
-Bareiss elimination over Z, each division exact.
+with y_i(b) = I + b f_i + (b^2/2) f_i^2, as f_i^3 = 0.  `build_u2bar` works
+in the basis with v_{m+1} replaced by sqrt2 v_{m+1}: it returns D^-1 u2bar D,
+u2bar conjugated by D = diag(1, ..., 1, sqrt2, 1, ..., 1) (sqrt2 at m+1).
+There f_i is unchanged for i < m, f_m = E_{m+1,m} + 2 E_{m+2,m+1} and
+f_m^2/2 = E_{m+2,m}, so every y_i(b) has entries in Z[b] and D^-1 u2bar D
+is rational at rational b.  `build_u2bar` applies the factors to I as row
+operations, one dense pass.  Its entry (r, c) is that of u2bar times
+d_c/d_r, so a minor equals the minor of u2bar only when m+1 is in both
+index sets or in neither; every minor the identities read has m+1 in both.
+f_j* is entry (j+1, j) for every j.  `determinant` clears each row to
+integers and runs Bareiss elimination over Z, each division exact.
 On the spin module, F_i is read from the Clifford image
 f_i = eps(i) v_{i+1} vbar_i (i < m), sqrt2 vbar_m v_{m+1}, and moves w_I to
 w_{I-{i}+{i+1}} (i in I, i+1 not) or to w_{I-{m}} (m in I) with entry 1:
 vbar_i takes eps(i) times the sign v_{i+1} takes, and v_{m+1} the sign
 vbar_m takes, times 1/sqrt2.  `spin_f_moves` holds those moves, checked
-when built.  One sweep, `apply_factors`, serves both: `build_u2bar` runs
-the vector factors, and `spin_row_sweep` the cached transposed spin moves,
-scaled by b_k, from w_empty.  `jacobi._peel_plan` reads the moves as index
+when built; it is the one spin format.  `spin_row_sweep` runs them, scaled
+by b_k, on the row w_empty^T, and `jacobi._peel_plan` reads them as index
 arrays.
 """
 
@@ -38,66 +37,36 @@ from lgmirror.scalars import QS2_ONE, QS2_ZERO, QSqrt2
 Matrix = list[list]
 
 
-@lru_cache(maxsize=None)
-def _vector_f_tables(i: int, m: int) -> tuple:
-    """y_i(b) = (I + b F)(I + b^2 G) in the integral basis, F = f_i and
-    G = f_i^2/2 (F G = f_i^3/2 = 0), as apply_factors reads them: by
-    column, 0-based, {col: [(row, entry), ...]}, None for entry 1.
-    F = E_{i+1,i} + E_{2m+2-i,2m+1-i} and G = 0 for i < m;
-    F = E_{m+1,m} + 2 E_{m+2,m+1} and G = E_{m+2,m} for i = m."""
-    if i < m:
-        return {i - 1: [(i, None)], 2 * m - i: [(2 * m + 1 - i, None)]}, {}
-    return {m - 1: [(m, None)], m: [(m + 1, QSqrt2(2))]}, {m - 1: [(m + 1, None)]}
-
-
-def _factors(b: list, m: int) -> list:
-    """The factors of u2bar as (scale, table) pairs, leftmost (k = N) first:
-    y_{i_k}(b_k) = (I + b_k F)(I + b_k^2 G)."""
-    factors = []
-    for i, bk in reversed(list(zip(wy.coordinate_word(b, m), b))):
-        f, g = _vector_f_tables(i, m)
-        factors.append((bk, f))
-        if g:
-            factors.append((bk * bk, g))
-    return factors
-
-
-def apply_factors(factors: list, coeffs: dict) -> dict:
-    """Apply the product of I + s T over the (leftmost-first) list of pairs
-    (s, T) to the exact sparse vector {index: coefficient}: s is a scalar
-    and T is stored by column, {col: [(row, entry), ...]}, None for entry 1."""
-    for scale, table in reversed(factors):
-        out = dict(coeffs)
-        for col, entries in table.items():
-            c = coeffs.get(col)
-            if c is None:
-                continue
-            c = scale * c
-            for row, entry in entries:
-                x = c if entry is None else entry * c
-                cur = out.get(row)
-                new = x if cur is None else cur + x
-                if new:
-                    out[row] = new
-                else:
-                    out.pop(row, None)
-        coeffs = out
-    return coeffs
-
-
 def build_u2bar(b: list, m: int) -> Matrix:
     """D^-1 u2bar D: u2bar = y_{i_N}(b_N) ... y_{i_1}(b_1) on the vector
     representation, in the basis with v_{m+1} replaced by sqrt2 v_{m+1}.
 
+    Starting from I, each y_{i_k}(b_k), k = 1..N, multiplies from the left
+    as row operations (1-based rows): for i < m, row i+1 += b row i and row
+    2m+2-i += b row 2m+1-i; for i = m, row m+2 += 2b row m+1 + b^2 row m
+    (reading the old row m+1), then row m+1 += b row m.
     `b` holds Q(sqrt2) scalars, index k (1-based) matching letter i_k.
     """
-    factors = _factors(b, m)
+    word = wy.coordinate_word(b, m)
     n = 2 * m + 1
-    out = [[QS2_ZERO] * n for _ in range(n)]
-    for col in range(n):
-        for row, c in apply_factors(factors, {col: QS2_ONE}).items():
-            out[row][col] = c
-    return out
+    g = [[QS2_ONE if r == c else QS2_ZERO for c in range(n)] for r in range(n)]
+    for i, bk in zip(word, b):
+        if i < m:
+            _add_row(g, i, i - 1, bk)
+            _add_row(g, n - i, n - i - 1, bk)
+        else:
+            _add_row(g, m + 1, m, bk + bk)
+            _add_row(g, m + 1, m - 1, bk * bk)
+            _add_row(g, m, m - 1, bk)
+    return g
+
+
+def _add_row(g: Matrix, dst: int, src: int, s) -> None:
+    """Row dst += s * row src (0-based), skipping the zero entries of row src."""
+    row = g[dst]
+    for c, x in enumerate(g[src]):
+        if x:
+            row[c] = row[c] + s * x
 
 
 def minor(g: Matrix, rows: list[int], cols: list[int]):
@@ -179,20 +148,28 @@ def spin_f_moves(i: int, m: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]
     return tuple(moves)
 
 
-@lru_cache(maxsize=None)
-def _spin_transposed_moves(i: int, m: int) -> dict:
-    """F_i^T as apply_factors reads it: the move (row, col) of F_i sends the
-    entry at row to col with entry 1."""
-    return {row: [(col, None)] for row, col in spin_f_moves(i, m)}
-
-
 def spin_row_sweep(b: list, m: int) -> dict[tuple[int, ...], QSqrt2]:
     """The row w_empty^T (I + b_N F_{i_N}) ... (I + b_1 F_{i_1}) of u2bar on V_Spin.
 
     Keyed by column subset: the entry at I is the w_empty coefficient of
-    u2bar w_I; columns where it vanishes are absent.  It is the transpose
-    (I + b_1 F_{i_1}^T) ... (I + b_N F_{i_N}^T) w_empty: apply_factors
-    scales the cached table of F_{i_k}^T by b_k.
+    u2bar w_I; columns where it vanishes are absent.  The factors multiply
+    the row from the right, k = N first: each move (r, col) of F_{i_k} adds
+    b_k row[r] to the entry at col.
     """
     word = wy.coordinate_word(b, m)
-    return apply_factors([(bk, _spin_transposed_moves(i, m)) for i, bk in zip(word, b)], {(): QS2_ONE})
+    row = {(): QS2_ONE}
+    for i, bk in zip(reversed(word), reversed(b)):
+        out = dict(row)
+        for r, col in spin_f_moves(i, m):
+            c = row.get(r)
+            if c is None:
+                continue
+            x = bk * c
+            cur = out.get(col)
+            new = x if cur is None else cur + x
+            if new:
+                out[col] = new
+            else:
+                out.pop(col, None)
+        row = out
+    return row

@@ -183,6 +183,11 @@ def test_criterion_4_f_coefficient_minors_and_vanishing():
                 rep = sp.verify_fj_minors(m, j, u2)
                 assert rep.ok, (m, j, rep.detail)
                 checked += 1
+            # only the letters m move column m into rows m+1 and m+2, and
+            # y_m(a) y_m(c) = y_m(a+c): there column m is that of y_m(f_m*),
+            # whose entry (m+2, m) is f_m*^2, the quadratic factor of y_m
+            f_m = gr.extract_f_coeff(u2, m)
+            assert u2[m + 1][m - 1] == f_m * f_m, (m, bs)
     elapsed = time.time() - t0
     report(4, True, elapsed, f"f_j* minor ratio + vanishing minor ({checked} instances)")
     assert elapsed < 30

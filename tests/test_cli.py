@@ -370,8 +370,8 @@ PINNED_REPORTS = {
         ["verify", "theorem-w", "--m", "4", "--trials", "2", "--seed", "5"],
         "e18b5bac14edf4896a738f104349fd5f95338d381d258f8ce5c5029116702160",
     ),
-    # recorded before the spin row went through the one sweep of
-    # grouprep.apply_factors and the 2^m basis became cached tuples
+    # recorded before the spin row became one sweep over the spin moves and
+    # the 2^m basis became cached tuples
     "minors-4": (
         ["verify", "minors", "--m", "4", "--trials", "2", "--seed", "5"],
         "7881ff9236dedf4aae4d3ef2b88e35f0ba63e358b3102c5ed8b68b2207333082",

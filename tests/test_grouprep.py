@@ -91,25 +91,15 @@ def dense_u2bar(b, m):
     return out
 
 
-def spin_factors(b, m):
-    """The factors I + b_k F_{i_k} of u2bar on V_Spin, leftmost first, as
-    apply_factors reads them: the pair (b_k, F_{i_k} by column), each move
-    (row, col) of F_{i_k} the entry 1 (stored as None) at (row, col)."""
-    word = wy.canonical_wp_word(m)
-    return [
-        (b[k - 1], {col: [(row, None)] for row, col in gr.spin_f_moves(word[k - 1], m)})
-        for k in range(len(word), 0, -1)
-    ]
-
-
 def build_u2bar_spin(b, m):
-    """u2bar acting on V_Spin, as a sparse 2^m x 2^m matrix over Q(sqrt2),
-    column by column through the spin factors."""
-    factors = spin_factors(b, m)
-    out = cl.EndSpin(m)
-    for col in pt.all_subsets(m):
-        for row, c in gr.apply_factors(factors, {col: ring.one}).items():
-            out.add_term((row, col), c)
+    """u2bar acting on V_Spin, as a sparse 2^m x 2^m matrix over Q(sqrt2):
+    prod_k (I + b_k F_{i_k}), leftmost (k = N) first, composed as sparse
+    matrices, F_i the spin matrix of f_i from its Clifford image."""
+    word = wy.canonical_wp_word(m)
+    out = co.end_identity(m)
+    for k in range(len(word), 0, -1):
+        factor = co.end_identity(m) + cl.spin_generator_matrix(word[k - 1], "f", m).scale(b[k - 1])
+        out = co.end_compose(out, factor)
     return out
 
 
@@ -142,34 +132,6 @@ def test_nilpotency():
     for i in range(1, m):
         e = chevalley_e(i, m)
         assert all(not c for row in mat_mul(e, e) for c in row)
-
-
-def dense_table(table, n):
-    """A factor table {col: [(row, entry)]} (None for 1) as a dense n x n matrix."""
-    out = mat_zero(n)
-    for col, entries in table.items():
-        for row, x in entries:
-            out[row][col] = ring.one if x is None else x
-    return out
-
-
-def test_vector_factor_tables():
-    """y_i(b) = (I + b F)(I + b^2 G): the tables hold F = f_i and, for i = m
-    only, G = f_i^2/2, both in the integral basis, with F G = 0 and integer
-    entries; f_i^2 = 0 for i < m."""
-    half = QSqrt2(Fraction(1, 2))
-    for m in (2, 3, 4):
-        n = 2 * m + 1
-        for i in range(1, m + 1):
-            f = chevalley_f(i, m)
-            f_table, g_table = gr._vector_f_tables(i, m)
-            g = dense_table(g_table, n)
-            assert dense_table(f_table, n) == integral(f, m), (m, i)
-            assert g == integral([[x * half for x in row] for row in mat_mul(f, f)], m), (m, i)
-            assert mat_mul(dense_table(f_table, n), g) == mat_zero(n), (m, i)
-            assert all(x.triple[1:] == (0, 1) for row in dense_table(f_table, n) + g for x in row), (m, i)
-            assert bool(g_table) == (i == m), (m, i)
-    assert gr._vector_f_tables(2, 2)[1] == {1: [(3, None)]}
 
 
 def test_one_param_subgroup():
@@ -213,13 +175,18 @@ def test_u2bar_factorization_and_shape():
 
 
 def test_u2bar_matches_dense_product():
-    """The column route equals the dense product of truncated exponentials,
-    moved to the integral basis."""
+    """The row operations equal the dense product of truncated exponentials,
+    moved to the integral basis; at integer b every entry is an integer."""
+    gen = splitmix64(17)
     for m in (2, 3, 4, 5):
         stream = cli.rational_stream(17 + m)
         for _ in range(3):
             b = sp.ring_vector(cli.sample_b(m, stream), ring)
             assert gr.build_u2bar(b, m) == integral(dense_u2bar(b, m), m), m
+        b = [QSqrt2(next(gen) % 11 - 5) for _ in wy.canonical_wp_word(m)]
+        u2 = gr.build_u2bar(b, m)
+        assert u2 == integral(dense_u2bar(b, m), m), m
+        assert all(x.triple[1:] == (0, 1) for row in u2 for x in row), m
 
 
 def gram_matrix(m):
@@ -496,9 +463,9 @@ def test_u2bar_spin_unitriangular():
 
 
 def test_row_sweep_is_the_empty_row_of_the_spin_matrix():
-    """spin_row_sweep, the transposed moves through apply_factors, equals
-    the w_empty row of the spin matrix built column by column, and keeps no
-    zero entry, also where a coordinate is 0 or two paths cancel."""
+    """spin_row_sweep, the moves run on the row w_empty^T, equals the
+    w_empty row of the composed spin matrix, and keeps no zero entry, also
+    where a coordinate is 0 or two paths cancel."""
     for m in (2, 3, 4, 5):
         stream = cli.rational_stream(41 + m)
         n = m * (m + 1) // 2
@@ -516,29 +483,12 @@ def test_u2bar_spin_corner_coefficients():
         for _ in range(2):
             bs = cli.sample_b(m, stream)
             bv = sp.ring_vector(bs, ring)
-            factors = spin_factors(bv, m)
-            img = gr.apply_factors(factors, {(): ring.one})
-            assert img.get(()) == ring.one  # p_empty = 1
-            top = gr.apply_factors(factors, {tuple(range(1, m + 1)): ring.one})
+            mat = build_u2bar_spin(bv, m)
+            assert mat.coeffs.get(((), ())) == ring.one  # p_empty = 1
             prod = ring.one
             for x in bv:
                 prod = prod * x
-            assert top.get(()) == prod  # p_{rho_m} = prod b_j
-
-
-def test_u2bar_spin_matches_product_of_generator_matrices():
-    """The column route on V_Spin equals prod_k (I + b_k F_{i_k}) composed as
-    sparse matrices, F_i the spin matrix of f_i from its Clifford image."""
-    for m in (2, 3):
-        word = wy.canonical_wp_word(m)
-        stream = cli.rational_stream(31)
-        for _ in range(2):
-            bv = sp.ring_vector(cli.sample_b(m, stream), ring)
-            product = co.end_identity(m)
-            for k in range(len(word), 0, -1):
-                factor = co.end_identity(m) + cl.spin_generator_matrix(word[k - 1], "f", m).scale(bv[k - 1])
-                product = co.end_compose(product, factor)
-            assert build_u2bar_spin(bv, m) == product, m
+            assert mat.coeffs.get(((), tuple(range(1, m + 1)))) == prod  # p_{rho_m} = prod b_j
 
 
 def test_spin_moves_are_entries_one_without_repeats():

@@ -76,10 +76,11 @@ def test_no_dataclasses_import():
 
 
 def _referenced(tree: ast.Module) -> set[str]:
-    """Every name a module reads: bare names, attributes and imported names."""
+    """Every name a module reads: loaded bare names, attributes and imported
+    names, but not the names it assigns."""
     out = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             out.add(node.id)
         elif isinstance(node, ast.Attribute):
             out.add(node.attr)
@@ -106,6 +107,18 @@ def _perfbench_names() -> set[str]:
     return out
 
 
+def _defined(tree: ast.Module) -> list[str]:
+    """The top-level functions, classes and assigned names of a module."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out += [t.id for t in targets if isinstance(t, ast.Name)]
+    return out
+
+
 # the console script of pyproject.toml
 ENTRY_POINTS = {"main"}
 
@@ -120,12 +133,17 @@ def test_every_public_name_has_a_caller():
     allowed = ENTRY_POINTS | _perfbench_names()
     unread = []
     for name, tree in trees.items():
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defined = [node.name]
-            elif isinstance(node, ast.Assign):
-                defined = [t.id for t in node.targets if isinstance(t, ast.Name)]
-            else:
-                defined = []
-            unread += [f"{name[:-3]}.{d}" for d in defined if not d.startswith("_") and d not in read | allowed]
+        unread += [f"{name[:-3]}.{d}" for d in _defined(tree) if not d.startswith("_") and d not in read | allowed]
     assert unread == [], f"public names no command reads: {unread}"
+
+
+def test_every_private_name_has_a_caller():
+    """Each private top-level function, class or constant of a module is
+    read somewhere in src/: a private table kept only for tests has no
+    place there."""
+    trees = _trees(SRC)
+    read = set().union(*map(_referenced, trees.values()))
+    unread = []
+    for name, tree in trees.items():
+        unread += [f"{name[:-3]}.{d}" for d in _defined(tree) if _private(d) and d not in read]
+    assert unread == [], f"private names no module reads: {unread}"

@@ -7,12 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 import weylgroup as wg
 from lgmirror import cli
-from lgmirror import grouprep as gr
 from lgmirror import partitions as pt
 from lgmirror import superpotential as sp
 from lgmirror import weyl as wy
 from lgmirror.scalars import EXACT
-from test_grouprep import spin_factors
+from test_grouprep import build_u2bar_spin
 from test_qchevalley import times_reflection
 
 
@@ -84,19 +83,18 @@ def monomial_sum(subwords, b):
 
 
 def check_routes_against_oracles(m: int, bs: list[Fraction]) -> None:
-    """Row sweep, per-basis-vector spin route, W^P value DP and oracle
-    subword sums give the same Pluecker vector and N(b), exactly; the
-    subword tuples match the oracles."""
+    """Row sweep, the w_empty row of the composed spin matrix, W^P value DP
+    and oracle subword sums give the same Pluecker vector and N(b), exactly;
+    the subword tuples match the oracles."""
     word = wy.canonical_wp_word(m)
     b = sp.ring_vector(bs, EXACT)
-    factors = spin_factors(b, m)
+    spin = build_u2bar_spin(b, m).coeffs
     sweep = sp.plucker_vector(b, m, EXACT)
     dp = sp.plucker_subword_vector(b, m)
     for lam in pt.all_strict_partitions(m):
-        image = gr.apply_factors(factors, {pt.to_subset(lam): EXACT.one})
         oracle = oracle_reduced_subwords(word, wg.coset_min_rep(lam))
         assert wy.reduced_subwords(word, lam) == oracle, lam
-        assert sweep[lam] == image.get((), EXACT.zero) == dp[lam] == monomial_sum(oracle, b), lam
+        assert sweep[lam] == spin.get(((), pt.to_subset(lam)), EXACT.zero) == dp[lam] == monomial_sum(oracle, b), lam
     assert wy.complement_subwords(m) == oracle_complement_subwords(m)
     assert sp.laurent_numerator(b, m) == monomial_sum(oracle_complement_subwords(m), b)
 
