@@ -52,11 +52,8 @@ def rational_stream(seed: int):
 
 
 def sample_b(m: int, stream) -> list[Fraction]:
-    n = m * (m + 1) // 2
-    while True:
-        b = [next(stream) for _ in range(n)]
-        if all(b):
-            return b
+    """One torus point, drawn once: `rational_stream` never yields 0."""
+    return [next(stream) for _ in range(m * (m + 1) // 2)]
 
 
 def _json(payload: dict) -> str:
@@ -93,36 +90,36 @@ def cmd_print_w(args: argparse.Namespace) -> int:
 _POINT_SUITES = ("theorem-w", "em", "subword", "minors", "fj")
 
 
-def _point_checks(suite: str, m: int, q, b: list) -> list:
-    """The checks of a per-point suite at one exact torus point b, each
-    given what it reads: [(extra record fields, report)]."""
+def _point_checks(suite: str, m: int, q, b: list[Fraction]) -> list:
+    """The checks of a per-point suite at one rational torus point b, each
+    given what it reads: [(extra record fields, report)].  The vector route
+    reads b as it is, the spin and subword routes in Q(sqrt2)."""
     from lgmirror import grouprep as gr
     from lgmirror import superpotential as sp
 
     if suite == "fj":
         u2 = gr.build_u2bar(b, m)
         return [({"j": j}, sp.verify_fj_minors(m, j, u2)) for j in range(1, m)]
-    p = sp.plucker_vector(b, m)
+    bq = sp.ring_vector(b)
+    p = sp.plucker_vector(bq, m)
     if suite == "theorem-w":
-        return [({}, sp.verify_theorem_w(m, q, b, p))]
+        return [({}, sp.verify_theorem_w(m, q, bq, p))]
     if suite == "em":
-        return [({}, sp.verify_em_formula(m, b, p))]
+        return [({}, sp.verify_em_formula(m, bq, p))]
     if suite == "subword":
-        return [({}, sp.verify_subword_route(m, b, p))]
+        return [({}, sp.verify_subword_route(m, bq, p))]
     u2 = gr.build_u2bar(b, m)
     return [({"j": j}, sp.verify_sym_to_minor(m, j, p, u2)) for j in range(2, m + 1)]
 
 
 def _point_records(suite: str, m: int, q: Fraction, trials: int, seed: int) -> list[dict]:
     """Run a per-point suite at `trials` random exact torus points, one draw each."""
-    from lgmirror import superpotential as sp
-
     q_exact = QSqrt2.from_fraction(q)
     stream = rational_stream(seed)
     records: list[dict] = []
     for k in range(trials):
         b = sample_b(m, stream)
-        for fields, rep in _point_checks(suite, m, q_exact, sp.ring_vector(b)):
+        for fields, rep in _point_checks(suite, m, q_exact, b):
             records.append({"instance": k, **fields, "b": [str(x) for x in b], "ok": rep.ok, "detail": rep.detail})
     return records
 

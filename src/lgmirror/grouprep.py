@@ -4,16 +4,19 @@ The vector representation is (2m+1)-dimensional, with the Chevalley
 generators e_i = E_{i,i+1} + E_{2m+1-i,2m+2-i} (i < m), e_m = sqrt2 E_{m,m+1}
 + sqrt2 E_{m+1,m+2} and f_i = e_i^T; u2bar(b) = y_{i_N}(b_N) ... y_{i_1}(b_1)
 with y_i(b) = I + b f_i + (b^2/2) f_i^2, as f_i^3 = 0.  `build_u2bar` works
-in the basis with v_{m+1} replaced by sqrt2 v_{m+1}: it returns D^-1 u2bar D,
-u2bar conjugated by D = diag(1, ..., 1, sqrt2, 1, ..., 1) (sqrt2 at m+1).
-There f_i is unchanged for i < m, f_m = E_{m+1,m} + 2 E_{m+2,m+1} and
-f_m^2/2 = E_{m+2,m}, so every y_i(b) has entries in Z[b] and D^-1 u2bar D
-is rational at rational b.  `build_u2bar` applies the factors to I as row
-operations, one dense pass.  Its entry (r, c) is that of u2bar times
-d_c/d_r, so a minor equals the minor of u2bar only when m+1 is in both
-index sets or in neither; every minor the identities read has m+1 in both.
-f_j* is entry (j+1, j) for every j.  `determinant` clears each row to
-integers and runs Bareiss elimination over Z, each division exact.
+in the basis with v_{m+1} replaced by sqrt2 v_{m+1}, that is on S^-1 u2bar S,
+S = diag(1, ..., 1, sqrt2, 1, ..., 1) (sqrt2 at m+1).  There f_i is
+unchanged for i < m, f_m = E_{m+1,m} + 2 E_{m+2,m+1} and f_m^2/2 = E_{m+2,m},
+so every y_i(b) has entries in Z[b].  Its entry (r, c) is that of u2bar
+times s_c/s_r, so a minor equals the minor of u2bar only when m+1 is in
+both index sets or in neither; every minor the identities read has m+1 in
+both, and f_j* is entry (j+1, j) for every j.
+The grading: each f_i moves one step down the basis and f_m^2/2 two steps
+with b^2, so entry (r, c) is homogeneous of degree r - c in b.  At a rational
+b with D the lcm of its denominators, `build_u2bar` runs the row operations
+on the integers D b, and entry (r, c) at b is that integer over D^(r-c).  A
+minor on rows R and columns C is then an integer determinant, by Bareiss
+elimination, over D^(sum R - sum C), and f_j* an integer over D.
 On the spin module, F_i is read from the Clifford image
 f_i = eps(i) v_{i+1} vbar_i (i < m), sqrt2 vbar_m v_{m+1}, and moves w_I to
 w_{I-{i}+{i+1}} (i in I, i+1 not) or to w_{I-{m}} (m in I) with entry 1:
@@ -32,84 +35,78 @@ from math import lcm
 
 from lgmirror import clifford as cl
 from lgmirror import weyl as wy
-from lgmirror.scalars import QS2_ONE, QS2_ZERO, QSqrt2
+from lgmirror.scalars import QS2_ONE, QSqrt2
 
-Matrix = list[list]
+Matrix = list[list[int]]
+U2bar = tuple[Matrix, int]
 
 
-def build_u2bar(b: list, m: int) -> Matrix:
-    """D^-1 u2bar D: u2bar = y_{i_N}(b_N) ... y_{i_1}(b_1) on the vector
-    representation, in the basis with v_{m+1} replaced by sqrt2 v_{m+1}.
+def build_u2bar(b: list, m: int) -> U2bar:
+    """(g, D) at the rational point b: D the lcm of the denominators of b,
+    g the integer matrix S^-1 u2bar S at D b (the grading above).
 
-    Starting from I, each y_{i_k}(b_k), k = 1..N, multiplies from the left
-    as row operations (1-based rows): for i < m, row i+1 += b row i and row
-    2m+2-i += b row 2m+1-i; for i = m, row m+2 += 2b row m+1 + b^2 row m
-    (reading the old row m+1), then row m+1 += b row m.
-    `b` holds Q(sqrt2) scalars, index k (1-based) matching letter i_k.
+    Starting from I, each y_{i_k}(a_k), k = 1..N, multiplies from the left
+    as row operations (1-based rows): for i < m, row i+1 += a row i and row
+    2m+2-i += a row 2m+1-i; for i = m, row m+2 += 2a row m+1 + a^2 row m
+    (reading the old row m+1), then row m+1 += a row m.
+    `b` holds ints or Fractions, index k (1-based) matching letter i_k.
     """
     word = wy.coordinate_word(b, m)
+    d = lcm(*(x.denominator for x in b))
     n = 2 * m + 1
-    g = [[QS2_ONE if r == c else QS2_ZERO for c in range(n)] for r in range(n)]
-    for i, bk in zip(word, b):
+    g = [[int(r == c) for c in range(n)] for r in range(n)]
+    for i, x in zip(word, b):
+        a = x.numerator * (d // x.denominator)
         if i < m:
-            _add_row(g, i, i - 1, bk)
-            _add_row(g, n - i, n - i - 1, bk)
+            _add_row(g, i, i - 1, a)
+            _add_row(g, n - i, n - i - 1, a)
         else:
-            _add_row(g, m + 1, m, bk + bk)
-            _add_row(g, m + 1, m - 1, bk * bk)
-            _add_row(g, m, m - 1, bk)
-    return g
+            _add_row(g, m + 1, m, a + a)
+            _add_row(g, m + 1, m - 1, a * a)
+            _add_row(g, m, m - 1, a)
+    return g, d
 
 
-def _add_row(g: Matrix, dst: int, src: int, s) -> None:
+def _add_row(g: Matrix, dst: int, src: int, s: int) -> None:
     """Row dst += s * row src (0-based), skipping the zero entries of row src."""
     row = g[dst]
     for c, x in enumerate(g[src]):
         if x:
-            row[c] = row[c] + s * x
+            row[c] += s * x
 
 
-def minor(g: Matrix, rows: list[int], cols: list[int]):
-    """Determinant of the submatrix (1-based index sets), by exact elimination."""
+def minor(u2: U2bar, rows: list[int], cols: list[int]) -> Fraction:
+    """The minor of u2bar on 1-based rows and cols: the determinant of that
+    submatrix of g over D^(sum(rows) - sum(cols))."""
     if len(rows) != len(cols):
         raise ValueError("minor needs |rows| = |cols|")
+    g, d = u2
     sub = [[g[r - 1][c - 1] for c in cols] for r in rows]
-    return determinant(sub)
+    return determinant(sub) * Fraction(d) ** (sum(cols) - sum(rows))
 
 
-def determinant(a: Matrix) -> QSqrt2:
-    """Determinant of a square matrix of rational QSqrt2 entries, fraction free.
+def determinant(a: Matrix) -> int:
+    """Determinant of a square integer matrix by Bareiss elimination.
 
-    Each row is cleared to integers by the lcm of its entries' denominators.
-    Bareiss elimination then runs over Z: step k replaces each entry below
-    and right of the pivot p_k by (p_k a_ij - a_ik a_kj) / p_{k-1}, a minor
-    of the cleared matrix, so the division is exact.  A zero pivot swaps in
-    a lower row and flips the sign.  The last pivot over the product of the
-    row denominators is the determinant.  Raises ValueError on an irrational
-    entry, and ArithmeticError if a division leaves a remainder, which no
-    rational matrix can cause.
+    Step k replaces each entry below and right of the pivot p_k by
+    (p_k a_ij - a_ik a_kj) / p_{k-1}, a minor of a, so the division is
+    exact.  A zero pivot swaps in a lower row and flips the sign; the last
+    pivot is the determinant.  Raises ArithmeticError if a division leaves
+    a remainder, which no integer matrix can cause.
     """
     if not a:
-        return QS2_ONE
-    rows, den = [], 1
-    for row in a:
-        triples = [c.triple for c in row]
-        if any(y for _, y, _ in triples):
-            raise ValueError(f"determinant needs rational entries, got the row {[str(c) for c in row]}")
-        d = lcm(*(e for _, _, e in triples))
-        den *= d
-        rows.append([x * (d // e) for x, _, e in triples])
-    sign, prev = 1, 1
+        return 1
+    rows, sign, prev = list(a), 1, 1
     while True:
         if not rows[0][0]:
             r = next((r for r in range(1, len(rows)) if rows[r][0]), None)
             if r is None:
-                return QS2_ZERO
+                return 0
             rows[0], rows[r] = rows[r], rows[0]
             sign = -sign
         pivot, *top = rows[0]
         if len(rows) == 1:
-            return QSqrt2(Fraction(sign * pivot, den))
+            return sign * pivot
         next_rows = []
         for lead, *rest in rows[1:]:
             out = []
@@ -122,10 +119,11 @@ def determinant(a: Matrix) -> QSqrt2:
         rows, prev = next_rows, pivot
 
 
-def extract_f_coeff(u2bar: Matrix, j: int):
-    """f_j*(u2bar): entry (j+1, j) of the integral-basis matrix, for every j
-    (at j = m, entry (m+1, m) of u2bar over sqrt2)."""
-    return u2bar[j][j - 1]
+def extract_f_coeff(u2: U2bar, j: int) -> Fraction:
+    """f_j*(u2bar): entry (j+1, j) of g over D, for every j (at j = m,
+    entry (m+1, m) of u2bar over sqrt2)."""
+    g, d = u2
+    return Fraction(g[j][j - 1], d)
 
 
 # -- the spin model -----------------------------------------------------------

@@ -185,9 +185,9 @@ def verify_theorem_w(m: int, q, b: list, p: dict) -> CheckReport:
     return CheckReport(False, f"W = {lhs} but W-tilde = {rhs}")
 
 
-def verify_sym_to_minor(m: int, j: int, p: dict, u2: gr.Matrix) -> CheckReport:
+def verify_sym_to_minor(m: int, j: int, p: dict, u2: gr.U2bar) -> CheckReport:
     """The two quadratic sums in the Pluecker values p against (m+1)x(m+1)
-    minors of the u2bar matrix u2 at the same point, j = 2..m.
+    minors of u2bar (u2 from `build_u2bar`) at the same point, j = 2..m.
 
     The D_(j) sum equals the minor with rows m+1..2m+1 and columns
     j..j+m, and the N_(j) sum the one with columns {j-1} u {j+1..j+m}:
@@ -212,9 +212,9 @@ def verify_sym_to_minor(m: int, j: int, p: dict, u2: gr.Matrix) -> CheckReport:
     return CheckReport(True)
 
 
-def verify_fj_minors(m: int, j: int, u2: gr.Matrix) -> CheckReport:
-    """f_j*(u2bar) as a ratio of minors of the u2bar matrix u2, plus the
-    vanishing minor behind it."""
+def verify_fj_minors(m: int, j: int, u2: gr.U2bar) -> CheckReport:
+    """f_j*(u2bar) as a ratio of minors of u2bar (u2 from
+    `grouprep.build_u2bar`), plus the vanishing minor behind it."""
     if not 1 <= j <= m - 1:
         raise ValueError("verify_fj_minors needs 1 <= j <= m-1")
     rows = list(range(m + 1, 2 * m + 2))

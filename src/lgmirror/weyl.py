@@ -84,15 +84,18 @@ def wp_subword_sums(
 
     A step at position p is kept only into a state of alive[p - 1]: those
     from which the letters at positions p - 1, ..., 1 can still spell the
-    `target` subset, or every state without one.  With a target, only its
-    own entry is then complete.
+    `target` subset, or every state (the table `steps` itself) without one.
+    With a target, only its own entry is then complete.
     """
     if any(not 1 <= letter <= m for letter in word):
         raise ValueError(f"word {tuple(word)} has a letter outside 1..{m}")
     steps = wp_transitions(m)
-    alive = [set(steps) if target is None else {target}]
-    for letter in word:
-        alive.append(alive[-1] | {state for state, row in steps.items() if row[letter - 1] in alive[-1]})
+    if target is None:
+        alive = [steps] * (len(word) + 1)
+    else:
+        alive = [{target}]
+        for letter in word:
+            alive.append(alive[-1] | {state for state, row in steps.items() if row[letter - 1] in alive[-1]})
     sums = {(): one}
     for p in range(len(word), 0, -1):
         letter = word[p - 1]

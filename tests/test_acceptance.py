@@ -161,7 +161,7 @@ def test_criterion_3_quadratic_sums_equal_minors():
         for _ in range(25):
             bs = cli.sample_b(m, stream)
             b = sp.ring_vector(bs, ring)
-            p, u2 = sp.plucker_vector(b, m, ring), gr.build_u2bar(b, m)
+            p, u2 = sp.plucker_vector(b, m, ring), gr.build_u2bar(bs, m)
             for j in range(2, m + 1):
                 rep = sp.verify_sym_to_minor(m, j, p, u2)
                 assert rep.ok, (m, j, rep.detail)
@@ -178,16 +178,17 @@ def test_criterion_4_f_coefficient_minors_and_vanishing():
         stream = cli.rational_stream(300 + m)
         for _ in range(25):
             bs = cli.sample_b(m, stream)
-            u2 = gr.build_u2bar(sp.ring_vector(bs, ring), m)
+            u2 = gr.build_u2bar(bs, m)
             for j in range(1, m):
                 rep = sp.verify_fj_minors(m, j, u2)
                 assert rep.ok, (m, j, rep.detail)
                 checked += 1
             # only the letters m move column m into rows m+1 and m+2, and
             # y_m(a) y_m(c) = y_m(a+c): there column m is that of y_m(f_m*),
-            # whose entry (m+2, m) is f_m*^2, the quadratic factor of y_m
+            # whose entry (m+2, m), the 1x1 minor on row m+2 and column m,
+            # is f_m*^2, the quadratic factor of y_m
             f_m = gr.extract_f_coeff(u2, m)
-            assert u2[m + 1][m - 1] == f_m * f_m, (m, bs)
+            assert gr.minor(u2, [m + 2], [m]) == f_m * f_m, (m, bs)
     elapsed = time.time() - t0
     report(4, True, elapsed, f"f_j* minor ratio + vanishing minor ({checked} instances)")
     assert elapsed < 30

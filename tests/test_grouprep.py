@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -65,11 +66,17 @@ def chevalley_f(i, m):
 
 
 def integral(x, m):
-    """D^-1 X D, D = diag(1, ..., sqrt2, ..., 1) with sqrt2 at m+1: a matrix
+    """S^-1 X S, S = diag(1, ..., sqrt2, ..., 1) with sqrt2 at m+1: a matrix
     of the sqrt2 basis in the integral basis of grouprep.build_u2bar."""
     n = len(x)
-    d = [QSqrt2.sqrt2() if k == m else ring.one for k in range(n)]
-    return [[x[r][c] * d[c] / d[r] for c in range(n)] for r in range(n)]
+    s = [QSqrt2.sqrt2() if k == m else ring.one for k in range(n)]
+    return [[x[r][c] * s[c] / s[r] for c in range(n)] for r in range(n)]
+
+
+def graded(u2):
+    """The entries of u2bar at b from build_u2bar's (g, D): g_rc / D^(r-c)."""
+    g, d = u2
+    return [[x * Fraction(d) ** (c - r) for c, x in enumerate(row)] for r, row in enumerate(g)]
 
 
 def one_param_y(i, a, m):
@@ -148,26 +155,26 @@ def test_one_param_subgroup():
     # one nonzero coordinate b_k: the factor route gives y_{i_k}(b_k) itself
     word = wy.canonical_wp_word(m)
     for k, letter in enumerate(word):
-        for x in (a, b, ab):
-            coords = [ring.zero] * len(word)
+        for x in (Fraction(3, 5), Fraction(-2, 7), Fraction(11, 35)):
+            coords = [0] * len(word)
             coords[k] = x
-            assert gr.build_u2bar(coords, m) == integral(one_param_y(letter, x, m), m), (k, x)
+            assert graded(gr.build_u2bar(coords, m)) == integral(one_param_y(letter, ring.from_fraction(x), m), m), (k, x)
 
 
 def test_u2bar_factorization_and_shape():
     m = 2
-    b = sp.ring_vector([1, 2, 3], ring)
-    u2 = gr.build_u2bar(b, m)
-    explicit = mat_mul(mat_mul(one_param_y(2, b[2], m), one_param_y(1, b[1], m)), one_param_y(2, b[0], m))
+    b = [1, 2, 3]
+    bq = sp.ring_vector(b, ring)
+    u2 = graded(gr.build_u2bar(b, m))
+    explicit = mat_mul(mat_mul(one_param_y(2, bq[2], m), one_param_y(1, bq[1], m)), one_param_y(2, bq[0], m))
     assert u2 == integral(explicit, m)
     assert u2[1][0] == b[1]  # the unique f_1 coefficient
     n = 2 * m + 1
     for i in range(n):
-        assert u2[i][i] == ring.one
+        assert u2[i][i] == 1
         for j in range(i + 1, n):
             assert not u2[i][j]
-    zeros = gr.build_u2bar([ring.zero] * 3, m)
-    assert zeros == mat_identity(5)
+    assert gr.build_u2bar([0] * 3, m) == ([[int(r == c) for c in range(n)] for r in range(n)], 1)
     with pytest.raises(ValueError):
         gr.build_u2bar(b[:2], m)
     with pytest.raises(ValueError):
@@ -175,18 +182,48 @@ def test_u2bar_factorization_and_shape():
 
 
 def test_u2bar_matches_dense_product():
-    """The row operations equal the dense product of truncated exponentials,
-    moved to the integral basis; at integer b every entry is an integer."""
+    """The row operations, read by the grading, equal the dense product of
+    truncated exponentials moved to the integral basis; D is the lcm of the
+    denominators of b, 1 at integer b."""
     gen = splitmix64(17)
     for m in (2, 3, 4, 5):
         stream = cli.rational_stream(17 + m)
-        for _ in range(3):
-            b = sp.ring_vector(cli.sample_b(m, stream), ring)
-            assert gr.build_u2bar(b, m) == integral(dense_u2bar(b, m), m), m
-        b = [QSqrt2(next(gen) % 11 - 5) for _ in wy.canonical_wp_word(m)]
-        u2 = gr.build_u2bar(b, m)
-        assert u2 == integral(dense_u2bar(b, m), m), m
-        assert all(x.triple[1:] == (0, 1) for row in u2 for x in row), m
+        draws = [cli.sample_b(m, stream) for _ in range(3)]
+        draws.append([next(gen) % 11 - 5 for _ in wy.canonical_wp_word(m)])
+        for b in draws:
+            u2 = gr.build_u2bar(b, m)
+            assert graded(u2) == integral(dense_u2bar(sp.ring_vector(b, ring), m), m), (m, b)
+            assert u2[1] == math.lcm(*(Fraction(x).denominator for x in b)), (m, b)
+            assert all(type(x) is int for row in u2[0] for x in row), (m, b)
+
+
+def test_quasi_homogeneity_of_u2bar_pluecker_and_w():
+    """The grading, m = 2..6 at a seeded b and t in {2, -3/7}: entry (r, c)
+    of the sqrt2-basis oracle at t b is t^(r-c) times the entry at b; both
+    Pluecker routes give p_lambda(t b) = t^|lambda| p_lambda(b); and
+    W(p(t b); t^(m+1) q) = t W(p(b); q)."""
+    for m in range(2, 7):
+        stream = cli.rational_stream(61 + m)
+        b = cli.sample_b(m, stream)
+        q = ring.from_fraction(next(stream))
+        bq = sp.ring_vector(b, ring)
+        u2 = dense_u2bar(bq, m)
+        routes = (sp.plucker_vector, sp.plucker_subword_vector)
+        ps = [route(bq, m) for route in routes]
+        w = sp.eval_W(q, ps[0], m)
+        for t in (Fraction(2), Fraction(-3, 7)):
+            tq = ring.from_fraction(t)
+            tb = sp.ring_vector([t * x for x in b], ring)
+            scaled = dense_u2bar(tb, m)
+            n = 2 * m + 1
+            for r in range(n):
+                for c in range(n):
+                    assert scaled[r][c] == tq ** (r - c) * u2[r][c], (m, t, r, c)
+            p_scaled = [route(tb, m) for route in routes]
+            for route, p, ps_t in zip(routes, ps, p_scaled):
+                for lam, value in p.items():
+                    assert ps_t[lam] == tq ** sum(lam.parts) * value, (m, t, route.__name__, lam)
+            assert sp.eval_W(tq ** (m + 1) * q, p_scaled[0], m) == tq * w, (m, t)
 
 
 def gram_matrix(m):
@@ -204,7 +241,7 @@ def test_u2bar_preserves_bilinear_form():
         stream = cli.rational_stream(21)
         for _ in range(3):
             bs = cli.sample_b(m, stream)
-            u2 = gr.build_u2bar(sp.ring_vector(bs, ring), m)
+            u2 = [[ring.from_fraction(x) for x in row] for row in graded(gr.build_u2bar(bs, m))]
             g = gram_matrix(m)
             g[m][m] = g[m][m] * QSqrt2(2)
             assert mat_mul(mat_transpose(u2), mat_mul(g, u2)) == g
@@ -235,27 +272,26 @@ def test_vector_action_matches_clifford_commutator():
                 assert dense == mat, (m, i, kind)
 
 
-def cofactor_det(a, ring):
+def cofactor_det(a):
+    """The cofactor expansion along the first row, over ints or Fractions."""
     n = len(a)
     if n == 0:
-        return ring.one
-    if n == 1:
-        return a[0][0]
-    total = ring.zero
+        return 1
+    total = 0
     for c in range(n):
         if not a[0][c]:
             continue
         sub = [row[:c] + row[c + 1:] for row in a[1:]]
-        term = a[0][c] * cofactor_det(sub, ring)
+        term = a[0][c] * cofactor_det(sub)
         total = total + term if c % 2 == 0 else total - term
     return total
 
 
 def gaussian_determinant(a):
-    """Gaussian elimination over QSqrt2 objects: the oracle of the
-    fraction-free grouprep.determinant."""
+    """Gaussian elimination over QSqrt2 objects, entries given as QSqrt2,
+    ints or Fractions: the oracle of the fraction-free grouprep.determinant."""
     n = len(a)
-    a = [list(row) for row in a]
+    a = [[x if isinstance(x, QSqrt2) else ring.from_fraction(x) for x in row] for row in a]
     det = ring.one
     for col in range(n):
         pivot_row = next((r for r in range(col, n) if a[r][col]), None)
@@ -277,13 +313,15 @@ def gaussian_determinant(a):
 
 
 def test_minor_against_cofactor_expansion():
+    """Minors by the grading against the cofactor expansion of u2bar's
+    entries, also where the rows sum to less than the columns."""
     m = 2
-    b = sp.ring_vector([Fraction(1, 2), Fraction(3), Fraction(-2, 5)], ring)
-    u2 = gr.build_u2bar(b, m)
-    for rows, cols in [([3, 4, 5], [2, 3, 4]), ([1, 2, 3], [1, 2, 3]), ([2, 3, 4, 5], [1, 2, 3, 4])]:
-        sub = [[u2[r - 1][c - 1] for c in cols] for r in rows]
-        assert gr.minor(u2, rows, cols) == cofactor_det(sub, ring)
-    assert gr.minor(mat_identity(5), [1, 3], [1, 3]) == ring.one
+    u2 = gr.build_u2bar([Fraction(1, 2), Fraction(3), Fraction(-2, 5)], m)
+    entries = graded(u2)
+    for rows, cols in [([3, 4, 5], [2, 3, 4]), ([1, 2, 3], [1, 2, 3]), ([2, 3, 4, 5], [1, 2, 3, 4]), ([4, 5], [1, 3]), ([2, 3], [3, 4])]:
+        sub = [[entries[r - 1][c - 1] for c in cols] for r in rows]
+        assert gr.minor(u2, rows, cols) == cofactor_det(sub), (rows, cols)
+    assert gr.minor(([[int(r == c) for c in range(5)] for r in range(5)], 7), [1, 3], [1, 3]) == 1
     with pytest.raises(ValueError):
         gr.minor(u2, [1, 2], [1])
 
@@ -304,16 +342,16 @@ def test_determinant_matches_both_oracles_on_the_verified_minors(monkeypatch):
         for seed in (1, 7, 23):
             stream = cli.rational_stream(seed + 100 * m)
             for _ in range(2):
-                b = sp.ring_vector(cli.sample_b(m, stream), ring)
+                b = cli.sample_b(m, stream)
                 u2 = gr.build_u2bar(b, m)
-                p = sp.plucker_vector(b, m)
+                p = sp.plucker_vector(sp.ring_vector(b, ring), m)
                 reports = [sp.verify_sym_to_minor(m, j, p, u2) for j in range(2, m + 1)]
                 reports += [sp.verify_fj_minors(m, j, u2) for j in range(1, m)]
                 assert all(rep.ok for rep in reports), (m, seed)
     assert len(seen) == 3 * 2 * sum(2 * (m - 1) + 3 * (m - 1) for m in (2, 3, 4, 5))
     for a in seen:
         det = determinant(a)
-        assert det == gaussian_determinant(a) == cofactor_det(a, ring), a
+        assert det == gaussian_determinant(a) == cofactor_det(a), a
 
 
 def test_integral_basis_minors_and_f_coefficients_match_the_sqrt2_oracle(monkeypatch):
@@ -333,10 +371,11 @@ def test_integral_basis_minors_and_f_coefficients_match_the_sqrt2_oracle(monkeyp
     for m in (2, 3, 4, 5):
         for seed in (2, 9, 31):
             stream = cli.rational_stream(seed + 100 * m)
-            b = sp.ring_vector(cli.sample_b(m, stream), ring)
-            u2, oracle = gr.build_u2bar(b, m), dense_u2bar(b, m)
+            b = cli.sample_b(m, stream)
+            bq = sp.ring_vector(b, ring)
+            u2, oracle = gr.build_u2bar(b, m), dense_u2bar(bq, m)
             seen.clear()
-            p = sp.plucker_vector(b, m)
+            p = sp.plucker_vector(bq, m)
             for j in range(2, m + 1):
                 sp.verify_sym_to_minor(m, j, p, u2)
             for j in range(1, m):
@@ -351,38 +390,33 @@ def test_integral_basis_minors_and_f_coefficients_match_the_sqrt2_oracle(monkeyp
             assert gr.extract_f_coeff(u2, m) == oracle[m][m - 1] / QSqrt2.sqrt2(), (m, seed)
 
 
-def random_rational_matrix(n, gen):
-    """An n x n matrix of seeded rational entries with mixed denominators,
-    about a third of them 0."""
-    def entry():
-        if next(gen) % 3 == 0:
-            return ring.zero
-        return QSqrt2(Fraction(next(gen) % 19 - 9, next(gen) % 12 + 1))
-
-    return [[entry() for _ in range(n)] for _ in range(n)]
+def random_integer_matrix(n, gen):
+    """An n x n matrix of seeded integer entries in [-9, 9], about a third
+    of them 0."""
+    return [[0 if next(gen) % 3 == 0 else next(gen) % 19 - 9 for _ in range(n)] for _ in range(n)]
 
 
 def test_determinant_matches_both_oracles_on_random_matrices():
-    """Seeded random rational matrices of size 0 to 8: generic ones, a zero
+    """Seeded random integer matrices of size 0 to 8: generic ones, a zero
     leading entry that forces a swap, a zero pivot after one step, a
-    repeated row, a zero column and a row that is a rational combination of
+    repeated row, a zero column and a row that is an integer combination of
     two others."""
     gen = splitmix64(2024)
-    c1, c2 = QSqrt2(Fraction(3, 7)), QSqrt2(Fraction(-5, 2))
+    c1, c2 = 3, -5
     for n in range(9):
         for trial in range(4 if n <= 6 else 1):
-            a = random_rational_matrix(n, gen)
+            a = random_integer_matrix(n, gen)
             cases = [a]
             if n >= 2:
                 swap = [list(row) for row in a]
-                swap[0][0] = ring.zero
-                swap[1][0] = swap[1][0] or QSqrt2(Fraction(5, 3))
+                swap[0][0] = 0
+                swap[1][0] = swap[1][0] or 5
                 step = [list(row) for row in a]
-                step[0][0] = step[0][0] or QSqrt2(2)
+                step[0][0] = step[0][0] or 2
                 step[1][:2] = [c1 * step[0][0], c1 * step[0][1]]
                 repeated = [list(row) for row in a]
                 repeated[-1] = list(repeated[0])
-                column = [row[:-1] + [ring.zero] for row in a]
+                column = [row[:-1] + [0] for row in a]
                 cases += [swap, step, repeated, column]
             if n >= 3:
                 combined = [list(row) for row in a]
@@ -390,62 +424,40 @@ def test_determinant_matches_both_oracles_on_random_matrices():
                 cases.append(combined)
             for case in cases:
                 det = gr.determinant(case)
-                assert det == gaussian_determinant(case) == cofactor_det(case, ring), (n, trial, case)
+                assert det == gaussian_determinant(case) == cofactor_det(case), (n, trial, case)
             if n >= 2:
                 assert not gr.determinant(repeated) and not gr.determinant(column)
-    assert gr.determinant([]) == ring.one
-    assert gr.determinant([[QSqrt2(Fraction(-3, 4))]]) == QSqrt2(Fraction(-3, 4))
-    anti = [[ring.zero, ring.one], [ring.one, ring.zero]]
-    assert gr.determinant(anti) == -ring.one
-
-
-def test_determinant_raises_on_an_irrational_entry():
-    """The elimination runs over Z: an entry with a sqrt2 part raises
-    ValueError instead of being read as rational."""
-    with pytest.raises(ValueError, match="rational entries"):
-        gr.determinant([[QSqrt2(0, Fraction(-3, 4))]])
-    with pytest.raises(ValueError, match="rational entries"):
-        gr.determinant([[ring.one, ring.zero], [ring.one, QSqrt2(1, 1)]])
-
-
-class OffRingEntry:
-    """A matrix entry whose integer triple has the part 1/2: no rational
-    entry clears to that."""
-
-    triple = (Fraction(1, 2), 0, 1)
+    assert gr.determinant([]) == 1
+    assert gr.determinant([[-3]]) == -3
+    anti = [[0, 1], [1, 0]]
+    assert gr.determinant(anti) == -1
 
 
 def test_determinant_raises_on_a_division_that_is_not_exact():
-    """A Bareiss step whose division leaves a remainder raises
-    ArithmeticError rather than rounding."""
+    """A Bareiss step whose division leaves a remainder, here from an entry
+    that is not an integer, raises ArithmeticError rather than rounding."""
     with pytest.raises(ArithmeticError, match="not a multiple"):
-        gr.determinant([[ring.one, ring.one], [ring.one, OffRingEntry()]])
+        gr.determinant([[1, 1], [1, Fraction(1, 2)]])
 
 
 def test_frozen_minor_value():
-    b = sp.ring_vector([1, 2, 3], ring)
-    u2 = gr.build_u2bar(b, 2)
-    assert gr.minor(u2, [3, 4, 5], [2, 3, 4]) == QSqrt2(18)
+    u2 = gr.build_u2bar([1, 2, 3], 2)
+    assert gr.minor(u2, [3, 4, 5], [2, 3, 4]) == 18
 
 
 def test_extract_f_coeff():
     m = 2
-    b = sp.ring_vector([1, 2, 3], ring)
-    u2 = gr.build_u2bar(b, m)
-    assert gr.extract_f_coeff(u2, 1) == QSqrt2(2)
-    assert gr.extract_f_coeff(u2, 2) == QSqrt2(4)
+    u2 = gr.build_u2bar([1, 2, 3], m)
+    assert gr.extract_f_coeff(u2, 1) == 2
+    assert gr.extract_f_coeff(u2, 2) == 4
     for m in (3, 4):
         word = wy.canonical_wp_word(m)
         stream = cli.rational_stream(5)
         for _ in range(2):
             bs = cli.sample_b(m, stream)
-            bv = sp.ring_vector(bs, ring)
-            u2 = gr.build_u2bar(bv, m)
+            u2 = gr.build_u2bar(bs, m)
             for j in range(1, m + 1):
-                expected = ring.zero
-                for k, letter in enumerate(word, start=1):
-                    if letter == j:
-                        expected = expected + bv[k - 1]
+                expected = sum(x for x, letter in zip(bs, word) if letter == j)
                 assert gr.extract_f_coeff(u2, j) == expected
 
 
