@@ -6,6 +6,9 @@ splitmix64 with numerators in [-9, 9] \\ {0} and denominators in [1, 9].
 `sample_b` puts b on the torus (no coordinate 0), where every divisor
 D_l(u2bar(b)) is a monomial in b with coefficient 1: no point is on a
 divisor, none is redrawn, and `divisor_redraws` is 0.
+The per-point suites compute on the integers D b, with D the lcm of the
+denominators of b (`scalars.lift`), read back at b by the grading of each
+value; they build no Q(sqrt2) scalar.
 Each command imports the modules it runs, and what they import, inside
 the function that runs it: `verify pi-map` `clifford`, `verify chevalley`
 `qchevalley`, the per-point suites and print-w `superpotential`, and only
@@ -30,7 +33,7 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 
-from lgmirror.scalars import QSqrt2, splitmix64
+from lgmirror.scalars import lift, splitmix64
 
 SCHEMA = "lg-mirror/1"
 # `critical` takes 0.4 s and 45 MB at m = 8, 1.8 s and 143 MB at m = 9 (fresh
@@ -90,36 +93,37 @@ def cmd_print_w(args: argparse.Namespace) -> int:
 _POINT_SUITES = ("theorem-w", "em", "subword", "minors", "fj")
 
 
-def _point_checks(suite: str, m: int, q, b: list[Fraction]) -> list:
+def _point_checks(suite: str, m: int, q: Fraction, b: list[Fraction]) -> list:
     """The checks of a per-point suite at one rational torus point b, each
-    given what it reads: [(extra record fields, report)].  The vector route
-    reads b as it is, the spin and subword routes in Q(sqrt2)."""
+    given what it reads: [(extra record fields, report)].  Every route runs
+    on integers, by the grading: the vector route (`build_u2bar`) lifts b
+    itself, and the spin and subword routes, W and W-tilde run on the lift
+    (D b, D) of b; nothing computes in Q(sqrt2)."""
     from lgmirror import grouprep as gr
     from lgmirror import superpotential as sp
 
     if suite == "fj":
         u2 = gr.build_u2bar(b, m)
         return [({"j": j}, sp.verify_fj_minors(m, j, u2)) for j in range(1, m)]
-    bq = sp.ring_vector(b)
-    p = sp.plucker_vector(bq, m)
+    point = lift(b)
+    p = sp.plucker_vector(point[0], m)
     if suite == "theorem-w":
-        return [({}, sp.verify_theorem_w(m, q, bq, p))]
+        return [({}, sp.verify_theorem_w(m, q, point, p))]
     if suite == "em":
-        return [({}, sp.verify_em_formula(m, bq, p))]
+        return [({}, sp.verify_em_formula(m, point, p))]
     if suite == "subword":
-        return [({}, sp.verify_subword_route(m, bq, p))]
+        return [({}, sp.verify_subword_route(m, point, p))]
     u2 = gr.build_u2bar(b, m)
     return [({"j": j}, sp.verify_sym_to_minor(m, j, p, u2)) for j in range(2, m + 1)]
 
 
 def _point_records(suite: str, m: int, q: Fraction, trials: int, seed: int) -> list[dict]:
     """Run a per-point suite at `trials` random exact torus points, one draw each."""
-    q_exact = QSqrt2.from_fraction(q)
     stream = rational_stream(seed)
     records: list[dict] = []
     for k in range(trials):
         b = sample_b(m, stream)
-        for fields, rep in _point_checks(suite, m, q_exact, b):
+        for fields, rep in _point_checks(suite, m, q, b):
             records.append({"instance": k, **fields, "b": [str(x) for x in b], "ok": rep.ok, "detail": rep.detail})
     return records
 

@@ -21,21 +21,24 @@ On the spin module, F_i is read from the Clifford image
 f_i = eps(i) v_{i+1} vbar_i (i < m), sqrt2 vbar_m v_{m+1}, and moves w_I to
 w_{I-{i}+{i+1}} (i in I, i+1 not) or to w_{I-{m}} (m in I) with entry 1:
 vbar_i takes eps(i) times the sign v_{i+1} takes, and v_{m+1} the sign
-vbar_m takes, times 1/sqrt2.  `spin_f_moves` holds those moves, checked
-when built; it is the one spin format.  `spin_row_sweep` runs them, scaled
-by b_k, on the row w_empty^T, and `jacobi._peel_plan` reads them as index
-arrays.
+vbar_m takes, times 1/sqrt2.  Each move takes w_I to a subset whose
+partition has one box fewer (`partitions.from_subset`), so the w_empty
+coefficient of u2bar w_I is homogeneous of degree |lambda(I)| in b.
+`spin_f_moves` holds those moves, checked when built; it is the one spin
+format.  `spin_row_sweep` runs them, scaled by b_k, on the row w_empty^T,
+over whatever numbers b holds (the integers D b on the verify path), and
+`jacobi._peel_plan` reads them as index arrays.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 
 from lgmirror import clifford as cl
+from lgmirror import partitions as pt
 from lgmirror import weyl as wy
-from lgmirror.scalars import QS2_ONE, QSqrt2
+from lgmirror.scalars import lift
 
 Matrix = list[list[int]]
 U2bar = tuple[Matrix, int]
@@ -52,11 +55,10 @@ def build_u2bar(b: list, m: int) -> U2bar:
     `b` holds ints or Fractions, index k (1-based) matching letter i_k.
     """
     word = wy.coordinate_word(b, m)
-    d = lcm(*(x.denominator for x in b))
+    lifted, d = lift(b)
     n = 2 * m + 1
     g = [[int(r == c) for c in range(n)] for r in range(n)]
-    for i, x in zip(word, b):
-        a = x.numerator * (d // x.denominator)
+    for i, a in zip(word, lifted):
         if i < m:
             _add_row(g, i, i - 1, a)
             _add_row(g, n - i, n - i - 1, a)
@@ -133,29 +135,35 @@ def extract_f_coeff(u2: U2bar, j: int) -> Fraction:
 def spin_f_moves(i: int, m: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     """The spin matrix F_i of f_i as its moves: the (row subset, col subset)
     pairs where it has entry 1, read from its Clifford image.  Raises
-    ArithmeticError unless every entry is exactly 1 and no row or column
-    repeats, so that F_i sends each spin basis vector to at most one other."""
+    ArithmeticError unless every entry is exactly 1, every move takes the
+    column's partition to one with exactly one box fewer, and no row or
+    column repeats, so that F_i sends each spin basis vector to at most one
+    other and the row sweep is graded."""
     moves = []
     for (row, col), c in cl.spin_generator_matrix(i, "f", m).coeffs.items():
-        if c != QS2_ONE:
+        if c != 1:
             raise ArithmeticError(f"spin matrix of f_{i} has the entry {c} at {(row, col)}, not 1")
         moves.append((row, col))
     rows, cols = zip(*moves)
     if len(set(rows)) < len(moves) or len(set(cols)) < len(moves):
         raise ArithmeticError(f"spin matrix of f_{i} has two entries in one row or column")
+    for row, col in moves:
+        if pt.from_subset(col, m).size != pt.from_subset(row, m).size + 1:
+            raise ArithmeticError(f"spin matrix of f_{i} moves w_{col} to w_{row}, not one box down")
     return tuple(moves)
 
 
-def spin_row_sweep(b: list, m: int) -> dict[tuple[int, ...], QSqrt2]:
+def spin_row_sweep(b: list, m: int) -> dict[tuple[int, ...], object]:
     """The row w_empty^T (I + b_N F_{i_N}) ... (I + b_1 F_{i_1}) of u2bar on V_Spin.
 
     Keyed by column subset: the entry at I is the w_empty coefficient of
     u2bar w_I; columns where it vanishes are absent.  The factors multiply
     the row from the right, k = N first: each move (r, col) of F_{i_k} adds
-    b_k row[r] to the entry at col.
+    b_k row[r] to the entry at col.  The row starts from the int 1, so the
+    entries are ints at integer b and lie in the ring of b otherwise.
     """
     word = wy.coordinate_word(b, m)
-    row = {(): QS2_ONE}
+    row = {(): 1}
     for i, bk in zip(reversed(word), reversed(b)):
         out = dict(row)
         for r, col in spin_f_moves(i, m):

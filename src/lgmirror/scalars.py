@@ -5,14 +5,19 @@ structural equality).  `QSqrt2` is the field Q(sqrt2), stored as three
 integers (a, b, d) meaning (a + b*sqrt2)/d over one common denominator
 d > 0 with gcd(a, b, d) = 1, so that each operation needs one gcd and
 equality stays structural; every identity downstream is then decidable by
-exact equality.  The exact layer computes in Q(sqrt2) only; the numerical
-layer (`jacobi`) reads the exact spin tables once, as floats, and computes
-in numpy.  `EXACT` is the one `ScalarRing`: the zero, the one and the
-embedding of Q, for callers that read them there rather than from
-`QSqrt2`.  `Combination` is the one sparse container of the package, a
-linear combination that keeps no zero coefficient: the Clifford, exterior
-and spin elements of `clifford` (Q(sqrt2) coefficients) and the quantum
-classes of `qchevalley` (integer coefficients) are its subclasses.
+exact equality.  `QSqrt2` mixes with Q: `+ - * /` take an int or a
+Fraction on either side and promote it into Q(sqrt2), so one function runs
+on QSqrt2 values and on plain rationals alike; arithmetic between two
+QSqrt2 is untouched by this.  Only the Clifford layer needs sqrt2: the
+per-point suites compute in Q, on the integers D b of `lift` (D the lcm of
+the denominators of b).  The numerical layer (`jacobi`) reads the exact
+spin tables once, as floats, and computes in numpy.  `EXACT` is the one
+`ScalarRing`: the zero, the one and the embedding of Q, for callers that
+read them there rather than from `QSqrt2`.  `Combination` is the one
+sparse container of the package, a linear combination that keeps no zero
+coefficient: the Clifford, exterior and spin elements of `clifford`
+(Q(sqrt2) coefficients) and the quantum classes of `qchevalley` (integer
+coefficients) are its subclasses.
 `splitmix64` draws every random number.
 """
 
@@ -20,7 +25,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, NamedTuple, TypeVar, Union
+from typing import Callable, NamedTuple, Sequence, TypeVar, Union
 
 _gcd = math.gcd
 
@@ -103,30 +108,40 @@ class QSqrt2:
 
     # -- arithmetic --------------------------------------------------------
 
-    def __add__(self, other: QSqrt2) -> QSqrt2:
+    def __add__(self, other: QSqrt2 | int | Fraction) -> QSqrt2:
         if not isinstance(other, QSqrt2):
-            return NotImplemented
+            other = _promote(other)
+            if other is None:
+                return NotImplemented
         d = self._d
         if d == other._d:
             return _reduced(self._a + other._a, self._b + other._b, d)
         e = other._d
         return _reduced(self._a * e + other._a * d, self._b * e + other._b * d, d * e)
 
-    def __sub__(self, other: QSqrt2) -> QSqrt2:
+    def __sub__(self, other: QSqrt2 | int | Fraction) -> QSqrt2:
         if not isinstance(other, QSqrt2):
-            return NotImplemented
+            other = _promote(other)
+            if other is None:
+                return NotImplemented
         d = self._d
         if d == other._d:
             return _reduced(self._a - other._a, self._b - other._b, d)
         e = other._d
         return _reduced(self._a * e - other._a * d, self._b * e - other._b * d, d * e)
 
+    def __rsub__(self, other: int | Fraction) -> QSqrt2:
+        other = _promote(other)
+        return NotImplemented if other is None else other - self
+
     def __neg__(self) -> QSqrt2:
         return _make(-self._a, -self._b, self._d)
 
-    def __mul__(self, other: QSqrt2) -> QSqrt2:
+    def __mul__(self, other: QSqrt2 | int | Fraction) -> QSqrt2:
         if not isinstance(other, QSqrt2):
-            return NotImplemented
+            other = _promote(other)
+            if other is None:
+                return NotImplemented
         # (a1 + b1 r)(a2 + b2 r) = a1 a2 + 2 b1 b2 + (a1 b2 + a2 b1) r
         a1, b1, a2, b2 = self._a, self._b, other._a, other._b
         return _reduced(a1 * a2 + 2 * b1 * b2, a1 * b2 + b1 * a2, self._d * other._d)
@@ -141,10 +156,20 @@ class QSqrt2:
             return _reduced(-a * d, b * d, -norm)
         return _reduced(a * d, -b * d, norm)
 
-    def __truediv__(self, other: QSqrt2) -> QSqrt2:
+    def __truediv__(self, other: QSqrt2 | int | Fraction) -> QSqrt2:
         if not isinstance(other, QSqrt2):
-            return NotImplemented
+            other = _promote(other)
+            if other is None:
+                return NotImplemented
         return self * other.inverse()
+
+    def __rtruediv__(self, other: int | Fraction) -> QSqrt2:
+        other = _promote(other)
+        return NotImplemented if other is None else other * self.inverse()
+
+    # x + y and x * y commute, so the reflected forms are the forward ones
+    __radd__ = __add__
+    __rmul__ = __mul__
 
     def __pow__(self, n: int) -> QSqrt2:
         if n < 0:
@@ -198,6 +223,22 @@ def _reduced(a: int, b: int, d: int) -> QSqrt2:
     if g != 1:
         return _make(a // g, b // g, d // g)
     return _make(a, b, d)
+
+
+def _promote(x: object) -> QSqrt2 | None:
+    """The int or Fraction x as an element of Q(sqrt2); None for any other type."""
+    return QSqrt2.from_fraction(x) if isinstance(x, (int, Fraction)) else None
+
+
+Lift = tuple[list[int], int]
+
+
+def lift(b: Sequence[Union[int, Fraction]]) -> Lift:
+    """(a, D) for the rational vector b: D the lcm of its denominators and
+    a = D b, a list of ints.  A value homogeneous of degree k in b is its
+    value at a over D^k."""
+    d = math.lcm(*(x.denominator for x in b))
+    return [x.numerator * (d // x.denominator) for x in b], d
 
 
 QS2_ZERO = QSqrt2(0)

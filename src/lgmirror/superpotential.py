@@ -11,6 +11,24 @@ lgmirror.partitions, each term with its sign.  Verification helpers check the
 pullback identity W = W-tilde, the minor identities, the numerator
 identity behind the e^t-term, and the agreement of the two Pluecker
 routes, all exactly.
+
+Both routes and both forms of W are written once, over plain numbers: the
+sweep starts from the int 1 and every sum from the int 0, so they run on
+ints, Fractions or QSqrt2 alike.  The verify helpers run them on integers,
+by the grading.  Let b be rational, D the lcm of its denominators and
+a = D b (`scalars.lift`).  Then:
+- each spin move takes a partition to one with one box fewer
+  (`grouprep.spin_f_moves`), so the sweep at a gives
+  P_lambda(a) = D^|lambda| p_lambda(b), an integer;
+- the subword route is homogeneous the same way: a subword for lambda has
+  |lambda| letters, and the complement subwords of N(b) have N - m;
+- every product in a sum of W has the same size, and each term has
+  deg N_l - deg D_l = 1, or 1 - (m+1) for the q-term (`symbolic_W` raises
+  otherwise).  So W(t^|lambda| p; t^(m+1) q) = t W(p; q) term by term,
+  and likewise W-tilde(t b; t^(m+1) q) = t W-tilde(b; q).
+An identity at (b, q) is then an identity between integers, or between the
+Fractions W and W-tilde at (a, D^(m+1) q), and a failing check reports its
+values at (b, q).
 """
 
 from __future__ import annotations
@@ -23,7 +41,7 @@ from lgmirror import grouprep as gr
 from lgmirror import partitions as pt
 from lgmirror import weyl as wy
 from lgmirror.partitions import StrictPartition
-from lgmirror.scalars import EXACT, QS2_ONE, QS2_ZERO, QSqrt2, ScalarRing
+from lgmirror.scalars import EXACT, Lift, QSqrt2, ScalarRing
 
 
 class DivisorError(ZeroDivisionError):
@@ -35,7 +53,9 @@ class DivisorError(ZeroDivisionError):
 
 
 # The `ring` of ring_vector, plucker_vector, eval_W, eval_denominator and
-# eval_numerator selects nothing (EXACT is the only ScalarRing); callers may pass it.
+# eval_numerator selects nothing (EXACT is the only ScalarRing); callers may
+# pass it.  Those functions compute in the numbers they are given: QSqrt2
+# from ring_vector, ints from `scalars.lift` on the verify path.
 
 
 def ring_vector(bs: Sequence[Fraction | int], ring: ScalarRing = EXACT) -> list[QSqrt2]:
@@ -45,19 +65,19 @@ def ring_vector(bs: Sequence[Fraction | int], ring: ScalarRing = EXACT) -> list[
 # -- Pluecker coordinates -----------------------------------------------------
 
 
-def plucker_vector(b: list, m: int, ring: ScalarRing = EXACT) -> dict[StrictPartition, QSqrt2]:
+def plucker_vector(b: list, m: int, ring: ScalarRing = EXACT) -> dict[StrictPartition, object]:
     """All 2^m Pluecker coordinates of u2bar(b), keyed by strict partition.
 
     Spin route: p_lambda is the (w_empty, w_lambda) entry of u2bar on
     V_Spin, read from one row sweep over its N sparse factors.
     """
     row = gr.spin_row_sweep(b, m)
-    return {lam: row.get(s, QS2_ZERO) for lam, s in zip(pt.all_strict_partitions(m), pt.all_subsets(m))}
+    return {lam: row.get(s, 0) for lam, s in zip(pt.all_strict_partitions(m), pt.all_subsets(m))}
 
 
 def _subword_sums(b: list, m: int, target: tuple[int, ...] | None = None) -> dict:
     """The W^P programme valuing each subword by its product of b's."""
-    return wy.wp_subword_sums(wy.coordinate_word(b, m), m, QS2_ONE, lambda value, p: value * b[p - 1], target)
+    return wy.wp_subword_sums(wy.coordinate_word(b, m), m, 1, lambda value, p: value * b[p - 1], target)
 
 
 def plucker_subword_vector(b: list, m: int) -> dict[StrictPartition, object]:
@@ -69,7 +89,7 @@ def plucker_subword_vector(b: list, m: int) -> dict[StrictPartition, object]:
     of them.
     """
     sums = _subword_sums(b, m)
-    return {lam: sums.get(s, QS2_ZERO) for lam, s in zip(pt.all_strict_partitions(m), pt.all_subsets(m))}
+    return {lam: sums.get(s, 0) for lam, s in zip(pt.all_strict_partitions(m), pt.all_subsets(m))}
 
 
 # -- the terms of W_t ---------------------------------------------------------
@@ -88,7 +108,11 @@ class WTermSymbolic(NamedTuple):
 @lru_cache(maxsize=None)
 def symbolic_W(m: int) -> tuple[WTermSymbolic, ...]:
     """The m+1 terms of W_t, term l over the divisor D_l: print-w renders
-    them, eval_W evaluates them, and every caller shares them (frozen)."""
+    them, eval_W evaluates them, and every caller shares them (frozen).
+
+    Raises ArithmeticError unless the terms are graded as the lift to
+    integers needs: every product in a sum has the same size, and each term
+    has deg N_l - deg D_l = 1 - (m+1) q_power."""
     if m < 2:
         raise ValueError("symbolic_W needs m >= 2")
     middle = (
@@ -99,21 +123,39 @@ def symbolic_W(m: int) -> tuple[WTermSymbolic, ...]:
         )
         for l in range(1, m)
     )
-    return (
+    terms = (
         WTermSymbolic(((1, (pt.rho_plus(0, m),)),), ((1, (pt.rho(0, m),)),), 0),
         *middle,
         WTermSymbolic(((1, (pt.rho(m - 1, m),)),), ((1, (pt.rho(m, m),)),), 1),
     )
+    for l, term in enumerate(terms):
+        if _degree(term.numerator) - _degree(term.denominator) != 1 - (m + 1) * term.q_power:
+            raise ArithmeticError(f"term {l} of W for m={m} has the wrong degree")
+    return terms
+
+
+def _degree(items: tuple[tuple[int, Product], ...]) -> int:
+    """The size of every product of a sum; raises ArithmeticError if two differ."""
+    sizes = {sum(lam.size for lam in factors) for _, factors in items}
+    if len(sizes) != 1:
+        raise ArithmeticError(f"a sum of W mixes products of sizes {sorted(sizes)}")
+    return sizes.pop()
 
 
 def _eval_sum(items: tuple[tuple[int, Product], ...], p: dict):
-    total = QS2_ZERO
+    total = 0
     for sign, factors in items:
         prod = p[factors[0]]
         for lam in factors[1:]:
             prod = prod * p[lam]
         total = total + prod if sign > 0 else total - prod
     return total
+
+
+def _sum_at_b(items: tuple[tuple[int, Product], ...], p: dict, d: int) -> Fraction:
+    """A sum of W at b, from the Pluecker values p at the lift D b: its
+    value at p over D^(its degree)."""
+    return Fraction(_eval_sum(items, p), d ** _degree(items))
 
 
 def eval_denominator(l: int, p: dict, m: int, ring: ScalarRing = EXACT):
@@ -126,15 +168,22 @@ def eval_numerator(l: int, p: dict, m: int, ring: ScalarRing = EXACT):
     return _eval_sum(symbolic_W(m)[l].numerator, p)
 
 
+def _ratio(num, den):
+    """num / den exactly: a Fraction for two ints, where `/` would round to a float."""
+    if isinstance(num, int) and isinstance(den, int):
+        return Fraction(num, den)
+    return num / den
+
+
 def eval_W(q, p: dict, m: int, ring: ScalarRing = EXACT):
     """W_t at the point with Pluecker values p, with q = e^t: the terms of
     symbolic_W(m).  Raises DivisorError(l) at the first vanishing denominator."""
-    total = QS2_ZERO
+    total = 0
     for l, term in enumerate(symbolic_W(m)):
         den = _eval_sum(term.denominator, p)
         if not den:
             raise DivisorError(l)
-        value = _eval_sum(term.numerator, p) / den
+        value = _ratio(_eval_sum(term.numerator, p), den)
         for _ in range(term.q_power):
             value = q * value
         total = total + value
@@ -149,19 +198,19 @@ def laurent_numerator(b: list, m: int):
     route, from the programme kept to the states that can reach it.
     """
     target = pt.to_subset(pt.rho(m - 1, m))
-    return _subword_sums(b, m, target).get(target, QS2_ZERO)
+    return _subword_sums(b, m, target).get(target, 0)
 
 
 def eval_W_tilde(q, b: list, m: int):
     """The Laurent form: sum b_j + q N(b)/prod b_j."""
-    prod = QS2_ONE
-    total = QS2_ZERO
+    prod = 1
+    total = 0
     for bj in b:
         if not bj:
             raise ZeroDivisionError("W-tilde needs all torus coordinates nonzero")
         total = total + bj
         prod = prod * bj
-    return total + q * laurent_numerator(b, m) / prod
+    return total + q * _ratio(laurent_numerator(b, m), prod)
 
 
 # -- verification reports -----------------------------------------------------
@@ -175,19 +224,25 @@ class CheckReport(NamedTuple):
         return self.ok
 
 
-def verify_theorem_w(m: int, q, b: list, p: dict) -> CheckReport:
-    """eval_W on the Pluecker values p of u2bar(b) against the Laurent form
-    at b, exact equality."""
-    lhs = eval_W(q, p, m)
-    rhs = eval_W_tilde(q, b, m)
+def verify_theorem_w(m: int, q: Fraction, point: Lift, p: dict) -> CheckReport:
+    """W = W-tilde at (b, q), by the grading: point = (a, D) lifts b, p is
+    the spin route at a, and eval_W at p and the Laurent form at a are
+    taken with D^(m+1) q.  Each is then D times its value at (b, q), so
+    their exact equality is the identity at (b, q)."""
+    a, d = point
+    qd = q * d ** (m + 1)
+    lhs = eval_W(qd, p, m)
+    rhs = eval_W_tilde(qd, a, m)
     if lhs == rhs:
         return CheckReport(True)
-    return CheckReport(False, f"W = {lhs} but W-tilde = {rhs}")
+    return CheckReport(False, f"W = {Fraction(lhs, d)} but W-tilde = {Fraction(rhs, d)}")
 
 
 def verify_sym_to_minor(m: int, j: int, p: dict, u2: gr.U2bar) -> CheckReport:
-    """The two quadratic sums in the Pluecker values p against (m+1)x(m+1)
-    minors of u2bar (u2 from `build_u2bar`) at the same point, j = 2..m.
+    """The two quadratic sums in the Pluecker values against (m+1)x(m+1)
+    minors of u2bar at the same point b, j = 2..m: u2 = (g, D) is
+    `build_u2bar(b)` and p the spin route at the lift D b.  A sum of
+    products of size k at D b is D^k times the sum at b.
 
     The D_(j) sum equals the minor with rows m+1..2m+1 and columns
     j..j+m, and the N_(j) sum the one with columns {j-1} u {j+1..j+m}:
@@ -198,13 +253,13 @@ def verify_sym_to_minor(m: int, j: int, p: dict, u2: gr.U2bar) -> CheckReport:
     """
     if not 2 <= j <= m:
         raise ValueError("verify_sym_to_minor needs 2 <= j <= m")
-    l = m + 1 - j
+    term, d = symbolic_W(m)[m + 1 - j], u2[1]
     rows = list(range(m + 1, 2 * m + 2))
-    den_sum = eval_denominator(l, p, m)
+    den_sum = _sum_at_b(term.denominator, p, d)
     den_minor = gr.minor(u2, rows, list(range(j, j + m + 1)))
     if den_sum != den_minor:
         return CheckReport(False, f"D side: sum {den_sum} != minor {den_minor}")
-    num_sum = eval_numerator(l, p, m)
+    num_sum = _sum_at_b(term.numerator, p, d)
     num_cols = [j - 1] + list(range(j + 1, j + m + 1))
     num_minor = gr.minor(u2, rows, num_cols)
     if num_sum != num_minor:
@@ -229,25 +284,33 @@ def verify_fj_minors(m: int, j: int, u2: gr.U2bar) -> CheckReport:
     return CheckReport(True)
 
 
-def verify_em_formula(m: int, b: list, p: dict) -> CheckReport:
-    """N(b) p_{rho_m} = p_{rho_{m-1}} prod(b), p the Pluecker values of
-    u2bar(b): the two e^t-term expressions agree."""
-    prod = QS2_ONE
-    for bj in b:
-        prod = prod * bj
-    lhs = laurent_numerator(b, m) * p[pt.rho(m, m)]
+def verify_em_formula(m: int, point: Lift, p: dict) -> CheckReport:
+    """N(b) p_{rho_m} = p_{rho_{m-1}} prod(b): the two e^t-term expressions
+    agree.  point = (a, D) lifts b and p is the spin route at a; both sides
+    have degree 2N - m, so they are compared as integers at a."""
+    a, d = point
+    prod = 1
+    for x in a:
+        prod *= x
+    lhs = laurent_numerator(a, m) * p[pt.rho(m, m)]
     rhs = p[pt.rho(m - 1, m)] * prod
     if lhs == rhs:
         return CheckReport(True)
-    return CheckReport(False, f"{lhs} != {rhs}")
+    scale = d ** (2 * len(a) - m)
+    return CheckReport(False, f"{Fraction(lhs, scale)} != {Fraction(rhs, scale)}")
 
 
-def verify_subword_route(m: int, b: list, p: dict) -> CheckReport:
-    """Every Pluecker coordinate p of the spin route at b against the subword route."""
-    subword = plucker_subword_vector(b, m)
+def verify_subword_route(m: int, point: Lift, p: dict) -> CheckReport:
+    """Every Pluecker coordinate p of the spin route against the subword
+    route, both at a for point = (a, D) the lift of b: integers, each
+    D^|lambda| times its value at b."""
+    a, d = point
+    subword = plucker_subword_vector(a, m)
     for lam, lhs in p.items():
         if lhs != subword[lam]:
-            return CheckReport(False, f"p_{lam.render()}: spin {lhs} != subword {subword[lam]}")
+            scale = d ** lam.size
+            spin, other = Fraction(lhs, scale), Fraction(subword[lam], scale)
+            return CheckReport(False, f"p_{lam.render()}: spin {spin} != subword {other}")
     return CheckReport(True)
 
 

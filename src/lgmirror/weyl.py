@@ -84,18 +84,13 @@ def wp_subword_sums(
 
     A step at position p is kept only into a state of alive[p - 1]: those
     from which the letters at positions p - 1, ..., 1 can still spell the
-    `target` subset, or every state (the table `steps` itself) without one.
-    With a target, only its own entry is then complete.
+    `target` subset (`_alive`), or every state (the table `steps` itself)
+    without one.  With a target, only its own entry is then complete.
     """
     if any(not 1 <= letter <= m for letter in word):
         raise ValueError(f"word {tuple(word)} has a letter outside 1..{m}")
     steps = wp_transitions(m)
-    if target is None:
-        alive = [steps] * (len(word) + 1)
-    else:
-        alive = [{target}]
-        for letter in word:
-            alive.append(alive[-1] | {state for state, row in steps.items() if row[letter - 1] in alive[-1]})
+    alive = [steps] * (len(word) + 1) if target is None else _alive(tuple(word), m, target)
     sums = {(): one}
     for p in range(len(word), 0, -1):
         letter = word[p - 1]
@@ -105,6 +100,18 @@ def wp_subword_sums(
                 term = extend(value, p)
                 sums[nxt] = sums[nxt] + term if nxt in sums else term
     return sums
+
+
+@lru_cache(maxsize=None)
+def _alive(word: tuple[int, ...], m: int, target: tuple[int, ...]) -> tuple[frozenset, ...]:
+    """The pruning table of `wp_subword_sums` towards `target`: entry p holds
+    the states from which the letters at positions p, ..., 1 of `word` can
+    still spell `target`, entry 0 only the target.  Built once per process."""
+    steps = wp_transitions(m)
+    alive = [frozenset((target,))]
+    for letter in word:
+        alive.append(alive[-1] | {state for state, row in steps.items() if row[letter - 1] in alive[-1]})
+    return tuple(alive)
 
 
 def reduced_subwords(word: Sequence[int], lam: StrictPartition) -> tuple[tuple[int, ...], ...]:

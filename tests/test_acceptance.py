@@ -33,7 +33,7 @@ from lgmirror import partitions as pt
 from lgmirror import qchevalley as qc
 from lgmirror import superpotential as sp
 from lgmirror import weyl as wy
-from lgmirror.scalars import EXACT, QSqrt2, splitmix64
+from lgmirror.scalars import EXACT, QSqrt2, lift, splitmix64
 
 ring = EXACT
 
@@ -47,16 +47,17 @@ def report(criterion: int, ok: bool, elapsed: float, detail: str) -> None:
 
 
 def off_divisor_points(m: int, count: int, seed: int):
-    """`count` seeded exact torus points with their q samples.  A torus
-    point lies off every divisor D_l, since each D_l is a monomial there, so
-    eval_W raising DivisorError fails the test instead of skipping a point."""
+    """`count` seeded rational torus points with their rational q samples.
+    A torus point lies off every divisor D_l, since each D_l is a monomial
+    there, so eval_W raising DivisorError fails the test instead of
+    skipping a point."""
     stream = cli.rational_stream(seed)
     gen = splitmix64(seed ^ 0xABCDEF)
     out = []
     for _ in range(count):
-        b = sp.ring_vector(cli.sample_b(m, stream), ring)
-        q = ring.from_fraction(Fraction(next(gen) % 17 + 1, next(gen) % 9 + 1))
-        sp.eval_W(q, sp.plucker_vector(b, m, ring), m, ring)
+        b = cli.sample_b(m, stream)
+        q = Fraction(next(gen) % 17 + 1, next(gen) % 9 + 1)
+        sp.eval_W(q, sp.plucker_vector(b, m), m)
         out.append((b, q))
     return out
 
@@ -145,7 +146,8 @@ def test_criterion_2_pullback_identity():
     checked = 0
     for m in (2, 3, 4, 5):
         for b, q in off_divisor_points(m, 50, seed=100 + m):
-            rep = sp.verify_theorem_w(m, q, b, sp.plucker_vector(b, m, ring))
+            point = lift(b)
+            rep = sp.verify_theorem_w(m, q, point, sp.plucker_vector(point[0], m))
             assert rep.ok, (m, rep.detail)
             checked += 1
     elapsed = time.time() - t0
@@ -160,8 +162,7 @@ def test_criterion_3_quadratic_sums_equal_minors():
         stream = cli.rational_stream(200 + m)
         for _ in range(25):
             bs = cli.sample_b(m, stream)
-            b = sp.ring_vector(bs, ring)
-            p, u2 = sp.plucker_vector(b, m, ring), gr.build_u2bar(bs, m)
+            p, u2 = sp.plucker_vector(lift(bs)[0], m), gr.build_u2bar(bs, m)
             for j in range(2, m + 1):
                 rep = sp.verify_sym_to_minor(m, j, p, u2)
                 assert rep.ok, (m, j, rep.detail)

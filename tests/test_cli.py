@@ -284,6 +284,64 @@ def test_theorem_w_evaluates_w_once_per_trial(capsys, monkeypatch):
     assert len(calls) == 4
 
 
+def test_point_suites_build_no_qsqrt2(capsys, monkeypatch):
+    """Warm, the per-point suites run on ints and Fractions only: no QSqrt2
+    is built, and every QSqrt2 is built by `scalars._make`."""
+    from lgmirror import scalars
+
+    argv = [["verify", suite, "--m", "4", "--trials", "2", "--q", "3/2"] for suite in cli._POINT_SUITES]
+    for args in argv:  # builds the per-process tables, the spin moves among them
+        assert run(capsys, *args)[0] == 0
+    made = []
+    make = scalars._make
+    monkeypatch.setattr(scalars, "_make", lambda *abd: made.append(abd) or make(*abd))
+    assert scalars.QSqrt2(1, 1) and made == [(1, 1, 1)]  # the counter sees a QSqrt2
+    made.clear()
+    for args in argv:
+        code, out = run(capsys, *args)
+        assert code == 0 and json.loads(out)["ok"] is True, args
+    assert made == []
+
+
+@pytest.mark.parametrize("suite", ["theorem-w", "em", "subword"])
+def test_a_failing_point_reports_its_values_at_b(monkeypatch, suite):
+    """The spin route made wrong by 1 at rho_m at the lift a = D b, D > 1:
+    the failing record prints the values at (b, q), recomputed here on the
+    Fractions b with the error read back at b (1/D^N), not the integers at a."""
+    from fractions import Fraction
+
+    from lgmirror import partitions as pt
+    from lgmirror import superpotential as sp
+    from lgmirror.scalars import lift
+
+    m, q, seed = 3, Fraction(3, 2), 5
+    b = cli.sample_b(m, cli.rational_stream(seed))
+    a, d = lift(b)
+    assert d > 1
+    top, real = pt.rho(m, m), sp.plucker_vector
+
+    def wrong(point, m):
+        p = real(point, m)
+        p[top] += 1
+        return p
+
+    monkeypatch.setattr(sp, "plucker_vector", wrong)
+    (record,) = cli._suite_records(suite, m, q, 1, seed)
+    assert record["b"] == [str(x) for x in b] and not record["ok"]
+    p = real(b, m)
+    p[top] += Fraction(1, d ** len(b))
+    if suite == "theorem-w":
+        expected = f"W = {sp.eval_W(q, p, m)} but W-tilde = {sp.eval_W_tilde(q, b, m)}"
+    elif suite == "em":
+        prod = Fraction(1)
+        for x in b:
+            prod *= x
+        expected = f"{sp.laurent_numerator(b, m) * p[top]} != {p[pt.rho(m - 1, m)] * prod}"
+    else:
+        expected = f"p_{top.render()}: spin {p[top]} != subword {sp.plucker_subword_vector(b, m)[top]}"
+    assert record["detail"] == expected
+
+
 IMPORT_PROBE = """
 import contextlib, io, json, sys
 start = set(sys.modules)
@@ -397,6 +455,20 @@ PINNED_REPORTS = {
     "fj-6": (
         ["verify", "fj", "--m", "6", "--trials", "1", "--q", "2", "--seed", "7"],
         "dca11a48b582a051640f9791dd7fe38b38ae792f5e7d67175abd5aa5466ba07f",
+    ),
+    # recorded before the spin and subword routes and W moved to the integers
+    # D b; the commands the benchmark runs, at a fixed seed
+    "theorem-w-6": (
+        ["verify", "theorem-w", "--m", "6", "--trials", "1", "--q", "2", "--seed", "7"],
+        "109955532a7bddf68c20f5f87f0bf6d03ae4eb6fab5ba51a35a81ff32852afac",
+    ),
+    "em-6": (
+        ["verify", "em", "--m", "6", "--trials", "1", "--q", "2", "--seed", "7"],
+        "9a8aed8068a8d1adfb2ceaebbeb1b46393eb18d9fca3cc994f86da9ac0301631",
+    ),
+    "subword-5": (
+        ["verify", "subword", "--m", "5", "--trials", "1", "--q", "2", "--seed", "7"],
+        "09a4bed98eb27cf5bbfd91f72bdaf8dcdf8dccfcf685c54e2d9aa95674df3901",
     ),
     "minors-7": (
         ["verify", "minors", "--m", "7", "--trials", "3", "--seed", "5"],

@@ -10,7 +10,7 @@ from lgmirror import grouprep as gr
 from lgmirror import partitions as pt
 from lgmirror import superpotential as sp
 from lgmirror import weyl as wy
-from lgmirror.scalars import EXACT, QSqrt2, splitmix64
+from lgmirror.scalars import EXACT, QSqrt2, lift, splitmix64
 
 ring = EXACT
 
@@ -344,7 +344,7 @@ def test_determinant_matches_both_oracles_on_the_verified_minors(monkeypatch):
             for _ in range(2):
                 b = cli.sample_b(m, stream)
                 u2 = gr.build_u2bar(b, m)
-                p = sp.plucker_vector(sp.ring_vector(b, ring), m)
+                p = sp.plucker_vector(lift(b)[0], m)
                 reports = [sp.verify_sym_to_minor(m, j, p, u2) for j in range(2, m + 1)]
                 reports += [sp.verify_fj_minors(m, j, u2) for j in range(1, m)]
                 assert all(rep.ok for rep in reports), (m, seed)
@@ -375,7 +375,7 @@ def test_integral_basis_minors_and_f_coefficients_match_the_sqrt2_oracle(monkeyp
             bq = sp.ring_vector(b, ring)
             u2, oracle = gr.build_u2bar(b, m), dense_u2bar(bq, m)
             seen.clear()
-            p = sp.plucker_vector(bq, m)
+            p = sp.plucker_vector(lift(b)[0], m)
             for j in range(2, m + 1):
                 sp.verify_sym_to_minor(m, j, p, u2)
             for j in range(1, m):
@@ -531,3 +531,23 @@ def test_spin_moves_reject_an_entry_other_than_one_and_a_repeated_column(monkeyp
     monkeypatch.setattr(cl, "spin_generator_matrix", repeated_column)
     with pytest.raises(ArithmeticError, match="row or column"):
         gr.spin_f_moves.__wrapped__(1, 2)
+
+
+@pytest.mark.parametrize("i", [1, 2, 3])
+def test_spin_moves_reject_a_move_that_is_not_one_box_down(monkeypatch, i):
+    """The row sweep is graded because each move of F_i takes a partition to
+    one with one box fewer: the transposed matrix (entries 1, no repeats,
+    each move one box up) raises on building."""
+    m = 3
+    assert all(
+        pt.from_subset(col, m).size == pt.from_subset(row, m).size + 1 for row, col in gr.spin_f_moves(i, m)
+    )
+    spin_generator_matrix = cl.spin_generator_matrix
+
+    def transposed(*args):
+        mat = spin_generator_matrix(*args)
+        return mat._with({(col, row): c for (row, col), c in mat.coeffs.items()})
+
+    monkeypatch.setattr(cl, "spin_generator_matrix", transposed)
+    with pytest.raises(ArithmeticError, match="not one box down"):
+        gr.spin_f_moves.__wrapped__(i, m)

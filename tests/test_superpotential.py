@@ -10,7 +10,7 @@ from lgmirror import jacobi as jb
 from lgmirror import partitions as pt
 from lgmirror import superpotential as sp
 from lgmirror import weyl as wy
-from lgmirror.scalars import EXACT, QSqrt2
+from lgmirror.scalars import EXACT, QSqrt2, lift
 
 ring = EXACT
 
@@ -151,10 +151,9 @@ def test_theorem_w_exact():
     for m in (2, 3, 4):
         stream = cli.rational_stream(41)
         for k in range(5):
-            bs = cli.sample_b(m, stream)
-            b = sp.ring_vector(bs, ring)
-            q = frac(Fraction(2 * k + 1, k + 2))
-            rep = sp.verify_theorem_w(m, q, b, sp.plucker_vector(b, m, ring))
+            point = lift(cli.sample_b(m, stream))
+            q = Fraction(2 * k + 1, k + 2)
+            rep = sp.verify_theorem_w(m, q, point, sp.plucker_vector(point[0], m))
             assert rep.ok, rep.detail
 
 
@@ -178,16 +177,14 @@ def test_sym_to_minor_exact():
         stream = cli.rational_stream(47)
         for _ in range(3):
             bs = cli.sample_b(m, stream)
-            b = sp.ring_vector(bs, ring)
-            p, u2 = sp.plucker_vector(b, m, ring), gr.build_u2bar(bs, m)
+            p, u2 = sp.plucker_vector(lift(bs)[0], m), gr.build_u2bar(bs, m)
             for j in range(2, m + 1):
                 rep = sp.verify_sym_to_minor(m, j, p, u2)
                 assert rep.ok, (m, j, rep.detail)
 
 
 def test_sym_to_minor_frozen_m2():
-    b = sp.ring_vector([1, 2, 3], ring)
-    rep = sp.verify_sym_to_minor(2, 2, sp.plucker_vector(b, 2, ring), gr.build_u2bar([1, 2, 3], 2))
+    rep = sp.verify_sym_to_minor(2, 2, sp.plucker_vector([1, 2, 3], 2), gr.build_u2bar([1, 2, 3], 2))
     assert rep.ok
     ones = sp.ring_vector([1, 1, 1], ring)
     p = sp.plucker_vector(ones, 2, ring)
@@ -209,9 +206,8 @@ def test_em_formula_exact():
     for m in (2, 3, 4):
         stream = cli.rational_stream(59)
         for _ in range(3):
-            bs = cli.sample_b(m, stream)
-            b = sp.ring_vector(bs, ring)
-            rep = sp.verify_em_formula(m, b, sp.plucker_vector(b, m, ring))
+            point = lift(cli.sample_b(m, stream))
+            rep = sp.verify_em_formula(m, point, sp.plucker_vector(point[0], m))
             assert rep.ok, (m, rep.detail)
     ones = sp.ring_vector([1] * 6, ring)
     p = sp.plucker_vector(ones, 3, ring)
@@ -221,14 +217,47 @@ def test_em_formula_exact():
 def test_theorem_w_and_em_read_the_given_pluecker_vector():
     """`p` is the check's Pluecker vector: the right one passes, another fails."""
     m = 3
-    b = sp.ring_vector([1, 2, 3, -1, 2, 5], ring)
-    other = sp.ring_vector([2, 1, 1, 3, -2, 1], ring)
-    q = frac(Fraction(3, 2))
-    p, wrong = sp.plucker_vector(b, m, ring), sp.plucker_vector(other, m, ring)
-    assert sp.verify_theorem_w(m, q, b, p).ok
-    assert not sp.verify_theorem_w(m, q, b, wrong).ok
-    assert sp.verify_em_formula(m, b, p).ok
-    assert not sp.verify_em_formula(m, b, wrong).ok
+    point = lift([1, 2, 3, -1, 2, 5])
+    q = Fraction(3, 2)
+    p, wrong = sp.plucker_vector(point[0], m), sp.plucker_vector([2, 1, 1, 3, -2, 1], m)
+    assert sp.verify_theorem_w(m, q, point, p).ok
+    assert not sp.verify_theorem_w(m, q, point, wrong).ok
+    assert sp.verify_em_formula(m, point, p).ok
+    assert not sp.verify_em_formula(m, point, wrong).ok
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_integer_route_agrees_with_the_sqrt2_route(m):
+    """At seeded rational b and q, with (a, D) the lift of b: the spin and
+    subword routes at a are ints D^|lambda| p_lambda(b), N(a) = D^(N-m) N(b),
+    and W(p(a); D^(m+1) q) and W-tilde(a; D^(m+1) q) are Fractions equal to D
+    times W and W-tilde at (b, q), with p(b), N(b), W and W-tilde taken in
+    Q(sqrt2).  On the Fractions b themselves the routes agree too."""
+    stream = cli.rational_stream(80 + m)
+    n = m * (m + 1) // 2
+    lifts = 0
+    for k in range(4):
+        b = cli.sample_b(m, stream)
+        q = Fraction(2 * k + 1, k + 2)
+        a, d = lift(b)
+        lifts += d > 1
+        assert all(type(x) is int for x in a) and [Fraction(x, d) for x in a] == b
+        bq = sp.ring_vector(b, ring)
+        for route in (sp.plucker_vector, sp.plucker_subword_vector):
+            exact, graded, rational = route(bq, m), route(a, m), route(b, m)
+            for lam in pt.all_strict_partitions(m):
+                assert type(graded[lam]) is int, (m, route.__name__, lam)
+                assert exact[lam] == Fraction(graded[lam], d**lam.size) == rational[lam], (m, route.__name__, lam)
+        assert sp.laurent_numerator(a, m) * d**m == sp.laurent_numerator(bq, m) * d**n
+        p_exact, p_graded = sp.plucker_vector(bq, m), sp.plucker_vector(a, m)
+        qd = q * d ** (m + 1)
+        for got, want in (
+            (sp.eval_W(qd, p_graded, m), sp.eval_W(frac(q), p_exact, m)),
+            (sp.eval_W_tilde(qd, a, m), sp.eval_W_tilde(frac(q), bq, m)),
+        ):
+            assert type(got) is Fraction and got == frac(d) * want, (m, b, q)
+        assert sp.eval_W(q, sp.plucker_vector(b, m), m) == sp.eval_W_tilde(q, b, m) == sp.eval_W(frac(q), p_exact, m)
+    assert lifts, "every draw was an integer point"
 
 
 def test_subword_count_equals_plucker_at_ones():
@@ -286,6 +315,29 @@ def test_symbolic_term_count_and_degrees():
         assert degrees[0] == 1 and degrees[-1] == 1
         assert all(d == 2 for d in degrees[1:-1])
         assert sum(degrees) == 2 * m
+
+
+def test_symbolic_w_raises_on_a_term_off_the_grading(monkeypatch):
+    """The lift to integers needs every sum of W homogeneous and each term
+    of degree 1 (1 - (m+1) for the q-term): a mixed sum, or a term of the
+    wrong degree, raises on building."""
+    build = sp.symbolic_W.__wrapped__
+    assert build(3) == sp.symbolic_W(3)
+    numerator_terms = pt.numerator_terms
+
+    def mixed(l, m):
+        terms = numerator_terms(l, m)
+        sign, a, bb = terms[0]
+        return terms + [(sign, pt.empty(m), bb)]
+
+    monkeypatch.setattr(pt, "numerator_terms", mixed)
+    with pytest.raises(ArithmeticError, match="mixes products of sizes"):
+        build(3)
+    # each middle term its numerator over itself: homogeneous sums, degree 0
+    monkeypatch.setattr(pt, "numerator_terms", numerator_terms)
+    monkeypatch.setattr(pt, "denominator_terms", numerator_terms)
+    with pytest.raises(ArithmeticError, match="wrong degree"):
+        build(3)
 
 
 def test_symbolic_json():

@@ -252,6 +252,23 @@ def test_pruned_subwords_match_the_all_state_listing(m):
     assert wy.complement_subwords(m) == listing[pt.to_subset(pt.rho(m - 1, m))]
 
 
+def test_pruning_table_is_built_once_per_target():
+    """The Laurent numerator's pruning table is built on the first call and
+    read from the cache after: immutable frozensets, entry 0 the target
+    alone, entry p growing with p."""
+    m = 4
+    word, target = wy.canonical_wp_word(m), pt.to_subset(pt.rho(m - 1, m))
+    b = cli.sample_b(m, cli.rational_stream(9))
+    first = sp.laurent_numerator(b, m)
+    before = wy._alive.cache_info()
+    assert sp.laurent_numerator(b, m) == first
+    after = wy._alive.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    table = wy._alive(word, m, target)
+    assert len(table) == len(word) + 1 and all(type(states) is frozenset for states in table)
+    assert table[0] == {target} and all(x <= y for x, y in zip(table, table[1:]))
+
+
 def test_reduced_subwords_reject_target_outside_wp():
     """The target is a strict partition, so it always lies in W^P; a word
     with a letter outside 1..m is still rejected."""
