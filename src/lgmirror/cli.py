@@ -104,7 +104,7 @@ def _point_checks(suite: str, m: int, q: Fraction, b: list[Fraction]) -> list:
 
     if suite == "fj":
         u2 = gr.build_u2bar(b, m)
-        return [({"j": j}, sp.verify_fj_minors(m, j, u2)) for j in range(1, m)]
+        return [({"j": j}, rep) for j, rep in sp.verify_fj_minors(m, u2)]
     point = lift(b)
     p = sp.plucker_vector(point[0], m)
     if suite == "theorem-w":
@@ -114,7 +114,7 @@ def _point_checks(suite: str, m: int, q: Fraction, b: list[Fraction]) -> list:
     if suite == "subword":
         return [({}, sp.verify_subword_route(m, point, p))]
     u2 = gr.build_u2bar(b, m)
-    return [({"j": j}, sp.verify_sym_to_minor(m, j, p, u2)) for j in range(2, m + 1)]
+    return [({"j": j}, rep) for j, rep in sp.verify_sym_to_minors(m, p, u2)]
 
 
 def _point_records(suite: str, m: int, q: Fraction, trials: int, seed: int) -> list[dict]:

@@ -17,6 +17,23 @@ b with D the lcm of its denominators, `build_u2bar` runs the row operations
 on the integers D b, and entry (r, c) at b is that integer over D^(r-c).  A
 minor on rows R and columns C is then an integer determinant, by Bareiss
 elimination, over D^(sum R - sum C), and f_j* an integer over D.
+The window minors: R = rows m+1..2m+1 of g is [A | L] with L (columns
+m+1..2m+1) lower unitriangular, and row operations with pivot 1, of
+determinant 1 and no division, turn it into [X | I], X = L^-1 A an integer
+(m+1) x m matrix (rows 0..m, columns 1..m as in g), with every maximal
+minor unchanged.  With s_j = (-1)^(j(m+1-j)) the D window, columns j..j+m,
+is s_j det X[rows j..m; cols j..m], over D^((m+1)(m+1-j)), and the N window,
+columns {j-1} u {j+1..j+m}, is s_j det X[rows j..m; cols j-1, j+1..m], over
+one more power of D.  Those are the trailing principal minors of
+X[1..m; 1..m] and the same with the first column moved one left, so one
+Bareiss elimination from the bottom-right corner, with no swap, gives them
+all: by Sylvester's identity the pivot after k - 1 steps is the D minor of
+j = m+1-k and the entry next to it the N minor.  Every pivot is a D minor,
+a monomial in b at a torus point, so never 0 there; past a zero pivot
+`minor` takes the remaining windows.  The vanishing minor of `verify fj`
+(rows j+1, m+1..2m+1) stays with `determinant`: expanded along row j+1 it
+is g_(j+1,j) den - num, so read from the shared elimination it would only
+restate the ratio check.
 On the spin module, F_i is read from the Clifford image
 f_i = eps(i) v_{i+1} vbar_i (i < m), sqrt2 vbar_m v_{m+1}, and moves w_I to
 w_{I-{i}+{i+1}} (i in I, i+1 not) or to w_{I-{m}} (m in I) with entry 1:
@@ -106,19 +123,58 @@ def determinant(a: Matrix) -> int:
                 return 0
             rows[0], rows[r] = rows[r], rows[0]
             sign = -sign
-        pivot, *top = rows[0]
         if len(rows) == 1:
-            return sign * pivot
-        next_rows = []
-        for lead, *rest in rows[1:]:
-            out = []
-            for u, z in zip(rest, top):
-                q, rem = divmod(pivot * u - lead * z, prev)
-                if rem:
-                    raise ArithmeticError(f"Bareiss step: {pivot * u - lead * z} is not a multiple of {prev}")
-                out.append(q)
-            next_rows.append(out)
-        rows, prev = next_rows, pivot
+            return sign * rows[0][0]
+        rows, prev = _bareiss_step(rows, prev), rows[0][0]
+
+
+def _bareiss_step(rows: Matrix, prev: int) -> Matrix:
+    """The rows below the pivot rows[0][0], first column dropped, each entry
+    (pivot a_ij - a_i0 a_0j) / prev; raises ArithmeticError on a remainder."""
+    pivot, *top = rows[0]
+    out = []
+    for lead, *rest in rows[1:]:
+        row = []
+        for u, z in zip(rest, top):
+            q, rem = divmod(pivot * u - lead * z, prev)
+            if rem:
+                raise ArithmeticError(f"Bareiss step: {pivot * u - lead * z} is not a multiple of {prev}")
+            row.append(q)
+        out.append(row)
+    return out
+
+
+def window_minors(u2: U2bar) -> dict[int, tuple[Fraction, Fraction]]:
+    """{j: (D minor, N minor)} of u2bar at b, j = 2..m: the minors on rows
+    m+1..2m+1 and columns j..j+m, and {j-1} u {j+1..j+m}, from one reduction
+    to [X | I] and one Bareiss sweep of X (above).  Raises ArithmeticError
+    if columns m+1..2m+1 of those rows are not lower unitriangular."""
+    g, d = u2
+    m = len(g) // 2
+    x = []
+    for r, row in enumerate(g[m:]):
+        if row[m + r] != 1 or any(row[m + r + 1:]):
+            raise ArithmeticError(f"row {m + r + 1} of u2bar is not unitriangular in columns {m + 1}..{2 * m + 1}")
+        xr = row[:m]
+        for c, xc in enumerate(x):
+            if row[m + c]:
+                xr = [u - row[m + c] * v for u, v in zip(xr, xc)]
+        x.append(xr)
+    z = [xr[::-1] for xr in x[:1:-1]]  # X[m..2; m..1]
+    rows = list(range(m + 1, 2 * m + 2))
+    out, prev = {}, 1
+    for j in range(m, 1, -1):
+        cols = list(range(j, j + m + 1))
+        if not prev:
+            out[j] = minor(u2, rows, cols), minor(u2, rows, [j - 1] + cols[1:])
+            continue
+        pivot, nxt = z[0][0], z[0][1]
+        scale = (-1) ** (j * (m + 1 - j)) * Fraction(d) ** ((m + 1) * (j - m - 1))
+        out[j] = pivot * scale, nxt * scale / d
+        if pivot and j > 2:
+            z = _bareiss_step(z, prev)
+        prev = pivot
+    return out
 
 
 def extract_f_coeff(u2: U2bar, j: int) -> Fraction:

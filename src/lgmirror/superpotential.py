@@ -228,19 +228,22 @@ def verify_theorem_w(m: int, q: Fraction, point: Lift, p: dict) -> CheckReport:
     """W = W-tilde at (b, q), by the grading: point = (a, D) lifts b, p is
     the spin route at a, and eval_W at p and the Laurent form at a are
     taken with D^(m+1) q.  Each is then D times its value at (b, q), so
-    their exact equality is the identity at (b, q)."""
+    their exact equality is the identity at (b, q); raises TypeError unless
+    both are int or Fraction, as a float could round two values alike."""
     a, d = point
     qd = q * d ** (m + 1)
     lhs = eval_W(qd, p, m)
     rhs = eval_W_tilde(qd, a, m)
+    if not isinstance(lhs, (int, Fraction)) or not isinstance(rhs, (int, Fraction)):
+        raise TypeError(f"W and W-tilde must be exact, got {type(lhs).__name__} and {type(rhs).__name__}")
     if lhs == rhs:
         return CheckReport(True)
     return CheckReport(False, f"W = {Fraction(lhs, d)} but W-tilde = {Fraction(rhs, d)}")
 
 
-def verify_sym_to_minor(m: int, j: int, p: dict, u2: gr.U2bar) -> CheckReport:
-    """The two quadratic sums in the Pluecker values against (m+1)x(m+1)
-    minors of u2bar at the same point b, j = 2..m: u2 = (g, D) is
+def verify_sym_to_minors(m: int, p: dict, u2: gr.U2bar) -> list[tuple[int, CheckReport]]:
+    """[(j, report)], j = 2..m: the two quadratic sums in the Pluecker values
+    against (m+1)x(m+1) minors of u2bar at the same point b: u2 = (g, D) is
     `build_u2bar(b)` and p the spin route at the lift D b.  A sum of
     products of size k at D b is D^k times the sum at b.
 
@@ -249,39 +252,42 @@ def verify_sym_to_minor(m: int, j: int, p: dict, u2: gr.U2bar) -> CheckReport:
     these are the minors pairing with v^wedge_(j) and v^wedge_(j),+ in the
     standard degree-(m+1) embedding, and the reading under which the
     identities hold for every m (the printed column sets are their images
-    under j -> m+2-j, which agree only at m = 2).
+    under j -> m+2-j, which agree only at m = 2).  All of them come from
+    one `grouprep.window_minors` elimination.
     """
-    if not 2 <= j <= m:
-        raise ValueError("verify_sym_to_minor needs 2 <= j <= m")
-    term, d = symbolic_W(m)[m + 1 - j], u2[1]
-    rows = list(range(m + 1, 2 * m + 2))
-    den_sum = _sum_at_b(term.denominator, p, d)
-    den_minor = gr.minor(u2, rows, list(range(j, j + m + 1)))
-    if den_sum != den_minor:
-        return CheckReport(False, f"D side: sum {den_sum} != minor {den_minor}")
-    num_sum = _sum_at_b(term.numerator, p, d)
-    num_cols = [j - 1] + list(range(j + 1, j + m + 1))
-    num_minor = gr.minor(u2, rows, num_cols)
-    if num_sum != num_minor:
-        return CheckReport(False, f"N side: sum {num_sum} != minor {num_minor}")
-    return CheckReport(True)
+    terms, minors, d, out = symbolic_W(m), gr.window_minors(u2), u2[1], []
+    for j in range(2, m + 1):
+        term, (den_minor, num_minor) = terms[m + 1 - j], minors[j]
+        den_sum = _sum_at_b(term.denominator, p, d)
+        if den_sum != den_minor:
+            rep = CheckReport(False, f"D side: sum {den_sum} != minor {den_minor}")
+        elif (num_sum := _sum_at_b(term.numerator, p, d)) != num_minor:
+            rep = CheckReport(False, f"N side: sum {num_sum} != minor {num_minor}")
+        else:
+            rep = CheckReport(True)
+        out.append((j, rep))
+    return out
 
 
-def verify_fj_minors(m: int, j: int, u2: gr.U2bar) -> CheckReport:
-    """f_j*(u2bar) as a ratio of minors of u2bar (u2 from
-    `grouprep.build_u2bar`), plus the vanishing minor behind it."""
-    if not 1 <= j <= m - 1:
-        raise ValueError("verify_fj_minors needs 1 <= j <= m-1")
+def verify_fj_minors(m: int, u2: gr.U2bar) -> list[tuple[int, CheckReport]]:
+    """[(j, report)], j = 1..m-1: f_j*(u2bar) (u2 from
+    `grouprep.build_u2bar`) as the ratio of the minors on rows m+1..2m+1 and
+    columns {j} u {j+2..j+m+1} over j+1..j+m+1, the N and D windows at j+1
+    of one `grouprep.window_minors` elimination, plus the vanishing minor
+    behind it, with row j+1 added, by its own `grouprep.minor`."""
+    minors, out = gr.window_minors(u2), []
     rows = list(range(m + 1, 2 * m + 2))
-    num = gr.minor(u2, rows, [j] + list(range(j + 2, j + m + 2)))
-    den = gr.minor(u2, rows, list(range(j + 1, j + m + 2)))
-    fj = gr.extract_f_coeff(u2, j)
-    if not den or fj * den != num:
-        return CheckReport(False, f"f_{j}* = {fj}, minors {num}/{den}")
-    vanishing = gr.minor(u2, [j + 1] + rows, list(range(j, j + m + 2)))
-    if vanishing:
-        return CheckReport(False, f"vanishing minor is {vanishing}")
-    return CheckReport(True)
+    for j in range(1, m):
+        den, num = minors[j + 1]
+        fj = gr.extract_f_coeff(u2, j)
+        if not den or fj * den != num:
+            rep = CheckReport(False, f"f_{j}* = {fj}, minors {num}/{den}")
+        elif vanishing := gr.minor(u2, [j + 1] + rows, list(range(j, j + m + 2))):
+            rep = CheckReport(False, f"vanishing minor is {vanishing}")
+        else:
+            rep = CheckReport(True)
+        out.append((j, rep))
+    return out
 
 
 def verify_em_formula(m: int, point: Lift, p: dict) -> CheckReport:

@@ -342,6 +342,73 @@ def test_a_failing_point_reports_its_values_at_b(monkeypatch, suite):
     assert record["detail"] == expected
 
 
+@pytest.mark.parametrize("m", [2, 3, 5, 8])
+def test_minor_suites_take_one_elimination_per_point(monkeypatch, m):
+    """At a torus point `verify minors` reads every minor from one
+    `window_minors` elimination and calls `determinant` 0 times; `verify fj`
+    reads the same elimination and calls `determinant` m - 1 times, once per
+    vanishing minor."""
+    from fractions import Fraction
+
+    from lgmirror import grouprep as gr
+
+    calls = []
+    for name in ("determinant", "window_minors"):
+        real = getattr(gr, name)
+        monkeypatch.setattr(gr, name, lambda *args, name=name, real=real: calls.append(name) or real(*args))
+    stream = cli.rational_stream(60 + m)
+    for _ in range(3):
+        b = cli.sample_b(m, stream)
+        for suite, determinants in (("minors", 0), ("fj", m - 1)):
+            calls.clear()
+            checks = cli._point_checks(suite, m, Fraction(1), b)
+            assert len(checks) == m - 1 and all(rep.ok for _, rep in checks), (suite, m)
+            assert sorted(calls) == ["determinant"] * determinants + ["window_minors"], (suite, m)
+
+
+@pytest.mark.parametrize("suite, j, side", [("minors", 2, 0), ("minors", 3, 1), ("fj", 2, 0), ("fj", 3, 1)])
+def test_a_failing_minor_reports_its_values_at_b(monkeypatch, capsys, suite, j, side):
+    """`window_minors` made wrong by 1 at b on one side (D, N) of one window
+    j, at m = 3 with D > 1: the one failing record prints the sum and the
+    minors at b, recomputed here by the Fraction spin route and one
+    `minor` per window, the report carries it as its counterexample, and
+    the exit code is 1."""
+    from lgmirror import grouprep as gr
+    from lgmirror import superpotential as sp
+    from lgmirror.scalars import lift
+
+    m, seed = 3, 5
+    b = cli.sample_b(m, cli.rational_stream(seed))
+    assert lift(b)[1] > 1
+    real = gr.window_minors
+
+    def wrong(u2):
+        out = real(u2)
+        out[j] = tuple(x + (k == side) for k, x in enumerate(out[j]))
+        return out
+
+    monkeypatch.setattr(gr, "window_minors", wrong)
+    code, out = run(capsys, "verify", suite, "--m", str(m), "--trials", "1", "--seed", str(seed))
+    report = json.loads(out)
+    bad = [r for r in report["records"] if not r["ok"]]
+    assert code == 1 and not report["ok"] and len(bad) == 1
+    assert report["counterexample"] == bad[0]
+    u2, rows, cols = gr.build_u2bar(b, m), list(range(m + 1, 2 * m + 2)), list(range(j, j + m + 1))
+    den, num = gr.minor(u2, rows, cols), gr.minor(u2, rows, [j - 1] + cols[1:])
+    if suite == "minors":
+        term, p = sp.symbolic_W(m)[m + 1 - j], sp.plucker_vector(b, m)
+        if side == 0:
+            expected = f"D side: sum {sp._eval_sum(term.denominator, p)} != minor {den + 1}"
+        else:
+            expected = f"N side: sum {sp._eval_sum(term.numerator, p)} != minor {num + 1}"
+        assert bad[0]["j"] == j
+    else:
+        den, num = (den + 1, num) if side == 0 else (den, num + 1)
+        expected = f"f_{j - 1}* = {gr.extract_f_coeff(u2, j - 1)}, minors {num}/{den}"
+        assert bad[0]["j"] == j - 1
+    assert bad[0]["detail"] == expected
+
+
 IMPORT_PROBE = """
 import contextlib, io, json, sys
 start = set(sys.modules)
@@ -496,6 +563,16 @@ PINNED_REPORTS = {
     "fj-3": (
         ["verify", "fj", "--m", "3", "--trials", "30", "--seed", "9"],
         "c4ba47a69f0baa25bbc55c5f4d7130ad5d4d172a307274f898dc88ddf7e0eede",
+    ),
+    # recorded before the minors of a point came from one shared elimination
+    # of rows m+1..2m+1 (`grouprep.window_minors`)
+    "minors-8": (
+        ["verify", "minors", "--m", "8", "--trials", "2", "--seed", "5"],
+        "e186bd25a73aa9f29d2c1454d99a4fd936ee0d9ac4a89529256d6b366c2d09b7",
+    ),
+    "fj-8": (
+        ["verify", "fj", "--m", "8", "--trials", "2", "--seed", "5"],
+        "b2a7dfc090ec1f712df86a1e20047d109a926c74ccf5a79a306333488a042289",
     ),
 }
 

@@ -326,18 +326,36 @@ def test_minor_against_cofactor_expansion():
         gr.minor(u2, [1, 2], [1])
 
 
+def window_cols(j, m):
+    """The D and N column windows of `grouprep.window_minors` at j."""
+    cols = list(range(j, j + m + 1))
+    return cols, [j - 1] + cols[1:]
+
+
+def recorder(monkeypatch, name, seen):
+    """Replace gr.<name> by a wrapper appending (args, result) to `seen`."""
+    real = getattr(gr, name)
+
+    def recording(*args):
+        out = real(*args)
+        seen.append((args, out))
+        return out
+
+    monkeypatch.setattr(gr, name, recording)
+    return real
+
+
 def test_determinant_matches_both_oracles_on_the_verified_minors(monkeypatch):
     """Every minor that `verify minors` and `verify fj` read, m = 2..5 at
-    three seeds: the fraction-free determinant equals Gaussian elimination
-    and the cofactor expansion, and the checks pass."""
-    determinant = gr.determinant
-    seen = []
-
-    def recording(a):
-        seen.append(a)
-        return determinant(a)
-
-    monkeypatch.setattr(gr, "determinant", recording)
+    three seeds, and the checks pass: each window minor of the shared
+    elimination equals Gaussian elimination and the cofactor expansion on
+    u2bar's entries at b, and so does the fraction-free determinant of each
+    vanishing minor, the only minors `determinant` still takes, m - 1 per
+    point."""
+    seen, windows = [], []
+    recorder(monkeypatch, "determinant", seen)
+    recorder(monkeypatch, "window_minors", windows)
+    points = 0
     for m in (2, 3, 4, 5):
         for seed in (1, 7, 23):
             stream = cli.rational_stream(seed + 100 * m)
@@ -345,49 +363,109 @@ def test_determinant_matches_both_oracles_on_the_verified_minors(monkeypatch):
                 b = cli.sample_b(m, stream)
                 u2 = gr.build_u2bar(b, m)
                 p = sp.plucker_vector(lift(b)[0], m)
-                reports = [sp.verify_sym_to_minor(m, j, p, u2) for j in range(2, m + 1)]
-                reports += [sp.verify_fj_minors(m, j, u2) for j in range(1, m)]
-                assert all(rep.ok for rep in reports), (m, seed)
-    assert len(seen) == 3 * 2 * sum(2 * (m - 1) + 3 * (m - 1) for m in (2, 3, 4, 5))
-    for a in seen:
-        det = determinant(a)
+                reports = sp.verify_sym_to_minors(m, p, u2) + sp.verify_fj_minors(m, u2)
+                assert len(reports) == 2 * (m - 1) and all(rep.ok for _, rep in reports), (m, seed)
+                points += 1
+    assert len(seen) == 3 * 2 * sum(m - 1 for m in (2, 3, 4, 5))
+    for (a,), det in seen:
         assert det == gaussian_determinant(a) == cofactor_det(a), a
+    assert len(windows) == 2 * points
+    for ((u2,), out), ((again,), same) in zip(windows[::2], windows[1::2]):
+        assert again is u2 and same == out
+        m, entries = len(u2[0]) // 2, graded(u2)
+        assert sorted(out) == list(range(2, m + 1))
+        for j, values in out.items():
+            for cols, value in zip(window_cols(j, m), values):
+                sub = [[entries[r - 1][c - 1] for c in cols] for r in range(m + 1, 2 * m + 2)]
+                assert value == gaussian_determinant(sub) == cofactor_det(sub), (m, j, cols)
 
 
 def test_integral_basis_minors_and_f_coefficients_match_the_sqrt2_oracle(monkeypatch):
     """Every minor that `verify minors` and `verify fj` read, m = 2..5 at
-    three seeds, has m+1 in its row set and its column set, and equals the
-    same minor of the sqrt2-basis product of truncated exponentials by
-    Gaussian elimination; f_j* (entry (j+1, j)) equals the oracle's entry
-    for j < m and the oracle's entry over sqrt2 for j = m."""
-    minor = gr.minor
-    seen = []
-
-    def recording(g, rows, cols):
-        seen.append((rows, cols))
-        return minor(g, rows, cols)
-
-    monkeypatch.setattr(gr, "minor", recording)
+    three seeds: the D and N windows of the shared elimination at j = 2..m
+    and the m - 1 vanishing minors, 3(m - 1) index sets, each with m+1 in its
+    row set and its column set, equal the same minors of the sqrt2-basis
+    product of truncated exponentials by Gaussian elimination; f_j* (entry
+    (j+1, j)) equals the oracle's entry for j < m and the oracle's entry over
+    sqrt2 for j = m."""
+    seen, windows = [], []
+    minor = recorder(monkeypatch, "minor", seen)
+    recorder(monkeypatch, "window_minors", windows)
     for m in (2, 3, 4, 5):
+        rows = list(range(m + 1, 2 * m + 2))
         for seed in (2, 9, 31):
             stream = cli.rational_stream(seed + 100 * m)
             b = cli.sample_b(m, stream)
             bq = sp.ring_vector(b, ring)
             u2, oracle = gr.build_u2bar(b, m), dense_u2bar(bq, m)
             seen.clear()
+            windows.clear()
             p = sp.plucker_vector(lift(b)[0], m)
-            for j in range(2, m + 1):
-                sp.verify_sym_to_minor(m, j, p, u2)
-            for j in range(1, m):
-                sp.verify_fj_minors(m, j, u2)
-            assert len(seen) == 5 * (m - 1), (m, seed)
-            for rows, cols in seen:
-                assert m + 1 in rows and m + 1 in cols, (m, rows, cols)
-                sub = [[oracle[r - 1][c - 1] for c in cols] for r in rows]
-                assert minor(u2, rows, cols) == gaussian_determinant(sub), (m, seed, rows, cols)
+            sp.verify_sym_to_minors(m, p, u2)
+            sp.verify_fj_minors(m, u2)
+            assert len(seen) == m - 1 and len(windows) == 2, (m, seed)
+            read = [((rows, cols), value) for j, values in windows[0][1].items() for cols, value in zip(window_cols(j, m), values)]
+            read += [((r, c), value) for (_, r, c), value in seen]
+            assert len({(tuple(r), tuple(c)) for (r, c), _ in read}) == 3 * (m - 1), (m, seed)
+            for (r, c), value in read:
+                assert m + 1 in r and m + 1 in c, (m, r, c)
+                sub = [[oracle[i - 1][k - 1] for k in c] for i in r]
+                assert value == minor(u2, r, c) == gaussian_determinant(sub), (m, seed, r, c)
             for j in range(1, m):
                 assert gr.extract_f_coeff(u2, j) == oracle[j][j - 1], (m, seed, j)
             assert gr.extract_f_coeff(u2, m) == oracle[m][m - 1] / QSqrt2.sqrt2(), (m, seed)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7])
+def test_window_minors_match_minor_and_the_sqrt2_oracle(monkeypatch, m):
+    """At seeded torus points every window minor of the shared elimination
+    equals `grouprep.minor` (a Bareiss determinant per window) and the same
+    minor of the sqrt2-basis product by Gaussian elimination, with no
+    fallback to `minor`."""
+    fallback = []
+    minor = recorder(monkeypatch, "minor", fallback)
+    stream = cli.rational_stream(700 + m)
+    rows = list(range(m + 1, 2 * m + 2))
+    for _ in range(2 if m < 7 else 1):
+        b = cli.sample_b(m, stream)
+        u2, oracle = gr.build_u2bar(b, m), dense_u2bar(sp.ring_vector(b, ring), m)
+        out = gr.window_minors(u2)
+        assert sorted(out) == list(range(2, m + 1)) and not fallback
+        for j, values in out.items():
+            for cols, value in zip(window_cols(j, m), values):
+                sub = [[oracle[r - 1][c - 1] for c in cols] for r in rows]
+                assert value == minor(u2, rows, cols) == gaussian_determinant(sub), (m, j, cols)
+
+
+def test_window_minors_take_minor_past_a_zero_pivot(monkeypatch):
+    """Off the torus, with every third coordinate of b set to 0, a pivot of
+    the shared elimination can vanish; the remaining windows then come from
+    `minor`, which runs at least once here, and every window still equals
+    `minor` on its own."""
+    fallback = []
+    minor = recorder(monkeypatch, "minor", fallback)
+    for m in (2, 3, 4, 5, 6):
+        stream = cli.rational_stream(900 + m)
+        rows = list(range(m + 1, 2 * m + 2))
+        for _ in range(3):
+            b = [Fraction(0) if k % 3 == 0 else x for k, x in enumerate(cli.sample_b(m, stream))]
+            u2 = gr.build_u2bar(b, m)
+            for j, values in gr.window_minors(u2).items():
+                assert list(values) == [minor(u2, rows, cols) for cols in window_cols(j, m)], (m, b, j)
+    assert fallback
+
+
+def test_window_minors_raise_on_a_block_that_is_not_unitriangular():
+    """Columns m+1..2m+1 of rows m+1..2m+1 must be lower unitriangular: a
+    diagonal entry 2 or an entry above the diagonal raises ArithmeticError."""
+    m = 3
+    g, d = gr.build_u2bar([Fraction(k, 2) for k in range(1, 7)], m)
+    assert gr.window_minors((g, d))
+    for r, c, x in ((m + 1, m + 1, 2), (m, m + 2, 1), (2 * m, 2 * m, -1)):
+        bad = [list(row) for row in g]
+        bad[r][c] = x
+        with pytest.raises(ArithmeticError, match="not unitriangular"):
+            gr.window_minors((bad, d))
 
 
 def random_integer_matrix(n, gen):

@@ -178,14 +178,15 @@ def test_sym_to_minor_exact():
         for _ in range(3):
             bs = cli.sample_b(m, stream)
             p, u2 = sp.plucker_vector(lift(bs)[0], m), gr.build_u2bar(bs, m)
-            for j in range(2, m + 1):
-                rep = sp.verify_sym_to_minor(m, j, p, u2)
+            reports = sp.verify_sym_to_minors(m, p, u2)
+            assert [j for j, _ in reports] == list(range(2, m + 1))
+            for j, rep in reports:
                 assert rep.ok, (m, j, rep.detail)
 
 
 def test_sym_to_minor_frozen_m2():
-    rep = sp.verify_sym_to_minor(2, 2, sp.plucker_vector([1, 2, 3], 2), gr.build_u2bar([1, 2, 3], 2))
-    assert rep.ok
+    ((j, rep),) = sp.verify_sym_to_minors(2, sp.plucker_vector([1, 2, 3], 2), gr.build_u2bar([1, 2, 3], 2))
+    assert j == 2 and rep.ok
     ones = sp.ring_vector([1, 1, 1], ring)
     p = sp.plucker_vector(ones, 2, ring)
     assert sp.eval_denominator(1, p, 2, ring) == frac(1)  # b2 b3^2 at b = 1
@@ -197,8 +198,9 @@ def test_fj_minors_exact():
         for _ in range(3):
             bs = cli.sample_b(m, stream)
             u2 = gr.build_u2bar(bs, m)
-            for j in range(1, m):
-                rep = sp.verify_fj_minors(m, j, u2)
+            reports = sp.verify_fj_minors(m, u2)
+            assert [j for j, _ in reports] == list(range(1, m))
+            for j, rep in reports:
                 assert rep.ok, (m, j, rep.detail)
 
 
@@ -224,6 +226,19 @@ def test_theorem_w_and_em_read_the_given_pluecker_vector():
     assert not sp.verify_theorem_w(m, q, point, wrong).ok
     assert sp.verify_em_formula(m, point, p).ok
     assert not sp.verify_em_formula(m, point, wrong).ok
+
+
+def test_theorem_w_raises_on_values_that_are_not_exact(monkeypatch):
+    """With `/` in place of `_ratio`, W and W-tilde at the lift are floats,
+    which could round two different values alike: the check raises
+    TypeError rather than compare them."""
+    m, q = 3, Fraction(3, 2)
+    point = lift(cli.sample_b(m, cli.rational_stream(5)))
+    p = sp.plucker_vector(point[0], m)
+    assert sp.verify_theorem_w(m, q, point, p).ok
+    monkeypatch.setattr(sp, "_ratio", lambda num, den: num / den)
+    with pytest.raises(TypeError, match="must be exact, got float and float"):
+        sp.verify_theorem_w(m, q, point, p)
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
