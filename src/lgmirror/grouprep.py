@@ -38,13 +38,21 @@ On the spin module, F_i is read from the Clifford image
 f_i = eps(i) v_{i+1} vbar_i (i < m), sqrt2 vbar_m v_{m+1}, and moves w_I to
 w_{I-{i}+{i+1}} (i in I, i+1 not) or to w_{I-{m}} (m in I) with entry 1:
 vbar_i takes eps(i) times the sign v_{i+1} takes, and v_{m+1} the sign
-vbar_m takes, times 1/sqrt2.  Each move takes w_I to a subset whose
-partition has one box fewer (`partitions.from_subset`), so the w_empty
-coefficient of u2bar w_I is homogeneous of degree |lambda(I)| in b.
-`spin_f_moves` holds those moves, checked when built; it is the one spin
-format.  `spin_row_sweep` runs them, scaled by b_k, on the row w_empty^T,
-over whatever numbers b holds (the integers D b on the verify path), and
-`jacobi._peel_plan` reads them as index arrays.
+vbar_m takes, times 1/sqrt2.  `spin_f_moves` holds those moves, and checks
+when built that the image is exactly that rule, written out here and not
+read from `weyl.wp_transitions`, so the spin route shares no table with
+the subword route.  The rule implies what the sweep and the peel rest on:
+every entry is 1, no row or column repeats, F_i^2 = 0 (no target of a
+move is a source), and each move takes w_I to a subset whose partition
+has one box fewer (`partitions.from_subset`), so the w_empty coefficient
+of u2bar w_I is homogeneous of degree |lambda(I)| in b.  The moves are
+the W^P covers of `weyl.wp_transitions` read backwards; building F_i from
+the rule instead would make the spin sweep a second copy of the subword
+programme, so the Clifford image stays the source, at its cold cost
+(about 0.6-0.75 s for the 12 letters at m = 12).  `spin_f_moves` is the
+one spin format.  `spin_row_sweep` runs the moves, scaled by b_k, on the
+row w_empty^T, over whatever numbers b holds (the integers D b on the
+verify path), and `jacobi._peel_plan` reads them as index arrays.
 """
 
 from __future__ import annotations
@@ -190,23 +198,22 @@ def extract_f_coeff(u2: U2bar, j: int) -> Fraction:
 @lru_cache(maxsize=None)
 def spin_f_moves(i: int, m: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     """The spin matrix F_i of f_i as its moves: the (row subset, col subset)
-    pairs where it has entry 1, read from its Clifford image.  Raises
-    ArithmeticError unless every entry is exactly 1, every move takes the
-    column's partition to one with exactly one box fewer, and no row or
-    column repeats, so that F_i sends each spin basis vector to at most one
-    other and the row sweep is graded."""
-    moves = []
-    for (row, col), c in cl.spin_generator_matrix(i, "f", m).coeffs.items():
-        if c != 1:
-            raise ArithmeticError(f"spin matrix of f_{i} has the entry {c} at {(row, col)}, not 1")
-        moves.append((row, col))
-    rows, cols = zip(*moves)
-    if len(set(rows)) < len(moves) or len(set(cols)) < len(moves):
-        raise ArithmeticError(f"spin matrix of f_{i} has two entries in one row or column")
-    for row, col in moves:
-        if pt.from_subset(col, m).size != pt.from_subset(row, m).size + 1:
-            raise ArithmeticError(f"spin matrix of f_{i} moves w_{col} to w_{row}, not one box down")
-    return tuple(moves)
+    pairs where it has entry 1, read from its Clifford image, in its order.
+    Raises ArithmeticError unless the image is exactly the move rule: entry
+    1 at (I - {i} + {i+1}, I) for i in I and i+1 not in I when i < m, at
+    (I - {m}, I) for m in I, and no other entry."""
+    entries = cl.spin_generator_matrix(i, "f", m).coeffs
+    if entries != dict.fromkeys(_spin_move_rule(i, m), 1):
+        raise ArithmeticError(f"spin matrix of f_{i} at m = {m} is not the move rule")
+    return tuple(entries)
+
+
+def _spin_move_rule(i: int, m: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The moves (row, col) of F_i by the rule in `spin_f_moves`."""
+    subsets = pt.all_subsets(m)
+    if i == m:
+        return [(col[:-1], col) for col in subsets if m in col]
+    return [(tuple(i + 1 if x == i else x for x in col), col) for col in subsets if i in col and i + 1 not in col]
 
 
 def spin_row_sweep(b: list, m: int) -> dict[tuple[int, ...], object]:

@@ -125,7 +125,8 @@ def _peel_plan(m: int) -> tuple[tuple[tuple[np.ndarray, np.ndarray], ...], tuple
     same row without its factor k does not, both for generic b.
 
     F_i is stored as the index arrays (rows, cols) of its moves
-    (`grouprep.spin_f_moves`: entries 1, each row and column at most once),
+    (`grouprep.spin_f_moves`: exactly the move rule, so entries 1, each row
+    and column at most once, and F^2 = 0 as `peel` assumes),
     so the product p F is the gather pf[:, cols] = p[:, rows] (`_times`).
     """
     index = {s: k for k, s in enumerate(pt.all_subsets(m))}

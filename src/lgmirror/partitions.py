@@ -1,5 +1,8 @@
 """Strict partitions in the m x m box and the special families entering W_t.
 
+`StrictPartition` is the typed pair (parts, m), a NamedTuple; it keys every
+Pluecker dict, W term and Schubert class, and the tuple's hash and order
+fix the order those containers iterate in.
 A strict partition with parts <= m corresponds to the subset
 I = {m+1-part : part in parts} of {1,...,m}; Poincare duality is subset
 complementation; `all_subsets` and `all_strict_partitions` are the 2^m
@@ -20,54 +23,34 @@ lgmirror.clifford are mutually consistent (enforced by the test suite).
 
 from __future__ import annotations
 
-from functools import lru_cache, total_ordering
+from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 
-@total_ordering
-class StrictPartition:
-    """Strictly decreasing parts, each between 1 and m.
+class _Pair(NamedTuple):
+    parts: tuple[int, ...]
+    m: int
 
-    Immutable; equal, hashed and ordered as the pair (parts, m), and only
-    against another StrictPartition.
+
+class StrictPartition(_Pair):
+    """Strictly decreasing parts, each between 1 and m, checked on
+    construction.  A tuple (parts, m): immutable, and equal, hashed and
+    ordered as that pair; so it has len 2 and iterates as (parts, m).
     """
 
-    __slots__ = ("parts", "m")
+    __slots__ = ()
 
-    def __init__(self, parts: tuple[int, ...], m: int) -> None:
+    def __new__(cls, parts: tuple[int, ...], m: int) -> StrictPartition:
         if any(p < 1 or p > m for p in parts):
             raise ValueError(f"parts {parts} outside the {m} x {m} box")
         if any(a <= b for a, b in zip(parts, parts[1:])):
             raise ValueError(f"parts {parts} not strictly decreasing")
-        _set(self, "parts", parts)
-        _set(self, "m", m)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("StrictPartition is immutable")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not StrictPartition:
-            return NotImplemented
-        return self.parts == other.parts and self.m == other.m
-
-    def __lt__(self, other: StrictPartition) -> bool:
-        if other.__class__ is not StrictPartition:
-            return NotImplemented
-        return (self.parts, self.m) < (other.parts, other.m)
-
-    def __hash__(self) -> int:
-        return hash((self.parts, self.m))
-
-    def __repr__(self) -> str:
-        return f"StrictPartition(parts={self.parts!r}, m={self.m!r})"
+        return super().__new__(cls, parts, m)
 
     @property
     def size(self) -> int:
         return sum(self.parts)
-
-    def __len__(self) -> int:
-        return len(self.parts)
 
     def render(self) -> str:
         """Comma-joined parts in brackets, e.g. "[3,2,1]"; "[]" for empty."""
@@ -75,9 +58,6 @@ class StrictPartition:
 
     def __str__(self) -> str:
         return "(" + ",".join(str(p) for p in self.parts) + ")"
-
-
-_set = object.__setattr__
 
 
 def partition(parts: Iterable[int], m: int) -> StrictPartition:

@@ -81,11 +81,6 @@ class QSqrt2:
     def b(self) -> Fraction:
         return Fraction(self._b, self._d)
 
-    @property
-    def triple(self) -> tuple[int, int, int]:
-        """The integers (a, b, d) of (a + b*sqrt2)/d, in lowest terms with d > 0."""
-        return self._a, self._b, self._d
-
     # -- predicates --------------------------------------------------------
 
     def is_rational(self) -> bool:

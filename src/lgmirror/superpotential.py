@@ -18,7 +18,8 @@ ints, Fractions or QSqrt2 alike.  The verify helpers run them on integers,
 by the grading.  Let b be rational, D the lcm of its denominators and
 a = D b (`scalars.lift`).  Then:
 - each spin move takes a partition to one with one box fewer
-  (`grouprep.spin_f_moves`), so the sweep at a gives
+  (`grouprep.spin_f_moves` checks its table against the move rule,
+  which implies this), so the sweep at a gives
   P_lambda(a) = D^|lambda| p_lambda(b), an integer;
 - the subword route is homogeneous the same way: a subword for lambda has
   |lambda| letters, and the complement subwords of N(b) have N - m;

@@ -597,7 +597,7 @@ def test_spin_moves_reject_an_entry_other_than_one_and_a_repeated_column(monkeyp
     """An entry 2, or a second entry in one column, raises on building."""
     spin_generator_matrix = cl.spin_generator_matrix
     monkeypatch.setattr(cl, "spin_generator_matrix", lambda *args: spin_generator_matrix(*args).scale(QSqrt2(2)))
-    with pytest.raises(ArithmeticError, match="not 1"):
+    with pytest.raises(ArithmeticError, match="not the move rule"):
         gr.spin_f_moves.__wrapped__(1, 2)
 
     def repeated_column(*args):
@@ -607,7 +607,7 @@ def test_spin_moves_reject_an_entry_other_than_one_and_a_repeated_column(monkeyp
         return mat
 
     monkeypatch.setattr(cl, "spin_generator_matrix", repeated_column)
-    with pytest.raises(ArithmeticError, match="row or column"):
+    with pytest.raises(ArithmeticError, match="not the move rule"):
         gr.spin_f_moves.__wrapped__(1, 2)
 
 
@@ -627,5 +627,38 @@ def test_spin_moves_reject_a_move_that_is_not_one_box_down(monkeypatch, i):
         return mat._with({(col, row): c for (row, col), c in mat.coeffs.items()})
 
     monkeypatch.setattr(cl, "spin_generator_matrix", transposed)
-    with pytest.raises(ArithmeticError, match="not one box down"):
+    with pytest.raises(ArithmeticError, match="not the move rule"):
         gr.spin_f_moves.__wrapped__(i, m)
+
+
+def test_spin_moves_reject_two_moves_with_swapped_targets(monkeypatch):
+    """F_5 at m = 5 with the targets of w_{1,5} and w_{3,4,5} swapped:
+    entries 1, no row or column twice and every move one box down, since
+    (5,1) and (3,2,1) both have 6 boxes; only the move rule rejects it."""
+    m, swap = 5, {((1,), (1, 5)): ((3, 4), (1, 5)), ((3, 4), (3, 4, 5)): ((1,), (3, 4, 5))}
+    spin_generator_matrix = cl.spin_generator_matrix
+
+    def swapped(*args):
+        mat = spin_generator_matrix(*args)
+        return mat._with({swap.get(move, move): c for move, c in mat.coeffs.items()})
+
+    monkeypatch.setattr(cl, "spin_generator_matrix", swapped)
+    mat = cl.spin_generator_matrix(m, "f", m)
+    rows, cols = zip(*mat.coeffs)
+    assert set(mat.coeffs.values()) == {QSqrt2(1)} and len(set(rows)) == len(set(cols)) == len(rows)
+    assert all(pt.from_subset(col, m).size == pt.from_subset(row, m).size + 1 for row, col in mat.coeffs)
+    with pytest.raises(ArithmeticError, match="not the move rule"):
+        gr.spin_f_moves.__wrapped__(m, m)
+
+
+def test_spin_moves_are_the_wp_covers_read_backwards():
+    """For m <= 8 the moves of F_i are the pairs (s, t) with t the W^P
+    element s_i adds a box to (`weyl.wp_transitions`).  The spin route
+    reads F_i from the Clifford image instead of building it from this
+    table, so that `verify subword` tests the spin representation against
+    the subword programme."""
+    for m in range(1, 9):
+        covers = wy.wp_transitions(m)
+        for i in range(1, m + 1):
+            backwards = {(s, row[i - 1]) for s, row in covers.items() if row[i - 1] is not None}
+            assert set(gr.spin_f_moves(i, m)) == backwards, (m, i)

@@ -85,6 +85,26 @@ def test_strictness_validation():
         pt.partition((2, 2), 3)
     with pytest.raises(ValueError):
         pt.partition((4,), 3)
+    with pytest.raises(ValueError, match="not strictly decreasing"):
+        pt.StrictPartition((2, 2), 3)
+    with pytest.raises(ValueError, match="outside the 3 x 3 box"):
+        pt.StrictPartition((4,), 3)
+
+
+def test_hash_and_order_are_those_of_the_pair():
+    """Sets and dicts of partitions, and so every report, iterate in the
+    order that the hash and the order of the pair (parts, m) fix."""
+    for m in range(1, 7):
+        basis = pt.all_strict_partitions(m)
+        assert all(hash(lam) == hash((lam.parts, lam.m)) for lam in basis)
+        assert sorted(basis) == sorted(basis, key=lambda lam: (lam.parts, lam.m))
+
+
+def test_partitions_are_immutable():
+    lam = pt.partition((3, 1), 3)
+    with pytest.raises(AttributeError):
+        lam.parts = (2,)
+    assert lam == pt.partition((3, 1), 3) and repr(lam) == "StrictPartition(parts=(3, 1), m=3)"
 
 
 def test_renderings():

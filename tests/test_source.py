@@ -147,3 +147,27 @@ def test_every_private_name_has_a_caller():
     for name, tree in trees.items():
         unread += [f"{name[:-3]}.{d}" for d in _defined(tree) if _private(d) and d not in read]
     assert unread == [], f"private names no module reads: {unread}"
+
+
+def _attributes_read(folder: str) -> set[str]:
+    return {node.attr for tree in _trees(folder).values() for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+
+
+def test_every_class_member_has_a_caller():
+    """Each method or property a class in src/ defines, dunders aside, is
+    read as `.name` somewhere in src/, tests/, perfbench/ or scripts/.
+    Members only the tests read are allowed: they are how the tests see a
+    value."""
+    folders = [SRC] + [os.path.join(ROOT, d) for d in ("tests", "perfbench", "scripts")]
+    read = set().union(*map(_attributes_read, folders))
+    unread = []
+    for name, tree in _trees(SRC).items():
+        for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+            unread += [
+                f"{name[:-3]}.{cls.name}.{node.name}"
+                for node in cls.body
+                if isinstance(node, ast.FunctionDef)
+                and not (node.name.startswith("__") and node.name.endswith("__"))
+                and node.name not in read
+            ]
+    assert unread == [], f"class members nothing reads: {unread}"
