@@ -296,7 +296,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
-        print(f"error: cannot write --out {exc.filename}: {exc.strerror}", file=sys.stderr)
+        target = f"--out {exc.filename}" if args.out else "the report to stdout"
+        print(f"error: cannot write {target}: {exc.strerror}", file=sys.stderr)
         return 2
 
 

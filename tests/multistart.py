@@ -1,5 +1,7 @@
 """The random multistart search that spectrum seeding replaced, kept as a
-test oracle, and its engine: a lockstep Levenberg-damped Newton."""
+test oracle, and its engine: a lockstep Levenberg-damped Newton, the one
+damped Newton in tests/.  MULTISTART_CASES in test_jacobi.py pins, per
+search, the count of each START_OUTCOMES reason and of the points found."""
 
 import numpy as np
 

@@ -15,11 +15,11 @@ def run(capsys, *argv):
     return code, out
 
 
-def python(*argv) -> subprocess.CompletedProcess:
+def python(*argv, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
     """Run a fresh interpreter on the package sources."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
-    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env, timeout=120)
+    return subprocess.run([sys.executable, *argv], stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, timeout=120)
 
 
 def test_print_w_text(capsys):
@@ -216,6 +216,17 @@ def test_out_file_matches_stdout_and_unwritable_out_is_usage_error(capsys, monke
         assert code == 2 and captured.out == ""
         assert captured.err == f"error: cannot write --out {bad}: {reason}\n"
     assert written.read_text() == out
+
+
+@pytest.mark.parametrize("argv", [["print-w", "--m", "2"], ["verify", "chevalley", "--m", "8"]], ids=["print-w", "verify"])
+def test_closed_stdout_is_usage_error_naming_stdout(argv):
+    """A report written to a pipe whose reader has gone exits 2, and the
+    error names stdout, not an --out that was never given."""
+    read, write = os.pipe()
+    os.close(read)
+    with os.fdopen(write, "wb") as closed:
+        proc = python("-m", "lgmirror.cli", *argv, stdout=closed)
+    assert (proc.returncode, proc.stderr) == (2, "error: cannot write the report to stdout: Broken pipe\n")
 
 
 @pytest.mark.parametrize("suite,m", [("em", 7), ("subword", 6)])

@@ -171,3 +171,16 @@ def test_every_class_member_has_a_caller():
                 and node.name not in read
             ]
     assert unread == [], f"class members nothing reads: {unread}"
+
+
+def test_every_test_helper_has_a_caller():
+    """Each top-level name of a helper module in tests/ (cliffordops,
+    displays, fractionpairs, multistart, weylgroup), and each top-level name
+    of a test module other than its tests, is read somewhere in tests/: an
+    oracle left behind by a deleted test has no place there."""
+    trees = _trees(os.path.join(ROOT, "tests"))
+    read = set().union(*map(_referenced, trees.values()))
+    unread = []
+    for name, tree in trees.items():
+        unread += [f"{name[:-3]}.{d}" for d in _defined(tree) if not d.startswith("test_") and d not in read]
+    assert unread == [], f"test helpers nothing reads: {unread}"
