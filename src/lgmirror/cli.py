@@ -1,8 +1,16 @@
 """Command-line interface: print-w, verify, critical.
 
 Reports are deterministic: identical configuration (including seed) gives
-byte-identical JSON.  Random exact sample points are drawn through
-splitmix64 with numerators in [-9, 9] \\ {0} and denominators in [1, 9].
+byte-identical JSON.  `_json` writes every report, and its text is exactly
+that of json.dumps(report, sort_keys=True, indent=2): NaN and the
+infinities spelled as json spells them, floats (float subclasses such as
+numpy.float64 too) by float.__repr__, strings ASCII-escaped, and TypeError
+on any other type.  It is not json.dumps because on Python 3.11 the C
+encoder serves only indent=None: an indented report goes through the
+pure-Python encoder, a quarter of a warm `critical --m 3`.  `_json` joins
+each list of plain numbers or strings in one C-level call instead.
+Random exact sample points are drawn through splitmix64 with numerators
+in [-9, 9] \\ {0} and denominators in [1, 9].
 `sample_b` puts b on the torus (no coordinate 0), where every divisor
 D_l(u2bar(b)) is a monomial in b with coefficient 1: no point is on a
 divisor, none is redrawn, and `divisor_redraws` is 0.
@@ -26,7 +34,7 @@ from __future__ import annotations
 
 import argparse
 import errno
-import json
+from json.encoder import encode_basestring_ascii as _quote
 import math
 import os
 import sys
@@ -59,8 +67,71 @@ def sample_b(m: int, stream) -> list[Fraction]:
     return [next(stream) for _ in range(m * (m + 1) // 2)]
 
 
+def _scalar(value) -> str:
+    """The JSON text of a leaf, spelled and typed as `json` does it."""
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == math.inf:
+            return "Infinity"
+        if value == -math.inf:
+            return "-Infinity"
+        return float.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _write(value, chunks: list[str], pad: str) -> None:
+    """Append the JSON text of `value`, nested at indent `pad`, to `chunks`."""
+    if not isinstance(value, (list, tuple, dict)):
+        chunks.append(_scalar(value))
+    elif not value:
+        chunks.append("{}" if isinstance(value, dict) else "[]")
+    elif isinstance(value, dict):
+        inner = pad + "  "
+        sep = "{\n" + inner
+        for key, item in sorted(value.items()):
+            head = sep + _quote(key if isinstance(key, str) else _scalar(key)) + ": "
+            if isinstance(item, (list, tuple, dict)):
+                chunks.append(head)
+                _write(item, chunks, inner)
+            else:
+                chunks.append(head + _scalar(item))
+            sep = ",\n" + inner
+        chunks.append("\n" + pad + "}")
+    else:
+        inner = pad + "  "
+        sep = ",\n" + inner
+        chunks.append("[\n" + inner)
+        kinds = set(map(type, value))
+        # repr spells a plain int or float as json does, except nan and inf
+        text = sep.join(map(repr, value)) if kinds <= {int, float} else None
+        if text is not None and "n" not in text:
+            chunks.append(text)
+        elif kinds == {str}:
+            chunks.append(sep.join(map(_quote, value)))
+        else:
+            for k, item in enumerate(value):
+                if k:
+                    chunks.append(sep)
+                _write(item, chunks, inner)
+        chunks.append("\n" + pad + "]")
+
+
 def _json(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2)
+    """Exactly json.dumps(payload, sort_keys=True, indent=2)."""
+    chunks: list[str] = []
+    _write(payload, chunks, "")
+    return "".join(chunks)
 
 
 def _emit(text: str, out: str | None) -> None:

@@ -84,10 +84,6 @@ def _terms(inv: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return np.prod(np.where(mask, inv[..., None, :], 1.0), axis=-1)
 
 
-def w_tilde_value(b: np.ndarray, q: complex, mask: np.ndarray) -> complex:
-    return complex(b.sum() + q * _terms(1.0 / b, mask).sum())
-
-
 def grad_w_tilde(b: np.ndarray, q: complex, mask: np.ndarray) -> np.ndarray:
     """Analytic gradient: dW/db_j = 1 - q (1/b_j) sum_{T contains j} prod_{k in T} 1/b_k,
     i.e. 1 - q inv (t M) with M the monomial mask and t the monomial values.
@@ -276,14 +272,21 @@ def spectrum_seeds(m: int, q: complex, tolerance: float = 1e-6) -> list[Seed]:
         )
     mask = torus_monomials(m)
     roots, converged = _polish(cut.b[~cut.blocked], q, mask)
-    for e, root, done in zip(simple[~cut.blocked], roots, converged):
-        point = None
-        if done:
-            value = w_tilde_value(root, q, mask)
-            if _rel_err(value, seeds[e].eigenvalue_scaled) < tolerance:
-                point = CriticalPoint(tuple(root), value, float(np.linalg.norm(grad_w_tilde(root, q, mask))))
-        polish = "not_converged" if not done else "wrong_value" if point is None else "converged"
-        seeds[e] = seeds[e]._replace(polish=polish, point=point)
+    # one evaluation for the stack; each gradient from its own row, as
+    # grad_w_tilde computes it for one point (a batched t M can differ in the
+    # last bits)
+    inv = 1.0 / roots
+    terms = _terms(inv, mask)
+    values = (roots.sum(-1) + q * terms.sum(-1)).tolist()
+    for i, (e, coords, value, done) in enumerate(zip(simple[~cut.blocked], roots.tolist(), values, converged)):
+        seed = seeds[e]
+        if not done:
+            seeds[e] = seed._replace(polish="not_converged")
+        elif _rel_err(value, seed.eigenvalue_scaled) < tolerance:
+            grad_norm = float(np.linalg.norm(1.0 - q * inv[i] * (terms[i] @ mask)))
+            seeds[e] = seed._replace(polish="converged", point=CriticalPoint(tuple(coords), value, grad_norm))
+        else:
+            seeds[e] = seed._replace(polish="wrong_value")
     return sorted(seeds, key=lambda s: _order_key(s.eigenvalue_scaled, spread))
 
 
@@ -335,6 +338,19 @@ def sigma1_matrix(m: int, q_value: complex) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=None)
+def _probe_plan(m: int) -> tuple[np.ndarray, ...]:
+    """For l = 1..m-1, the rows (sign, column, column) of
+    pt.denominator_terms(l, m); built once per m, shared, read-only."""
+    column = _position(m)
+    plan = []
+    for l in range(1, m):
+        terms = np.array([(sign, column[a], column[b]) for sign, a, b in pt.denominator_terms(l, m)])
+        terms.flags.writeable = False
+        plan.append(terms)
+    return tuple(plan)
+
+
 def conjecture_probe(m: int, q: complex, points: list[CriticalPoint]) -> list[float | None]:
     """For l = 1..m-1, the largest |sum_J sign(J) p_{rho_l^J} p_{mu_l^J} - q^l|
     over the points, relative to max(1, |q^l|).
@@ -346,11 +362,9 @@ def conjecture_probe(m: int, q: complex, points: list[CriticalPoint]) -> list[fl
     """
     if not points:
         return [None] * (m - 1)
-    column = _position(m)
     p = pluecker_rows(np.array([cp.coords for cp in points]), m)
     deviations = []
-    for l in range(1, m):
-        terms = np.array([(sign, column[a], column[b]) for sign, a, b in pt.denominator_terms(l, m)])
+    for l, terms in enumerate(_probe_plan(m), start=1):
         totals = (p[:, terms[:, 1]] * p[:, terms[:, 2]]) @ terms[:, 0]
         target = q**l
         deviations.append(float(np.abs(totals - target).max()) / max(1.0, abs(target)))

@@ -1,7 +1,9 @@
 """The random multistart search that spectrum seeding replaced, kept as a
 test oracle, and its engine: a lockstep Levenberg-damped Newton, the one
 damped Newton in tests/.  MULTISTART_CASES in test_jacobi.py pins, per
-search, the count of each START_OUTCOMES reason and of the points found."""
+search, the count of each START_OUTCOMES reason and of the points found.
+`w_tilde_value` is W-tilde at one point, the oracle of the values that
+spectrum_seeds computes for all its points at once."""
 
 import numpy as np
 
@@ -31,6 +33,11 @@ def draw_starts(n: int, trials: int, seed: int) -> np.ndarray:
     ).reshape(trials, n)
 
 
+def w_tilde_value(b: np.ndarray, q: complex, mask: np.ndarray) -> complex:
+    """W-tilde at one point b (N,): sum_j b_j + q sum_T prod_{k in T} 1/b_k."""
+    return complex(b.sum() + q * np.prod(np.where(mask, 1.0 / b, 1.0), axis=-1).sum())
+
+
 def find_critical_points(m, q, trials=200, seed=1, outcomes=None):
     """Multi-start Newton search on grad W-tilde = 0; deterministic under seed.
 
@@ -48,7 +55,7 @@ def find_critical_points(m, q, trials=200, seed=1, outcomes=None):
             found.append(b)
     found = _symmetry_closure(found, q, mask, m)
     pts = [
-        jb.CriticalPoint(tuple(b), jb.w_tilde_value(b, q, mask), float(np.linalg.norm(jb.grad_w_tilde(b, q, mask))))
+        jb.CriticalPoint(tuple(b), w_tilde_value(b, q, mask), float(np.linalg.norm(jb.grad_w_tilde(b, q, mask))))
         for b in found
     ]
     pts.sort(key=lambda p: (p.value.real, p.value.imag) + tuple(x for c in p.coords for x in (c.real, c.imag)))

@@ -1,10 +1,13 @@
+import gc
 import hashlib
 import json
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from lgmirror import cli
 
@@ -254,6 +257,64 @@ def test_byte_identical_reports(tmp_path):
             == 0
         )
     assert v1.read_bytes() == v2.read_bytes()
+
+
+# -- the report writer -----------------------------------------------------------
+
+floats = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=2**64, max_value=2**200),
+    floats,
+    st.sampled_from([-0.0, float("nan"), float("inf"), float("-inf"), 5e-324]),
+    floats.map(np.float64),
+    st.text(),
+    st.text(st.characters(max_codepoint=0x1F)),
+    # the plain lists that the writer joins in one step
+    st.lists(floats | st.integers()),
+    st.lists(st.text()),
+)
+payloads = st.recursive(
+    leaves,
+    lambda inner: st.lists(inner)
+    | st.lists(inner).map(tuple)
+    | st.dictionaries(st.text(), inner)
+    | st.dictionaries(st.integers(), inner),
+    max_leaves=20,
+)
+
+
+@given(payloads)
+def test_writer_is_json_dumps_sorted_and_indented(payload):
+    assert cli._json(payload) == json.dumps(payload, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("value", [{1, 2}, object(), np.int64(3), np.bool_(True)], ids=["set", "object", "int64", "bool_"])
+def test_writer_refuses_what_json_refuses(value):
+    for payload in (value, [value], [1.0, value], {"k": value}):
+        with pytest.raises(TypeError):
+            json.dumps(payload, sort_keys=True, indent=2)
+        with pytest.raises(TypeError):
+            cli._json(payload)
+
+
+def test_writer_leaves_no_garbage_cycle(capsys):
+    """Writing a report makes no reference cycle for the collector to find:
+    a cycle per call would raise a long-running caller's peak memory."""
+    from lgmirror import jacobi as jb
+
+    assert cli.main(["verify", "chevalley", "--m", "5"]) == 0
+    reports = [jb.critical_report(3, 5 + 0j), json.loads(capsys.readouterr().out)]
+    gc.collect()
+    gc.disable()
+    try:
+        for report in reports:
+            cli._json(report)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_divisor_redraw_counted(capsys):

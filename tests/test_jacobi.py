@@ -20,6 +20,7 @@ from multistart import (
     match_multisets,
     newton,
     uniform01,
+    w_tilde_value,
 )
 
 # largest |grad W-tilde| of a reported critical point
@@ -78,7 +79,7 @@ def test_gradient_matches_finite_differences():
         for j in range(n):
             e = np.zeros(n)
             e[j] = eps
-            fd = (jb.w_tilde_value(b + e, q, mask) - jb.w_tilde_value(b - e, q, mask)) / (2 * eps)
+            fd = (w_tilde_value(b + e, q, mask) - w_tilde_value(b - e, q, mask)) / (2 * eps)
             assert abs(fd - g[j]) / max(1.0, abs(g[j])) < 1e-8
 
 
@@ -310,6 +311,39 @@ def test_start_outcomes_are_those_of_the_per_start_search():
     seed 1 were first recorded from a per-start Newton search."""
     for case, (_, outcomes) in MULTISTART_CASES.items():
         assert multistart_search(*case)[1] == outcomes, case
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_batched_evaluation_is_the_per_point_functions(m):
+    """spectrum_seeds evaluates all its points at once; each value is bit
+    for bit the one-point w_tilde_value, each gradient norm that of
+    grad_w_tilde."""
+    mask = jb.torus_monomials(m)
+    for q in (1.0 + 0j, 2.0 + 1.0j, 81.0 + 0j):
+        points = spectrum_points(m, q)
+        assert points
+        for p in points:
+            b = np.array(p.coords)
+            assert p.value == w_tilde_value(b, q, mask), q
+            assert p.grad_norm == float(np.linalg.norm(jb.grad_w_tilde(b, q, mask))), q
+
+
+def _leaves(value):
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (list, tuple)):
+        return [leaf for item in value for leaf in _leaves(item)]
+    return [value]
+
+
+def test_report_holds_plain_python_numbers():
+    """No numpy scalar reaches the report: the writer joins plain floats in
+    one step, and a numpy scalar takes the slow path."""
+    report = jb.critical_report(3, 5 + 0j)
+    numbers = [x for x in _leaves(report) if not isinstance(x, str) and x is not None]
+    assert numbers and {type(x) for x in numbers} <= {float, int, bool}
+    for p in spectrum_points(3, 5 + 0j):
+        assert {type(x) for x in (*p.coords, p.value)} == {complex} and type(p.grad_norm) is float
 
 
 def test_point_order_is_stable_under_last_bit_changes():

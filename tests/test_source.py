@@ -75,6 +75,24 @@ def test_no_dataclasses_import():
     assert found == [], f"dataclasses imported at {found}"
 
 
+def test_one_json_writer():
+    """`cli._json` writes every report: no module calls json.dump or
+    json.dumps, whose indent path is Python's slow pure encoder."""
+    found = []
+    for name, tree in _trees(SRC).items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "json":
+                found += [f"{name}:{node.lineno}" for a in node.names if a.name in ("dump", "dumps")]
+            elif (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "json"
+                and node.attr in ("dump", "dumps")
+            ):
+                found.append(f"{name}:{node.lineno}")
+    assert found == [], f"json.dump or json.dumps at {found}"
+
+
 def _referenced(tree: ast.Module) -> set[str]:
     """Every name a module reads: loaded bare names, attributes and imported
     names, but not the names it assigns."""

@@ -11,6 +11,7 @@ from lgmirror import partitions as pt
 from lgmirror import superpotential as sp
 from lgmirror import weyl as wy
 from lgmirror.scalars import EXACT, QSqrt2, lift
+from multistart import w_tilde_value
 
 ring = EXACT
 
@@ -288,8 +289,9 @@ def test_subword_count_equals_plucker_at_ones():
 
 
 def test_numeric_w_tilde_matches_exact():
-    """The numpy W-tilde the critical-point search minimizes equals the exact
-    Laurent form to 1e-12 relative, at seeded rational points."""
+    """The numpy W-tilde of the test oracle, whose values spectrum_seeds
+    reproduces bit for bit (test_jacobi), equals the exact Laurent form to
+    1e-12 relative, at seeded rational points."""
     for m in (2, 3, 4, 5):
         mask = jb.torus_monomials(m)
         stream = cli.rational_stream(60 + m)
@@ -298,7 +300,7 @@ def test_numeric_w_tilde_matches_exact():
             b = sp.ring_vector(bs, ring)
             for q in (Fraction(1), Fraction(7, 3)):
                 exact = sp.eval_W_tilde(frac(q), b, m).to_float()
-                numeric = jb.w_tilde_value(np.array([complex(x) for x in bs]), complex(q), mask)
+                numeric = w_tilde_value(np.array([complex(x) for x in bs]), complex(q), mask)
                 assert abs(numeric - exact) <= 1e-12 * abs(exact), (m, bs, q)
 
 
