@@ -22,12 +22,15 @@ the function that runs it: `verify pi-map` `clifford`, `verify chevalley`
 `qchevalley`, the per-point suites and print-w `superpotential`, and only
 `critical` the numerical layer (`jacobi`, and with it numpy); a fresh
 process compiles and loads nothing else.  `critical` is deterministic
-without a seed and ignores --trials and --seed.
+without a seed and, past their checks, ignores --trials and --seed.
 Exit codes: 0 success, 1 verification failure, 2 usage error.  Usage
 errors are found from the parsed flags before any work (where `--t` becomes
-q, once): among them a `--t` whose q = exp(t) is not finite or rounds to 0,
-and an `--out` naming a directory or in a missing or unwritable one.  The
-file is opened only to write the report, so a refused run truncates none.
+q, once): among them an `--m` past the command's cost limit
+(`MAX_VERIFY_M`, `MAX_CRITICAL_M`), a `--seed` outside 0..2^64-1, which
+splitmix64 would fold onto another seed's points, a `--t` whose q = exp(t)
+is not finite or rounds to 0, and an `--out` naming a directory or in a
+missing or unwritable one.  The file is opened only to write the report,
+so a refused run truncates none.
 """
 
 from __future__ import annotations
@@ -49,6 +52,10 @@ SCHEMA = "lg-mirror/1"
 # x N) temporary of the monomial values: 84 MiB for the 480 seeds of m = 9, and
 # at m = 10 (up to 1024 seeds, 512 monomials, N = 55) it would take 440 MiB.
 MAX_CRITICAL_M = 9
+# The largest m of each verify suite, in its parser order: a fresh run at the
+# default 25 trials takes at most about 10 s and 130 MB there (same VM), and
+# the next m two to three times as long; `fj` grows slowest.
+MAX_VERIFY_M = {"minors": 14, "theorem-w": 14, "pi-map": 14, "subword": 12, "chevalley": 14, "em": 14, "fj": 20}
 
 
 def rational_stream(seed: int):
@@ -290,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
         q_group.add_argument("--q", type=_fraction, default=Fraction(1), help="quantum parameter (rational)")
         q_group.add_argument("--t", type=float, default=None, help="use q = exp(t)")
         p.add_argument("--trials", type=int, default=25)
-        p.add_argument("--seed", type=int, default=1)
+        p.add_argument("--seed", type=int, default=1, help="0 <= SEED < 2^64")
         p.add_argument("--out", type=str, default=None, help="write the report to FILE")
 
     p_print = sub.add_parser("print-w", help="emit the symbolic superpotential")
@@ -298,10 +305,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_print.add_argument("--format", choices=("text", "latex", "json"), default="text")
     p_print.add_argument("--out", type=str, default=None)
 
-    p_verify = sub.add_parser("verify", help="run an exact identity suite")
-    p_verify.add_argument(
-        "suite", choices=("minors", "theorem-w", "pi-map", "subword", "chevalley", "em", "fj")
-    )
+    verify_help = "run an exact identity suite; the largest m of each: "
+    verify_help += ", ".join(f"{s} {m}" for s, m in MAX_VERIFY_M.items())
+    p_verify = sub.add_parser("verify", help="run an exact identity suite", description=verify_help)
+    p_verify.add_argument("suite", choices=tuple(MAX_VERIFY_M))
     common(p_verify)
 
     crit_help = f"critical points and spectrum comparison, for m <= {MAX_CRITICAL_M}"
@@ -345,6 +352,10 @@ def _check(args: argparse.Namespace) -> None:
         critical = args.command == "critical"
         if critical and args.m > MAX_CRITICAL_M:
             raise ValueError(f"critical needs m <= {MAX_CRITICAL_M}, got {args.m}")
+        if not critical and args.m > MAX_VERIFY_M[args.suite]:
+            raise ValueError(f"verify {args.suite} needs m <= {MAX_VERIFY_M[args.suite]}, got {args.m}")
+        if not 0 <= args.seed < 2**64:
+            raise ValueError(f"need 0 <= --seed < 2^64, got {args.seed}")
         if critical and not (math.isfinite(args.tolerance) and args.tolerance > 0):
             raise ValueError(f"need a finite --tolerance > 0, got {args.tolerance}")
         if args.trials < 1:

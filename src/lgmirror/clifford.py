@@ -1,23 +1,30 @@
 """Clifford algebra of the (2m+1)-dimensional quadratic space and its spin module.
 
-Basis vectors are indexed 1..2m+1 with bar(j) = 2m+2-j; the bilinear
-pairing is <v_i, v_{2m+2-i}> = epsilon(i) = (-1)^{m+1-i}, so the defining
-relations are  v_i vbar_i + vbar_i v_i = epsilon(i),  v_{m+1}^2 = 1/2,
-all other generator pairs anticommuting.  The module provides
+Basis vectors are indexed 1..2m+1 with bar(j) = 2m+2-j and epsilon(i) =
+(-1)^{m+1-i}.  Where the paper has Phi(v_i, v_bar(i)) = epsilon(i)/2 and
+v_{m+1}^2 = 1/2, index m+1 here is u = sqrt2 v_{m+1} (the conjugation S of
+`grouprep.build_u2bar`): v_i vbar_i + vbar_i v_i = epsilon(i), u^2 = 1, all
+other pairs anticommute, u acts on w_I by (-1)^{|I|}, e_m = v_m u and f_m =
+vbar_m u have coefficient 1, a matrix unit crosses parity as (-1)^{|L'|} u
+E_{L',L}, and every coefficient is an int or a Fraction.  The rescaling
+shows once: `contract_to_vectors` doubles a monomial containing u, so it is
+sqrt2 times the paper's d . c, and pi(D_(j)) = u_j ^ ... ^ u_{j+m} is
+exactly the paper's pi(D_(j)) = v^wedge_(j), as v_{m+1} = u/sqrt2 (likewise
+for N_(j)).  The module provides
 
-* sparse Clifford elements with exact Q(sqrt2) coefficients, a generator
-  word brought to normal order by the defining relations,
+* sparse Clifford elements with rational coefficients, a generator word
+  brought to normal order by the defining relations,
 * the exterior algebra and the inverse of the antisymmetrization
   isomorphism alpha (Chevalley's quantization map), one closed-form Wick
   sum over the pairs {i, bar(i)} of a monomial,
 * the spin representation on subsets of {1..m} and the induced
   identification of either parity of Cl(V) with End(V_Spin); its inverse
   writes each matrix unit monomial by monomial, with no Clifford product,
-  and moves a unit across parity by v_{m+1},
+  and moves a unit across parity by u,
 * the duality delta, the symmetric-square embedding iota, and the
   projection pi : Sym^2(V_Spin) -> wedge^{m+1} V built from the maps
   pr and d . c (one map: contraction with the top form, then covectors
-  back to vectors), all over exact scalars,
+  back to vectors), all over Q,
 * the elements D_(j), N_(j) of Sym^2(V_Spin) that encode the quadratic
   denominators and numerators of the superpotential, built from the
   signed partition pairs of lgmirror.partitions.
@@ -31,15 +38,14 @@ oracles of tests/cliffordops.py.
 
 from __future__ import annotations
 
+import numbers
 from fractions import Fraction
 from itertools import combinations
 
 from lgmirror import partitions as pt
-from lgmirror.scalars import QS2_ONE, Combination, QSqrt2
+from lgmirror.scalars import Combination
 
 Subset = tuple[int, ...]
-
-_SQRT2 = QSqrt2.sqrt2()
 
 
 def epsilon(i: int, m: int) -> int:
@@ -52,10 +58,10 @@ def bar(j: int, m: int) -> int:
 
 
 def pairing(i: int, j: int, m: int) -> Fraction:
-    """Phi(v_i, v_j) = epsilon(i)/2 when j = bar(i), else 0."""
-    if i + j == 2 * m + 2:
-        return Fraction(epsilon(i, m), 2)
-    return Fraction(0)
+    """Phi(v_i, v_j) = epsilon(i)/2 when j = bar(i) != i, Phi(u, u) = 1, else 0."""
+    if i + j != 2 * m + 2:
+        return Fraction(0)
+    return Fraction(1) if i == j else Fraction(epsilon(i, m), 2)
 
 
 # -- Clifford elements -------------------------------------------------------
@@ -63,14 +69,14 @@ def pairing(i: int, j: int, m: int) -> Fraction:
 
 class CliffordElement(Combination):
     """Sparse sum of ordered monomials v_S, S an ascending subset of 1..2m+1,
-    with Q(sqrt2) coefficients."""
+    with rational coefficients."""
 
 
-def cl_monomial(indices: Subset, m: int, c: QSqrt2 = QS2_ONE) -> CliffordElement:
+def cl_monomial(indices: Subset, m: int, c=1) -> CliffordElement:
     """The ordered product over the given index sequence (not necessarily sorted)."""
     out = CliffordElement(m)
     for key, coeff in _normalize(tuple(indices), m):
-        out.add_term(key, c * QSqrt2.from_fraction(coeff))
+        out.add_term(key, c * coeff)
     return out
 
 
@@ -101,13 +107,13 @@ def _normalize(word: tuple[int, ...], m: int) -> list[tuple[Subset, Fraction]]:
 
 
 class ExteriorElement(Combination):
-    """Sparse multivector: ascending wedge monomials with Q(sqrt2) coefficients."""
+    """Sparse multivector: ascending wedge monomials with rational coefficients."""
 
     def degree_part(self, k: int) -> ExteriorElement:
         return ExteriorElement(self.m, {s: c for s, c in self.coeffs.items() if len(s) == k})
 
 
-def wedge_monomial(indices: Subset, m: int, c: QSqrt2 = QS2_ONE) -> ExteriorElement:
+def wedge_monomial(indices: Subset, m: int, c=1) -> ExteriorElement:
     """v_{i_1} ^ ... ^ v_{i_k} for distinct indices, sorted with the sorting sign."""
     out = ExteriorElement(m)
     if len(set(indices)) == len(indices):
@@ -126,7 +132,7 @@ def antisymmetrize_inv(x: CliffordElement) -> ExteriorElement:
     out = ExteriorElement(x.m)
     for key, c in x.coeffs.items():
         for mono, coeff in _wick(key, x.m, 1):
-            out.add_term(mono, c * QSqrt2.from_fraction(coeff))
+            out.add_term(mono, c * coeff)
     return out
 
 
@@ -155,7 +161,7 @@ def _wick(key: Subset, m: int, sign: int) -> tuple[tuple[Subset, Fraction], ...]
 
 
 class SpinVector(Combination):
-    """Element of wedge W, W = <v_1..v_m>: subset -> Q(sqrt2) coefficient.
+    """Element of wedge W, W = <v_1..v_m>: subset -> rational coefficient.
 
     `dual` marks covectors; delta() produces them and iota() consumes them.
     """
@@ -166,37 +172,31 @@ class SpinVector(Combination):
 
 
 def basis_vector(subset: Subset, m: int) -> SpinVector:
-    return SpinVector(m, {tuple(sorted(subset)): QS2_ONE})
+    return SpinVector(m, {tuple(sorted(subset)): 1})
 
 
 def spin_generator_action(k: int, vec: SpinVector) -> SpinVector:
     """Action of the Clifford generator v_k on the spin module.
 
-    v_i creates, v_{m+1} scales by (-1)^{|I|}/sqrt2, vbar_j inserts via the
-    linear form 2 Phi(vbar_j, .) on W.  Exact scalars only (sqrt2 appears).
+    v_i creates, u scales by (-1)^{|I|}, vbar_j inserts via the linear form
+    2 Phi(vbar_j, .) on W.
     """
     m = vec.m
     out = SpinVector(m, {}, vec.dual)
-    inv_sqrt2 = QSqrt2(0, Fraction(1, 2))
     for key, c in vec.coeffs.items():
         if k <= m:
             if k in key:
                 continue
             smaller = sum(1 for i in key if i < k)
-            sign = -1 if smaller % 2 else 1
-            c2 = c if sign > 0 else -c
-            out.add_term(tuple(sorted(key + (k,))), c2)
+            out.add_term(tuple(sorted(key + (k,))), -c if smaller % 2 else c)
         elif k == m + 1:
-            c2 = c * inv_sqrt2
-            out.add_term(key, c2 if len(key) % 2 == 0 else -c2)
+            out.add_term(key, c if len(key) % 2 == 0 else -c)
         else:
             j = bar(k, m)
             if j not in key:
                 continue
-            pos = key.index(j)
-            sign = (-1 if pos % 2 else 1) * epsilon(j, m)
-            c2 = c if sign > 0 else -c
-            out.add_term(tuple(i for i in key if i != j), c2)
+            sign = (-1 if key.index(j) % 2 else 1) * epsilon(j, m)
+            out.add_term(tuple(i for i in key if i != j), c if sign > 0 else -c)
     return out
 
 
@@ -247,8 +247,8 @@ def clifford_to_end(x: CliffordElement) -> EndSpin:
 
 
 def _matrix_unit_clifford(row: Subset, col: Subset, m: int, lift: bool) -> tuple[tuple[Subset, int], ...]:
-    """The monomials of E_{row,col}, or of (-1)^{|row|} v_{m+1} E_{row,col}
-    if `lift`, with their coefficients +-1."""
+    """The monomials of E_{row,col}, or of (-1)^{|row|} u E_{row,col} if
+    `lift`, with their coefficients +-1."""
     sign = -1 if lift and len(row) % 2 else 1
     for l in col:
         sign *= epsilon(l, m)
@@ -273,18 +273,16 @@ def _matrix_unit_clifford(row: Subset, col: Subset, m: int, lift: bool) -> tuple
 def end_to_clifford(mat: EndSpin, parity: int) -> CliffordElement:
     """The unique preimage of `mat` in Cl^{parity}(V) under the spin action.
 
-    The sum of v E_{L',L} over the entries v of `mat`.  Where the parity
-    |L| + |L'| of E_{L',L} is the other one, sqrt2 (-1)^{|L'|} v_{m+1} E_{L',L}
-    takes its place: v_{m+1} acts on w_I by (-1)^{|I|}/sqrt2.
+    The sum of v E_{L',L} over the entries v of `mat`, with (-1)^{|L'|} u
+    E_{L',L} in place of E_{L',L} where |L| + |L'| has the other parity.
+    Raises TypeError on an inexact entry: a number that is not rational.
     """
     m = mat.m
     out = CliffordElement(m)
     for (row, col), v in mat.coeffs.items():
-        if not isinstance(v, QSqrt2):
-            raise TypeError("end_to_clifford needs exact entries")
+        if isinstance(v, numbers.Number) and not isinstance(v, numbers.Rational):
+            raise TypeError(f"end_to_clifford needs exact entries, got {type(v).__name__}")
         lift = (len(row) + len(col)) % 2 != parity
-        if lift:
-            v = v * _SQRT2
         for key, c in _matrix_unit_clifford(row, col, m, lift):
             out.add_term(key, v if c > 0 else -v)
     return out
@@ -317,7 +315,7 @@ class SymSquare(Combination):
 def iota(x: SymSquare) -> EndSpin:
     """Sym^2(V_Spin) -> End(V_Spin): lambda.mu -> (delta(w_lam) ox w_mu + delta(w_mu) ox w_lam)/2."""
     m = x.m
-    half = QSqrt2.from_fraction(Fraction(1, 2))
+    half = Fraction(1, 2)
     out = EndSpin(m)
     for (a, b), c in x.coeffs.items():
         for first, second in ((a, b), (b, a)):
@@ -333,7 +331,7 @@ def _signed_sym_sum(name: str, j: int, m: int, terms) -> SymSquare:
         raise ValueError(f"{name}_(j) needs 2 <= j <= m, got j={j}, m={m}")
     out = SymSquare(m)
     for sign, lam, mu_ in terms(m + 1 - j, m):
-        out.add_term((pt.to_subset(lam), pt.to_subset(mu_)), QSqrt2(sign))
+        out.add_term((pt.to_subset(lam), pt.to_subset(mu_)), sign)
     return out
 
 
@@ -348,23 +346,22 @@ def build_N(j: int, m: int) -> SymSquare:
 
 
 def wedge_v(j: int, m: int) -> ExteriorElement:
-    """v^wedge_(j) = v_j ^ ... ^ v_{j+m}."""
+    """u_j ^ ... ^ u_{j+m}, the paper's v^wedge_(j) = v_j ^ ... ^ v_{j+m} (module docstring)."""
     return wedge_monomial(tuple(range(j, j + m + 1)), m)
 
 
 def wedge_v_plus(j: int, m: int) -> ExteriorElement:
-    """v^wedge_(j),+ = v_{j-1} ^ v_{j+1} ^ ... ^ v_{j+m}."""
+    """u_{j-1} ^ u_{j+1} ^ ... ^ u_{j+m}, the paper's v^wedge_(j),+."""
     return wedge_monomial((j - 1,) + tuple(range(j + 1, j + m + 1)), m)
 
 
 def contract_to_vectors(x: ExteriorElement) -> ExteriorElement:
-    """d . c : wedge^m V -> wedge^{m+1} V, the contraction c with
-    (-1)^{m(m+1)/2} v*_1 ^ ... ^ v*_{2m+1} followed by d: v*_k = epsilon(k) v_{bar(k)}.
+    """sqrt2 d . c : wedge^m V -> wedge^{m+1} V, c the contraction with
+    (-1)^{m(m+1)/2} v*_1 ^ ... ^ v*_{2m+1} and d: v*_k = epsilon(k) v_{bar(k)}.
 
-    On a basis m-vector v_S the image is
-    sgn(S || S^c) prod_{k in S^c} epsilon(k) v_{sort(bar(S^c))}: the global
-    sign of c and the sign of reversing the m+1 descending images bar(S^c)
-    are equal and cancel.
+    On a basis m-vector v_S the image is sgn(S || S^c) prod_{k in S^c}
+    epsilon(k) v_{sort(bar(S^c))}, doubled if S contains u: the global sign
+    of c and the sign of reversing the m+1 images bar(S^c) cancel.
     """
     m = x.m
     out = ExteriorElement(m)
@@ -375,7 +372,9 @@ def contract_to_vectors(x: ExteriorElement) -> ExteriorElement:
         sign = _perm_sign(key + comp)
         for k in comp:
             sign *= epsilon(k, m)
-        out.add_term(tuple(bar(k, m) for k in reversed(comp)), c if sign > 0 else -c)
+        if m + 1 in key:
+            sign *= 2
+        out.add_term(tuple(bar(k, m) for k in reversed(comp)), c * sign)
     return out
 
 
@@ -384,16 +383,16 @@ def contract_to_vectors(x: ExteriorElement) -> ExteriorElement:
 
 def generator_clifford(i: int, kind: str, m: int) -> CliffordElement:
     """The Chevalley generator e_i or f_i as an element of wedge^2 V in Cl(V):
-    e_i = eps(i+1) v_i vbar_{i+1}, e_m = sqrt2 v_m v_{m+1}, f_i mirrored."""
+    e_i = eps(i+1) v_i vbar_{i+1}, e_m = v_m u, f_i mirrored."""
     if not 1 <= i <= m or kind not in ("e", "f"):
         raise ValueError(f"no generator {kind}_{i} for m={m}")
     if kind == "e":
         if i < m:
-            return cl_monomial((i, bar(i + 1, m)), m, QSqrt2(epsilon(i + 1, m)))
-        return cl_monomial((m, m + 1), m, QSqrt2.sqrt2())
+            return cl_monomial((i, bar(i + 1, m)), m, epsilon(i + 1, m))
+        return cl_monomial((m, m + 1), m)
     if i < m:
-        return cl_monomial((i + 1, bar(i, m)), m, QSqrt2(epsilon(i, m)))
-    return cl_monomial((bar(m, m), m + 1), m, QSqrt2.sqrt2())
+        return cl_monomial((i + 1, bar(i, m)), m, epsilon(i, m))
+    return cl_monomial((bar(m, m), m + 1), m)
 
 
 def spin_generator_matrix(i: int, kind: str, m: int) -> EndSpin:
@@ -408,5 +407,5 @@ def pr_kappa_iota(x: SymSquare) -> ExteriorElement:
 
 
 def pi_map(x: SymSquare) -> ExteriorElement:
-    """pi = d . c . pr_{wedge^m} . kappa_{+-}^{-1} . iota : Sym^2(V_Spin) -> wedge^{m+1} V."""
+    """pi = sqrt2 d . c . pr_{wedge^m} . kappa_{+-}^{-1} . iota : Sym^2(V_Spin) -> wedge^{m+1} V."""
     return contract_to_vectors(pr_kappa_iota(x))

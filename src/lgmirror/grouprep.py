@@ -35,13 +35,14 @@ a monomial in b at a torus point, so never 0 there; past a zero pivot
 is g_(j+1,j) den - num, so read from the shared elimination it would only
 restate the ratio check.
 On the spin module, F_i is read from the Clifford image
-f_i = eps(i) v_{i+1} vbar_i (i < m), sqrt2 vbar_m v_{m+1}, and moves w_I to
+f_i = eps(i) v_{i+1} vbar_i (i < m), vbar_m u, with u = sqrt2 v_{m+1} (S
+carried to Cl(V) by `clifford`, which computes over Q), and moves w_I to
 w_{I-{i}+{i+1}} (i in I, i+1 not) or to w_{I-{m}} (m in I) with entry 1:
-vbar_i takes eps(i) times the sign v_{i+1} takes, and v_{m+1} the sign
-vbar_m takes, times 1/sqrt2.  `spin_f_moves` holds those moves, and checks
-when built that the image is exactly that rule, written out here and not
-read from `weyl.wp_transitions`, so the spin route shares no table with
-the subword route.  The rule implies what the sweep and the peel rest on:
+vbar_i takes eps(i) times the sign v_{i+1} takes, and u the sign vbar_m
+takes.  `spin_f_moves` holds those moves, and checks when built that the
+image is exactly that rule, written out here and not read from
+`weyl.wp_transitions`, so the spin route shares no table with the
+subword route.  The rule implies what the sweep and the peel rest on:
 every entry is 1, no row or column repeats, F_i^2 = 0 (no target of a
 move is a source), and each move takes w_I to a subset whose partition
 has one box fewer (`partitions.from_subset`), so the w_empty coefficient

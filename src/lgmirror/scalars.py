@@ -8,15 +8,18 @@ equality stays structural; every identity downstream is then decidable by
 exact equality.  `QSqrt2` mixes with Q: `+ - * /` take an int or a
 Fraction on either side and promote it into Q(sqrt2), so one function runs
 on QSqrt2 values and on plain rationals alike; arithmetic between two
-QSqrt2 is untouched by this.  Only the Clifford layer needs sqrt2: the
-per-point suites compute in Q, on the integers D b of `lift` (D the lcm of
-the denominators of b).  The numerical layer (`jacobi`) reads the exact
-spin tables once, as floats, and computes in numpy.  `EXACT` is the one
-`ScalarRing`: the zero, the one and the embedding of Q, for callers that
-read them there rather than from `QSqrt2`.  `Combination` is the one
-sparse container of the package, a linear combination that keeps no zero
-coefficient: the Clifford, exterior and spin elements of `clifford`
-(Q(sqrt2) coefficients) and the quantum classes of `qchevalley` (integer
+QSqrt2 is untouched by this.  No command computes in Q(sqrt2): the
+Clifford layer works over Q in the basis u = sqrt2 v_{m+1} (`clifford`),
+and the per-point suites on the integers D b of `lift` (D the lcm of the
+denominators of b).  `QSqrt2`, `EXACT` and `superpotential.ring_vector`
+serve the benchmark's reference checks and the tests.  The numerical
+layer (`jacobi`) reads the exact spin tables once, as floats, and
+computes in numpy.  `EXACT` is the one `ScalarRing`: the zero, the one
+and the embedding of Q, for callers that read them there rather than
+from `QSqrt2`.  `Combination` is the one sparse container of the
+package, a linear combination that keeps no zero coefficient: the
+Clifford, exterior and spin elements of `clifford` (rational
+coefficients) and the quantum classes of `qchevalley` (integer
 coefficients) are its subclasses.
 `splitmix64` draws every random number.
 """

@@ -13,11 +13,12 @@ stated with these.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from lgmirror import clifford as cl
 from lgmirror import partitions as pt
 from lgmirror.clifford import CliffordElement, EndSpin, ExteriorElement, SpinVector, SymSquare
 from lgmirror.partitions import StrictPartition
-from lgmirror.scalars import QS2_ONE, QSqrt2
 
 
 def clifford_mul(x: CliffordElement, y: CliffordElement) -> CliffordElement:
@@ -27,7 +28,7 @@ def clifford_mul(x: CliffordElement, y: CliffordElement) -> CliffordElement:
         for ky, cy in y.coeffs.items():
             c = cx * cy
             for key, coeff in cl._normalize(kx + ky, m):
-                out.add_term(key, c * QSqrt2.from_fraction(coeff))
+                out.add_term(key, c * coeff)
     return out
 
 
@@ -40,13 +41,14 @@ def antisymmetrize(x: ExteriorElement) -> CliffordElement:
     out = CliffordElement(x.m)
     for key, c in x.coeffs.items():
         for mono, coeff in cl._wick(key, x.m, -1):
-            out.add_term(mono, c * QSqrt2.from_fraction(coeff))
+            out.add_term(mono, c * coeff)
     return out
 
 
 def contract_with_top_form(x: ExteriorElement) -> ExteriorElement:
     """The map c: wedge^m V -> wedge^{m+1} V*, contraction with
-    (-1)^{m(m+1)/2} v*_1 ^ ... ^ v*_{2m+1}.
+    (-1)^{m(m+1)/2} u*_1 ^ ... ^ u*_{2m+1}, the dual basis of the u basis
+    (u*_{m+1} = v*_{m+1}/sqrt2): the paper's top form over sqrt2.
 
     Output monomials are indexed by the starred basis (represented with the
     same subset keys).  On a basis m-vector v_S the image is the signed
@@ -67,7 +69,8 @@ def contract_with_top_form(x: ExteriorElement) -> ExteriorElement:
 
 
 def star_to_vectors(x: ExteriorElement) -> ExteriorElement:
-    """The map d: wedge^{m+1} V* -> wedge^{m+1} V via v*_k = epsilon(k) v_{2m+2-k}."""
+    """The map d: wedge^{m+1} V* -> wedge^{m+1} V via v*_k = epsilon(k) v_{2m+2-k}
+    for k != m+1 and u* = u/2, the paper's d in the u basis."""
     m = x.m
     out = ExteriorElement(m)
     for key, c in x.coeffs.items():
@@ -78,7 +81,8 @@ def star_to_vectors(x: ExteriorElement) -> ExteriorElement:
         k_len = len(key)
         if (k_len * (k_len - 1) // 2) % 2:
             sign = -sign
-        out.add_term(tuple(sorted(cl.bar(k, m) for k in key)), c if sign > 0 else -c)
+        c = c if sign > 0 else -c
+        out.add_term(tuple(sorted(cl.bar(k, m) for k in key)), c * Fraction(1, 2) if m + 1 in key else c)
     return out
 
 
@@ -115,20 +119,20 @@ def end_apply(mat: EndSpin, vec: SpinVector) -> SpinVector:
 def end_identity(m: int) -> EndSpin:
     out = EndSpin(m)
     for s in pt.all_subsets(m):
-        out.add_term((s, s), QS2_ONE)
+        out.add_term((s, s), 1)
     return out
 
 
-def sym_pair(lam: StrictPartition, mu_: StrictPartition, c=QS2_ONE) -> SymSquare:
+def sym_pair(lam: StrictPartition, mu_: StrictPartition, c=1) -> SymSquare:
     out = SymSquare(lam.m)
     out.add_term((pt.to_subset(lam), pt.to_subset(mu_)), c)
     return out
 
 
-def vector_action(gen: CliffordElement, m: int) -> dict[int, dict[int, QSqrt2]]:
+def vector_action(gen: CliffordElement, m: int) -> dict[int, dict[int, Fraction]]:
     """Action of a wedge^2 element on V by Clifford commutator, as sparse columns
     {k: {j: coeff of v_j in gen.v_k}}."""
-    cols: dict[int, dict[int, QSqrt2]] = {}
+    cols: dict[int, dict[int, Fraction]] = {}
     for k in range(1, 2 * m + 2):
         img = commutator(gen, cl.cl_monomial((k,), m))
         col = {}

@@ -173,6 +173,22 @@ def test_trials_below_one_is_usage_error(capsys, trials):
     assert code == 2 and out == ""
 
 
+@pytest.mark.parametrize("seed", [str(2**64), str(2**64 + 1), "-1"])
+def test_seed_outside_64_bits_is_usage_error(capsys, seed):
+    """splitmix64 keeps its state mod 2^64: seed 2^64 + 1 would draw the
+    points of seed 1 and report another seed, so it is refused."""
+    code = cli.main(["verify", "minors", "--m", "2", "--trials", "1", "--seed", seed])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: need 0 <= --seed < 2^64, got {seed}\n"
+
+
+@pytest.mark.parametrize("seed", ["0", str(2**64 - 1)])
+def test_seed_at_either_end_of_64_bits_is_accepted(capsys, seed):
+    code, out = run(capsys, "verify", "minors", "--m", "2", "--trials", "1", "--seed", seed)
+    assert code == 0 and json.loads(out)["seed"] == int(seed)
+
+
 def test_t_overflow_is_usage_error(capsys):
     code = cli.main(["verify", "theorem-w", "--m", "3", "--t", "1000"])
     captured = capsys.readouterr()
@@ -356,23 +372,51 @@ def test_theorem_w_evaluates_w_once_per_trial(capsys, monkeypatch):
     assert len(calls) == 4
 
 
-def test_point_suites_build_no_qsqrt2(capsys, monkeypatch):
-    """Warm, the per-point suites run on ints and Fractions only: no QSqrt2
-    is built, and every QSqrt2 is built by `scalars._make`."""
-    from lgmirror import scalars
+QSQRT2_PROBE = """
+import contextlib, io, json, sys
+from lgmirror import cli, grouprep, scalars
 
-    argv = [["verify", suite, "--m", "4", "--trials", "2", "--q", "3/2"] for suite in cli._POINT_SUITES]
-    for args in argv:  # builds the per-process tables, the spin moves among them
-        assert run(capsys, *args)[0] == 0
-    made = []
-    make = scalars._make
-    monkeypatch.setattr(scalars, "_make", lambda *abd: made.append(abd) or make(*abd))
-    assert scalars.QSqrt2(1, 1) and made == [(1, 1, 1)]  # the counter sees a QSqrt2
-    made.clear()
-    for args in argv:
-        code, out = run(capsys, *args)
-        assert code == 0 and json.loads(out)["ok"] is True, args
-    assert made == []
+warm, work = json.loads(sys.argv[1])
+
+def run():
+    for argv in work:
+        if argv[0] == "spin-moves":  # every F_i for m = 2..argv[1]
+            for m in range(2, argv[1] + 1):
+                for i in range(1, m + 1):
+                    grouprep.spin_f_moves(i, m)
+            continue
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(argv) == 0 and json.loads(out.getvalue())["ok"] is True, argv
+
+if warm:  # builds the per-process tables, the spin moves among them
+    run()
+made = []
+make = scalars._make
+scalars._make = lambda *abd: made.append(abd) or make(*abd)
+assert scalars.QSqrt2(1, 1) and made == [(1, 1, 1)]  # the counter sees a QSqrt2
+made.clear()
+run()
+print(json.dumps(made))
+"""
+
+QSQRT2_CASES = {
+    # name: (warm, work)
+    "point-suites-warm": (True, [["verify", s, "--m", "4", "--trials", "2", "--q", "3/2"] for s in cli._POINT_SUITES]),
+    "spin-moves-cold": (False, [["spin-moves", 8]]),
+    "pi-map-cold": (False, [["verify", "pi-map", "--m", "5"]]),
+    "chevalley-cold": (False, [["verify", "chevalley", "--m", "5"]]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(QSQRT2_CASES))
+def test_commands_build_no_qsqrt2(case):
+    """The per-point suites warm, and the spin move tables, `verify pi-map`
+    and `verify chevalley` from a fresh process, run on ints and Fractions
+    only: no QSqrt2 is built, and every QSqrt2 is built by `scalars._make`."""
+    proc = python("-c", QSQRT2_PROBE, json.dumps(QSQRT2_CASES[case]))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
 
 
 @pytest.mark.parametrize("suite", ["theorem-w", "em", "subword"])
@@ -672,6 +716,49 @@ past = run(["critical", "--m", "10"])
 at = run(["critical", "--m", "9", "--q", "0"])
 print(json.dumps({"past": past, "at": at, "jacobi": "lgmirror.jacobi" in sys.modules, "numpy": "numpy" in sys.modules}))
 """
+
+
+VERIFY_COST_GUARD_PROBE = """
+import contextlib, io, json, sys
+from lgmirror import cli
+
+cli.cmd_verify = lambda args: 99  # a run past the guard returns 99 at once
+
+def run(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, err.getvalue()
+
+seen = {}
+for suite, limit in json.loads(sys.argv[1]).items():
+    # --trials 0 is refused after the cost guard and before any work, so m = limit passes the guard
+    past = run(["verify", suite, "--m", str(limit + 1)])
+    seen[suite] = [past, run(["verify", suite, "--m", str(limit), "--trials", "0"])]
+seen["loaded"] = sorted(name for name in sys.modules if name.startswith("lgmirror"))
+print(json.dumps(seen))
+"""
+
+VERIFY_M_LIMITS = {"minors": 14, "theorem-w": 14, "pi-map": 14, "subword": 12, "chevalley": 14, "em": 14, "fj": 20}
+
+
+def test_verify_rejects_m_past_the_cost_limit(capsys):
+    """`verify SUITE --m` past the suite's limit exits 2 naming it, before
+    any module of the suite is loaded; at the limit it passes the guard;
+    --help states every limit."""
+    assert cli.MAX_VERIFY_M == VERIFY_M_LIMITS
+    proc = python("-c", VERIFY_COST_GUARD_PROBE, json.dumps(VERIFY_M_LIMITS))
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    assert seen.pop("loaded") == ["lgmirror", "lgmirror.cli", "lgmirror.scalars"]
+    assert seen == {
+        suite: [[2, f"error: verify {suite} needs m <= {limit}, got {limit + 1}\n"], [2, "error: need --trials >= 1\n"]]
+        for suite, limit in VERIFY_M_LIMITS.items()
+    }
+    with pytest.raises(SystemExit):
+        cli.main(["verify", "--help"])
+    limits = ", ".join(f"{suite} {limit}" for suite, limit in VERIFY_M_LIMITS.items())
+    assert limits in " ".join(capsys.readouterr().out.split())
 
 
 def test_critical_rejects_m_past_the_cost_limit(capsys):

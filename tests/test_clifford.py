@@ -95,8 +95,8 @@ def test_defining_relations():
             vbi = cl.cl_monomial((cl.bar(i, m),), m)
             anti = co.clifford_mul(vi, vbi) + co.clifford_mul(vbi, vi)
             assert anti == scalar(QSqrt2(cl.epsilon(i, m)), m)
-        mid = cl.cl_monomial((m + 1,), m)
-        assert co.clifford_mul(mid, mid) == scalar(QSqrt2(Fraction(1, 2)), m)
+        u = cl.cl_monomial((m + 1,), m)
+        assert co.clifford_mul(u, u) == scalar(1, m)
         v1, v2 = cl.cl_monomial((1,), m), cl.cl_monomial((2,), m)
         assert co.clifford_mul(v1, v2) == co.clifford_mul(v2, v1).scale(QSqrt2(-1))
 
@@ -217,9 +217,48 @@ def test_spin_action_examples():
         w_box = co.basis_vector_of(pt.partition((1,), m))
         assert cl.spin_apply(f_m, w_box) == cl.basis_vector((), m)
         w_empty = cl.basis_vector((), m)
-        img = cl.spin_generator_action(m + 1, w_empty)
-        assert img.coeffs[()] == QSqrt2(0, Fraction(1, 2))
+        assert cl.spin_generator_action(m + 1, w_empty) == w_empty
         assert cl.spin_generator_action(cl.bar(1, m), w_empty).coeffs == {}
+
+
+def sqrt2_basis_action(k, vec):
+    """v_k on the spin module in the paper's basis, where v_{m+1} = u/sqrt2
+    acts on w_I by (-1)^{|I|}/sqrt2; every other v_k acts as in `clifford`."""
+    m = vec.m
+    if k != m + 1:
+        return cl.spin_generator_action(k, vec)
+    inv_sqrt2 = QSqrt2(0, Fraction(1, 2))
+    coeffs = {key: (c if len(key) % 2 == 0 else -c) * inv_sqrt2 for key, c in vec.coeffs.items()}
+    return cl.SpinVector(m, coeffs, vec.dual)
+
+
+def sqrt2_basis_spin_matrix(i, kind, m):
+    """The spin matrix of e_i or f_i written in the paper's basis: e_i =
+    eps(i+1) v_i vbar_{i+1}, f_i = eps(i) v_{i+1} vbar_i (i < m), e_m =
+    sqrt2 v_m v_{m+1} and f_m = sqrt2 vbar_m v_{m+1}, over Q(sqrt2)."""
+    if i < m and kind == "e":
+        coeff, word = cl.epsilon(i + 1, m), (i, cl.bar(i + 1, m))
+    elif i < m:
+        coeff, word = cl.epsilon(i, m), (i + 1, cl.bar(i, m))
+    else:
+        coeff, word = QSqrt2.sqrt2(), (m if kind == "e" else cl.bar(m, m), m + 1)
+    out = {}
+    for col in pt.all_subsets(m):
+        vec = cl.basis_vector(col, m)
+        for k in reversed(word):
+            vec = sqrt2_basis_action(k, vec)
+        for row, c in vec.coeffs.items():
+            out[(row, col)] = c * coeff
+    return out
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_spin_matrices_are_those_of_the_sqrt2_basis(m):
+    """The u basis changes no spin matrix: each entry of e_i and f_i from
+    the sqrt2 basis is rational and equals `spin_generator_matrix`'s."""
+    for i in range(1, m + 1):
+        for kind in ("e", "f"):
+            assert cl.spin_generator_matrix(i, kind, m).coeffs == sqrt2_basis_spin_matrix(i, kind, m), (i, kind)
 
 
 def test_generator_ladder_builds_basis():
@@ -262,7 +301,7 @@ def test_generator_commutators_diagonal():
             comm = co.end_commutator(e, f)
             for (row, col), v in comm.coeffs.items():
                 assert row == col
-                assert v.is_rational() and v.a.denominator == 1
+                assert isinstance(v, (int, Fraction)) and v.denominator == 1
 
 
 def test_even_clifford_to_end_bijective():
@@ -282,6 +321,13 @@ def test_even_clifford_to_end_bijective():
 
     assert len(rows) == 16
     assert gaussian_determinant(rows) != QSqrt2(0)
+
+
+@pytest.mark.parametrize("entry", [0.5, 1j], ids=["float", "complex"])
+def test_end_to_clifford_refuses_an_inexact_entry(entry):
+    mat = cl.EndSpin(2, {((), (1,)): Fraction(1, 2), ((1,), (1, 2)): entry})
+    with pytest.raises(TypeError, match="exact entries"):
+        cl.end_to_clifford(mat, 0)
 
 
 def test_end_to_clifford_roundtrip():
@@ -337,7 +383,7 @@ def _end_to_clifford_oracle(mat, parity):
     good, wrong = parity_part(acc, parity), parity_part(acc, 1 - parity)
     if wrong.coeffs:
         omega, z = _volume_element(m)
-        good = good + co.clifford_mul(omega, wrong).scale(z.inverse())
+        good = good + co.clifford_mul(omega, wrong).scale(1 / z)
     return good
 
 
@@ -602,11 +648,13 @@ def test_middle_wedge_projection(m):
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
 def test_contract_to_vectors_is_d_after_c(m):
-    """The one map d . c against c and d applied one at a time, on every
-    basis m-vector; other degrees are refused."""
+    """The one map sqrt2 d . c against c and d applied one at a time, on
+    every basis m-vector; other degrees are refused.  The oracle's c takes
+    the u* top form, the paper's over sqrt2, so sqrt2 d . c is twice the
+    oracle's d . c."""
     for key in combinations(range(1, 2 * m + 2), m):
         v = cl.wedge_monomial(key, m)
-        assert cl.contract_to_vectors(v) == co.star_to_vectors(co.contract_with_top_form(v)), key
+        assert cl.contract_to_vectors(v) == co.star_to_vectors(co.contract_with_top_form(v)).scale(2), key
     with pytest.raises(ValueError, match="pure degree m"):
         cl.contract_to_vectors(cl.wedge_monomial(tuple(range(1, m + 2)), m))
 

@@ -99,7 +99,7 @@ def dense_u2bar(b, m):
 
 
 def build_u2bar_spin(b, m):
-    """u2bar acting on V_Spin, as a sparse 2^m x 2^m matrix over Q(sqrt2):
+    """u2bar acting on V_Spin, as a sparse 2^m x 2^m matrix over the ring of b:
     prod_k (I + b_k F_{i_k}), leftmost (k = N) first, composed as sparse
     matrices, F_i the spin matrix of f_i from its Clifford image."""
     word = wy.canonical_wp_word(m)
@@ -260,10 +260,12 @@ def test_generators_in_orthogonal_lie_algebra():
 
 
 def test_vector_action_matches_clifford_commutator():
-    """The wedge^2 images act on V exactly as the explicit matrices."""
+    """The wedge^2 images act on V exactly as the explicit matrices, in the
+    integral basis u = sqrt2 v_{m+1} of both."""
     for m in (2, 3):
         for i in range(1, m + 1):
             for kind, mat in (("e", chevalley_e(i, m)), ("f", chevalley_f(i, m))):
+                mat = integral(mat, m)
                 cols = co.vector_action(cl.generator_clifford(i, kind, m), m)
                 dense = mat_zero(2 * m + 1)
                 for k, col in cols.items():

@@ -407,7 +407,7 @@ def dense_spin_factors(m):
     letters = np.zeros((m, 2**m, 2**m))
     for i in range(1, m + 1):
         for (row, col), entry in cl.spin_generator_matrix(i, "f", m).coeffs.items():
-            letters[i - 1, index[row], index[col]] = entry.to_float()
+            letters[i - 1, index[row], index[col]] = float(entry)
     return letters[np.array(wy.canonical_wp_word(m)) - 1]
 
 
