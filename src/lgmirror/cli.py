@@ -26,7 +26,8 @@ without a seed and, past their checks, ignores --trials and --seed.
 Exit codes: 0 success, 1 verification failure, 2 usage error.  Usage
 errors are found from the parsed flags before any work (where `--t` becomes
 q, once): among them an `--m` past the command's cost limit
-(`MAX_VERIFY_M`, `MAX_CRITICAL_M`), a `--seed` outside 0..2^64-1, which
+(`MAX_VERIFY_M`, `MAX_CRITICAL_M`), a `verify --trials` above
+min(1000, 25 * 2^(limit - m)), a `--seed` outside 0..2^64-1, which
 splitmix64 would fold onto another seed's points, a `--t` whose q = exp(t)
 is not finite or rounds to 0, and an `--out` naming a directory or in a
 missing or unwritable one.  The file is opened only to write the report,
@@ -54,7 +55,9 @@ SCHEMA = "lg-mirror/1"
 MAX_CRITICAL_M = 9
 # The largest m of each verify suite, in its parser order: a fresh run at the
 # default 25 trials takes at most about 10 s and 130 MB there (same VM), and
-# the next m two to three times as long; `fj` grows slowest.
+# the next m two to three times as long; `fj` grows slowest.  A trial costs
+# about half as much at each m below, so `verify` takes at most
+# min(1000, 25 * 2^(limit - m)) trials.
 MAX_VERIFY_M = {"minors": 14, "theorem-w": 14, "pi-map": 14, "subword": 12, "chevalley": 14, "em": 14, "fj": 20}
 
 
@@ -168,9 +171,6 @@ def cmd_print_w(args: argparse.Namespace) -> int:
 # -- verify -------------------------------------------------------------------
 
 
-_POINT_SUITES = ("theorem-w", "em", "subword", "minors", "fj")
-
-
 def _point_checks(suite: str, m: int, q: Fraction, b: list[Fraction]) -> list:
     """The checks of a per-point suite at one rational torus point b, each
     given what it reads: [(extra record fields, report)].  Every route runs
@@ -195,51 +195,35 @@ def _point_checks(suite: str, m: int, q: Fraction, b: list[Fraction]) -> list:
     return [({"j": j}, rep) for j, rep in sp.verify_sym_to_minors(m, p, u2)]
 
 
-def _point_records(suite: str, m: int, q: Fraction, trials: int, seed: int) -> list[dict]:
-    """Run a per-point suite at `trials` random exact torus points, one draw each."""
+def _suite_records(suite: str, m: int, q: Fraction, trials: int, seed: int) -> list[dict]:
+    """Run one identity suite; returns its records.  pi-map and chevalley
+    check fixed elements; a per-point suite runs at `trials` random exact
+    torus points, one draw each."""
+    if suite == "pi-map":
+        from lgmirror import clifford as cl
+
+        records = []
+        for j in range(2, m + 1):
+            okD = cl.pi_map(cl.build_D(j, m)) == cl.wedge_v(j, m)
+            okN = cl.pi_map(cl.build_N(j, m)) == cl.wedge_v_plus(j, m)
+            records.append({"j": j, "ok": okD and okN, "detail": "" if okD and okN else f"pi image wrong (D ok: {okD}, N ok: {okN})"})
+        return records
+    if suite == "chevalley":
+        from lgmirror import qchevalley as qc
+
+        ok = qc.verify_relation_l1(m)
+        bad = qc.grading_violations(m)
+        return [
+            {"relation": "l=1", "ok": ok, "detail": "" if ok else "sigma_1*sigma_m != sigma_{m,1} + q"},
+            {"relation": "grading+positivity", "ok": not bad, "detail": "; ".join(bad)},
+        ]
     stream = rational_stream(seed)
-    records: list[dict] = []
+    records = []
     for k in range(trials):
         b = sample_b(m, stream)
         for fields, rep in _point_checks(suite, m, q, b):
             records.append({"instance": k, **fields, "b": [str(x) for x in b], "ok": rep.ok, "detail": rep.detail})
     return records
-
-
-def _suite_records(suite: str, m: int, q: Fraction, trials: int, seed: int) -> list[dict]:
-    """Run one identity suite; returns its records."""
-    if suite in _POINT_SUITES:
-        return _point_records(suite, m, q, trials, seed)
-    records: list[dict] = []
-    if suite == "pi-map":
-        from lgmirror import clifford as cl
-
-        for j in range(2, m + 1):
-            okD = cl.pi_map(cl.build_D(j, m)) == cl.wedge_v(j, m)
-            okN = cl.pi_map(cl.build_N(j, m)) == cl.wedge_v_plus(j, m)
-            records.append({"j": j, "ok": okD and okN, "detail": "" if okD and okN else f"pi image wrong (D ok: {okD}, N ok: {okN})"})
-    elif suite == "chevalley":
-        from lgmirror import qchevalley as qc
-
-        ok = qc.verify_relation_l1(m)
-        records.append({"relation": "l=1", "ok": ok, "detail": "" if ok else "sigma_1*sigma_m != sigma_{m,1} + q"})
-        bad = qc.grading_violations(m)
-        records.append({"relation": "grading+positivity", "ok": not bad, "detail": "; ".join(bad)})
-    else:
-        raise ValueError(f"unknown suite {suite}")
-    return records
-
-
-def _suite_extras(suite: str, m: int) -> dict:
-    if suite == "chevalley":
-        from lgmirror import qchevalley as qc
-
-        return {
-            "sigma1_table": qc.multiplication_table(m),
-            "conventions": "quantum terms use n_alpha = (m+1) alpha^vee(omega_m), "
-            "the pairing of the curve degree with the anti-canonical class",
-        }
-    return {}
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -256,10 +240,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "ok": ok,
         "records": records,
     }
-    payload.update(_suite_extras(args.suite, args.m))
+    if args.suite == "chevalley":
+        from lgmirror import qchevalley as qc
+
+        payload["sigma1_table"] = qc.multiplication_table(args.m)
+        payload["conventions"] = (
+            "quantum terms use n_alpha = (m+1) alpha^vee(omega_m), "
+            "the pairing of the curve degree with the anti-canonical class"
+        )
     if not ok:
-        first_bad = next(r for r in records if not r["ok"])
-        payload["counterexample"] = first_bad
+        payload["counterexample"] = next(r for r in records if not r["ok"])
     _emit(_json(payload), args.out)
     return 0 if ok else 1
 
@@ -307,6 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify_help = "run an exact identity suite; the largest m of each: "
     verify_help += ", ".join(f"{s} {m}" for s, m in MAX_VERIFY_M.items())
+    verify_help += "; and at most min(1000, 25*2^(LIMIT-m)) --trials, 25 at the limit"
     p_verify = sub.add_parser("verify", help="run an exact identity suite", description=verify_help)
     p_verify.add_argument("suite", choices=tuple(MAX_VERIFY_M))
     common(p_verify)
@@ -360,6 +351,8 @@ def _check(args: argparse.Namespace) -> None:
             raise ValueError(f"need a finite --tolerance > 0, got {args.tolerance}")
         if args.trials < 1:
             raise ValueError("need --trials >= 1")
+        if not critical and args.trials > (most := min(1000, 25 * 2 ** (MAX_VERIFY_M[args.suite] - args.m))):
+            raise ValueError(f"verify {args.suite} --m {args.m} needs --trials <= {most}, got {args.trials}")
         if args.t is not None:
             args.q = _q_of_t(args.t)
         if critical and args.q == 0:

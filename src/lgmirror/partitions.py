@@ -6,26 +6,33 @@ fix the order those containers iterate in.
 A strict partition with parts <= m corresponds to the subset
 I = {m+1-part : part in parts} of {1,...,m}; Poincare duality is subset
 complementation; `all_subsets` and `all_strict_partitions` are the 2^m
-basis, cached tuples shared by every caller.  The staircase rho_l, the
-maximal l-row partition mu_l, and their J-modified variants index the
-quadratic numerators and denominators of the superpotential.
-Modifications that fail to produce a strict partition are represented by
-None (the sum they appear in simply skips them).
+basis, cached tuples shared by every caller.  The staircase rho_l, its
+variant rho_{l,+} (one box added to the first row) and the maximal l-row
+partition mu_l index the quadratic numerators and denominators of the
+superpotential.
 
 This module is the one source of the signed pairs of those numerators and
-denominators, and of their sign: the subset J at level l contributes
-(-1)^{boxes removed from rho_l}, i.e. (-1)^{|J|(l+1) + s(J)} with s(J)
-the element sum.  The shorter-looking (-1)^{s(J)} agrees only for odd l;
-the convention here is the one under which the LG(3) middle superpotential
-term, the minor identities, and the projection formulas of
-lgmirror.clifford are mutually consistent (enforced by the test suite).
+denominators, and of their sign.  The pair of a subset J of the rows
+{1..l} of rho_l (of rho_{l,+} for a numerator) is (rho^J, mu^J): rho^J
+drops the rows in J, and mu^J appends their parts to mu_l in row order.
+The paper sums over every J and skips a mu^J that is not strict.  Every
+part of rho_l or rho_{l,+} is at most l+1 <= m, so a part of m+1-l or
+more is already a part of mu_l = (m, ..., m+1-l); mu^J is strict exactly
+when each moved part is below m+1-l.  So only the subsets of those
+movable rows are made.  The sign of J is (-1)^{boxes removed from rho_l},
+i.e. (-1)^{|J|(l+1) + s(J)} with s(J) the element sum, for the numerator
+too: it is read from J, not from the moved parts.  The shorter-looking
+(-1)^{s(J)} agrees only for odd l; the convention here is the one under
+which the LG(3) middle superpotential term, the minor identities, and the
+projection formulas of lgmirror.clifford are mutually consistent
+(enforced by the test suite).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple
 
 
 class _Pair(NamedTuple):
@@ -127,66 +134,27 @@ def rho_plus(l: int, m: int) -> StrictPartition:
     return StrictPartition((l + 1,) + tuple(range(l - 1, 0, -1)), m)
 
 
-def _remove_rows(parts: tuple[int, ...], rows: Iterable[int]) -> tuple[int, ...]:
-    drop = set(rows)
-    return tuple(p for j, p in enumerate(parts, start=1) if j not in drop)
-
-
-def rho_removed(l: int, subset: Iterable[int], m: int) -> StrictPartition:
-    """rho_l with the j-th line removed for every j in the subset."""
-    return StrictPartition(_remove_rows(rho(l, m).parts, subset), m)
-
-
-def rho_plus_removed(l: int, subset: Iterable[int], m: int) -> StrictPartition:
-    """rho_{l,+} with the j-th line removed for every j in the subset."""
-    return StrictPartition(_remove_rows(rho_plus(l, m).parts, subset), m)
-
-
-def _append_rows(base: tuple[int, ...], rows: list[int], m: int) -> Optional[StrictPartition]:
-    parts = base + tuple(rows)
-    if any(a <= b for a, b in zip(parts, parts[1:])):
-        return None
-    return StrictPartition(parts, m)
-
-
-def mu_added(l: int, subset: Iterable[int], m: int) -> Optional[StrictPartition]:
-    """mu_l with a row of l+1-j boxes appended for each j (None if not strict)."""
-    rows = [l + 1 - j for j in sorted(subset)]
-    return _append_rows(mu(l, m).parts, rows, m)
-
-
-def mu_plus_added(l: int, subset: Iterable[int], m: int) -> Optional[StrictPartition]:
-    """mu_l with a row of l+1-j+delta_{j,1} boxes appended for each j."""
-    rows = [l + 1 - j + (1 if j == 1 else 0) for j in sorted(subset)]
-    return _append_rows(mu(l, m).parts, rows, m)
-
-
-def removed_boxes(l: int, subset: Iterable[int]) -> int:
-    """Number of boxes deleted from rho_l by removing the rows in the subset."""
-    return sum(l + 1 - j for j in subset)
-
-
-def term_sign_removed(l: int, subset: Iterable[int]) -> int:
-    """(-1)^{number of boxes the subset removes from rho_l}."""
-    return -1 if removed_boxes(l, subset) % 2 else 1
-
-
-def _signed_pairs(l: int, m: int, rho_of, mu_of) -> list[tuple[int, StrictPartition, StrictPartition]]:
+def _signed_pairs(l: int, m: int, plus: bool) -> list[tuple[int, StrictPartition, StrictPartition]]:
+    """(sign, rho^J, mu^J) for the subsets J of the movable rows, in (size, lex) order."""
+    rows = (rho_plus if plus else rho)(l, m).parts
+    base = mu(l, m).parts
+    movable = [j for j in range(1, l + 1) if rows[j - 1] < m + 1 - l]
     out = []
-    for r in range(l + 1):
-        for subset in combinations(range(1, l + 1), r):
-            muJ = mu_of(l, subset, m)
-            if muJ is not None:
-                out.append((term_sign_removed(l, subset), rho_of(l, subset, m), muJ))
+    for size in range(len(movable) + 1):
+        for subset in combinations(movable, size):
+            sign = -1 if sum(l + 1 - j for j in subset) % 2 else 1
+            kept = tuple(part for j, part in enumerate(rows, start=1) if j not in subset)
+            moved = tuple(rows[j - 1] for j in subset)
+            out.append((sign, StrictPartition(kept, m), StrictPartition(base + moved, m)))
     return out
 
 
 def denominator_terms(l: int, m: int) -> list[tuple[int, StrictPartition, StrictPartition]]:
-    """Signed pairs (sign, rho_l^J, mu_l^J) of the l-th denominator over J in {1..l};
-    pairs whose mu_l^J is not strict are dropped."""
-    return _signed_pairs(l, m, rho_removed, mu_added)
+    """Signed pairs (sign, rho_l^J, mu_l^J) of the l-th denominator, over the
+    J in {1..l} whose mu_l^J is strict."""
+    return _signed_pairs(l, m, plus=False)
 
 
 def numerator_terms(l: int, m: int) -> list[tuple[int, StrictPartition, StrictPartition]]:
     """Signed pairs (sign, rho_{l,+}^J, mu_{l,+}^J) of the l-th numerator."""
-    return _signed_pairs(l, m, rho_plus_removed, mu_plus_added)
+    return _signed_pairs(l, m, plus=True)

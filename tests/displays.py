@@ -8,6 +8,8 @@ from lgmirror import clifford as cl
 from lgmirror import partitions as pt
 from lgmirror.scalars import QSqrt2
 
+from signedpairs import all_j_pairs
+
 
 def expected_iota_image(j: int, m: int) -> cl.EndSpin:
     """iota of the j-th denominator element: a global half-integer scalar
@@ -17,16 +19,9 @@ def expected_iota_image(j: int, m: int) -> cl.EndSpin:
     beta = QSqrt2(Fraction(-1 if (l * (l + 1) // 2) % 2 else 1, 2))
     rel_sign = -1 if ((m + 1 - j) * (j - 1)) % 2 else 1
     out = cl.EndSpin(m)
-    for r in range(l + 1):
-        for subset in combinations(range(1, l + 1), r):
-            mu_i = pt.mu_added(l, subset, m)
-            if mu_i is None:
-                continue
-            rho_i = pt.rho_removed(l, subset, m)
-            out.add_term((pt.to_subset(mu_i), pt.to_subset(pt.pd(rho_i))), beta)
-            out.add_term(
-                (pt.to_subset(rho_i), pt.to_subset(pt.pd(mu_i))), beta if rel_sign > 0 else -beta
-            )
+    for _, rho_i, mu_i in all_j_pairs(l, m):
+        out.add_term((pt.to_subset(mu_i), pt.to_subset(pt.pd(rho_i))), beta)
+        out.add_term((pt.to_subset(rho_i), pt.to_subset(pt.pd(mu_i))), beta if rel_sign > 0 else -beta)
     return out
 
 

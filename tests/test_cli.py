@@ -402,7 +402,7 @@ print(json.dumps(made))
 
 QSQRT2_CASES = {
     # name: (warm, work)
-    "point-suites-warm": (True, [["verify", s, "--m", "4", "--trials", "2", "--q", "3/2"] for s in cli._POINT_SUITES]),
+    "point-suites-warm": (True, [["verify", s, "--m", "4", "--trials", "2", "--q", "3/2"] for s in ("theorem-w", "em", "subword", "minors", "fj")]),
     "spin-moves-cold": (False, [["spin-moves", 8]]),
     "pi-map-cold": (False, [["verify", "pi-map", "--m", "5"]]),
     "chevalley-cold": (False, [["verify", "chevalley", "--m", "5"]]),
@@ -759,6 +759,54 @@ def test_verify_rejects_m_past_the_cost_limit(capsys):
         cli.main(["verify", "--help"])
     limits = ", ".join(f"{suite} {limit}" for suite, limit in VERIFY_M_LIMITS.items())
     assert limits in " ".join(capsys.readouterr().out.split())
+
+
+TRIALS_GUARD_PROBE = """
+import contextlib, io, json, sys
+from lgmirror import cli
+
+cli.cmd_verify = lambda args: 99  # a run past the guard returns 99 at once
+cli.cmd_critical = lambda args: 98
+
+def run(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, err.getvalue()
+
+seen = {"critical": run(["critical", "--m", "3", "--trials", "160"])}
+for suite, m, bound in json.loads(sys.argv[1]):
+    argv = ["verify", suite, "--m", str(m), "--trials"]
+    seen[f"{suite} {m}"] = [run(argv + [str(bound + 1)]), run(argv + [str(bound)])]
+seen["loaded"] = sorted(name for name in sys.modules if name.startswith("lgmirror"))
+print(json.dumps(seen))
+"""
+
+# (suite, m, largest --trials): min(1000, 25 * 2^(limit - m))
+TRIALS_BOUNDS = [
+    ("theorem-w", 14, 25), ("theorem-w", 12, 100), ("theorem-w", 8, 1000), ("pi-map", 14, 25),
+    ("chevalley", 13, 50), ("subword", 12, 25), ("subword", 9, 200), ("em", 11, 200),
+    ("minors", 2, 1000), ("fj", 15, 800), ("fj", 14, 1000),
+]
+
+
+def test_verify_rejects_trials_past_the_cost_limit(capsys):
+    """`verify --trials` past min(1000, 25 * 2^(limit - m)) exits 2 naming
+    the bound, before any module of the suite is loaded; the bound passes
+    the guard; `critical` ignores --trials and has no such bound; --help
+    states the rule."""
+    proc = python("-c", TRIALS_GUARD_PROBE, json.dumps(TRIALS_BOUNDS))
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    assert seen.pop("loaded") == ["lgmirror", "lgmirror.cli", "lgmirror.scalars"]
+    assert seen.pop("critical") == [98, ""]
+    assert seen == {
+        f"{suite} {m}": [[2, f"error: verify {suite} --m {m} needs --trials <= {bound}, got {bound + 1}\n"], [99, ""]]
+        for suite, m, bound in TRIALS_BOUNDS
+    }
+    with pytest.raises(SystemExit):
+        cli.main(["verify", "--help"])
+    assert "at most min(1000, 25*2^(LIMIT-m)) --trials" in " ".join(capsys.readouterr().out.split())
 
 
 def test_critical_rejects_m_past_the_cost_limit(capsys):

@@ -5,6 +5,8 @@ from lgmirror import jacobi as jb
 from lgmirror import partitions as pt
 from lgmirror import superpotential as sp
 
+from signedpairs import all_j_pairs
+
 
 @st.composite
 def boxed_partitions(draw, max_m=6):
@@ -55,29 +57,54 @@ def test_rho_mu_families():
         pt.rho_plus(2, 2)
 
 
+def pairs(terms):
+    return [(sign, rho_j.parts, mu_j.parts) for sign, rho_j, mu_j in terms]
+
+
 def test_row_removal():
-    assert pt.rho_removed(1, {1}, 2).parts == ()
-    assert pt.rho_removed(2, set(), 3).parts == (2, 1)
-    assert pt.rho_removed(3, {2}, 4).parts == (3, 1)
-    assert pt.rho_plus_removed(2, {1}, 3).parts == (1,)
+    """rho^J drops the rows in J; at l = 3, m = 5 rows 2 and 3 may move."""
+    assert pairs(pt.denominator_terms(3, 5)) == [
+        (1, (3, 2, 1), (5, 4, 3)),
+        (1, (3, 1), (5, 4, 3, 2)),
+        (-1, (3, 2), (5, 4, 3, 1)),
+        (-1, (3,), (5, 4, 3, 2, 1)),
+    ]
+    assert pairs(pt.numerator_terms(2, 5)) == [
+        (1, (3, 1), (5, 4)),
+        (1, (1,), (5, 4, 3)),
+        (-1, (3,), (5, 4, 1)),
+        (-1, (), (5, 4, 3, 1)),
+    ]
 
 
-def test_row_addition_and_invalid_is_none():
-    assert pt.mu_added(1, {1}, 2).parts == (2, 1)
-    assert pt.mu_plus_added(1, {1}, 2) is None
-    assert pt.mu_added(1, set(), 2).parts == (2,)
-    assert pt.mu_added(2, {2}, 3).parts == (3, 2, 1)
-    assert pt.mu_added(2, {1}, 3) is None
+def test_signed_pairs_keep_only_a_strict_mu():
+    """A row moves only if its part is below m+1-l; the sign is read from J
+    (row 1 of rho_{1,+} at m = 3 has 2 boxes but counts 1)."""
+    assert pairs(pt.denominator_terms(1, 2)) == [(1, (1,), (2,)), (-1, (), (2, 1))]
+    assert pairs(pt.numerator_terms(1, 2)) == [(1, (2,), (2,))]
+    assert pairs(pt.denominator_terms(2, 3)) == [(1, (2, 1), (3, 2)), (-1, (2,), (3, 2, 1))]
+    assert pairs(pt.numerator_terms(1, 3)) == [(1, (2,), (3,)), (-1, (), (3, 2))]
+    assert pairs(pt.numerator_terms(0, 3)) == [(1, (1,), ())]
+    assert pairs(pt.denominator_terms(3, 3)) == [(1, (3, 2, 1), (3, 2, 1))]
 
 
-@given(st.integers(min_value=2, max_value=6), st.data())
-def test_mu_added_is_strict_when_defined(m, data):
-    l = data.draw(st.integers(min_value=1, max_value=m - 1))
-    subset = data.draw(st.sets(st.integers(min_value=1, max_value=l)))
-    lam = pt.mu_added(l, subset, m)
-    if lam is not None:
-        assert all(a > b for a, b in zip(lam.parts, lam.parts[1:]))
-        assert lam.parts[: l] == pt.mu(l, m).parts
+@pytest.mark.parametrize("m", range(2, 13))
+def test_signed_pairs_match_the_all_j_oracle(m):
+    """The pairs over the movable rows are those of every J with the
+    non-strict mu^J skipped, as lists: same triples, same order."""
+    for l in range(m + 1):
+        assert pt.denominator_terms(l, m) == all_j_pairs(l, m)
+    for l in range(m):
+        assert pt.numerator_terms(l, m) == all_j_pairs(l, m, plus=True)
+
+
+def test_every_mu_starts_with_mu_l_and_is_strict():
+    for m in range(2, 9):
+        for l in range(m):
+            for terms in (pt.denominator_terms(l, m), pt.numerator_terms(l, m)):
+                for _, _, lam in terms:
+                    assert all(a > b for a, b in zip(lam.parts, lam.parts[1:]))
+                    assert lam.parts[:l] == pt.mu(l, m).parts
 
 
 def test_strictness_validation():
