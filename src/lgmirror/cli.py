@@ -8,7 +8,11 @@ numpy.float64 too) by float.__repr__, strings ASCII-escaped, and TypeError
 on any other type.  It is not json.dumps because on Python 3.11 the C
 encoder serves only indent=None: an indented report goes through the
 pure-Python encoder, a quarter of a warm `critical --m 3`.  `_json` joins
-each list of plain numbers or strings in one C-level call instead.
+each list of plain numbers or strings in one C-level call instead, and
+fills a list of equal-length, non-empty lists of plain ints and floats
+(each complex number of a `critical` report is a two-item list) into one
+%-template of its rows.  Anything else, a nan or an infinity, a bool, a
+numpy float, a ragged row or a tuple, is written item by item.
 Random exact sample points are drawn through splitmix64 with numerators
 in [-9, 9] \\ {0} and denominators in [1, 9].
 `sample_b` puts b on the torus (no coordinate 0), where every divisor
@@ -27,10 +31,11 @@ Exit codes: 0 success, 1 verification failure, 2 usage error.  Usage
 errors are found from the parsed flags before any work (where `--t` becomes
 q, once): among them an `--m` past the command's cost limit
 (`MAX_VERIFY_M`, `MAX_CRITICAL_M`), a `verify --trials` above
-min(1000, 25 * 2^(limit - m)), a `--seed` outside 0..2^64-1, which
-splitmix64 would fold onto another seed's points, a `--t` whose q = exp(t)
-is not finite or rounds to 0, and an `--out` naming a directory or in a
-missing or unwritable one.  The file is opened only to write the report,
+min(1000, 25 * STEP^(limit - m)) (STEP 2, and 1.5 for `fj`:
+`TRIALS_STEP`), a `--seed` outside 0..2^64-1, which splitmix64 would fold
+onto another seed's points, a `--t` whose q = exp(t) is not finite or
+rounds to 0, and an `--out` naming a directory or in a missing or
+unwritable one.  The file is opened only to write the report,
 so a refused run truncates none.
 """
 
@@ -56,9 +61,10 @@ MAX_CRITICAL_M = 9
 # The largest m of each verify suite, in its parser order: a fresh run at the
 # default 25 trials takes at most about 10 s and 130 MB there (same VM), and
 # the next m two to three times as long; `fj` grows slowest.  A trial costs
-# about half as much at each m below, so `verify` takes at most
-# min(1000, 25 * 2^(limit - m)) trials.
+# about 1/STEP as much at each m below, with STEP 2 and 1.5 for `fj`, so
+# `verify` takes at most min(1000, 25 * STEP^(limit - m)) trials.
 MAX_VERIFY_M = {"minors": 14, "theorem-w": 14, "pi-map": 14, "subword": 12, "chevalley": 14, "em": 14, "fj": 20}
+TRIALS_STEP = {"fj": 1.5}
 
 
 def rational_stream(seed: int):
@@ -122,19 +128,40 @@ def _write(value, chunks: list[str], pad: str) -> None:
         inner = pad + "  "
         sep = ",\n" + inner
         chunks.append("[\n" + inner)
-        kinds = set(map(type, value))
-        # repr spells a plain int or float as json does, except nan and inf
-        text = sep.join(map(repr, value)) if kinds <= {int, float} else None
-        if text is not None and "n" not in text:
+        text = _joined(value, inner)
+        if text is not None:
             chunks.append(text)
-        elif kinds == {str}:
-            chunks.append(sep.join(map(_quote, value)))
         else:
             for k, item in enumerate(value):
                 if k:
                     chunks.append(sep)
                 _write(item, chunks, inner)
         chunks.append("\n" + pad + "]")
+
+
+def _joined(items: list | tuple, pad: str) -> str | None:
+    """The JSON text of the items of a non-empty list at indent `pad`, made
+    in one C-level call, or None when they must be written one by one.  It
+    joins plain strings, plain ints and floats, and a list of equal-length,
+    non-empty lists of plain ints and floats (the report's complex numbers,
+    written through one %-template)."""
+    kinds = set(map(type, items))
+    if kinds == {str}:
+        return (",\n" + pad).join(map(_quote, items))
+    if kinds <= {int, float}:
+        text = (",\n" + pad).join(map(repr, items))
+    elif kinds == {list} and len(widths := set(map(len, items))) == 1 and 0 not in widths:
+        flat = [x for row in items for x in row]
+        if not set(map(type, flat)) <= {int, float}:
+            return None
+        inner = pad + "  "
+        template = "[\n" + inner + (",\n" + inner).join(["%r"] * len(items[0])) + "\n" + pad + "]"
+        text = (",\n" + pad).join([template] * len(items)) % tuple(flat)
+    else:
+        return None
+    # repr spells a plain int or float as json does, except nan and the
+    # infinities, whose text holds an "n"
+    return None if "n" in text else text
 
 
 def _json(payload: dict) -> str:
@@ -221,8 +248,9 @@ def _suite_records(suite: str, m: int, q: Fraction, trials: int, seed: int) -> l
     records = []
     for k in range(trials):
         b = sample_b(m, stream)
+        coords = [str(x) for x in b]  # one list, shared by the point's records
         for fields, rep in _point_checks(suite, m, q, b):
-            records.append({"instance": k, **fields, "b": [str(x) for x in b], "ok": rep.ok, "detail": rep.detail})
+            records.append({"instance": k, **fields, "b": coords, "ok": rep.ok, "detail": rep.detail})
     return records
 
 
@@ -297,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify_help = "run an exact identity suite; the largest m of each: "
     verify_help += ", ".join(f"{s} {m}" for s, m in MAX_VERIFY_M.items())
-    verify_help += "; and at most min(1000, 25*2^(LIMIT-m)) --trials, 25 at the limit"
+    verify_help += "; and at most min(1000, 25*STEP^(LIMIT-m)) --trials, 25 at the limit, with STEP 2 (fj 1.5)"
     p_verify = sub.add_parser("verify", help="run an exact identity suite", description=verify_help)
     p_verify.add_argument("suite", choices=tuple(MAX_VERIFY_M))
     common(p_verify)
@@ -351,7 +379,9 @@ def _check(args: argparse.Namespace) -> None:
             raise ValueError(f"need a finite --tolerance > 0, got {args.tolerance}")
         if args.trials < 1:
             raise ValueError("need --trials >= 1")
-        if not critical and args.trials > (most := min(1000, 25 * 2 ** (MAX_VERIFY_M[args.suite] - args.m))):
+        if not critical and args.trials > (
+            most := min(1000, int(25 * TRIALS_STEP.get(args.suite, 2) ** (MAX_VERIFY_M[args.suite] - args.m)))
+        ):
             raise ValueError(f"verify {args.suite} --m {args.m} needs --trials <= {most}, got {args.trials}")
         if args.t is not None:
             args.q = _q_of_t(args.t)

@@ -189,32 +189,38 @@ def peel(v: np.ndarray, m: int) -> Peel:
     b_k = p_c / (p F)_c, and p' = p - b_k p F.  Of the open columns the one
     with the largest |(p F)_c| is the pivot; a pivot below PIVOT_TOL * max|p|
     blocks the row.
+
+    Every row runs all N steps, and each step records its pivot and column.
+    A row blocks at its first pivot below the bound; the pivots after it are
+    masked out, so the smallest pivot is the first smallest up to there,
+    and b is NaN from the blocking step on: whatever inf or NaN the later
+    steps of a blocked row make is never read.
     """
     factors, columns = _peel_plan(m)
-    scale = np.abs(v).max(axis=1)
-    pivot = np.abs(v[:, 0]) / scale
-    blocked = pivot < PIVOT_TOL
-    step = np.zeros(len(v), dtype=int)
-    column = np.zeros(len(v), dtype=int)
-    live = np.flatnonzero(~blocked)
-    p = v[live] / v[live, :1]
-    scale = np.abs(p).max(axis=1)
-    b = np.full((len(v), len(factors)), np.nan, dtype=complex)
-    for k, (f, cols) in enumerate(zip(factors, columns), start=1):
-        pf = _times(p, f)
-        at = cols[np.argmax(np.abs(pf[:, cols]), axis=1)]
-        rows = np.arange(len(live))
-        rel = np.abs(pf[rows, at]) / scale
-        lower = rel < pivot[live]
-        step[live[lower]], column[live[lower]], pivot[live[lower]] = k, at[lower], rel[lower]
-        stop = rel < PIVOT_TOL
-        blocked[live[stop]] = True
-        keep = ~stop
-        bk = p[keep, at[keep]] / pf[keep, at[keep]]
-        b[live[keep], k - 1] = bk
-        p = p[keep] - bk[:, None] * pf[keep]
-        live, scale = live[keep], scale[keep]
-    return Peel(b, blocked, step, column, pivot)
+    n = len(factors)
+    rows = np.arange(len(v))
+    pivots = np.empty((len(v), n + 1))
+    at = np.zeros((len(v), n + 1), dtype=int)
+    b = np.empty((len(v), n), dtype=complex)
+    with np.errstate(all="ignore"):
+        pivots[:, 0] = np.abs(v[:, 0]) / np.abs(v).max(axis=1)
+        p = v / v[:, :1]
+        scale = np.abs(p).max(axis=1)
+        for k, (f, cols) in enumerate(zip(factors, columns), start=1):
+            pf = _times(p, f)
+            open_pf = pf[:, cols]
+            size = np.abs(open_pf)
+            j = size.argmax(axis=1)
+            pivots[:, k] = size[rows, j] / scale
+            at[:, k] = c = cols[j]
+            b[:, k - 1] = bk = p[rows, c] / open_pf[rows, j]
+            p -= bk[:, None] * pf
+        low = pivots < PIVOT_TOL
+        blocked = low.any(axis=1)
+        pivots[blocked[:, None] & (np.arange(n + 1) > low.argmax(axis=1)[:, None])] = np.inf
+        step = pivots.argmin(axis=1)
+    b[blocked[:, None] & (np.arange(1, n + 1) >= step[:, None])] = np.nan
+    return Peel(b, blocked, step, at[rows, step], pivots[rows, step])
 
 
 class Seed(NamedTuple):
@@ -262,14 +268,10 @@ def spectrum_seeds(m: int, q: complex, tolerance: float = 1e-6) -> list[Seed]:
     scaled = (m + 1) * mu
     spread = float(np.abs(scaled).max())
     multiplicity = (np.abs(scaled[:, None] - scaled[None, :]) <= MULTIPLE_TOL * spread).sum(axis=1)
-    seeds = [Seed(complex(z), "multiple", int(k)) for z, k in zip(scaled, multiplicity)]
+    eigenvalues = scaled.tolist()
+    seeds = [Seed(z, "multiple", k) if k > 1 else None for z, k in zip(eigenvalues, multiplicity.tolist())]
     simple = np.flatnonzero(multiplicity == 1)
     cut = peel(vectors.T[simple], m)
-    basis = pt.all_strict_partitions(m)
-    for e, blocked, step, column, pivot in zip(simple, cut.blocked, cut.step, cut.column, cut.pivot):
-        seeds[e] = seeds[e]._replace(
-            status="blocked" if blocked else "torus", step=int(step), column=basis[column], pivot=float(pivot)
-        )
     mask = torus_monomials(m)
     roots, converged = _polish(cut.b[~cut.blocked], q, mask)
     # one evaluation for the stack; each gradient from its own row, as
@@ -277,16 +279,24 @@ def spectrum_seeds(m: int, q: complex, tolerance: float = 1e-6) -> list[Seed]:
     # last bits)
     inv = 1.0 / roots
     terms = _terms(inv, mask)
-    values = (roots.sum(-1) + q * terms.sum(-1)).tolist()
-    for i, (e, coords, value, done) in enumerate(zip(simple[~cut.blocked], roots.tolist(), values, converged)):
-        seed = seeds[e]
-        if not done:
-            seeds[e] = seed._replace(polish="not_converged")
-        elif _rel_err(value, seed.eigenvalue_scaled) < tolerance:
-            grad_norm = float(np.linalg.norm(1.0 - q * inv[i] * (terms[i] @ mask)))
-            seeds[e] = seed._replace(polish="converged", point=CriticalPoint(tuple(coords), value, grad_norm))
-        else:
-            seeds[e] = seed._replace(polish="wrong_value")
+    polished = enumerate(zip(roots.tolist(), (roots.sum(-1) + q * terms.sum(-1)).tolist(), converged.tolist()))
+    basis = pt.all_strict_partitions(m)
+    for e, blocked, step, column, pivot in zip(
+        simple.tolist(), cut.blocked.tolist(), cut.step.tolist(), cut.column.tolist(), cut.pivot.tolist()
+    ):
+        z = eigenvalues[e]
+        status, polish, point = "blocked", None, None
+        if not blocked:
+            i, (coords, value, done) = next(polished)
+            status = "torus"
+            if not done:
+                polish = "not_converged"
+            elif _rel_err(value, z) < tolerance:
+                grad_norm = float(np.linalg.norm(1.0 - q * inv[i] * (terms[i] @ mask)))
+                polish, point = "converged", CriticalPoint(tuple(coords), value, grad_norm)
+            else:
+                polish = "wrong_value"
+        seeds[e] = Seed(z, status, 1, step, basis[column], pivot, polish, point)
     return sorted(seeds, key=lambda s: _order_key(s.eigenvalue_scaled, spread))
 
 

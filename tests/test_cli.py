@@ -4,10 +4,11 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from lgmirror import cli
 
@@ -278,6 +279,13 @@ def test_byte_identical_reports(tmp_path):
 # -- the report writer -----------------------------------------------------------
 
 floats = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+
+
+def rows_of(items):
+    """Non-empty lists of equal-length, non-empty lists of `items`."""
+    return st.integers(1, 4).flatmap(lambda width: st.lists(st.lists(items, min_size=width, max_size=width), min_size=1, max_size=6))
+
+
 leaves = st.one_of(
     st.none(),
     st.booleans(),
@@ -291,6 +299,12 @@ leaves = st.one_of(
     # the plain lists that the writer joins in one step
     st.lists(floats | st.integers()),
     st.lists(st.text()),
+    # the number rows that the writer fills into one template, and the rows
+    # it must write one by one: bools, numpy floats, ragged or empty rows, tuples
+    rows_of(floats | st.integers()),
+    rows_of(floats | st.integers() | st.booleans() | floats.map(np.float64)),
+    st.lists(st.lists(floats | st.integers(), max_size=3), min_size=1),
+    rows_of(floats | st.integers()).map(lambda rows: [tuple(row) for row in rows]),
 )
 payloads = st.recursive(
     leaves,
@@ -303,6 +317,12 @@ payloads = st.recursive(
 
 
 @given(payloads)
+@example([[0.5, -0.0], [3, 1e300]])
+@example({"b": [[1.0, float("nan")], [2.0, 3.0]], "v": [[float("inf"), -1], [0, float("-inf")]]})
+@example([[1, True], [0, False]])
+@example([[1.0, np.float64(2.5)]])
+@example([[1.0, 2.0], [3.0], []])
+@example([(1.0, 2.0), (3.0, 4.0)])
 def test_writer_is_json_dumps_sorted_and_indented(payload):
     assert cli._json(payload) == json.dumps(payload, sort_keys=True, indent=2)
 
@@ -342,6 +362,17 @@ def test_divisor_redraw_counted(capsys):
         code, out = run(capsys, "verify", suite, "--m", "3", "--trials", "3", "--seed", "4")
         assert code == 0
         assert json.loads(out)["divisor_redraws"] == 0, suite
+
+
+def test_a_points_records_share_one_coordinate_list():
+    """The m - 1 `fj` records of a point hold one list of its coordinates,
+    not a copy each, so a long run keeps one per point."""
+    records = cli._suite_records("fj", 4, Fraction(1), 3, 5)
+    assert len(records) == 3 * 3
+    for k in range(3):
+        lists = {id(r["b"]) for r in records if r["instance"] == k}
+        assert len(lists) == 1
+    assert len({id(r["b"]) for r in records}) == 3
 
 
 def test_fj_builds_no_pluecker_vector(capsys, monkeypatch):
@@ -782,16 +813,17 @@ seen["loaded"] = sorted(name for name in sys.modules if name.startswith("lgmirro
 print(json.dumps(seen))
 """
 
-# (suite, m, largest --trials): min(1000, 25 * 2^(limit - m))
+# (suite, m, largest --trials): min(1000, 25 * STEP^(limit - m)), STEP 2 and 1.5 for fj
 TRIALS_BOUNDS = [
     ("theorem-w", 14, 25), ("theorem-w", 12, 100), ("theorem-w", 8, 1000), ("pi-map", 14, 25),
     ("chevalley", 13, 50), ("subword", 12, 25), ("subword", 9, 200), ("em", 11, 200),
-    ("minors", 2, 1000), ("fj", 15, 800), ("fj", 14, 1000),
+    ("minors", 2, 1000), ("fj", 20, 25), ("fj", 19, 37), ("fj", 15, 189), ("fj", 14, 284),
+    ("fj", 13, 427), ("fj", 11, 961), ("fj", 10, 1000),
 ]
 
 
 def test_verify_rejects_trials_past_the_cost_limit(capsys):
-    """`verify --trials` past min(1000, 25 * 2^(limit - m)) exits 2 naming
+    """`verify --trials` past min(1000, 25 * STEP^(limit - m)) exits 2 naming
     the bound, before any module of the suite is loaded; the bound passes
     the guard; `critical` ignores --trials and has no such bound; --help
     states the rule."""
@@ -806,7 +838,9 @@ def test_verify_rejects_trials_past_the_cost_limit(capsys):
     }
     with pytest.raises(SystemExit):
         cli.main(["verify", "--help"])
-    assert "at most min(1000, 25*2^(LIMIT-m)) --trials" in " ".join(capsys.readouterr().out.split())
+    assert "at most min(1000, 25*STEP^(LIMIT-m)) --trials, 25 at the limit, with STEP 2 (fj 1.5)" in " ".join(
+        capsys.readouterr().out.split()
+    )
 
 
 def test_critical_rejects_m_past_the_cost_limit(capsys):

@@ -386,6 +386,52 @@ def probe_oracle(m, q, l, points):
     return worst
 
 
+# -- oracle: the peel one row at a time, stopping at its blocking step ------------
+
+
+def peel_row(v, m):
+    """(b, blocked, step, column, pivot) of one Pluecker vector `v`, as peel
+    defines them; the peel stops at a blocking step, so b stays NaN from it on."""
+    factors, columns = jb._peel_plan(m)
+    b = np.full(len(factors), np.nan, dtype=complex)
+    pivot = np.abs(v[0]) / np.abs(v).max()
+    if pivot < jb.PIVOT_TOL:
+        return b, True, 0, 0, pivot
+    p = v / v[0]
+    scale = np.abs(p).max()
+    step = column = 0
+    for k, ((rows, cols), open_cols) in enumerate(zip(factors, columns), start=1):
+        pf = np.zeros_like(p)
+        pf[cols] = p[rows]
+        at = open_cols[np.argmax(np.abs(pf[open_cols]))]
+        rel = np.abs(pf[at]) / scale
+        if rel < pivot:
+            step, column, pivot = k, at, rel
+        if rel < jb.PIVOT_TOL:
+            return b, True, step, column, pivot
+        b[k - 1] = p[at] / pf[at]
+        p = p - b[k - 1] * pf
+    return b, False, step, column, pivot
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7, 8])
+def test_peel_is_the_row_by_row_peel(m):
+    """Every eigenvector of sigma_1*, blocked or not, peels as it does alone:
+    the same blocked, step, column and pivot, and the same b, NaN from a
+    blocking step on."""
+    steps = set()
+    for q in (1.0, 81.0, 1e-12, 1e12):
+        _, vectors = np.linalg.eig(jb.sigma1_matrix(m, complex(q)).T)
+        cut = jb.peel(vectors.T, m)
+        for k, v in enumerate(vectors.T):
+            b, blocked, step, column, pivot = peel_row(v, m)
+            assert np.array_equal(cut.b[k], b, equal_nan=True), (q, k)
+            assert (cut.blocked[k], cut.step[k], cut.column[k], cut.pivot[k]) == (blocked, step, column, pivot), (q, k)
+            steps.add((blocked, step > 0))
+    # rows blocked at p_empty (q = 1e12) and at a later step both occur, and torus rows
+    assert {(True, False), (True, True), (False, True)} <= steps
+
+
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
 def test_pluecker_rows_match_the_exact_spin_route_and_peel_back(m):
     stream = cli.rational_stream(70 + m)
