@@ -17,16 +17,17 @@ layer (`jacobi`) reads the exact spin tables once, as floats, and
 computes in numpy.  `EXACT` is the one `ScalarRing`: the zero, the one
 and the embedding of Q, for callers that read them there rather than
 from `QSqrt2`.  `Combination` is the one sparse container of the
-package, a linear combination that keeps no zero coefficient: the
-Clifford, exterior and spin elements of `clifford` (rational
-coefficients) and the quantum classes of `qchevalley` (integer
-coefficients) are its subclasses.
+package, a linear combination that keeps no zero coefficient; its
+subclasses are `CliffordElement`, `ExteriorElement`, `SpinVector`,
+`EndSpin` and `SymSquare` of `clifford` (rational coefficients),
+`CohClass` of `qchevalley` and `Laurent` (integer polynomials in b).
 `splitmix64` draws every random number.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence, TypeVar, Union
 
@@ -312,6 +313,37 @@ class Combination:
         if not c:
             return self._with({})
         return self._with({k: v * c for k, v in self.coeffs.items()})
+
+
+class Laurent(Combination):
+    """Integer polynomial in b_1..b_N by exponent tuple; also 0 + x, 0 - x and k * x."""
+
+    def __init__(self, coeffs: dict) -> None:
+        self.coeffs = coeffs
+
+    @classmethod
+    def variables(cls, n: int) -> list[Laurent]:
+        return [cls({tuple(int(i == k) for i in range(n)): 1}) for k in range(n)]
+
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
+
+    def __radd__(self, zero: int) -> Laurent:
+        return self if zero == 0 else NotImplemented
+
+    def __rsub__(self, zero: int) -> Laurent:
+        return self.scale(-1) if zero == 0 else NotImplemented
+
+    def __mul__(self, other: Laurent | int) -> Laurent:
+        if isinstance(other, int):
+            return self.scale(other)
+        out = Laurent({})
+        for e, c in self.coeffs.items():
+            for f, d in other.coeffs.items():
+                out.add_term(tuple(map(operator.add, e, f)), c * d)
+        return out
+
+    __rmul__ = __mul__
 
 
 def splitmix64(state: int):

@@ -12,11 +12,11 @@ pullback identity W = W-tilde, the minor identities, the numerator
 identity behind the e^t-term, and the agreement of the two Pluecker
 routes, all exactly.
 
-Both routes and both forms of W are written once, over plain numbers: the
-sweep starts from the int 1 and every sum from the int 0, so they run on
-ints, Fractions or QSqrt2 alike.  The verify helpers run them on integers,
-by the grading.  Let b be rational, D the lcm of its denominators and
-a = D b (`scalars.lift`).  Then:
+Both routes and both forms of W are written once, over plain numbers: each
+route starts from the int 1 and every sum from the int 0, so they run on
+ints, Fractions, QSqrt2 or (but for the division of W) `scalars.Laurent`
+alike.  The verify helpers run them on integers, by the grading.  Let b be
+rational, D the lcm of its denominators and a = D b (`scalars.lift`).  Then:
 - each spin move takes a partition to one with one box fewer
   (`grouprep.spin_f_moves` checks its table against the move rule,
   which implies this), so the sweep at a gives
@@ -76,11 +76,6 @@ def plucker_vector(b: list, m: int, ring: ScalarRing = EXACT) -> dict[StrictPart
     return {lam: row.get(s, 0) for lam, s in zip(pt.all_strict_partitions(m), pt.all_subsets(m))}
 
 
-def _subword_sums(b: list, m: int, target: tuple[int, ...] | None = None) -> dict:
-    """The W^P programme valuing each subword by its product of b's."""
-    return wy.wp_subword_sums(wy.coordinate_word(b, m), m, 1, lambda value, p: value * b[p - 1], target)
-
-
 def plucker_subword_vector(b: list, m: int) -> dict[StrictPartition, object]:
     """All 2^m Pluecker coordinates as sums of b-monomials over reduced subwords.
 
@@ -89,7 +84,7 @@ def plucker_subword_vector(b: list, m: int) -> dict[StrictPartition, object]:
     the product of the selected b's; one W^P dynamic programme gives all
     of them.
     """
-    sums = _subword_sums(b, m)
+    sums = wy.wp_subword_sums(wy.coordinate_word(b, m), b, m)
     return {lam: sums.get(s, 0) for lam, s in zip(pt.all_strict_partitions(m), pt.all_subsets(m))}
 
 
@@ -199,7 +194,7 @@ def laurent_numerator(b: list, m: int):
     route, from the programme kept to the states that can reach it.
     """
     target = pt.to_subset(pt.rho(m - 1, m))
-    return _subword_sums(b, m, target).get(target, 0)
+    return wy.wp_subword_sums(wy.coordinate_word(b, m), b, m, target).get(target, 0)
 
 
 def eval_W_tilde(q, b: list, m: int):

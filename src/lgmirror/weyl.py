@@ -9,7 +9,7 @@ partition indexing it (`partitions.to_subset`); its length is the size of
 that partition.  `one_line` gives its images (w(1), ..., w(m)).  The
 signed-permutation group itself is a test oracle for the rules here.  One
 dynamic programme over W^P, `wp_subword_sums`, serves every reduced-subword
-job: sums or subword lists as values, over all states or kept to a target.
+job: products of the b_k as values, over all states or kept to a target.
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Sequence
 
-from lgmirror.partitions import StrictPartition, all_subsets, rho, to_subset
+from lgmirror.partitions import all_subsets, rho, to_subset
+from lgmirror.scalars import Laurent
 
 
 def one_line(subset: tuple[int, ...], m: int) -> tuple[int, ...]:
@@ -68,19 +69,17 @@ def wp_transitions(m: int) -> dict[tuple[int, ...], tuple[tuple[int, ...] | None
     return table
 
 
-def wp_subword_sums(
-    word: Sequence[int], m: int, one, extend, target: tuple[int, ...] | None = None
-) -> dict[tuple[int, ...], object]:
+def wp_subword_sums(word: Sequence[int], b: Sequence, m: int, target: tuple[int, ...] | None = None) -> dict:
     """Suffix dynamic programme over W^P, one pass over `word`.
 
     Returns {negative subset of v: sum over the reduced subwords of `word`
-    that spell v in W^P of the chain value of that subword}.  The word is
-    read right to left; a state v taking the letter at position p becomes
-    s_{word[p]} v when `wp_transitions` allows it, and its value x becomes
-    extend(x, p).  The empty subword has value `one`.  Every right factor
-    of an element of W^P lies in W^P and every suffix of a reduced word is
-    reduced, so the 2^m states of W^P see every reduced subword whose
-    product lies in W^P, and only those.
+    that spell v in W^P of the product of the b's at their positions}.  The
+    word is read right to left; a state v taking the letter at position p
+    becomes s_{word[p]} v when `wp_transitions` allows it, and its value x
+    becomes x * b[p - 1], from the int 1 of the empty subword.  Every right
+    factor of an element of W^P lies in W^P and every suffix of a reduced
+    word is reduced, so the 2^m states of W^P see every reduced subword
+    whose product lies in W^P, and only those.
 
     A step at position p is kept only into a state of alive[p - 1]: those
     from which the letters at positions p - 1, ..., 1 can still spell the
@@ -91,13 +90,13 @@ def wp_subword_sums(
         raise ValueError(f"word {tuple(word)} has a letter outside 1..{m}")
     steps = wp_transitions(m)
     alive = [steps] * (len(word) + 1) if target is None else _alive(tuple(word), m, target)
-    sums = {(): one}
+    sums = {(): 1}
     for p in range(len(word), 0, -1):
-        letter = word[p - 1]
+        letter, bp = word[p - 1], b[p - 1]
         for state, value in list(sums.items()):
             nxt = steps[state][letter - 1]
             if nxt in alive[p - 1]:
-                term = extend(value, p)
+                term = value * bp
                 sums[nxt] = sums[nxt] + term if nxt in sums else term
     return sums
 
@@ -114,26 +113,15 @@ def _alive(word: tuple[int, ...], m: int, target: tuple[int, ...]) -> tuple[froz
     return tuple(alive)
 
 
-def reduced_subwords(word: Sequence[int], lam: StrictPartition) -> tuple[tuple[int, ...], ...]:
-    """All position subsets of `word` spelling a reduced expression of the
-    element of W^P indexed by `lam`.
-
-    Positions are 1-based and returned sorted; the subword read in
-    increasing position order multiplies to that element using exactly
-    |lam| letters.  The subwords are the list values of the W^P dynamic
-    programme, pruned to the target.
-    """
-    target = to_subset(lam)
-    sums = wp_subword_sums(word, lam.m, [()], lambda tails, p: [(p,) + t for t in tails], target)
-    return tuple(sorted(sums.get(target, ())))
-
-
 def complement_subwords(m: int) -> tuple[tuple[int, ...], ...]:
     """Position subsets S of the canonical word, |S| = N - m, with
     (subword at S) * s_1 s_2 ... s_m a reduced expression of w^P.
 
     Since |S| + m = ell(w^P), the product equals w^P iff the combined word
     is reduced; the subword at S then spells w^P s_m ... s_1, the element
-    of W^P indexed by the staircase rho_{m-1}.  Sorted lexicographically.
+    of W^P indexed by the staircase rho_{m-1}: the monomials of N(b) over
+    the b_k, lexicographic as position sets, descending as exponents.
     """
-    return reduced_subwords(canonical_wp_word(m), rho(m - 1, m))
+    word, target = canonical_wp_word(m), to_subset(rho(m - 1, m))
+    poly = wp_subword_sums(word, Laurent.variables(len(word)), m, target)[target]
+    return tuple(tuple(k for k, e in enumerate(exps, 1) if e) for exps in sorted(poly.coeffs, reverse=True))

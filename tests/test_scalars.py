@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import fractionpairs as fp
-from lgmirror.scalars import EXACT, QSqrt2
+from lgmirror.scalars import EXACT, Laurent, QSqrt2
 
 fractions = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 qsqrt2s = st.builds(QSqrt2, fractions, fractions)
@@ -15,6 +15,12 @@ rationals = st.one_of(st.integers(-50, 50), st.fractions(max_denominator=60))
 def test_sqrt2_squares_to_two():
     r = QSqrt2.sqrt2()
     assert r * r == QSqrt2(2)
+
+
+def test_laurent_starts_from_the_ints():
+    x, y = Laurent.variables(2)
+    assert 0 + x == 1 * x == x * 1 and 0 - x == x * -1 and not x - x and not x * 0
+    assert (x + y) * (x - y) == x * x - y * y == Laurent({(2, 0): 1, (0, 2): -1})
 
 
 def test_multiplication_identity_and_conjugate_product():

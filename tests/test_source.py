@@ -62,17 +62,27 @@ def _trees(folder: str) -> dict[str, ast.Module]:
     return out
 
 
+def _imports_of(package: str) -> list[str]:
+    """file:line of every import of `package`, or of a module in it, in src/."""
+    return [
+        f"{name}:{node.lineno}"
+        for name, tree in _trees(SRC).items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import) and any(a.name.split(".")[0] == package for a in node.names)
+        or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == package
+    ]
+
+
 def test_no_dataclasses_import():
     """A fresh command would pay 10 ms for `dataclasses` (it loads `inspect`,
     `ast` and `dis`); plain classes and `typing.NamedTuple` do its job."""
-    found = []
-    for name, tree in _trees(SRC).items():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                found += [f"{name}:{node.lineno}" for a in node.names if a.name.split(".")[0] == "dataclasses"]
-            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "dataclasses":
-                found.append(f"{name}:{node.lineno}")
-    assert found == [], f"dataclasses imported at {found}"
+    assert _imports_of("dataclasses") == []
+
+
+def test_no_sympy_import():
+    """sympy serves only the benchmark's reference checks (perfbench/): the
+    exact polynomials of src/ are `scalars.Laurent`."""
+    assert _imports_of("sympy") == []
 
 
 def test_one_json_writer():

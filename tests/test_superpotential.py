@@ -9,9 +9,9 @@ from lgmirror import grouprep as gr
 from lgmirror import jacobi as jb
 from lgmirror import partitions as pt
 from lgmirror import superpotential as sp
-from lgmirror import weyl as wy
-from lgmirror.scalars import EXACT, QSqrt2, lift
+from lgmirror.scalars import EXACT, Laurent, QSqrt2, lift
 from multistart import w_tilde_value
+from test_weyl import monomial_sum, subwords
 
 ring = EXACT
 
@@ -50,12 +50,16 @@ def test_plucker_subword_m2():
 
 
 def test_spin_equals_subword_routes():
-    for m in (2, 3, 4):
-        stream = cli.rational_stream(31)
-        for _ in range(4):
-            bs = cli.sample_b(m, stream)
-            b = sp.ring_vector(bs, ring)
-            assert sp.plucker_vector(b, m, ring) == sp.plucker_subword_vector(b, m)
+    """Over the variables b_k both routes give the same 2^m polynomials for
+    m <= 6; for m <= 5 these give the spin route's values at 20 points."""
+    for m in range(2, 7):
+        n = m * (m + 1) // 2
+        polys = sp.plucker_subword_vector(Laurent.variables(n), m)
+        assert sp.plucker_vector(Laurent.variables(n), m) == polys, m
+        stream = cli.rational_stream(70 + m)
+        for _ in range(20 if m <= 5 else 0):
+            b = cli.sample_b(m, stream)
+            assert {lam: monomial_sum(subwords(p, n), b) for lam, p in polys.items()} == sp.plucker_vector(b, m)
 
 
 def test_denominator_and_numerator_m2():
@@ -84,55 +88,17 @@ def test_divisor_error():
         sp.eval_W_tilde(frac(1), b, m)
 
 
-class Poly:
-    """Exact polynomial in b_1..b_N: {exponent vector: nonzero integer coefficient}."""
-
-    def __init__(self, terms: dict):
-        self.terms = {e: c for e, c in terms.items() if c}
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, 0) + c
-        return Poly(out)
-
-    def __mul__(self, other):
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                out[e] = out.get(e, 0) + c1 * c2
-        return Poly(out)
-
-    def scaled(self, k: int):
-        return Poly({e: k * c for e, c in self.terms.items()})
-
-
-def symbolic_plucker(m: int) -> dict:
-    """p(b) with b symbolic, by the subword route: the W^P programme valuing
-    each subword by its product of the variables b_k."""
-    n = m * (m + 1) // 2
-    variables = [Poly({tuple(int(i == k) for i in range(n)): 1}) for k in range(n)]
-    sums = wy.wp_subword_sums(wy.canonical_wp_word(m), m, Poly({(0,) * n: 1}), lambda v, k: v * variables[k - 1])
-    return {lam: sums[s] for lam, s in zip(pt.all_strict_partitions(m), pt.all_subsets(m))}
-
-
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
 def test_every_divisor_is_a_monomial_on_the_torus_chart(m):
     """Each D_l(u2bar(b)) is one monomial in b with coefficient 1, D_0 = 1 and
     D_m = b_1...b_N: a point with no zero coordinate lies off every divisor."""
     n = m * (m + 1) // 2
-    p = symbolic_plucker(m)
+    p = sp.plucker_subword_vector(Laurent.variables(n), m)
     monomials = []
-    for term in sp.symbolic_W(m):
-        den = Poly({})
-        for sign, factors in term.denominator:
-            prod = p[factors[0]]
-            for lam in factors[1:]:
-                prod = prod * p[lam]
-            den = den + prod.scaled(sign)
-        assert list(den.terms.values()) == [1], (m, den.terms)
-        monomials.append(next(iter(den.terms)))
+    for l in range(len(sp.symbolic_W(m))):
+        den = Laurent({(0,) * n: 1}) * sp.eval_denominator(l, p, m)  # D_0 is the int 1
+        assert list(den.coeffs.values()) == [1], (m, den.coeffs)
+        monomials.append(next(iter(den.coeffs)))
     assert monomials[0] == (0,) * n and monomials[-1] == (1,) * n
 
 
@@ -277,15 +243,13 @@ def test_integer_route_agrees_with_the_sqrt2_route(m):
 
 
 def test_subword_count_equals_plucker_at_ones():
-    from lgmirror import weyl as wy
-
     for m in (2, 3, 4):
-        ones = sp.ring_vector([1] * (m * (m + 1) // 2), ring)
-        word = wy.canonical_wp_word(m)
+        n = m * (m + 1) // 2
+        ones = sp.ring_vector([1] * n, ring)
+        symbolic = sp.plucker_subword_vector(Laurent.variables(n), m)
         p = sp.plucker_vector(ones, m, ring)
         for lam in pt.all_strict_partitions(m):
-            count = len(wy.reduced_subwords(word, lam))
-            assert p[lam] == frac(count)
+            assert p[lam] == frac(len(subwords(symbolic[lam], n)))
 
 
 def test_numeric_w_tilde_matches_exact():

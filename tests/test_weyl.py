@@ -10,7 +10,7 @@ from lgmirror import cli
 from lgmirror import partitions as pt
 from lgmirror import superpotential as sp
 from lgmirror import weyl as wy
-from lgmirror.scalars import EXACT
+from lgmirror.scalars import EXACT, Laurent
 from test_grouprep import build_u2bar_spin
 from test_qchevalley import times_reflection
 
@@ -58,12 +58,20 @@ def oracle_complement_subwords(m: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
+def subwords(value, n: int) -> tuple[tuple[int, ...], ...]:
+    """The monomials of a programme value over Laurent.variables(n), or of its
+    ints 1 and 0, as sorted position sets; each has coefficient 1, exponents 0/1."""
+    coeffs = (Laurent({(0,) * n: 1}) * value).coeffs
+    assert all(c == 1 and set(exps) <= {0, 1} for exps, c in coeffs.items()), coeffs
+    return tuple(sorted(tuple(k for k, e in enumerate(exps, 1) if e) for exps in coeffs))
+
+
 @lru_cache(maxsize=None)
 def oracle_subwords_by_state(word: tuple[int, ...], m: int) -> dict[tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """The reduced subwords of `word` for every state of W^P at once: the
-    W^P programme listing subwords, unpruned."""
-    sums = wy.wp_subword_sums(word, m, [()], lambda tails, p: [(p,) + t for t in tails])
-    return {state: tuple(sorted(subwords)) for state, subwords in sums.items()}
+    monomials of the unpruned programme over the variables."""
+    sums = wy.wp_subword_sums(word, Laurent.variables(len(word)), m)
+    return {state: subwords(value, len(word)) for state, value in sums.items()}
 
 
 def is_min_coset_rep(w: wg.SignedPermutation) -> bool:
@@ -72,11 +80,11 @@ def is_min_coset_rep(w: wg.SignedPermutation) -> bool:
     return all(wg.length(w * wg.simple_reflection(i, w.m)) > lw for i in range(1, w.m))
 
 
-def monomial_sum(subwords, b):
-    total = EXACT.zero
-    for positions in subwords:
-        term = EXACT.one
-        for p in positions:
+def monomial_sum(positions, b):
+    total = 0
+    for subword in positions:
+        term = 1
+        for p in subword:
             term = term * b[p - 1]
         total = total + term
     return total
@@ -93,7 +101,7 @@ def check_routes_against_oracles(m: int, bs: list[Fraction]) -> None:
     dp = sp.plucker_subword_vector(b, m)
     for lam in pt.all_strict_partitions(m):
         oracle = oracle_reduced_subwords(word, wg.coset_min_rep(lam))
-        assert wy.reduced_subwords(word, lam) == oracle, lam
+        assert oracle_subwords_by_state(word, m)[pt.to_subset(lam)] == oracle, lam
         assert sweep[lam] == spin.get(((), pt.to_subset(lam)), EXACT.zero) == dp[lam] == monomial_sum(oracle, b), lam
     assert wy.complement_subwords(m) == oracle_complement_subwords(m)
     assert sp.laurent_numerator(b, m) == monomial_sum(oracle_complement_subwords(m), b)
@@ -204,10 +212,9 @@ def test_min_coset_projection():
 
 
 def test_reduced_subwords():
-    # the targets s_2, the identity and w^P of m = 2
-    assert wy.reduced_subwords((2, 1, 2), pt.partition((1,), 2)) == ((1,), (3,))
-    assert wy.reduced_subwords((2, 1, 2), pt.empty(2)) == ((),)
-    assert wy.reduced_subwords((2, 1, 2), pt.partition((2, 1), 2)) == ((1, 2, 3),)
+    # every target of m = 2: the identity, s_2, s_1 s_2 and w^P
+    listing = {(): ((),), (2,): ((1,), (3,)), (1,): ((2, 3),), (1, 2): ((1, 2, 3),)}
+    assert oracle_subwords_by_state((2, 1, 2), 2) == listing
 
 
 def test_reduced_subwords_are_reduced_expressions():
@@ -215,7 +222,7 @@ def test_reduced_subwords_are_reduced_expressions():
     word = wy.canonical_wp_word(m)
     for lam in pt.all_strict_partitions(m):
         target = wg.coset_min_rep(lam)
-        for positions in wy.reduced_subwords(word, lam):
+        for positions in oracle_subwords_by_state(word, m)[pt.to_subset(lam)]:
             assert len(positions) == lam.size
             assert wg.word_product([word[p - 1] for p in positions], m) == target
 
@@ -240,14 +247,11 @@ def test_pruned_subwords_match_the_all_state_listing(m):
     word = wy.canonical_wp_word(m)
     listing = oracle_subwords_by_state(word, m)
     b = sp.ring_vector(cli.sample_b(m, cli.rational_stream(40 + m)))
-
-    def value(x, p):
-        return x * b[p - 1]
-
-    sums = wy.wp_subword_sums(word, m, EXACT.one, value)
+    sums = wy.wp_subword_sums(word, b, m)
     for subset in pt.all_subsets(m):
-        assert wy.reduced_subwords(word, pt.from_subset(subset, m)) == listing.get(subset, ()), subset
-        pruned = wy.wp_subword_sums(word, m, EXACT.one, value, subset)
+        kept = wy.wp_subword_sums(word, Laurent.variables(len(word)), m, subset)
+        assert subwords(kept.get(subset, 0), len(word)) == listing.get(subset, ()), subset
+        pruned = wy.wp_subword_sums(word, b, m, subset)
         assert pruned.get(subset) == sums.get(subset), subset
     assert wy.complement_subwords(m) == listing[pt.to_subset(pt.rho(m - 1, m))]
 
@@ -270,10 +274,10 @@ def test_pruning_table_is_built_once_per_target():
 
 
 def test_reduced_subwords_reject_target_outside_wp():
-    """The target is a strict partition, so it always lies in W^P; a word
-    with a letter outside 1..m is still rejected."""
+    """The target is a subset, so it always lies in W^P; a word with a
+    letter outside 1..m is still rejected."""
     with pytest.raises(ValueError):
-        wy.reduced_subwords((1, 4), pt.empty(3))
+        wy.wp_subword_sums((1, 4), Laurent.variables(2), 3, ())
 
 
 @pytest.mark.parametrize("m", range(1, 7))
