@@ -27,6 +27,10 @@ the function that runs it: `verify pi-map` `clifford`, `verify chevalley`
 `critical` the numerical layer (`jacobi`, and with it numpy); a fresh
 process compiles and loads nothing else.  `critical` is deterministic
 without a seed and, past their checks, ignores --trials and --seed.
+`main` hands the flags after a command name straight to that command's
+parser, which gives the namespace, messages and exits of the top parser
+at less cost; anything else (no arguments, -h, an unknown command) goes
+through the top parser.
 Exit codes: 0 success, 1 verification failure, 2 usage error.  Usage
 errors are found from the parsed flags before any work (where `--t` becomes
 q, once): among them an `--m` past the command's cost limit
@@ -300,9 +304,14 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational: {text}") from exc
 
 
-@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of the process: parsing reads it and changes nothing."""
+    return _parsers()[0]
+
+
+@lru_cache(maxsize=None)
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top parser and, by command name, the parser of each command."""
     parser = argparse.ArgumentParser(
         prog="lgmirror",
         description="Landau-Ginzburg superpotential of LG(m): construction and exact verification",
@@ -334,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_crit = sub.add_parser("critical", help=crit_help, description=crit_help)
     common(p_crit)
     p_crit.add_argument("--tolerance", type=float, default=1e-6, help="largest relative error of the spectrum match")
-    return parser
+    return parser, sub.choices
 
 
 def _q_of_t(t: float) -> Fraction:
@@ -391,8 +400,21 @@ def _check(args: argparse.Namespace) -> None:
         _check_out(args.out)
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """build_parser().parse_args(argv): the same namespace, output and exit,
+    but the flags after a command name go straight to its own parser."""
+    commands = _parsers()[1]
+    if not argv or argv[0] not in commands:
+        return build_parser().parse_args(argv)
+    args, extra = commands[argv[0]].parse_known_args(argv[1:])
+    if extra:
+        build_parser().error(f"unrecognized arguments: {' '.join(extra)}")
+    args.command = argv[0]
+    return args
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     commands = {"print-w": cmd_print_w, "verify": cmd_verify, "critical": cmd_critical}
     try:
         _check(args)

@@ -17,11 +17,12 @@ carries 3, 8, 10, 30, 35 and 128 of the 2^m critical points for m = 2..7
 (1:0:0:-q), which has p_(2) = 0; at m = 5 the eigenvalue 0 is double.
 
 The module computes in numpy only: it reads grouprep's spin moves once, as
-the index arrays of _peel_plan, and applies each spin matrix to a stack of
-rows as one gather.  The conjecture probe evaluates the signed
-quadratic sums on the Pluecker rows of the critical points, which
-pluecker_rows computes as the peel's forward map over those factors; the
-identification sigma_lambda -> p_lambda/p_empty at critical points is
+the index arrays of _peel_plan, and applies each factor I + b F to a stack
+of rows in place, on F's target columns; the sigma_1 matrix is filled from
+per-m index arrays of qchevalley's table.  The conjecture probe evaluates
+the signed quadratic sums on the Pluecker rows of the critical points,
+which pluecker_rows computes as the peel's forward map over those factors;
+the identification sigma_lambda -> p_lambda/p_empty at critical points is
 standard mirror folklore rather than a proved statement, so deviations are
 reported as evidence, never asserted.
 """
@@ -115,15 +116,17 @@ def hess_w_tilde(b: np.ndarray, q: complex, mask: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _peel_plan(m: int) -> tuple[tuple[tuple[np.ndarray, np.ndarray], ...], tuple[np.ndarray, ...]]:
-    """The spin matrices F_{i_k}, k = 1..N, and for each k the columns that
-    the row e_empty (I + b_N F_{i_N}) ... (I + b_k F_{i_k}) reaches and the
-    same row without its factor k does not, both for generic b.
+def _peel_plan(m: int) -> tuple[tuple[tuple[np.ndarray, np.ndarray], ...], tuple[tuple[np.ndarray, np.ndarray], ...]]:
+    """The spin matrices F_{i_k}, k = 1..N, and for each k the moves of F_{i_k}
+    into the columns that the row e_empty (I + b_N F_{i_N}) ... (I + b_k F_{i_k})
+    reaches and the same row without its factor k does not, both for generic b.
 
-    F_i is stored as the index arrays (rows, cols) of its moves
-    (`grouprep.spin_f_moves`: exactly the move rule, so entries 1, each row
-    and column at most once, and F^2 = 0 as `peel` assumes),
-    so the product p F is the gather pf[:, cols] = p[:, rows] (`_times`).
+    A factor, and each part of one, is stored as the index arrays (rows, cols)
+    of its moves (`grouprep.spin_f_moves`: exactly the move rule, so entries
+    1, each row and column at most once, and F^2 = 0 as `peel` assumes), so
+    (p F)[:, cols] = p[:, rows] and p F is 0 in every other column: the
+    factor I + b F acts on a stack of rows p in place, as
+    p[:, cols] += b p[:, rows], and no target column is a source.
     """
     index = {s: k for k, s in enumerate(pt.all_subsets(m))}
     letters = []
@@ -134,21 +137,19 @@ def _peel_plan(m: int) -> tuple[tuple[tuple[np.ndarray, np.ndarray], ...], tuple
     factors = tuple(letters[i - 1] for i in wy.canonical_wp_word(m))
     reach = np.zeros(2**m, dtype=bool)
     reach[0] = True
-    columns = []
+    source = np.zeros(2**m, dtype=int)
+    opens = []
     for rows, cols in factors[::-1]:
         grown = reach.copy()
         grown[cols[reach[rows]]] = True
-        columns.append(np.flatnonzero(grown & ~reach))
+        opened = np.flatnonzero(grown & ~reach)
+        source[cols] = rows
+        part = source[opened], opened
+        for a in part:
+            a.flags.writeable = False
+        opens.append(part)
         reach = grown
-    return factors, tuple(columns[::-1])
-
-
-def _times(p: np.ndarray, factor: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """p F for a stack of rows p (S, 2^m) and one factor of _peel_plan."""
-    rows, cols = factor
-    pf = np.zeros_like(p)
-    pf[:, cols] = p[:, rows]
-    return pf
+    return factors, tuple(opens[::-1])
 
 
 def pluecker_rows(b_stack: np.ndarray, m: int) -> np.ndarray:
@@ -159,7 +160,8 @@ def pluecker_rows(b_stack: np.ndarray, m: int) -> np.ndarray:
     p = np.zeros((len(b_stack), 2**m), dtype=complex)
     p[:, 0] = 1.0
     for k in range(len(factors), 0, -1):
-        p += b_stack[:, k - 1, None] * _times(p, factors[k - 1])
+        rows, cols = factors[k - 1]
+        p[:, cols] += b_stack[:, k - 1, None] * p[:, rows]
     return p
 
 
@@ -196,7 +198,7 @@ def peel(v: np.ndarray, m: int) -> Peel:
     and b is NaN from the blocking step on: whatever inf or NaN the later
     steps of a blocked row make is never read.
     """
-    factors, columns = _peel_plan(m)
+    factors, opens = _peel_plan(m)
     n = len(factors)
     rows = np.arange(len(v))
     pivots = np.empty((len(v), n + 1))
@@ -206,15 +208,14 @@ def peel(v: np.ndarray, m: int) -> Peel:
         pivots[:, 0] = np.abs(v[:, 0]) / np.abs(v).max(axis=1)
         p = v / v[:, :1]
         scale = np.abs(p).max(axis=1)
-        for k, (f, cols) in enumerate(zip(factors, columns), start=1):
-            pf = _times(p, f)
-            open_pf = pf[:, cols]
+        for k, ((f_rows, f_cols), (open_rows, open_cols)) in enumerate(zip(factors, opens), start=1):
+            open_pf = p[:, open_rows]
             size = np.abs(open_pf)
             j = size.argmax(axis=1)
             pivots[:, k] = size[rows, j] / scale
-            at[:, k] = c = cols[j]
+            at[:, k] = c = open_cols[j]
             b[:, k - 1] = bk = p[rows, c] / open_pf[rows, j]
-            p -= bk[:, None] * pf
+            p[:, f_cols] -= bk[:, None] * p[:, f_rows]
         low = pivots < PIVOT_TOL
         blocked = low.any(axis=1)
         pivots[blocked[:, None] & (np.arange(n + 1) > low.argmax(axis=1)[:, None])] = np.inf
@@ -274,12 +275,21 @@ def spectrum_seeds(m: int, q: complex, tolerance: float = 1e-6) -> list[Seed]:
     cut = peel(vectors.T[simple], m)
     mask = torus_monomials(m)
     roots, converged = _polish(cut.b[~cut.blocked], q, mask)
-    # one evaluation for the stack; each gradient from its own row, as
-    # grad_w_tilde computes it for one point (a batched t M can differ in the
-    # last bits)
+    # one evaluation for the stack, and each grad_norm bit for bit that of
+    # grad_w_tilde at its own row: the stacked product (S, 1, T) @ (T, N) runs,
+    # slice by slice, the kernel of the one-point t @ M (a plain (S, T) @ (T, N)
+    # product can differ in the last bits), the norm is np.linalg.norm's dot of
+    # the real and imaginary parts, and `inv_done` has a name, so numpy cannot
+    # reuse it as a temporary and compute inv * q, which may round otherwise
+    # than q * inv at a complex q
     inv = 1.0 / roots
     terms = _terms(inv, mask)
-    polished = enumerate(zip(roots.tolist(), (roots.sum(-1) + q * terms.sum(-1)).tolist(), converged.tolist()))
+    inv_done = inv[converged]
+    g = 1.0 - q * inv_done * np.matmul(terms[converged, None, :], mask)[:, 0, :]
+    grad_norms = np.zeros(len(roots))
+    grad_norms[converged] = np.sqrt(np.vecdot(g.real, g.real) + np.vecdot(g.imag, g.imag))
+    values = (roots.sum(-1) + q * terms.sum(-1)).tolist()
+    polished = zip(roots.tolist(), values, converged.tolist(), grad_norms.tolist())
     basis = pt.all_strict_partitions(m)
     for e, blocked, step, column, pivot in zip(
         simple.tolist(), cut.blocked.tolist(), cut.step.tolist(), cut.column.tolist(), cut.pivot.tolist()
@@ -287,12 +297,11 @@ def spectrum_seeds(m: int, q: complex, tolerance: float = 1e-6) -> list[Seed]:
         z = eigenvalues[e]
         status, polish, point = "blocked", None, None
         if not blocked:
-            i, (coords, value, done) = next(polished)
+            coords, value, done, grad_norm = next(polished)
             status = "torus"
             if not done:
                 polish = "not_converged"
             elif _rel_err(value, z) < tolerance:
-                grad_norm = float(np.linalg.norm(1.0 - q * inv[i] * (terms[i] @ mask)))
                 polish, point = "converged", CriticalPoint(tuple(coords), value, grad_norm)
             else:
                 polish = "wrong_value"
@@ -337,14 +346,31 @@ def _rel_err(a: complex, b: complex) -> float:
     return abs(a - b) / max(1.0, abs(a), abs(b))
 
 
+@lru_cache(maxsize=None)
+def _sigma1_layers(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The terms c q^d sigma_mu of every sigma_1 * sigma_lambda as the arrays
+    (row mu, column lambda, coefficient c, degree d); built once per m,
+    shared, read-only.  By the degree law |mu| + (m+1) d = |lambda| + 1 no
+    (row, column) pair occurs twice."""
+    index = _position(m)
+    terms = [
+        (index[mu_], col, c, d)
+        for col, product in enumerate(qc.sigma1_table(m).values())
+        for (mu_, d), c in product.coeffs.items()
+    ]
+    layers = tuple(np.array(side) for side in zip(*terms))
+    for a in layers:
+        a.flags.writeable = False
+    return layers
+
+
 def sigma1_matrix(m: int, q_value: complex) -> np.ndarray:
     """Matrix of sigma_1 * in the Schubert basis (canonical subset order),
     entry (mu, lambda) = coefficient of sigma_mu in sigma_1 * sigma_lambda."""
-    index = _position(m)
-    out = np.zeros((len(index), len(index)), dtype=complex)
-    for col, product in enumerate(qc.sigma1_table(m).values()):
-        for (mu_, d), c in product.coeffs.items():
-            out[index[mu_], col] += c * q_value**d
+    rows, cols, coeffs, degrees = _sigma1_layers(m)
+    powers = np.array([q_value**d for d in range(int(degrees.max()) + 1)], dtype=complex)
+    out = np.zeros((2**m, 2**m), dtype=complex)
+    out[rows, cols] += coeffs * powers[degrees]
     return out
 
 

@@ -265,8 +265,9 @@ class Combination:
     """Sparse linear combination: key -> nonzero coefficient.
 
     `+`, `-` and `scale` return the caller's class with its other fields
-    unchanged; two combinations are equal when they have the same class and
-    equal fields.
+    unchanged (`+` and `-` with anything but a combination are a TypeError);
+    two combinations are equal when they have the same class and equal
+    fields.
     """
 
     def __init__(self, m: int, coeffs: dict | None = None) -> None:
@@ -298,12 +299,16 @@ class Combination:
             self.coeffs.pop(key, None)
 
     def __add__(self: C, other: C) -> C:
+        if not isinstance(other, Combination):
+            return NotImplemented
         out = self._with(dict(self.coeffs))
         for k, c in other.coeffs.items():
             out.add_term(k, c)
         return out
 
     def __sub__(self: C, other: C) -> C:
+        if not isinstance(other, Combination):
+            return NotImplemented
         out = self._with(dict(self.coeffs))
         for k, c in other.coeffs.items():
             out.add_term(k, -c)

@@ -148,6 +148,43 @@ def test_parser_is_built_once_and_reused(capsys):
     assert latex.startswith(r"\frac") and text.startswith("p[1]/p[]")
 
 
+PARSE_CASES = [
+    [],
+    ["-h"],
+    ["verify", "-h"],
+    ["critical", "-h"],
+    ["bogus"],
+    ["verify", "nosuch", "--m", "3"],
+    ["verify", "minors"],
+    ["critical", "--m", "x"],
+    ["critical", "--m", "3", "--q", "1", "--t", "0"],
+    ["verify", "pi-map", "--m", "2", "--tolerance", "1"],
+    ["critical", "--m", "3", "--extra"],
+    ["print-w", "--m", "3", "--format", "bad"],
+    ["critical", "--m=3"],
+    ["critical", "--m", "3", "--tol", "1e-3"],
+    ["verify", "fj", "--m", "4", "--q", "3/2", "--trials", "2", "--seed", "9", "--out", "r.json"],
+    ["print-w", "--m", "3", "--format", "latex"],
+]
+
+
+def _parsed(capsys, parse, argv):
+    """vars of the namespace, or the exit code, stdout and stderr of the exit."""
+    try:
+        result = vars(parse(list(argv)))
+    except SystemExit as exc:
+        result = exc.code
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", PARSE_CASES, ids=" ".join)
+def test_command_parse_is_the_top_parse(capsys, argv):
+    """main parses a command's flags with that command's parser: the same
+    namespace as the top parser's, or the same exit, stdout and stderr."""
+    assert _parsed(capsys, cli._parse, argv) == _parsed(capsys, cli.build_parser().parse_args, argv)
+
+
 def test_m_too_small_is_usage_error():
     assert cli.main(["verify", "theorem-w", "--m", "1"]) == 2
 

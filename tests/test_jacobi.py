@@ -8,6 +8,7 @@ from lgmirror import cli
 from lgmirror import clifford as cl
 from lgmirror import jacobi as jb
 from lgmirror import partitions as pt
+from lgmirror import qchevalley as qc
 from lgmirror import superpotential as sp
 from lgmirror import weyl as wy
 from lgmirror.scalars import splitmix64
@@ -50,6 +51,27 @@ def _hess_loop(b, q, mask):
                 if c != a:
                     hess[a, c] += q * v * inv[a] * inv[c]
     return hess
+
+
+# -- oracle: the sigma_1 matrix entry by entry ------------------------------------
+
+
+def sigma1_loop(m, q_value):
+    """sigma1_matrix summed one table entry at a time, c q^d into (mu, lambda)."""
+    index = {lam: k for k, lam in enumerate(pt.all_strict_partitions(m))}
+    out = np.zeros((len(index), len(index)), dtype=complex)
+    for col, product in enumerate(qc.sigma1_table(m).values()):
+        for (mu_, d), c in product.coeffs.items():
+            out[index[mu_], col] += c * q_value**d
+    return out
+
+
+@pytest.mark.parametrize("m", range(2, 10))
+def test_sigma1_matrix_is_the_entry_loop(m):
+    """The matrix filled from the per-m layers is the entry loop's, byte for
+    byte (signed zeros included)."""
+    for q in (1 + 0j, 2 + 1j, 81 + 0j, 1e-12 + 0j, 1e12 + 0j, -3.5 - 0.25j):
+        assert jb.sigma1_matrix(m, q).tobytes() == sigma1_loop(m, q).tobytes(), q
 
 
 def test_splitmix_deterministic():
@@ -328,6 +350,19 @@ def test_batched_evaluation_is_the_per_point_functions(m):
             assert p.grad_norm == float(np.linalg.norm(jb.grad_w_tilde(b, q, mask))), q
 
 
+def test_batched_gradient_norms_at_m9_and_a_complex_q():
+    """At m = 9 the stack of gradients passes 256 KiB, where numpy may compute
+    a product in place in a temporary operand with the operands swapped; at
+    a complex q that can round otherwise, and each norm must still be that
+    of grad_w_tilde at its own point."""
+    mask = jb.torus_monomials(9)
+    q = 0.5 - 0.7j  # 2 + i would not do: products by 2 and 1 are exact
+    points = spectrum_points(9, q)
+    assert len(points) * mask.shape[1] * 16 > 256 * 1024
+    for p in points:
+        assert p.grad_norm == float(np.linalg.norm(jb.grad_w_tilde(np.array(p.coords), q, mask)))
+
+
 def _leaves(value):
     if isinstance(value, dict):
         value = list(value.values())
@@ -392,7 +427,7 @@ def probe_oracle(m, q, l, points):
 def peel_row(v, m):
     """(b, blocked, step, column, pivot) of one Pluecker vector `v`, as peel
     defines them; the peel stops at a blocking step, so b stays NaN from it on."""
-    factors, columns = jb._peel_plan(m)
+    factors, opens = jb._peel_plan(m)
     b = np.full(len(factors), np.nan, dtype=complex)
     pivot = np.abs(v[0]) / np.abs(v).max()
     if pivot < jb.PIVOT_TOL:
@@ -400,7 +435,7 @@ def peel_row(v, m):
     p = v / v[0]
     scale = np.abs(p).max()
     step = column = 0
-    for k, ((rows, cols), open_cols) in enumerate(zip(factors, columns), start=1):
+    for k, ((rows, cols), (_, open_cols)) in enumerate(zip(factors, opens), start=1):
         pf = np.zeros_like(p)
         pf[cols] = p[rows]
         at = open_cols[np.argmax(np.abs(pf[open_cols]))]
@@ -459,25 +494,30 @@ def dense_spin_factors(m):
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
 def test_sparse_spin_factors_match_the_dense_product(m):
-    """The index-array factors of the peel plan give p F, and pluecker_rows
-    its Pluecker rows, bit for bit as the dense products; the reach columns
-    are those of the dense boolean sweep."""
+    """The index-array factors of the peel plan, applied in place as
+    p[:, cols] += b p[:, rows], give p (I + b F), and pluecker_rows its
+    Pluecker rows, bit for bit as the dense products; the open columns are
+    those of the dense boolean sweep, each read from its own source row."""
     dense = dense_spin_factors(m)
-    factors, columns = jb._peel_plan(m)
+    factors, opens = jb._peel_plan(m)
     b = draw_starts(len(dense), 6, 90 + m)
     p = np.zeros((len(b), 2**m), dtype=complex)
     p[:, 0] = 1.0
     for k in range(len(dense), 0, -1):
         pf = p @ dense[k - 1]
-        assert np.array_equal(jb._times(p, factors[k - 1]), pf), k
+        rows, cols = factors[k - 1]
+        in_place = p.copy()
+        in_place[:, cols] += b[:, k - 1, None] * in_place[:, rows]
         p += b[:, k - 1, None] * pf
+        assert np.array_equal(in_place, p), k
     assert (p != 0).all()  # generic b: every coordinate was compared nonzero
     assert np.array_equal(jb.pluecker_rows(b, m), p)
     reach = np.zeros(2**m, dtype=bool)
     reach[0] = True
-    for f, cols in zip(dense[::-1], columns[::-1]):
+    for f, (open_rows, open_cols) in zip(dense[::-1], opens[::-1]):
         grown = reach | (reach @ (f != 0))
-        assert np.array_equal(cols, np.flatnonzero(grown & ~reach))
+        assert np.array_equal(open_cols, np.flatnonzero(grown & ~reach))
+        assert (f[open_rows, open_cols] == 1).all()
         reach = grown
 
 

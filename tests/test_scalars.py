@@ -23,6 +23,16 @@ def test_laurent_starts_from_the_ints():
     assert (x + y) * (x - y) == x * x - y * y == Laurent({(2, 0): 1, (0, 2): -1})
 
 
+@pytest.mark.parametrize("other", [1, 0, 2.5, "x", None])
+def test_combination_with_a_non_combination_is_a_type_error(other):
+    """+ and - with anything but a Combination raise TypeError, as the ints do,
+    not an AttributeError on its coefficients."""
+    x = Laurent.variables(1)[0]
+    for op in (lambda: x + other, lambda: x - other):
+        with pytest.raises(TypeError):
+            op()
+
+
 def test_multiplication_identity_and_conjugate_product():
     x = QSqrt2(Fraction(3, 7), Fraction(-2, 5))
     assert QSqrt2(1) * x == x
