@@ -7,12 +7,15 @@ infinities spelled as json spells them, floats (float subclasses such as
 numpy.float64 too) by float.__repr__, strings ASCII-escaped, and TypeError
 on any other type.  It is not json.dumps because on Python 3.11 the C
 encoder serves only indent=None: an indented report goes through the
-pure-Python encoder, a quarter of a warm `critical --m 3`.  `_json` joins
-each list of plain numbers or strings in one C-level call instead, and
-fills a list of equal-length, non-empty lists of plain ints and floats
-(each complex number of a `critical` report is a two-item list) into one
-%-template of its rows.  Anything else, a nan or an infinity, a bool, a
-numpy float, a ragged row or a tuple, is written item by item.
+pure-Python encoder, a quarter of a warm `critical --m 3`.  `_json` writes
+a leaf through a table keyed by its exact type (str, int, float, bool,
+None), a subclass of str, int or float by isinstance, and each container's
+text in one join.  It joins each list of plain numbers or strings in one
+C-level call, and fills a list of equal-length, non-empty lists of plain
+ints and floats (each complex number of a `critical` report is a two-item
+list) into one %-template of its rows.  Anything else, a nan or an
+infinity, a bool, a numpy float, a ragged row or a tuple, is written item
+by item.
 Random exact sample points are drawn through splitmix64 with numerators
 in [-9, 9] \\ {0} and denominators in [1, 9].
 `sample_b` puts b on the torus (no coordinate 0), where every divisor
@@ -87,80 +90,78 @@ def sample_b(m: int, stream) -> list[Fraction]:
     return [next(stream) for _ in range(m * (m + 1) // 2)]
 
 
+# json's spelling of the floats whose repr it does not use
+_SPECIAL = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float(value: float) -> str:
+    text = float.__repr__(value)
+    return _SPECIAL.get(text, text)
+
+
+# the JSON text of a leaf, by its exact type
+_LEAVES = {str: _quote, int: int.__repr__, float: _float, bool: ("false", "true").__getitem__, type(None): lambda _: "null"}
+_NUMBERS = frozenset((int, float))
+
+
 def _scalar(value) -> str:
-    """The JSON text of a leaf, spelled and typed as `json` does it."""
-    if isinstance(value, str):
-        return _quote(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        if value != value:
-            return "NaN"
-        if value == math.inf:
-            return "Infinity"
-        if value == -math.inf:
-            return "-Infinity"
-        return float.__repr__(value)
+    """The JSON text of a leaf, spelled and typed as `json` does it: by its
+    exact type, or, for a subclass (numpy.float64), by isinstance."""
+    leaf = _LEAVES.get(type(value))
+    if leaf is not None:
+        return leaf(value)
+    for kind in (str, int, float):
+        if isinstance(value, kind):
+            return _LEAVES[kind](value)
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _write(value, chunks: list[str], pad: str) -> None:
-    """Append the JSON text of `value`, nested at indent `pad`, to `chunks`."""
+@lru_cache(maxsize=None)
+def _nested(pad: str) -> tuple[str, str]:
+    """The indent of a container's items at indent `pad`, and their separator."""
+    inner = pad + "  "
+    return inner, ",\n" + inner
+
+
+def _text(value, pad: str) -> str:
+    """The JSON text of `value`, nested at indent `pad`; a container's in
+    one join, each item a leaf of a type in _LEAVES or a nested _text."""
     if not isinstance(value, (list, tuple, dict)):
-        chunks.append(_scalar(value))
-    elif not value:
-        chunks.append("{}" if isinstance(value, dict) else "[]")
-    elif isinstance(value, dict):
-        inner = pad + "  "
-        sep = "{\n" + inner
-        for key, item in sorted(value.items()):
-            head = sep + _quote(key if isinstance(key, str) else _scalar(key)) + ": "
-            if isinstance(item, (list, tuple, dict)):
-                chunks.append(head)
-                _write(item, chunks, inner)
-            else:
-                chunks.append(head + _scalar(item))
-            sep = ",\n" + inner
-        chunks.append("\n" + pad + "}")
-    else:
-        inner = pad + "  "
-        sep = ",\n" + inner
-        chunks.append("[\n" + inner)
-        text = _joined(value, inner)
-        if text is not None:
-            chunks.append(text)
-        else:
-            for k, item in enumerate(value):
-                if k:
-                    chunks.append(sep)
-                _write(item, chunks, inner)
-        chunks.append("\n" + pad + "]")
+        return _scalar(value)
+    if not value:
+        return "{}" if isinstance(value, dict) else "[]"
+    inner, sep = _nested(pad)
+    get = _LEAVES.get
+    if isinstance(value, dict):
+        items = [
+            f"{_quote(k if isinstance(k, str) else _scalar(k))}: {leaf(v) if (leaf := get(type(v))) else _text(v, inner)}"
+            for k, v in sorted(value.items())
+        ]
+        return f"{{\n{inner}{sep.join(items)}\n{pad}}}"
+    text = None if type(value[0]) is dict else _joined(value, inner)
+    if text is None:
+        text = sep.join([leaf(v) if (leaf := get(type(v))) else _text(v, inner) for v in value])
+    return f"[\n{inner}{text}\n{pad}]"
 
 
 def _joined(items: list | tuple, pad: str) -> str | None:
     """The JSON text of the items of a non-empty list at indent `pad`, made
     in one C-level call, or None when they must be written one by one.  It
-    joins plain strings, plain ints and floats, and a list of equal-length,
+    joins plain ints and floats, plain strings, and a list of equal-length,
     non-empty lists of plain ints and floats (the report's complex numbers,
     written through one %-template)."""
     kinds = set(map(type, items))
-    if kinds == {str}:
-        return (",\n" + pad).join(map(_quote, items))
-    if kinds <= {int, float}:
+    if kinds <= _NUMBERS:
         text = (",\n" + pad).join(map(repr, items))
     elif kinds == {list} and len(widths := set(map(len, items))) == 1 and 0 not in widths:
         flat = [x for row in items for x in row]
-        if not set(map(type, flat)) <= {int, float}:
+        if not set(map(type, flat)) <= _NUMBERS:
             return None
         inner = pad + "  "
         template = "[\n" + inner + (",\n" + inner).join(["%r"] * len(items[0])) + "\n" + pad + "]"
         text = (",\n" + pad).join([template] * len(items)) % tuple(flat)
+    elif kinds == {str}:
+        return (",\n" + pad).join(map(_quote, items))
     else:
         return None
     # repr spells a plain int or float as json does, except nan and the
@@ -170,9 +171,7 @@ def _joined(items: list | tuple, pad: str) -> str | None:
 
 def _json(payload: dict) -> str:
     """Exactly json.dumps(payload, sort_keys=True, indent=2)."""
-    chunks: list[str] = []
-    _write(payload, chunks, "")
-    return "".join(chunks)
+    return _text(payload, "")
 
 
 def _emit(text: str, out: str | None) -> None:

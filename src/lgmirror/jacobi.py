@@ -8,18 +8,20 @@ qH*(LG(m)): a left eigenvector of the sigma_1 matrix, scaled to
 v_empty = 1, is the Pluecker point of the critical point of W with value
 (m+1) times its eigenvalue.  The chamber ansatz (Berenstein-Fomin-
 Zelevinsky 1996) peels that point back to torus coordinates b, and one
-batched plain Newton on the analytic gradient and Hessian of W-tilde
-polishes them.  An eigenvector whose peel meets a vanishing pivot
-lies off the torus; a multiple eigenvalue is not peeled, since a basis
-vector of its eigenspace is no Pluecker point.  At q = 1 and 2+i the torus
+batched plain Newton on the analytic gradient and Hessian of W-tilde, both
+from one evaluation of the monomials per step, polishes them.  An
+eigenvector whose peel meets a vanishing pivot lies off the torus; a
+multiple eigenvalue is not peeled, since a basis vector of its eigenspace
+is no Pluecker point.  At q = 1 and 2+i the torus
 carries 3, 8, 10, 30, 35 and 128 of the 2^m critical points for m = 2..7
 (pinned in tests/test_jacobi.py).  At m = 2 the missing one is
 (1:0:0:-q), which has p_(2) = 0; at m = 5 the eigenvalue 0 is double.
 
 The module computes in numpy only: it reads grouprep's spin moves once, as
-the index arrays of _peel_plan, and applies each factor I + b F to a stack
-of rows in place, on F's target columns; the sigma_1 matrix is filled from
-per-m index arrays of qchevalley's table.  The conjecture probe evaluates
+the index arrays of _peel_plan, and applies each factor I + b F in place to
+a C-ordered (2^m, S) stack whose columns are the vectors, so each move
+reads and writes whole rows; the sigma_1 matrix is filled from per-m index
+arrays of qchevalley's table.  The conjecture probe evaluates
 the signed quadratic sums on the Pluecker rows of the critical points,
 which pluecker_rows computes as the peel's forward map over those factors;
 the identification sigma_lambda -> p_lambda/p_empty at critical points is
@@ -80,32 +82,53 @@ def _position(m: int) -> dict[StrictPartition, int]:
     return {lam: k for k, lam in enumerate(pt.all_strict_partitions(m))}
 
 
+@lru_cache(maxsize=None)
+def _products(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The right operands of the products t M and t P, complex as the
+    products run: the monomial mask M = torus_monomials(m), and the pair
+    mask P (n_terms x N^2), 1 at (T, (a, c)) for a, c in T; built once per m,
+    shared, read-only."""
+    mask = torus_monomials(m)
+    n = mask.shape[1]
+    out = mask.astype(complex), (mask[:, :, None] & mask[:, None, :]).reshape(len(mask), n * n).astype(complex)
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
 def _terms(inv: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """The monomials t_T = prod_{k in T} 1/b_k, shape (..., n_terms)."""
     return np.prod(np.where(mask, inv[..., None, :], 1.0), axis=-1)
 
 
-def grad_w_tilde(b: np.ndarray, q: complex, mask: np.ndarray) -> np.ndarray:
+def grad_w_tilde(b: np.ndarray, q: complex, m: int, terms: np.ndarray | None = None) -> np.ndarray:
     """Analytic gradient: dW/db_j = 1 - q (1/b_j) sum_{T contains j} prod_{k in T} 1/b_k,
     i.e. 1 - q inv (t M) with M the monomial mask and t the monomial values.
 
     `b` is one point (N,) or a stack of points (S, N); the result has its shape.
+    `terms`, the monomial values t of `b`, are evaluated here unless the
+    caller passes them, as the Newton step does to share one evaluation with
+    hess_w_tilde.
     """
     inv = 1.0 / b
-    return 1.0 - q * inv * (_terms(inv, mask) @ mask)
+    if terms is None:
+        terms = _terms(inv, torus_monomials(m))
+    return 1.0 - q * inv * (terms @ _products(m)[0])
 
 
-def hess_w_tilde(b: np.ndarray, q: complex, mask: np.ndarray) -> np.ndarray:
+def hess_w_tilde(b: np.ndarray, q: complex, m: int, terms: np.ndarray | None = None) -> np.ndarray:
     """Analytic Hessian for one point (N,) or a stack (S, N), shape (..., N, N).
 
     d^2 t_T / db_a db_c = t_T (1/b_a)(1/b_c)(1 + [a = c]) for a, c in T, so
     H = q (M^T diag(t) M) o (inv inv^T) o (J + I), with M the monomial mask,
-    t the monomial values, inv = 1/b and J the all-ones matrix.
+    t the monomial values, inv = 1/b and J the all-ones matrix; t M^T M is
+    the product t P with the pair mask P.  `terms` as for grad_w_tilde.
     """
     n = b.shape[-1]
     inv = 1.0 / b
-    pairs = (mask[:, :, None] & mask[:, None, :]).reshape(len(mask), n * n)
-    hess = (_terms(inv, mask) @ pairs).reshape(b.shape + (n,))
+    if terms is None:
+        terms = _terms(inv, torus_monomials(m))
+    hess = (terms @ _products(m)[1]).reshape(b.shape + (n,))
     hess *= q
     hess *= inv[..., :, None] * inv[..., None, :]
     hess *= 1.0 + np.eye(n)
@@ -124,9 +147,11 @@ def _peel_plan(m: int) -> tuple[tuple[tuple[np.ndarray, np.ndarray], ...], tuple
     A factor, and each part of one, is stored as the index arrays (rows, cols)
     of its moves (`grouprep.spin_f_moves`: exactly the move rule, so entries
     1, each row and column at most once, and F^2 = 0 as `peel` assumes), so
-    (p F)[:, cols] = p[:, rows] and p F is 0 in every other column: the
-    factor I + b F acts on a stack of rows p in place, as
-    p[:, cols] += b p[:, rows], and no target column is a source.
+    (v F)[cols] = v[rows] and v F is 0 in every other coordinate.  `peel` and
+    `pluecker_rows` hold S vectors as the columns of a C-ordered (2^m, S)
+    stack p, whose row c is coordinate c of every vector: the factor
+    I + b F acts on it in place, as p[cols] += b p[rows], moving whole rows,
+    and no target coordinate is a source.
     """
     index = {s: k for k, s in enumerate(pt.all_subsets(m))}
     letters = []
@@ -154,24 +179,25 @@ def _peel_plan(m: int) -> tuple[tuple[tuple[np.ndarray, np.ndarray], ...], tuple
 
 def pluecker_rows(b_stack: np.ndarray, m: int) -> np.ndarray:
     """The row e_empty (I + b_N F_{i_N}) ... (I + b_1 F_{i_1}) for each row b
-    of the stack (S, N): its Pluecker point with p_empty = 1, columns in
-    all_strict_partitions order.  The inverse of peel."""
+    of the stack (S, N): its Pluecker point with p_empty = 1, coordinates in
+    all_strict_partitions order, as column s of the (2^m, S) result.  The
+    inverse of peel."""
     factors, _ = _peel_plan(m)
-    p = np.zeros((len(b_stack), 2**m), dtype=complex)
-    p[:, 0] = 1.0
+    p = np.zeros((2**m, len(b_stack)), dtype=complex)
+    p[0] = 1.0
     for k in range(len(factors), 0, -1):
         rows, cols = factors[k - 1]
-        p[:, cols] += b_stack[:, k - 1, None] * p[:, rows]
+        p[cols] += b_stack[:, k - 1] * p[rows]
     return p
 
 
 class Peel(NamedTuple):
     """Torus coordinates read off a stack of S Pluecker vectors.
 
-    Per row: `b` (N coordinates, NaN from a blocking step on), whether a
-    pivot blocked it, and the step k of its smallest pivot (0 for p_empty),
-    the pivot column (an index into all_strict_partitions) and
-    |pivot| / max|p| there.  A blocking pivot is the row's smallest.
+    Per vector: `b` (a row of N coordinates, NaN from a blocking step on),
+    whether a pivot blocked it, and the step k of its smallest pivot (0 for
+    p_empty), the pivot column (an index into all_strict_partitions) and
+    |pivot| / max|p| there.  A blocking pivot is the vector's smallest.
     """
 
     b: np.ndarray
@@ -182,46 +208,58 @@ class Peel(NamedTuple):
 
 
 def peel(v: np.ndarray, m: int) -> Peel:
-    """Chamber ansatz: the b with plucker_vector(b) proportional to each row of `v`.
+    """Chamber ansatz: the b with plucker_vector(b) proportional to each column of `v`.
 
-    Rows of `v` are indexed in all_strict_partitions order.  Step 0 scales a
-    row to p = v / v_empty, with pivot v_empty.  Step k = 1..N takes the
-    factor I + b_k F_{i_k} off the right of p = p' (I + b_k F_{i_k}): as
-    F^2 = 0, p F = p' F, so at a column c that p' cannot reach,
-    b_k = p_c / (p F)_c, and p' = p - b_k p F.  Of the open columns the one
-    with the largest |(p F)_c| is the pivot; a pivot below PIVOT_TOL * max|p|
-    blocks the row.
+    `v` is a C-ordered (2^m, S) stack of S vectors, coordinates in
+    all_strict_partitions order, the layout of np.linalg.eig's eigenvectors.
+    Step 0 scales a vector to p = v / v_empty, with pivot v_empty.  Step
+    k = 1..N takes the factor I + b_k F_{i_k} off the right of
+    p = p' (I + b_k F_{i_k}): as F^2 = 0, p F = p' F, so at a coordinate c
+    that p' cannot reach, b_k = p_c / (p F)_c, and p' = p - b_k p F.  Of the
+    open coordinates the one with the largest |(p F)_c| is the pivot (a step
+    with one open coordinate reads it as a row of the stack); a pivot below
+    PIVOT_TOL * max|p| blocks the vector.
 
-    Every row runs all N steps, and each step records its pivot and column.
-    A row blocks at its first pivot below the bound; the pivots after it are
-    masked out, so the smallest pivot is the first smallest up to there,
-    and b is NaN from the blocking step on: whatever inf or NaN the later
-    steps of a blocked row make is never read.
+    Every vector runs all N steps, and each step records its pivot and
+    column.  A vector blocks at its first pivot below the bound; the pivots
+    after it are masked out, so the smallest pivot is the first smallest up
+    to there, and b is NaN from the blocking step on: whatever inf or NaN
+    the later steps of a blocked vector make is never read.
     """
     factors, opens = _peel_plan(m)
-    n = len(factors)
-    rows = np.arange(len(v))
-    pivots = np.empty((len(v), n + 1))
-    at = np.zeros((len(v), n + 1), dtype=int)
-    b = np.empty((len(v), n), dtype=complex)
+    n, count = len(factors), v.shape[1]
+    every = np.arange(count)
+    pivots = np.empty((n + 1, count))
+    at = np.zeros((n + 1, count), dtype=int)
+    b = np.empty((n, count), dtype=complex)
     with np.errstate(all="ignore"):
-        pivots[:, 0] = np.abs(v[:, 0]) / np.abs(v).max(axis=1)
-        p = v / v[:, :1]
-        scale = np.abs(p).max(axis=1)
+        pivots[0] = np.abs(v[0]) / np.abs(v).max(axis=0)
+        p = v / v[0]
+        scale = np.abs(p).max(axis=0)
         for k, ((f_rows, f_cols), (open_rows, open_cols)) in enumerate(zip(factors, opens), start=1):
-            open_pf = p[:, open_rows]
-            size = np.abs(open_pf)
-            j = size.argmax(axis=1)
-            pivots[:, k] = size[rows, j] / scale
-            at[:, k] = c = open_cols[j]
-            b[:, k - 1] = bk = p[rows, c] / open_pf[rows, j]
-            p[:, f_cols] -= bk[:, None] * p[:, f_rows]
+            if len(open_cols) == 1:
+                pf = p[open_rows[0]]
+                np.abs(pf, out=pivots[k])
+                at[k] = c = open_cols[0]
+                np.divide(p[c], pf, out=b[k - 1])
+            else:
+                open_pf = p[open_rows]
+                size = np.abs(open_pf)
+                j = size.argmax(axis=0)
+                pivots[k] = size[j, every]
+                at[k] = c = open_cols[j]
+                b[k - 1] = p[c, every] / open_pf[j, every]
+            if k < n:  # the last factor off, p is read no more
+                p[f_cols] -= b[k - 1] * p[f_rows]
+        pivots[1:] /= scale
         low = pivots < PIVOT_TOL
-        blocked = low.any(axis=1)
-        pivots[blocked[:, None] & (np.arange(n + 1) > low.argmax(axis=1)[:, None])] = np.inf
-        step = pivots.argmin(axis=1)
-    b[blocked[:, None] & (np.arange(1, n + 1) >= step[:, None])] = np.nan
-    return Peel(b, blocked, step, at[rows, step], pivots[rows, step])
+        blocked = low.any(axis=0)
+        step = pivots.argmin(axis=0)
+        if blocked.any():
+            pivots[blocked & (np.arange(n + 1)[:, None] > low.argmax(axis=0))] = np.inf
+            step = pivots.argmin(axis=0)
+            b[blocked & (np.arange(1, n + 1)[:, None] >= step)] = np.nan
+    return Peel(b.T, blocked, step, at[step, every], pivots[step, every])
 
 
 class Seed(NamedTuple):
@@ -272,24 +310,22 @@ def spectrum_seeds(m: int, q: complex, tolerance: float = 1e-6) -> list[Seed]:
     eigenvalues = scaled.tolist()
     seeds = [Seed(z, "multiple", k) if k > 1 else None for z, k in zip(eigenvalues, multiplicity.tolist())]
     simple = np.flatnonzero(multiplicity == 1)
-    cut = peel(vectors.T[simple], m)
-    mask = torus_monomials(m)
-    roots, converged = _polish(cut.b[~cut.blocked], q, mask)
-    # one evaluation for the stack, and each grad_norm bit for bit that of
-    # grad_w_tilde at its own row: the stacked product (S, 1, T) @ (T, N) runs,
-    # slice by slice, the kernel of the one-point t @ M (a plain (S, T) @ (T, N)
-    # product can differ in the last bits), the norm is np.linalg.norm's dot of
-    # the real and imaginary parts, and `inv_done` has a name, so numpy cannot
-    # reuse it as a temporary and compute inv * q, which may round otherwise
-    # than q * inv at a complex q
-    inv = 1.0 / roots
-    terms = _terms(inv, mask)
-    inv_done = inv[converged]
-    g = 1.0 - q * inv_done * np.matmul(terms[converged, None, :], mask)[:, 0, :]
-    grad_norms = np.zeros(len(roots))
-    grad_norms[converged] = np.sqrt(np.vecdot(g.real, g.real) + np.vecdot(g.imag, g.imag))
-    values = (roots.sum(-1) + q * terms.sum(-1)).tolist()
-    polished = zip(roots.tolist(), values, converged.tolist(), grad_norms.tolist())
+    cut = peel(vectors.take(simple, axis=1), m)
+    roots, converged, terms = _polish(cut.b[~cut.blocked], q, m)
+    # values and gradient norms of the converged rows, from the monomial
+    # values of their last Newton evaluation, and each grad_norm bit for bit
+    # that of grad_w_tilde at its own row: the stacked product
+    # (S, 1, T) @ (T, N) runs, slice by slice, the kernel of the one-point
+    # t @ M (a plain (S, T) @ (T, N) product can differ in the last bits), the
+    # norm is np.linalg.norm's dot of the real and imaginary parts, and
+    # `inv_done` has a name, so numpy cannot reuse it as a temporary and
+    # compute inv * q, which may round otherwise than q * inv at a complex q
+    done, terms = roots[converged], terms[converged]
+    inv_done = 1.0 / done
+    g = 1.0 - q * inv_done * np.matmul(terms[:, None, :], _products(m)[0])[:, 0, :]
+    grad_norms = np.sqrt(np.vecdot(g.real, g.real) + np.vecdot(g.imag, g.imag))
+    points = zip((done.sum(-1) + q * terms.sum(-1)).tolist(), grad_norms.tolist())
+    polished = zip(roots.tolist(), converged.tolist())
     basis = pt.all_strict_partitions(m)
     for e, blocked, step, column, pivot in zip(
         simple.tolist(), cut.blocked.tolist(), cut.step.tolist(), cut.column.tolist(), cut.pivot.tolist()
@@ -297,37 +333,50 @@ def spectrum_seeds(m: int, q: complex, tolerance: float = 1e-6) -> list[Seed]:
         z = eigenvalues[e]
         status, polish, point = "blocked", None, None
         if not blocked:
-            coords, value, done, grad_norm = next(polished)
+            coords, ok = next(polished)
             status = "torus"
-            if not done:
+            if not ok:
                 polish = "not_converged"
-            elif _rel_err(value, z) < tolerance:
-                polish, point = "converged", CriticalPoint(tuple(coords), value, grad_norm)
             else:
-                polish = "wrong_value"
+                value, grad_norm = next(points)
+                if _rel_err(value, z) < tolerance:
+                    polish, point = "converged", CriticalPoint(tuple(coords), value, grad_norm)
+                else:
+                    polish = "wrong_value"
         seeds[e] = Seed(z, status, 1, step, basis[column], pivot, polish, point)
     return sorted(seeds, key=lambda s: _order_key(s.eigenvalue_scaled, spread))
 
 
-def _polish(b: np.ndarray, q: complex, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _polish(b: np.ndarray, q: complex, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Plain Newton on grad W-tilde = 0 from every row of the stack `b`.
 
     Each row steps b -> b + solve(H, -g) while |g| >= POLISH_TOL, at most
-    60 times; the live rows share one batched solve.  If a Hessian in the
-    batch is singular, each row is solved alone and a singular row stops
-    unconverged.  Returns the final rows and whether each converged.
+    60 times; the live rows share one batched solve, and one evaluation of
+    their monomial values serves both g and H.  If a Hessian in the batch is
+    singular, each row is solved alone and a singular row stops
+    unconverged.  Returns the final rows, whether each converged, and the
+    monomial values of each converged row at its final b (of the other rows,
+    unset).
     """
+    mask = torus_monomials(m)
     b = b.copy()
     converged = np.zeros(len(b), dtype=bool)
+    final = np.empty((len(b), len(mask)), dtype=complex)
     live = np.arange(len(b))
     for _ in range(60):
-        g = grad_w_tilde(b[live], q, mask)
+        at = b[live]
+        terms = _terms(1.0 / at, mask)
+        g = grad_w_tilde(at, q, m, terms)
         gn = np.linalg.norm(g, axis=-1)
-        converged[live[gn < POLISH_TOL]] = True
-        live, g = live[gn >= POLISH_TOL], g[gn >= POLISH_TOL]
+        done, keep = gn < POLISH_TOL, gn >= POLISH_TOL
+        ended = live[done]
+        converged[ended] = True
+        final[ended] = terms[done]
+        live = live[keep]
         if not live.size:
             break
-        hess = hess_w_tilde(b[live], q, mask)
+        at, terms, g = at[keep], terms[keep], g[keep]
+        hess = hess_w_tilde(at, q, m, terms)
         try:
             b[live] += np.linalg.solve(hess, -g[..., None])[..., 0]
         except np.linalg.LinAlgError:
@@ -338,7 +387,7 @@ def _polish(b: np.ndarray, q: complex, mask: np.ndarray) -> tuple[np.ndarray, np
                 except np.linalg.LinAlgError:
                     solved[k] = False
             live = live[solved]
-    return b, converged
+    return b, converged, final
 
 
 def _rel_err(a: complex, b: complex) -> float:
@@ -398,7 +447,10 @@ def conjecture_probe(m: int, q: complex, points: list[CriticalPoint]) -> list[fl
     """
     if not points:
         return [None] * (m - 1)
-    p = pluecker_rows(np.array([cp.coords for cp in points]), m)
+    # one C-ordered row per point: each sum is then a product (S, T) @ (T,)
+    # of C-ordered operands, whose kernel, and so the bits of each reported
+    # deviation, do not hang on the layout of pluecker_rows
+    p = pluecker_rows(np.array([cp.coords for cp in points]), m).T.copy()
     deviations = []
     for l, terms in enumerate(_probe_plan(m), start=1):
         totals = (p[:, terms[:, 1]] * p[:, terms[:, 2]]) @ terms[:, 0]

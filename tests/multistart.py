@@ -46,23 +46,23 @@ def find_critical_points(m, q, trials=200, seed=1, outcomes=None):
     """
     n = m * (m + 1) // 2
     mask = jb.torus_monomials(m)
-    roots, reasons = newton(draw_starts(n, trials, seed), q, mask)
+    roots, reasons = newton(draw_starts(n, trials, seed), q, m)
     if outcomes is not None:
         outcomes.update(zip(START_OUTCOMES, np.bincount(reasons, minlength=len(START_OUTCOMES)).tolist()))
     found = []
     for b in roots[reasons == CONVERGED]:
         if all(np.linalg.norm(b - prev) > DEDUP_RADIUS for prev in found):
             found.append(b)
-    found = _symmetry_closure(found, q, mask, m)
+    found = _symmetry_closure(found, q, m)
     pts = [
-        jb.CriticalPoint(tuple(b), w_tilde_value(b, q, mask), float(np.linalg.norm(jb.grad_w_tilde(b, q, mask))))
+        jb.CriticalPoint(tuple(b), w_tilde_value(b, q, mask), float(np.linalg.norm(jb.grad_w_tilde(b, q, m))))
         for b in found
     ]
     pts.sort(key=lambda p: (p.value.real, p.value.imag) + tuple(x for c in p.coords for x in (c.real, c.imag)))
     return pts
 
 
-def _symmetry_closure(found, q, mask, m):
+def _symmetry_closure(found, q, m):
     """Close the point set under b -> zeta b, zeta^(m+1) = 1, polishing
     each new rotation with at most 60 Newton iterations."""
     zeta = np.exp(2j * np.pi / (m + 1))
@@ -72,13 +72,13 @@ def _symmetry_closure(found, q, mask, m):
         for _ in range(m):
             cand = zeta * cand
             if all(np.linalg.norm(cand - prev) > DEDUP_RADIUS for prev in out):
-                roots, reasons = newton(cand[None, :], q, mask, iters=60)
+                roots, reasons = newton(cand[None, :], q, m, iters=60)
                 if reasons[0] == CONVERGED and all(np.linalg.norm(roots[0] - prev) > DEDUP_RADIUS for prev in out):
                     out.append(roots[0])
     return out
 
 
-def newton(b: np.ndarray, q: complex, mask: np.ndarray, iters: int = 200) -> tuple[np.ndarray, np.ndarray]:
+def newton(b: np.ndarray, q: complex, m: int, iters: int = 200) -> tuple[np.ndarray, np.ndarray]:
     """Levenberg-damped Newton on grad = 0 from every row of the stack `b`.
 
     The gradient is holomorphic in b, so the damped normal equations stay
@@ -93,7 +93,7 @@ def newton(b: np.ndarray, q: complex, mask: np.ndarray, iters: int = 200) -> tup
     """
     b = b.copy()
     lam = np.zeros(len(b))
-    g = jb.grad_w_tilde(b, q, mask)
+    g = jb.grad_w_tilde(b, q, m)
     gn = np.linalg.norm(g, axis=-1)
     reasons = np.full(len(b), ITERATION_CAP)
     live = np.arange(len(b))
@@ -106,13 +106,13 @@ def newton(b: np.ndarray, q: complex, mask: np.ndarray, iters: int = 200) -> tup
         live = live[~out & ~done]
         if not live.size:
             break
-        hess = jb.hess_w_tilde(b[live], q, mask)
+        hess = jb.hess_w_tilde(b[live], q, m)
         pending = np.arange(live.size)  # positions in live still looking for descent
         for _ in range(40):
             idx = live[pending]
             cand = b[idx] + damped_steps(hess[pending], g[idx], lam[idx])
             fits = np.flatnonzero(np.abs(cand).min(axis=-1) > 1e-12)
-            g2 = jb.grad_w_tilde(cand[fits], q, mask)
+            g2 = jb.grad_w_tilde(cand[fits], q, m)
             gn2 = np.linalg.norm(g2, axis=-1)
             better = np.isfinite(gn2) & (gn2 < gn[idx[fits]])
             won = fits[better]

@@ -96,7 +96,7 @@ def test_gradient_matches_finite_differences():
         n = m * (m + 1) // 2
         b = np.array([0.6 + uniform01(gen) + 1j * (uniform01(gen) - 0.5) for _ in range(n)])
         q = 1.1 + 0.3j
-        g = jb.grad_w_tilde(b, q, mask)
+        g = jb.grad_w_tilde(b, q, m)
         eps = 1e-7
         for j in range(n):
             e = np.zeros(n)
@@ -114,16 +114,15 @@ def test_gradient_matches_the_term_by_term_sum():
         inv = 1.0 / b
         terms = np.prod(np.where(mask, inv[:, None, :], 1.0), axis=-1)
         want = 1.0 - (2 - 1j) * ((mask * terms[:, :, None]) * inv[:, None, :]).sum(axis=1)
-        got = jb.grad_w_tilde(b, 2 - 1j, mask)
+        got = jb.grad_w_tilde(b, 2 - 1j, m)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
-        assert np.abs(jb.grad_w_tilde(b[1], 2 - 1j, mask) - want[1]).max() <= 1e-13 * np.abs(want[1]).max()
+        assert np.abs(jb.grad_w_tilde(b[1], 2 - 1j, m) - want[1]).max() <= 1e-13 * np.abs(want[1]).max()
 
 
 def test_gradient_m2_explicit_formula():
-    mask = jb.torus_monomials(2)
     b = np.array([1.3 - 0.2j, 0.7 + 0.4j, -1.1 + 0.9j])
     q = 2.0 + 0j
-    g = jb.grad_w_tilde(b, q, mask)
+    g = jb.grad_w_tilde(b, q, 2)
     assert abs(g[1] - (1 - q * (b[0] + b[2]) / (b[0] * b[1] ** 2 * b[2]))) < 1e-12
 
 
@@ -135,19 +134,19 @@ def test_hessian_matches_finite_differences():
         n = m * (m + 1) // 2
         stack = draw_starts(n, 4, 23 + m)
         for q in (1.0 + 0j, 1.1 + 0.3j):
-            grads = jb.grad_w_tilde(stack, q, mask)
-            hessians = jb.hess_w_tilde(stack, q, mask)
+            grads = jb.grad_w_tilde(stack, q, m)
+            hessians = jb.hess_w_tilde(stack, q, m)
             assert grads.shape == (4, n) and hessians.shape == (4, n, n)
             eps = 1e-7
             for b, g, hess in zip(stack, grads, hessians):
                 scale = np.abs(hess).max()
-                assert np.allclose(g, jb.grad_w_tilde(b, q, mask), rtol=1e-14, atol=0)
-                assert np.allclose(hess, jb.hess_w_tilde(b, q, mask), rtol=1e-14, atol=0)
+                assert np.allclose(g, jb.grad_w_tilde(b, q, m), rtol=1e-14, atol=0)
+                assert np.allclose(hess, jb.hess_w_tilde(b, q, m), rtol=1e-14, atol=0)
                 assert np.allclose(hess, _hess_loop(b, q, mask), rtol=1e-13, atol=1e-14 * scale)
                 for j in range(n):
                     e = np.zeros(n)
                     e[j] = eps
-                    col = (jb.grad_w_tilde(b + e, q, mask) - jb.grad_w_tilde(b - e, q, mask)) / (2 * eps)
+                    col = (jb.grad_w_tilde(b + e, q, m) - jb.grad_w_tilde(b - e, q, m)) / (2 * eps)
                     assert np.allclose(col, hess[:, j], rtol=1e-5, atol=1e-7 * scale)
 
 
@@ -155,35 +154,85 @@ def zero_hessian_at(monkeypatch, bad):
     """Make jb.hess_w_tilde return the zero matrix at the row `bad`."""
     true_hess = jb.hess_w_tilde
 
-    def hess(b, q, mask):
-        out = true_hess(b, q, mask)
+    def hess(b, q, m, terms=None):
+        out = true_hess(b, q, m, terms)
         out[np.all(b == bad, axis=-1)] = 0.0
         return out
 
     monkeypatch.setattr(jb, "hess_w_tilde", hess)
 
 
+def polish_fresh(b, q, m):
+    """jb._polish with the gradient and the Hessian each evaluating the
+    monomials afresh, as two calls on b: (final rows, converged)."""
+    b = b.copy()
+    converged = np.zeros(len(b), dtype=bool)
+    live = np.arange(len(b))
+    for _ in range(60):
+        g = jb.grad_w_tilde(b[live], q, m)
+        gn = np.linalg.norm(g, axis=-1)
+        converged[live[gn < jb.POLISH_TOL]] = True
+        live, g = live[gn >= jb.POLISH_TOL], g[gn >= jb.POLISH_TOL]
+        if not live.size:
+            break
+        hess = jb.hess_w_tilde(b[live], q, m)
+        try:
+            b[live] += np.linalg.solve(hess, -g[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            solved = np.ones(len(live), dtype=bool)
+            for k, (h, gk) in enumerate(zip(hess, g)):
+                try:
+                    b[live[k]] += np.linalg.solve(h, -gk)
+                except np.linalg.LinAlgError:
+                    solved[k] = False
+            live = live[solved]
+    return b, converged
+
+
+def assert_polish_is_fresh(b, q, m):
+    """_polish ends bit for bit as polish_fresh, and its monomial values of
+    each converged row are _terms at that row's final b."""
+    roots, converged, terms = jb._polish(b, q, m)
+    want_roots, want_converged = polish_fresh(b, q, m)
+    assert np.array_equal(roots, want_roots) and np.array_equal(converged, want_converged), (m, q)
+    done = roots[converged]
+    assert np.array_equal(terms[converged], jb._terms(1.0 / done, jb.torus_monomials(m))), (m, q)
+    return roots, converged
+
+
+@pytest.mark.parametrize("m", [*range(2, 9), pytest.param(9, marks=pytest.mark.slow)])
+def test_polish_shares_one_evaluation_bit_for_bit(m):
+    """The Newton step's one monomial evaluation for g and H changes no bit:
+    from the peeled seeds of spectrum_seeds (the eigenvectors of the simple
+    eigenvalues), _polish ends as polish_fresh."""
+    for q in (1.0 + 0j, 2.0 + 1.0j, 81.0 + 0j, 0.5 - 0.7j):
+        mu, vectors = np.linalg.eig(jb.sigma1_matrix(m, q).T)
+        scaled = (m + 1) * mu
+        multiplicity = (np.abs(scaled[:, None] - scaled[None, :]) <= jb.MULTIPLE_TOL * np.abs(scaled).max()).sum(axis=1)
+        cut = jb.peel(vectors.take(np.flatnonzero(multiplicity == 1), axis=1), m)
+        assert_polish_is_fresh(cut.b[~cut.blocked], q, m)
+
+
 def test_singular_hessian_does_not_fail_the_batch(monkeypatch):
-    mask = jb.torus_monomials(3)
     starts = draw_starts(6, 12, 5)
-    roots, reasons = newton(starts, 1.0 + 0j, mask)
+    roots, reasons = newton(starts, 1.0 + 0j, 3)
     assert (reasons == CONVERGED).sum() >= 2
     bad = starts[0] * 1.5
     zero_hessian_at(monkeypatch, bad)
-    roots2, reasons2 = newton(np.vstack([bad, starts]), 1.0 + 0j, mask)
+    roots2, reasons2 = newton(np.vstack([bad, starts]), 1.0 + 0j, 3)
     assert reasons2[0] == NO_DESCENT
     assert np.array_equal(reasons2[1:], reasons)
     assert np.array_equal(roots2[1:], roots)
 
 
 def test_polish_returns_perturbed_points():
-    """Torus points moved by about 1e-6 polish back onto themselves."""
+    """Torus points moved by about 1e-6 polish back onto themselves, in
+    Newton steps that end bit for bit as those of polish_fresh."""
     for m in (2, 3, 4, 5):
-        mask = jb.torus_monomials(m)
         for q in (1.0 + 0j, 2.0 + 1.0j):
             points = np.array([p.coords for p in spectrum_points(m, q)])
             moved = points + 1e-6 * draw_starts(points.shape[1], len(points), 9)
-            roots, converged = jb._polish(moved, q, mask)
+            roots, converged = assert_polish_is_fresh(moved, q, m)
             assert converged.all(), (m, q)
             assert np.abs(roots - points).max() < 1e-12 * np.abs(points).max(), (m, q)
 
@@ -191,14 +240,13 @@ def test_polish_returns_perturbed_points():
 def test_polish_survives_a_singular_hessian(monkeypatch):
     """A row whose Hessian is zero ends unconverged; the other rows end
     bit-identically to a run without it."""
-    mask = jb.torus_monomials(3)
     points = np.array([p.coords for p in spectrum_points(3, 1.0 + 0j)])
     moved = points + 1e-6 * draw_starts(6, len(points), 9)
-    roots, converged = jb._polish(moved, 1.0 + 0j, mask)
+    roots, converged, _ = jb._polish(moved, 1.0 + 0j, 3)
     assert converged.all()
     bad = moved[0] * 1.5
     zero_hessian_at(monkeypatch, bad)
-    roots2, converged2 = jb._polish(np.vstack([bad, moved]), 1.0 + 0j, mask)
+    roots2, converged2, _ = jb._polish(np.vstack([bad, moved]), 1.0 + 0j, 3)
     assert not converged2[0]
     assert np.array_equal(converged2[1:], converged)
     assert np.array_equal(roots2[1:], roots)
@@ -347,7 +395,7 @@ def test_batched_evaluation_is_the_per_point_functions(m):
         for p in points:
             b = np.array(p.coords)
             assert p.value == w_tilde_value(b, q, mask), q
-            assert p.grad_norm == float(np.linalg.norm(jb.grad_w_tilde(b, q, mask))), q
+            assert p.grad_norm == float(np.linalg.norm(jb.grad_w_tilde(b, q, m))), q
 
 
 def test_batched_gradient_norms_at_m9_and_a_complex_q():
@@ -360,7 +408,7 @@ def test_batched_gradient_norms_at_m9_and_a_complex_q():
     points = spectrum_points(9, q)
     assert len(points) * mask.shape[1] * 16 > 256 * 1024
     for p in points:
-        assert p.grad_norm == float(np.linalg.norm(jb.grad_w_tilde(np.array(p.coords), q, mask)))
+        assert p.grad_norm == float(np.linalg.norm(jb.grad_w_tilde(np.array(p.coords), q, 9)))
 
 
 def _leaves(value):
@@ -457,7 +505,7 @@ def test_peel_is_the_row_by_row_peel(m):
     steps = set()
     for q in (1.0, 81.0, 1e-12, 1e12):
         _, vectors = np.linalg.eig(jb.sigma1_matrix(m, complex(q)).T)
-        cut = jb.peel(vectors.T, m)
+        cut = jb.peel(vectors, m)
         for k, v in enumerate(vectors.T):
             b, blocked, step, column, pivot = peel_row(v, m)
             assert np.array_equal(cut.b[k], b, equal_nan=True), (q, k)
@@ -473,7 +521,7 @@ def test_pluecker_rows_match_the_exact_spin_route_and_peel_back(m):
     points = [cli.sample_b(m, stream) for _ in range(4)]
     b = np.array([[float(x) for x in bs] for bs in points], dtype=complex)
     rows = jb.pluecker_rows(b, m)
-    for bs, row in zip(points, rows):
+    for bs, row in zip(points, rows.T):
         exact = sp.plucker_vector(bs, m)
         want = np.array([float(exact[lam]) for lam in pt.all_strict_partitions(m)])
         assert np.abs(row - want).max() <= 1e-12 * np.abs(want).max()
@@ -494,21 +542,22 @@ def dense_spin_factors(m):
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
 def test_sparse_spin_factors_match_the_dense_product(m):
-    """The index-array factors of the peel plan, applied in place as
-    p[:, cols] += b p[:, rows], give p (I + b F), and pluecker_rows its
-    Pluecker rows, bit for bit as the dense products; the open columns are
-    those of the dense boolean sweep, each read from its own source row."""
+    """The index-array factors of the peel plan, applied in place to the
+    columns of a (2^m, S) stack as p[cols] += b p[rows], give (I + b F)^T p,
+    and pluecker_rows its Pluecker columns, bit for bit as the dense
+    products; the open columns are those of the dense boolean sweep, each
+    read from its own source row."""
     dense = dense_spin_factors(m)
     factors, opens = jb._peel_plan(m)
     b = draw_starts(len(dense), 6, 90 + m)
-    p = np.zeros((len(b), 2**m), dtype=complex)
-    p[:, 0] = 1.0
+    p = np.zeros((2**m, len(b)), dtype=complex)
+    p[0] = 1.0
     for k in range(len(dense), 0, -1):
-        pf = p @ dense[k - 1]
+        pf = dense[k - 1].T @ p
         rows, cols = factors[k - 1]
         in_place = p.copy()
-        in_place[:, cols] += b[:, k - 1, None] * in_place[:, rows]
-        p += b[:, k - 1, None] * pf
+        in_place[cols] += b[:, k - 1] * in_place[rows]
+        p += b[:, k - 1] * pf
         assert np.array_equal(in_place, p), k
     assert (p != 0).all()  # generic b: every coordinate was compared nonzero
     assert np.array_equal(jb.pluecker_rows(b, m), p)
@@ -526,7 +575,7 @@ def test_pluecker_rows_keep_p_empty_one():
     leaves p_empty = 1 exactly and the probe divides by nothing."""
     for m in range(2, 8):
         rows = jb.pluecker_rows(draw_starts(m * (m + 1) // 2, 5, 40 + m), m)
-        assert (rows[:, 0] == 1).all(), m
+        assert (rows[0] == 1).all(), m
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
