@@ -30,15 +30,20 @@ the function that runs it: `verify pi-map` `clifford`, `verify chevalley`
 `critical` the numerical layer (`jacobi`, and with it numpy); a fresh
 process compiles and loads nothing else.  `critical` is deterministic
 without a seed and, past their checks, ignores --trials and --seed.
-`main` hands the flags after a command name straight to that command's
-parser, which gives the namespace, messages and exits of the top parser
-at less cost; anything else (no arguments, -h, an unknown command) goes
-through the top parser.
+The flags of each command are one table, `_COMMANDS`, from which
+`build_parser` builds the argparse parsers.  `main` reads a plain command
+line straight from that table, to the flags argparse would give: the
+command, for verify the suite first, then exact `--flag value` pairs, each
+flag once, no value starting with "-", every value converted by its type
+and in its choices, --m given and not both --q and --t.  Anything else
+(help, an abbreviation, `--m=3`, a repeat, `--`, a bad value) goes to
+`build_parser().parse_args`, the one source of help, usage and error text;
+so a plain command never imports argparse.
 Exit codes: 0 success, 1 verification failure, 2 usage error.  Usage
 errors are found from the parsed flags before any work (where `--t` becomes
 q, once): among them an `--m` past the command's cost limit
-(`MAX_VERIFY_M`, `MAX_CRITICAL_M`), a `verify --trials` above
-min(1000, 25 * STEP^(limit - m)) (STEP 2, and 1.5 for `fj`:
+(`MAX_PRINT_M`, `MAX_VERIFY_M`, `MAX_CRITICAL_M`), a `verify --trials`
+above min(1000, 25 * STEP^(limit - m)) (STEP 2, and 1.5 for `fj`:
 `TRIALS_STEP`), a `--seed` outside 0..2^64-1, which splitmix64 would fold
 onto another seed's points, a `--t` whose q = exp(t) is not finite or
 rounds to 0, and an `--out` naming a directory or in a missing or
@@ -48,7 +53,6 @@ so a refused run truncates none.
 
 from __future__ import annotations
 
-import argparse
 import errno
 from json.encoder import encode_basestring_ascii as _quote
 import math
@@ -56,6 +60,7 @@ import os
 import sys
 from fractions import Fraction
 from functools import lru_cache
+from types import SimpleNamespace
 
 from lgmirror.scalars import lift, splitmix64
 
@@ -65,6 +70,10 @@ SCHEMA = "lg-mirror/1"
 # x N) temporary of the monomial values: 84 MiB for the 480 seeds of m = 9, and
 # at m = 10 (up to 1024 seeds, 512 monomials, N = 55) it would take 440 MiB.
 MAX_CRITICAL_M = 9
+# `print-w --format json`, the largest of the three formats, takes 0.5 s and
+# 78 MB at m = 24, 1.0-1.2 s and 111 MB at m = 25, and 1.4 s and 147 MB at
+# m = 26 (fresh process, same VM); time and memory grow some 1.3-1.45x per m.
+MAX_PRINT_M = 25
 # The largest m of each verify suite, in its parser order: a fresh run at the
 # default 25 trials takes at most about 10 s and 130 MB there (same VM), and
 # the next m two to three times as long; `fj` grows slowest.  A trial costs
@@ -186,7 +195,7 @@ def _emit(text: str, out: str | None) -> None:
 # -- print-w ------------------------------------------------------------------
 
 
-def cmd_print_w(args: argparse.Namespace) -> int:
+def cmd_print_w(args: SimpleNamespace) -> int:
     from lgmirror import superpotential as sp
 
     terms = sp.symbolic_W(args.m)
@@ -257,7 +266,7 @@ def _suite_records(suite: str, m: int, q: Fraction, trials: int, seed: int) -> l
     return records
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: SimpleNamespace) -> int:
     records = _suite_records(args.suite, args.m, args.q, args.trials, args.seed)
     ok = all(r["ok"] for r in records)
     payload = {
@@ -288,7 +297,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # -- critical -----------------------------------------------------------------
 
 
-def cmd_critical(args: argparse.Namespace) -> int:
+def cmd_critical(args: SimpleNamespace) -> int:
     from lgmirror import jacobi as jb
 
     report = jb.critical_report(args.m, complex(args.q), tolerance=args.tolerance)
@@ -300,49 +309,70 @@ def _fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
+        import argparse
+
         raise argparse.ArgumentTypeError(f"not a rational: {text}") from exc
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The one parser of the process: parsing reads it and changes nothing."""
-    return _parsers()[0]
+# The flags of each command, as argparse's add_argument keywords; each dest is
+# the flag's name.  build_parser builds its parsers from this table, and
+# `_plain` reads a plain command line with it directly.  `--q` and `--t`
+# exclude each other.
+_COMMON = {
+    "--m": {"type": int, "required": True, "help": "rank of the Lagrangian Grassmannian, m >= 2"},
+    "--q": {"type": _fraction, "default": Fraction(1), "help": "quantum parameter (rational)"},
+    "--t": {"type": float, "default": None, "help": "use q = exp(t)"},
+    "--trials": {"type": int, "default": 25},
+    "--seed": {"type": int, "default": 1, "help": "0 <= SEED < 2^64"},
+    "--out": {"type": str, "default": None, "help": "write the report to FILE"},
+}
+_EXCLUSIVE = ("--q", "--t")
+_PRINT_HELP = f"emit the symbolic superpotential, for m <= {MAX_PRINT_M}"
+_VERIFY_HELP = (
+    "run an exact identity suite; the largest m of each: "
+    + ", ".join(f"{s} {m}" for s, m in MAX_VERIFY_M.items())
+    + "; and at most min(1000, 25*STEP^(LIMIT-m)) --trials, 25 at the limit, with STEP 2 (fj 1.5)"
+)
+_CRITICAL_HELP = f"critical points and spectrum comparison, for m <= {MAX_CRITICAL_M}"
+# by command: its help, its description, its flags; `verify` first takes the suite
+_COMMANDS = {
+    "print-w": (
+        _PRINT_HELP,
+        _PRINT_HELP,
+        {
+            "--m": {"type": int, "required": True},
+            "--format": {"type": str, "choices": ("text", "latex", "json"), "default": "text"},
+            "--out": {"type": str, "default": None},
+        },
+    ),
+    "verify": ("run an exact identity suite", _VERIFY_HELP, _COMMON),
+    "critical": (
+        _CRITICAL_HELP,
+        _CRITICAL_HELP,
+        {**_COMMON, "--tolerance": {"type": float, "default": 1e-6, "help": "largest relative error of the spectrum match"}},
+    ),
+}
 
 
 @lru_cache(maxsize=None)
-def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top parser and, by command name, the parser of each command."""
+def build_parser():
+    """The one argparse parser of the process, built from the flag table:
+    parsing reads it and changes nothing."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="lgmirror",
         description="Landau-Ginzburg superpotential of LG(m): construction and exact verification",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--m", type=int, required=True, help="rank of the Lagrangian Grassmannian, m >= 2")
-        q_group = p.add_mutually_exclusive_group()
-        q_group.add_argument("--q", type=_fraction, default=Fraction(1), help="quantum parameter (rational)")
-        q_group.add_argument("--t", type=float, default=None, help="use q = exp(t)")
-        p.add_argument("--trials", type=int, default=25)
-        p.add_argument("--seed", type=int, default=1, help="0 <= SEED < 2^64")
-        p.add_argument("--out", type=str, default=None, help="write the report to FILE")
-
-    p_print = sub.add_parser("print-w", help="emit the symbolic superpotential")
-    p_print.add_argument("--m", type=int, required=True)
-    p_print.add_argument("--format", choices=("text", "latex", "json"), default="text")
-    p_print.add_argument("--out", type=str, default=None)
-
-    verify_help = "run an exact identity suite; the largest m of each: "
-    verify_help += ", ".join(f"{s} {m}" for s, m in MAX_VERIFY_M.items())
-    verify_help += "; and at most min(1000, 25*STEP^(LIMIT-m)) --trials, 25 at the limit, with STEP 2 (fj 1.5)"
-    p_verify = sub.add_parser("verify", help="run an exact identity suite", description=verify_help)
-    p_verify.add_argument("suite", choices=tuple(MAX_VERIFY_M))
-    common(p_verify)
-
-    crit_help = f"critical points and spectrum comparison, for m <= {MAX_CRITICAL_M}"
-    p_crit = sub.add_parser("critical", help=crit_help, description=crit_help)
-    common(p_crit)
-    p_crit.add_argument("--tolerance", type=float, default=1e-6, help="largest relative error of the spectrum match")
-    return parser, sub.choices
+    for command, (summary, description, flags) in _COMMANDS.items():
+        p = sub.add_parser(command, help=summary, description=description)
+        if command == "verify":
+            p.add_argument("suite", choices=tuple(MAX_VERIFY_M))
+        group = p.add_mutually_exclusive_group() if _EXCLUSIVE[0] in flags else None
+        for flag, spec in flags.items():
+            (group if flag in _EXCLUSIVE else p).add_argument(flag, **spec)
+    return parser
 
 
 def _q_of_t(t: float) -> Fraction:
@@ -370,11 +400,13 @@ def _check_out(out: str) -> None:
     raise OSError(code, os.strerror(code), out)
 
 
-def _check(args: argparse.Namespace) -> None:
+def _check(args: SimpleNamespace) -> None:
     """Refuse the flags before any work, by a ValueError naming the fault or
     the OSError of an unwritable --out; turns --t into q."""
     if args.m < 2:
         raise ValueError("need m >= 2")
+    if args.command == "print-w" and args.m > MAX_PRINT_M:
+        raise ValueError(f"print-w needs m <= {MAX_PRINT_M}, got {args.m}")
     if args.command != "print-w":
         critical = args.command == "critical"
         if critical and args.m > MAX_CRITICAL_M:
@@ -399,17 +431,51 @@ def _check(args: argparse.Namespace) -> None:
         _check_out(args.out)
 
 
-def _parse(argv: list[str]) -> argparse.Namespace:
-    """build_parser().parse_args(argv): the same namespace, output and exit,
-    but the flags after a command name go straight to its own parser."""
-    commands = _parsers()[1]
-    if not argv or argv[0] not in commands:
-        return build_parser().parse_args(argv)
-    args, extra = commands[argv[0]].parse_known_args(argv[1:])
-    if extra:
-        build_parser().error(f"unrecognized arguments: {' '.join(extra)}")
-    args.command = argv[0]
-    return args
+def _plain(argv: list[str]) -> SimpleNamespace | None:
+    """The flags of a plain command line, read from the flag table, or None.
+    Plain is: the command; for verify, the suite; then `--flag value`
+    pairs, each an exact flag of the command given at most once, no value
+    starting with "-", each value converted by its type and in its choices;
+    --m given, and not both --q and --t."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    command, pairs = argv[0], argv[1:]
+    args = {"command": command}
+    if command == "verify":
+        if not pairs or pairs[0] not in MAX_VERIFY_M:
+            return None
+        args["suite"], pairs = pairs[0], pairs[1:]
+    flags = _COMMANDS[command][2]
+    given = dict(zip(pairs[::2], pairs[1::2]))
+    if (
+        2 * len(given) != len(pairs)
+        or not given.keys() <= flags.keys()
+        or any(value.startswith("-") for value in given.values())
+        or all(flag in given for flag in _EXCLUSIVE)
+    ):
+        return None
+    for flag, spec in flags.items():
+        if flag not in given:
+            if spec.get("required"):
+                return None
+            args[flag[2:]] = spec.get("default")
+            continue
+        try:
+            value = spec["type"](given[flag])
+        except Exception:  # argparse reports or raises it again, on its own path
+            return None
+        if "choices" in spec and value not in spec["choices"]:
+            return None
+        args[flag[2:]] = value
+    return SimpleNamespace(**args)
+
+
+def _parse(argv: list[str]) -> SimpleNamespace:
+    """The flags of build_parser().parse_args(argv): a plain command line is
+    read from the flag table, anything else goes to argparse, which gives
+    the help, usage and errors."""
+    args = _plain(argv)
+    return args if args is not None else SimpleNamespace(**vars(build_parser().parse_args(argv)))
 
 
 def main(argv: list[str] | None = None) -> int:

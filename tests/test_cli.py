@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from lgmirror import cli
 
@@ -180,9 +180,96 @@ def _parsed(capsys, parse, argv):
 
 @pytest.mark.parametrize("argv", PARSE_CASES, ids=" ".join)
 def test_command_parse_is_the_top_parse(capsys, argv):
-    """main parses a command's flags with that command's parser: the same
-    namespace as the top parser's, or the same exit, stdout and stderr."""
+    """main reads a plain command line from the flag table and hands any
+    other to argparse: the same flags as the top parser's, or the same exit,
+    stdout and stderr."""
     assert _parsed(capsys, cli._parse, argv) == _parsed(capsys, cli.build_parser().parse_args, argv)
+
+
+ALL_FLAGS = sorted({flag for *_, flags in cli._COMMANDS.values() for flag in flags})
+# values of each flag, most of which it converts (a Unicode digit too, which
+# int and Fraction read), and values that fail, start with "-" or are
+# another token
+FLAG_VALUES = {
+    "--m": ["2", "3", "٣", " 4", "x"],
+    "--q": ["5/7", "1/1000000000000", "2", "0"],
+    "--t": ["0.5", "inf", "1e400"],
+    "--trials": ["1", "160"],
+    "--seed": ["7", "0"],
+    "--out": ["r.json", ""],
+    "--format": ["json", "latex", "text", "bad"],
+    "--tolerance": ["1e-3", "inf", "0"],
+}
+OTHER_VALUES = ["-7/2", "-1", "1/0", "minors", "--", "-h", "--m"]
+ODD_TOKENS = [["-h"], ["--help"], ["--"], ["--extra", "1"], ["-m", "3"]]
+
+
+@st.composite
+def command_lines(draw) -> list[str]:
+    """An argv built from the flag table, of one of two kinds.  Plain: a
+    command, for verify a suite first, then --m and other distinct flags of
+    the command, not both --q and --t, with values they mostly convert.  Or
+    anything: a command (or an unknown one), for verify a suite first, last
+    or missing, and any mix of flag-value pairs (repeats and other
+    commands' flags too), abbreviations, `--flag=value` forms, `-h`, `--`,
+    unknown flags and stray values."""
+    plain = draw(st.booleans())
+    command = draw(st.sampled_from(list(cli._COMMANDS) if plain else [*cli._COMMANDS, "bogus"]))
+    own = list(cli._COMMANDS[command][2]) if command in cli._COMMANDS else ALL_FLAGS
+    if plain:
+        dropped = {"--m", draw(st.sampled_from(["--q", "--t"]))}
+        flags = ["--m"] + draw(st.lists(st.sampled_from([f for f in own if f not in dropped]), unique=True))
+        items = [[f, draw(st.sampled_from(FLAG_VALUES[f]))] for f in draw(st.permutations(flags))]
+    else:
+        flag = st.sampled_from(own) | st.sampled_from(ALL_FLAGS)
+        value = st.sampled_from([v for values in FLAG_VALUES.values() for v in values] + OTHER_VALUES)
+        item = st.one_of(
+            st.tuples(flag, value).map(list),
+            st.tuples(flag, st.integers(3, 6), value).map(lambda t: [t[0][: t[1]], t[2]]),
+            st.tuples(flag, value).map(lambda t: [f"{t[0]}={t[1]}"]),
+            st.sampled_from(ODD_TOKENS),
+            value.map(lambda v: [v]),
+        )
+        items = draw(st.lists(item, max_size=6))
+    if command == "verify":
+        suite = [draw(st.sampled_from([*cli.MAX_VERIFY_M, "nosuch"]))]
+        items = [suite, *items] if plain else draw(st.sampled_from([[suite, *items], [*items, suite], items]))
+    return [command] + [token for item in items for token in item]
+
+
+@settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command_lines())
+@example(["critical", "--m", "3", "--q", "-7/2"])
+@example(["verify", "theorem-w", "--m", "3", "--q", "1/0"])
+@example(["print-w", "--m", "٣", "--format", "json"])
+@example(["critical", "--m", "3", "--", "--q", "2"])
+@example(["verify", "--m", "3", "em"])
+@example(["verify", "em", "--m", "3", "--m", "4"])
+@example(["critical", "--m", "3", "--q", "2", "--t", "0"])
+def test_parse_is_argparse_on_generated_command_lines(capsys, argv):
+    """On any argv drawn from the flag table, `_parse` gives argparse's flags,
+    or its exit, stdout and stderr."""
+    assert _parsed(capsys, cli._parse, argv) == _parsed(capsys, cli.build_parser().parse_args, argv)
+
+
+# command lines of the benchmark's shape, and the other plain forms
+PLAIN_LINES = [
+    *(["verify", suite, "--m", "6", "--trials", "1", "--q", "2", "--seed", "1234"] for suite in ("theorem-w", "minors", "fj", "em")),
+    ["verify", "subword", "--m", "5", "--trials", "1", "--q", "2", "--seed", "99"],
+    *(["critical", "--m", "3", "--q", q, "--trials", "160", "--seed", "7"] for q in ("1", "5", "81", "1/1000000000000")),
+    *(["verify", suite, "--m", m] for suite, m in (("pi-map", "4"), ("pi-map", "7"), ("chevalley", "8"))),
+    ["critical", "--t", "0.5", "--m", "4", "--tolerance", "1e-3", "--out", "r.json"],
+    ["print-w", "--m", "5", "--format", "json"],
+    ["print-w", "--out", "w.txt", "--m", "3"],
+]
+
+
+def test_plain_command_lines_never_reach_argparse(monkeypatch):
+    """A plain command line is parsed without argparse, to the same flags:
+    with build_parser failing, each still parses."""
+    expected = [vars(cli.build_parser().parse_args(argv)) for argv in PLAIN_LINES]
+    monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("argparse parsed a plain command line"))
+    assert [vars(cli._parse(argv)) for argv in PLAIN_LINES] == expected
 
 
 def test_m_too_small_is_usage_error():
@@ -600,12 +687,16 @@ from lgmirror import cli
 
 def run(argv):
     out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = cli.main(argv)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(argv)
+    except SystemExit as exc:  # help and usage errors
+        code = exc.code
+    text = out.getvalue()
     loaded = set(sys.modules) - start
-    return {"code": code, "points": len(json.loads(out.getvalue()).get("points", [])),
+    return {"code": code, "points": len(json.loads(text).get("points", [])) if text.startswith("{") else None,
             "lgmirror": sorted(m for m in loaded if m.split(".")[0] == "lgmirror"),
-            "others": sorted(loaded & {"dataclasses", "inspect", "numpy"})}
+            "others": sorted(loaded & {"argparse", "dataclasses", "inspect", "numpy"})}
 
 print(json.dumps([run(argv) for argv in json.loads(sys.argv[1])]))
 """
@@ -613,9 +704,10 @@ print(json.dumps([run(argv) for argv in json.loads(sys.argv[1])]))
 
 def probe(*commands: list[str]) -> list[dict]:
     """Run the commands one after another in one fresh interpreter; after
-    each, its exit code, the number of critical points it reports, and the
-    lgmirror modules and the modules of {dataclasses, inspect, numpy} loaded
-    since the interpreter started."""
+    each, its exit code (or its SystemExit code), the number of critical
+    points a JSON report holds, and the lgmirror modules and the modules of
+    {argparse, dataclasses, inspect, numpy} loaded since the interpreter
+    started."""
     proc = python("-c", IMPORT_PROBE, json.dumps(commands))
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
@@ -634,6 +726,24 @@ def test_exact_commands_never_load_numpy():
     assert seen[3]["points"] == 3 and "numpy" in seen[3]["others"] and "lgmirror.jacobi" in seen[3]["lgmirror"]
 
 
+def test_plain_commands_never_load_argparse():
+    """A fresh, plain command line parses without loading argparse; help
+    and a bad flag load it to write their text."""
+    seen = probe(
+        ["verify", "pi-map", "--m", "3"],
+        ["verify", "chevalley", "--m", "3"],
+        ["verify", "em", "--m", "3", "--trials", "2", "--q", "2", "--seed", "5"],
+        ["critical", "--m", "3", "--q", "5", "--trials", "160", "--seed", "7"],
+        ["print-w", "--m", "3"],
+    )
+    assert [s["code"] for s in seen] == [0, 0, 0, 0, 0]
+    assert seen[3]["points"] == 8 and "numpy" in seen[3]["others"]
+    assert all("argparse" not in s["others"] for s in seen)
+    for argv, code in (["verify", "-h"], 0), (["critical", "--m", "3", "--bad", "1"], 2):
+        (seen,) = probe(argv)
+        assert seen["code"] == code and "argparse" in seen["others"]
+
+
 EXACT_COMMANDS = {
     "pi-map": (["verify", "pi-map", "--m", "3"], ["cli", "clifford", "partitions", "scalars"]),
     "chevalley": (["verify", "chevalley", "--m", "3"], ["cli", "partitions", "qchevalley", "scalars", "weyl"]),
@@ -649,7 +759,7 @@ EXACT_COMMANDS = {
 def test_each_exact_command_loads_only_what_it_runs(name):
     """A fresh `verify pi-map` loads only the Clifford layer below the CLI,
     a fresh `verify chevalley` only the Weyl and Chevalley layers; no exact
-    command loads numpy, jacobi, dataclasses or inspect."""
+    command loads numpy, jacobi, argparse, dataclasses or inspect."""
     argv, modules = EXACT_COMMANDS[name]
     (seen,) = probe(argv)
     assert seen["code"] == 0
@@ -878,6 +988,20 @@ def test_verify_rejects_trials_past_the_cost_limit(capsys):
     assert "at most min(1000, 25*STEP^(LIMIT-m)) --trials, 25 at the limit, with STEP 2 (fj 1.5)" in " ".join(
         capsys.readouterr().out.split()
     )
+
+
+def test_print_w_rejects_m_past_the_cost_limit(capsys, monkeypatch):
+    """`print-w --m 26` exits 2 naming the limit, before any work; m = 25
+    passes the guard; --help states the limit.  No term list past the limit
+    is built."""
+    assert cli.MAX_PRINT_M == 25
+    monkeypatch.setattr(cli, "cmd_print_w", lambda args: 99)  # a run past the guard returns 99 at once
+    assert cli.main(["print-w", "--m", "26", "--format", "json"]) == 2
+    assert capsys.readouterr().err == "error: print-w needs m <= 25, got 26\n"
+    assert cli.main(["print-w", "--m", "25"]) == 99
+    with pytest.raises(SystemExit):
+        cli.main(["print-w", "--help"])
+    assert "for m <= 25" in capsys.readouterr().out
 
 
 def test_critical_rejects_m_past_the_cost_limit(capsys):
