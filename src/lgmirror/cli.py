@@ -46,8 +46,8 @@ q, once): among them an `--m` past the command's cost limit
 above min(1000, 25 * STEP^(limit - m)) (STEP 2, and 1.5 for `fj`:
 `TRIALS_STEP`), a `--seed` outside 0..2^64-1, which splitmix64 would fold
 onto another seed's points, a `--t` whose q = exp(t) is not finite or
-rounds to 0, and an `--out` naming a directory or in a missing or
-unwritable one.  The file is opened only to write the report,
+rounds to 0, and an `--out` that is empty, names a directory or lies in a
+missing or unwritable one.  The file is opened only to write the report,
 so a refused run truncates none.
 """
 
@@ -83,15 +83,22 @@ MAX_VERIFY_M = {"minors": 14, "theorem-w": 14, "pi-map": 14, "subword": 12, "che
 TRIALS_STEP = {"fj": 1.5}
 
 
+@lru_cache(maxsize=None)
+def _coordinates() -> tuple[Fraction, ...]:
+    """The 162 sample coordinates, built on the first draw: the value of the
+    draws x, y of `rational_stream` is at index 9 (x % 18) + y % 9."""
+    return tuple(Fraction(num + (num >= 0), den + 1) for num in range(-9, 9) for den in range(9))
+
+
 def rational_stream(seed: int):
-    """Small random rationals: numerator in [-9,9]\\{0}, denominator in [1,9]."""
-    gen = splitmix64(seed)
-    while True:
-        num = next(gen) % 18 - 9
-        if num >= 0:
-            num += 1
-        den = next(gen) % 9 + 1
-        yield Fraction(num, den)
+    """Small random rationals: numerator in [-9,9]\\{0}, denominator in [1,9].
+
+    Each value takes two splitmix64 draws x, y: numerator x % 18 - 9, plus 1
+    if that is not negative, and denominator y % 9 + 1.  It is read from
+    one table of the 162 Fractions, not built by a gcd per draw."""
+    table, gen = _coordinates(), splitmix64(seed)
+    for x in gen:
+        yield table[9 * (x % 18) + next(gen) % 9]
 
 
 def sample_b(m: int, stream) -> list[Fraction]:
@@ -427,6 +434,8 @@ def _check(args: SimpleNamespace) -> None:
             args.q = _q_of_t(args.t)
         if critical and args.q == 0:
             raise ValueError("critical point search needs q != 0")
+    if args.out == "":
+        raise ValueError("need a file name for --out, got an empty one")
     if args.out:
         _check_out(args.out)
 

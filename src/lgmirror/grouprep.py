@@ -51,9 +51,14 @@ the W^P covers of `weyl.wp_transitions` read backwards; building F_i from
 the rule instead would make the spin sweep a second copy of the subword
 programme, so the Clifford image stays the source, at its cold cost
 (about 0.6-0.75 s for the 12 letters at m = 12).  `spin_f_moves` is the
-one spin format.  `spin_row_sweep` runs the moves, scaled by b_k, on the
-row w_empty^T, over whatever numbers b holds (the integers D b on the
-verify path), and `jacobi._peel_plan` reads them as index arrays.
+one spin format, and `spin_move_positions` is it as positions in
+`partitions.all_subsets` order, built once per m; that order is all the
+spin route shares with the subword route.  `spin_row_sweep` runs the
+moves, scaled by b_k, in place on the row w_empty^T held as a list, over
+whatever numbers b holds (the integers D b on the verify path), keeping
+of each factor the moves whose source the row can have reached; an entry
+that vanishes reads as the int 0.  `jacobi._peel_plan` reads the same
+positions as index arrays.
 """
 
 from __future__ import annotations
@@ -217,29 +222,42 @@ def _spin_move_rule(i: int, m: int) -> list[tuple[tuple[int, ...], tuple[int, ..
     return [(tuple(i + 1 if x == i else x for x in col), col) for col in subsets if i in col and i + 1 not in col]
 
 
-def spin_row_sweep(b: list, m: int) -> dict[tuple[int, ...], object]:
+@lru_cache(maxsize=None)
+def spin_move_positions(m: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """The moves of F_1, ..., F_m as positions in `partitions.all_subsets`
+    order: entry i - 1 holds the sources and the targets of F_i's moves,
+    in `spin_f_moves` order.  Built once per m."""
+    index = {s: k for k, s in enumerate(pt.all_subsets(m))}
+    return tuple(tuple(tuple(index[s] for s in side) for side in zip(*spin_f_moves(i, m))) for i in range(1, m + 1))
+
+
+@lru_cache(maxsize=None)
+def _sweep_moves(m: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The (source, target) position pairs of each factor of u2bar, in the
+    order `spin_row_sweep` applies them, k = N first, each kept only if the
+    row w_empty^T can have reached its source: the other moves add 0."""
+    letters = [tuple(zip(*sides)) for sides in spin_move_positions(m)]
+    reach, factors = {0}, []
+    for i in reversed(wy.canonical_wp_word(m)):
+        moves = tuple((r, c) for r, c in letters[i - 1] if r in reach)
+        reach.update(c for _, c in moves)
+        factors.append(moves)
+    return tuple(factors)
+
+
+def spin_row_sweep(b: list, m: int) -> list:
     """The row w_empty^T (I + b_N F_{i_N}) ... (I + b_1 F_{i_1}) of u2bar on V_Spin.
 
-    Keyed by column subset: the entry at I is the w_empty coefficient of
-    u2bar w_I; columns where it vanishes are absent.  The factors multiply
-    the row from the right, k = N first: each move (r, col) of F_{i_k} adds
-    b_k row[r] to the entry at col.  The row starts from the int 1, so the
-    entries are ints at integer b and lie in the ring of b otherwise.
+    A list in `partitions.all_subsets` order: the entry at I is the w_empty
+    coefficient of u2bar w_I, the int 0 where it vanishes.  The factors
+    multiply the row from the right, k = N first: each move (r, c) of
+    F_{i_k} adds b_k row[r] to row[c], in place, as no target of a factor
+    is a source (F^2 = 0).  The row starts from the int 1, so the entries
+    are ints at integer b and lie in the ring of b otherwise.
     """
-    word = wy.coordinate_word(b, m)
-    row = {(): 1}
-    for i, bk in zip(reversed(word), reversed(b)):
-        out = dict(row)
-        for r, col in spin_f_moves(i, m):
-            c = row.get(r)
-            if c is None:
-                continue
-            x = bk * c
-            cur = out.get(col)
-            new = x if cur is None else cur + x
-            if new:
-                out[col] = new
-            else:
-                out.pop(col, None)
-        row = out
-    return row
+    wy.coordinate_word(b, m)
+    row = [1] + [0] * (2**m - 1)
+    for bk, moves in zip(reversed(b), _sweep_moves(m)):
+        for r, c in moves:
+            row[c] += bk * row[r]
+    return [x if x else 0 for x in row]

@@ -145,18 +145,18 @@ def _peel_plan(m: int) -> tuple[tuple[tuple[np.ndarray, np.ndarray], ...], tuple
     reaches and the same row without its factor k does not, both for generic b.
 
     A factor, and each part of one, is stored as the index arrays (rows, cols)
-    of its moves (`grouprep.spin_f_moves`: exactly the move rule, so entries
-    1, each row and column at most once, and F^2 = 0 as `peel` assumes), so
+    of its moves (`grouprep.spin_move_positions`, the positions of
+    `grouprep.spin_f_moves`: exactly the move rule, so entries 1, each row
+    and column at most once, and F^2 = 0 as `peel` assumes), so
     (v F)[cols] = v[rows] and v F is 0 in every other coordinate.  `peel` and
     `pluecker_rows` hold S vectors as the columns of a C-ordered (2^m, S)
     stack p, whose row c is coordinate c of every vector: the factor
     I + b F acts on it in place, as p[cols] += b p[rows], moving whole rows,
     and no target coordinate is a source.
     """
-    index = {s: k for k, s in enumerate(pt.all_subsets(m))}
     letters = []
-    for i in range(1, m + 1):
-        rows, cols = (np.array([index[s] for s in side]) for side in zip(*gr.spin_f_moves(i, m)))
+    for sides in gr.spin_move_positions(m):
+        rows, cols = map(np.array, sides)
         rows.flags.writeable = cols.flags.writeable = False  # shared by every caller through the cache
         letters.append((rows, cols))
     factors = tuple(letters[i - 1] for i in wy.canonical_wp_word(m))

@@ -72,8 +72,7 @@ def plucker_vector(b: list, m: int, ring: ScalarRing = EXACT) -> dict[StrictPart
     Spin route: p_lambda is the (w_empty, w_lambda) entry of u2bar on
     V_Spin, read from one row sweep over its N sparse factors.
     """
-    row = gr.spin_row_sweep(b, m)
-    return {lam: row.get(s, 0) for lam, s in zip(pt.all_strict_partitions(m), pt.all_subsets(m))}
+    return dict(zip(pt.all_strict_partitions(m), gr.spin_row_sweep(b, m)))
 
 
 def plucker_subword_vector(b: list, m: int) -> dict[StrictPartition, object]:

@@ -10,6 +10,11 @@ that partition.  `one_line` gives its images (w(1), ..., w(m)).  The
 signed-permutation group itself is a test oracle for the rules here.  One
 dynamic programme over W^P, `wp_subword_sums`, serves every reduced-subword
 job: products of the b_k as values, over all states or kept to a target.
+It runs on a list of values in `partitions.all_subsets` order, from a plan
+of (state, next state) position pairs read off `wp_transitions` once per
+(word, m, target).  This module imports neither `grouprep` nor `clifford`:
+the spin route to the Pluecker coordinates reads its moves from the
+Clifford image, and the two routes share only that basis order.
 """
 
 from __future__ import annotations
@@ -83,29 +88,46 @@ def wp_subword_sums(word: Sequence[int], b: Sequence, m: int, target: tuple[int,
 
     A step at position p is kept only into a state of alive[p - 1]: those
     from which the letters at positions p - 1, ..., 1 can still spell the
-    `target` subset (`_alive`), or every state (the table `steps` itself)
-    without one.  With a target, only its own entry is then complete.
+    `target` subset (`_alive`), or every state without one.  With a target,
+    only its own entry is then complete.  The steps come from
+    `_subword_plan` and run on a list of values in `partitions.all_subsets`
+    order, in place: each adds one to the length, so no state is both a
+    source and a target at one position.
     """
-    if any(not 1 <= letter <= m for letter in word):
-        raise ValueError(f"word {tuple(word)} has a letter outside 1..{m}")
-    steps = wp_transitions(m)
-    alive = [steps] * (len(word) + 1) if target is None else _alive(tuple(word), m, target)
-    sums = {(): 1}
-    for p in range(len(word), 0, -1):
-        letter, bp = word[p - 1], b[p - 1]
-        for state, value in list(sums.items()):
-            nxt = steps[state][letter - 1]
-            if nxt in alive[p - 1]:
-                term = value * bp
-                sums[nxt] = sums[nxt] + term if nxt in sums else term
-    return sums
+    steps, reached = _subword_plan(tuple(word), m, target)
+    values = [1] + [0] * (2**m - 1)
+    for p, pairs in zip(range(len(steps) - 1, -1, -1), steps):
+        bp = b[p]
+        for s, t in pairs:
+            values[t] += values[s] * bp
+    subsets = all_subsets(m)
+    return {subsets[k]: values[k] for k in reached}
 
 
 @lru_cache(maxsize=None)
+def _subword_plan(word: tuple[int, ...], m: int, target: tuple[int, ...] | None):
+    """The steps of `wp_subword_sums` at positions N, ..., 1 of `word`: per
+    position, the (state, next state) pairs, as `partitions.all_subsets`
+    positions, from each state reached so far; and the states reached, in
+    the order first reached.  Built once per (word, m, target)."""
+    if any(not 1 <= letter <= m for letter in word):
+        raise ValueError(f"word {word} has a letter outside 1..{m}")
+    table = wp_transitions(m)
+    subsets = all_subsets(m)
+    index = {s: k for k, s in enumerate(subsets)}
+    alive = [table] * (len(word) + 1) if target is None else _alive(word, m, target)
+    reached, steps = {0: None}, []
+    for p in range(len(word), 0, -1):
+        pairs = [(k, index[nxt]) for k in reached if (nxt := table[subsets[k]][word[p - 1] - 1]) in alive[p - 1]]
+        reached.update(dict.fromkeys(t for _, t in pairs))
+        steps.append(tuple(pairs))
+    return tuple(steps), tuple(reached)
+
+
 def _alive(word: tuple[int, ...], m: int, target: tuple[int, ...]) -> tuple[frozenset, ...]:
     """The pruning table of `wp_subword_sums` towards `target`: entry p holds
     the states from which the letters at positions p, ..., 1 of `word` can
-    still spell `target`, entry 0 only the target.  Built once per process."""
+    still spell `target`, entry 0 only the target.  Built with the plan."""
     steps = wp_transitions(m)
     alive = [frozenset((target,))]
     for letter in word:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+import sweeps
 from lgmirror import cli
 
 
@@ -360,6 +361,35 @@ def test_out_file_matches_stdout_and_unwritable_out_is_usage_error(capsys, monke
         assert code == 2 and captured.out == ""
         assert captured.err == f"error: cannot write --out {bad}: {reason}\n"
     assert written.read_text() == out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["print-w", "--m", "2", "--out", ""], ["print-w", "--m", "2", "--out="], ["verify", "em", "--m", "2", "--out", ""]],
+    ids=["print-w-plain", "print-w-argparse", "verify"],
+)
+def test_empty_out_is_usage_error(capsys, monkeypatch, argv):
+    """An empty --out names no file: it is refused before the command runs,
+    whether the plain parse or argparse reads it, and nothing is written
+    to stdout."""
+    for name in ("cmd_print_w", "cmd_verify", "cmd_critical"):
+        monkeypatch.setattr(cli, name, lambda *args: pytest.fail("the command ran"))
+    assert (cli._plain(argv) is None) == (argv[-1] == "--out=")
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: need a file name for --out, got an empty one\n"
+
+
+def test_rational_stream_is_the_arithmetic_draw():
+    """The table read of rational_stream yields the Fractions that building
+    each from its two splitmix64 draws yields, for seeds 0..99, 200 draws
+    each."""
+    for seed in range(100):
+        table, arithmetic = cli.rational_stream(seed), sweeps.arithmetic_stream(seed)
+        for _ in range(200):
+            x, y = next(table), next(arithmetic)
+            assert x == y and type(x) is Fraction, (seed, x, y)
 
 
 @pytest.mark.parametrize("argv", [["print-w", "--m", "2"], ["verify", "chevalley", "--m", "8"]], ids=["print-w", "verify"])

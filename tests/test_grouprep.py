@@ -4,13 +4,14 @@ from fractions import Fraction
 import pytest
 
 import cliffordops as co
+import sweeps
 from lgmirror import cli
 from lgmirror import clifford as cl
 from lgmirror import grouprep as gr
 from lgmirror import partitions as pt
 from lgmirror import superpotential as sp
 from lgmirror import weyl as wy
-from lgmirror.scalars import EXACT, QSqrt2, lift, splitmix64
+from lgmirror.scalars import EXACT, Laurent, QSqrt2, lift, splitmix64
 
 ring = EXACT
 
@@ -556,8 +557,9 @@ def test_u2bar_spin_unitriangular():
 
 def test_row_sweep_is_the_empty_row_of_the_spin_matrix():
     """spin_row_sweep, the moves run on the row w_empty^T, equals the
-    w_empty row of the composed spin matrix, and keeps no zero entry, also
-    where a coordinate is 0 or two paths cancel."""
+    w_empty row of the composed spin matrix, in all_subsets order, and
+    reads the int 0 where an entry vanishes, also where a coordinate is 0
+    or two paths cancel."""
     for m in (2, 3, 4, 5):
         stream = cli.rational_stream(41 + m)
         n = m * (m + 1) // 2
@@ -565,8 +567,37 @@ def test_row_sweep_is_the_empty_row_of_the_spin_matrix():
         for bs in draws:
             b = sp.ring_vector(bs, ring)
             row = gr.spin_row_sweep(b, m)
-            want = {col: c for (r, col), c in build_u2bar_spin(b, m).coeffs.items() if r == ()}
-            assert row == want and all(row.values()), (m, bs)
+            entries = build_u2bar_spin(b, m).coeffs
+            assert row == [entries.get(((), col), 0) for col in pt.all_subsets(m)], (m, bs)
+            assert all(x or type(x) is int for x in row), (m, bs)
+
+
+def sweep_points(m: int) -> list[list]:
+    """Points for the sweep oracles at m: two seeded Fraction points, the
+    first with b_1 = 0, and (1, 1, -1, 1, ..., 1), on which two paths
+    cancel; then the four lifted to integers."""
+    stream = cli.rational_stream(500 + m)
+    b = cli.sample_b(m, stream)
+    n = m * (m + 1) // 2
+    draws = [b, cli.sample_b(m, stream), [0] + b[1:], [Fraction(x) for x in [1, 1, -1] + [1] * (n - 3)]]
+    return draws + [lift(b)[0] for b in draws]
+
+
+@pytest.mark.parametrize("m", range(2, 8))
+def test_row_sweep_is_the_dict_sweep(m):
+    """The list sweep equals the dict-keyed sweep it replaced, value and
+    type for value and type, in all_subsets order: a column the dict has
+    no entry for, because it vanishes or is never reached, reads the int 0.
+    Over the variables b_k (m <= 5) the two give the same polynomials."""
+    points = sweep_points(m)
+    zero, cancel = (gr.spin_row_sweep(b, m) for b in points[2:4])
+    assert zero[-1] == 0 and 0 in cancel  # p_(m, ..., 1) = b_1 ... b_N; two paths cancel
+    if m <= 5:
+        points.append(Laurent.variables(m * (m + 1) // 2))
+    for b in points:
+        row, old = gr.spin_row_sweep(b, m), sweeps.dict_spin_row_sweep(b, m)
+        want = [old.get(s, 0) for s in pt.all_subsets(m)]
+        assert row == want and list(map(type, row)) == list(map(type, want)), (m, b)
 
 
 def test_u2bar_spin_corner_coefficients():

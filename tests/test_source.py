@@ -203,7 +203,8 @@ def test_every_class_member_has_a_caller():
 
 def test_every_test_helper_has_a_caller():
     """Each top-level name of a helper module in tests/ (cliffordops,
-    displays, fractionpairs, multistart, weylgroup), and each top-level name
+    displays, fractionpairs, multistart, signedpairs, sweeps, weylgroup), and
+    each top-level name
     of a test module other than its tests, is read somewhere in tests/: an
     oracle left behind by a deleted test has no place there."""
     trees = _trees(os.path.join(ROOT, "tests"))
@@ -212,3 +213,31 @@ def test_every_test_helper_has_a_caller():
     for name, tree in trees.items():
         unread += [f"{name[:-3]}.{d}" for d in _defined(tree) if not d.startswith("test_") and d not in read]
     assert unread == [], f"test helpers nothing reads: {unread}"
+
+
+def _lgmirror_imports(tree: ast.Module) -> set[str]:
+    """The lgmirror modules a module imports, by module name."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "lgmirror":
+            out.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("lgmirror."):
+            out.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            out.update(a.name.split(".")[1] for a in node.names if a.name.startswith("lgmirror."))
+    return out
+
+
+# the subword route's tables, which the spin route must not read
+SUBWORD_ROUTE = {"wp_transitions", "_alive", "_subword_plan", "wp_subword_sums"}
+
+
+def test_plucker_routes_share_no_table():
+    """The spin route and the subword route to the Pluecker coordinates stay
+    independent, so that their agreement tests something: grouprep names
+    none of the subword route's tables (its moves come from the Clifford
+    image), and weyl imports neither grouprep nor clifford.  Both share only
+    the basis order of partitions.all_subsets."""
+    trees = _trees(SRC)
+    assert _referenced(trees["grouprep.py"]) & SUBWORD_ROUTE == set()
+    assert _lgmirror_imports(trees["weyl.py"]) & {"grouprep", "clifford"} == set()

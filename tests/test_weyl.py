@@ -5,13 +5,14 @@ from itertools import combinations, permutations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import sweeps
 import weylgroup as wg
 from lgmirror import cli
 from lgmirror import partitions as pt
 from lgmirror import superpotential as sp
 from lgmirror import weyl as wy
 from lgmirror.scalars import EXACT, Laurent
-from test_grouprep import build_u2bar_spin
+from test_grouprep import build_u2bar_spin, sweep_points
 from test_qchevalley import times_reflection
 
 
@@ -256,21 +257,50 @@ def test_pruned_subwords_match_the_all_state_listing(m):
     assert wy.complement_subwords(m) == listing[pt.to_subset(pt.rho(m - 1, m))]
 
 
+def same_entries(new: dict, old: dict) -> bool:
+    """The same states in the same order, with equal values of one type."""
+    return list(new) == list(old) and all(new[k] == old[k] and type(new[k]) is type(old[k]) for k in old)
+
+
+@pytest.mark.parametrize("m", range(2, 8))
+def test_programme_is_the_dict_programme(m):
+    """The programme on its plan equals the dict-keyed programme it
+    replaced, unpruned and kept to the staircase of N(b), at the sweep
+    oracles' points (Fraction and integer points, a zero coordinate, a
+    cancelling pair); over the variables (m <= 6) for every target too."""
+    word, staircase = wy.canonical_wp_word(m), pt.to_subset(pt.rho(m - 1, m))
+    for b in sweep_points(m):
+        for target in (None, staircase):
+            new, old = wy.wp_subword_sums(word, b, m, target), sweeps.dict_wp_subword_sums(word, b, m, target)
+            assert same_entries(new, old), (m, b, target)
+    if m <= 6:
+        variables = Laurent.variables(len(word))
+        for target in (None, *pt.all_subsets(m)):
+            new, old = wy.wp_subword_sums(word, variables, m, target), sweeps.dict_wp_subword_sums(word, variables, m, target)
+            assert new == old and list(new) == list(old), (m, target)
+
+
 def test_pruning_table_is_built_once_per_target():
-    """The Laurent numerator's pruning table is built on the first call and
-    read from the cache after: immutable frozensets, entry 0 the target
-    alone, entry p growing with p."""
+    """The Laurent numerator's plan is built on the first call and read from
+    the cache after: its pruning table is immutable frozensets, entry 0 the
+    target alone, entry p growing with p; every step of the plan goes into
+    a state of that table, and the plan reaches the target."""
     m = 4
     word, target = wy.canonical_wp_word(m), pt.to_subset(pt.rho(m - 1, m))
     b = cli.sample_b(m, cli.rational_stream(9))
     first = sp.laurent_numerator(b, m)
-    before = wy._alive.cache_info()
+    before = wy._subword_plan.cache_info()
     assert sp.laurent_numerator(b, m) == first
-    after = wy._alive.cache_info()
+    after = wy._subword_plan.cache_info()
     assert (after.hits, after.misses) == (before.hits + 1, before.misses)
     table = wy._alive(word, m, target)
     assert len(table) == len(word) + 1 and all(type(states) is frozenset for states in table)
     assert table[0] == {target} and all(x <= y for x, y in zip(table, table[1:]))
+    steps, reached = wy._subword_plan(word, m, target)
+    subsets = pt.all_subsets(m)
+    assert len(steps) == len(word) and target in [subsets[k] for k in reached]
+    for p, pairs in zip(range(len(word) - 1, -1, -1), steps):
+        assert all(subsets[t] in table[p] for _, t in pairs), p
 
 
 def test_reduced_subwords_reject_target_outside_wp():
