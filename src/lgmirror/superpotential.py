@@ -147,12 +147,6 @@ def _eval_sum(items: tuple[tuple[int, Product], ...], p: dict):
     return total
 
 
-def _sum_at_b(items: tuple[tuple[int, Product], ...], p: dict, d: int) -> Fraction:
-    """A sum of W at b, from the Pluecker values p at the lift D b: its
-    value at p over D^(its degree)."""
-    return Fraction(_eval_sum(items, p), d ** _degree(items))
-
-
 def eval_denominator(l: int, p: dict, m: int, ring: ScalarRing = EXACT):
     """The denominator of term l of symbolic_W(m), the equation of D_l."""
     return _eval_sum(symbolic_W(m)[l].denominator, p)
@@ -236,11 +230,27 @@ def verify_theorem_w(m: int, q: Fraction, point: Lift, p: dict) -> CheckReport:
     return CheckReport(False, f"W = {Fraction(lhs, d)} but W-tilde = {Fraction(rhs, d)}")
 
 
+@lru_cache(maxsize=None)
+def _minor_sums(m: int) -> tuple[tuple[int, tuple], ...]:
+    """(j, ((D_(j) sum, e), (N_(j) sum, e + 1))) for j = 2..m: the sums of
+    term m+1-j of symbolic_W(m) and the power of D in their windows,
+    e = `grouprep.window_power(m, j)`.  Raises ArithmeticError unless each sum has
+    the degree of its window's minor, as sum and minor are polynomials in b,
+    homogeneous by the grading, that are to be equal."""
+    terms, out = symbolic_W(m), []
+    for j in range(2, m + 1):
+        term, e = terms[m + 1 - j], gr.window_power(m, j)
+        sides = ((term.denominator, e), (term.numerator, e + 1))
+        if any(_degree(items) != power for items, power in sides):
+            raise ArithmeticError(f"a sum of term {m + 1 - j} of W for m={m} has not the degree of its minor")
+        out.append((j, sides))
+    return tuple(out)
+
+
 def verify_sym_to_minors(m: int, p: dict, u2: gr.U2bar) -> list[tuple[int, CheckReport]]:
     """[(j, report)], j = 2..m: the two quadratic sums in the Pluecker values
     against (m+1)x(m+1) minors of u2bar at the same point b: u2 = (g, D) is
-    `build_u2bar(b)` and p the spin route at the lift D b.  A sum of
-    products of size k at D b is D^k times the sum at b.
+    `build_u2bar(b)` and p the spin route at the lift D b.
 
     The D_(j) sum equals the minor with rows m+1..2m+1 and columns
     j..j+m, and the N_(j) sum the one with columns {j-1} u {j+1..j+m}:
@@ -248,16 +258,17 @@ def verify_sym_to_minors(m: int, p: dict, u2: gr.U2bar) -> list[tuple[int, Check
     standard degree-(m+1) embedding, and the reading under which the
     identities hold for every m (the printed column sets are their images
     under j -> m+2-j, which agree only at m = 2).  All of them come from
-    one `grouprep.window_minors` elimination.
+    one `grouprep.window_minors` elimination, as integers.  A sum of
+    products of size k at D b is D^k times the sum at b, and a window D^e
+    times its minor, with k = e (`_minor_sums`), so each side is decided
+    as an equality of integers; a failing side reports both at b.
     """
-    terms, minors, d, out = symbolic_W(m), gr.window_minors(u2), u2[1], []
-    for j in range(2, m + 1):
-        term, (den_minor, num_minor) = terms[m + 1 - j], minors[j]
-        den_sum = _sum_at_b(term.denominator, p, d)
-        if den_sum != den_minor:
-            rep = CheckReport(False, f"D side: sum {den_sum} != minor {den_minor}")
-        elif (num_sum := _sum_at_b(term.numerator, p, d)) != num_minor:
-            rep = CheckReport(False, f"N side: sum {num_sum} != minor {num_minor}")
+    minors, d, out = gr.window_minors(u2), u2[1], []
+    for j, sides in _minor_sums(m):
+        for side, (items, e), window in zip("DN", sides, minors[j]):
+            if (total := _eval_sum(items, p)) != window:
+                rep = CheckReport(False, f"{side} side: sum {Fraction(total, d**e)} != minor {Fraction(window, d**e)}")
+                break
         else:
             rep = CheckReport(True)
         out.append((j, rep))
@@ -265,20 +276,25 @@ def verify_sym_to_minors(m: int, p: dict, u2: gr.U2bar) -> list[tuple[int, Check
 
 
 def verify_fj_minors(m: int, u2: gr.U2bar) -> list[tuple[int, CheckReport]]:
-    """[(j, report)], j = 1..m-1: f_j*(u2bar) (u2 from
-    `grouprep.build_u2bar`) as the ratio of the minors on rows m+1..2m+1 and
-    columns {j} u {j+2..j+m+1} over j+1..j+m+1, the N and D windows at j+1
-    of one `grouprep.window_minors` elimination, plus the vanishing minor
-    behind it, with row j+1 added, by its own `grouprep.minor`."""
+    """[(j, report)], j = 1..m-1: f_j*(u2bar) (u2 = (g, D) from
+    `grouprep.build_u2bar`) as the ratio of the minors on rows m+1..2m+1
+    and columns {j} u {j+2..j+m+1} over j+1..j+m+1, the N and D windows at
+    j+1 of one `grouprep.window_minors` elimination, plus the vanishing
+    minor behind it, with row j+1 added, by its own `grouprep.integer_minor`.
+    All on integers: f_j* is g_(j+1,j) over D and the windows are D^e and
+    D^(e+1) times their minors, so the ratio holds exactly when
+    g_(j+1,j) den = num, and the vanishing minor is 0 exactly when its
+    determinant on g is; a failing record reports the values at b."""
+    g, d = u2
     minors, out = gr.window_minors(u2), []
     rows = list(range(m + 1, 2 * m + 2))
     for j in range(1, m):
         den, num = minors[j + 1]
-        fj = gr.extract_f_coeff(u2, j)
-        if not den or fj * den != num:
-            rep = CheckReport(False, f"f_{j}* = {fj}, minors {num}/{den}")
-        elif vanishing := gr.minor(u2, [j + 1] + rows, list(range(j, j + m + 2))):
-            rep = CheckReport(False, f"vanishing minor is {vanishing}")
+        if not den or g[j][j - 1] * den != num:
+            e = gr.window_power(m, j + 1)
+            rep = CheckReport(False, f"f_{j}* = {gr.extract_f_coeff(u2, j)}, minors {Fraction(num, d ** (e + 1))}/{Fraction(den, d**e)}")
+        elif vanishing := gr.integer_minor(u2, [j + 1] + rows, cols := list(range(j, j + m + 2))):
+            rep = CheckReport(False, f"vanishing minor is {Fraction(vanishing, d ** (j + 1 + sum(rows) - sum(cols)))}")
         else:
             rep = CheckReport(True)
         out.append((j, rep))

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+import fractionwindows as fw
 import sweeps
 from lgmirror import cli
 
@@ -667,13 +668,41 @@ def test_minor_suites_take_one_elimination_per_point(monkeypatch, m):
             assert sorted(calls) == ["determinant"] * determinants + ["window_minors"], (suite, m)
 
 
+def test_minor_suites_pass_without_a_fraction(monkeypatch):
+    """At torus points for m = 2..6 `verify minors` and `verify fj` decide
+    every check on integers: with `Fraction` in `grouprep` and
+    `superpotential` made to raise, both suites still pass, while f_j* read
+    at b (`grouprep.extract_f_coeff`) does raise."""
+    from lgmirror import grouprep as gr
+    from lgmirror import superpotential as sp
+
+    points = []
+    for m in range(2, 7):
+        stream = cli.rational_stream(80 + m)
+        points += [(m, cli.sample_b(m, stream)) for _ in range(3)]
+
+    def no_fraction(*args):
+        raise AssertionError("a Fraction on the pass path")
+
+    monkeypatch.setattr(gr, "Fraction", no_fraction)
+    monkeypatch.setattr(sp, "Fraction", no_fraction)
+    q = Fraction(3, 2)
+    for m, b in points:
+        for suite in ("minors", "fj"):
+            checks = cli._point_checks(suite, m, q, b)
+            assert len(checks) == m - 1 and all(rep.ok for _, rep in checks), (suite, m, b)
+    with pytest.raises(AssertionError, match="pass path"):
+        gr.extract_f_coeff(gr.build_u2bar(points[0][1], 2), 1)
+
+
 @pytest.mark.parametrize("suite, j, side", [("minors", 2, 0), ("minors", 3, 1), ("fj", 2, 0), ("fj", 3, 1)])
 def test_a_failing_minor_reports_its_values_at_b(monkeypatch, capsys, suite, j, side):
     """`window_minors` made wrong by 1 at b on one side (D, N) of one window
-    j, at m = 3 with D > 1: the one failing record prints the sum and the
-    minors at b, recomputed here by the Fraction spin route and one
-    `minor` per window, the report carries it as its counterexample, and
-    the exit code is 1."""
+    j, at m = 3 with D > 1, that is by D^e in the integers, e the window's
+    power of D: the one failing record prints the sum and the minors at b,
+    recomputed here by the Fraction spin route and one `fractionwindows.minor`
+    per window, the report carries it as its counterexample, and the exit
+    code is 1."""
     from lgmirror import grouprep as gr
     from lgmirror import superpotential as sp
     from lgmirror.scalars import lift
@@ -684,8 +713,8 @@ def test_a_failing_minor_reports_its_values_at_b(monkeypatch, capsys, suite, j, 
     real = gr.window_minors
 
     def wrong(u2):
-        out = real(u2)
-        out[j] = tuple(x + (k == side) for k, x in enumerate(out[j]))
+        out, e = real(u2), (m + 1) * (m + 1 - j) + side
+        out[j] = tuple(x + (k == side) * u2[1] ** e for k, x in enumerate(out[j]))
         return out
 
     monkeypatch.setattr(gr, "window_minors", wrong)
@@ -695,7 +724,7 @@ def test_a_failing_minor_reports_its_values_at_b(monkeypatch, capsys, suite, j, 
     assert code == 1 and not report["ok"] and len(bad) == 1
     assert report["counterexample"] == bad[0]
     u2, rows, cols = gr.build_u2bar(b, m), list(range(m + 1, 2 * m + 2)), list(range(j, j + m + 1))
-    den, num = gr.minor(u2, rows, cols), gr.minor(u2, rows, [j - 1] + cols[1:])
+    den, num = fw.minor(u2, rows, cols), fw.minor(u2, rows, [j - 1] + cols[1:])
     if suite == "minors":
         term, p = sp.symbolic_W(m)[m + 1 - j], sp.plucker_vector(b, m)
         if side == 0:
@@ -897,6 +926,16 @@ PINNED_REPORTS = {
     "fj-8": (
         ["verify", "fj", "--m", "8", "--trials", "2", "--seed", "5"],
         "b2a7dfc090ec1f712df86a1e20047d109a926c74ccf5a79a306333488a042289",
+    ),
+    # recorded before the minor suites compared integers at D b (windows,
+    # f_j* and the vanishing minor with unit pivots); m = 6 as the benchmark
+    "minors-6-defaults": (
+        ["verify", "minors", "--m", "6"],
+        "5aea929c94192e63690a65f2038f02689ab2e39ab394564b58e2263f8389e6dc",
+    ),
+    "fj-6-q": (
+        ["verify", "fj", "--m", "6", "--trials", "3", "--seed", "5", "--q", "3/2"],
+        "bcae2b1a6445468b58ecb88cdcb5d4231279a898f04d803a3d0b85694221f5b1",
     ),
 }
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 import cliffordops as co
+import fractionwindows as fw
 import sweeps
 from lgmirror import cli
 from lgmirror import clifford as cl
@@ -323,10 +324,11 @@ def test_minor_against_cofactor_expansion():
     entries = graded(u2)
     for rows, cols in [([3, 4, 5], [2, 3, 4]), ([1, 2, 3], [1, 2, 3]), ([2, 3, 4, 5], [1, 2, 3, 4]), ([4, 5], [1, 3]), ([2, 3], [3, 4])]:
         sub = [[entries[r - 1][c - 1] for c in cols] for r in rows]
-        assert gr.minor(u2, rows, cols) == cofactor_det(sub), (rows, cols)
-    assert gr.minor(([[int(r == c) for c in range(5)] for r in range(5)], 7), [1, 3], [1, 3]) == 1
+        assert fw.minor(u2, rows, cols) == cofactor_det(sub), (rows, cols)
+        assert gr.integer_minor(u2, rows, cols) == cofactor_det([[u2[0][r - 1][c - 1] for c in cols] for r in rows])
+    assert fw.minor(([[int(r == c) for c in range(5)] for r in range(5)], 7), [1, 3], [1, 3]) == 1
     with pytest.raises(ValueError):
-        gr.minor(u2, [1, 2], [1])
+        fw.minor(u2, [1, 2], [1])
 
 
 def window_cols(j, m):
@@ -351,7 +353,7 @@ def recorder(monkeypatch, name, seen):
 def test_determinant_matches_both_oracles_on_the_verified_minors(monkeypatch):
     """Every minor that `verify minors` and `verify fj` read, m = 2..5 at
     three seeds, and the checks pass: each window minor of the shared
-    elimination equals Gaussian elimination and the cofactor expansion on
+    elimination, read at b, equals Gaussian elimination and the cofactor expansion on
     u2bar's entries at b, and so does the fraction-free determinant of each
     vanishing minor, the only minors `determinant` still takes, m - 1 per
     point."""
@@ -377,7 +379,7 @@ def test_determinant_matches_both_oracles_on_the_verified_minors(monkeypatch):
         assert again is u2 and same == out
         m, entries = len(u2[0]) // 2, graded(u2)
         assert sorted(out) == list(range(2, m + 1))
-        for j, values in out.items():
+        for j, values in fw.windows_at_b(u2, out).items():
             for cols, value in zip(window_cols(j, m), values):
                 sub = [[entries[r - 1][c - 1] for c in cols] for r in range(m + 1, 2 * m + 2)]
                 assert value == gaussian_determinant(sub) == cofactor_det(sub), (m, j, cols)
@@ -386,13 +388,14 @@ def test_determinant_matches_both_oracles_on_the_verified_minors(monkeypatch):
 def test_integral_basis_minors_and_f_coefficients_match_the_sqrt2_oracle(monkeypatch):
     """Every minor that `verify minors` and `verify fj` read, m = 2..5 at
     three seeds: the D and N windows of the shared elimination at j = 2..m
-    and the m - 1 vanishing minors, 3(m - 1) index sets, each with m+1 in its
-    row set and its column set, equal the same minors of the sqrt2-basis
-    product of truncated exponentials by Gaussian elimination; f_j* (entry
+    and the m - 1 vanishing minors (`integer_minor`), 3(m - 1) index sets,
+    each with m+1 in its row set and its column set, read at b, equal the
+    same minors of the sqrt2-basis product of truncated exponentials by
+    Gaussian elimination; f_j* (entry
     (j+1, j)) equals the oracle's entry for j < m and the oracle's entry over
     sqrt2 for j = m."""
     seen, windows = [], []
-    minor = recorder(monkeypatch, "minor", seen)
+    recorder(monkeypatch, "integer_minor", seen)
     recorder(monkeypatch, "window_minors", windows)
     for m in (2, 3, 4, 5):
         rows = list(range(m + 1, 2 * m + 2))
@@ -407,13 +410,14 @@ def test_integral_basis_minors_and_f_coefficients_match_the_sqrt2_oracle(monkeyp
             sp.verify_sym_to_minors(m, p, u2)
             sp.verify_fj_minors(m, u2)
             assert len(seen) == m - 1 and len(windows) == 2, (m, seed)
-            read = [((rows, cols), value) for j, values in windows[0][1].items() for cols, value in zip(window_cols(j, m), values)]
-            read += [((r, c), value) for (_, r, c), value in seen]
+            at_b = fw.windows_at_b(u2, windows[0][1])
+            read = [((rows, cols), value) for j, values in at_b.items() for cols, value in zip(window_cols(j, m), values)]
+            read += [((r, c), Fraction(value, u2[1] ** (sum(r) - sum(c)))) for (_, r, c), value in seen]
             assert len({(tuple(r), tuple(c)) for (r, c), _ in read}) == 3 * (m - 1), (m, seed)
             for (r, c), value in read:
                 assert m + 1 in r and m + 1 in c, (m, r, c)
                 sub = [[oracle[i - 1][k - 1] for k in c] for i in r]
-                assert value == minor(u2, r, c) == gaussian_determinant(sub), (m, seed, r, c)
+                assert value == fw.minor(u2, r, c) == gaussian_determinant(sub), (m, seed, r, c)
             for j in range(1, m):
                 assert gr.extract_f_coeff(u2, j) == oracle[j][j - 1], (m, seed, j)
             assert gr.extract_f_coeff(u2, m) == oracle[m][m - 1] / QSqrt2.sqrt2(), (m, seed)
@@ -422,40 +426,66 @@ def test_integral_basis_minors_and_f_coefficients_match_the_sqrt2_oracle(monkeyp
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7])
 def test_window_minors_match_minor_and_the_sqrt2_oracle(monkeypatch, m):
     """At seeded torus points every window minor of the shared elimination
-    equals `grouprep.minor` (a Bareiss determinant per window) and the same
-    minor of the sqrt2-basis product by Gaussian elimination, with no
-    fallback to `minor`."""
+    is an int, and read at b equals `grouprep.minor` (a determinant per
+    window) and the same minor of the sqrt2-basis product by Gaussian
+    elimination, with no fallback to `integer_minor`."""
     fallback = []
-    minor = recorder(monkeypatch, "minor", fallback)
+    recorder(monkeypatch, "integer_minor", fallback)
     stream = cli.rational_stream(700 + m)
     rows = list(range(m + 1, 2 * m + 2))
     for _ in range(2 if m < 7 else 1):
         b = cli.sample_b(m, stream)
         u2, oracle = gr.build_u2bar(b, m), dense_u2bar(sp.ring_vector(b, ring), m)
+        fallback.clear()
         out = gr.window_minors(u2)
         assert sorted(out) == list(range(2, m + 1)) and not fallback
-        for j, values in out.items():
+        assert all(type(x) is int for values in out.values() for x in values)
+        for j, values in fw.windows_at_b(u2, out).items():
             for cols, value in zip(window_cols(j, m), values):
                 sub = [[oracle[r - 1][c - 1] for c in cols] for r in rows]
-                assert value == minor(u2, rows, cols) == gaussian_determinant(sub), (m, j, cols)
+                assert value == fw.minor(u2, rows, cols) == gaussian_determinant(sub), (m, j, cols)
 
 
 def test_window_minors_take_minor_past_a_zero_pivot(monkeypatch):
     """Off the torus, with every third coordinate of b set to 0, a pivot of
     the shared elimination can vanish; the remaining windows then come from
-    `minor`, which runs at least once here, and every window still equals
-    `minor` on its own."""
+    `integer_minor`, which runs at least once here, and every window, read
+    at b, still equals `minor` on its own."""
     fallback = []
-    minor = recorder(monkeypatch, "minor", fallback)
+    recorder(monkeypatch, "integer_minor", fallback)
     for m in (2, 3, 4, 5, 6):
         stream = cli.rational_stream(900 + m)
         rows = list(range(m + 1, 2 * m + 2))
         for _ in range(3):
             b = [Fraction(0) if k % 3 == 0 else x for k, x in enumerate(cli.sample_b(m, stream))]
             u2 = gr.build_u2bar(b, m)
-            for j, values in gr.window_minors(u2).items():
-                assert list(values) == [minor(u2, rows, cols) for cols in window_cols(j, m)], (m, b, j)
+            for j, values in fw.windows_at_b(u2, gr.window_minors(u2)).items():
+                assert list(values) == [fw.minor(u2, rows, cols) for cols in window_cols(j, m)], (m, b, j)
     assert fallback
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7])
+def test_integer_windows_read_at_b_are_the_fraction_windows(monkeypatch, m):
+    """The integer windows of `window_minors`, read at b, equal the
+    Fraction-valued windows of the oracle, window for window: at seeded
+    torus points, and at points with every second or third coordinate 0,
+    where for m >= 3 a pivot vanishes and `integer_minor` takes the
+    remaining windows."""
+    fallback = []
+    recorder(monkeypatch, "integer_minor", fallback)
+    stream = cli.rational_stream(1100 + m)
+    for zeros in (None, 3, 2):
+        for _ in range(3 if m < 7 else 1):
+            b = cli.sample_b(m, stream)
+            if zeros:
+                b = [Fraction(0) if k % zeros == 0 else x for k, x in enumerate(b)]
+            u2 = gr.build_u2bar(b, m)
+            out = gr.window_minors(u2)
+            assert all(type(x) is int for values in out.values() for x in values), (m, b)
+            assert fw.windows_at_b(u2, out) == fw.fraction_window_minors(u2), (m, b)
+        if zeros is None:
+            assert not fallback, m
+    assert bool(fallback) == (m >= 3), m
 
 
 def test_window_minors_raise_on_a_block_that_is_not_unitriangular():
@@ -477,11 +507,32 @@ def random_integer_matrix(n, gen):
     return [[0 if next(gen) % 3 == 0 else next(gen) % 19 - 9 for _ in range(n)] for _ in range(n)]
 
 
+def unit_cases(a, gen):
+    """Copies of the square matrix a (n >= 2) that the unit steps of
+    `determinant` take: +-1 entries away from (0, 0), several rows holding
+    a unit, an all +-1 matrix, and last a unit in a row of a matrix with a
+    zero column."""
+    n = len(a)
+    away = [list(row) for row in a]
+    away[0][0] = away[0][0] if abs(away[0][0]) != 1 else 4
+    away[n - 1][n // 2], away[n // 2][n - 1] = -1, 1
+    several = [list(row) for row in a]
+    for r in range(n):
+        several[r][(3 * r + 1) % n] = 1 if next(gen) % 2 else -1
+    signs = [[1 if next(gen) % 2 else -1 for _ in range(n)] for _ in range(n)]
+    zero_column = [list(row) for row in away]
+    for row in zero_column:
+        row[n // 2 - 1] = 0
+    return [away, several, signs, zero_column]
+
+
 def test_determinant_matches_both_oracles_on_random_matrices():
     """Seeded random integer matrices of size 0 to 8: generic ones, a zero
     leading entry that forces a swap, a zero pivot after one step, a
-    repeated row, a zero column and a row that is an integer combination of
-    two others."""
+    repeated row, a zero column, a row that is an integer combination of
+    two others, and the unit cases (+-1 entries away from (0, 0), several
+    unit rows, all +-1 entries, a unit beside a zero column); then the
+    vanishing-minor squares of `verify fj` for m = 2..7."""
     gen = splitmix64(2024)
     c1, c2 = 3, -5
     for n in range(9):
@@ -498,7 +549,8 @@ def test_determinant_matches_both_oracles_on_random_matrices():
                 repeated = [list(row) for row in a]
                 repeated[-1] = list(repeated[0])
                 column = [row[:-1] + [0] for row in a]
-                cases += [swap, step, repeated, column]
+                units = unit_cases(a, gen)
+                cases += [swap, step, repeated, column, *units]
             if n >= 3:
                 combined = [list(row) for row in a]
                 combined[2] = [x * c1 - y * c2 for x, y in zip(a[0], a[1])]
@@ -507,23 +559,48 @@ def test_determinant_matches_both_oracles_on_random_matrices():
                 det = gr.determinant(case)
                 assert det == gaussian_determinant(case) == cofactor_det(case), (n, trial, case)
             if n >= 2:
-                assert not gr.determinant(repeated) and not gr.determinant(column)
+                assert not gr.determinant(repeated) and not gr.determinant(column) and not gr.determinant(units[-1])
     assert gr.determinant([]) == 1
     assert gr.determinant([[-3]]) == -3
+    assert gr.determinant([[1]]) == 1 and gr.determinant([[-1]]) == -1
     anti = [[0, 1], [1, 0]]
     assert gr.determinant(anti) == -1
+    assert gr.determinant([[0, 0, -1], [0, 1, 0], [1, 0, 0]]) == 1
+    # the squares of the vanishing minors of `verify fj` (rows j+1 and
+    # m+1..2m+1, columns j..j+m+1 of g) at seeded torus points are 0; with
+    # row j+1 swapped for the last row of the identity each is +-1 times
+    # the D window at j, a monomial at a torus point, not 0
+    for m in range(2, 8):
+        u2 = gr.build_u2bar(cli.sample_b(m, cli.rational_stream(1300 + m)), m)
+        g, windows = u2[0], gr.window_minors(u2)
+        for j in range(1, m):
+            square = [row[j - 1:j + m + 1] for row in (g[j], *g[m:])]
+            assert gr.determinant(square) == gaussian_determinant(square) == cofactor_det(square) == 0, (m, j)
+            moved = [[0] * (m + 1) + [1]] + square[1:]
+            det = gr.determinant(moved)
+            assert det == gaussian_determinant(moved) == cofactor_det(moved), (m, j)
+            if j > 1:
+                assert abs(det) == abs(windows[j][0]) != 0, (m, j)
 
 
 def test_determinant_raises_on_a_division_that_is_not_exact():
-    """A Bareiss step whose division leaves a remainder, here from an entry
-    that is not an integer, raises ArithmeticError rather than rounding."""
+    """An entry that is not an int raises ArithmeticError before any step,
+    as the unit steps would carry it with no division to leave a
+    remainder; and a Bareiss step whose division leaves a remainder, from
+    an entry that is not an integer or from a wrong previous pivot, raises
+    ArithmeticError rather than rounding."""
+    for a in ([[1, 1], [1, Fraction(1, 2)]], [[2, 3], [5, Fraction(1, 2)]], [[Fraction(1, 2)]]):
+        with pytest.raises(ArithmeticError, match="not an int"):
+            gr.determinant(a)
     with pytest.raises(ArithmeticError, match="not a multiple"):
-        gr.determinant([[1, 1], [1, Fraction(1, 2)]])
+        gr._bareiss_step([[1, 1], [1, Fraction(1, 2)]], 1)
+    with pytest.raises(ArithmeticError, match="not a multiple"):
+        gr._bareiss_step([[2, 3], [5, 4]], 3)
 
 
 def test_frozen_minor_value():
     u2 = gr.build_u2bar([1, 2, 3], 2)
-    assert gr.minor(u2, [3, 4, 5], [2, 3, 4]) == 18
+    assert fw.minor(u2, [3, 4, 5], [2, 3, 4]) == 18
 
 
 def test_extract_f_coeff():

@@ -151,6 +151,25 @@ def test_sym_to_minor_exact():
                 assert rep.ok, (m, j, rep.detail)
 
 
+def test_minor_sums_have_the_degree_of_their_windows(monkeypatch):
+    """For m = 2..14 each sum of `verify minors` has the degree of its
+    window's power of D, (m+1)(m+1-j) for D_(j) and one more for N_(j), so
+    the suite compares them as integers with no power of D between; a
+    window power off by one raises ArithmeticError."""
+    for m in range(2, 15):
+        sums = sp._minor_sums(m)
+        assert [j for j, _ in sums] == list(range(2, m + 1))
+        for j, ((den, e), (num, f)) in sums:
+            assert sp._degree(den) == e == (m + 1) * (m + 1 - j) and sp._degree(num) == f == e + 1, (m, j)
+    monkeypatch.setattr(gr, "window_power", lambda m, j: (m + 1) * (m + 1 - j) + 1)
+    sp._minor_sums.cache_clear()
+    try:
+        with pytest.raises(ArithmeticError, match="not the degree of its minor"):
+            sp._minor_sums(4)
+    finally:
+        sp._minor_sums.cache_clear()
+
+
 def test_sym_to_minor_frozen_m2():
     ((j, rep),) = sp.verify_sym_to_minors(2, sp.plucker_vector([1, 2, 3], 2), gr.build_u2bar([1, 2, 3], 2))
     assert j == 2 and rep.ok
