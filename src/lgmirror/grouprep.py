@@ -15,12 +15,10 @@ The grading: each f_i moves one step down the basis and f_m^2/2 two steps
 with b^2, so entry (r, c) is homogeneous of degree r - c in b.  At a rational
 b with D the lcm of its denominators, `build_u2bar` runs the row operations
 on the integers D b, and entry (r, c) at b is that integer over D^(r-c).  A
-minor on rows R and columns C is then an integer determinant over
-D^(sum R - sum C) (`integer_minor` is that integer), and f_j* an integer
-over D; every minor and f_j* the identities read stays such an integer,
-and only a failing check reads one at b.  `determinant` first takes the
-+-1 entries as pivots, which divide by nothing (the squares of a lower
-unitriangular g hold many), then runs Bareiss elimination on the rest.
+minor on rows R and columns C is then an integer determinant, by Bareiss
+elimination, over D^(sum R - sum C) (`minor` returns the integer), and
+f_j* an integer over D; the identities compare these integers, and only
+a failing check reads one at b.
 The window minors: R = rows m+1..2m+1 of g is [A | L] with L (columns
 m+1..2m+1) lower unitriangular, and row operations with pivot 1, of
 determinant 1 and no division, turn it into [X | I], X = L^-1 A an integer
@@ -33,9 +31,9 @@ integer s_j det X[rows j..m; cols j-1, j+1..m] over one more power of D;
 minors of X[1..m; 1..m] and the same with the first column moved one
 left, so one Bareiss elimination from the bottom-right corner, with no
 swap, gives them all: by Sylvester's identity the pivot after k - 1 steps
-is the D minor of j = m+1-k and the entry next to it the N minor.  Every pivot is a D minor,
-a monomial in b at a torus point, so never 0 there; past a zero pivot
-`integer_minor` takes the remaining windows.  The vanishing minor of
+is the D minor of j = m+1-k and the entry next to it the N minor.  Every
+pivot is a D minor, a monomial in b at a torus point, so never 0 there;
+past a zero pivot `minor` takes the remaining windows.  The vanishing minor of
 `verify fj` (rows j+1, m+1..2m+1) stays with `determinant` on its own
 square: expanded along row j+1 it is g_(j+1,j) den - num, so read from the
 shared elimination it would only restate the ratio check.
@@ -70,7 +68,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
 
 from lgmirror import clifford as cl
 from lgmirror import partitions as pt
@@ -114,9 +111,9 @@ def _add_row(g: Matrix, dst: int, src: int, s: int) -> None:
             row[c] += s * x
 
 
-def integer_minor(u2: U2bar, rows: list[int], cols: list[int]) -> int:
+def minor(u2: U2bar, rows: list[int], cols: list[int]) -> int:
     """D^(sum(rows) - sum(cols)) times the minor of u2bar on 1-based rows and
-    cols at b: the determinant of that submatrix of g."""
+    cols at b, an int: the determinant of that submatrix of g."""
     if len(rows) != len(cols):
         raise ValueError("minor needs |rows| = |cols|")
     g = u2[0]
@@ -124,44 +121,17 @@ def integer_minor(u2: U2bar, rows: list[int], cols: list[int]) -> int:
 
 
 def determinant(a: Matrix) -> int:
-    """Determinant of a square integer matrix: unit pivots, then Bareiss.
+    """Determinant of a square integer matrix by Bareiss elimination.
 
-    While some row holds an entry u = +-1, found from the last row up (the
-    squares of a lower triangular g hold their unit diagonal there, in
-    columns with few entries below), each other row with an entry x in
-    that column takes x u times the unit row off itself, and the column and
-    the unit row leave the matrix with sign (-1)^(r+c) u: no division, and
-    a row with a 0 in the column stays as it is.  Bareiss elimination takes
-    what is left: step k replaces each entry below and right of the pivot
-    p_k by (p_k a_ij - a_ik a_kj) / p_{k-1}, a minor of the matrix, so the
-    division is exact.  A zero pivot swaps in a lower row and flips the
-    sign; the last pivot is the determinant.  Raises ArithmeticError on an
-    entry that is not an int, which the unit steps would carry without a
-    division, and if a division leaves a remainder, which no integer matrix
-    can cause.
+    Step k replaces each entry below and right of the pivot p_k by
+    (p_k a_ij - a_ik a_kj) / p_{k-1}, a minor of a, so the division is
+    exact.  A zero pivot swaps in a lower row and flips the sign; the last
+    pivot is the determinant.  Raises ArithmeticError if a division leaves
+    a remainder, which no integer matrix can cause.
     """
-    if set(map(type, chain.from_iterable(a))) - {int}:
-        bad = next(x for x in chain.from_iterable(a) if type(x) is not int)
-        raise ArithmeticError(f"determinant: entry {bad!r} is not an int")
-    rows, sign, gone = list(a), 1, []
-    while rows:
-        for r in range(len(rows) - 1, -1, -1):
-            top = rows[r]
-            if u := 1 if 1 in top else -1 if -1 in top else 0:
-                break
-        else:
-            break
-        c = top.index(u)
-        del rows[r]
-        sign *= -u if (r + c - sum(k < c for k in gone)) % 2 else u
-        gone.append(c)
-        rows = [[y - x * z for y, z in zip(row, top)] if (x := row[c] * u) else row for row in rows]
-    if not rows:
-        return sign
-    if gone:
-        keep = [c for c in range(len(rows[0])) if c not in gone]
-        rows = [[row[c] for c in keep] for row in rows]
-    prev = 1
+    if not a:
+        return 1
+    rows, sign, prev = list(a), 1, 1
     while True:
         if not rows[0][0]:
             r = next((r for r in range(1, len(rows)) if rows[r][0]), None)
@@ -193,10 +163,10 @@ def _bareiss_step(rows: Matrix, prev: int) -> Matrix:
 def window_minors(u2: U2bar) -> dict[int, tuple[int, int]]:
     """{j: (D, N)}, j = 2..m: the minors of u2bar on rows m+1..2m+1 and
     columns j..j+m, and {j-1} u {j+1..j+m}, as integers, D^e and D^(e+1)
-    times their values at b for e = `window_power(m, j)` (as
-    `integer_minor` gives them), from one reduction to [X | I] and one
-    Bareiss sweep of X (above).  Raises ArithmeticError if columns
-    m+1..2m+1 of those rows are not lower unitriangular."""
+    times their values at b for e = `window_power(m, j)` (as `minor` gives
+    them), from one reduction to [X | I] and one Bareiss sweep of X
+    (above).  Raises ArithmeticError if columns m+1..2m+1 of those rows
+    are not lower unitriangular."""
     g = u2[0]
     m = len(g) // 2
     x = []
@@ -214,7 +184,7 @@ def window_minors(u2: U2bar) -> dict[int, tuple[int, int]]:
     for j in range(m, 1, -1):
         if not prev:
             cols = list(range(j, j + m + 1))
-            out[j] = integer_minor(u2, rows, cols), integer_minor(u2, rows, [j - 1] + cols[1:])
+            out[j] = minor(u2, rows, cols), minor(u2, rows, [j - 1] + cols[1:])
             continue
         pivot, nxt = z[0][0], z[0][1]
         out[j] = (-pivot, -nxt) if j * (m + 1 - j) % 2 else (pivot, nxt)

@@ -280,7 +280,7 @@ def verify_fj_minors(m: int, u2: gr.U2bar) -> list[tuple[int, CheckReport]]:
     `grouprep.build_u2bar`) as the ratio of the minors on rows m+1..2m+1
     and columns {j} u {j+2..j+m+1} over j+1..j+m+1, the N and D windows at
     j+1 of one `grouprep.window_minors` elimination, plus the vanishing
-    minor behind it, with row j+1 added, by its own `grouprep.integer_minor`.
+    minor behind it, with row j+1 added, by its own `grouprep.minor`.
     All on integers: f_j* is g_(j+1,j) over D and the windows are D^e and
     D^(e+1) times their minors, so the ratio holds exactly when
     g_(j+1,j) den = num, and the vanishing minor is 0 exactly when its
@@ -293,7 +293,7 @@ def verify_fj_minors(m: int, u2: gr.U2bar) -> list[tuple[int, CheckReport]]:
         if not den or g[j][j - 1] * den != num:
             e = gr.window_power(m, j + 1)
             rep = CheckReport(False, f"f_{j}* = {gr.extract_f_coeff(u2, j)}, minors {Fraction(num, d ** (e + 1))}/{Fraction(den, d**e)}")
-        elif vanishing := gr.integer_minor(u2, [j + 1] + rows, cols := list(range(j, j + m + 2))):
+        elif vanishing := gr.minor(u2, [j + 1] + rows, cols := list(range(j, j + m + 2))):
             rep = CheckReport(False, f"vanishing minor is {Fraction(vanishing, d ** (j + 1 + sum(rows) - sum(cols)))}")
         else:
             rep = CheckReport(True)

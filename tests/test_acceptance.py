@@ -188,7 +188,7 @@ def test_criterion_4_f_coefficient_minors_and_vanishing():
             # whose entry (m+2, m), the 1x1 minor on row m+2 and column m,
             # is f_m*^2, the quadratic factor of y_m
             f_m = gr.extract_f_coeff(u2, m)
-            assert fw.minor(u2, [m + 2], [m]) == f_m * f_m, (m, bs)
+            assert fw.minor_at_b(u2, [m + 2], [m]) == f_m * f_m, (m, bs)
     elapsed = time.time() - t0
     report(4, True, elapsed, f"f_j* minor ratio + vanishing minor ({checked} instances)")
     assert elapsed < 30

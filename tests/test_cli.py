@@ -700,9 +700,9 @@ def test_a_failing_minor_reports_its_values_at_b(monkeypatch, capsys, suite, j, 
     """`window_minors` made wrong by 1 at b on one side (D, N) of one window
     j, at m = 3 with D > 1, that is by D^e in the integers, e the window's
     power of D: the one failing record prints the sum and the minors at b,
-    recomputed here by the Fraction spin route and one `fractionwindows.minor`
-    per window, the report carries it as its counterexample, and the exit
-    code is 1."""
+    recomputed here by the Fraction spin route and one
+    `fractionwindows.minor_at_b` per window, the report carries it as its
+    counterexample, and the exit code is 1."""
     from lgmirror import grouprep as gr
     from lgmirror import superpotential as sp
     from lgmirror.scalars import lift
@@ -724,7 +724,7 @@ def test_a_failing_minor_reports_its_values_at_b(monkeypatch, capsys, suite, j, 
     assert code == 1 and not report["ok"] and len(bad) == 1
     assert report["counterexample"] == bad[0]
     u2, rows, cols = gr.build_u2bar(b, m), list(range(m + 1, 2 * m + 2)), list(range(j, j + m + 1))
-    den, num = fw.minor(u2, rows, cols), fw.minor(u2, rows, [j - 1] + cols[1:])
+    den, num = fw.minor_at_b(u2, rows, cols), fw.minor_at_b(u2, rows, [j - 1] + cols[1:])
     if suite == "minors":
         term, p = sp.symbolic_W(m)[m + 1 - j], sp.plucker_vector(b, m)
         if side == 0:
@@ -928,7 +928,7 @@ PINNED_REPORTS = {
         "b2a7dfc090ec1f712df86a1e20047d109a926c74ccf5a79a306333488a042289",
     ),
     # recorded before the minor suites compared integers at D b (windows,
-    # f_j* and the vanishing minor with unit pivots); m = 6 as the benchmark
+    # f_j* and the vanishing minor); m = 6 as the benchmark
     "minors-6-defaults": (
         ["verify", "minors", "--m", "6"],
         "5aea929c94192e63690a65f2038f02689ab2e39ab394564b58e2263f8389e6dc",
