@@ -7,48 +7,23 @@ infinities spelled as json spells them, floats (float subclasses such as
 numpy.float64 too) by float.__repr__, strings ASCII-escaped, and TypeError
 on any other type.  It is not json.dumps because on Python 3.11 the C
 encoder serves only indent=None: an indented report goes through the
-pure-Python encoder, a quarter of a warm `critical --m 3`.  `_json` writes
-a leaf through a table keyed by its exact type (str, int, float, bool,
-None), a subclass of str, int or float by isinstance, and each container's
-text in one join.  It joins each list of plain numbers or strings in one
-C-level call, and fills a list of equal-length, non-empty lists of plain
-ints and floats (each complex number of a `critical` report is a two-item
-list) into one %-template of its rows.  Anything else, a nan or an
-infinity, a bool, a numpy float, a ragged row or a tuple, is written item
-by item.
-Random exact sample points are drawn through splitmix64 with numerators
-in [-9, 9] \\ {0} and denominators in [1, 9].
-`sample_b` puts b on the torus (no coordinate 0), where every divisor
-D_l(u2bar(b)) is a monomial in b with coefficient 1: no point is on a
-divisor, none is redrawn, and `divisor_redraws` is 0.
-The per-point suites compute on the integers D b, with D the lcm of the
-denominators of b (`scalars.lift`), read back at b by the grading of each
-value; they build no Q(sqrt2) scalar.
+pure-Python encoder, a quarter of a warm `critical --m 3` (see `_text`).
 Each command imports the modules it runs, and what they import, inside
-the function that runs it: `verify pi-map` `clifford`, `verify chevalley`
-`qchevalley`, the per-point suites and print-w `superpotential`, and only
-`critical` the numerical layer (`jacobi`, and with it numpy); a fresh
-process compiles and loads nothing else.  `critical` is deterministic
-without a seed and, past their checks, ignores --trials and --seed.
-The flags of each command are one table, `_COMMANDS`, from which
-`build_parser` builds the argparse parsers.  `main` reads a plain command
-line straight from that table, to the flags argparse would give: the
-command, for verify the suite first, then exact `--flag value` pairs, each
-flag once, no value starting with "-", every value converted by its type
-and in its choices, --m given and not both --q and --t.  Anything else
-(help, an abbreviation, `--m=3`, a repeat, `--`, a bad value) goes to
-`build_parser().parse_args`, the one source of help, usage and error text;
-so a plain command never imports argparse.
-Exit codes: 0 success, 1 verification failure, 2 usage error.  Usage
-errors are found from the parsed flags before any work (where `--t` becomes
-q, once): among them an `--m` past the command's cost limit
-(`MAX_PRINT_M`, `MAX_VERIFY_M`, `MAX_CRITICAL_M`), a `verify --trials`
-above min(1000, 25 * STEP^(limit - m)) (STEP 2, and 1.5 for `fj`:
-`TRIALS_STEP`), a `--seed` outside 0..2^64-1, which splitmix64 would fold
-onto another seed's points, a `--t` whose q = exp(t) is not finite or
-rounds to 0, and an `--out` that is empty, names a directory or lies in a
-missing or unwritable one.  The file is opened only to write the report,
-so a refused run truncates none.
+the function that runs it, `verify` inside each suite's runner in the suite
+table `_SUITES`; only `critical` loads the numerical layer (`jacobi`, and
+with it numpy); a fresh process loads nothing else.  `critical` is
+deterministic without a seed and, past their checks, ignores --trials and
+--seed; `verify pi-map` and `verify chevalley`, which check fixed elements
+of one m, past their checks ignore --q, --t, --trials and --seed.
+The flags of each command are one table, `_COMMANDS`: `_plain` reads a plain
+command line from it without argparse, and `build_parser` builds the
+argparse parsers from it, the one source of help, usage and error text.
+Exit codes: 0 success, 1 verification failure, 2 usage error.  `_check`
+finds usage errors from the parsed flags before any work, among them an
+`--m` or a `verify --trials` past its cost limit (`MAX_PRINT_M`,
+`MAX_CRITICAL_M`, `_SUITES`) and a `--seed` outside 0..2^64-1, which
+splitmix64 would fold onto another seed's points.  The file is opened only
+to write the report, so a refused run truncates none.
 """
 
 from __future__ import annotations
@@ -74,13 +49,6 @@ MAX_CRITICAL_M = 9
 # 78 MB at m = 24, 1.0-1.2 s and 111 MB at m = 25, and 1.4 s and 147 MB at
 # m = 26 (fresh process, same VM); time and memory grow some 1.3-1.45x per m.
 MAX_PRINT_M = 25
-# The largest m of each verify suite, in its parser order: a fresh run at the
-# default 25 trials takes at most about 10 s and 130 MB there (same VM), and
-# the next m two to three times as long; `fj` grows slowest.  A trial costs
-# about 1/STEP as much at each m below, with STEP 2 and 1.5 for `fj`, so
-# `verify` takes at most min(1000, 25 * STEP^(limit - m)) trials.
-MAX_VERIFY_M = {"minors": 14, "theorem-w": 14, "pi-map": 14, "subword": 12, "chevalley": 14, "em": 14, "fj": 20}
-TRIALS_STEP = {"fj": 1.5}
 
 
 @lru_cache(maxsize=None)
@@ -102,7 +70,9 @@ def rational_stream(seed: int):
 
 
 def sample_b(m: int, stream) -> list[Fraction]:
-    """One torus point, drawn once: `rational_stream` never yields 0."""
+    """One torus point, drawn once: `rational_stream` never yields 0.  Every
+    divisor D_l(u2bar(b)) is a monomial in b with coefficient 1, so no point
+    is on a divisor, none is redrawn, and `divisor_redraws` is 0."""
     return [next(stream) for _ in range(m * (m + 1) // 2)]
 
 
@@ -217,64 +187,88 @@ def cmd_print_w(args: SimpleNamespace) -> int:
 # -- verify -------------------------------------------------------------------
 
 
-def _point_checks(suite: str, m: int, q: Fraction, b: list[Fraction]) -> list:
-    """The checks of a per-point suite at one rational torus point b, each
-    given what it reads: [(extra record fields, report)].  Every route runs
-    on integers, by the grading: the vector route (`build_u2bar`) lifts b
-    itself, and the spin and subword routes, W and W-tilde run on the lift
-    (D b, D) of b; nothing computes in Q(sqrt2)."""
+def _pi_map(m: int) -> tuple[list[dict], dict]:
+    """The pi images of D_j and N_j, j = 2..m, against wedge_v and wedge_v_plus."""
+    from lgmirror import clifford as cl
+
+    records = []
+    for j in range(2, m + 1):
+        okD = cl.pi_map(cl.build_D(j, m)) == cl.wedge_v(j, m)
+        okN = cl.pi_map(cl.build_N(j, m)) == cl.wedge_v_plus(j, m)
+        records.append({"j": j, "ok": okD and okN, "detail": "" if okD and okN else f"pi image wrong (D ok: {okD}, N ok: {okN})"})
+    return records, {}
+
+
+def _chevalley(m: int) -> tuple[list[dict], dict]:
+    """The l = 1 relation and the grading of the sigma_1 table, which the report carries."""
+    from lgmirror import qchevalley as qc
+
+    ok = qc.verify_relation_l1(m)
+    bad = qc.grading_violations(m)
+    records = [
+        {"relation": "l=1", "ok": ok, "detail": "" if ok else "sigma_1*sigma_m != sigma_{m,1} + q"},
+        {"relation": "grading+positivity", "ok": not bad, "detail": "; ".join(bad)},
+    ]
+    conventions = (
+        "quantum terms use n_alpha = (m+1) alpha^vee(omega_m), "
+        "the pairing of the curve degree with the anti-canonical class"
+    )
+    return records, {"sigma1_table": qc.multiplication_table(m), "conventions": conventions}
+
+
+def _theorem_w(m: int, q: Fraction, b: list[Fraction]) -> list:
+    from lgmirror import superpotential as sp
+
+    point = lift(b)
+    return [({}, sp.verify_theorem_w(m, q, point, sp.plucker_vector(point[0], m)))]
+
+
+def _em(m: int, q: Fraction, b: list[Fraction]) -> list:
+    from lgmirror import superpotential as sp
+
+    point = lift(b)
+    return [({}, sp.verify_em_formula(m, point, sp.plucker_vector(point[0], m)))]
+
+
+def _subword(m: int, q: Fraction, b: list[Fraction]) -> list:
+    from lgmirror import superpotential as sp
+
+    point = lift(b)
+    return [({}, sp.verify_subword_route(m, point, sp.plucker_vector(point[0], m)))]
+
+
+def _minors(m: int, q: Fraction, b: list[Fraction]) -> list:
     from lgmirror import grouprep as gr
     from lgmirror import superpotential as sp
 
-    if suite == "fj":
-        u2 = gr.build_u2bar(b, m)
-        return [({"j": j}, rep) for j, rep in sp.verify_fj_minors(m, u2)]
-    point = lift(b)
-    p = sp.plucker_vector(point[0], m)
-    if suite == "theorem-w":
-        return [({}, sp.verify_theorem_w(m, q, point, p))]
-    if suite == "em":
-        return [({}, sp.verify_em_formula(m, point, p))]
-    if suite == "subword":
-        return [({}, sp.verify_subword_route(m, point, p))]
-    u2 = gr.build_u2bar(b, m)
-    return [({"j": j}, rep) for j, rep in sp.verify_sym_to_minors(m, p, u2)]
+    p = sp.plucker_vector(lift(b)[0], m)
+    return [({"j": j}, rep) for j, rep in sp.verify_sym_to_minors(m, p, gr.build_u2bar(b, m))]
 
 
-def _suite_records(suite: str, m: int, q: Fraction, trials: int, seed: int) -> list[dict]:
-    """Run one identity suite; returns its records.  pi-map and chevalley
-    check fixed elements; a per-point suite runs at `trials` random exact
-    torus points, one draw each."""
-    if suite == "pi-map":
-        from lgmirror import clifford as cl
+def _fj(m: int, q: Fraction, b: list[Fraction]) -> list:
+    from lgmirror import grouprep as gr
+    from lgmirror import superpotential as sp
 
-        records = []
-        for j in range(2, m + 1):
-            okD = cl.pi_map(cl.build_D(j, m)) == cl.wedge_v(j, m)
-            okN = cl.pi_map(cl.build_N(j, m)) == cl.wedge_v_plus(j, m)
-            records.append({"j": j, "ok": okD and okN, "detail": "" if okD and okN else f"pi image wrong (D ok: {okD}, N ok: {okN})"})
-        return records
-    if suite == "chevalley":
-        from lgmirror import qchevalley as qc
+    return [({"j": j}, rep) for j, rep in sp.verify_fj_minors(m, gr.build_u2bar(b, m))]
 
-        ok = qc.verify_relation_l1(m)
-        bad = qc.grading_violations(m)
-        return [
-            {"relation": "l=1", "ok": ok, "detail": "" if ok else "sigma_1*sigma_m != sigma_{m,1} + q"},
-            {"relation": "grading+positivity", "ok": not bad, "detail": "; ".join(bad)},
-        ]
+
+def _suite_records(suite: str, m: int, q: Fraction, trials: int, seed: int) -> tuple[list[dict], dict]:
+    """Run one identity suite: its records and any extra payload."""
+    *_, per_point, run = _SUITES[suite]
+    if not per_point:
+        return run(m)
     stream = rational_stream(seed)
     records = []
     for k in range(trials):
         b = sample_b(m, stream)
         coords = [str(x) for x in b]  # one list, shared by the point's records
-        for fields, rep in _point_checks(suite, m, q, b):
+        for fields, rep in run(m, q, b):
             records.append({"instance": k, **fields, "b": coords, "ok": rep.ok, "detail": rep.detail})
-    return records
+    return records, {}
 
 
 def cmd_verify(args: SimpleNamespace) -> int:
-    records = _suite_records(args.suite, args.m, args.q, args.trials, args.seed)
+    records, extra = _suite_records(args.suite, args.m, args.q, args.trials, args.seed)
     ok = all(r["ok"] for r in records)
     payload = {
         "schema": SCHEMA,
@@ -286,15 +280,8 @@ def cmd_verify(args: SimpleNamespace) -> int:
         "divisor_redraws": 0,
         "ok": ok,
         "records": records,
+        **extra,
     }
-    if args.suite == "chevalley":
-        from lgmirror import qchevalley as qc
-
-        payload["sigma1_table"] = qc.multiplication_table(args.m)
-        payload["conventions"] = (
-            "quantum terms use n_alpha = (m+1) alpha^vee(omega_m), "
-            "the pairing of the curve degree with the anti-canonical class"
-        )
     if not ok:
         payload["counterexample"] = next(r for r in records if not r["ok"])
     _emit(_json(payload), args.out)
@@ -322,9 +309,7 @@ def _fraction(text: str) -> Fraction:
 
 
 # The flags of each command, as argparse's add_argument keywords; each dest is
-# the flag's name.  build_parser builds its parsers from this table, and
-# `_plain` reads a plain command line with it directly.  `--q` and `--t`
-# exclude each other.
+# the flag's name.  `--q` and `--t` exclude each other.
 _COMMON = {
     "--m": {"type": int, "required": True, "help": "rank of the Lagrangian Grassmannian, m >= 2"},
     "--q": {"type": _fraction, "default": Fraction(1), "help": "quantum parameter (rational)"},
@@ -334,11 +319,30 @@ _COMMON = {
     "--out": {"type": str, "default": None, "help": "write the report to FILE"},
 }
 _EXCLUSIVE = ("--q", "--t")
+# The suites of `verify`, in parser order: (largest m, --trials STEP,
+# per-point, runner).  An exact suite's runner takes m and gives its records
+# and any extra payload; a per-point suite runs at --trials torus points
+# drawn from --seed, and its runner gives the checks at one point b, each
+# with what its record adds: [(fields, report)].  At the largest m a fresh
+# run of 25 trials takes at most about 10 s and 130 MB (same VM), the next m
+# two to three times as long, and a trial about 1/STEP as much at each m
+# below: `verify` takes at most min(1000, 25 * STEP^(limit - m)) trials.
+_SUITES = {
+    "minors": (14, 2, True, _minors),
+    "theorem-w": (14, 2, True, _theorem_w),
+    "pi-map": (14, 2, False, _pi_map),
+    "subword": (12, 2, True, _subword),
+    "chevalley": (14, 2, False, _chevalley),
+    "em": (14, 2, True, _em),
+    "fj": (20, 1.5, True, _fj),
+}
 _PRINT_HELP = f"emit the symbolic superpotential, for m <= {MAX_PRINT_M}"
 _VERIFY_HELP = (
     "run an exact identity suite; the largest m of each: "
-    + ", ".join(f"{s} {m}" for s, m in MAX_VERIFY_M.items())
-    + "; and at most min(1000, 25*STEP^(LIMIT-m)) --trials, 25 at the limit, with STEP 2 (fj 1.5)"
+    + ", ".join(f"{suite} {limit}" for suite, (limit, *_) in _SUITES.items())
+    + "; and at most min(1000, 25*STEP^(LIMIT-m)) --trials, 25 at the limit, with STEP 2 ("
+    + ", ".join(f"{suite} {step}" for suite, (_, step, *_) in _SUITES.items() if step != 2)
+    + ")"
 )
 _CRITICAL_HELP = f"critical points and spectrum comparison, for m <= {MAX_CRITICAL_M}"
 # by command: its help, its description, its flags; `verify` first takes the suite
@@ -375,7 +379,7 @@ def build_parser():
     for command, (summary, description, flags) in _COMMANDS.items():
         p = sub.add_parser(command, help=summary, description=description)
         if command == "verify":
-            p.add_argument("suite", choices=tuple(MAX_VERIFY_M))
+            p.add_argument("suite", choices=tuple(_SUITES))
         group = p.add_mutually_exclusive_group() if _EXCLUSIVE[0] in flags else None
         for flag, spec in flags.items():
             (group if flag in _EXCLUSIVE else p).add_argument(flag, **spec)
@@ -412,24 +416,22 @@ def _check(args: SimpleNamespace) -> None:
     the OSError of an unwritable --out; turns --t into q."""
     if args.m < 2:
         raise ValueError("need m >= 2")
-    if args.command == "print-w" and args.m > MAX_PRINT_M:
-        raise ValueError(f"print-w needs m <= {MAX_PRINT_M}, got {args.m}")
+    if args.command == "verify":
+        name, (limit, step, *_) = f"verify {args.suite}", _SUITES[args.suite]
+    else:
+        name, limit, step = args.command, MAX_PRINT_M if args.command == "print-w" else MAX_CRITICAL_M, None
+    if args.m > limit:
+        raise ValueError(f"{name} needs m <= {limit}, got {args.m}")
     if args.command != "print-w":
         critical = args.command == "critical"
-        if critical and args.m > MAX_CRITICAL_M:
-            raise ValueError(f"critical needs m <= {MAX_CRITICAL_M}, got {args.m}")
-        if not critical and args.m > MAX_VERIFY_M[args.suite]:
-            raise ValueError(f"verify {args.suite} needs m <= {MAX_VERIFY_M[args.suite]}, got {args.m}")
         if not 0 <= args.seed < 2**64:
             raise ValueError(f"need 0 <= --seed < 2^64, got {args.seed}")
         if critical and not (math.isfinite(args.tolerance) and args.tolerance > 0):
             raise ValueError(f"need a finite --tolerance > 0, got {args.tolerance}")
         if args.trials < 1:
             raise ValueError("need --trials >= 1")
-        if not critical and args.trials > (
-            most := min(1000, int(25 * TRIALS_STEP.get(args.suite, 2) ** (MAX_VERIFY_M[args.suite] - args.m)))
-        ):
-            raise ValueError(f"verify {args.suite} --m {args.m} needs --trials <= {most}, got {args.trials}")
+        if not critical and args.trials > (most := min(1000, int(25 * step ** (limit - args.m)))):
+            raise ValueError(f"{name} --m {args.m} needs --trials <= {most}, got {args.trials}")
         if args.t is not None:
             args.q = _q_of_t(args.t)
         if critical and args.q == 0:
@@ -451,7 +453,7 @@ def _plain(argv: list[str]) -> SimpleNamespace | None:
     command, pairs = argv[0], argv[1:]
     args = {"command": command}
     if command == "verify":
-        if not pairs or pairs[0] not in MAX_VERIFY_M:
+        if not pairs or pairs[0] not in _SUITES:
             return None
         args["suite"], pairs = pairs[0], pairs[1:]
     flags = _COMMANDS[command][2]
@@ -480,9 +482,7 @@ def _plain(argv: list[str]) -> SimpleNamespace | None:
 
 
 def _parse(argv: list[str]) -> SimpleNamespace:
-    """The flags of build_parser().parse_args(argv): a plain command line is
-    read from the flag table, anything else goes to argparse, which gives
-    the help, usage and errors."""
+    """The flags of build_parser().parse_args(argv), by `_plain` if it can."""
     args = _plain(argv)
     return args if args is not None else SimpleNamespace(**vars(build_parser().parse_args(argv)))
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -234,7 +235,7 @@ def command_lines(draw) -> list[str]:
         )
         items = draw(st.lists(item, max_size=6))
     if command == "verify":
-        suite = [draw(st.sampled_from([*cli.MAX_VERIFY_M, "nosuch"]))]
+        suite = [draw(st.sampled_from([*cli._SUITES, "nosuch"]))]
         items = [suite, *items] if plain else draw(st.sampled_from([[suite, *items], [*items, suite], items]))
     return [command] + [token for item in items for token in item]
 
@@ -272,6 +273,52 @@ def test_plain_command_lines_never_reach_argparse(monkeypatch):
     expected = [vars(cli.build_parser().parse_args(argv)) for argv in PLAIN_LINES]
     monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("argparse parsed a plain command line"))
     assert [vars(cli._parse(argv)) for argv in PLAIN_LINES] == expected
+
+
+def _toy_point(m, q, b):
+    """A per-point runner that checks nothing: one record per point."""
+    return [({"coordinates": len(b)}, types.SimpleNamespace(ok=True, detail=""))]
+
+
+def _toy_exact(m):
+    """An exact runner that checks nothing: one record, and an extra field."""
+    return [{"ok": True, "detail": ""}], {"size": m}
+
+
+@pytest.mark.parametrize("per_point", [True, False])
+def test_a_suite_is_one_table_entry(monkeypatch, capsys, tmp_path, per_point):
+    """A suite added as one entry of `_SUITES`, with its runner, is read by
+    `_plain` and by argparse, refused past its m limit and past its --trials
+    bound, and writes its report: per-point records at --trials points from
+    --seed, or an exact suite's records and extra payload."""
+    monkeypatch.setitem(cli._SUITES, "toy", (3, 1.5, per_point, _toy_point if per_point else _toy_exact))
+    cli.build_parser.cache_clear()
+    try:
+        assert vars(cli._plain(["verify", "toy", "--m", "3"]))["suite"] == "toy"
+        assert cli.build_parser().parse_args(["verify", "toy", "--m=3"]).suite == "toy"
+        assert cli.main(["verify", "toy", "--m", "4"]) == 2
+        assert capsys.readouterr().err == "error: verify toy needs m <= 3, got 4\n"
+        # min(1000, 25 * 1.5^(3 - 2)) = 37
+        assert cli.main(["verify", "toy", "--m", "2", "--trials", "38"]) == 2
+        assert capsys.readouterr().err == "error: verify toy --m 2 needs --trials <= 37, got 38\n"
+        out = tmp_path / "toy.json"
+        assert cli.main(["verify", "toy", "--m", "2", "--trials", "37", "--seed", "5", "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+    finally:
+        monkeypatch.undo()
+        cli.build_parser.cache_clear()
+    assert (report["suite"], report["m"], report["trials"], report["seed"], report["ok"]) == ("toy", 2, 37, 5, True)
+    if per_point:
+        stream = cli.rational_stream(5)
+        points = [[str(x) for x in cli.sample_b(2, stream)] for _ in range(37)]
+        assert report["records"] == [
+            {"instance": k, "coordinates": 3, "b": b, "ok": True, "detail": ""} for k, b in enumerate(points)
+        ]
+        assert "size" not in report
+    else:
+        assert report["records"] == [{"ok": True, "detail": ""}] and report["size"] == 2
+    with pytest.raises(SystemExit):  # undone: the parser no longer offers the toy suite
+        cli.build_parser().parse_args(["verify", "toy", "--m", "3"])
 
 
 def test_m_too_small_is_usage_error():
@@ -522,8 +569,8 @@ def test_divisor_redraw_counted(capsys):
 def test_a_points_records_share_one_coordinate_list():
     """The m - 1 `fj` records of a point hold one list of its coordinates,
     not a copy each, so a long run keeps one per point."""
-    records = cli._suite_records("fj", 4, Fraction(1), 3, 5)
-    assert len(records) == 3 * 3
+    records, extra = cli._suite_records("fj", 4, Fraction(1), 3, 5)
+    assert extra == {} and len(records) == 3 * 3
     for k in range(3):
         lists = {id(r["b"]) for r in records if r["instance"] == k}
         assert len(lists) == 1
@@ -628,7 +675,7 @@ def test_a_failing_point_reports_its_values_at_b(monkeypatch, suite):
         return p
 
     monkeypatch.setattr(sp, "plucker_vector", wrong)
-    (record,) = cli._suite_records(suite, m, q, 1, seed)
+    (record,), _ = cli._suite_records(suite, m, q, 1, seed)
     assert record["b"] == [str(x) for x in b] and not record["ok"]
     p = real(b, m)
     p[top] += Fraction(1, d ** len(b))
@@ -663,7 +710,7 @@ def test_minor_suites_take_one_elimination_per_point(monkeypatch, m):
         b = cli.sample_b(m, stream)
         for suite, determinants in (("minors", 0), ("fj", m - 1)):
             calls.clear()
-            checks = cli._point_checks(suite, m, Fraction(1), b)
+            checks = cli._SUITES[suite][3](m, Fraction(1), b)
             assert len(checks) == m - 1 and all(rep.ok for _, rep in checks), (suite, m)
             assert sorted(calls) == ["determinant"] * determinants + ["window_minors"], (suite, m)
 
@@ -689,7 +736,7 @@ def test_minor_suites_pass_without_a_fraction(monkeypatch):
     q = Fraction(3, 2)
     for m, b in points:
         for suite in ("minors", "fj"):
-            checks = cli._point_checks(suite, m, q, b)
+            checks = cli._SUITES[suite][3](m, q, b)
             assert len(checks) == m - 1 and all(rep.ok for _, rep in checks), (suite, m, b)
     with pytest.raises(AssertionError, match="pass path"):
         gr.extract_f_coeff(gr.build_u2bar(points[0][1], 2), 1)
@@ -937,6 +984,20 @@ PINNED_REPORTS = {
         ["verify", "fj", "--m", "6", "--trials", "3", "--seed", "5", "--q", "3/2"],
         "bcae2b1a6445468b58ecb88cdcb5d4231279a898f04d803a3d0b85694221f5b1",
     ),
+    # recorded before the suites became one table: the exact suites write the
+    # --q, --trials and --seed they ignore, and --t becomes the q of a report
+    "pi-map-4-flags": (
+        ["verify", "pi-map", "--m", "4", "--trials", "3", "--seed", "5", "--q", "3/2"],
+        "b022e29b8128156b8e4bb822e6ac775506ddb056cee54441a9c0f5f665df2efc",
+    ),
+    "chevalley-5-t": (
+        ["verify", "chevalley", "--m", "5", "--trials", "3", "--seed", "5", "--t", "0.5"],
+        "629a77129d0c6a232cc90f7264351f8cecfb2661ab2ad0474555ffb2f268a87f",
+    ),
+    "em-4-t": (
+        ["verify", "em", "--m", "4", "--trials", "2", "--seed", "5", "--t", "0.5"],
+        "ab4f8ad9aedfafa4a1f05e311f2a271b05c81daa959c38c8c1cd6d8c176bf0bd",
+    ),
 }
 
 
@@ -993,7 +1054,7 @@ def test_verify_rejects_m_past_the_cost_limit(capsys):
     """`verify SUITE --m` past the suite's limit exits 2 naming it, before
     any module of the suite is loaded; at the limit it passes the guard;
     --help states every limit."""
-    assert cli.MAX_VERIFY_M == VERIFY_M_LIMITS
+    assert {suite: limit for suite, (limit, *_) in cli._SUITES.items()} == VERIFY_M_LIMITS
     proc = python("-c", VERIFY_COST_GUARD_PROBE, json.dumps(VERIFY_M_LIMITS))
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout)
@@ -1043,6 +1104,9 @@ def test_verify_rejects_trials_past_the_cost_limit(capsys):
     the bound, before any module of the suite is loaded; the bound passes
     the guard; `critical` ignores --trials and has no such bound; --help
     states the rule."""
+    for suite, m, bound in TRIALS_BOUNDS:
+        limit, step, *_ = cli._SUITES[suite]
+        assert min(1000, int(25 * step ** (limit - m))) == bound, (suite, m)
     proc = python("-c", TRIALS_GUARD_PROBE, json.dumps(TRIALS_BOUNDS))
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout)

@@ -241,3 +241,39 @@ def test_plucker_routes_share_no_table():
     trees = _trees(SRC)
     assert _referenced(trees["grouprep.py"]) & SUBWORD_ROUTE == set()
     assert _lgmirror_imports(trees["weyl.py"]) & {"grouprep", "clifford"} == set()
+
+
+def _suite_table_violations(source: str) -> list[str]:
+    """Where the cli source `source` names a `verify` suite outside its
+    `_SUITES` table: a string literal equal to a suite name, or a comparison
+    of `args.suite` with a literal."""
+    tree = ast.parse(source)
+    (table,) = [
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "_SUITES" for t in node.targets)
+    ]
+    names = {key.value for key in table.keys}
+    inside = {id(node) for node in ast.walk(table)}
+    found = [
+        f"line {node.lineno}: {node.value!r}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value in names and id(node) not in inside
+    ]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            if any(isinstance(x, ast.Attribute) and x.attr == "suite" for x in operands) and any(
+                isinstance(x, ast.Constant) for x in operands
+            ):
+                found.append(f"line {node.lineno}: args.suite compared with a literal")
+    return found
+
+
+def test_suite_names_appear_only_in_the_suite_table():
+    """Each `verify` suite is one entry of `cli._SUITES`: no string literal
+    of cli.py outside the table names a suite, and no code compares
+    `args.suite` with a literal, so adding a suite takes one table entry and
+    its runner."""
+    with open(os.path.join(SRC, "cli.py")) as fh:
+        assert _suite_table_violations(fh.read()) == []
