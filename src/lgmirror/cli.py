@@ -1,13 +1,7 @@
 """Command-line interface: print-w, verify, critical.
 
 Reports are deterministic: identical configuration (including seed) gives
-byte-identical JSON.  `_json` writes every report, and its text is exactly
-that of json.dumps(report, sort_keys=True, indent=2): NaN and the
-infinities spelled as json spells them, floats (float subclasses such as
-numpy.float64 too) by float.__repr__, strings ASCII-escaped, and TypeError
-on any other type.  It is not json.dumps because on Python 3.11 the C
-encoder serves only indent=None: an indented report goes through the
-pure-Python encoder, a quarter of a warm `critical --m 3` (see `_text`).
+byte-identical JSON, one line of json.dumps(report, sort_keys=True).
 Each command imports the modules it runs, and what they import, inside
 the function that runs it, `verify` inside each suite's runner in the suite
 table `_SUITES`; only `critical` loads the numerical layer (`jacobi`, and
@@ -29,7 +23,7 @@ to write the report, so a refused run truncates none.
 from __future__ import annotations
 
 import errno
-from json.encoder import encode_basestring_ascii as _quote
+import json
 import math
 import os
 import sys
@@ -45,9 +39,10 @@ SCHEMA = "lg-mirror/1"
 # x N) temporary of the monomial values: 84 MiB for the 480 seeds of m = 9, and
 # at m = 10 (up to 1024 seeds, 512 monomials, N = 55) it would take 440 MiB.
 MAX_CRITICAL_M = 9
-# `print-w --format json`, the largest of the three formats, takes 0.5 s and
-# 78 MB at m = 24, 1.0-1.2 s and 111 MB at m = 25, and 1.4 s and 147 MB at
-# m = 26 (fresh process, same VM); time and memory grow some 1.3-1.45x per m.
+# `print-w --format json`, the largest of the three formats, takes 0.37 s and
+# 47 MB at m = 24, 0.57 s and 62 MB at m = 25, and 0.81 s and 80 MB at m = 26
+# (fresh process, same VM); text and latex take as long in 31-49 MB, and
+# time and memory grow some 1.3-1.5x per m.
 MAX_PRINT_M = 25
 
 
@@ -76,90 +71,6 @@ def sample_b(m: int, stream) -> list[Fraction]:
     return [next(stream) for _ in range(m * (m + 1) // 2)]
 
 
-# json's spelling of the floats whose repr it does not use
-_SPECIAL = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _float(value: float) -> str:
-    text = float.__repr__(value)
-    return _SPECIAL.get(text, text)
-
-
-# the JSON text of a leaf, by its exact type
-_LEAVES = {str: _quote, int: int.__repr__, float: _float, bool: ("false", "true").__getitem__, type(None): lambda _: "null"}
-_NUMBERS = frozenset((int, float))
-
-
-def _scalar(value) -> str:
-    """The JSON text of a leaf, spelled and typed as `json` does it: by its
-    exact type, or, for a subclass (numpy.float64), by isinstance."""
-    leaf = _LEAVES.get(type(value))
-    if leaf is not None:
-        return leaf(value)
-    for kind in (str, int, float):
-        if isinstance(value, kind):
-            return _LEAVES[kind](value)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-@lru_cache(maxsize=None)
-def _nested(pad: str) -> tuple[str, str]:
-    """The indent of a container's items at indent `pad`, and their separator."""
-    inner = pad + "  "
-    return inner, ",\n" + inner
-
-
-def _text(value, pad: str) -> str:
-    """The JSON text of `value`, nested at indent `pad`; a container's in
-    one join, each item a leaf of a type in _LEAVES or a nested _text."""
-    if not isinstance(value, (list, tuple, dict)):
-        return _scalar(value)
-    if not value:
-        return "{}" if isinstance(value, dict) else "[]"
-    inner, sep = _nested(pad)
-    get = _LEAVES.get
-    if isinstance(value, dict):
-        items = [
-            f"{_quote(k if isinstance(k, str) else _scalar(k))}: {leaf(v) if (leaf := get(type(v))) else _text(v, inner)}"
-            for k, v in sorted(value.items())
-        ]
-        return f"{{\n{inner}{sep.join(items)}\n{pad}}}"
-    text = None if type(value[0]) is dict else _joined(value, inner)
-    if text is None:
-        text = sep.join([leaf(v) if (leaf := get(type(v))) else _text(v, inner) for v in value])
-    return f"[\n{inner}{text}\n{pad}]"
-
-
-def _joined(items: list | tuple, pad: str) -> str | None:
-    """The JSON text of the items of a non-empty list at indent `pad`, made
-    in one C-level call, or None when they must be written one by one.  It
-    joins plain ints and floats, plain strings, and a list of equal-length,
-    non-empty lists of plain ints and floats (the report's complex numbers,
-    written through one %-template)."""
-    kinds = set(map(type, items))
-    if kinds <= _NUMBERS:
-        text = (",\n" + pad).join(map(repr, items))
-    elif kinds == {list} and len(widths := set(map(len, items))) == 1 and 0 not in widths:
-        flat = [x for row in items for x in row]
-        if not set(map(type, flat)) <= _NUMBERS:
-            return None
-        inner = pad + "  "
-        template = "[\n" + inner + (",\n" + inner).join(["%r"] * len(items[0])) + "\n" + pad + "]"
-        text = (",\n" + pad).join([template] * len(items)) % tuple(flat)
-    elif kinds == {str}:
-        return (",\n" + pad).join(map(_quote, items))
-    else:
-        return None
-    # repr spells a plain int or float as json does, except nan and the
-    # infinities, whose text holds an "n"
-    return None if "n" in text else text
-
-
-def _json(payload: dict) -> str:
-    """Exactly json.dumps(payload, sort_keys=True, indent=2)."""
-    return _text(payload, "")
-
-
 def _emit(text: str, out: str | None) -> None:
     """Write the report to the file `out`, or to stdout."""
     if out:
@@ -177,7 +88,7 @@ def cmd_print_w(args: SimpleNamespace) -> int:
 
     terms = sp.symbolic_W(args.m)
     if args.format == "json":
-        text = _json({"schema": SCHEMA, "m": args.m, "terms": sp.render_json_terms(terms)})
+        text = json.dumps({"schema": SCHEMA, "m": args.m, "terms": sp.render_json_terms(terms)}, sort_keys=True)
     else:
         text = sp.render_text(terms) if args.format == "text" else sp.render_latex(terms)
     _emit(text, args.out)
@@ -241,15 +152,16 @@ def _minors(m: int, q: Fraction, b: list[Fraction]) -> list:
     from lgmirror import grouprep as gr
     from lgmirror import superpotential as sp
 
-    p = sp.plucker_vector(lift(b)[0], m)
-    return [({"j": j}, rep) for j, rep in sp.verify_sym_to_minors(m, p, gr.build_u2bar(b, m))]
+    point = lift(b)
+    p = sp.plucker_vector(point[0], m)
+    return [({"j": j}, rep) for j, rep in sp.verify_sym_to_minors(m, p, gr.build_u2bar(point, m))]
 
 
 def _fj(m: int, q: Fraction, b: list[Fraction]) -> list:
     from lgmirror import grouprep as gr
     from lgmirror import superpotential as sp
 
-    return [({"j": j}, rep) for j, rep in sp.verify_fj_minors(m, gr.build_u2bar(b, m))]
+    return [({"j": j}, rep) for j, rep in sp.verify_fj_minors(m, gr.build_u2bar(lift(b), m))]
 
 
 def _suite_records(suite: str, m: int, q: Fraction, trials: int, seed: int) -> tuple[list[dict], dict]:
@@ -284,7 +196,7 @@ def cmd_verify(args: SimpleNamespace) -> int:
     }
     if not ok:
         payload["counterexample"] = next(r for r in records if not r["ok"])
-    _emit(_json(payload), args.out)
+    _emit(json.dumps(payload, sort_keys=True), args.out)
     return 0 if ok else 1
 
 
@@ -295,7 +207,7 @@ def cmd_critical(args: SimpleNamespace) -> int:
     from lgmirror import jacobi as jb
 
     report = jb.critical_report(args.m, complex(args.q), tolerance=args.tolerance)
-    _emit(_json(report), args.out)
+    _emit(json.dumps(report, sort_keys=True), args.out)
     return 0 if report["ok"] else 1
 
 

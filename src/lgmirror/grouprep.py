@@ -72,24 +72,25 @@ from functools import lru_cache
 from lgmirror import clifford as cl
 from lgmirror import partitions as pt
 from lgmirror import weyl as wy
-from lgmirror.scalars import lift
+from lgmirror.scalars import Lift
 
 Matrix = list[list[int]]
 U2bar = tuple[Matrix, int]
 
 
-def build_u2bar(b: list, m: int) -> U2bar:
-    """(g, D) at the rational point b: D the lcm of the denominators of b,
-    g the integer matrix S^-1 u2bar S at D b (the grading above).
+def build_u2bar(point: Lift, m: int) -> U2bar:
+    """(g, D) at the rational point b given by its lift (D b, D), D the lcm
+    of the denominators of b: g the integer matrix S^-1 u2bar S at D b (the
+    grading above).
 
     Starting from I, each y_{i_k}(a_k), k = 1..N, multiplies from the left
     as row operations (1-based rows): for i < m, row i+1 += a row i and row
     2m+2-i += a row 2m+1-i; for i = m, row m+2 += 2a row m+1 + a^2 row m
     (reading the old row m+1), then row m+1 += a row m.
-    `b` holds ints or Fractions, index k (1-based) matching letter i_k.
+    Index k (1-based) of D b matches letter i_k.
     """
-    word = wy.coordinate_word(b, m)
-    lifted, d = lift(b)
+    lifted, d = point
+    word = wy.coordinate_word(lifted, m)
     n = 2 * m + 1
     g = [[int(r == c) for c in range(n)] for r in range(n)]
     for i, a in zip(word, lifted):

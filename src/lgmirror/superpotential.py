@@ -250,7 +250,7 @@ def _minor_sums(m: int) -> tuple[tuple[int, tuple], ...]:
 def verify_sym_to_minors(m: int, p: dict, u2: gr.U2bar) -> list[tuple[int, CheckReport]]:
     """[(j, report)], j = 2..m: the two quadratic sums in the Pluecker values
     against (m+1)x(m+1) minors of u2bar at the same point b: u2 = (g, D) is
-    `build_u2bar(b)` and p the spin route at the lift D b.
+    `build_u2bar(lift(b))` and p the spin route at the lift D b.
 
     The D_(j) sum equals the minor with rows m+1..2m+1 and columns
     j..j+m, and the N_(j) sum the one with columns {j-1} u {j+1..j+m}:

@@ -163,7 +163,7 @@ def test_criterion_3_quadratic_sums_equal_minors():
         stream = cli.rational_stream(200 + m)
         for _ in range(25):
             bs = cli.sample_b(m, stream)
-            p, u2 = sp.plucker_vector(lift(bs)[0], m), gr.build_u2bar(bs, m)
+            p, u2 = sp.plucker_vector(lift(bs)[0], m), gr.build_u2bar(lift(bs), m)
             for j, rep in sp.verify_sym_to_minors(m, p, u2):
                 assert rep.ok, (m, j, rep.detail)
                 checked += 1
@@ -179,7 +179,7 @@ def test_criterion_4_f_coefficient_minors_and_vanishing():
         stream = cli.rational_stream(300 + m)
         for _ in range(25):
             bs = cli.sample_b(m, stream)
-            u2 = gr.build_u2bar(bs, m)
+            u2 = gr.build_u2bar(lift(bs), m)
             for j, rep in sp.verify_fj_minors(m, u2):
                 assert rep.ok, (m, j, rep.detail)
                 checked += 1

@@ -7,7 +7,6 @@ import sys
 import types
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
@@ -480,67 +479,32 @@ def test_byte_identical_reports(tmp_path):
 
 # -- the report writer -----------------------------------------------------------
 
-floats = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+# a command of each kind; `critical --m 2` fails, its max_rel_err Infinity
+ONE_LINE_COMMANDS = {
+    "print-w": ["print-w", "--m", "3", "--format", "json"],
+    **{suite: ["verify", suite, "--m", "3", "--trials", "2"] for suite in cli._SUITES},
+    "critical": ["critical", "--m", "3", "--q", "5"],
+    "critical-m2": ["critical", "--m", "2"],
+}
 
 
-def rows_of(items):
-    """Non-empty lists of equal-length, non-empty lists of `items`."""
-    return st.integers(1, 4).flatmap(lambda width: st.lists(st.lists(items, min_size=width, max_size=width), min_size=1, max_size=6))
-
-
-leaves = st.one_of(
-    st.none(),
-    st.booleans(),
-    st.integers(),
-    st.integers(min_value=2**64, max_value=2**200),
-    floats,
-    st.sampled_from([-0.0, float("nan"), float("inf"), float("-inf"), 5e-324]),
-    floats.map(np.float64),
-    st.text(),
-    st.text(st.characters(max_codepoint=0x1F)),
-    # the plain lists that the writer joins in one step
-    st.lists(floats | st.integers()),
-    st.lists(st.text()),
-    # the number rows that the writer fills into one template, and the rows
-    # it must write one by one: bools, numpy floats, ragged or empty rows, tuples
-    rows_of(floats | st.integers()),
-    rows_of(floats | st.integers() | st.booleans() | floats.map(np.float64)),
-    st.lists(st.lists(floats | st.integers(), max_size=3), min_size=1),
-    rows_of(floats | st.integers()).map(lambda rows: [tuple(row) for row in rows]),
-)
-payloads = st.recursive(
-    leaves,
-    lambda inner: st.lists(inner)
-    | st.lists(inner).map(tuple)
-    | st.dictionaries(st.text(), inner)
-    | st.dictionaries(st.integers(), inner),
-    max_leaves=20,
-)
-
-
-@given(payloads)
-@example([[0.5, -0.0], [3, 1e300]])
-@example({"b": [[1.0, float("nan")], [2.0, 3.0]], "v": [[float("inf"), -1], [0, float("-inf")]]})
-@example([[1, True], [0, False]])
-@example([[1.0, np.float64(2.5)]])
-@example([[1.0, 2.0], [3.0], []])
-@example([(1.0, 2.0), (3.0, 4.0)])
-def test_writer_is_json_dumps_sorted_and_indented(payload):
-    assert cli._json(payload) == json.dumps(payload, sort_keys=True, indent=2)
-
-
-@pytest.mark.parametrize("value", [{1, 2}, object(), np.int64(3), np.bool_(True)], ids=["set", "object", "int64", "bool_"])
-def test_writer_refuses_what_json_refuses(value):
-    for payload in (value, [value], [1.0, value], {"k": value}):
-        with pytest.raises(TypeError):
-            json.dumps(payload, sort_keys=True, indent=2)
-        with pytest.raises(TypeError):
-            cli._json(payload)
+@pytest.mark.parametrize("name", sorted(ONE_LINE_COMMANDS))
+def test_report_is_one_line_of_sorted_json(capsys, tmp_path, name):
+    """Every report, to stdout or to --out, is json.dumps(report,
+    sort_keys=True) and a newline."""
+    argv, out = ONE_LINE_COMMANDS[name], tmp_path / "report.json"
+    code = cli.main(argv)
+    text = capsys.readouterr().out
+    assert cli.main([*argv, "--out", str(out)]) == code == (1 if name == "critical-m2" else 0)
+    assert out.read_text() == text == json.dumps(json.loads(text), sort_keys=True) + "\n"
+    if name == "critical-m2":
+        assert '"max_rel_err": Infinity' in text
 
 
 def test_writer_leaves_no_garbage_cycle(capsys):
-    """Writing a report makes no reference cycle for the collector to find:
-    a cycle per call would raise a long-running caller's peak memory."""
+    """Writing a report, by the json.dumps(report, sort_keys=True) of `cli`,
+    makes no reference cycle for the collector to find: a cycle per call
+    would raise a long-running caller's peak memory."""
     from lgmirror import jacobi as jb
 
     assert cli.main(["verify", "chevalley", "--m", "5"]) == 0
@@ -549,7 +513,7 @@ def test_writer_leaves_no_garbage_cycle(capsys):
     gc.disable()
     try:
         for report in reports:
-            cli._json(report)
+            json.dumps(report, sort_keys=True)
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -722,6 +686,7 @@ def test_minor_suites_pass_without_a_fraction(monkeypatch):
     at b (`grouprep.extract_f_coeff`) does raise."""
     from lgmirror import grouprep as gr
     from lgmirror import superpotential as sp
+    from lgmirror.scalars import lift
 
     points = []
     for m in range(2, 7):
@@ -739,7 +704,7 @@ def test_minor_suites_pass_without_a_fraction(monkeypatch):
             checks = cli._SUITES[suite][3](m, q, b)
             assert len(checks) == m - 1 and all(rep.ok for _, rep in checks), (suite, m, b)
     with pytest.raises(AssertionError, match="pass path"):
-        gr.extract_f_coeff(gr.build_u2bar(points[0][1], 2), 1)
+        gr.extract_f_coeff(gr.build_u2bar(lift(points[0][1]), 2), 1)
 
 
 @pytest.mark.parametrize("suite, j, side", [("minors", 2, 0), ("minors", 3, 1), ("fj", 2, 0), ("fj", 3, 1)])
@@ -770,7 +735,7 @@ def test_a_failing_minor_reports_its_values_at_b(monkeypatch, capsys, suite, j, 
     bad = [r for r in report["records"] if not r["ok"]]
     assert code == 1 and not report["ok"] and len(bad) == 1
     assert report["counterexample"] == bad[0]
-    u2, rows, cols = gr.build_u2bar(b, m), list(range(m + 1, 2 * m + 2)), list(range(j, j + m + 1))
+    u2, rows, cols = gr.build_u2bar(lift(b), m), list(range(m + 1, 2 * m + 2)), list(range(j, j + m + 1))
     den, num = fw.minor_at_b(u2, rows, cols), fw.minor_at_b(u2, rows, [j - 1] + cols[1:])
     if suite == "minors":
         term, p = sp.symbolic_W(m)[m + 1 - j], sp.plucker_vector(b, m)
@@ -875,6 +840,9 @@ def test_each_exact_command_loads_only_what_it_runs(name):
         assert seen["lgmirror"] == ["lgmirror"] + [f"lgmirror.{m}" for m in modules]
 
 
+# Each report is one line, json.dumps(report, sort_keys=True); the digests
+# are those of the whole stdout when it was json.dumps(report,
+# sort_keys=True, indent=2), which that line re-indented reproduces.
 # sha256 of the whole stdout of each command, recorded before the sigma_1
 # root sum went size first, the matrix units took per-pair signs and the CLI
 # started importing per command: those changes move no byte of a report
@@ -1006,7 +974,10 @@ def test_reports_match_their_pinned_sha256(name):
     argv, digest = PINNED_REPORTS[name]
     proc = python("-m", "lgmirror.cli", *argv)
     assert proc.returncode == 0, proc.stderr
-    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
+    report = json.loads(proc.stdout)
+    assert proc.stdout == json.dumps(report, sort_keys=True) + "\n"
+    indented = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    assert hashlib.sha256(indented.encode()).hexdigest() == digest
 
 
 COST_GUARD_PROBE = """

@@ -160,14 +160,14 @@ def test_one_param_subgroup():
         for x in (Fraction(3, 5), Fraction(-2, 7), Fraction(11, 35)):
             coords = [0] * len(word)
             coords[k] = x
-            assert graded(gr.build_u2bar(coords, m)) == integral(one_param_y(letter, ring.from_fraction(x), m), m), (k, x)
+            assert graded(gr.build_u2bar(lift(coords), m)) == integral(one_param_y(letter, ring.from_fraction(x), m), m), (k, x)
 
 
 def test_u2bar_factorization_and_shape():
     m = 2
     b = [1, 2, 3]
     bq = sp.ring_vector(b, ring)
-    u2 = graded(gr.build_u2bar(b, m))
+    u2 = graded(gr.build_u2bar(lift(b), m))
     explicit = mat_mul(mat_mul(one_param_y(2, bq[2], m), one_param_y(1, bq[1], m)), one_param_y(2, bq[0], m))
     assert u2 == integral(explicit, m)
     assert u2[1][0] == b[1]  # the unique f_1 coefficient
@@ -176,9 +176,9 @@ def test_u2bar_factorization_and_shape():
         assert u2[i][i] == 1
         for j in range(i + 1, n):
             assert not u2[i][j]
-    assert gr.build_u2bar([0] * 3, m) == ([[int(r == c) for c in range(n)] for r in range(n)], 1)
+    assert gr.build_u2bar(lift([0] * 3), m) == ([[int(r == c) for c in range(n)] for r in range(n)], 1)
     with pytest.raises(ValueError):
-        gr.build_u2bar(b[:2], m)
+        gr.build_u2bar(lift(b[:2]), m)
     with pytest.raises(ValueError):
         gr.spin_row_sweep(b[:2], m)
 
@@ -193,7 +193,7 @@ def test_u2bar_matches_dense_product():
         draws = [cli.sample_b(m, stream) for _ in range(3)]
         draws.append([next(gen) % 11 - 5 for _ in wy.canonical_wp_word(m)])
         for b in draws:
-            u2 = gr.build_u2bar(b, m)
+            u2 = gr.build_u2bar(lift(b), m)
             assert graded(u2) == integral(dense_u2bar(sp.ring_vector(b, ring), m), m), (m, b)
             assert u2[1] == math.lcm(*(Fraction(x).denominator for x in b)), (m, b)
             assert all(type(x) is int for row in u2[0] for x in row), (m, b)
@@ -243,7 +243,7 @@ def test_u2bar_preserves_bilinear_form():
         stream = cli.rational_stream(21)
         for _ in range(3):
             bs = cli.sample_b(m, stream)
-            u2 = [[ring.from_fraction(x) for x in row] for row in graded(gr.build_u2bar(bs, m))]
+            u2 = [[ring.from_fraction(x) for x in row] for row in graded(gr.build_u2bar(lift(bs), m))]
             g = gram_matrix(m)
             g[m][m] = g[m][m] * QSqrt2(2)
             assert mat_mul(mat_transpose(u2), mat_mul(g, u2)) == g
@@ -320,7 +320,7 @@ def test_minor_against_cofactor_expansion():
     """Minors by the grading against the cofactor expansion of u2bar's
     entries, also where the rows sum to less than the columns."""
     m = 2
-    u2 = gr.build_u2bar([Fraction(1, 2), Fraction(3), Fraction(-2, 5)], m)
+    u2 = gr.build_u2bar(lift([Fraction(1, 2), Fraction(3), Fraction(-2, 5)]), m)
     entries = graded(u2)
     for rows, cols in [([3, 4, 5], [2, 3, 4]), ([1, 2, 3], [1, 2, 3]), ([2, 3, 4, 5], [1, 2, 3, 4]), ([4, 5], [1, 3]), ([2, 3], [3, 4])]:
         sub = [[entries[r - 1][c - 1] for c in cols] for r in rows]
@@ -368,7 +368,7 @@ def test_determinant_matches_both_oracles_on_the_verified_minors(monkeypatch):
             stream = cli.rational_stream(seed + 100 * m)
             for _ in range(2):
                 b = cli.sample_b(m, stream)
-                u2 = gr.build_u2bar(b, m)
+                u2 = gr.build_u2bar(lift(b), m)
                 p = sp.plucker_vector(lift(b)[0], m)
                 reports = sp.verify_sym_to_minors(m, p, u2) + sp.verify_fj_minors(m, u2)
                 assert len(reports) == 2 * (m - 1) and all(rep.ok for _, rep in reports), (m, seed)
@@ -405,7 +405,7 @@ def test_integral_basis_minors_and_f_coefficients_match_the_sqrt2_oracle(monkeyp
             stream = cli.rational_stream(seed + 100 * m)
             b = cli.sample_b(m, stream)
             bq = sp.ring_vector(b, ring)
-            u2, oracle = gr.build_u2bar(b, m), dense_u2bar(bq, m)
+            u2, oracle = gr.build_u2bar(lift(b), m), dense_u2bar(bq, m)
             seen.clear()
             windows.clear()
             p = sp.plucker_vector(lift(b)[0], m)
@@ -437,7 +437,7 @@ def test_window_minors_match_minor_and_the_sqrt2_oracle(monkeypatch, m):
     rows = list(range(m + 1, 2 * m + 2))
     for _ in range(2 if m < 7 else 1):
         b = cli.sample_b(m, stream)
-        u2, oracle = gr.build_u2bar(b, m), dense_u2bar(sp.ring_vector(b, ring), m)
+        u2, oracle = gr.build_u2bar(lift(b), m), dense_u2bar(sp.ring_vector(b, ring), m)
         fallback.clear()
         out = gr.window_minors(u2)
         assert sorted(out) == list(range(2, m + 1)) and not fallback
@@ -461,7 +461,7 @@ def test_window_minors_take_minor_past_a_zero_pivot(monkeypatch):
         rows = list(range(m + 1, 2 * m + 2))
         for _ in range(3):
             b = [Fraction(0) if k % 3 == 0 else x for k, x in enumerate(cli.sample_b(m, stream))]
-            u2 = gr.build_u2bar(b, m)
+            u2 = gr.build_u2bar(lift(b), m)
             before = len(fallback)
             out = gr.window_minors(u2)
             took += len(fallback) > before
@@ -486,7 +486,7 @@ def test_integer_windows_read_at_b_are_the_fraction_windows(monkeypatch, m):
             b = cli.sample_b(m, stream)
             if zeros:
                 b = [Fraction(0) if k % zeros == 0 else x for k, x in enumerate(b)]
-            u2 = gr.build_u2bar(b, m)
+            u2 = gr.build_u2bar(lift(b), m)
             before = len(fallback)
             out = gr.window_minors(u2)
             took += len(fallback) > before
@@ -501,7 +501,7 @@ def test_window_minors_raise_on_a_block_that_is_not_unitriangular():
     """Columns m+1..2m+1 of rows m+1..2m+1 must be lower unitriangular: a
     diagonal entry 2 or an entry above the diagonal raises ArithmeticError."""
     m = 3
-    g, d = gr.build_u2bar([Fraction(k, 2) for k in range(1, 7)], m)
+    g, d = gr.build_u2bar(lift([Fraction(k, 2) for k in range(1, 7)]), m)
     assert gr.window_minors((g, d))
     for r, c, x in ((m + 1, m + 1, 2), (m, m + 2, 1), (2 * m, 2 * m, -1)):
         bad = [list(row) for row in g]
@@ -580,7 +580,7 @@ def test_determinant_matches_both_oracles_on_random_matrices():
     # row j+1 swapped for the last row of the identity each is +-1 times
     # the D window at j, a monomial at a torus point, not 0
     for m in range(2, 8):
-        u2 = gr.build_u2bar(cli.sample_b(m, cli.rational_stream(1300 + m)), m)
+        u2 = gr.build_u2bar(lift(cli.sample_b(m, cli.rational_stream(1300 + m))), m)
         g, windows = u2[0], gr.window_minors(u2)
         for j in range(1, m):
             square = [row[j - 1:j + m + 1] for row in (g[j], *g[m:])]
@@ -603,13 +603,13 @@ def test_determinant_raises_on_a_division_that_is_not_exact():
 
 
 def test_frozen_minor_value():
-    u2 = gr.build_u2bar([1, 2, 3], 2)
+    u2 = gr.build_u2bar(lift([1, 2, 3]), 2)
     assert fw.minor_at_b(u2, [3, 4, 5], [2, 3, 4]) == 18
 
 
 def test_extract_f_coeff():
     m = 2
-    u2 = gr.build_u2bar([1, 2, 3], m)
+    u2 = gr.build_u2bar(lift([1, 2, 3]), m)
     assert gr.extract_f_coeff(u2, 1) == 2
     assert gr.extract_f_coeff(u2, 2) == 4
     for m in (3, 4):
@@ -617,7 +617,7 @@ def test_extract_f_coeff():
         stream = cli.rational_stream(5)
         for _ in range(2):
             bs = cli.sample_b(m, stream)
-            u2 = gr.build_u2bar(bs, m)
+            u2 = gr.build_u2bar(lift(bs), m)
             for j in range(1, m + 1):
                 expected = sum(x for x, letter in zip(bs, word) if letter == j)
                 assert gr.extract_f_coeff(u2, j) == expected

@@ -85,22 +85,38 @@ def test_no_sympy_import():
     assert _imports_of("sympy") == []
 
 
+def _is_report_call(node: ast.AST) -> bool:
+    """Whether `node` is json.dumps(x, sort_keys=True) with no other keyword."""
+    return (
+        isinstance(node, ast.Call)
+        and len(node.args) == 1
+        and [(k.arg, getattr(k.value, "value", None)) for k in node.keywords] == [("sort_keys", True)]
+    )
+
+
 def test_one_json_writer():
-    """`cli._json` writes every report: no module calls json.dump or
-    json.dumps, whose indent path is Python's slow pure encoder."""
-    found = []
+    """`cli` alone writes JSON, each time by json.dumps(report,
+    sort_keys=True) in json's C encoder: no indent, which Python 3.11 serves
+    from the pure-Python encoder, no json.dump, and no module imports
+    json.encoder or names from json."""
+    found, calls = [], []
     for name, tree in _trees(SRC).items():
+        reports = {id(node.func) for node in ast.walk(tree) if _is_report_call(node)}
         for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom) and node.module == "json":
-                found += [f"{name}:{node.lineno}" for a in node.names if a.name in ("dump", "dumps")]
+            if isinstance(node, ast.Import):
+                found += [f"{name}:{node.lineno}" for a in node.names if a.name.startswith("json.")]
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "json":
+                found.append(f"{name}:{node.lineno}")
             elif (
                 isinstance(node, ast.Attribute)
                 and isinstance(node.value, ast.Name)
                 and node.value.id == "json"
-                and node.attr in ("dump", "dumps")
+                and node.attr in ("dump", "dumps", "encoder")
             ):
-                found.append(f"{name}:{node.lineno}")
-    assert found == [], f"json.dump or json.dumps at {found}"
+                ok = name == "cli.py" and node.attr == "dumps" and id(node) in reports
+                (calls if ok else found).append(f"{name}:{node.lineno}")
+    assert found == [], f"json written other than by cli's json.dumps(report, sort_keys=True) at {found}"
+    assert len(calls) == 3, calls  # print-w, verify and critical
 
 
 def _referenced(tree: ast.Module) -> set[str]:
@@ -153,11 +169,11 @@ ENTRY_POINTS = {"main"}
 
 def test_every_public_name_has_a_caller():
     """src/ holds what a command runs: each public top-level function, class
-    or constant of a module is read somewhere in src/ or scripts/ (its own
+    or constant of a module is read somewhere in src/ (its own
     module included), or is a CLI entry point or a name the benchmark reads.
     Test-only helpers live in tests/ as oracles."""
     trees = _trees(SRC)
-    read = set().union(*map(_referenced, trees.values()), *map(_referenced, _trees(os.path.join(ROOT, "scripts")).values()))
+    read = set().union(*map(_referenced, trees.values()))
     allowed = ENTRY_POINTS | _perfbench_names()
     unread = []
     for name, tree in trees.items():
@@ -183,10 +199,10 @@ def _attributes_read(folder: str) -> set[str]:
 
 def test_every_class_member_has_a_caller():
     """Each method or property a class in src/ defines, dunders aside, is
-    read as `.name` somewhere in src/, tests/, perfbench/ or scripts/.
+    read as `.name` somewhere in src/, tests/ or perfbench/.
     Members only the tests read are allowed: they are how the tests see a
     value."""
-    folders = [SRC] + [os.path.join(ROOT, d) for d in ("tests", "perfbench", "scripts")]
+    folders = [SRC] + [os.path.join(ROOT, d) for d in ("tests", "perfbench")]
     read = set().union(*map(_attributes_read, folders))
     unread = []
     for name, tree in _trees(SRC).items():

@@ -25,8 +25,9 @@ def frac(x):
 )
 def test_wrong_coordinate_count_raises_one_error(route):
     """Every route from b checks its length against the canonical word of
-    w^P, with the one message."""
-    b = sp.ring_vector([1, 2, 3, 4, 5], ring)
+    w^P, with the one message; `build_u2bar` takes b as its lift (D b, D)."""
+    b = [1, 2, 3, 4, 5]
+    b = lift(b) if route is gr.build_u2bar else sp.ring_vector(b, ring)
     with pytest.raises(ValueError, match=r"^need 6 coordinates for m=3, got 5$"):
         route(b, 3)
 
@@ -131,7 +132,7 @@ def test_w_term_matches_f_coefficients():
         for _ in range(3):
             bs = cli.sample_b(m, stream)
             b = sp.ring_vector(bs, ring)
-            u2 = gr.build_u2bar(bs, m)
+            u2 = gr.build_u2bar(lift(bs), m)
             p = sp.plucker_vector(b, m, ring)
             assert gr.extract_f_coeff(u2, m) == p[pt.rho_plus(0, m)] / p[pt.empty(m)]
             for l in range(1, m):
@@ -144,7 +145,7 @@ def test_sym_to_minor_exact():
         stream = cli.rational_stream(47)
         for _ in range(3):
             bs = cli.sample_b(m, stream)
-            p, u2 = sp.plucker_vector(lift(bs)[0], m), gr.build_u2bar(bs, m)
+            p, u2 = sp.plucker_vector(lift(bs)[0], m), gr.build_u2bar(lift(bs), m)
             reports = sp.verify_sym_to_minors(m, p, u2)
             assert [j for j, _ in reports] == list(range(2, m + 1))
             for j, rep in reports:
@@ -171,7 +172,7 @@ def test_minor_sums_have_the_degree_of_their_windows(monkeypatch):
 
 
 def test_sym_to_minor_frozen_m2():
-    ((j, rep),) = sp.verify_sym_to_minors(2, sp.plucker_vector([1, 2, 3], 2), gr.build_u2bar([1, 2, 3], 2))
+    ((j, rep),) = sp.verify_sym_to_minors(2, sp.plucker_vector([1, 2, 3], 2), gr.build_u2bar(lift([1, 2, 3]), 2))
     assert j == 2 and rep.ok
     ones = sp.ring_vector([1, 1, 1], ring)
     p = sp.plucker_vector(ones, 2, ring)
@@ -183,7 +184,7 @@ def test_fj_minors_exact():
         stream = cli.rational_stream(53)
         for _ in range(3):
             bs = cli.sample_b(m, stream)
-            u2 = gr.build_u2bar(bs, m)
+            u2 = gr.build_u2bar(lift(bs), m)
             reports = sp.verify_fj_minors(m, u2)
             assert [j for j, _ in reports] == list(range(1, m))
             for j, rep in reports:
