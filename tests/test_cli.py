@@ -966,6 +966,15 @@ PINNED_REPORTS = {
         ["verify", "em", "--m", "4", "--trials", "2", "--seed", "5", "--t", "0.5"],
         "ab4f8ad9aedfafa4a1f05e311f2a271b05c81daa959c38c8c1cd6d8c176bf0bd",
     ),
+    # recorded before pi and the sigma_1 root sum moved to subset bitmasks
+    "pi-map-9": (
+        ["verify", "pi-map", "--m", "9"],
+        "dd5ddfebecbe8be67afab281f20534dc8435525c01ccbc8ab48706291c37f0b1",
+    ),
+    "chevalley-10": (
+        ["verify", "chevalley", "--m", "10"],
+        "a2f85a32eb3bbf443c723c958af06f1d976613df4e5c297653cafd071d62715d",
+    ),
 }
 
 
