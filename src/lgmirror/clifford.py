@@ -14,25 +14,31 @@ for N_(j)).  The module provides
 
 * sparse Clifford elements with rational coefficients, a generator word
   brought to normal order by the defining relations,
-* the exterior algebra and the inverse of the antisymmetrization
-  isomorphism alpha (Chevalley's quantization map), one closed-form Wick
-  sum over the pairs {i, bar(i)} of a monomial,
+* the exterior algebra,
 * the spin representation on subsets of {1..m} and the induced
-  identification of either parity of Cl(V) with End(V_Spin); its inverse
-  writes each matrix unit monomial by monomial, with no Clifford product,
-  and moves a unit across parity by u,
-* the duality delta, the symmetric-square embedding iota, and the
-  projection pi : Sym^2(V_Spin) -> wedge^{m+1} V built from the maps
-  pr and d . c (one map: contraction with the top form, then covectors
-  back to vectors), all over Q,
+  identification of either parity of Cl(V) with End(V_Spin),
+* the projection pi : Sym^2(V_Spin) -> wedge^{m+1} V, the composite of
+  the embedding iota (through the duality delta), kappa_{+-}^{-1}, the
+  inverse of the antisymmetrization isomorphism alpha (Chevalley's
+  quantization map), pr and d . c (one map: contraction with the top
+  form, then covectors back to vectors), all over Q,
 * the elements D_(j), N_(j) of Sym^2(V_Spin) that encode the quadratic
   denominators and numerators of the superpotential, built from the
   signed partition pairs of lgmirror.partitions.
 
+`pi_map` runs iota, kappa^{-1} by matrix units and alpha^{-1} by Wick
+sums on int masks (bit k-1 for the index k) with integer bookkeeping.  As
+alpha^{-1} only lowers degree, it cuts at degree m: it sums only the unit
+monomials of degree >= m, per mask, and makes only the contractions that
+land on degree m, each term +-1 over 2^{r+1} for r contracted pairs.  No
+Clifford product runs and no monomial below degree m is made.
+
 Every container is a `scalars.Combination`: a sparse linear combination
 that keeps no zero coefficient.  The module holds what the pi pipeline and
-the spin tables run; the Clifford product, alpha itself and the generator
-actions on V, wedge V, Sym^2(V_Spin) and the dual module are the test
+the spin tables run; the Clifford product, alpha itself, the first stages
+of pi one map at a time (delta, iota, kappa^{-1} as a sum of matrix units,
+alpha^{-1} as a whole Wick sum), whose composite the tests hold pi to, and
+the generator actions on V, wedge V, Sym^2(V_Spin) and the dual module are the test
 oracles of tests/cliffordops.py.
 """
 
@@ -127,43 +133,13 @@ def _perm_sign(seq: Subset) -> int:
     return -1 if inversions % 2 else 1
 
 
-def antisymmetrize_inv(x: CliffordElement) -> ExteriorElement:
-    """The inverse of the Chevalley quantization map alpha: wedge V -> Cl(V), by `_wick`."""
-    out = ExteriorElement(x.m)
-    for key, c in x.coeffs.items():
-        for mono, coeff in _wick(key, x.m, 1):
-            out.add_term(mono, c * coeff)
-    return out
-
-
-def _wick(key: Subset, m: int, sign: int) -> tuple[tuple[Subset, Fraction], ...]:
-    """Wick's theorem on the monomial `key`: alpha^{-1} (sign +1) or alpha (sign -1).
-
-    The only pairs of `key` with Phi != 0 are {i, bar(i)}, i <= m.  Over the
-    sets P of such pairs the image is the sum of
-    sign^{|P|} sgn(P || key - P) prod_{i in P} Phi(v_i, v_bar(i)) times the
-    monomial key - P, where P || key - P lays the pairs out first.
-    """
-    pairs = [(i, bar(i, m)) for i in key if i <= m and bar(i, m) in key]
-    terms = []
-    for r in range(len(pairs) + 1):
-        for chosen in combinations(pairs, r):
-            head = tuple(k for pair in chosen for k in pair)
-            rest = tuple(k for k in key if k not in head)
-            c = Fraction(sign**r * _perm_sign(head + rest))
-            for i, j in chosen:
-                c *= pairing(i, j, m)
-            terms.append((rest, c))
-    return tuple(terms)
-
-
 # -- the spin representation --------------------------------------------------
 
 
 class SpinVector(Combination):
     """Element of wedge W, W = <v_1..v_m>: subset -> rational coefficient.
 
-    `dual` marks covectors; delta() produces them and iota() consumes them.
+    `dual` marks covectors, the images of the duality delta.
     """
 
     def __init__(self, m: int, coeffs: dict | None = None, dual: bool = False) -> None:
@@ -232,76 +208,7 @@ def clifford_to_end(x: CliffordElement) -> EndSpin:
     return out
 
 
-# matrix units as Clifford elements: E_{L',L} maps w_L -> w_{L'} and every
-# other w_I to 0.  With eps(i) vbar_i v_i = 1 - eps(i) v_i vbar_i and
-# v_i^2 = vbar_i^2 = 0, the product prod_{l in L} eps(l) v_{L'} prod_i (eps(i) vbar_i v_i)
-# prod_{l in L desc} vbar_l expands to a sum over T in [m] - (L u L') of
-# prod_{l in L} eps(l) prod_{i in T} (-eps(i)) v_{w_T}, where the word
-# w_T = (L' asc)(i, ibar for i in T asc)(lbar for l in L desc) has distinct
-# indices and no ibar before its i: its normal order costs the sorting sign only.
-# That sign is sgn((L' asc)(lbar for l in L desc)) times one sign for each pair
-# (i, ibar) of T, from its inversions with those two runs: the head entries
-# above i (none exceeds ibar) and the tail entries below ibar (none is below
-# i).  For pairs i < k, ibar exceeds both k and kbar and i neither, so two
-# pairs cross twice.
-
-
-def _matrix_unit_clifford(row: Subset, col: Subset, m: int, lift: bool) -> tuple[tuple[Subset, int], ...]:
-    """The monomials of E_{row,col}, or of (-1)^{|row|} u E_{row,col} if
-    `lift`, with their coefficients +-1."""
-    sign = -1 if lift and len(row) % 2 else 1
-    for l in col:
-        sign *= epsilon(l, m)
-    head = ((m + 1,) if lift else ()) + tuple(sorted(row))
-    tail = tuple(bar(l, m) for l in sorted(col, reverse=True))
-    sign *= _perm_sign(head + tail)
-    free = [i for i in range(1, m + 1) if i not in row and i not in col]
-    factor = {}  # i -> -eps(i) times the sign of the pair (i, ibar) between head and tail
-    for i in free:
-        crossings = sum(h > i for h in head) + sum(t < bar(i, m) for t in tail)
-        factor[i] = epsilon(i, m) * (1 if crossings % 2 else -1)
-    terms = []
-    for r in range(len(free) + 1):
-        for chosen in combinations(free, r):
-            c = sign
-            for i in chosen:
-                c *= factor[i]
-            terms.append((tuple(sorted(head + tail + tuple(k for i in chosen for k in (i, bar(i, m))))), c))
-    return tuple(terms)
-
-
-def end_to_clifford(mat: EndSpin, parity: int) -> CliffordElement:
-    """The unique preimage of `mat` in Cl^{parity}(V) under the spin action.
-
-    The sum of v E_{L',L} over the entries v of `mat`, with (-1)^{|L'|} u
-    E_{L',L} in place of E_{L',L} where |L| + |L'| has the other parity.
-    Raises TypeError on an inexact entry: a number that is not rational.
-    """
-    m = mat.m
-    out = CliffordElement(m)
-    for (row, col), v in mat.coeffs.items():
-        if isinstance(v, numbers.Number) and not isinstance(v, numbers.Rational):
-            raise TypeError(f"end_to_clifford needs exact entries, got {type(v).__name__}")
-        lift = (len(row) + len(col)) % 2 != parity
-        for key, c in _matrix_unit_clifford(row, col, m, lift):
-            out.add_term(key, v if c > 0 else -v)
-    return out
-
-
-# -- duality, Sym^2 and the projection pi ------------------------------------
-
-
-def delta(vec: SpinVector) -> SpinVector:
-    """w_lambda -> (-1)^{|lambda|} w*_{PD(lambda)} extended linearly."""
-    if vec.dual:
-        raise ValueError("delta is defined on V_Spin, not its dual")
-    m = vec.m
-    out = SpinVector(m, {}, dual=True)
-    for key, c in vec.coeffs.items():
-        lam = pt.from_subset(key, m)
-        dual_key = pt.to_subset(pt.pd(lam))
-        out.add_term(dual_key, c if lam.size % 2 == 0 else -c)
-    return out
+# -- Sym^2 and the projection pi ---------------------------------------------
 
 
 class SymSquare(Combination):
@@ -310,20 +217,6 @@ class SymSquare(Combination):
     def add_term(self, key: tuple[Subset, Subset], c) -> None:
         a, b = key
         super().add_term((a, b) if a <= b else (b, a), c)
-
-
-def iota(x: SymSquare) -> EndSpin:
-    """Sym^2(V_Spin) -> End(V_Spin): lambda.mu -> (delta(w_lam) ox w_mu + delta(w_mu) ox w_lam)/2."""
-    m = x.m
-    half = Fraction(1, 2)
-    out = EndSpin(m)
-    for (a, b), c in x.coeffs.items():
-        for first, second in ((a, b), (b, a)):
-            dual = delta(basis_vector(first, m))
-            for dual_key, dc in dual.coeffs.items():
-                # w*_{dual_key} ox w_{second}: matrix entry (row=second, col=dual_key)
-                out.add_term((tuple(second), dual_key), c * dc * half)
-    return out
 
 
 def _signed_sym_sum(name: str, j: int, m: int, terms) -> SymSquare:
@@ -399,11 +292,126 @@ def spin_generator_matrix(i: int, kind: str, m: int) -> EndSpin:
     return clifford_to_end(generator_clifford(i, kind, m))
 
 
+# -- pi on subset masks -----------------------------------------------------------
+#
+# `pr_kappa_iota` runs iota, kappa^{-1} by matrix units and alpha^{-1} by
+# Wick sums on int masks: bit k-1 stands for the index k, so a subset of
+# {1..m} is the low m bits, u is bit m and the pair {i, bar(i)} is bits i-1
+# and 2m+1-i.
+#
+# * iota: a term c lambda.mu gives, for (first, second) = (lambda, mu) and
+#   (mu, lambda), the entry (-1)^{|first|} c/2 at (row, col) =
+#   (second, {1..m} - first): delta sends w_lambda to (-1)^{|lambda|} times
+#   the dual of the complement.
+# * kappa^{-1}: the unit E_{row,col} (w_col -> w_row, every other w_I -> 0)
+#   is prod_{l in col} eps(l) v_row P_0 prod_{l in col desc} vbar_l with
+#   the vacuum projector P_0 = prod_i eps(i) vbar_i v_i.  As eps(i) vbar_i
+#   v_i = 1 - eps(i) v_i vbar_i, it is a sum over the subsets T of the free
+#   indices {1..m} - (row u col) of prod_{l in col} eps(l) prod_{i in T}
+#   (-eps(i)) v_{w_T}, w_T = (row asc)(i, ibar for i in T)(lbar for l in col
+#   desc); where |row| + |col| is off the parity of m the unit is
+#   (-1)^{|row|} u E_{row,col}, u first, as u acts on w_I by (-1)^{|I|}.
+#   The word w_T has distinct indices, so its normal order is its sorting
+#   sign.  Without T it is ascending but for a leading u, whose (-1)^{|row|}
+#   cancels the lift's; each pair (i, ibar) of T adds the sign of its
+#   crossings, mod 2 the elements of row ^ col above i and a u (an element
+#   of both row and col crosses twice, and so do two pairs).  The sign
+#   prod_{l in col} eps(l) times (-1)^{|first|} = prod_{i in first} eps(i)
+#   is prod_{i <= m} eps(i), the same for every entry.
+# * alpha^{-1}: over the sets P of pairs {i, bar(i)} of a monomial S,
+#   alpha^{-1}(v_S) = sum_P sgn(P || S - P) prod_{i in P} eps(i)/2 v_{S-P}.
+#   The sign is one per pair of P, from the elements of S strictly between
+#   i and bar(i), as two pairs of P cross twice.  alpha^{-1} lowers degree
+#   by two per contracted pair, so a monomial of degree d < m never reaches
+#   wedge^m and one of degree d >= m reaches it only through its
+#   (d - m)/2-pair contractions: the path makes no other monomial and no
+#   other contraction.
+#
+# The unit monomials are summed per mask before any Wick sum.  They cancel
+# to a few monomials (12 at m = 7 over every D_(j) and N_(j)), and the Wick
+# sums run on those alone.  The tests hold the path to the four maps one at
+# a time (tests/cliffordops.py), the matrix units to Clifford products.
+
+
+def _mask(subset: Subset) -> int:
+    mask = 0
+    for i in subset:
+        mask |= 1 << (i - 1)
+    return mask
+
+
+def _indices(mask: int) -> Subset:
+    return tuple(k + 1 for k in range(mask.bit_length()) if mask >> k & 1)
+
+
+def _add_unit_monomials(first: int, second: int, m: int, c, cliff: dict) -> None:
+    """Add to `cliff`, keyed by mask, c times the monomials of degree >= m
+    of the unit at (row, col) = (second, {1..m} - first), lifted off the
+    parity of m, without its sign prod_{l in col} eps(l)."""
+    full = (1 << m) - 1
+    row, col = second, full & ~first
+    free = first & ~second
+    lift = (row.bit_count() + col.bit_count() + m) & 1
+    key = row | lift << m
+    neg = 0  # the free bits whose pair factor -eps (-1)^{crossings} is -1
+    crossings = lift
+    for i in range(m - 1, -1, -1):  # bit i, the index i+1, with eps(i+1) = (-1)^{m-i}
+        if col >> i & 1:
+            key |= 1 << (2 * m - i)
+        if free >> i & 1 and crossings == (m - i) & 1:
+            neg |= 1 << i
+        crossings ^= (row ^ col) >> i & 1
+    pairs = [1 << i | 1 << (2 * m - i) for i in range(m) if free >> i & 1]
+    degree = key.bit_count()
+    for k in range(len(pairs) + 1):
+        if degree + 2 * k >= m:
+            for chosen in combinations(pairs, k):
+                mono = key + sum(chosen)
+                v = -c if (mono & neg).bit_count() & 1 else c
+                cliff[mono] = cliff.get(mono, 0) + v
+
+
+def _add_contractions(key: int, v, m: int, acc: dict) -> None:
+    """Add v times the degree-m part of alpha^{-1}(v_key), without the
+    factor 2^{-r} of its r contracted pairs, to `acc`, keyed (mask, r)."""
+    r = (key.bit_count() - m) // 2
+    pairs = []  # (the pair's bits, 1 where its sign times eps(i+1) is -1)
+    for i in range(m):
+        if key >> i & 1 and key >> (2 * m - i) & 1:
+            between = key >> (i + 1) & ((1 << (2 * m - 2 * i - 1)) - 1)
+            pairs.append((1 << i | 1 << (2 * m - i), (between.bit_count() + m - i) & 1))
+    for chosen in combinations(pairs, r):
+        rest = key - sum(bits for bits, _ in chosen)
+        odd = sum(negative for _, negative in chosen) & 1
+        acc[rest, r] = acc.get((rest, r), 0) + (-v if odd else v)
+
+
+def _require_exact(v) -> None:
+    if isinstance(v, numbers.Number) and not isinstance(v, numbers.Rational):
+        raise TypeError(f"the pi pipeline needs exact entries, got {type(v).__name__}")
+
+
 def pr_kappa_iota(x: SymSquare) -> ExteriorElement:
-    """pr_{wedge^m} . kappa_{+-}^{-1} . iota, the first three stages of pi."""
-    parity = x.m % 2
-    cl = end_to_clifford(iota(x), parity)
-    return antisymmetrize_inv(cl).degree_part(x.m)
+    """pr_{wedge^m} . kappa_{+-}^{-1} . iota, the first three stages of pi,
+    on subset masks: a degree-m term reached through r contracted pairs is
+    a sum of +-1 (times the coefficients of x) over 2^{r+1}, the 2 from
+    iota's 1/2."""
+    m = x.m
+    sign = -1 if (m + 1) // 2 % 2 else 1  # prod_{i <= m} eps(i), the same for every entry
+    cliff: dict = {}
+    for (a, b), c in x.coeffs.items():
+        _require_exact(c)
+        first, second = _mask(a), _mask(b)
+        _add_unit_monomials(first, second, m, sign * c, cliff)
+        _add_unit_monomials(second, first, m, sign * c, cliff)
+    acc: dict = {}
+    for key, v in cliff.items():
+        if v:
+            _add_contractions(key, v, m, acc)
+    out = ExteriorElement(m)
+    for (rest, r), v in acc.items():
+        out.add_term(_indices(rest), v * Fraction(1, 2 ** (r + 1)))
+    return out
 
 
 def pi_map(x: SymSquare) -> ExteriorElement:

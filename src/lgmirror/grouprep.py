@@ -48,7 +48,7 @@ image is exactly that rule, written out here and not read from
 subword route.  The rule implies what the sweep and the peel rest on:
 every entry is 1, no row or column repeats, F_i^2 = 0 (no target of a
 move is a source), and each move takes w_I to a subset whose partition
-has one box fewer (`partitions.from_subset`), so the w_empty coefficient
+has one box fewer, so the w_empty coefficient
 of u2bar w_I is homogeneous of degree |lambda(I)| in b.  The moves are
 the W^P covers of `weyl.wp_transitions` read backwards; building F_i from
 the rule instead would make the spin sweep a second copy of the subword

@@ -75,22 +75,9 @@ def empty(m: int) -> StrictPartition:
     return StrictPartition((), m)
 
 
-def from_subset(subset: Iterable[int], m: int) -> StrictPartition:
-    """Subset {i_1 < ... < i_k} of {1..m} -> (m+1-i_1, ..., m+1-i_k)."""
-    idx = sorted(set(subset))
-    if idx and (idx[0] < 1 or idx[-1] > m):
-        raise ValueError(f"subset {idx} not contained in 1..{m}")
-    return StrictPartition(tuple(m + 1 - i for i in idx), m)
-
-
 def to_subset(lam: StrictPartition) -> tuple[int, ...]:
-    """Inverse of `from_subset`, returned sorted ascending."""
+    """The subset {m+1-p : p a part} of lambda, ascending."""
     return tuple(sorted(lam.m + 1 - p for p in lam.parts))
-
-
-def pd(lam: StrictPartition) -> StrictPartition:
-    """Poincare dual: complement the part set inside {1..m}."""
-    return from_subset(set(range(1, lam.m + 1)) - set(to_subset(lam)), lam.m)
 
 
 @lru_cache(maxsize=None)
@@ -106,8 +93,9 @@ def all_subsets(m: int) -> tuple[tuple[int, ...], ...]:
 @lru_cache(maxsize=None)
 def all_strict_partitions(m: int) -> tuple[StrictPartition, ...]:
     """All 2^m strict partitions in the order of all_subsets, cached and
-    shared like it: callers zip the two instead of calling to_subset."""
-    return tuple(from_subset(s, m) for s in all_subsets(m))
+    shared like it: callers zip the two instead of calling to_subset.  Each
+    is read from its ascending subset, which needs no sort or range check."""
+    return tuple(StrictPartition(tuple(m + 1 - i for i in s), m) for s in all_subsets(m))
 
 
 # -- the rho / mu families ---------------------------------------------------

@@ -32,6 +32,11 @@ membership in W^P, whose one-line forms increase in the order
 w(i) = a > 0 and w(j) = -(a+1), or for 2 e_i with w(i) = m, and swapping
 and negating those images keeps the order (a + 1 is in I, a is not).
 
+The sum runs on the bitmask of I (bit i-1 for i): a root toggles the bits
+of |w(i)| and |w(j)| by XOR, and the class of the result is read from one
+per-m table of the 2^m strict partitions by mask, so no term builds or
+validates a partition.
+
 A quantum class is a `CohClass`: the package's one sparse container,
 `scalars.Combination`, keyed by (lambda, d) for q^d sigma_lambda, with
 integer coefficients.  `sigma1_table` holds the root sums of one m,
@@ -55,25 +60,43 @@ class CohClass(Combination):
     """Integer combination of q^d sigma_lambda: coeffs {(lambda, d): coeff}."""
 
 
+def _negative_mask(lam: StrictPartition) -> int:
+    """The mask of the negative subset {m+1-p : p a part} of lambda, bit i-1 for i."""
+    return sum(1 << (lam.m - p) for p in lam.parts)
+
+
+@lru_cache(maxsize=None)
+def _classes_by_mask(m: int) -> tuple[StrictPartition, ...]:
+    """The strict partitions of the m x m box, each at its negative mask."""
+    table: list = [None] * (1 << m)
+    for lam in pt.all_strict_partitions(m):
+        table[_negative_mask(lam)] = lam
+    return tuple(table)
+
+
 def chevalley_multiply(lam: StrictPartition) -> CohClass:
     """The quantum Chevalley expansion of sigma_1 * sigma_lambda."""
     m = lam.m
-    subset = pt.to_subset(lam)
-    w = wy.one_line(subset, m)
+    classes = _classes_by_mask(m)
+    negative = _negative_mask(lam)
+    w = wy.one_line(pt.to_subset(lam), m)
     # toggling |w(k)| in the negative subset adds or removes the part m+1-|w(k)|
     step = [m + 1 - v if v > 0 else -(m + 1 + v) for v in w]
+    bit = [1 << (abs(v) - 1) for v in w]
     out = CohClass(m)
     for i in range(m):
-        for j in range(i, m):
-            c = 1 if i == j else 2
-            grows = step[i] + (step[j] if j > i else 0)
-            if grows == 1:
-                d = 0
-            elif grows == 1 - (m + 1) * c:
-                d = c
-            else:
-                continue
-            out.add_term((pt.from_subset(set(subset) ^ {abs(w[i]), abs(w[j])}, m), d), c)
+        # alpha = 2 e_i, d(alpha) = 1: the size grows by 1, or by 1 - (m+1) with q
+        if step[i] == 1:
+            out.add_term((classes[negative ^ bit[i]], 0), 1)
+        elif step[i] == -m:
+            out.add_term((classes[negative ^ bit[i]], 1), 1)
+        # alpha = e_i + e_j, d(alpha) = 2: the size grows by 1, or by 1 - 2(m+1) with q^2
+        classical, quantum = 1 - step[i], -1 - 2 * m - step[i]
+        for j in range(i + 1, m):
+            if step[j] == classical:
+                out.add_term((classes[negative ^ bit[i] ^ bit[j]], 0), 2)
+            elif step[j] == quantum:
+                out.add_term((classes[negative ^ bit[i] ^ bit[j]], 2), 2)
     return out
 
 

@@ -9,6 +9,7 @@ from lgmirror import partitions as pt
 from lgmirror.scalars import QSqrt2
 
 from signedpairs import all_j_pairs
+from subsetmaps import pd
 
 
 def expected_iota_image(j: int, m: int) -> cl.EndSpin:
@@ -20,8 +21,8 @@ def expected_iota_image(j: int, m: int) -> cl.EndSpin:
     rel_sign = -1 if ((m + 1 - j) * (j - 1)) % 2 else 1
     out = cl.EndSpin(m)
     for _, rho_i, mu_i in all_j_pairs(l, m):
-        out.add_term((pt.to_subset(mu_i), pt.to_subset(pt.pd(rho_i))), beta)
-        out.add_term((pt.to_subset(rho_i), pt.to_subset(pt.pd(mu_i))), beta if rel_sign > 0 else -beta)
+        out.add_term((pt.to_subset(mu_i), pt.to_subset(pd(rho_i))), beta)
+        out.add_term((pt.to_subset(rho_i), pt.to_subset(pd(mu_i))), beta if rel_sign > 0 else -beta)
     return out
 
 

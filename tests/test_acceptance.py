@@ -199,9 +199,9 @@ def test_criterion_5_projection_formulas():
     for m in (2, 3, 4):
         for j in range(2, m + 1):
             D, N = cl.build_D(j, m), cl.build_N(j, m)
-            assert cl.iota(D) == expected_iota_image(j, m), (m, j, "iota image")
+            assert co.iota(D) == expected_iota_image(j, m), (m, j, "iota image")
             if 2 * j >= m + 2:
-                assert cl.end_to_clifford(cl.iota(D), m % 2) == expected_clifford_image(j, m)
+                assert co.end_to_clifford(co.iota(D), m % 2) == expected_clifford_image(j, m)
             assert cl.pr_kappa_iota(D) == expected_middle_wedge(j, m), (m, j, "wedge^m image")
             assert cl.pi_map(D) == cl.wedge_v(j, m), (m, j, "pi(D)")
             assert cl.pi_map(N) == cl.wedge_v_plus(j, m), (m, j, "pi(N)")
@@ -258,8 +258,8 @@ def test_criterion_6_equivariance_and_matrix_identities():
                 g = cl.generator_clifford(i, kind, m)
                 mat = cl.clifford_to_end(g)
                 for s in pt.all_subsets(m):
-                    lhs = cl.delta(co.end_apply(mat, cl.basis_vector(s, m)))
-                    rhs = co.dual_spin_action(g, cl.delta(cl.basis_vector(s, m)))
+                    lhs = co.delta(co.end_apply(mat, cl.basis_vector(s, m)))
+                    rhs = co.dual_spin_action(g, co.delta(cl.basis_vector(s, m)))
                     assert lhs == rhs, (m, i, kind, s)
         # iota and pi on 20 random inputs
         for _ in range(20):
@@ -268,7 +268,7 @@ def test_criterion_6_equivariance_and_matrix_identities():
                 for kind in ("e", "f"):
                     g = cl.generator_clifford(i, kind, m)
                     gmat = cl.spin_generator_matrix(i, kind, m)
-                    assert cl.iota(co.sym_square_action(g, x)) == co.end_commutator(gmat, cl.iota(x))
+                    assert co.iota(co.sym_square_action(g, x)) == co.end_commutator(gmat, co.iota(x))
                     assert cl.pi_map(co.sym_square_action(g, x)) == co.exterior_generator_action(
                         g, cl.pi_map(x)
                     )

@@ -130,9 +130,9 @@ def test_antisymmetrize_inverse_roundtrip():
         for parity in (0, 1):
             for _ in range(5):
                 x = rand_exterior(rng, m, parity=parity)
-                assert cl.antisymmetrize_inv(co.antisymmetrize(x)) == x
+                assert co.antisymmetrize_inv(co.antisymmetrize(x)) == x
     y = cl.cl_monomial((1, cl.bar(1, 3)), 3)
-    back = cl.antisymmetrize_inv(y)
+    back = co.antisymmetrize_inv(y)
     expected = cl.wedge_monomial((1, cl.bar(1, 3)), 3)
     expected.add_term((), QSqrt2(Fraction(cl.epsilon(1, 3), 2)))
     assert back == expected
@@ -143,7 +143,7 @@ def test_antisymmetrize_inv_roundtrip_on_mixed_parity():
     for m in (2, 3):
         for _ in range(5):
             x = rand_exterior(rng, m, parity=0) + rand_exterior(rng, m, parity=1)
-            assert cl.antisymmetrize_inv(co.antisymmetrize(x)) == x
+            assert co.antisymmetrize_inv(co.antisymmetrize(x)) == x
 
 
 # the contraction recursion alpha(v_k ^ y) = v_k * alpha(y) - alpha(contract_{v_k} y),
@@ -192,7 +192,7 @@ def test_wick_sum_matches_the_contraction_recursion(m):
             wedge = cl.wedge_monomial(key, m)
             assert co.antisymmetrize(wedge) == alpha_oracle(wedge), key
             mono = cl.cl_monomial(key, m)
-            assert alpha_oracle(cl.antisymmetrize_inv(mono)) == mono, key
+            assert alpha_oracle(co.antisymmetrize_inv(mono)) == mono, key
 
 
 def test_antisymmetrize_equivariance():
@@ -325,9 +325,13 @@ def test_even_clifford_to_end_bijective():
 
 @pytest.mark.parametrize("entry", [0.5, 1j], ids=["float", "complex"])
 def test_end_to_clifford_refuses_an_inexact_entry(entry):
+    """The oracle's kappa^{-1} and the package's pi alike."""
     mat = cl.EndSpin(2, {((), (1,)): Fraction(1, 2), ((1,), (1, 2)): entry})
     with pytest.raises(TypeError, match="exact entries"):
-        cl.end_to_clifford(mat, 0)
+        co.end_to_clifford(mat, 0)
+    x = cl.SymSquare(2, {((), (1,)): Fraction(1, 2), ((1,), (1, 2)): entry})
+    with pytest.raises(TypeError, match="exact entries"):
+        cl.pi_map(x)
 
 
 def test_end_to_clifford_roundtrip():
@@ -336,7 +340,7 @@ def test_end_to_clifford_roundtrip():
         for parity in (0, 1):
             x = rand_clifford(rng, m, parity=parity)
             mat = cl.clifford_to_end(x)
-            back = cl.end_to_clifford(mat, parity)
+            back = co.end_to_clifford(mat, parity)
             assert back == x
             assert parity_part(back, 1 - parity).coeffs == {}
 
@@ -390,7 +394,7 @@ def _end_to_clifford_oracle(mat, parity):
 def check_unit_against_oracle(row, col, m):
     for parity in (0, 1):
         mat = cl.EndSpin(m, {(row, col): QSqrt2(2, -1)})
-        got = cl.end_to_clifford(mat, parity)
+        got = co.end_to_clifford(mat, parity)
         assert got == _end_to_clifford_oracle(mat, parity), (m, row, col, parity)
         assert cl.clifford_to_end(got) == mat
 
@@ -435,7 +439,7 @@ def test_per_pair_signs_match_the_word_signs(m):
     for row in pt.all_subsets(m):
         for col in pt.all_subsets(m):
             for lift in (False, True):
-                assert cl._matrix_unit_clifford(row, col, m, lift) == word_sign_matrix_unit(row, col, m, lift)
+                assert co.matrix_unit_clifford(row, col, m, lift) == word_sign_matrix_unit(row, col, m, lift)
 
 
 def test_pi_map_makes_no_clifford_product(monkeypatch):
@@ -451,7 +455,7 @@ def test_pi_map_makes_no_clifford_product(monkeypatch):
     for m in (2, 3):
         for j in range(2, m + 1):
             for parity in (0, 1):
-                cl.end_to_clifford(cl.iota(cl.build_D(j, m)), parity)
+                co.end_to_clifford(co.iota(cl.build_D(j, m)), parity)
             assert cl.pi_map(cl.build_N(j, m)) == cl.wedge_v_plus(j, m)
 
 
@@ -468,9 +472,9 @@ def test_volume_element_is_central_scalar():
 
 def test_delta_examples():
     m = 3
-    d0 = cl.delta(cl.basis_vector((), m))
+    d0 = co.delta(cl.basis_vector((), m))
     assert d0.dual and d0.coeffs == {(1, 2, 3): QS2_ONE}
-    top = cl.delta(co.basis_vector_of(pt.rho(m, m)))
+    top = co.delta(co.basis_vector_of(pt.rho(m, m)))
     sign = QSqrt2(-1 if (m * (m + 1) // 2) % 2 else 1)
     assert top.coeffs == {(): sign}
 
@@ -481,7 +485,7 @@ def test_delta_equivariance_matrix_identity():
         subsets = pt.all_subsets(m)
         dmat = {}
         for s in subsets:
-            img = cl.delta(cl.basis_vector(s, m))
+            img = co.delta(cl.basis_vector(s, m))
             ((key, c),) = img.coeffs.items()
             dmat[s] = (key, c)
         for i in range(1, m + 1):
@@ -503,7 +507,7 @@ def test_delta_equivariance_matrix_identity():
 
 def test_iota_examples_and_rank():
     m = 2
-    img = cl.iota(co.sym_pair(pt.empty(m), pt.empty(m)))
+    img = co.iota(co.sym_pair(pt.empty(m), pt.empty(m)))
     assert img.coeffs == {((), (1, 2)): QS2_ONE}
     for mm in (2, 3):
         pairs = []
@@ -512,7 +516,7 @@ def test_iota_examples_and_rank():
             for b in range(a, len(subsets)):
                 x = cl.SymSquare(mm)
                 x.add_term((subsets[a], subsets[b]), QS2_ONE)
-                pairs.append(cl.iota(x))
+                pairs.append(co.iota(x))
         dim = len(subsets)
         index = {s: k for k, s in enumerate(subsets)}
         rows = []
@@ -555,7 +559,7 @@ def test_iota_equivariance():
                 for kind in ("e", "f"):
                     g = cl.generator_clifford(i, kind, m)
                     gmat = cl.spin_generator_matrix(i, kind, m)
-                    assert cl.iota(co.sym_square_action(g, x)) == co.end_commutator(gmat, cl.iota(x))
+                    assert co.iota(co.sym_square_action(g, x)) == co.end_commutator(gmat, co.iota(x))
 
 
 # -- the paired-index and middle-range matrix identities -------------------------
@@ -628,7 +632,7 @@ def test_build_D_and_N_examples():
 @pytest.mark.parametrize("m", [2, 3])
 def test_iota_image_matches_dual_family_form(m):
     for j in range(2, m + 1):
-        assert cl.iota(cl.build_D(j, m)) == expected_iota_image(j, m)
+        assert co.iota(cl.build_D(j, m)) == expected_iota_image(j, m)
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
@@ -636,7 +640,7 @@ def test_clifford_image_matches_display_in_regime(m):
     for j in range(2, m + 1):
         if 2 * j < m + 2:
             continue
-        computed = cl.end_to_clifford(cl.iota(cl.build_D(j, m)), m % 2)
+        computed = co.end_to_clifford(co.iota(cl.build_D(j, m)), m % 2)
         assert computed == expected_clifford_image(j, m), (m, j)
 
 
@@ -671,6 +675,43 @@ def test_projection_sends_elements_to_wedges_m5():
     for j in range(2, m + 1):
         assert cl.pi_map(cl.build_D(j, m)) == cl.wedge_v(j, m)
         assert cl.pi_map(cl.build_N(j, m)) == cl.wedge_v_plus(j, m)
+
+
+def composite_pr_kappa_iota(x):
+    """pr_{wedge^m} . kappa^{-1} . iota through the public maps, one at a
+    time: every matrix unit monomial and its whole Wick sum."""
+    return co.antisymmetrize_inv(co.end_to_clifford(co.iota(x), x.m % 2)).degree_part(x.m)
+
+
+def check_against_the_composite(x):
+    expected = composite_pr_kappa_iota(x)
+    assert cl.pr_kappa_iota(x) == expected
+    assert cl.pi_map(x) == cl.contract_to_vectors(expected)
+    return expected
+
+
+@pytest.mark.parametrize("m", range(2, 8))
+def test_mask_pipeline_matches_the_composite_on_D_and_N(m):
+    for j in range(2, m + 1):
+        for x in (cl.build_D(j, m), cl.build_N(j, m)):
+            assert check_against_the_composite(x).coeffs, (m, j)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("field", ["Q", "Q(sqrt2)"])
+def test_mask_pipeline_matches_the_composite_on_random_elements(m, field):
+    rng = random.Random(10 * m + len(field))
+    subsets = pt.all_subsets(m)
+    reached = 0
+    for _ in range(25):
+        x = cl.SymSquare(m)
+        for _ in range(rng.randint(1, 5)):
+            c = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+            if field != "Q":
+                c = QSqrt2(c, Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+            x.add_term((rng.choice(subsets), rng.choice(subsets)), c)
+        reached += bool(check_against_the_composite(x).coeffs)
+    assert reached >= 10
 
 
 def test_pi_equivariance():

@@ -6,6 +6,7 @@ import pytest
 import cliffordops as co
 import fractionwindows as fw
 import sweeps
+from subsetmaps import from_subset
 from lgmirror import cli
 from lgmirror import clifford as cl
 from lgmirror import grouprep as gr
@@ -732,7 +733,7 @@ def test_spin_moves_reject_a_move_that_is_not_one_box_down(monkeypatch, i):
     each move one box up) raises on building."""
     m = 3
     assert all(
-        pt.from_subset(col, m).size == pt.from_subset(row, m).size + 1 for row, col in gr.spin_f_moves(i, m)
+        from_subset(col, m).size == from_subset(row, m).size + 1 for row, col in gr.spin_f_moves(i, m)
     )
     spin_generator_matrix = cl.spin_generator_matrix
 
@@ -760,7 +761,7 @@ def test_spin_moves_reject_two_moves_with_swapped_targets(monkeypatch):
     mat = cl.spin_generator_matrix(m, "f", m)
     rows, cols = zip(*mat.coeffs)
     assert set(mat.coeffs.values()) == {QSqrt2(1)} and len(set(rows)) == len(set(cols)) == len(rows)
-    assert all(pt.from_subset(col, m).size == pt.from_subset(row, m).size + 1 for row, col in mat.coeffs)
+    assert all(from_subset(col, m).size == from_subset(row, m).size + 1 for row, col in mat.coeffs)
     with pytest.raises(ArithmeticError, match="not the move rule"):
         gr.spin_f_moves.__wrapped__(m, m)
 

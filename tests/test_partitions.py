@@ -6,26 +6,27 @@ from lgmirror import partitions as pt
 from lgmirror import superpotential as sp
 
 from signedpairs import all_j_pairs
+from subsetmaps import from_subset, pd
 
 
 @st.composite
 def boxed_partitions(draw, max_m=6):
     m = draw(st.integers(min_value=1, max_value=max_m))
     subset = draw(st.sets(st.integers(min_value=1, max_value=m)))
-    return pt.from_subset(subset, m)
+    return from_subset(subset, m)
 
 
 def test_subset_bijection_examples():
-    assert pt.from_subset({1, 2}, 2).parts == (2, 1)
-    assert pt.from_subset(set(), 5).parts == ()
-    assert pt.from_subset({1, 3}, 3).parts == (3, 1)
+    assert from_subset({1, 2}, 2).parts == (2, 1)
+    assert from_subset(set(), 5).parts == ()
+    assert from_subset({1, 3}, 3).parts == (3, 1)
 
 
 def test_subset_bijection_exhaustive():
     for m in range(1, 6):
         seen = set()
         for s in pt.all_subsets(m):
-            lam = pt.from_subset(s, m)
+            lam = from_subset(s, m)
             assert pt.to_subset(lam) == s
             seen.add(lam.parts)
         assert len(seen) == 2**m
@@ -33,15 +34,15 @@ def test_subset_bijection_exhaustive():
 
 @given(boxed_partitions())
 def test_pd_involution_and_complementary_size(lam):
-    dual = pt.pd(lam)
-    assert pt.pd(dual) == lam
+    dual = pd(lam)
+    assert pd(dual) == lam
     assert lam.size + dual.size == lam.m * (lam.m + 1) // 2
 
 
 def test_pd_examples():
-    assert pt.pd(pt.empty(3)).parts == (3, 2, 1)
-    assert pt.pd(pt.partition((3, 2, 1), 3)).parts == ()
-    assert pt.pd(pt.partition((2,), 2)).parts == (1,)
+    assert pd(pt.empty(3)).parts == (3, 2, 1)
+    assert pd(pt.partition((3, 2, 1), 3)).parts == ()
+    assert pd(pt.partition((2,), 2)).parts == (1,)
 
 
 def test_rho_mu_families():
@@ -153,12 +154,14 @@ def test_basis_is_one_shared_tuple_per_m():
 
 def test_warm_callers_build_no_basis(monkeypatch):
     """Once warm, a critical report and a Pluecker vector read the cached
-    basis: they make no StrictPartition from a subset."""
+    basis: they make no StrictPartition, from a subset or otherwise."""
     b = sp.ring_vector([1, -2, 3, 5, -7, 11])
     cold = jb.critical_report(3, 1), sp.plucker_vector(b, 3)
 
-    def fail(subset, m):
-        raise AssertionError(f"from_subset({subset}, {m}) called")
+    def fail(cls, parts, m):
+        raise AssertionError(f"StrictPartition({parts}, {m}) built")
 
-    monkeypatch.setattr(pt, "from_subset", fail)
+    monkeypatch.setattr(pt.StrictPartition, "__new__", fail)
+    with pytest.raises(AssertionError, match="built"):
+        pt.partition((1,), 3)
     assert (jb.critical_report(3, 1), sp.plucker_vector(b, 3)) == cold

@@ -6,6 +6,7 @@ from lgmirror import jacobi as jb
 from lgmirror import partitions as pt
 from lgmirror import qchevalley as qc
 from lgmirror import weyl as wy
+from subsetmaps import from_subset
 
 
 def test_positive_root_counts():
@@ -91,9 +92,9 @@ def reflection_root_sum(lam: pt.StrictPartition) -> qc.CohClass:
             image, in_wp = times_reflection(subset, i, j, m)
             size = sum(m + 1 - k for k in image)
             if in_wp and size == grown:
-                out.add_term((pt.from_subset(image, m), 0), c)
+                out.add_term((from_subset(image, m), 0), c)
             elif size == grown - (m + 1) * c:
-                out.add_term((pt.from_subset(image, m), c), c)
+                out.add_term((from_subset(image, m), c), c)
     return out
 
 

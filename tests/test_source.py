@@ -220,9 +220,9 @@ def test_every_class_member_has_a_caller():
 def test_every_test_helper_has_a_caller():
     """Each top-level name of a helper module in tests/ (cliffordops,
     displays, fractionpairs, fractionwindows, multistart, signedpairs,
-    sweeps, weylgroup), and each top-level name of a test module other than
-    its tests, is read somewhere in tests/: an
-    oracle left behind by a deleted test has no place there."""
+    subsetmaps, sweeps, weylgroup), and each top-level name of a test
+    module other than its tests, is read somewhere in tests/: an oracle
+    left behind by a deleted test has no place there."""
     trees = _trees(os.path.join(ROOT, "tests"))
     read = set().union(*map(_referenced, trees.values()))
     unread = []

@@ -17,9 +17,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from lgmirror.partitions import StrictPartition, all_subsets, from_subset, to_subset
+from lgmirror.partitions import StrictPartition, all_subsets, to_subset
 from lgmirror.qchevalley import CohClass
 from lgmirror.weyl import canonical_wp_word
+
+from subsetmaps import from_subset
 
 
 @dataclass(frozen=True)
