@@ -1,14 +1,16 @@
 """Command-line interface: print-w, verify, critical.
 
 Reports are deterministic: identical configuration (including seed) gives
-byte-identical JSON, one line of json.dumps(report, sort_keys=True).
+byte-identical JSON, one line that `_report` writes and stamps with the one
+schema, `SCHEMA`.  A `verify` report carries only the flags its suite reads.
 Each command imports the modules it runs, and what they import, inside
 the function that runs it, `verify` inside each suite's runner in the suite
 table `_SUITES`; only `critical` loads the numerical layer (`jacobi`, and
 with it numpy); a fresh process loads nothing else.  `critical` is
 deterministic without a seed and, past their checks, ignores --trials and
---seed; `verify pi-map` and `verify chevalley`, which check fixed elements
-of one m, past their checks ignore --q, --t, --trials and --seed.
+--seed.  Past their checks a `verify` suite reads only the flags of its
+`_SUITES` entry: `pi-map` and `chevalley`, which check fixed elements of one
+m, read none of --q, --t, --trials and --seed, and only `theorem-w` reads q.
 The flags of each command are one table, `_COMMANDS`: `_plain` reads a plain
 command line from it without argparse, and `build_parser` builds the
 argparse parsers from it, the one source of help, usage and error text.
@@ -33,7 +35,7 @@ from types import SimpleNamespace
 
 from lgmirror.scalars import lift, splitmix64
 
-SCHEMA = "lg-mirror/1"
+SCHEMA = "lg-mirror/2"
 # `critical` takes 0.4 s and 45 MB at m = 8, 1.8 s and 143 MB at m = 9 (fresh
 # process, one BLAS thread, 2-vCPU Xeon VM), most of it the (seeds x monomials
 # x N) temporary of the monomial values: 84 MiB for the 480 seeds of m = 9, and
@@ -67,7 +69,7 @@ def rational_stream(seed: int):
 def sample_b(m: int, stream) -> list[Fraction]:
     """One torus point, drawn once: `rational_stream` never yields 0.  Every
     divisor D_l(u2bar(b)) is a monomial in b with coefficient 1, so no point
-    is on a divisor, none is redrawn, and `divisor_redraws` is 0."""
+    is on a divisor and none is redrawn."""
     return [next(stream) for _ in range(m * (m + 1) // 2)]
 
 
@@ -80,6 +82,11 @@ def _emit(text: str, out: str | None) -> None:
         print(text)
 
 
+def _report(payload: dict, out: str | None) -> None:
+    """Write a JSON report, stamped with `SCHEMA` over any schema it holds."""
+    _emit(json.dumps({**payload, "schema": SCHEMA}, sort_keys=True), out)
+
+
 # -- print-w ------------------------------------------------------------------
 
 
@@ -88,10 +95,9 @@ def cmd_print_w(args: SimpleNamespace) -> int:
 
     terms = sp.symbolic_W(args.m)
     if args.format == "json":
-        text = json.dumps({"schema": SCHEMA, "m": args.m, "terms": sp.render_json_terms(terms)}, sort_keys=True)
+        _report({"m": args.m, "terms": sp.render_json_terms(terms)}, args.out)
     else:
-        text = sp.render_text(terms) if args.format == "text" else sp.render_latex(terms)
-    _emit(text, args.out)
+        _emit(sp.render_text(terms) if args.format == "text" else sp.render_latex(terms), args.out)
     return 0
 
 
@@ -166,8 +172,8 @@ def _fj(m: int, q: Fraction, b: list[Fraction]) -> list:
 
 def _suite_records(suite: str, m: int, q: Fraction, trials: int, seed: int) -> tuple[list[dict], dict]:
     """Run one identity suite: its records and any extra payload."""
-    *_, per_point, run = _SUITES[suite]
-    if not per_point:
+    *_, flags, run = _SUITES[suite]
+    if not flags:
         return run(m)
     stream = rational_stream(seed)
     records = []
@@ -182,21 +188,11 @@ def _suite_records(suite: str, m: int, q: Fraction, trials: int, seed: int) -> t
 def cmd_verify(args: SimpleNamespace) -> int:
     records, extra = _suite_records(args.suite, args.m, args.q, args.trials, args.seed)
     ok = all(r["ok"] for r in records)
-    payload = {
-        "schema": SCHEMA,
-        "suite": args.suite,
-        "m": args.m,
-        "q": str(args.q),
-        "trials": args.trials,
-        "seed": args.seed,
-        "divisor_redraws": 0,
-        "ok": ok,
-        "records": records,
-        **extra,
-    }
+    read = {flag: str(args.q) if flag == "q" else getattr(args, flag) for flag in _SUITES[args.suite][2]}
+    payload = {"suite": args.suite, "m": args.m, **read, "ok": ok, "records": records, **extra}
     if not ok:
         payload["counterexample"] = next(r for r in records if not r["ok"])
-    _emit(json.dumps(payload, sort_keys=True), args.out)
+    _report(payload, args.out)
     return 0 if ok else 1
 
 
@@ -207,7 +203,7 @@ def cmd_critical(args: SimpleNamespace) -> int:
     from lgmirror import jacobi as jb
 
     report = jb.critical_report(args.m, complex(args.q), tolerance=args.tolerance)
-    _emit(json.dumps(report, sort_keys=True), args.out)
+    _report(report, args.out)
     return 0 if report["ok"] else 1
 
 
@@ -231,22 +227,23 @@ _COMMON = {
     "--out": {"type": str, "default": None, "help": "write the report to FILE"},
 }
 _EXCLUSIVE = ("--q", "--t")
-# The suites of `verify`, in parser order: (largest m, --trials STEP,
-# per-point, runner).  An exact suite's runner takes m and gives its records
-# and any extra payload; a per-point suite runs at --trials torus points
-# drawn from --seed, and its runner gives the checks at one point b, each
-# with what its record adds: [(fields, report)].  At the largest m a fresh
-# run of 25 trials takes at most about 10 s and 130 MB (same VM), the next m
-# two to three times as long, and a trial about 1/STEP as much at each m
-# below: `verify` takes at most min(1000, 25 * STEP^(limit - m)) trials.
+# The suites of `verify`, in parser order: (largest m, --trials STEP, the
+# common flags it reads, which its report carries, runner).  An exact suite
+# reads none: its runner takes m and gives its records and any extra payload.
+# A per-point suite runs at --trials torus points drawn from --seed, and its
+# runner gives the checks at one point b, each with what its record adds:
+# [(fields, report)].  At the largest m a fresh run of 25 trials takes at
+# most about 10 s and 130 MB (same VM), the next m two to three times as
+# long, and a trial about 1/STEP as much at each m below: `verify` takes at
+# most min(1000, 25 * STEP^(limit - m)) trials.
 _SUITES = {
-    "minors": (14, 2, True, _minors),
-    "theorem-w": (14, 2, True, _theorem_w),
-    "pi-map": (14, 2, False, _pi_map),
-    "subword": (12, 2, True, _subword),
-    "chevalley": (14, 2, False, _chevalley),
-    "em": (14, 2, True, _em),
-    "fj": (20, 1.5, True, _fj),
+    "minors": (14, 2, ("trials", "seed"), _minors),
+    "theorem-w": (14, 2, ("q", "trials", "seed"), _theorem_w),
+    "pi-map": (14, 2, (), _pi_map),
+    "subword": (12, 2, ("trials", "seed"), _subword),
+    "chevalley": (14, 2, (), _chevalley),
+    "em": (14, 2, ("trials", "seed"), _em),
+    "fj": (20, 1.5, ("trials", "seed"), _fj),
 }
 _PRINT_HELP = f"emit the symbolic superpotential, for m <= {MAX_PRINT_M}"
 _VERIFY_HELP = (

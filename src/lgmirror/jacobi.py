@@ -480,7 +480,6 @@ def critical_report(m: int, q: complex, tolerance: float = 1e-6) -> dict:
     errors = [_rel_err(s.point.value, s.eigenvalue_scaled) for s in found]
     max_rel_err = max(errors) if len(points) == 2**m else float("inf")
     return {
-        "schema": "lg-mirror/2",
         "m": m,
         "q": [q.real, q.imag],
         "seeds": [_seed_entry(s) for s in seeds],

@@ -43,9 +43,7 @@ def test_print_w_m3_has_four_terms(capsys):
 def test_print_w_json(capsys):
     code, out = run(capsys, "print-w", "--m", "2", "--format", "json")
     assert code == 0
-    payload = json.loads(out)
-    assert payload["schema"] == "lg-mirror/1"
-    assert len(payload["terms"]) == 3
+    assert len(json.loads(out)["terms"]) == 3
 
 
 def test_print_w_latex(capsys):
@@ -63,7 +61,6 @@ def test_verify_suites_pass(capsys, suite, m):
     assert code == 0
     payload = json.loads(out)
     assert payload["ok"] is True
-    assert payload["schema"] == "lg-mirror/1"
     assert all(r["ok"] for r in payload["records"])
 
 
@@ -288,9 +285,11 @@ def _toy_exact(m):
 def test_a_suite_is_one_table_entry(monkeypatch, capsys, tmp_path, per_point):
     """A suite added as one entry of `_SUITES`, with its runner, is read by
     `_plain` and by argparse, refused past its m limit and past its --trials
-    bound, and writes its report: per-point records at --trials points from
-    --seed, or an exact suite's records and extra payload."""
-    monkeypatch.setitem(cli._SUITES, "toy", (3, 1.5, per_point, _toy_point if per_point else _toy_exact))
+    bound, and writes its report with the flags of its entry: per-point
+    records at --trials points from --seed, or an exact suite's records and
+    extra payload."""
+    flags = ("trials", "seed") if per_point else ()
+    monkeypatch.setitem(cli._SUITES, "toy", (3, 1.5, flags, _toy_point if per_point else _toy_exact))
     cli.build_parser.cache_clear()
     try:
         assert vars(cli._plain(["verify", "toy", "--m", "3"]))["suite"] == "toy"
@@ -306,8 +305,10 @@ def test_a_suite_is_one_table_entry(monkeypatch, capsys, tmp_path, per_point):
     finally:
         monkeypatch.undo()
         cli.build_parser.cache_clear()
-    assert (report["suite"], report["m"], report["trials"], report["seed"], report["ok"]) == ("toy", 2, 37, 5, True)
+    assert (report["suite"], report["m"], report["ok"]) == ("toy", 2, True)
+    assert set(report) == {"schema", "suite", "m", "ok", "records", *flags, *(() if per_point else ("size",))}
     if per_point:
+        assert (report["trials"], report["seed"]) == (37, 5)
         stream = cli.rational_stream(5)
         points = [[str(x) for x in cli.sample_b(2, stream)] for _ in range(37)]
         assert report["records"] == [
@@ -519,15 +520,28 @@ def test_writer_leaves_no_garbage_cycle(capsys):
         gc.enable()
 
 
-def test_divisor_redraw_counted(capsys):
-    """Torus points lie off every divisor, so no suite redraws one."""
-    code, out = run(capsys, "verify", "theorem-w", "--m", "2", "--trials", "10", "--seed", "2")
-    assert code == 0
-    assert json.loads(out)["divisor_redraws"] == 0
-    for suite in ("theorem-w", "em", "subword", "minors", "fj"):
-        code, out = run(capsys, "verify", suite, "--m", "3", "--trials", "3", "--seed", "4")
-        assert code == 0
-        assert json.loads(out)["divisor_redraws"] == 0, suite
+@pytest.mark.parametrize("name", sorted(ONE_LINE_COMMANDS))
+def test_every_report_carries_the_schema(capsys, name):
+    """Every JSON report, ok or failing, carries the one schema of `cli`."""
+    cli.main(ONE_LINE_COMMANDS[name])
+    assert json.loads(capsys.readouterr().out)["schema"] == cli.SCHEMA
+
+
+def test_a_report_carries_only_the_flags_its_suite_reads(capsys):
+    """A flag a suite ignores moves no byte of its report: pi-map and
+    chevalley ignore --q, --t, --trials and --seed, the other per-point
+    suites --q; theorem-w reports the q it reads."""
+    for argv in (["verify", "pi-map", "--m", "4"], ["verify", "chevalley", "--m", "5"]):
+        runs = {run(capsys, *argv, *flags) for flags in ((), ("--q", "3/2", "--trials", "3", "--seed", "5"), ("--t", "0.5"))}
+        assert len(runs) == 1 and runs.pop()[0] == 0, argv
+    for suite in ("em", "subword", "minors", "fj"):
+        argv = ["verify", suite, "--m", "3", "--trials", "2", "--seed", "5"]
+        plain = run(capsys, *argv, "--q", "2")
+        assert plain == run(capsys, *argv, "--q", "3/2") and plain[0] == 0, suite
+    argv = ["verify", "theorem-w", "--m", "3", "--trials", "2", "--seed", "5"]
+    (code, two), (_, other) = run(capsys, *argv, "--q", "2"), run(capsys, *argv, "--q", "3/2")
+    assert code == 0 and two != other
+    assert (json.loads(two)["q"], json.loads(other)["q"]) == ("2", "3/2")
 
 
 def test_a_points_records_share_one_coordinate_list():
@@ -842,7 +856,8 @@ def test_each_exact_command_loads_only_what_it_runs(name):
 
 # Each report is one line, json.dumps(report, sort_keys=True); the digests
 # are those of the whole stdout when it was json.dumps(report,
-# sort_keys=True, indent=2), which that line re-indented reproduces.
+# sort_keys=True, indent=2) in schema lg-mirror/1, which that line
+# re-indented reproduces once `_schema_1` gives it back the lg-mirror/1 fields.
 # sha256 of the whole stdout of each command, recorded before the sigma_1
 # root sum went size first, the matrix units took per-pair signs and the CLI
 # started importing per command: those changes move no byte of a report
@@ -978,6 +993,27 @@ PINNED_REPORTS = {
 }
 
 
+_VERIFY_FIELDS = {"schema", "suite", "m", "ok", "records"}
+# the lg-mirror/2 fields of a report of print-w and of each suite
+PINNED_FIELDS = {
+    "print-w": {"schema", "m", "terms"},
+    "theorem-w": _VERIFY_FIELDS | {"q", "trials", "seed"},
+    **dict.fromkeys(("minors", "fj", "em", "subword"), _VERIFY_FIELDS | {"trials", "seed"}),
+    "pi-map": _VERIFY_FIELDS,
+    "chevalley": _VERIFY_FIELDS | {"sigma1_table", "conventions"},
+}
+
+
+def _schema_1(argv: list[str], report: dict) -> dict:
+    """The lg-mirror/1 form of a report of `argv`: every verify report then
+    also carried divisor_redraws 0 and the q, trials and seed of its flags."""
+    args = cli._parse(argv)
+    cli._check(args)  # turns --t into q
+    if args.command == "verify":
+        report = {**report, "q": str(args.q), "trials": args.trials, "seed": args.seed, "divisor_redraws": 0}
+    return {**report, "schema": "lg-mirror/1"}
+
+
 @pytest.mark.parametrize("name", sorted(PINNED_REPORTS))
 def test_reports_match_their_pinned_sha256(name):
     argv, digest = PINNED_REPORTS[name]
@@ -985,7 +1021,9 @@ def test_reports_match_their_pinned_sha256(name):
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
     assert proc.stdout == json.dumps(report, sort_keys=True) + "\n"
-    indented = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    assert report["schema"] == "lg-mirror/2"
+    assert set(report) == PINNED_FIELDS[argv[1] if argv[0] == "verify" else argv[0]]
+    indented = json.dumps(_schema_1(argv, report), sort_keys=True, indent=2) + "\n"
     assert hashlib.sha256(indented.encode()).hexdigest() == digest
 
 

@@ -95,10 +95,10 @@ def _is_report_call(node: ast.AST) -> bool:
 
 
 def test_one_json_writer():
-    """`cli` alone writes JSON, each time by json.dumps(report,
-    sort_keys=True) in json's C encoder: no indent, which Python 3.11 serves
-    from the pure-Python encoder, no json.dump, and no module imports
-    json.encoder or names from json."""
+    """`cli` alone writes JSON, by one json.dumps(report, sort_keys=True),
+    in json's C encoder: no indent, which Python 3.11 serves from the
+    pure-Python encoder, no json.dump, and no module imports json.encoder or
+    names from json."""
     found, calls = [], []
     for name, tree in _trees(SRC).items():
         reports = {id(node.func) for node in ast.walk(tree) if _is_report_call(node)}
@@ -116,7 +116,19 @@ def test_one_json_writer():
                 ok = name == "cli.py" and node.attr == "dumps" and id(node) in reports
                 (calls if ok else found).append(f"{name}:{node.lineno}")
     assert found == [], f"json written other than by cli's json.dumps(report, sort_keys=True) at {found}"
-    assert len(calls) == 3, calls  # print-w, verify and critical
+    assert len(calls) == 1, calls  # cli._report, for every command
+
+
+def test_one_schema_string():
+    """The schema of the reports is decided once, by `cli.SCHEMA`: no other
+    string of the package names a schema version."""
+    found = [
+        name
+        for name, tree in _trees(SRC).items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.startswith("lg-mirror/")
+    ]
+    assert found == ["cli.py"], found
 
 
 def _referenced(tree: ast.Module) -> set[str]:
