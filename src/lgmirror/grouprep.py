@@ -54,14 +54,17 @@ the W^P covers of `weyl.wp_transitions` read backwards; building F_i from
 the rule instead would make the spin sweep a second copy of the subword
 programme, so the Clifford image stays the source, at its cold cost
 (about 0.6-0.75 s for the 12 letters at m = 12).  `spin_f_moves` is the
-one spin format, and `spin_move_positions` is it as positions in
-`partitions.all_subsets` order, built once per m; that order is all the
-spin route shares with the subword route.  `spin_row_sweep` runs the
-moves, scaled by b_k, in place on the row w_empty^T held as a list, over
-whatever numbers b holds (the integers D b on the verify path), keeping
-of each factor the moves whose source the row can have reached; an entry
-that vanishes reads as the int 0.  `jacobi._peel_plan` reads the same
-positions as index arrays.
+one spin format, and `sweep_moves` the one plan of the spin row: of each
+factor, k = N first, the moves whose source the row w_empty^T can have
+reached, as positions in `partitions.all_subsets` order, built once per m;
+that order is all the spin route shares with the subword route.  A move
+the plan drops would add 0, and its target is unreached too, so the peel,
+which takes the factors off again, never reads what it would write.
+`spin_row_sweep` runs the plan, scaled by b_k, in place on the row held
+as a list, over whatever numbers b holds (the integers D b on the verify
+path); an entry that vanishes reads as the int 0.  `jacobi` reads the
+same plan for its forward map `pluecker_rows` and for the peel, its
+inverse.
 """
 
 from __future__ import annotations
@@ -233,23 +236,17 @@ def _spin_move_rule(i: int, m: int) -> list[tuple[tuple[int, ...], tuple[int, ..
 
 
 @lru_cache(maxsize=None)
-def spin_move_positions(m: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """The moves of F_1, ..., F_m as positions in `partitions.all_subsets`
-    order: entry i - 1 holds the sources and the targets of F_i's moves,
-    in `spin_f_moves` order.  Built once per m."""
+def sweep_moves(m: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The one plan of the spin row: for each factor of u2bar, k = N first,
+    the (source, target) positions in `partitions.all_subsets` order of the
+    moves of `spin_f_moves(i_k, m)` whose source the row w_empty^T can have
+    reached, in `spin_f_moves` order.  A move left out would add 0, and
+    its target is unreached as well (tested for m = 2..10), so no step of
+    the peel reads what it would write.  Built once per m."""
     index = {s: k for k, s in enumerate(pt.all_subsets(m))}
-    return tuple(tuple(tuple(index[s] for s in side) for side in zip(*spin_f_moves(i, m))) for i in range(1, m + 1))
-
-
-@lru_cache(maxsize=None)
-def _sweep_moves(m: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """The (source, target) position pairs of each factor of u2bar, in the
-    order `spin_row_sweep` applies them, k = N first, each kept only if the
-    row w_empty^T can have reached its source: the other moves add 0."""
-    letters = [tuple(zip(*sides)) for sides in spin_move_positions(m)]
     reach, factors = {0}, []
     for i in reversed(wy.canonical_wp_word(m)):
-        moves = tuple((r, c) for r, c in letters[i - 1] if r in reach)
+        moves = tuple((index[r], index[c]) for r, c in spin_f_moves(i, m) if index[r] in reach)
         reach.update(c for _, c in moves)
         factors.append(moves)
     return tuple(factors)
@@ -267,7 +264,7 @@ def spin_row_sweep(b: list, m: int) -> list:
     """
     wy.coordinate_word(b, m)
     row = [1] + [0] * (2**m - 1)
-    for bk, moves in zip(reversed(b), _sweep_moves(m)):
+    for bk, moves in zip(reversed(b), sweep_moves(m)):
         for r, c in moves:
             row[c] += bk * row[r]
     return [x if x else 0 for x in row]

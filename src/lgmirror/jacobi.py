@@ -13,15 +13,16 @@ from one evaluation of the monomials per step, polishes them.  An
 eigenvector whose peel meets a vanishing pivot lies off the torus; a
 multiple eigenvalue is not peeled, since a basis vector of its eigenspace
 is no Pluecker point.  At q = 1 and 2+i the torus
-carries 3, 8, 10, 30, 35 and 128 of the 2^m critical points for m = 2..7
-(pinned in tests/test_jacobi.py).  At m = 2 the missing one is
+carries 3, 8, 10, 30, 35, 128 and 108 of the 2^m critical points for
+m = 2..8 (pinned in tests/test_jacobi.py).  At m = 2 the missing one is
 (1:0:0:-q), which has p_(2) = 0; at m = 5 the eigenvalue 0 is double.
 
-The module computes in numpy only: it reads grouprep's spin moves once, as
-the index arrays of _peel_plan, and applies each factor I + b F in place to
-a C-ordered (2^m, S) stack whose columns are the vectors, so each move
-reads and writes whole rows; the sigma_1 matrix is filled from per-m index
-arrays of qchevalley's table.  The conjecture probe evaluates
+The module computes in numpy only: it reads grouprep's plan of the spin
+row (sweep_moves) once, as the index arrays of _peel_plan, and applies
+each factor I + b F in place to a C-ordered (2^m, S) stack whose columns
+are the vectors, so each move reads and writes whole rows; the sigma_1
+matrix is filled from per-m index arrays of qchevalley's table.  The
+conjecture probe evaluates
 the signed quadratic sums on the Pluecker rows of the critical points,
 which pluecker_rows computes as the peel's forward map over those factors;
 the identification sigma_lambda -> p_lambda/p_empty at critical points is
@@ -140,41 +141,32 @@ def hess_w_tilde(b: np.ndarray, q: complex, m: int, terms: np.ndarray | None = N
 
 @lru_cache(maxsize=None)
 def _peel_plan(m: int) -> tuple[tuple[tuple[np.ndarray, np.ndarray], ...], tuple[tuple[np.ndarray, np.ndarray], ...]]:
-    """The spin matrices F_{i_k}, k = 1..N, and for each k the moves of F_{i_k}
-    into the columns that the row e_empty (I + b_N F_{i_N}) ... (I + b_k F_{i_k})
-    reaches and the same row without its factor k does not, both for generic b.
+    """The factors F_{i_k}, k = 1..N, of `grouprep.sweep_moves` (the plan of
+    the spin row, reversed), and for each k the moves of F_{i_k} into the
+    columns that the row e_empty (I + b_N F_{i_N}) ... (I + b_k F_{i_k})
+    reaches and the same row without its factor k does not, for generic b:
+    the targets that no factor after k wrote, in ascending order.
 
     A factor, and each part of one, is stored as the index arrays (rows, cols)
-    of its moves (`grouprep.spin_move_positions`, the positions of
-    `grouprep.spin_f_moves`: exactly the move rule, so entries 1, each row
-    and column at most once, and F^2 = 0 as `peel` assumes), so
-    (v F)[cols] = v[rows] and v F is 0 in every other coordinate.  `peel` and
-    `pluecker_rows` hold S vectors as the columns of a C-ordered (2^m, S)
-    stack p, whose row c is coordinate c of every vector: the factor
-    I + b F acts on it in place, as p[cols] += b p[rows], moving whole rows,
-    and no target coordinate is a source.
+    of its moves (exactly the move rule of the spin matrices, so entries 1,
+    each row and column at most once, and F^2 = 0 as `peel` assumes), so
+    (v F)[cols] = v[rows] in the coordinates the row can have reached.  The plan drops only moves whose source and target the
+    row has not reached through factor k, so `pluecker_rows` loses only
+    additions of 0, and the peel never reads what those moves would write.
+    `peel` and `pluecker_rows` hold S vectors as the columns of a C-ordered
+    (2^m, S) stack p, whose row c is coordinate c of every vector: the
+    factor I + b F acts on it in place, as p[cols] += b p[rows], moving
+    whole rows, and no target coordinate is a source.
     """
-    letters = []
-    for sides in gr.spin_move_positions(m):
-        rows, cols = map(np.array, sides)
-        rows.flags.writeable = cols.flags.writeable = False  # shared by every caller through the cache
-        letters.append((rows, cols))
-    factors = tuple(letters[i - 1] for i in wy.canonical_wp_word(m))
-    reach = np.zeros(2**m, dtype=bool)
-    reach[0] = True
-    source = np.zeros(2**m, dtype=int)
-    opens = []
-    for rows, cols in factors[::-1]:
-        grown = reach.copy()
-        grown[cols[reach[rows]]] = True
-        opened = np.flatnonzero(grown & ~reach)
-        source[cols] = rows
-        part = source[opened], opened
-        for a in part:
-            a.flags.writeable = False
-        opens.append(part)
-        reach = grown
-    return factors, tuple(opens[::-1])
+    factors, opens, reach = [], [], {0}
+    for moves in gr.sweep_moves(m):
+        opened = sorted(((r, c) for r, c in moves if c not in reach), key=lambda move: move[1])
+        reach.update(c for _, c in moves)
+        for plan, part in ((factors, moves), (opens, opened)):
+            rows, cols = map(np.array, zip(*part))
+            rows.flags.writeable = cols.flags.writeable = False  # shared by every caller through the cache
+            plan.append((rows, cols))
+    return tuple(factors[::-1]), tuple(opens[::-1])
 
 
 def pluecker_rows(b_stack: np.ndarray, m: int) -> np.ndarray:

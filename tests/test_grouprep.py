@@ -777,3 +777,27 @@ def test_spin_moves_are_the_wp_covers_read_backwards():
         for i in range(1, m + 1):
             backwards = {(s, row[i - 1]) for s, row in covers.items() if row[i - 1] is not None}
             assert set(gr.spin_f_moves(i, m)) == backwards, (m, i)
+
+
+def test_sweep_moves_are_the_reachable_moves():
+    """For m = 2..10, which covers cli.MAX_CRITICAL_M = 9: factor k of
+    `sweep_moves` (k = N first) is exactly the moves of F_{i_k} whose source
+    the row w_empty^T has reached, each move it leaves out has its source
+    and its target outside what the row has reached through factor k, and
+    the row reaches all 2^m coordinates.  The second point makes the peel
+    exact: it takes the factors off again and reads only coordinates the
+    row has reached through the factor it removes, so it never reads what
+    a left-out move would write, and `jacobi.pluecker_rows` loses only
+    additions of 0."""
+    assert cli.MAX_CRITICAL_M <= 10
+    for m in range(2, 11):
+        index = {s: k for k, s in enumerate(pt.all_subsets(m))}
+        plan, word = gr.sweep_moves(m), wy.canonical_wp_word(m)
+        assert len(plan) == len(word), m
+        reach = {0}
+        for k, (i, kept) in enumerate(zip(reversed(word), plan)):
+            moves = [(index[r], index[c]) for r, c in gr.spin_f_moves(i, m)]
+            assert kept == tuple((r, c) for r, c in moves if r in reach), (m, k)
+            reach |= {c for r, c in moves if r in reach}
+            assert all(r not in reach and c not in reach for r, c in set(moves) - set(kept)), (m, k)
+        assert reach == set(range(2**m)), m

@@ -6,6 +6,7 @@ import pytest
 
 from lgmirror import cli
 from lgmirror import clifford as cl
+from lgmirror import grouprep as gr
 from lgmirror import jacobi as jb
 from lgmirror import partitions as pt
 from lgmirror import qchevalley as qc
@@ -323,7 +324,7 @@ def test_large_q_blocks_at_p_empty():
     assert all(s.pivot < jb.PIVOT_TOL for s in seeds)
 
 
-TORUS_COUNTS = {2: 3, 3: 8, 4: 10, 5: 30, 6: 35, 7: 128}
+TORUS_COUNTS = {2: 3, 3: 8, 4: 10, 5: 30, 6: 35, 7: 128, 8: 108}
 
 
 @pytest.mark.parametrize("m", sorted(TORUS_COUNTS))
@@ -469,13 +470,36 @@ def probe_oracle(m, q, l, points):
     return worst
 
 
-# -- oracle: the peel one row at a time, stopping at its blocking step ------------
+# -- oracle: the peel one row at a time over the full factors -------------------
+
+
+@lru_cache(maxsize=None)
+def full_factors(m):
+    """All the moves of F_{i_k}, k = 1..N, as index arrays (rows, cols) in
+    all_subsets order, one letter of the canonical word each, and the open
+    columns of each step from a boolean sweep over those full factors: the
+    columns the row reaches with factor k and not without it."""
+    index = {s: k for k, s in enumerate(pt.all_subsets(m))}
+    factors = []
+    for i in wy.canonical_wp_word(m):
+        rows, cols = zip(*gr.spin_f_moves(i, m))
+        factors.append((np.array([index[s] for s in rows]), np.array([index[s] for s in cols])))
+    reach = np.zeros(2**m, dtype=bool)
+    reach[0] = True
+    opens = []
+    for rows, cols in factors[::-1]:
+        grown = reach.copy()
+        grown[cols[reach[rows]]] = True
+        opens.append(np.flatnonzero(grown & ~reach))
+        reach = grown
+    return factors, opens[::-1]
 
 
 def peel_row(v, m):
     """(b, blocked, step, column, pivot) of one Pluecker vector `v`, as peel
-    defines them; the peel stops at a blocking step, so b stays NaN from it on."""
-    factors, opens = jb._peel_plan(m)
+    defines them, taking off the full factors; the peel stops at a blocking
+    step, so b stays NaN from it on."""
+    factors, opens = full_factors(m)
     b = np.full(len(factors), np.nan, dtype=complex)
     pivot = np.abs(v[0]) / np.abs(v).max()
     if pivot < jb.PIVOT_TOL:
@@ -483,7 +507,7 @@ def peel_row(v, m):
     p = v / v[0]
     scale = np.abs(p).max()
     step = column = 0
-    for k, ((rows, cols), (_, open_cols)) in enumerate(zip(factors, opens), start=1):
+    for k, ((rows, cols), open_cols) in enumerate(zip(factors, opens), start=1):
         pf = np.zeros_like(p)
         pf[cols] = p[rows]
         at = open_cols[np.argmax(np.abs(pf[open_cols]))]
@@ -499,9 +523,11 @@ def peel_row(v, m):
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7, 8])
 def test_peel_is_the_row_by_row_peel(m):
-    """Every eigenvector of sigma_1*, blocked or not, peels as it does alone:
-    the same blocked, step, column and pivot, and the same b, NaN from a
-    blocking step on."""
+    """Every eigenvector of sigma_1*, blocked or not, peels as it does alone
+    over the full spin factors: the same blocked, step, column and pivot,
+    and the same b bit for bit, NaN from a blocking step on.  The peel
+    takes off only the moves of `grouprep.sweep_moves`, so this checks that
+    it never reads what the moves that plan drops would write."""
     steps = set()
     for q in (1.0, 81.0, 1e-12, 1e12):
         _, vectors = np.linalg.eig(jb.sigma1_matrix(m, complex(q)).T)
@@ -542,11 +568,12 @@ def dense_spin_factors(m):
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
 def test_sparse_spin_factors_match_the_dense_product(m):
-    """The index-array factors of the peel plan, applied in place to the
-    columns of a (2^m, S) stack as p[cols] += b p[rows], give (I + b F)^T p,
-    and pluecker_rows its Pluecker columns, bit for bit as the dense
-    products; the open columns are those of the dense boolean sweep, each
-    read from its own source row."""
+    """The index-array factors of the peel plan, which keep only the moves
+    whose source the row can have reached, applied in place to the columns
+    of a (2^m, S) stack as p[cols] += b p[rows], give (I + b F)^T p with the
+    full dense F, and pluecker_rows its Pluecker columns, bit for bit as the
+    dense products; the open columns are those of the dense boolean sweep,
+    each read from its own source row."""
     dense = dense_spin_factors(m)
     factors, opens = jb._peel_plan(m)
     b = draw_starts(len(dense), 6, 90 + m)

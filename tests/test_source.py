@@ -271,6 +271,15 @@ def test_plucker_routes_share_no_table():
     assert _lgmirror_imports(trees["weyl.py"]) & {"grouprep", "clifford"} == set()
 
 
+def test_jacobi_reads_the_spin_moves_only_through_the_plan():
+    """grouprep owns the one plan of the spin row: jacobi's forward map and
+    peel read `gr.sweep_moves`, and jacobi names neither the full spin
+    factors nor the word that orders them."""
+    tree = _trees(SRC)["jacobi.py"]
+    assert _referenced(tree) & {"spin_f_moves", "spin_move_positions", "canonical_wp_word"} == set()
+    assert "sweep_moves" in _referenced(tree)
+
+
 def _suite_table_violations(source: str) -> list[str]:
     """Where the cli source `source` names a `verify` suite outside its
     `_SUITES` table: a string literal equal to a suite name, or a comparison
